@@ -274,47 +274,6 @@ func BenchmarkCampaignThroughputCheckpointed(b *testing.B) {
 	b.ReportMetric(float64(executed)/b.Elapsed().Seconds(), "execs/sec")
 }
 
-// BenchmarkCampaignThroughputMapLM is the same campaign shape with
-// generation on the map-backed LM and a single generator shard — the
-// generation-side ablation pair for BenchmarkCampaignThroughput
-// (execution stays on the resolve-once path in both).
-func BenchmarkCampaignThroughputMapLM(b *testing.B) {
-	var executed int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := campaign.Run(campaign.Config{
-			Fuzzer:    fuzzers.NewComfortLM(fuzzers.LMOptions{DisableFrozenLM: true}),
-			Testbeds:  engines.Testbeds(),
-			Cases:     120,
-			Seed:      2021,
-			Workers:   8,
-			GenShards: 1,
-		})
-		executed += int64(res.Executed)
-	}
-	b.ReportMetric(float64(executed)/b.Elapsed().Seconds(), "execs/sec")
-}
-
-// BenchmarkCampaignThroughputMapScopes is the same campaign shape on the
-// legacy dynamic map-scope evaluator (DisableResolve) — the ablation pair
-// for BenchmarkCampaignThroughput.
-func BenchmarkCampaignThroughputMapScopes(b *testing.B) {
-	var executed int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := campaign.Run(campaign.Config{
-			Fuzzer:         fuzzers.NewComfort(),
-			Testbeds:       engines.Testbeds(),
-			Cases:          120,
-			Seed:           2021,
-			Workers:        8,
-			DisableResolve: true,
-		})
-		executed += int64(res.Executed)
-	}
-	b.ReportMetric(float64(executed)/b.Elapsed().Seconds(), "execs/sec")
-}
-
 // loopFuzzer emits a fixed set of interpreter-bound programs (deep loops,
 // calls, element traffic) so the campaign benchmark variant below measures
 // the evaluator, not generation or parse.
@@ -334,32 +293,22 @@ func (f *loopFuzzer) Next(_ *rand.Rand) []string {
 
 // BenchmarkCampaignThroughputInterpBound drives the full campaign pipeline
 // with interpreter-bound cases: per-case cost is dominated by evaluation,
-// so this is where the evaluator shows up at campaign level.
-// Sub-benchmarks contrast the compiled-thunk, resolved tree-walking and
-// legacy map evaluators.
+// so this is where the evaluator shows up at campaign level
+// (BenchmarkInterp contrasts the evaluator paths themselves).
 func BenchmarkCampaignThroughputInterpBound(b *testing.B) {
-	for _, mode := range []struct {
-		name                       string
-		disableCompile, disableRes bool
-	}{{"compiled", false, false}, {"resolved", true, false}, {"map", true, true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var executed int64
-			for i := 0; i < b.N; i++ {
-				res := campaign.Run(campaign.Config{
-					Fuzzer:         &loopFuzzer{},
-					Testbeds:       engines.Testbeds(),
-					Cases:          30,
-					Seed:           2021,
-					Workers:        8,
-					Fuel:           2_000_000,
-					DisableCompile: mode.disableCompile,
-					DisableResolve: mode.disableRes,
-				})
-				executed += int64(res.Executed)
-			}
-			b.ReportMetric(float64(executed)/b.Elapsed().Seconds(), "execs/sec")
+	var executed int64
+	for i := 0; i < b.N; i++ {
+		res := campaign.Run(campaign.Config{
+			Fuzzer:   &loopFuzzer{},
+			Testbeds: engines.Testbeds(),
+			Cases:    30,
+			Seed:     2021,
+			Workers:  8,
+			Fuel:     2_000_000,
 		})
+		executed += int64(res.Executed)
 	}
+	b.ReportMetric(float64(executed)/b.Elapsed().Seconds(), "execs/sec")
 }
 
 // BenchmarkReduce measures Section-3.5 witness reduction: the seed's
@@ -597,10 +546,10 @@ func BenchmarkInterpreterPipeline(b *testing.B) {
 
 // BenchmarkGeneration measures whole-program generation per LM-backed
 // fuzzer configuration — COMFORT's long-context generator, DeepSmith's
-// short-context model, and Montage's expression sampler — contrasting the
-// frozen token-ID sampler against the map-backed oracle implementation.
-// tokens/sec counts sampled LM tokens (the acceptance metric; the frozen
-// path's bar is ≥ 5× map). EXPERIMENTS.md records the measurements.
+// short-context model, and Montage's expression sampler — on the frozen
+// token-ID sampler. tokens/sec counts sampled LM tokens (BenchmarkLM
+// contrasts the frozen and map samplers themselves). EXPERIMENTS.md
+// records the measurements.
 func BenchmarkGeneration(b *testing.B) {
 	type fz struct {
 		name   string
@@ -613,29 +562,23 @@ func BenchmarkGeneration(b *testing.B) {
 		{"Montage", lm.ArchLSTM, "var x = "},
 	}
 	for _, f := range fuzzersLM {
-		for _, mode := range []struct {
-			name    string
-			disable bool
-		}{{"frozen", false}, {"map", true}} {
-			b.Run(f.name+"/"+mode.name, func(b *testing.B) {
-				headers := corpus.Headers()
-				g := lm.Train(corpus.Programs(), headers,
-					lm.Config{Arch: f.arch, DisableFrozenLM: mode.disable})
-				rng := rand.New(rand.NewSource(1))
-				tokens := 0
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					header := f.header
-					if header == "" {
-						header = headers[rng.Intn(len(headers))]
-					}
-					_, n := g.GenerateFromN(header, rng)
-					tokens += n
+		b.Run(f.name, func(b *testing.B) {
+			headers := corpus.Headers()
+			g := lm.Train(corpus.Programs(), headers, lm.Config{Arch: f.arch})
+			rng := rand.New(rand.NewSource(1))
+			tokens := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				header := f.header
+				if header == "" {
+					header = headers[rng.Intn(len(headers))]
 				}
-				b.ReportMetric(float64(tokens)/b.Elapsed().Seconds(), "tokens/sec")
-			})
-		}
+				_, n := g.GenerateFromN(header, rng)
+				tokens += n
+			}
+			b.ReportMetric(float64(tokens)/b.Elapsed().Seconds(), "tokens/sec")
+		})
 	}
 }
 

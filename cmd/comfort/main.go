@@ -50,10 +50,6 @@ func main() {
 		progress = flag.Bool("progress", false, "print campaign progress to stderr")
 		progEach = flag.Int("progress-every", 100, "cases between progress samples (1 = every case)")
 		reduceW  = flag.Bool("reduce", false, "reduce each finding's witness after the campaign (Section 3.5)")
-		noComp   = flag.Bool("disable-compile", false, "execute on the tree-walking evaluator instead of compiled thunks (oracle/ablation)")
-		noRes    = flag.Bool("disable-resolve", false, "execute on the dynamic map-scope evaluator (implies -disable-compile)")
-		noShapes = flag.Bool("disable-shapes", false, "execute with dictionary-mode objects and no inline caches (oracle/ablation)")
-		noAnlz   = flag.Bool("disable-analyze", false, "recompute early errors per execution and skip nondet suppression / feature accounting (oracle/ablation)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		ckptPath = flag.String("checkpoint", "", "periodically persist campaign state to this file (atomic writes)")
@@ -118,9 +114,7 @@ func main() {
 	base := campaign.Config{
 		Workers: *workers, Fuel: *fuel,
 		GenShards: *genShard, ProgressEvery: *progEach,
-		DisableResolve: *noRes, DisableCompile: *noComp, DisableShapes: *noShapes,
-		DisableAnalyze: *noAnlz,
-		Context:        ctx,
+		Context: ctx,
 	}
 	if *progress {
 		// The sampling cadence lives in ProgressEvery now: the campaign only

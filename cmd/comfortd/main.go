@@ -49,6 +49,12 @@ import (
 // cmd/comfort: "stopped on request, all state flushed, safe to restart".
 const exitInterrupted = 3
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so a connection that trickles them in cannot hold a server
+// goroutine forever. Bodies are bounded separately (server.MaxSpecBytes);
+// stream responses stay open as long as the client follows them.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr       = flag.String("addr", ":8334", "HTTP listen address")
@@ -112,7 +118,7 @@ func main() {
 		}
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: server.Handler(sup)}
+	srv := &http.Server{Addr: *addr, Handler: server.Handler(sup), ReadHeaderTimeout: readHeaderTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "comfortd: instance %q serving on %s, data in %s (%d jobs pending)\n",

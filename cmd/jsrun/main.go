@@ -7,7 +7,6 @@
 //	jsrun -strict script.js            # reference engine, strict mode
 //	jsrun -list                        # list engine versions
 //	jsrun -cpuprofile cpu.prof -n 1000 hot.js   # profile a single program
-//	jsrun -disable-compile script.js   # tree-walking evaluator (oracle)
 package main
 
 import (
@@ -28,18 +27,14 @@ func main() {
 
 func realMain() int {
 	var (
-		engine    = flag.String("engine", "", "engine family (empty = reference)")
-		version   = flag.String("version", "", "engine version or build")
-		strict    = flag.Bool("strict", false, "run in strict mode")
-		fuel      = flag.Int64("fuel", 2_000_000, "step budget")
-		list      = flag.Bool("list", false, "list engine versions and exit")
-		repeat    = flag.Int("n", 1, "execute the program n times (profiling workloads)")
-		noCompile = flag.Bool("disable-compile", false, "execute on the tree-walking evaluator instead of compiled thunks")
-		noResolve = flag.Bool("disable-resolve", false, "execute on the dynamic map-scope evaluator (implies -disable-compile)")
-		noShapes  = flag.Bool("disable-shapes", false, "execute with dictionary-mode objects and no inline caches")
-		noAnlz    = flag.Bool("disable-analyze", false, "recompute static early errors per execution instead of using the cached report (oracle)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write an allocation profile to this file on exit")
+		engine  = flag.String("engine", "", "engine family (empty = reference)")
+		version = flag.String("version", "", "engine version or build")
+		strict  = flag.Bool("strict", false, "run in strict mode")
+		fuel    = flag.Int64("fuel", 2_000_000, "step budget")
+		list    = flag.Bool("list", false, "list engine versions and exit")
+		repeat  = flag.Int("n", 1, "execute the program n times (profiling workloads)")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
 	flag.Parse()
 
@@ -90,9 +85,7 @@ func realMain() int {
 		}()
 	}
 
-	opts := engines.RunOptions{Fuel: *fuel, Seed: 1,
-		DisableResolve: *noResolve, DisableCompile: *noCompile,
-		DisableShapes: *noShapes, DisableAnalyze: *noAnlz}
+	opts := engines.RunOptions{Fuel: *fuel, Seed: 1}
 	tb := engines.ReferenceTestbed(*strict)
 	if *engine != "" {
 		v, ok := engines.FindVersion(*engine, *version)

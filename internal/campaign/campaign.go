@@ -46,29 +46,6 @@ type Config struct {
 	ReduceWitnesses bool
 	// DisableDedup turns the Figure-6 filter off (ablation).
 	DisableDedup bool
-	// DisableResolve keeps execution on the interpreter's dynamic
-	// map-scope path instead of the slot-indexed resolve-once path — the
-	// oracle/ablation knob, threaded through to the exec scheduler.
-	DisableResolve bool
-	// DisableCompile keeps execution on the (resolved) tree-walking
-	// evaluator instead of the compile-once thunk path — the oracle and
-	// ablation knob for internal/js/compile, threaded through to the
-	// scheduler, attribution and reduction just like DisableResolve.
-	DisableCompile bool
-	// DisableShapes keeps objects on dictionary-mode property maps and the
-	// compiled evaluator's inline caches empty — the oracle and ablation
-	// knob for the hidden-class object layout, threaded through exactly
-	// like DisableCompile.
-	DisableShapes bool
-	// DisableAnalyze turns the static-analysis products off at the
-	// campaign level: executions recompute the early-error verdict from
-	// the AST instead of the analyze-once cached report, and the sink
-	// performs no divergence-risk suppression or feature accounting — the
-	// oracle and ablation knob for internal/js/analyze. Early-error
-	// semantics are identical in both modes, so the findings of a
-	// DisableAnalyze campaign are exactly the default campaign's findings
-	// plus the flagged-nondeterministic families it suppressed.
-	DisableAnalyze bool
 	// Context cancels the campaign early; Run returns the findings
 	// accounted so far. Nil means context.Background().
 	Context context.Context
@@ -137,12 +114,12 @@ type Progress struct {
 	// compiled-program (parse-and-resolve-once) cache counters so far.
 	CacheHits, CacheMisses, CacheEvictions int64
 	// Compiled/Fallback count physical interpreter runs so far by
-	// evaluator path: thunk-compiled programs vs tree-walked ones. In the
-	// default configuration Fallback stays at zero; a non-zero value (or
-	// an ablation run) is visible at a glance in -progress output.
+	// evaluator path: thunk-compiled programs vs tree-walked ones.
+	// Fallback stays at zero; a non-zero value is visible at a glance in
+	// -progress output.
 	Compiled, Fallback int64
 	// ICHits/ICMisses/ICMega are the compiled evaluator's inline-cache
-	// counters so far (all zero under DisableShapes or DisableCompile).
+	// counters so far.
 	ICHits, ICMisses, ICMega uint64
 	// Analyzed counts class executions that rode the analyze-once cached
 	// report; EarlyErrorSkips counts executions the static early-error
@@ -168,7 +145,7 @@ type Finding struct {
 	Verdict  difftest.Verdict
 	Engine   string
 	// Features is the witness's language-feature fingerprint (analyzer
-	// feature names; nil under DisableAnalyze).
+	// feature names).
 	Features []string
 	// Flags lists the divergence-risk rules that fired on the witness.
 	// Non-empty flags mean the finding lives in Result.SuppressedNondet
@@ -216,8 +193,7 @@ type Result struct {
 	// SuppressedNondet maps defect ID → finding for divergences whose
 	// witness carried a divergence-risk flag (Math.random, for-in order,
 	// ...): real deviations, but suppressible false positives per the
-	// paper's filtering step. Disjoint from Found; always empty under
-	// DisableAnalyze.
+	// paper's filtering step. Disjoint from Found.
 	SuppressedNondet map[string]*Finding
 	// EarlyErrorCases counts cases rejected uniformly by the static
 	// early-error gate (a subset of the invalid verdict count) — each one
@@ -229,8 +205,7 @@ type Result struct {
 	Analyzed, EarlyErrorSkips int64
 	FlaggedNondet             int64
 	// FeatureCounts maps analyzer feature name → number of cases whose
-	// fingerprint carried it; FeaturesSeen is the distinct feature count
-	// (nil/0 under DisableAnalyze).
+	// fingerprint carried it; FeaturesSeen is the distinct feature count.
 	FeatureCounts map[string]int
 	FeaturesSeen  int
 	// Reduction summarises witness reduction (nil unless
@@ -317,9 +292,7 @@ func run(cfg Config) (*Result, error) {
 		Verdicts:         map[difftest.Verdict]int{},
 		Found:            map[string]*Finding{},
 		SuppressedNondet: map[string]*Finding{},
-	}
-	if !cfg.DisableAnalyze {
-		res.FeatureCounts = map[string]int{}
+		FeatureCounts:    map[string]int{},
 	}
 	tree := dedup.New(dedup.KnownAPIsFromSpec(spec.Default().Names()))
 
@@ -359,18 +332,14 @@ func run(cfg Config) (*Result, error) {
 
 	// Stage 2: the scheduler.
 	sched := exec.New(exec.Config{
-		Testbeds:       cfg.Testbeds,
-		Workers:        cfg.Workers,
-		Fuel:           cfg.Fuel,
-		Seed:           cfg.Seed,
-		DisableResolve: cfg.DisableResolve,
-		DisableCompile: cfg.DisableCompile,
-		DisableShapes:  cfg.DisableShapes,
-		DisableAnalyze: cfg.DisableAnalyze,
-		CaseDeadline:   cfg.CaseDeadline,
-		Clock:          cfg.Clock,
-		Faults:         cfg.Faults,
-		Gate:           cfg.Gate,
+		Testbeds:     cfg.Testbeds,
+		Workers:      cfg.Workers,
+		Fuel:         cfg.Fuel,
+		Seed:         cfg.Seed,
+		CaseDeadline: cfg.CaseDeadline,
+		Clock:        cfg.Clock,
+		Faults:       cfg.Faults,
+		Gate:         cfg.Gate,
 	})
 	outcomes := sched.Run(ctx, caseCh)
 
@@ -407,11 +376,9 @@ func run(cfg Config) (*Result, error) {
 		for v, n := range res.Verdicts { //detlint:order — string-keyed map output (JSON-sorted)
 			st.Verdicts[v.String()] = n
 		}
-		if res.FeatureCounts != nil {
-			st.FeatureCounts = map[string]int{}
-			for name, n := range res.FeatureCounts { //detlint:order — string-keyed map output (JSON-sorted)
-				st.FeatureCounts[name] = n
-			}
+		st.FeatureCounts = map[string]int{}
+		for name, n := range res.FeatureCounts { //detlint:order — string-keyed map output (JSON-sorted)
+			st.FeatureCounts[name] = n
 		}
 		st.CacheHits, st.CacheMisses, st.CacheEvictions = sched.CacheStats()
 		st.Compiled, st.Fallback = sched.ExecCounts()
@@ -617,12 +584,9 @@ func reduceFindings(ctx context.Context, cfg Config, res *Result) {
 // once; the predicate then costs two interpretations per candidate, which
 // the reducer evaluates speculatively in parallel.
 func reduceFinding(ctx context.Context, f *Finding, cfg Config) string {
-	// The predicate replays divergences on the same evaluator path the
-	// campaign observed them on, and shares one compiled candidate between
-	// the defect and reference executions when parser options coincide.
-	opts := engines.RunOptions{Fuel: cfg.Fuel, Seed: cfg.Seed,
-		DisableResolve: cfg.DisableResolve, DisableCompile: cfg.DisableCompile,
-		DisableShapes: cfg.DisableShapes, DisableAnalyze: cfg.DisableAnalyze}
+	// The predicate shares one compiled candidate between the defect and
+	// reference executions when parser options coincide.
+	opts := engines.RunOptions{Fuel: cfg.Fuel, Seed: cfg.Seed}
 	buggy := engines.NewDefectRunner(f.Defect, f.strict)
 	ref := engines.NewDefectRunner(nil, f.strict)
 	return reduce.Parallel(f.TestCase, engines.DivergesRunners(buggy, ref, opts),
@@ -632,12 +596,10 @@ func reduceFinding(ctx context.Context, f *Finding, cfg Config) string {
 // accountCase folds one buggy case into the campaign result: Figure-6
 // deduplication, then ground-truth attribution of each deviant testbed.
 // When the witness's static analysis carries divergence-risk flags
-// (rep.Flags), dedup and attribution still run exactly as in the
-// no-analysis pipeline — only the final Found insertion is diverted to
+// (rep.Flags), dedup and attribution still run exactly as for a nil
+// report — only the final Found insertion is diverted to
 // SuppressedNondet. The seen-guard consults both maps, so a later
-// unflagged witness never re-adds a suppressed defect: the Found set of a
-// default campaign is exactly the DisableAnalyze campaign's Found set
-// minus the SuppressedNondet IDs.
+// unflagged witness never re-adds a suppressed defect.
 func accountCase(cfg Config, res *Result, tree *dedup.Tree, src string, cr difftest.CaseResult, rep *analyze.Report) {
 	var flags, feats []string
 	if rep != nil {
@@ -653,9 +615,7 @@ func accountCase(cfg Config, res *Result, tree *dedup.Tree, src string, cr difft
 			continue
 		}
 		attributed := engines.Attribute(src, dev.Testbed,
-			engines.RunOptions{Fuel: cfg.Fuel, Seed: cfg.Seed,
-				DisableResolve: cfg.DisableResolve, DisableCompile: cfg.DisableCompile,
-				DisableShapes: cfg.DisableShapes, DisableAnalyze: cfg.DisableAnalyze})
+			engines.RunOptions{Fuel: cfg.Fuel, Seed: cfg.Seed})
 		if len(attributed) == 0 {
 			res.UnattributedFindings++
 			continue

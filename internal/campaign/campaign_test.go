@@ -14,7 +14,8 @@ import (
 
 // TestComfortCampaignFindsSeededBugs runs a small COMFORT campaign over the
 // bug-richest testbeds and checks that it discovers seeded defects across
-// several engines — the end-to-end property behind every table.
+// several engines — the end-to-end property behind every table — on the
+// compiled evaluator with live inline caches.
 func TestComfortCampaignFindsSeededBugs(t *testing.T) {
 	// Seed re-pinned when the sharded generation scheme replaced the
 	// sequential RNG (the stream is a different — equally valid — sample
@@ -38,6 +39,12 @@ func TestComfortCampaignFindsSeededBugs(t *testing.T) {
 	}
 	t.Logf("found %d defects across %d engines (dups filtered: %d)",
 		len(res.Found), len(enginesHit), res.DuplicatesFiltered)
+	if res.Compiled == 0 || res.Fallback != 0 {
+		t.Errorf("campaign should run fully compiled: compiled=%d fallback=%d", res.Compiled, res.Fallback)
+	}
+	if res.ICHits+res.ICMisses == 0 {
+		t.Errorf("campaign should exercise the inline caches: hits=%d misses=%d", res.ICHits, res.ICMisses)
+	}
 }
 
 // TestCampaignWorkerCountIndependence pins the streaming pipeline's

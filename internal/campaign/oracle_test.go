@@ -1,19 +1,70 @@
 package campaign
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"comfort/internal/difftest"
 	"comfort/internal/engines"
+	"comfort/internal/exec"
 	"comfort/internal/fuzzers"
+	"comfort/internal/js/analyze"
+	"comfort/internal/js/compile"
+	"comfort/internal/js/parser"
 	"comfort/internal/js/resolve"
 )
+
+// referencePath is one second implementation the default pipeline
+// (resolve → compile → analyze, shape-mode objects) is checked against. A
+// path is picked by the passes its program skips — no resolve pass runs
+// on map scopes, no compile pass tree-walks end to end, no analyze pass
+// recomputes the early-error report per execution — plus the one switch
+// no pass selects: dictionary-mode objects.
+type referencePath struct {
+	name                      string
+	resolve, compile, analyze bool
+	dict                      bool
+}
+
+var (
+	mapScopes  = referencePath{name: "map scopes", analyze: true}
+	treeWalker = referencePath{name: "tree walker", resolve: true, analyze: true}
+	dictObjs   = referencePath{name: "dictionary objects", resolve: true, compile: true, analyze: true, dict: true}
+	dictTree   = referencePath{name: "dictionary objects on the tree walker", resolve: true, analyze: true, dict: true}
+	recomputed = referencePath{name: "recomputed report", resolve: true, compile: true}
+)
+
+// runPath executes src on p along path: the default pipeline's pre-parse
+// gate and ExecParsed, over a program that went through only the path's
+// passes.
+func runPath(p *engines.PreparedTestbed, src string, path referencePath, opts engines.RunOptions) engines.ExecResult {
+	if msg := p.PreParseError(src); msg != "" {
+		return engines.PreParseResult(msg)
+	}
+	prog, err := parser.ParseWith(src, p.ParseOptions())
+	if err == nil {
+		if path.resolve {
+			resolve.Program(prog)
+		}
+		if path.compile {
+			compile.Program(prog)
+		}
+		if path.analyze {
+			analyze.Program(prog)
+		}
+	}
+	if path.dict {
+		opts = engines.DictionaryObjects(opts)
+	}
+	return p.ExecParsed(prog, err, opts)
+}
 
 // oracleTestbeds picks a behaviour-diverse testbed subset: the defect-free
 // reference in both modes plus the oldest (defect-richest) and newest
 // version of every engine family, both modes each.
-func oracleTestbeds() []engines.Testbed {
+func oracleTestbeds() []*engines.PreparedTestbed {
 	tbs := []engines.Testbed{
 		engines.ReferenceTestbed(false),
 		engines.ReferenceTestbed(true),
@@ -24,296 +75,217 @@ func oracleTestbeds() []engines.Testbed {
 			tbs = append(tbs, engines.Testbed{Version: v, Strict: true})
 		}
 	}
-	return tbs
+	prepared := make([]*engines.PreparedTestbed, len(tbs))
+	for i, tb := range tbs {
+		prepared[i] = tb.Prepare()
+	}
+	return prepared
+}
+
+// firstCases draws the first n cases f generates from one RNG seeded
+// with seed.
+func firstCases(f fuzzers.Fuzzer, seed int64, n int) []string {
+	rng := rand.New(rand.NewSource(seed))
+	var cases []string
+	for len(cases) < n {
+		batch := f.Next(rng)
+		if len(batch) == 0 {
+			break
+		}
+		cases = append(cases, batch...)
+	}
+	if len(cases) > n {
+		cases = cases[:n]
+	}
+	return cases
+}
+
+// earlyErrorSamples drive the static early-error gate explicitly: fuzzer
+// corpora are mostly statically valid. (Bare break/continue/return
+// placement is the parser's job — these are the rules only the analyzer
+// sees.)
+var earlyErrorSamples = []string{
+	"let a = 1; let a = 2; print(a);",
+	"const c = 1; c = 2; print(c);",
+	"x: { continue x; }",
+	"x: x: while (true) { break; }",
+	"try { print(1); } catch (e) { let e = 1; }",
+	"for (let i = 0, i = 1; false; ) { }",
+	"x: while (true) { break y; }",
+	"function f(p) { let p = 1; } f(0);",
+}
+
+// pathStats is what one run of checkReferencePaths observed on the
+// default path: inline-cache probe traffic and the number of programs the
+// analyzer statically rejected.
+type pathStats struct {
+	icProbes        uint64
+	earlyErrorProgs int
+}
+
+// checkReferencePaths is the per-execution differential oracle shared by
+// the path tests: each program the six fuzzers generate from fixed seeds,
+// plus the early-error samples, must produce byte-identical ExecResults —
+// output, outcome, error rendering, fuel and the early-error marker — on
+// the default pipeline and on every given reference path, across
+// defect-laden and reference testbeds in both modes. A path that skips
+// the compile pass or keeps dictionary objects must leave the inline
+// caches untouched. Programs the analyzer statically rejects must
+// additionally be rejected identically by every testbed — the soundness
+// condition that lets the scheduler classify an early-error case from the
+// reference testbed alone.
+func checkReferencePaths(t *testing.T, paths ...referencePath) pathStats {
+	t.Helper()
+	prepared := oracleTestbeds()
+	opts := engines.RunOptions{Fuel: 150000, Seed: 9}
+	var st pathStats
+	checkOne := func(name string, ci int, src string) {
+		var rejected, accepted int
+		for _, p := range prepared {
+			if msg := p.PreParseError(src); msg != "" {
+				continue // identical gate on every path
+			}
+			prog, perr := p.Parse(src)
+			want := p.ExecParsed(prog, perr, opts)
+			st.icProbes += want.ICHit + want.ICMiss + want.ICMega
+			for _, path := range paths {
+				got := runPath(p, src, path, opts)
+				if got.Semantics() != want.Semantics() {
+					t.Fatalf("%s case %d on %s: %s diverges from the default path\ndefault: %+v\n%s: %+v\nprogram:\n%s",
+						name, ci, p.Testbed.ID(), path.name, want, path.name, got, src)
+				}
+				if (path.dict || !path.compile) && got.ICHit+got.ICMiss+got.ICMega != 0 {
+					t.Fatalf("%s case %d on %s: %s touched the inline caches", name, ci, p.Testbed.ID(), path.name)
+				}
+			}
+			if perr != nil {
+				continue
+			}
+			if rep := analyze.Of(prog); rep.Invalid() {
+				if !want.EarlyError {
+					t.Fatalf("%s case %d on %s: analyzer reports %q but the testbed ran the program\nprogram:\n%s",
+						name, ci, p.Testbed.ID(), rep.FirstError().Render(), src)
+				}
+				rejected++
+			} else {
+				accepted++
+			}
+		}
+		if rejected > 0 && accepted > 0 {
+			t.Fatalf("%s case %d: early-error verdict differs across testbeds (%d reject, %d run)\nprogram:\n%s",
+				name, ci, rejected, accepted, src)
+		}
+		if rejected > 0 {
+			st.earlyErrorProgs++
+		}
+	}
+	for fi, f := range fuzzers.All() {
+		for ci, src := range firstCases(f, int64(100+fi), 25) {
+			checkOne(f.Name(), ci, src)
+		}
+	}
+	for ci, src := range earlyErrorSamples {
+		checkOne("early-error-samples", ci, src)
+	}
+	return st
 }
 
 // TestEvaluatorOracle is the differential oracle for the resolve-once
-// interpreter: every program the six fuzzers generate from fixed seeds must
-// produce byte-identical ExecResults — output, outcome, error rendering and
-// fuel consumption — whether it executes on the slot-indexed path or the
-// legacy map-scope path, across defect-laden and reference testbeds in both
-// modes.
+// interpreter: slot-indexed scopes against map scopes (no resolve pass).
 func TestEvaluatorOracle(t *testing.T) {
-	tbs := oracleTestbeds()
-	prepared := make([]*engines.PreparedTestbed, len(tbs))
-	for i, tb := range tbs {
-		prepared[i] = tb.Prepare()
-	}
-	opts := engines.RunOptions{Fuel: 150000, Seed: 9}
-	const perFuzzer = 25
-	for fi, f := range fuzzers.All() {
-		rng := rand.New(rand.NewSource(int64(100 + fi)))
-		var cases []string
-		for len(cases) < perFuzzer {
-			batch := f.Next(rng)
-			if len(batch) == 0 {
-				break
-			}
-			cases = append(cases, batch...)
-		}
-		if len(cases) > perFuzzer {
-			cases = cases[:perFuzzer]
-		}
-		for ci, src := range cases {
-			for _, p := range prepared {
-				if msg := p.PreParseError(src); msg != "" {
-					continue // identical gate on both paths
-				}
-				rProg, rErr := p.Parse(src)
-				resolvedRes := p.ExecParsed(rProg, rErr, opts)
-				mProg, mErr := p.ParseUnresolved(src)
-				mapRes := p.ExecParsed(mProg, mErr, opts)
-				if resolvedRes.Semantics() != mapRes.Semantics() {
-					t.Fatalf("%s case %d on %s: evaluator paths diverge\nresolved: %+v\nmap:      %+v\nprogram:\n%s",
-						f.Name(), ci, p.Testbed.ID(), resolvedRes, mapRes, src)
-				}
-			}
-		}
-	}
+	checkReferencePaths(t, mapScopes)
 }
 
 // TestCompiledOracle is the differential oracle for the compile-once thunk
-// evaluator: every program the six fuzzers generate from fixed seeds must
-// produce byte-identical ExecResults — output, outcome, error rendering
-// and fuel consumption — whether it executes through compiled closure
-// thunks or the (resolved) tree walker, across defect-laden and reference
-// testbeds in both modes. One shared program object serves both paths,
-// exactly as the scheduler cache shares it.
+// evaluator: compiled closure thunks against the resolved tree walker (no
+// compile pass).
 func TestCompiledOracle(t *testing.T) {
-	tbs := oracleTestbeds()
-	prepared := make([]*engines.PreparedTestbed, len(tbs))
-	for i, tb := range tbs {
-		prepared[i] = tb.Prepare()
-	}
-	opts := engines.RunOptions{Fuel: 150000, Seed: 9}
-	treeOpts := opts
-	treeOpts.DisableCompile = true
-	const perFuzzer = 25
-	for fi, f := range fuzzers.All() {
-		rng := rand.New(rand.NewSource(int64(100 + fi)))
-		var cases []string
-		for len(cases) < perFuzzer {
-			batch := f.Next(rng)
-			if len(batch) == 0 {
-				break
-			}
-			cases = append(cases, batch...)
-		}
-		if len(cases) > perFuzzer {
-			cases = cases[:perFuzzer]
-		}
-		for ci, src := range cases {
-			for _, p := range prepared {
-				if msg := p.PreParseError(src); msg != "" {
-					continue // identical gate on both paths
-				}
-				prog, perr := p.Parse(src)
-				compiledRes := p.ExecParsed(prog, perr, opts)
-				treeRes := p.ExecParsed(prog, perr, treeOpts)
-				if compiledRes.Semantics() != treeRes.Semantics() {
-					t.Fatalf("%s case %d on %s: evaluator paths diverge\ncompiled: %+v\ntree:     %+v\nprogram:\n%s",
-						f.Name(), ci, p.Testbed.ID(), compiledRes, treeRes, src)
-				}
-			}
-		}
-	}
+	checkReferencePaths(t, treeWalker)
 }
 
 // TestShapesOracle is the differential oracle for the hidden-class object
-// layout and its inline caches: every program the six fuzzers generate
-// from fixed seeds must produce byte-identical ExecResults — output,
-// outcome, error rendering and fuel consumption — whether it executes
-// with shape-mode objects and ICs (the default compiled configuration),
-// with dictionary objects on the compiled path (DisableShapes), or on the
-// dictionary tree walker (DisableShapes + DisableCompile), across
-// defect-laden and reference testbeds in both modes.
+// layout and its inline caches: shape-mode objects against dictionary
+// objects, on the compiled path and on the tree walker. The default path
+// must actually probe the caches, or the comparison is vacuous.
 func TestShapesOracle(t *testing.T) {
-	tbs := oracleTestbeds()
-	prepared := make([]*engines.PreparedTestbed, len(tbs))
-	for i, tb := range tbs {
-		prepared[i] = tb.Prepare()
+	if st := checkReferencePaths(t, dictObjs, dictTree); st.icProbes == 0 {
+		t.Fatal("the default path never probed an inline cache; the shape comparison is vacuous")
 	}
-	opts := engines.RunOptions{Fuel: 150000, Seed: 9}
-	dictOpts := opts
-	dictOpts.DisableShapes = true
-	treeOpts := dictOpts
-	treeOpts.DisableCompile = true
-	const perFuzzer = 25
-	for fi, f := range fuzzers.All() {
-		rng := rand.New(rand.NewSource(int64(100 + fi)))
-		var cases []string
-		for len(cases) < perFuzzer {
-			batch := f.Next(rng)
-			if len(batch) == 0 {
-				break
+}
+
+// TestAnalyzeOracle is the differential oracle for the cached static
+// analysis: the report the analyze pass attaches once against the report
+// recomputed per execution (no analyze pass), plus the cross-testbed
+// soundness of every early-error verdict.
+func TestAnalyzeOracle(t *testing.T) {
+	if st := checkReferencePaths(t, recomputed); st.earlyErrorProgs < 8 {
+		t.Fatalf("early-error gate exercised on only %d programs; the oracle lost its teeth", st.earlyErrorProgs)
+	}
+}
+
+// checkSchedulerPath is the grid-level twin of checkReferencePaths: a
+// 4-worker scheduler runs 150 COMFORT cases over every testbed on the
+// default path, sharing compiled programs, shapes and analysis reports
+// across concurrent workers, and each behaviour class's delivered result
+// must equal a direct run of the case on path. It returns the scheduler
+// for its execution counters.
+func checkSchedulerPath(t *testing.T, path referencePath) *exec.Scheduler {
+	t.Helper()
+	const seed = 2021
+	srcs := firstCases(fuzzers.NewComfort(), seed, 150)
+	sched := exec.New(exec.Config{
+		Testbeds: engines.Testbeds(),
+		Workers:  4,
+		Fuel:     difftest.DefaultFuel,
+		Seed:     seed,
+	})
+	opts := engines.RunOptions{Fuel: difftest.DefaultFuel, Seed: seed}
+	ctx := context.Background()
+	delivered := 0
+	for oc := range sched.Run(ctx, exec.FromSlice(ctx, srcs)) {
+		delivered++
+		checked := map[string]bool{}
+		for _, e := range oc.Entries {
+			p := e.Testbed.Prepare()
+			if checked[p.BehaviorKey()] {
+				continue
 			}
-			cases = append(cases, batch...)
-		}
-		if len(cases) > perFuzzer {
-			cases = cases[:perFuzzer]
-		}
-		for ci, src := range cases {
-			for _, p := range prepared {
-				if msg := p.PreParseError(src); msg != "" {
-					continue // identical gate on all paths
-				}
-				prog, perr := p.Parse(src)
-				shapedRes := p.ExecParsed(prog, perr, opts)
-				dictRes := p.ExecParsed(prog, perr, dictOpts)
-				treeRes := p.ExecParsed(prog, perr, treeOpts)
-				if shapedRes.Semantics() != dictRes.Semantics() {
-					t.Fatalf("%s case %d on %s: object layouts diverge on the compiled path\nshaped: %+v\ndict:   %+v\nprogram:\n%s",
-						f.Name(), ci, p.Testbed.ID(), shapedRes, dictRes, src)
-				}
-				if shapedRes.Semantics() != treeRes.Semantics() {
-					t.Fatalf("%s case %d on %s: shaped compiled path diverges from dictionary tree walker\nshaped: %+v\ntree:   %+v\nprogram:\n%s",
-						f.Name(), ci, p.Testbed.ID(), shapedRes, treeRes, src)
-				}
+			checked[p.BehaviorKey()] = true
+			if got := runPath(p, oc.Src, path, opts); got.Semantics() != e.Result.Semantics() {
+				t.Fatalf("case %d on %s: %s diverges from the scheduler's result\nscheduler: %+v\n%s: %+v\nprogram:\n%s",
+					oc.Index, e.Testbed.ID(), path.name, e.Result, path.name, got, oc.Src)
 			}
 		}
 	}
+	if delivered != len(srcs) {
+		t.Fatalf("scheduler delivered %d of %d cases", delivered, len(srcs))
+	}
+	return sched
 }
 
-// TestCampaignShapesOracle runs the same campaign with and without the
-// hidden-class layout and requires identical findings, verdict tallies and
-// execution counts — the campaign-level finding-identity oracle for the
-// shape/IC subsystem. It also pins that the default configuration actually
-// exercises the inline caches (non-zero probe traffic) and that the
-// ablation leaves them untouched.
-func TestCampaignShapesOracle(t *testing.T) {
-	run := func(disable bool) *Result {
-		return Run(Config{
-			Fuzzer:        fuzzers.NewComfort(),
-			Testbeds:      engines.Testbeds(),
-			Cases:         150,
-			Seed:          2021,
-			Workers:       4,
-			DisableShapes: disable,
-		})
-	}
-	shaped := run(false)
-	dict := run(true)
-	if got, want := findingsKey(shaped), findingsKey(dict); got != want {
-		t.Errorf("findings differ between object layouts:\nshaped: %s\ndict:   %s", got, want)
-	}
-	if shaped.Executed != dict.Executed {
-		t.Errorf("executed %d shaped, %d dict", shaped.Executed, dict.Executed)
-	}
-	for v, n := range shaped.Verdicts {
-		if dict.Verdicts[v] != n {
-			t.Errorf("verdict %s: %d shaped vs %d dict", v, n, dict.Verdicts[v])
-		}
-	}
-	if shaped.ICHits+shaped.ICMisses == 0 {
-		t.Errorf("default campaign should exercise the inline caches: hits=%d misses=%d",
-			shaped.ICHits, shaped.ICMisses)
-	}
-	if dict.ICHits+dict.ICMisses+dict.ICMega != 0 {
-		t.Errorf("DisableShapes campaign should leave the inline caches empty: hits=%d misses=%d mega=%d",
-			dict.ICHits, dict.ICMisses, dict.ICMega)
-	}
-}
-
-// TestCampaignCompileOracle runs the same campaign with and without the
-// thunk compiler and requires identical findings, verdict tallies and
-// execution counts — plus full compiled-path coverage in the default
-// configuration (the Fallback counter stays at zero).
-func TestCampaignCompileOracle(t *testing.T) {
-	run := func(disable bool) *Result {
-		return Run(Config{
-			Fuzzer:         fuzzers.NewComfort(),
-			Testbeds:       engines.Testbeds(),
-			Cases:          150,
-			Seed:           2021,
-			Workers:        4,
-			DisableCompile: disable,
-		})
-	}
-	compiled := run(false)
-	tree := run(true)
-	if got, want := findingsKey(compiled), findingsKey(tree); got != want {
-		t.Errorf("findings differ between evaluator paths:\ncompiled: %s\ntree:     %s", got, want)
-	}
-	if compiled.Executed != tree.Executed {
-		t.Errorf("executed %d on compiled path, %d on tree path", compiled.Executed, tree.Executed)
-	}
-	for v, n := range compiled.Verdicts {
-		if tree.Verdicts[v] != n {
-			t.Errorf("verdict %s: %d compiled vs %d tree", v, n, tree.Verdicts[v])
-		}
-	}
-	if compiled.Compiled == 0 || compiled.Fallback != 0 {
-		t.Errorf("default campaign should run fully compiled: compiled=%d fallback=%d",
-			compiled.Compiled, compiled.Fallback)
-	}
-	if tree.Compiled != 0 || tree.Fallback == 0 {
-		t.Errorf("DisableCompile campaign should run fully tree-walked: compiled=%d fallback=%d",
-			tree.Compiled, tree.Fallback)
-	}
-}
-
-// TestCampaignResolveOracle runs the same campaign on both evaluator paths
-// and requires identical findings, verdict tallies and execution counts.
+// TestCampaignResolveOracle compares every result a concurrent campaign
+// grid delivers with the map-scope path.
 func TestCampaignResolveOracle(t *testing.T) {
-	run := func(disable bool) *Result {
-		return Run(Config{
-			Fuzzer:         fuzzers.NewComfort(),
-			Testbeds:       engines.Testbeds(),
-			Cases:          150,
-			Seed:           2021,
-			Workers:        4,
-			DisableResolve: disable,
-		})
-	}
-	resolved := run(false)
-	mapped := run(true)
-	if got, want := findingsKey(resolved), findingsKey(mapped); got != want {
-		t.Errorf("findings differ between evaluator paths:\nresolved: %s\nmap:      %s", got, want)
-	}
-	if resolved.Executed != mapped.Executed {
-		t.Errorf("executed %d on resolved path, %d on map path", resolved.Executed, mapped.Executed)
-	}
-	for v, n := range resolved.Verdicts {
-		if mapped.Verdicts[v] != n {
-			t.Errorf("verdict %s: %d resolved vs %d map", v, n, mapped.Verdicts[v])
-		}
+	checkSchedulerPath(t, mapScopes)
+}
+
+// TestCampaignCompileOracle compares every result a concurrent campaign
+// grid delivers with the tree walker, and pins full compiled-path
+// coverage on the default path (the Fallback counter stays at zero).
+func TestCampaignCompileOracle(t *testing.T) {
+	sched := checkSchedulerPath(t, treeWalker)
+	if compiled, fallback := sched.ExecCounts(); compiled == 0 || fallback != 0 {
+		t.Errorf("default path should run fully compiled: compiled=%d fallback=%d", compiled, fallback)
 	}
 }
 
-// TestCampaignFrozenLMOracle runs the same campaign with the generator on
-// the frozen token-ID sampler and on the map-backed oracle sampler, for
-// every LM-backed fuzzer, and requires identical findings, tallies and
-// accounting — the generation-side twin of TestCampaignResolveOracle.
-func TestCampaignFrozenLMOracle(t *testing.T) {
-	for _, mk := range []func(fuzzers.LMOptions) fuzzers.Fuzzer{
-		func(o fuzzers.LMOptions) fuzzers.Fuzzer { return fuzzers.NewComfortLM(o) },
-		func(o fuzzers.LMOptions) fuzzers.Fuzzer { return fuzzers.NewDeepSmithLM(o) },
-		func(o fuzzers.LMOptions) fuzzers.Fuzzer { return fuzzers.NewMontageLM(o) },
-	} {
-		run := func(disable bool) *Result {
-			return Run(Config{
-				Fuzzer:   mk(fuzzers.LMOptions{DisableFrozenLM: disable}),
-				Testbeds: engines.Testbeds(),
-				Cases:    100,
-				Seed:     2021,
-				Workers:  4,
-			})
-		}
-		frozen := run(false)
-		mapped := run(true)
-		if got, want := findingsKey(frozen), findingsKey(mapped); got != want {
-			t.Errorf("%s: findings differ between LM implementations:\nfrozen: %s\nmap:    %s",
-				frozen.FuzzerName, got, want)
-		}
-		if frozen.Executed != mapped.Executed || frozen.CasesRun != mapped.CasesRun {
-			t.Errorf("%s: accounting differs between LM implementations: (%d,%d) vs (%d,%d)",
-				frozen.FuzzerName, frozen.CasesRun, frozen.Executed, mapped.CasesRun, mapped.Executed)
-		}
-		for v, n := range frozen.Verdicts {
-			if mapped.Verdicts[v] != n {
-				t.Errorf("%s: verdict %s: %d frozen vs %d map", frozen.FuzzerName, v, n, mapped.Verdicts[v])
-			}
-		}
+// TestCampaignShapesOracle compares every result a concurrent campaign
+// grid delivers with dictionary objects, and pins that the default path
+// exercises the inline caches.
+func TestCampaignShapesOracle(t *testing.T) {
+	sched := checkSchedulerPath(t, dictObjs)
+	if hit, miss, _ := sched.ICStats(); hit+miss == 0 {
+		t.Errorf("default path should exercise the inline caches: hits=%d misses=%d", hit, miss)
 	}
 }
 

@@ -103,11 +103,9 @@ func fingerprint(cfg Config) string {
 		ids = append(ids, tb.ID())
 	}
 	return fmt.Sprintf(
-		"comfort-campaign/v%d fuzzer=%s seed=%d cases=%d fuel=%d testbeds=%s dedup=%t resolve=%t compile=%t shapes=%t analyze=%t faults=%s",
+		"comfort-campaign/v%d fuzzer=%s seed=%d cases=%d fuel=%d testbeds=%s dedup=%t faults=%s",
 		StateFormatVersion, cfg.Fuzzer.Name(), cfg.Seed, cfg.Cases, cfg.Fuel,
-		strings.Join(ids, ","), !cfg.DisableDedup, !cfg.DisableResolve,
-		!cfg.DisableCompile, !cfg.DisableShapes, !cfg.DisableAnalyze,
-		cfg.Faults.Fingerprint())
+		strings.Join(ids, ","), !cfg.DisableDedup, cfg.Faults.Fingerprint())
 }
 
 // saveFindings converts a finding map to its serialisable form in
@@ -298,10 +296,8 @@ func restoreInto(st *State, res *Result, tree *dedup.Tree) (uint64, error) {
 	res.UnattributedFindings = st.UnattributedFindings
 	res.EarlyErrorCases = st.EarlyErrorCases
 	res.FlaggedNondet = st.FlaggedNondet
-	if res.FeatureCounts != nil {
-		for name, n := range st.FeatureCounts { //detlint:order — accumulating counters
-			res.FeatureCounts[name] = n
-		}
+	for name, n := range st.FeatureCounts { //detlint:order — accumulating counters
+		res.FeatureCounts[name] = n
 	}
 	tree.Restore(st.Dedup)
 	return st.FeatureBits, nil

@@ -1,62 +1,16 @@
 package engines
 
 import (
-	"comfort/internal/js/analyze"
 	"comfort/internal/js/ast"
 	"comfort/internal/js/builtins"
-	"comfort/internal/js/compile"
 	"comfort/internal/js/interp"
 	"comfort/internal/js/parser"
-	"comfort/internal/js/resolve"
 )
-
-// finishParse applies the resolve-once, compile-once and analyze-once
-// passes to a fresh parse per the run options — the single-defect
-// executors' equivalent of PreparedTestbed.parseFor.
-func finishParse(prog *ast.Program, opts RunOptions) {
-	if !opts.DisableResolve {
-		resolve.Program(prog)
-		if !opts.DisableCompile {
-			compile.Program(prog)
-		}
-	}
-	analyze.Program(prog)
-}
 
 // RunWithDefect executes src with exactly one defect installed — the
 // ground-truth attribution primitive used by the campaign accounting.
 func RunWithDefect(d *Defect, src string, strict bool, opts RunOptions) ExecResult {
-	cfg := interp.Config{Fuel: opts.Fuel, Seed: opts.Seed, Strict: strict}
-	parseOpts := parser.Options{Strict: strict}
-	if d != nil {
-		if d.Configure != nil {
-			d.Configure(&cfg)
-		}
-		if d.ParserOpts != nil {
-			d.ParserOpts(&parseOpts)
-		}
-		if d.Hook != nil && (!d.StrictOnly || strict) {
-			cfg.Hook = d.Hook
-		}
-		if d.PreParse != nil {
-			if msg := d.PreParse(src); msg != "" {
-				return ExecResult{Outcome: OutcomeParseError, Error: "SyntaxError: " + msg, ErrName: "SyntaxError"}
-			}
-		}
-	}
-	cfg.DisableCompile = opts.DisableCompile
-	cfg.DisableShapes = opts.DisableShapes
-	cfg.Watchdog = opts.Watchdog
-	in := builtins.NewRuntime(cfg)
-	prog, err := parser.ParseWith(src, parseOpts)
-	if err != nil {
-		return ExecResult{Outcome: OutcomeParseError, Error: err.Error(), ErrName: "SyntaxError"}
-	}
-	finishParse(prog, opts)
-	if res, bad := earlyErrorResult(prog, opts); bad {
-		return res
-	}
-	return runGuarded(in, prog, opts)
+	return NewDefectRunner(d, strict).Run(src, opts)
 }
 
 // DefectRunner is the prepared form of RunWithDefect: the interpreter
@@ -93,16 +47,12 @@ func NewDefectRunner(d *Defect, strict bool) *DefectRunner {
 }
 
 // Run executes src with the prepared defect (or the reference when the
-// runner was prepared with a nil defect). RunOptions.DisableResolve keeps
-// the execution on the dynamic map-scope evaluator.
+// runner was prepared with a nil defect).
 func (r *DefectRunner) Run(src string, opts RunOptions) ExecResult {
 	if msg := r.preParseError(src); msg != "" {
 		return PreParseResult(msg)
 	}
-	prog, err := parser.ParseWith(src, r.parseOpts)
-	if err == nil {
-		finishParse(prog, opts)
-	}
+	prog, err := parseProgram(src, r.parseOpts)
 	return r.execParsed(prog, err, opts)
 }
 
@@ -121,14 +71,12 @@ func (r *DefectRunner) execParsed(prog *ast.Program, err error, opts RunOptions)
 	if err != nil {
 		return ExecResult{Outcome: OutcomeParseError, Error: err.Error(), ErrName: "SyntaxError"}
 	}
-	if res, bad := earlyErrorResult(prog, opts); bad {
+	if res, bad := earlyErrorResult(prog); bad {
 		return res
 	}
 	cfg := r.baseCfg
 	cfg.Fuel = opts.Fuel
 	cfg.Seed = opts.Seed
-	cfg.DisableCompile = opts.DisableCompile
-	cfg.DisableShapes = opts.DisableShapes
 	cfg.Watchdog = opts.Watchdog
 	in := builtins.NewRuntime(cfg)
 	return runGuarded(in, prog, opts)
@@ -156,10 +104,7 @@ func DivergesRunners(a, b *DefectRunner, opts RunOptions) func(src string) bool 
 				return PreParseResult(msg)
 			}
 			if !parsed {
-				prog, perr = parser.ParseWith(src, a.parseOpts)
-				if perr == nil {
-					finishParse(prog, opts)
-				}
+				prog, perr = parseProgram(src, a.parseOpts)
 				parsed = true
 			}
 			return r.execParsed(prog, perr, opts)
@@ -172,7 +117,7 @@ func DivergesRunners(a, b *DefectRunner, opts RunOptions) func(src string) bool 
 // responsible for a divergence observed on src: each active defect is
 // re-run in isolation against the defect-free reference. Candidates whose
 // resolved parser options coincide share one compiled program — the same
-// trick DivergesRunners uses — so a witness is parsed (and scope-resolved)
+// trick DivergesRunners uses — so a witness is parsed (and compiled)
 // once per distinct option fingerprint instead of once per candidate;
 // only the handful of defects with parser interceptors pay their own
 // parse. Execution semantics are unchanged: each candidate still runs
@@ -190,13 +135,7 @@ func Attribute(src string, tb Testbed, opts RunOptions) []*Defect {
 		fp := r.parseOpts.Fingerprint()
 		c, ok := cache[fp]
 		if !ok {
-			c.prog, c.err = parser.ParseWith(src, r.parseOpts)
-			if c.err == nil {
-				if !opts.DisableResolve {
-					resolve.Program(c.prog)
-				}
-				analyze.Program(c.prog)
-			}
+			c.prog, c.err = parseProgram(src, r.parseOpts)
 			cache[fp] = c
 		}
 		return r.execParsed(c.prog, c.err, opts)

@@ -251,8 +251,9 @@ type ExecResult struct {
 	// EarlyError marks a pre-execution SyntaxError from the static
 	// analyzer (Outcome is OutcomeParseError): the program violated a
 	// static-semantics rule every testbed enforces identically. Part of
-	// the observable semantics — both the cached-report path and the
-	// DisableAnalyze recompute path must produce it byte-identically.
+	// the observable semantics — both the cached report and the verdict
+	// recomputed for an unanalyzed program must produce it
+	// byte-identically.
 	EarlyError bool
 	// Panic marks an OutcomeCrash produced by the panic-isolation layer:
 	// the evaluator panicked mid-run and the recover() converted it into a
@@ -267,7 +268,8 @@ type ExecResult struct {
 	// engine is anomalous no matter how little fuel it burned.
 	WallClock bool
 	// ICHit/ICMiss/ICMega count the compiled evaluator's inline-cache
-	// probes for this run (all zero under DisableShapes/DisableCompile).
+	// probes for this run (all zero on a tree-walked program or with
+	// dictionary-mode objects).
 	ICHit, ICMiss, ICMega uint64
 }
 
@@ -291,31 +293,6 @@ type RunOptions struct {
 	Fuel int64
 	Seed int64
 	Cov  *interp.Coverage
-	// DisableResolve keeps the execution on the dynamic map-scope
-	// evaluator instead of the resolve-once slot path — honoured by the
-	// single-defect executors (RunWithDefect, DefectRunner,
-	// DivergesRunners) so a DisableResolve campaign's attribution and
-	// reduction replay on the evaluator that observed the divergence.
-	// The scheduler path carries the same knob in exec.Config instead
-	// (its compiled programs are cached across calls).
-	DisableResolve bool
-	// DisableCompile keeps execution on the (resolved) tree-walking
-	// evaluator instead of the thunk-compiled closure path — the
-	// differential oracle and ablation knob for internal/js/compile,
-	// mirrored by exec.Config and campaign.Config for the scheduler path.
-	DisableCompile bool
-	// DisableShapes keeps objects on dictionary-mode property maps and
-	// leaves the compiled evaluator's inline caches empty — the
-	// differential oracle and ablation knob for the hidden-class object
-	// layout, mirrored by exec.Config and campaign.Config.
-	DisableShapes bool
-	// DisableAnalyze bypasses the report cached on the program
-	// (ast.Program.Analysis) and recomputes the early-error verdict from
-	// the AST on every execution — the differential oracle and ablation
-	// knob for internal/js/analyze, mirrored by exec.Config and
-	// campaign.Config. The observable semantics are identical in both
-	// modes; the knob validates the analyze-once publication machinery.
-	DisableAnalyze bool
 	// Watchdog is the wall-clock deadline probe threaded into
 	// interp.Config.Watchdog (see there): polled every
 	// interp.WatchdogStride fuel steps, a true return classifies the run
@@ -326,6 +303,20 @@ type RunOptions struct {
 	// panic-isolation layer converts evaluator panics into classified
 	// crash results. Always false in normal operation.
 	InjectPanic bool
+	// dictObjects keeps objects on dictionary-mode property maps with the
+	// inline caches empty (interp.Config.DisableShapes) — the reference
+	// object layout, the one path no skipped parse pass can select.
+	// PreparedTestbed.Exec honours it; only DictionaryObjects sets it.
+	dictObjects bool
+}
+
+// DictionaryObjects returns opts with objects kept on dictionary-mode
+// property maps and the inline caches empty — the reference object layout
+// the differential path oracles compare the shape-mode default against.
+// No production caller sets it.
+func DictionaryObjects(opts RunOptions) RunOptions {
+	opts.dictObjects = true
+	return opts
 }
 
 // ActiveDefects returns the catalog defects present in the given version.

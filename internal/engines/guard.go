@@ -50,7 +50,7 @@ func runProgramInjected(in *interp.Interp, prog *ast.Program, opts RunOptions) e
 	if opts.InjectPanic {
 		panic("faultinject: injected evaluator panic")
 	}
-	if cp := compile.Of(prog); cp != nil && !opts.DisableCompile {
+	if cp := compile.Of(prog); cp != nil {
 		return cp.Run(in)
 	}
 	return in.Run(prog)

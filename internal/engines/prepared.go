@@ -129,36 +129,18 @@ func (p *PreparedTestbed) PreParseError(src string) string {
 // helpers the thunks call), so parse equivalence implies thunk
 // equivalence.
 func (p *PreparedTestbed) Parse(src string) (*ast.Program, error) {
-	prog, err := parser.ParseWith(src, p.parseOps)
+	return parseProgram(src, p.parseOps)
+}
+
+// parseProgram is the one parse pipeline every executor in this package
+// shares: parse, then the resolve-once, compile-once and analyze-once
+// passes. Each pass annotates the program before it is shared across
+// goroutines; execution only reads the annotations.
+func parseProgram(src string, opts parser.Options) (*ast.Program, error) {
+	prog, err := parser.ParseWith(src, opts)
 	if err == nil {
 		resolve.Program(prog)
 		compile.Program(prog)
-		analyze.Program(prog)
-	}
-	return prog, err
-}
-
-// ParseResolved parses and scope-resolves src without the thunk-compile
-// pass — the compiled-evaluator ablation's parse mode (the tree walker
-// executes the resolved AST directly).
-func (p *PreparedTestbed) ParseResolved(src string) (*ast.Program, error) {
-	prog, err := parser.ParseWith(src, p.parseOps)
-	if err == nil {
-		resolve.Program(prog)
-		analyze.Program(prog)
-	}
-	return prog, err
-}
-
-// ParseUnresolved parses src without the resolve pass, leaving execution on
-// the interpreter's dynamic map-scope path. It exists for the differential
-// oracle that cross-checks the evaluator paths (and the campaign
-// ablation behind exec.Config.DisableResolve). The static analysis still
-// attaches — it consumes nothing but the raw AST, so every evaluator
-// ablation keeps identical early-error semantics.
-func (p *PreparedTestbed) ParseUnresolved(src string) (*ast.Program, error) {
-	prog, err := parser.ParseWith(src, p.parseOps)
-	if err == nil {
 		analyze.Program(prog)
 	}
 	return prog, err
@@ -170,25 +152,13 @@ func PreParseResult(msg string) ExecResult {
 }
 
 // Run executes src on the prepared testbed: pre-parse interceptors,
-// compile (or plain parse under RunOptions.DisableResolve), then Exec.
+// Parse, then Exec.
 func (p *PreparedTestbed) Run(src string, opts RunOptions) ExecResult {
 	if msg := p.PreParseError(src); msg != "" {
 		return PreParseResult(msg)
 	}
-	prog, err := p.parseFor(src, opts)
+	prog, err := p.Parse(src)
 	return p.ExecParsed(prog, err, opts)
-}
-
-// parseFor compiles src for an execution under opts, honouring the
-// map-scope and thunk-compile ablation knobs.
-func (p *PreparedTestbed) parseFor(src string, opts RunOptions) (*ast.Program, error) {
-	if opts.DisableResolve {
-		return p.ParseUnresolved(src)
-	}
-	if opts.DisableCompile {
-		return p.ParseResolved(src)
-	}
-	return p.Parse(src)
 }
 
 // ExecParsed adapts an (already pre-parse-checked) parse result — typically
@@ -200,23 +170,21 @@ func (p *PreparedTestbed) ExecParsed(prog *ast.Program, err error, opts RunOptio
 	if err != nil {
 		return ExecResult{Outcome: OutcomeParseError, Error: err.Error(), ErrName: "SyntaxError"}
 	}
-	if res, bad := earlyErrorResult(prog, opts); bad {
+	if res, bad := earlyErrorResult(prog); bad {
 		return res
 	}
 	return p.Exec(prog, opts)
 }
 
 // earlyErrorResult returns the pre-execution SyntaxError for a program
-// the static analyzer rejects. The default path reads the report cached
-// on the program by the parse pipeline; DisableAnalyze recomputes the
-// verdict from the AST per execution — two implementations of identical
-// semantics, exactly the DisableCompile oracle pattern. The report is
-// never attached here: programs may already be shared across goroutines.
-func earlyErrorResult(prog *ast.Program, opts RunOptions) (ExecResult, bool) {
-	var rep *analyze.Report
-	if opts.DisableAnalyze {
-		rep = analyze.Analyze(prog)
-	} else if rep = analyze.Of(prog); rep == nil {
+// the static analyzer rejects. It reads the report the parse pipeline
+// cached on the program; a program that skipped analyze.Program gets the
+// verdict recomputed from the AST — two implementations of identical
+// semantics, which the path oracle compares. The report is never attached
+// here: programs may already be shared across goroutines.
+func earlyErrorResult(prog *ast.Program) (ExecResult, bool) {
+	rep := analyze.Of(prog)
+	if rep == nil {
 		rep = analyze.Analyze(prog)
 	}
 	ee := rep.FirstError()
@@ -242,8 +210,7 @@ func (p *PreparedTestbed) Exec(prog *ast.Program, opts RunOptions) ExecResult {
 	cfg.Fuel = opts.Fuel
 	cfg.Seed = opts.Seed
 	cfg.Hook = p.hook
-	cfg.DisableCompile = opts.DisableCompile
-	cfg.DisableShapes = opts.DisableShapes
+	cfg.DisableShapes = opts.dictObjects
 	cfg.Watchdog = opts.Watchdog
 	in := builtins.NewRuntime(cfg)
 	in.Cov = opts.Cov
@@ -305,7 +272,7 @@ func Diverges(a, b *PreparedTestbed, opts RunOptions) func(src string) bool {
 				return PreParseResult(msg)
 			}
 			if !parsed {
-				prog, perr = a.parseFor(src, opts)
+				prog, perr = a.Parse(src)
 				parsed = true
 			}
 			return p.ExecParsed(prog, perr, opts)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"comfort/internal/engines"
+	"comfort/internal/js/analyze"
 )
 
 // TestParseCacheGenerationalEviction checks the segmented eviction policy:
@@ -14,7 +15,7 @@ import (
 // at once.
 func TestParseCacheGenerationalEviction(t *testing.T) {
 	p := engines.ReferenceTestbed(false).Prepare()
-	pc := newParseCache(8, false, false) // generations of 4
+	pc := newParseCache(8) // generations of 4
 
 	src := func(i int) string { return fmt.Sprintf("var x%d = %d;", i, i) }
 	for i := 0; i < 12; i++ {
@@ -73,10 +74,11 @@ func missCount(pc *parseCache) int64 {
 }
 
 // TestParseCacheResolves checks the compiled-program property: cached
-// programs come back scope-resolved (and unresolved under DisableResolve).
+// programs come back through the full pass pipeline — scope-resolved,
+// thunk-compiled and carrying their analysis report.
 func TestParseCacheResolves(t *testing.T) {
 	p := engines.ReferenceTestbed(false).Prepare()
-	pc := newParseCache(16, false, false)
+	pc := newParseCache(16)
 	prog, err := pc.parse(p, "function f(){ return 1; } print(f());")
 	if err != nil {
 		t.Fatal(err)
@@ -84,12 +86,10 @@ func TestParseCacheResolves(t *testing.T) {
 	if !prog.ResolvedScopes {
 		t.Error("cached program is not resolved")
 	}
-	pcRaw := newParseCache(16, true, false)
-	raw, err := pcRaw.parse(p, "function g(){ return 2; } print(g());")
-	if err != nil {
-		t.Fatal(err)
+	if prog.Compiled == nil {
+		t.Error("cached program is not compiled")
 	}
-	if raw.ResolvedScopes {
-		t.Error("DisableResolve cache returned a resolved program")
+	if analyze.Of(prog) == nil {
+		t.Error("cached program carries no analysis report")
 	}
 }

@@ -41,9 +41,8 @@ type Outcome struct {
 	Entries []difftest.ExecEntry
 	Result  difftest.CaseResult
 	// Analysis is the case's static-semantics report (divergence-risk
-	// flags, feature fingerprint), shared from the parse cache. Nil when
-	// the case failed to parse or the scheduler runs with DisableAnalyze —
-	// the ablation's sink must see exactly the no-analyzer pipeline.
+	// flags, feature fingerprint), shared from the parse cache. Nil only
+	// when the case failed to parse.
 	Analysis *analyze.Report
 }
 
@@ -60,27 +59,6 @@ type Config struct {
 	// ages — entries touched within the last generation survive, so a long
 	// campaign never re-parses its entire live working set at once.
 	ParseCacheCap int
-	// DisableResolve keeps cached programs on the interpreter's dynamic
-	// map-scope path instead of running the resolve-once pass after each
-	// parse — the differential oracle and ablation knob for the
-	// slot-indexed evaluator.
-	DisableResolve bool
-	// DisableCompile keeps cached programs on the (resolved) tree-walking
-	// evaluator instead of the compile-once thunk path — the differential
-	// oracle and ablation knob for internal/js/compile. Implied by
-	// DisableResolve (the compiler consumes scope annotations).
-	DisableCompile bool
-	// DisableShapes keeps objects on dictionary-mode property maps and the
-	// compiled evaluator's inline caches empty — the differential oracle
-	// and ablation knob for the hidden-class object layout.
-	DisableShapes bool
-	// DisableAnalyze makes every execution recompute the early-error
-	// verdict from the AST instead of reading the report the parse
-	// pipeline cached on the program, and withholds Outcome.Analysis from
-	// the sink — the differential oracle and ablation knob for
-	// internal/js/analyze. Execution semantics are identical in both
-	// modes; the sink-side flag accounting is what differs.
-	DisableAnalyze bool
 	// CaseDeadline, when positive, arms a wall-clock watchdog on every
 	// physical execution: the interpreter probes Clock at its fuel-charge
 	// site and aborts with a classified timeout once the deadline passes.
@@ -121,9 +99,9 @@ type Scheduler struct {
 	cache    *parseCache
 	// compiled/fallback count physical interpreter runs by evaluator:
 	// thunk-compiled programs vs tree-walked ones (parse errors count in
-	// neither). Surfaced through campaign.Progress so a campaign's oracle
-	// coverage — how much of it actually exercised the compiled path — is
-	// observable.
+	// neither). Surfaced through campaign.Progress so a campaign's
+	// compiled coverage — how much of it actually ran on the compiled
+	// path — is observable.
 	compiled atomic.Int64
 	fallback atomic.Int64
 	// icHit/icMiss/icMega accumulate the per-execution inline-cache
@@ -157,7 +135,7 @@ func New(cfg Config) *Scheduler {
 	if len(cfg.Testbeds) == 0 {
 		cfg.Testbeds = engines.LatestTestbeds()
 	}
-	s := &Scheduler{cfg: cfg, cache: newParseCache(cfg.ParseCacheCap, cfg.DisableResolve, cfg.DisableCompile)}
+	s := &Scheduler{cfg: cfg, cache: newParseCache(cfg.ParseCacheCap)}
 	classOf := map[string]int{}
 	for _, tb := range cfg.Testbeds {
 		p := tb.Prepare()
@@ -184,8 +162,8 @@ func (s *Scheduler) Classes() int { return len(s.classes) }
 func (s *Scheduler) CacheStats() (hits, misses, evictions int64) { return s.cache.stats() }
 
 // ExecCounts reports physical interpreter runs so far by evaluator path:
-// thunk-compiled vs tree-walked (the fallback — ablation modes, or
-// programs the compiler declined).
+// thunk-compiled vs tree-walked (the fallback — programs the compiler
+// declined).
 func (s *Scheduler) ExecCounts() (compiled, fallback int64) {
 	return s.compiled.Load(), s.fallback.Load()
 }
@@ -198,7 +176,7 @@ func (s *Scheduler) ICStats() (hit, miss, mega uint64) {
 
 // AnalyzeStats reports the analyze-once gate's activity so far: class
 // executions that rode a cached report, and executions the early-error
-// verdict short-circuited (the latter counts in both analyze modes).
+// verdict short-circuited.
 func (s *Scheduler) AnalyzeStats() (analyzed, earlySkips int64) {
 	return s.analyzed.Load(), s.earlySkips.Load()
 }
@@ -334,10 +312,8 @@ func (s *Scheduler) Run(ctx context.Context, in <-chan Case) <-chan Outcome {
 				if dropped {
 					continue
 				}
-				oc := Outcome{Case: c.c, Entries: c.entries, Result: difftest.Classify(c.entries)}
-				if !s.cfg.DisableAnalyze {
-					oc.Analysis = s.analysisFor(c.c.Src)
-				}
+				oc := Outcome{Case: c.c, Entries: c.entries, Result: difftest.Classify(c.entries),
+					Analysis: s.analysisFor(c.c.Src)}
 				select {
 				case out <- oc:
 				case <-ctx.Done():
@@ -380,9 +356,7 @@ func (s *Scheduler) releaseSlot() {
 // (deterministic) faulted result instead of re-rolling it.
 func (s *Scheduler) runOne(class int, c Case) engines.ExecResult {
 	p := s.classRep[class]
-	opts := engines.RunOptions{Fuel: s.cfg.Fuel, Seed: s.cfg.Seed,
-		DisableCompile: s.cfg.DisableCompile, DisableShapes: s.cfg.DisableShapes,
-		DisableAnalyze: s.cfg.DisableAnalyze}
+	opts := engines.RunOptions{Fuel: s.cfg.Fuel, Seed: s.cfg.Seed}
 	if fault, sel := s.cfg.Faults.CaseFault(c.Index); fault != faultinject.FaultNone &&
 		class == int(sel%uint64(len(s.classes))) {
 		switch fault {
@@ -437,14 +411,11 @@ func (s *Scheduler) analysisFor(src string) *analyze.Report {
 func (s *Scheduler) countingParse(p *engines.PreparedTestbed, src string) (*ast.Program, error) {
 	prog, err := s.cache.parse(p, src)
 	if err == nil {
-		rep := analyze.Of(prog)
-		if !s.cfg.DisableAnalyze && rep != nil {
-			s.analyzed.Add(1)
-		}
-		if rep.Invalid() {
+		s.analyzed.Add(1)
+		if analyze.Of(prog).Invalid() {
 			return prog, err
 		}
-		if prog.Compiled != nil && !s.cfg.DisableCompile {
+		if prog.Compiled != nil {
 			s.compiled.Add(1)
 		} else {
 			s.fallback.Add(1)
@@ -501,8 +472,6 @@ type parseCache struct {
 	young     map[parseKey]parsedResult
 	old       map[parseKey]parsedResult
 	genCap    int
-	noResolve bool
-	noCompile bool
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
@@ -510,7 +479,7 @@ type parseCache struct {
 
 const defaultParseCacheCap = 4096
 
-func newParseCache(cap int, noResolve, noCompile bool) *parseCache {
+func newParseCache(cap int) *parseCache {
 	if cap <= 0 {
 		cap = defaultParseCacheCap
 	}
@@ -519,11 +488,9 @@ func newParseCache(cap int, noResolve, noCompile bool) *parseCache {
 		genCap = 1
 	}
 	return &parseCache{
-		young:     make(map[parseKey]parsedResult),
-		old:       make(map[parseKey]parsedResult),
-		genCap:    genCap,
-		noResolve: noResolve,
-		noCompile: noCompile,
+		young:  make(map[parseKey]parsedResult),
+		old:    make(map[parseKey]parsedResult),
+		genCap: genCap,
 	}
 }
 
@@ -553,17 +520,10 @@ func (pc *parseCache) parse(p *engines.PreparedTestbed, src string) (*ast.Progra
 		return r.prog, r.err
 	}
 	pc.misses.Add(1)
-	switch {
-	case pc.noResolve:
-		r.prog, r.err = p.ParseUnresolved(src)
-	case pc.noCompile:
-		r.prog, r.err = p.ParseResolved(src)
-	default:
-		// The full pipeline: parse, resolve, thunk-compile. The cache
-		// entry stores the thunks next to the scope annotations under the
-		// same parser-option fingerprint key.
-		r.prog, r.err = p.Parse(src)
-	}
+	// The full pipeline: parse, resolve, thunk-compile, analyze. The cache
+	// entry stores the thunks and the report next to the scope
+	// annotations under the same parser-option fingerprint key.
+	r.prog, r.err = p.Parse(src)
 	pc.mu.Lock()
 	pc.insertLocked(key, r)
 	pc.mu.Unlock()

@@ -48,26 +48,35 @@ type Forkable interface {
 	Fork(shardSeed int64) Fuzzer
 }
 
-// LMOptions configures the LM-backed fuzzers' generators.
-type LMOptions struct {
-	// DisableFrozenLM keeps generation on the map-backed string sampler
-	// instead of the frozen token-ID model — the differential-oracle knob
-	// mirroring campaign.Config.DisableResolve.
-	DisableFrozenLM bool
+// constructors lists the six fuzzers of the paper's comparison under
+// their Name(), in All's order. ByName builds only the fuzzer it returns:
+// the LM-backed ones train a model on construction.
+var constructors = []struct {
+	name string
+	new  func() Fuzzer
+}{
+	{"COMFORT", func() Fuzzer { return NewComfort() }},
+	{"DIE", func() Fuzzer { return NewDIE() }},
+	{"Fuzzilli", func() Fuzzer { return NewFuzzilli() }},
+	{"Montage", func() Fuzzer { return NewMontage() }},
+	{"DeepSmith", func() Fuzzer { return NewDeepSmith() }},
+	{"CodeAlchemist", func() Fuzzer { return NewCodeAlchemist() }},
 }
 
 // All instantiates the six fuzzers of the paper's comparison.
 func All() []Fuzzer {
-	return []Fuzzer{
-		NewComfort(), NewDIE(), NewFuzzilli(), NewMontage(), NewDeepSmith(), NewCodeAlchemist(),
+	out := make([]Fuzzer, len(constructors))
+	for i, c := range constructors {
+		out[i] = c.new()
 	}
+	return out
 }
 
-// ByName resolves a fuzzer.
+// ByName resolves a fuzzer name case-insensitively to a fresh instance.
 func ByName(name string) (Fuzzer, bool) {
-	for _, f := range All() {
-		if strings.EqualFold(f.Name(), name) {
-			return f, true
+	for _, c := range constructors {
+		if strings.EqualFold(c.name, name) {
+			return c.new(), true
 		}
 	}
 	return nil, false
@@ -82,35 +91,25 @@ type Comfort struct {
 	db       *spec.DB
 }
 
-// NewComfort trains the generator on the embedded corpus.
-func NewComfort() *Comfort { return NewComfortLM(LMOptions{}) }
-
-// comfortLM holds the process-wide default-configuration generator. The
-// embedded corpus is immutable and a trained Generator is read-only after
-// construction (Fork already shares it across campaign shards), so every
-// default-config Comfort in the process can share one training run —
-// repeated campaign construction (CLI re-runs in one process, the
-// throughput benchmarks, test suites) stops paying BPE + n-gram training
-// per instance.
+// comfortLM holds the process-wide generator. The embedded corpus is
+// immutable and a trained Generator is read-only after construction (Fork
+// already shares it across campaign shards), so every Comfort in the
+// process can share one training run — repeated campaign construction
+// (CLI re-runs in one process, the throughput benchmarks, test suites)
+// stops paying BPE + n-gram training per instance.
 var comfortLM struct {
 	once sync.Once
 	g    *lm.Generator
 }
 
-// NewComfortLM trains COMFORT with an explicit LM configuration.
-func NewComfortLM(o LMOptions) *Comfort {
-	var g *lm.Generator
-	if o == (LMOptions{}) {
-		comfortLM.once.Do(func() {
-			comfortLM.g = lm.Train(corpus.Programs(), corpus.Headers(),
-				lm.Config{Arch: lm.ArchGPT2})
-		})
-		g = comfortLM.g
-	} else {
-		g = lm.Train(corpus.Programs(), corpus.Headers(),
-			lm.Config{Arch: lm.ArchGPT2, DisableFrozenLM: o.DisableFrozenLM})
-	}
-	return &Comfort{pipeline: gen.New(g), db: spec.Default()}
+// NewComfort trains the generator on the embedded corpus (once per
+// process).
+func NewComfort() *Comfort {
+	comfortLM.once.Do(func() {
+		comfortLM.g = lm.Train(corpus.Programs(), corpus.Headers(),
+			lm.Config{Arch: lm.ArchGPT2})
+	})
+	return &Comfort{pipeline: gen.New(comfortLM.g), db: spec.Default()}
 }
 
 // Name implements Fuzzer.
@@ -147,12 +146,9 @@ type DeepSmith struct {
 }
 
 // NewDeepSmith trains the short-context model.
-func NewDeepSmith() *DeepSmith { return NewDeepSmithLM(LMOptions{}) }
-
-// NewDeepSmithLM trains DeepSmith with an explicit LM configuration.
-func NewDeepSmithLM(o LMOptions) *DeepSmith {
+func NewDeepSmith() *DeepSmith {
 	return &DeepSmith{gen: lm.Train(corpus.Programs(), corpus.Headers(),
-		lm.Config{Arch: lm.ArchLSTM, DisableFrozenLM: o.DisableFrozenLM})}
+		lm.Config{Arch: lm.ArchLSTM})}
 }
 
 // Name implements Fuzzer.
@@ -516,14 +512,11 @@ type Montage struct {
 // NewMontage trains the subtree model. Montage stays off the Forkable
 // sharded path by design: the strategy class it models maintains an
 // evolving AST-subtree inventory, so the campaign keeps it serial.
-func NewMontage() *Montage { return NewMontageLM(LMOptions{}) }
-
-// NewMontageLM trains Montage with an explicit LM configuration.
-func NewMontageLM(o LMOptions) *Montage {
+func NewMontage() *Montage {
 	return &Montage{
 		seeds: corpus.Programs(),
 		gen: lm.Train(corpus.Programs(), corpus.Headers(),
-			lm.Config{Arch: lm.ArchLSTM, DisableFrozenLM: o.DisableFrozenLM}),
+			lm.Config{Arch: lm.ArchLSTM}),
 	}
 }
 

@@ -2,6 +2,7 @@ package fuzzers
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"unicode/utf8"
 
@@ -308,10 +309,24 @@ func TestTextCorruptRuneSafe(t *testing.T) {
 	}
 }
 
+// TestByName pins the lookup table against the fuzzers themselves: each
+// of the six names resolves, in any letter case, to a fresh fuzzer whose
+// Name() is that name, and an unknown name fails.
 func TestByName(t *testing.T) {
-	for _, name := range []string{"COMFORT", "deepsmith", "Fuzzilli", "CodeAlchemist", "DIE", "montage"} {
-		if _, ok := ByName(name); !ok {
-			t.Errorf("ByName(%q) failed", name)
+	for _, name := range []string{"COMFORT", "DIE", "Fuzzilli", "Montage", "DeepSmith", "CodeAlchemist"} {
+		var prev Fuzzer
+		for _, spelling := range []string{name, strings.ToLower(name), strings.ToUpper(name)} {
+			f, ok := ByName(spelling)
+			if !ok {
+				t.Fatalf("ByName(%q) failed", spelling)
+			}
+			if f.Name() != name {
+				t.Errorf("ByName(%q) built %q", spelling, f.Name())
+			}
+			if f == prev {
+				t.Errorf("ByName(%q) returned the previous lookup's instance", spelling)
+			}
+			prev = f
 		}
 	}
 	if _, ok := ByName("nope"); ok {

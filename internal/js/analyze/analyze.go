@@ -75,9 +75,9 @@ func (r *Report) FirstError() *EarlyError {
 // Invalid reports whether the program has any early error.
 func (r *Report) Invalid() bool { return r != nil && len(r.EarlyErrors) > 0 }
 
-// Analyze computes a fresh report for prog without attaching it. The
-// DisableAnalyze ablation runs on this path — a second, uncached
-// implementation of exactly the analysis the cached path serves.
+// Analyze computes a fresh report for prog without attaching it. A
+// program that skipped Program is classified on this path — a second,
+// uncached implementation of exactly the analysis the cached path serves.
 func Analyze(prog *ast.Program) *Report {
 	r := &Report{}
 	scanProgram(prog, r) // features, flags, print sites (features.go)

@@ -9,9 +9,10 @@
 //
 // The pass preserves the tree walker's observable contract exactly, and the
 // tree walker remains in service as the differential oracle's second
-// implementation (interp.Config.DisableCompile and the knobs layered above
-// it). The invariants that keep the two evaluators byte-identical,
-// including fuel:
+// implementation: a program that skips this pass tree-walks end to end,
+// because every FuncLit.Compiled stays nil (the engines package's path
+// oracle compares the two). The invariants that keep the two evaluators
+// byte-identical, including fuel:
 //
 //   - Fuel is charged at the same sites with the same amounts: one step at
 //     every statement and expression entry, per loop iteration, per for-in

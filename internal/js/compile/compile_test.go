@@ -13,8 +13,9 @@ import (
 )
 
 // run executes src on one evaluator path and reports output, fuel and the
-// terminating error. The same compiled program object serves both paths —
-// exactly the sharing shape the scheduler cache produces.
+// terminating error. The tree-walker path skips the compile pass, so no
+// function literal carries a compiled body and the program tree-walks end
+// to end.
 func run(t *testing.T, src string, compiled bool, strict bool) (string, int64, error) {
 	t.Helper()
 	prog, err := parser.ParseWith(src, parser.Options{Strict: strict})
@@ -25,8 +26,10 @@ func run(t *testing.T, src string, compiled bool, strict bool) (string, int64, e
 		return "", 0, errParse
 	}
 	resolve.Program(prog)
-	compile.Program(prog)
-	in := builtins.NewRuntime(interp.Config{Fuel: 500000, Strict: strict, DisableCompile: !compiled})
+	if compiled {
+		compile.Program(prog)
+	}
+	in := builtins.NewRuntime(interp.Config{Fuel: 500000, Strict: strict})
 	var runErr error
 	if compiled {
 		runErr = compile.Of(prog).Run(in)
@@ -136,8 +139,10 @@ func TestCoverageParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		resolve.Program(prog)
-		compile.Program(prog)
-		in := builtins.NewRuntime(interp.Config{Fuel: 100000, DisableCompile: !compiled})
+		if compiled {
+			compile.Program(prog)
+		}
+		in := builtins.NewRuntime(interp.Config{Fuel: 100000})
 		in.Cov = interp.NewCoverage()
 		if compiled {
 			err = compile.Of(prog).Run(in)

@@ -30,14 +30,10 @@ type Config struct {
 	// SloppyStrictAssign makes strict-mode assignment to undeclared
 	// identifiers create globals silently — a seeded Strict Mode defect.
 	SloppyStrictAssign bool
-	// DisableCompile keeps execution on the tree-walking evaluator even
-	// when the program carries thunk-compiled bodies — the differential
-	// oracle and ablation knob for internal/js/compile.
-	DisableCompile bool
 	// DisableShapes keeps every object in classic dictionary (property map)
 	// layout and turns the compiled evaluator's inline caches off — the
-	// differential oracle and ablation knob for the hidden-class machinery,
-	// wired through engines/exec/campaign exactly like DisableCompile.
+	// reference layout the hidden-class machinery is checked against.
+	// Only the engines package's shape oracle sets it.
 	DisableShapes bool
 	// Watchdog, when non-nil, is the wall-clock deadline probe: it is
 	// polled cooperatively at the shared fuel-charge site every
@@ -95,9 +91,6 @@ type Interp struct {
 	MutableFuncName bool
 	// SloppyStrictAssign mirrors Config.SloppyStrictAssign.
 	SloppyStrictAssign bool
-	// DisableCompile mirrors Config.DisableCompile: Call ignores compiled
-	// bodies so a thunk-annotated program tree-walks end to end.
-	DisableCompile bool
 	// DisableShapes mirrors Config.DisableShapes: NewObject allocates
 	// dictionary-mode objects and the IC entry points fall through to the
 	// generic property paths.
@@ -180,7 +173,6 @@ func New(cfg Config) *Interp {
 		Hook:               cfg.Hook,
 		MutableFuncName:    cfg.MutableFuncName,
 		SloppyStrictAssign: cfg.SloppyStrictAssign,
-		DisableCompile:     cfg.DisableCompile,
 		DisableShapes:      cfg.DisableShapes,
 		randSeed:           cfg.Seed + 1,
 		Now:                1_600_000_000_000,
@@ -1641,9 +1633,6 @@ func (in *Interp) call1(fn *Object, this Value, args []Value) (Value, error) {
 	lit := fn.Fn.Lit
 	strict := lit.Strict || in.Strict || fn.strictMarked
 	compiled := fn.Fn.Compiled
-	if in.DisableCompile {
-		compiled = nil
-	}
 	var callEnv *Env
 	pooled := false
 	if sc := lit.Scope; sc != nil {

@@ -120,7 +120,7 @@ type FuncDef struct {
 	Env *Env
 	// Compiled is the thunk-compiled body when the program went through
 	// internal/js/compile; Call dispatches to it instead of tree-walking
-	// Lit (unless the interpreter runs with DisableCompile).
+	// Lit.
 	Compiled CompiledBody
 }
 

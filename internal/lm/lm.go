@@ -40,19 +40,18 @@ func (a Arch) String() string {
 }
 
 // Generator is a trained code generator. Generation runs on the frozen
-// token-ID sampler by default (interned int32 vocabulary, precomputed
-// per-context candidate lists, zero allocations per token); the map-backed
-// model is retained as the differential oracle's second implementation and
-// drives generation when Config.DisableFrozenLM is set — the knob
-// mirroring the interpreter's DisableResolve.
+// token-ID sampler (interned int32 vocabulary, precomputed per-context
+// candidate lists, zero allocations per token); the map-backed model it
+// was frozen from stays as the reference the generator oracles sample
+// against.
 type Generator struct {
 	arch   Arch
 	vocab  *bpe.Vocab
 	model  *ngram.Model
-	frozen *ngram.Frozen // nil when Config.DisableFrozenLM
-	detok  []string      // token ID → decoded text (continuation marker stripped)
-	lbrace int32         // interned "{", or -1
-	rbrace int32         // interned "}", or -1
+	frozen *ngram.Frozen
+	detok  []string // token ID → decoded text (continuation marker stripped)
+	lbrace int32    // interned "{", or -1
+	rbrace int32    // interned "}", or -1
 	// wordSubs memoises EncodeWord for every word seen while training
 	// (corpus and headers), so priming a generation does not re-run the
 	// merge rules per word. Read-only after Train — generator shards
@@ -74,10 +73,6 @@ type Config struct {
 	Arch      Arch
 	TopK      int // 0 = the paper's k=10
 	NumMerges int // BPE merges; 0 = 400
-	// DisableFrozenLM keeps generation on the map-backed string sampler
-	// instead of the frozen token-ID model — the oracle/ablation knob;
-	// both paths are byte-identical for a fixed seed (pinned by test).
-	DisableFrozenLM bool
 }
 
 // Train builds a generator from a corpus of programs plus seed headers.
@@ -114,24 +109,22 @@ func Train(programs, headers []string, cfg Config) *Generator {
 		arch:      cfg.Arch,
 		vocab:     vocab,
 		model:     model,
+		frozen:    model.Freeze(),
 		wordSubs:  memo,
 		headers:   headers,
 		topK:      cfg.TopK,
 		MaxTokens: 5000,
 	}
-	if !cfg.DisableFrozenLM {
-		g.frozen = model.Freeze()
-		g.detok = make([]string, g.frozen.VocabSize())
-		for id := range g.detok {
-			g.detok[id] = bpe.Strip(g.frozen.Token(int32(id)))
-		}
-		g.lbrace = g.frozen.TokenID("{")
-		g.rbrace = g.frozen.TokenID("}")
-		g.primed = make(map[string]*primedHeader, len(headers))
-		for _, h := range headers {
-			if _, ok := g.primed[h]; !ok {
-				g.primed[h] = g.primeHeader(h)
-			}
+	g.detok = make([]string, g.frozen.VocabSize())
+	for id := range g.detok {
+		g.detok[id] = bpe.Strip(g.frozen.Token(int32(id)))
+	}
+	g.lbrace = g.frozen.TokenID("{")
+	g.rbrace = g.frozen.TokenID("}")
+	g.primed = make(map[string]*primedHeader, len(headers))
+	for _, h := range headers {
+		if _, ok := g.primed[h]; !ok {
+			g.primed[h] = g.primeHeader(h)
 		}
 	}
 	return g
@@ -164,9 +157,6 @@ func (g *Generator) primeHeader(header string) *primedHeader {
 	return p
 }
 
-// FrozenLM reports whether generation runs on the frozen token-ID model.
-func (g *Generator) FrozenLM() bool { return g.frozen != nil }
-
 // Vocab exposes the trained BPE vocabulary.
 func (g *Generator) Vocab() *bpe.Vocab { return g.vocab }
 
@@ -189,44 +179,16 @@ func (g *Generator) GenerateFrom(header string, rng *rand.Rand) string {
 
 // GenerateFromN produces a program from an explicit seed header and
 // reports how many tokens the LM sampled for it (the generation
-// benchmarks' token-throughput denominator). The frozen and map paths
-// return byte-identical programs and counts for a fixed seed.
-func (g *Generator) GenerateFromN(header string, rng *rand.Rand) (string, int) {
-	if g.frozen != nil {
-		return g.generateFrozen(header, rng)
-	}
-	stream := g.encodeTokens(TokenizeCode(header))
-	prefix := len(stream)
-	depth := braceDepth(stream, 0)
-	sawBrace := strings.Contains(header, "{")
-	for len(stream) < g.MaxTokens {
-		tok, ok := g.model.Sample(stream, g.topK, rng)
-		if !ok || tok == "<EOF>" {
-			break
-		}
-		stream = append(stream, tok)
-		switch tok {
-		case "{":
-			depth++
-			sawBrace = true
-		case "}":
-			depth--
-			if sawBrace && depth <= 0 {
-				return detokenize(stream) + trailerFor(header), len(stream) - prefix
-			}
-		}
-	}
-	return detokenize(stream), len(stream) - prefix
-}
-
-// generateFrozen is the token-ID hot path: the stream is an []int32, each
-// token costs one hash lookup plus one rng draw, and the program text is
+// benchmarks' token-throughput denominator).
+//
+// This is the token-ID hot path: the stream is an []int32, each token
+// costs one hash lookup plus one rng draw, and the program text is
 // materialised exactly once at the end through a pre-sized builder. Header
 // tokens outside the trained vocabulary keep their ID as -1 — they can
 // never extend a trained context, which is precisely the map model's
 // failed-lookup backoff — and their text is recovered from the header's
 // own token strings at detokenization.
-func (g *Generator) generateFrozen(header string, rng *rand.Rand) (string, int) {
+func (g *Generator) GenerateFromN(header string, rng *rand.Rand) (string, int) {
 	p, ok := g.primed[header]
 	if !ok {
 		p = g.primeHeader(header) // ad-hoc header (Montage's expression priming)
@@ -302,19 +264,6 @@ func trailerFor(header string) string {
 		return "\n"
 	}
 	return "\n"
-}
-
-func braceDepth(tokens []string, start int) int {
-	d := start
-	for _, t := range tokens {
-		switch t {
-		case "{":
-			d++
-		case "}":
-			d--
-		}
-	}
-	return d
 }
 
 // ---------- code tokenisation ----------
@@ -419,6 +368,3 @@ func encodeWith(v *bpe.Vocab, memo map[string][]string, tokens []string, learn b
 func (g *Generator) encodeTokens(tokens []string) []string {
 	return encodeWith(g.vocab, g.wordSubs, tokens, false)
 }
-
-// detokenize re-joins a BPE/code token stream into source text.
-func detokenize(tokens []string) string { return bpe.Decode(tokens) }

@@ -87,32 +87,38 @@ func TestGenerationDeterminism(t *testing.T) {
 	}
 }
 
+// montageHeader is the priming prefix Montage's LSTM samples expression
+// fragments from: an ad-hoc header outside the seed set, so the frozen
+// path primes it on the fly instead of from the train-time table.
+const montageHeader = "var x = "
+
 // TestFrozenMatchesMapGenerator is the generator-level differential
 // oracle: for both architectures, programs generated on the frozen
 // token-ID path must be byte-identical — same text, same sampled-token
-// count, same RNG consumption — to the map-backed path, across many
-// consecutive generations from one shared RNG (so any drift in draw
-// counts desynchronises the streams and fails loudly).
+// count, same RNG consumption — to the map-backed reference sampler,
+// across many consecutive generations from one shared RNG (so any drift
+// in draw counts desynchronises the streams and fails loudly). Each
+// seed-header generation is followed by one from Montage's expression
+// priming header.
 func TestFrozenMatchesMapGenerator(t *testing.T) {
+	headers := corpus.Headers()
 	for _, arch := range []Arch{ArchGPT2, ArchLSTM} {
-		frozen := Train(corpus.Programs(), corpus.Headers(), Config{Arch: arch})
-		mapped := Train(corpus.Programs(), corpus.Headers(), Config{Arch: arch, DisableFrozenLM: true})
-		if !frozen.FrozenLM() || mapped.FrozenLM() {
-			t.Fatalf("%s: frozen knob not honoured", arch)
-		}
+		g := trainDefault(t, arch)
 		for _, seed := range []int64{1, 42, 2021} {
 			rngF := rand.New(rand.NewSource(seed))
 			rngM := rand.New(rand.NewSource(seed))
 			for i := 0; i < 40; i++ {
-				f, fn := frozen.GenerateFromN(corpus.Headers()[i%len(corpus.Headers())], rngF)
-				m, mn := mapped.GenerateFromN(corpus.Headers()[i%len(corpus.Headers())], rngM)
-				if f != m {
-					t.Fatalf("%s seed %d gen %d: frozen and map programs differ:\n%q\nvs\n%q",
-						arch, seed, i, f, m)
-				}
-				if fn != mn {
-					t.Fatalf("%s seed %d gen %d: sampled-token counts differ: %d vs %d",
-						arch, seed, i, fn, mn)
+				for _, header := range []string{headers[i%len(headers)], montageHeader} {
+					f, fn := g.GenerateFromN(header, rngF)
+					m, mn := g.generateMap(header, rngM)
+					if f != m {
+						t.Fatalf("%s seed %d gen %d header %q: frozen and map programs differ:\n%q\nvs\n%q",
+							arch, seed, i, header, f, m)
+					}
+					if fn != mn {
+						t.Fatalf("%s seed %d gen %d header %q: sampled-token counts differ: %d vs %d",
+							arch, seed, i, header, fn, mn)
+					}
 				}
 			}
 		}
@@ -121,19 +127,25 @@ func TestFrozenMatchesMapGenerator(t *testing.T) {
 
 // TestFrozenHandlesUnknownHeaderTokens pins the out-of-vocabulary path:
 // a header whose identifiers never occur in the corpus must round-trip
-// its own text and still generate identically on both samplers.
+// its own text and still generate identically on both samplers, as must
+// Montage's ad-hoc priming header.
 func TestFrozenHandlesUnknownHeaderTokens(t *testing.T) {
-	frozen := trainDefault(t, ArchGPT2)
-	mapped := Train(corpus.Programs(), corpus.Headers(), Config{Arch: ArchGPT2, DisableFrozenLM: true})
+	g := trainDefault(t, ArchGPT2)
+	lstm := trainDefault(t, ArchLSTM)
 	const header = "var zzUnknownZZ = qqNeverTrainedQQ + "
 	for seed := int64(0); seed < 10; seed++ {
-		f := frozen.GenerateFrom(header, rand.New(rand.NewSource(seed)))
-		m := mapped.GenerateFrom(header, rand.New(rand.NewSource(seed)))
+		f := g.GenerateFrom(header, rand.New(rand.NewSource(seed)))
+		m, _ := g.generateMap(header, rand.New(rand.NewSource(seed)))
 		if f != m {
 			t.Fatalf("seed %d: unknown-header generations differ:\n%q\nvs\n%q", seed, f, m)
 		}
 		if !strings.HasPrefix(f, "var zzUnknownZZ = qqNeverTrainedQQ") {
 			t.Fatalf("seed %d: header text lost through ID detokenization: %q", seed, f)
+		}
+		f = lstm.GenerateFrom(montageHeader, rand.New(rand.NewSource(seed)))
+		m, _ = lstm.generateMap(montageHeader, rand.New(rand.NewSource(seed)))
+		if f != m {
+			t.Fatalf("seed %d: Montage-header generations differ:\n%q\nvs\n%q", seed, f, m)
 		}
 	}
 }

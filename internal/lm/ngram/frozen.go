@@ -17,7 +17,7 @@ import (
 //
 // A Frozen model is immutable and safe for concurrent samplers; the
 // map-backed Model stays intact as the differential oracle's second
-// implementation (lm.Config.DisableFrozenLM keeps generation on it).
+// implementation (the ngram and lm frozen-vs-map tests sample both).
 type Frozen struct {
 	order int
 	vocab []string         // id → token

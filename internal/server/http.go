@@ -13,6 +13,11 @@ import (
 	"strconv"
 )
 
+// MaxSpecBytes bounds a POST /jobs body. A Spec is a few hundred bytes
+// of JSON; the bound stops a client from streaming an unbounded body into
+// the decoder. An oversize body is answered 413.
+const MaxSpecBytes = 1 << 20
+
 // Handler builds the comfortd HTTP API over a supervisor:
 //
 //	POST /jobs              submit a Spec, returns the created Status
@@ -25,9 +30,15 @@ func Handler(s *Supervisor) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var sp Spec
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&sp); err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				writeError(w, http.StatusRequestEntityTooLarge,
+					fmt.Sprintf("spec exceeds %d bytes", tooBig.Limit))
+				return
+			}
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("malformed spec: %v", err))
 			return
 		}

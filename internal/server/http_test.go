@@ -51,19 +51,23 @@ func TestHandlerTable(t *testing.T) {
 	opt.MaxActive = 1
 	_, ts := newTestServer(t, opt)
 
+	oversize := `{"fuzzer":"COMFORT","cases":5,"faults":"` + strings.Repeat("x", MaxSpecBytes) + `"}`
 	submit := []struct {
 		name     string
 		body     string
 		wantCode int
+		wantMsg  string // substring of the error message, when set
 	}{
-		{"valid", `{"fuzzer":"COMFORT","cases":20,"seed":2,"testbed_limit":2}`, http.StatusAccepted},
-		{"malformed json", `{"fuzzer":`, http.StatusBadRequest},
-		{"unknown field", `{"fuzzer":"COMFORT","cases":5,"bogus":1}`, http.StatusBadRequest},
-		{"unknown fuzzer", `{"fuzzer":"NOPE","cases":5}`, http.StatusBadRequest},
-		{"zero cases", `{"fuzzer":"COMFORT","cases":0}`, http.StatusBadRequest},
-		{"negative knob", `{"fuzzer":"COMFORT","cases":5,"workers":-1}`, http.StatusBadRequest},
-		{"bad fault spec", `{"fuzzer":"COMFORT","cases":5,"faults":"wat=1"}`, http.StatusBadRequest},
-		{"testbed limit too large", `{"fuzzer":"COMFORT","cases":5,"testbed_limit":100000}`, http.StatusBadRequest},
+		{"valid", `{"fuzzer":"COMFORT","cases":20,"seed":2,"testbed_limit":2}`, http.StatusAccepted, ""},
+		{"malformed json", `{"fuzzer":`, http.StatusBadRequest, ""},
+		{"unknown field", `{"fuzzer":"COMFORT","cases":5,"bogus":1}`, http.StatusBadRequest, "bogus"},
+		{"removed evaluator knob", `{"fuzzer":"COMFORT","cases":5,"disable_compile":true}`, http.StatusBadRequest, "disable_compile"},
+		{"unknown fuzzer", `{"fuzzer":"NOPE","cases":5}`, http.StatusBadRequest, ""},
+		{"zero cases", `{"fuzzer":"COMFORT","cases":0}`, http.StatusBadRequest, ""},
+		{"negative knob", `{"fuzzer":"COMFORT","cases":5,"workers":-1}`, http.StatusBadRequest, ""},
+		{"bad fault spec", `{"fuzzer":"COMFORT","cases":5,"faults":"wat=1"}`, http.StatusBadRequest, ""},
+		{"testbed limit too large", `{"fuzzer":"COMFORT","cases":5,"testbed_limit":100000}`, http.StatusBadRequest, ""},
+		{"oversize body", oversize, http.StatusRequestEntityTooLarge, "exceeds"},
 	}
 	var created Status
 	for _, tc := range submit {
@@ -77,12 +81,20 @@ func TestHandlerTable(t *testing.T) {
 				t.Errorf("POST /jobs [%s]: implausible created status %+v", tc.name, created)
 			}
 		} else {
-			var e map[string]any
+			var e map[string]string
 			decodeBody(t, resp, &e)
-			if e["error"] == "" {
-				t.Errorf("POST /jobs [%s]: error response carries no message", tc.name)
+			if e["error"] == "" || !strings.Contains(e["error"], tc.wantMsg) {
+				t.Errorf("POST /jobs [%s]: error %q does not name %q", tc.name, e["error"], tc.wantMsg)
 			}
 		}
+	}
+	// Only the valid submission reached the store.
+	dirs, err := os.ReadDir(filepath.Join(opt.Store.Root(), "jobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dirs) != 1 || dirs[0].Name() != created.ID {
+		t.Fatalf("job directories after the submissions: %v, want only %s", dirs, created.ID)
 	}
 
 	// GET /jobs lists the one accepted job.

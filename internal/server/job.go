@@ -47,12 +47,8 @@ type Spec struct {
 	Workers   int  `json:"workers,omitempty"`
 	GenShards int  `json:"gen_shards,omitempty"`
 	Reduce    bool `json:"reduce_witnesses,omitempty"`
-	// Oracle/ablation knobs, mirroring campaign.Config.
-	DisableDedup   bool `json:"disable_dedup,omitempty"`
-	DisableResolve bool `json:"disable_resolve,omitempty"`
-	DisableCompile bool `json:"disable_compile,omitempty"`
-	DisableShapes  bool `json:"disable_shapes,omitempty"`
-	DisableAnalyze bool `json:"disable_analyze,omitempty"`
+	// DisableDedup is the Figure-6 ablation, mirroring campaign.Config.
+	DisableDedup bool `json:"disable_dedup,omitempty"`
 	// CheckpointEvery is the job's checkpoint cadence in cases; 0 means
 	// the campaign default (256).
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`

@@ -404,8 +404,12 @@ func (s *Supervisor) scanStore() {
 
 	now := s.now()
 	for _, j := range s.snapshotJobs() {
+		// A job a runJob goroutine of this instance owns is never
+		// re-enqueued: mid-claim, the lease file already names this
+		// instance while j.lease is still nil, and a second claim would
+		// read that as a prior incarnation's lease and take it over.
 		j.mu.Lock()
-		mine := j.lease != nil
+		mine := j.lease != nil || j.running
 		terminal := terminalState(j.status.State)
 		cancelled := j.cancelled
 		j.mu.Unlock()

@@ -139,6 +139,10 @@ type Job struct {
 	// leaves this instance again until a successful re-claim).
 	lease  *Lease
 	fenced bool
+	// running is set while a runJob goroutine owns the job in this
+	// instance — including the window inside claimJob where the lease
+	// file already names this instance but lease is not yet set.
+	running bool
 }
 
 // snapshot returns a copy of the job's status.
@@ -479,6 +483,9 @@ func (s *Supervisor) dispatch() {
 		}
 		s.active++
 		s.wg.Add(1)
+		j.mu.Lock()
+		j.running = true
+		j.mu.Unlock()
 		go s.runJob(j)
 	}
 }
@@ -724,6 +731,9 @@ func (s *Supervisor) kill() {
 func (s *Supervisor) runJob(j *Job) {
 	defer s.wg.Done()
 	defer func() {
+		j.mu.Lock()
+		j.running = false
+		j.mu.Unlock()
 		s.mu.Lock()
 		s.active--
 		s.mu.Unlock()
@@ -851,10 +861,6 @@ func (s *Supervisor) runCampaign(ctx context.Context, j *Job) (res *campaign.Res
 		GenShards:       j.Spec.GenShards,
 		ReduceWitnesses: j.Spec.Reduce,
 		DisableDedup:    j.Spec.DisableDedup,
-		DisableResolve:  j.Spec.DisableResolve,
-		DisableCompile:  j.Spec.DisableCompile,
-		DisableShapes:   j.Spec.DisableShapes,
-		DisableAnalyze:  j.Spec.DisableAnalyze,
 		Context:         ctx,
 		Gate:            s.gate,
 		Clock:           s.opt.Clock,

@@ -149,9 +149,15 @@ func TestTwoInstanceCrashRecoveryOracle(t *testing.T) {
 			}
 			return total
 		}
+		// converged reports whether every job has finished: its result
+		// is on disk and so is the terminal status complete() writes
+		// after it.
 		converged := func() bool {
 			for _, id := range ids {
 				if store.ReadResult(id) == nil {
+					return false
+				}
+				if st, err := store.ReadStatus(id); err != nil || !terminalState(st.State) {
 					return false
 				}
 			}
@@ -286,11 +292,13 @@ func TestTwoInstanceCrashRecoveryOracle(t *testing.T) {
 		<-paused
 
 		// Alpha stalls past its TTL; beta scans, sees the expired claim,
-		// and takes over by bumping the fencing epoch.
+		// and takes over by bumping the fencing epoch. Beta has finished
+		// the job once its result is on disk and its run has returned —
+		// the lease release is the run's last write.
 		clk.Advance(testLeaseTTL + time.Second)
 		b.maintain()
 		deadline := time.Now().Add(2 * time.Minute)
-		for store.ReadResult(target) == nil {
+		for store.ReadResult(target) == nil || !b.Idle() {
 			if time.Now().After(deadline) {
 				close(release)
 				t.Fatal("beta never completed the taken-over job")

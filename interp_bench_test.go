@@ -140,7 +140,7 @@ func parseBench(b *testing.B, src string, mode benchMode) *ast.Program {
 
 func runBenchProgram(b *testing.B, prog *ast.Program, mode benchMode) {
 	b.Helper()
-	in := builtins.NewRuntime(interp.Config{Fuel: 50_000_000, DisableCompile: mode != benchCompiled})
+	in := builtins.NewRuntime(interp.Config{Fuel: 50_000_000})
 	var err error
 	if mode == benchCompiled {
 		err = compile.Of(prog).Run(in)

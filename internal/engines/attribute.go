@@ -2,7 +2,6 @@ package engines
 
 import (
 	"comfort/internal/js/ast"
-	"comfort/internal/js/builtins"
 	"comfort/internal/js/interp"
 	"comfort/internal/js/parser"
 )
@@ -74,12 +73,7 @@ func (r *DefectRunner) execParsed(prog *ast.Program, err error, opts RunOptions)
 	if res, bad := earlyErrorResult(prog); bad {
 		return res
 	}
-	cfg := r.baseCfg
-	cfg.Fuel = opts.Fuel
-	cfg.Seed = opts.Seed
-	cfg.Watchdog = opts.Watchdog
-	in := builtins.NewRuntime(cfg)
-	return runGuarded(in, prog, opts)
+	return runRealm(r.baseCfg, prog, opts, nil, false)
 }
 
 // DivergesRunners builds a reduction predicate over two prepared

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"comfort/internal/js/ast"
+	"comfort/internal/js/builtins"
 	"comfort/internal/js/compile"
 	"comfort/internal/js/interp"
 )
@@ -11,7 +12,7 @@ import (
 // This file is the panic-isolation layer: every physical interpreter run —
 // the scheduler's behaviour-class executions, single-defect attribution
 // and reduction replays, and the direct Run paths — funnels through
-// runGuarded, so an evaluator panic anywhere in the interpreter surfaces
+// runRealm, so an evaluator panic anywhere in the interpreter surfaces
 // as a classified OutcomeCrash result instead of killing the campaign
 // process. An interpreter crash is a finding: the result is deduplicated,
 // attributed and reported like any other divergence. The interpreter is
@@ -20,10 +21,21 @@ import (
 // every run, which keeps the crash-as-finding results byte-identical
 // across workers, shards and checkpoint resumes.
 
-// runGuarded executes a (possibly thunk-compiled) program on the given
-// runtime and classifies the outcome, converting evaluator panics into
-// crash results. It is the shared tail of every executor in this package.
-func runGuarded(in *interp.Interp, prog *ast.Program, opts RunOptions) (res ExecResult) {
+// runRealm is the package's single realm entry point and the shared tail
+// of every executor: it fills the per-run fields of cfg (the testbed's or
+// defect's config deltas and hook) from opts, builds the realm, executes
+// the (possibly thunk-compiled) program and classifies the outcome,
+// converting evaluator panics into crash results. cov and dictObjects are
+// the coverage recorder and the dictionary-object layout; only the
+// testbed path passes opts' values, single-defect runs pass nil and false.
+func runRealm(cfg interp.Config, prog *ast.Program, opts RunOptions,
+	cov *interp.Coverage, dictObjects bool) (res ExecResult) {
+	cfg.Fuel = opts.Fuel
+	cfg.Seed = opts.Seed
+	cfg.Watchdog = opts.Watchdog
+	cfg.DisableShapes = dictObjects
+	in := builtins.NewRuntime(cfg)
+	in.Cov = cov
 	defer func() {
 		if rec := recover(); rec != nil {
 			res = ExecResult{

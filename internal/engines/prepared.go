@@ -7,7 +7,6 @@ import (
 
 	"comfort/internal/js/analyze"
 	"comfort/internal/js/ast"
-	"comfort/internal/js/builtins"
 	"comfort/internal/js/compile"
 	"comfort/internal/js/interp"
 	"comfort/internal/js/parser"
@@ -23,10 +22,9 @@ import (
 type PreparedTestbed struct {
 	Testbed Testbed
 
-	defects  []*Defect // active defects, catalog order
-	preParse []*Defect // subset with PreParse interceptors
-	hook     interp.Hook
-	baseCfg  interp.Config  // Strict + Configure deltas; Fuel/Seed filled per run
+	defects  []*Defect      // active defects, catalog order
+	preParse []*Defect      // subset with PreParse interceptors
+	baseCfg  interp.Config  // Strict + Configure deltas + hook chain; Fuel/Seed filled per run
 	parseOps parser.Options // Strict + ParserOpts deltas
 	behavior string         // mode + active defect IDs; see BehaviorKey
 }
@@ -68,7 +66,7 @@ func prepare(tb Testbed) *PreparedTestbed {
 			p.preParse = append(p.preParse, d)
 		}
 	}
-	p.hook = combineHooks(p.defects, tb.Strict)
+	p.baseCfg.Hook = combineHooks(p.defects, tb.Strict)
 	var b strings.Builder
 	if tb.Strict {
 		b.WriteString("strict")
@@ -204,17 +202,9 @@ func earlyErrorResult(prog *ast.Program) (ExecResult, bool) {
 // what enables the scheduler's parse-once source cache. Callers must have
 // applied PreParseError to the original source themselves. The execution
 // is panic-isolated: an evaluator panic classifies as an OutcomeCrash
-// result (see runGuarded) instead of unwinding into the scheduler.
+// result (see runRealm) instead of unwinding into the scheduler.
 func (p *PreparedTestbed) Exec(prog *ast.Program, opts RunOptions) ExecResult {
-	cfg := p.baseCfg
-	cfg.Fuel = opts.Fuel
-	cfg.Seed = opts.Seed
-	cfg.Hook = p.hook
-	cfg.DisableShapes = opts.dictObjects
-	cfg.Watchdog = opts.Watchdog
-	in := builtins.NewRuntime(cfg)
-	in.Cov = opts.Cov
-	return runGuarded(in, prog, opts)
+	return runRealm(p.baseCfg, prog, opts, opts.Cov, opts.dictObjects)
 }
 
 // classifyRunError maps an interpreter error to the Figure-5 per-testbed

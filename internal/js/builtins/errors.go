@@ -18,37 +18,44 @@ func installErrors(r *registry) {
 }
 
 // installErrorsLazy defers the hierarchy per constructor: touching a
-// global error name (or throwing, via the interpreter's prototype-miss
-// hook) installs the shared Error base plus just that one kind. Most
+// global error name, or throwing (through the interpreter's prototype-miss
+// hook), installs the shared Error base plus just that one kind. Most
 // generated programs raise a single error kind — usually TypeError — so
-// a throwing realm pays for two constructors instead of eight. Returns
-// the per-kind force hook for interp.ProtoMiss.
-func installErrorsLazy(r *registry, names []string) func(kind string) {
+// a throwing realm pays for two constructors instead of eight. The capture
+// pass installs the whole hierarchy at once.
+func installErrorsLazy(r *registry) {
 	if r.capturing != nil {
 		installErrors(r)
-		return func(string) {}
+		return
 	}
-	in := r.in
-	var base *interp.Object
-	force := func(kind string) {
-		if base == nil {
-			base = installErrorBase(r)
-		}
-		if kind == "Error" || in.Protos[kind] != nil {
+	for _, name := range []string{
+		"Error", "EvalError", "RangeError", "ReferenceError",
+		"SyntaxError", "TypeError", "URIError", "InternalError",
+	} {
+		kind := name
+		r.in.Global.SetLazy(r.in, kind, func(in *interp.Interp) { forceError(in, kind) })
+	}
+	r.in.ProtoMiss = forceError
+}
+
+// forceError is the prototype-miss hook: it installs the Error base once
+// per realm (its presence in Protos is the flag) and then the requested
+// kind, if it is an error kind not installed yet.
+func forceError(in *interp.Interp, kind string) {
+	r := &registry{in: in}
+	base := in.Protos["Error"]
+	if base == nil {
+		base = installErrorBase(r)
+	}
+	if kind == "Error" || in.Protos[kind] != nil {
+		return
+	}
+	for _, k := range errorKinds[1:] {
+		if k == kind {
+			installErrorKind(r, base, kind)
 			return
 		}
-		for _, k := range errorKinds[1:] {
-			if k == kind {
-				installErrorKind(r, base, kind)
-				return
-			}
-		}
 	}
-	for _, name := range names {
-		k := name
-		in.Global.SetLazy(k, func() { force(k) })
-	}
-	return force
 }
 
 // installErrorBase builds Error.prototype, its toString, and the Error

@@ -18,25 +18,9 @@ func installGlobals(r *registry) {
 	in.Global.SetSlot("undefined", interp.Undefined(), 0)
 	in.Global.SetSlot("globalThis", interp.ObjValue(in.Global), interp.Writable|interp.Configurable)
 
-	// print and console are built by one shared thunk so console.log stays
-	// an alias of print however the pair is first reached.
-	printed := false
-	installPrint := func() {
-		if printed {
-			return
-		}
-		printed = true
-		print := r.fn("print", 1, printImpl)
-		r.global("print", interp.ObjValue(print))
-		// console.log aliases print, since corpus programs use both.
-		console := in.NewObject(in.Protos["Object"])
-		console.SetSlot("log", interp.ObjValue(print), interp.DefaultAttr)
-		console.SetSlot("error", interp.ObjValue(print), interp.DefaultAttr)
-		console.SetSlot("warn", interp.ObjValue(print), interp.DefaultAttr)
-		r.global("console", interp.ObjValue(console))
-	}
-	in.Global.SetLazy("print", installPrint)
-	in.Global.SetLazy("console", installPrint)
+	// print and console are one lazy section so console.log stays an alias
+	// of print however the pair is first reached.
+	lazySection(r, sectionPrint, []string{"print", "console"}, installPrint)
 
 	r.globalFn("eval", 1, evalImpl)
 	r.globalFn("parseInt", 2, parseIntImpl)
@@ -57,6 +41,18 @@ func installGlobals(r *registry) {
 		}
 		return interp.Bool(!math.IsNaN(n) && !math.IsInf(n, 0)), nil
 	})
+}
+
+// installPrint binds print and the console object whose log, error and
+// warn alias it (corpus programs use both).
+func installPrint(r *registry) {
+	print := r.fn("print", 1, printImpl)
+	r.global("print", interp.ObjValue(print))
+	console := r.in.NewObject(r.in.Protos["Object"])
+	console.SetSlot("log", interp.ObjValue(print), interp.DefaultAttr)
+	console.SetSlot("error", interp.ObjValue(print), interp.DefaultAttr)
+	console.SetSlot("warn", interp.ObjValue(print), interp.DefaultAttr)
+	r.global("console", interp.ObjValue(console))
 }
 
 // printImpl implements the print builtin (and console.log/error/warn).

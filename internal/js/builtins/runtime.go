@@ -12,27 +12,52 @@ import (
 	"comfort/internal/js/interp"
 )
 
-// NewRuntime creates an interpreter with the full standard library.
+// NewRuntime creates an interpreter with the full standard library: a
+// clone of the pristine realm template for the configured object layout.
 func NewRuntime(cfg interp.Config) *interp.Interp {
-	in := interp.New(cfg)
-	Install(in)
-	return in
+	return realmTemplate(cfg.DisableShapes).New(cfg)
 }
 
-// Native-method tables: the first Install runs a capture pass on a
+// Native-method tables: the first template build runs a capture pass on a
 // throwaway interpreter, recording every r.method registration into a
 // frozen, realm-independent interp.NativeTable per receiver object (the
 // method implementations only ever touch the interpreter passed at call
 // time, never the realm that registered them — the receiver parameter
-// shadows the installer's). Every later realm attaches the frozen table
-// (one pointer, one key-slice append) instead of re-registering each
-// method (a closure and a map insert per method per realm) — realm
-// construction is the campaign scheduler's single hottest path.
+// shadows the installer's). Realms attach the frozen table (one pointer,
+// one key-slice append) instead of registering each method (a closure and
+// a map insert per method).
+//
+// Realm templates: installAll then runs once per process for each object
+// layout (templates[1] holds dictionary objects), and interp.NewTemplate
+// snapshots the result. Every realm after that is a clone — realm
+// construction is paid once per physical testbed execution, which makes
+// it the campaign scheduler's single hottest path. Nothing in a template
+// may capture its realm: lazy thunks and the prototype-miss hook receive
+// the realm they run in, and per-realm "already installed" state lives in
+// interp.Interp.Sections and the Protos table.
 var (
 	tableOnce sync.Once
 	// methodTables maps a method's canonical spec key to the frozen table
 	// of its receiver object.
 	methodTables map[string]*interp.NativeTable
+
+	templates [2]struct {
+		once sync.Once
+		t    *interp.Template
+	}
+)
+
+// eagerCtors names, in installation order, every Protos entry a pristine
+// realm holds (the lazy sections add theirs on first use).
+var eagerCtors = []string{"Object", "Function", "Array", "String", "Number", "Boolean", "RegExp"}
+
+// Lazy-section bits in interp.Interp.Sections.
+const (
+	sectionPrint uint32 = 1 << iota
+	sectionMath
+	sectionJSON
+	sectionDate
+	sectionTypedArrays
 )
 
 func captureTables() {
@@ -45,24 +70,32 @@ func captureTables() {
 	methodTables = cap.captured
 }
 
-// Install wires the standard library into in. It is idempotent per
-// interpreter.
-//
-// Sections reachable only through a global binding (Math, JSON, Date and
-// the typed-array family) are installed lazily on first access to any of
-// their globals: realm construction is on the campaign scheduler's hottest
-// path, and most generated programs touch none of them. Everything a
-// literal or primitive can reach (Object/Function/Array/String/Number/
-// Boolean/RegExp prototypes, the Error hierarchy, the global functions)
-// stays eager.
-func Install(in *interp.Interp) {
-	tableOnce.Do(captureTables)
-	r := &registry{in: in}
-	installAll(r)
+// realmTemplate returns the pristine realm of the given object layout,
+// building it on first use.
+func realmTemplate(dict bool) *interp.Template {
+	l := &templates[0]
+	if dict {
+		l = &templates[1]
+	}
+	l.once.Do(func() {
+		tableOnce.Do(captureTables)
+		in := interp.New(interp.Config{DisableShapes: dict})
+		installAll(&registry{in: in})
+		l.t = interp.NewTemplate(in, eagerCtors)
+	})
+	return l.t
 }
 
-// installAll wires every stdlib section through the given registry (a
-// normal realm, or the one-time table-capture pass).
+// installAll wires every stdlib section through the given registry: the
+// template realm of one object layout, or the one-time table-capture pass.
+//
+// Sections reachable only through a global binding (Math, JSON, Date,
+// the typed-array family, print/console and the global functions) are
+// installed lazily on first access to any of their globals, since most
+// generated programs touch none of them. Everything a literal or primitive
+// can reach (Object/Function/Array/String/Number/Boolean/RegExp
+// prototypes) stays eager; the Error hierarchy is lazy per kind (see
+// installErrorsLazy).
 func installAll(r *registry) {
 	in := r.in
 
@@ -76,15 +109,7 @@ func installAll(r *registry) {
 
 	installObject(r)
 	installFunction(r)
-	// The Error hierarchy is deferred like the operator sections below;
-	// unlike them it is also reachable from inside the interpreter (every
-	// Throwf needs the error prototypes for classification), so the
-	// interpreter's prototype-miss hook forces it too — per kind, so a
-	// throwing realm installs just the base plus the kind it raised.
-	in.ProtoMiss = installErrorsLazy(r, []string{
-		"Error", "EvalError", "RangeError", "ReferenceError",
-		"SyntaxError", "TypeError", "URIError", "InternalError",
-	})
+	installErrorsLazy(r)
 	installArray(r)
 	installString(r)
 	installNumber(r)
@@ -92,10 +117,10 @@ func installAll(r *registry) {
 	installRegExp(r)
 	installGlobals(r)
 
-	lazySection(r, []string{"Math"}, installMath)
-	lazySection(r, []string{"JSON"}, installJSON)
-	lazySection(r, []string{"Date"}, installDate)
-	lazySection(r, []string{
+	lazySection(r, sectionMath, []string{"Math"}, installMath)
+	lazySection(r, sectionJSON, []string{"JSON"}, installJSON)
+	lazySection(r, sectionDate, []string{"Date"}, installDate)
+	lazySection(r, sectionTypedArrays, []string{
 		"ArrayBuffer",
 		"Int8Array", "Uint8Array", "Uint8ClampedArray",
 		"Int16Array", "Uint16Array",
@@ -106,27 +131,26 @@ func installAll(r *registry) {
 }
 
 // lazySection defers one stdlib installer until any of its global names is
-// touched; the installer runs at most once per realm. It returns the
-// force-thunk so interpreter-internal consumers (the prototype-miss hook)
-// can trigger the section without a global read. The capture pass installs
-// immediately — its realm must register every method table.
-func lazySection(r *registry, names []string, install func(*registry)) func() {
+// touched; the installer runs at most once per realm, guarded by the
+// section's bit in interp.Interp.Sections (installing one name of a
+// multi-name section writes its siblings, which re-enters the thunk). The
+// capture pass installs immediately — its realm must register every
+// method table.
+func lazySection(r *registry, bit uint32, names []string, install func(*registry)) {
 	if r.capturing != nil {
 		install(r)
-		return func() {}
+		return
 	}
-	installed := false
-	thunk := func() {
-		if installed {
+	thunk := func(in *interp.Interp) {
+		if in.Sections&bit != 0 {
 			return
 		}
-		installed = true
-		install(r)
+		in.Sections |= bit
+		install(&registry{in: in})
 	}
 	for _, n := range names {
-		r.in.Global.SetLazy(n, thunk)
+		r.in.Global.SetLazy(r.in, n, thunk)
 	}
-	return thunk
 }
 
 // registry carries shared helpers for the install functions.
@@ -181,17 +205,15 @@ func (r *registry) method(obj *interp.Object, name string, arity int, f interp.N
 		obj.SetSlot(short, interp.ObjValue(r.fn(name, arity, f)), interp.Writable|interp.Configurable)
 		return
 	}
-	if t, ok := methodTables[name]; ok {
-		if obj.LazyTable() == nil {
-			obj.AttachLazyTable(t, r.in.Protos["Function"])
-		}
-		return
+	t, ok := methodTables[name]
+	if !ok {
+		// The capture pass runs every installer eagerly, so every method
+		// name a realm registers is in a table.
+		panic("builtins: method " + name + " missing from the captured tables")
 	}
-	// Not captured (dynamically named registration): per-method lazy slot.
-	obj.SetLazy(short, func() {
-		fo := r.fn(name, arity, f)
-		obj.SetSlot(short, interp.ObjValue(fo), interp.Writable|interp.Configurable)
-	})
+	if obj.LazyTable() == nil {
+		obj.AttachLazyTable(t, r.in)
+	}
 }
 
 // global binds a value on the global object.
@@ -202,13 +224,15 @@ func (r *registry) global(name string, v interp.Value) {
 // globalFn binds a native function on the global object, building it
 // lazily on first access like method does.
 func (r *registry) globalFn(name string, arity int, f interp.NativeFunc) {
-	r.in.Global.SetLazy(name, func() {
+	r.in.Global.SetLazy(r.in, name, func(in *interp.Interp) {
+		r := registry{in: in} // the realm's own, never the template's
 		r.global(name, interp.ObjValue(r.fn(name, arity, f)))
 	})
 }
 
 // ctor creates a constructor function wired to a prototype object, registers
-// both in the realm tables, and exposes the constructor globally.
+// the prototype in the realm's Protos table, and exposes the constructor
+// globally.
 func (r *registry) ctor(name string, arity int, proto *interp.Object,
 	call, construct interp.NativeFunc) *interp.Object {
 	c := r.fn(name, arity, call)
@@ -216,7 +240,6 @@ func (r *registry) ctor(name string, arity int, proto *interp.Object,
 	c.SetSlot("prototype", interp.ObjValue(proto), 0)
 	proto.SetSlot("constructor", interp.ObjValue(c), interp.Writable|interp.Configurable)
 	r.in.Protos[name] = proto
-	r.in.Ctors[name] = c
 	r.global(name, interp.ObjValue(c))
 	return c
 }

@@ -79,7 +79,7 @@ func IsAbort(err error) (*Abort, bool) {
 func (in *Interp) Proto(kind string) *Object {
 	p := in.Protos[kind]
 	if p == nil && in.ProtoMiss != nil {
-		in.ProtoMiss(kind)
+		in.ProtoMiss(in, kind)
 		p = in.Protos[kind]
 	}
 	return p

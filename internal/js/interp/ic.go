@@ -138,7 +138,7 @@ func (e *icEntry) read(o *Object) (Value, bool) {
 			return Value{}, false
 		}
 	}
-	v := holder.slots[e.slot]
+	v := holder.slot(e.slot)
 	if v.kind == kindPending {
 		return Value{}, false
 	}
@@ -214,7 +214,7 @@ func (in *Interp) icFillGet(s *icSite, v Value, key string) {
 		}
 		e.shape = o.shape
 		if sp := o.shape.find(key); sp != nil {
-			if o.slots[sp.slot].kind == kindPending {
+			if o.slot(sp.slot).kind == kindPending {
 				return
 			}
 			e.slot = sp.slot
@@ -249,7 +249,7 @@ func (in *Interp) icFillGet(s *icSite, v Value, key string) {
 		}
 		if cur.shape != nil {
 			if sp := cur.shape.find(key); sp != nil {
-				if cur.slots[sp.slot].kind == kindPending {
+				if cur.slot(sp.slot).kind == kindPending {
 					return
 				}
 				e.holder, e.hshape, e.slot = cur, cur.shape, sp.slot
@@ -287,6 +287,8 @@ func (in *Interp) SetPropICKey(site int, target Value, key string, v Value, stri
 					if err := in.charge(1); err != nil {
 						return err
 					}
+					// Cached slots are DefaultAttr, so never in the
+					// pending tail: the index is allocated.
 					o.slots[e.slot] = v
 					return nil
 				}
@@ -295,6 +297,7 @@ func (in *Interp) SetPropICKey(site int, target Value, key string, v Value, stri
 					if err := in.charge(1); err != nil {
 						return err
 					}
+					o.fillSlots()
 					o.shape = e.next
 					o.slots = append(o.slots, v)
 					o.epoch++
@@ -363,7 +366,7 @@ func (in *Interp) icFillSet(s *icSite, o *Object, pre *Shape, key string) {
 		// Overwrite: cache only the layout assignment preserves (SetProp's
 		// terminal SetSlot writes DefaultAttr, so anything else would have
 		// left shape mode).
-		if post == pre && preSp.attr == DefaultAttr && o.slots[preSp.slot].kind != kindPending {
+		if post == pre && preSp.attr == DefaultAttr && o.slot(preSp.slot).kind != kindPending {
 			s.add(icEntry{shape: pre, slot: preSp.slot})
 		}
 		return

@@ -76,17 +76,23 @@ func NewCoverage() *Coverage {
 type Interp struct {
 	Global    *Object
 	GlobalEnv *Env
-	// Protos and Ctors are populated by the builtins package.
+	// Protos maps the realm's prototype names ("Object", "TypeError", ...)
+	// to their objects; the builtins package populates it.
 	Protos map[string]*Object
-	Ctors  map[string]*Object
 
 	Strict bool
 	Hook   Hook
 	Cov    *Coverage
 	// ProtoMiss, when set, is invoked on a Protos lookup miss (see Proto)
 	// so the builtins package can materialise lazily-installed sections
-	// the interpreter itself depends on (the Error hierarchy).
-	ProtoMiss func(kind string)
+	// the interpreter itself depends on (the Error hierarchy). It receives
+	// the realm instead of capturing one, like the lazy-property thunks.
+	ProtoMiss func(in *Interp, kind string)
+	// Sections is a bitset of the lazily installed stdlib sections this
+	// realm has forced; the builtins package owns the bit assignment. The
+	// section thunks are shared by every realm cloned from one template,
+	// so this per-realm bookkeeping cannot live in them.
+	Sections uint32
 	// MutableFuncName mirrors Config.MutableFuncName.
 	MutableFuncName bool
 	// SloppyStrictAssign mirrors Config.SloppyStrictAssign.
@@ -156,6 +162,14 @@ type Interp struct {
 // New creates an interpreter without the standard library; callers normally
 // use builtins.NewRuntime instead.
 func New(cfg Config) *Interp {
+	in := newInterp(cfg)
+	in.Global = in.NewObject(nil)
+	return in
+}
+
+// newInterp creates an interpreter with no global object yet: New adds an
+// empty one, Template.New a copy of the template's.
+func newInterp(cfg Config) *Interp {
 	fuel := cfg.Fuel
 	if fuel <= 0 {
 		fuel = DefaultFuel
@@ -166,9 +180,8 @@ func New(cfg Config) *Interp {
 	}
 	in := &Interp{
 		// Presized past the eager stdlib sections plus the error
-		// hierarchy, so realm construction never grows either map.
+		// hierarchy, so realm construction never grows the map.
 		Protos:             make(map[string]*Object, 16),
-		Ctors:              make(map[string]*Object, 16),
 		Strict:             cfg.Strict,
 		Hook:               cfg.Hook,
 		MutableFuncName:    cfg.MutableFuncName,
@@ -182,7 +195,6 @@ func New(cfg Config) *Interp {
 		watchdog:           cfg.Watchdog,
 		wdNext:             fuel - WatchdogStride,
 	}
-	in.Global = in.NewObject(nil)
 	in.GlobalEnv = NewEnv(nil, true)
 	return in
 }
@@ -2031,10 +2043,10 @@ func (in *Interp) getPropOnObjectWithThis(o *Object, key string, this Value) (Va
 		// always data properties, so no accessor dispatch is needed.
 		if cur.shape != nil && cur.shapeFastKey(key) {
 			if sp := cur.shape.find(key); sp != nil {
-				v := cur.slots[sp.slot]
+				v := cur.slot(sp.slot)
 				if v.kind == kindPending {
 					cur.resolveLazy(key)
-					if v = cur.slots[sp.slot]; v.kind == kindPending {
+					if v = cur.slot(sp.slot); v.kind == kindPending {
 						continue
 					}
 				}

@@ -179,7 +179,10 @@ type Object struct {
 	// slots array at the indices the shape chain fixes, and props/keys are
 	// nil. Deletes, accessors and attribute redefinition drop the object
 	// to dictionary mode (toDictionary); slots holding kindPending ride
-	// the lazy-property machinery below. epoch counts layout changes
+	// the lazy-property machinery below. slots may stop short of the
+	// shape's depth: every index past its end is a pending lazy entry
+	// (see slot and fillSlots), so registering a method table or a lazy
+	// thunk allocates no slot. epoch counts layout changes
 	// (key added, deleted, redefined, mode change) in BOTH modes; inline
 	// caches record it for every prototype-chain link they resolved past,
 	// so shadowing writes and proto surgery invalidate cleanly.
@@ -230,13 +233,17 @@ type Object struct {
 
 	// lazyTab is a frozen, realm-independent native-method table shared by
 	// every realm (see NativeTable); tabPending is the bitmask of entries
-	// not yet materialised on this object, and lazyTabProto the realm's
-	// Function.prototype for materialised method objects. Attaching a
-	// table costs one pointer and one key-slice append per realm, where
-	// per-method lazy registration cost a closure and a map insert each.
-	lazyTab      *NativeTable
-	lazyTabProto *Object
-	tabPending   uint64
+	// not yet materialised on this object. Attaching a table costs one
+	// pointer and one key-slice append per realm, where per-method lazy
+	// registration cost a closure and a map insert each.
+	lazyTab    *NativeTable
+	tabPending uint64
+	// realm is the interpreter this object's lazy entries materialise
+	// into: the lazy thunks receive it (they are shared by every realm
+	// cloned from one template, so they cannot capture it), and table
+	// entries take its Function.prototype. Set whenever a table or thunk
+	// is registered; a template clone re-points it at the new realm.
+	realm *Interp
 
 	// lazy holds own-property names and the thunks that materialise them
 	// on first access — deferred stdlib sections and prototype methods —
@@ -298,15 +305,15 @@ type NativeTableEntry struct {
 const MaxNativeTableEntries = 64
 
 // AttachLazyTable wires a frozen method table onto the object, reserving
-// every entry's enumeration position. fnProto is the realm's
-// Function.prototype (the prototype of materialised method objects).
-// Shape-mode objects take the table as a prebuilt shape suffix: every
-// entry appends a pending slot, and the resulting leaf shape is cached on
-// the table so realms after the first pay one pointer compare instead of
-// per-name transitions.
-func (o *Object) AttachLazyTable(t *NativeTable, fnProto *Object) {
+// every entry's enumeration position. in is the object's realm, whose
+// Function.prototype becomes the prototype of materialised method objects.
+// Shape-mode objects take the table as a prebuilt shape suffix whose
+// slots stay in the implicit pending tail (see slot), and the resulting
+// leaf shape is cached on the table so realms after the first pay one
+// pointer compare instead of per-name transitions.
+func (o *Object) AttachLazyTable(t *NativeTable, in *Interp) {
 	o.lazyTab = t
-	o.lazyTabProto = fnProto
+	o.realm = in
 	if n := len(t.Entries); n >= 64 {
 		o.tabPending = ^uint64(0)
 	} else {
@@ -324,21 +331,6 @@ func (o *Object) AttachLazyTable(t *NativeTable, fnProto *Object) {
 			o.shape = sh
 			t.shapeCache.Store(&tableShape{from: from, to: sh})
 		}
-		// One exact-size growth: per-entry appends reallocated the slot
-		// array several times per attach, and realms attach dozens of
-		// tables — the discarded intermediates dominated GC scan work.
-		base := len(o.slots)
-		need := base + len(t.Names)
-		if cap(o.slots) < need {
-			grown := make([]Value, need)
-			copy(grown, o.slots[:base])
-			o.slots = grown
-		} else {
-			o.slots = o.slots[:need]
-		}
-		for i := base; i < need; i++ {
-			o.slots[i] = Value{kind: kindPending}
-		}
 		o.epoch++
 		return
 	}
@@ -349,10 +341,12 @@ func (o *Object) AttachLazyTable(t *NativeTable, fnProto *Object) {
 func (o *Object) LazyTable() *NativeTable { return o.lazyTab }
 
 // lazyProp is one deferred own property: the name and the thunk that
-// materialises it (nil once resolved).
+// materialises it (nil once resolved). The thunk receives the object's
+// realm instead of capturing one, so a realm template's thunks serve
+// every realm cloned from it.
 type lazyProp struct {
 	key     string
-	install func()
+	install func(*Interp)
 }
 
 // hasLazy reports whether any own property is still unmaterialised.
@@ -362,9 +356,11 @@ func (o *Object) hasLazy() bool { return o.lazyLeft > 0 || o.tabPending != 0 }
 // possibly siblings sharing the thunk) when it is first needed. Used by
 // the builtins package to defer expensive stdlib sections and prototype
 // methods that most programs never touch. The thunk must install the key
-// it was registered under; the key's enumeration position is reserved at
-// registration so access order cannot perturb property order.
-func (o *Object) SetLazy(key string, install func()) {
+// it was registered under, into the realm it receives (in, the object's
+// realm); the key's enumeration position is reserved at registration so
+// access order cannot perturb property order.
+func (o *Object) SetLazy(in *Interp, key string, install func(*Interp)) {
+	o.realm = in
 	for i := range o.lazy {
 		if o.lazy[i].key == key {
 			// Re-registration: the key already holds its reserved position.
@@ -379,8 +375,7 @@ func (o *Object) SetLazy(key string, install func()) {
 	o.lazyLeft++
 	if o.shape != nil {
 		o.shape = o.shape.transition(key, Writable|Configurable)
-		o.slots = append(o.slots, Value{kind: kindPending})
-		o.epoch++
+		o.epoch++ // the new slot is in the implicit pending tail
 		return
 	}
 	o.keys = append(o.keys, key)
@@ -400,7 +395,7 @@ func (o *Object) resolveLazy(key string) bool {
 				o.lazy[i].install = nil
 				o.lazyLeft--
 				o.lazyInstalling++
-				th()
+				th(o.realm)
 				o.lazyInstalling--
 				return true
 			}
@@ -410,7 +405,7 @@ func (o *Object) resolveLazy(key string) bool {
 		if i, ok := o.lazyTab.ByName[key]; ok && o.tabPending&(1<<i) != 0 {
 			o.tabPending &^= 1 << i
 			e := &o.lazyTab.Entries[i]
-			fo := NewNativeFunc(o.lazyTabProto, e.SpecKey, e.Short, e.Arity, e.Fn)
+			fo := NewNativeFunc(o.realm.Protos["Function"], e.SpecKey, e.Short, e.Arity, e.Fn)
 			o.lazyInstalling++
 			o.SetSlot(key, ObjValue(fo), Writable|Configurable)
 			o.lazyInstalling--
@@ -592,12 +587,13 @@ func (o *Object) SetSlot(key string, v Value, attr PropAttr) {
 				o.SetSlot(key, v, attr)
 				return
 			}
-			if o.slots[sp.slot].kind == kindPending {
+			if o.slot(sp.slot).kind == kindPending {
 				// Run the lazy installer first (it may install siblings),
 				// then overwrite — matching dictionary-mode order. The
 				// installer clears its pending entry before writing, so
 				// the nested SetSlot cannot recurse back here.
 				o.resolveLazy(key)
+				o.fillSlots()
 			}
 			o.slots[sp.slot] = v
 			return

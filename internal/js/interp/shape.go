@@ -183,10 +183,10 @@ func (o *Object) shapeGetOwn(key string) (*Property, bool) {
 	if sp == nil {
 		return nil, false
 	}
-	v := o.slots[sp.slot]
+	v := o.slot(sp.slot)
 	if v.kind == kindPending {
 		o.resolveLazy(key)
-		v = o.slots[sp.slot]
+		v = o.slot(sp.slot)
 		if v.kind == kindPending {
 			return nil, false
 		}
@@ -199,10 +199,36 @@ func (o *Object) shapeGetOwn(key string) (*Property, bool) {
 // bump invalidates inline caches holding this object as a prototype-chain
 // link (a new key can shadow what a cache resolved past it).
 func (o *Object) shapeAppend(key string, v Value, attr PropAttr) {
+	o.fillSlots()
 	o.shape = o.shape.transition(key, attr)
 	o.slots = append(o.slots, v)
 	o.epoch++
 	o.noteKey(key)
+}
+
+// slot reads shape slot i. An index past the end of slots is in the
+// implicit pending tail: a method table or lazy thunk registered its key
+// without allocating a slot.
+func (o *Object) slot(i int32) Value {
+	if uint(i) < uint(len(o.slots)) {
+		return o.slots[i]
+	}
+	return Value{kind: kindPending}
+}
+
+// fillSlots allocates the implicit pending tail, so slots covers the
+// whole shape; every write at or past the current end goes through it.
+func (o *Object) fillSlots() {
+	n := int(o.shape.depth)
+	if len(o.slots) >= n {
+		return
+	}
+	grown := make([]Value, n)
+	copy(grown, o.slots)
+	for i := len(o.slots); i < n; i++ {
+		grown[i] = Value{kind: kindPending}
+	}
+	o.slots = grown
 }
 
 // shapeFastKey reports whether key on o can bypass the virtual-slot checks
@@ -238,7 +264,7 @@ func (o *Object) toDictionary() {
 	o.props = make(map[string]*Property, len(chain))
 	ps := make([]Property, sh.depth)
 	for n := sh; n.depth > 0; n = n.parent {
-		v := o.slots[n.slot]
+		v := o.slot(n.slot)
 		if v.kind == kindPending {
 			continue // still lazy: resolveLazy installs it into props later
 		}

@@ -1,0 +1,194 @@
+package interp
+
+import "fmt"
+
+// Template is a read-only snapshot of a pristine realm: the global object,
+// every object reachable from it or from the Protos table, and the realm's
+// Protos and ProtoMiss. New copies the graph into a fresh interpreter
+// instead of re-running the standard-library installers; realm
+// construction is paid once per physical testbed execution, so it sits on
+// the campaign scheduler's hottest path.
+//
+// The snapshot fixes an object index and every pointer to remap, in a
+// deterministic walk order (the global object, then breadth-first through
+// prototypes and object-valued properties in layout order, then the Protos
+// entries in the order given); it never iterates a Go map. A clone
+// allocates one Object slab, one Value slab and one lazyProp slab (plus
+// the key slab, property maps and boxes of a dictionary-layout realm; an
+// empty slab allocates nothing), copies every struct, and re-points each
+// internal pointer by index. Pending slot tails stay unallocated (see
+// Object.slot). Every copied slice is capped at its length, so an append
+// or a lazy resolution in the clone reallocates instead of writing into
+// the template's backing arrays: template objects are never written after
+// the snapshot, and any number of goroutines may clone one template
+// concurrently.
+//
+// The snapshot supports exactly the state a pristine realm holds —
+// ordinary and native-function objects with data properties, lazy thunks
+// and native-method tables — and panics on anything else (closures over
+// JS code, bound functions, array elements, buffers, regexps, accessors),
+// so a new eager stdlib section that cannot be cloned fails at the first
+// realm build instead of leaking state between realms.
+type Template struct {
+	objs  []*Object // walk order; objs[0] is the global object
+	proto []int32   // index of objs[i].Proto, -1 for none
+
+	// Slab sizes and, per object, the keys of its materialised dictionary
+	// properties in insertion order (nil in shape layout).
+	nslots, nlazy, nkeys, nprops int
+	propKeys                     [][]string
+
+	// slotRefs and propRefs are the object-valued shape slots and
+	// dictionary properties, as positions in the clone's Value and
+	// Property slabs.
+	slotRefs, propRefs []objRef
+
+	protos    []namedRef
+	protoMiss func(*Interp, string)
+	dict      bool
+}
+
+// objRef is one pointer to remap: slab position pos holds object target.
+type objRef struct{ pos, target int32 }
+
+// namedRef is one Protos entry: name → object index.
+type namedRef struct {
+	name string
+	idx  int32
+}
+
+// NewTemplate snapshots the realm in, which must not run code or be
+// written afterwards. names lists every Protos key in a fixed order; an
+// entry missing from it panics, as does any object state a clone could
+// not reproduce (see Template).
+func NewTemplate(in *Interp, names []string) *Template {
+	t := &Template{protoMiss: in.ProtoMiss, dict: in.DisableShapes}
+	idx := map[*Object]int32{}
+	add := func(o *Object) int32 {
+		if o == nil {
+			return -1
+		}
+		if i, ok := idx[o]; ok {
+			return i
+		}
+		i := int32(len(t.objs))
+		idx[o] = i
+		t.objs = append(t.objs, o)
+		return i
+	}
+	next := 0
+	walk := func() {
+		for ; next < len(t.objs); next++ {
+			t.visit(in, t.objs[next], add)
+		}
+	}
+	add(in.Global)
+	walk()
+	for _, name := range names {
+		if p := in.Protos[name]; p != nil {
+			t.protos = append(t.protos, namedRef{name, add(p)})
+		}
+	}
+	walk()
+	if len(t.protos) != len(in.Protos) {
+		panic("interp: realm template names miss a Protos entry")
+	}
+	return t
+}
+
+// visit records one object's prototype, remap positions and slab shares.
+func (t *Template) visit(in *Interp, o *Object, add func(*Object) int32) {
+	switch {
+	case o.Fn != nil, o.BoundTarget != nil, o.BoundArgs != nil,
+		o.elems != nil, o.Buf != nil, o.Regex != nil, o.lazyInstalling != 0,
+		o.Prim.kind == KindObject, o.BoundThis.kind == KindObject:
+		panic(fmt.Sprintf("interp: realm template cannot clone %s object state", o.Class))
+	case o.realm != nil && o.realm != in:
+		panic("interp: realm template object belongs to another realm")
+	case (o.shape != nil) == t.dict:
+		panic("interp: realm template mixes object layouts")
+	}
+	t.proto = append(t.proto, add(o.Proto))
+	for i, v := range o.slots {
+		if v.kind == KindObject {
+			t.slotRefs = append(t.slotRefs, objRef{int32(t.nslots + i), add(v.obj)})
+		}
+	}
+	var keys []string
+	for _, k := range o.keys {
+		p, ok := o.props[k]
+		if !ok {
+			continue // reserved for a lazy entry
+		}
+		if p.Accessor || p.Get != nil || p.Set != nil {
+			panic("interp: realm template cannot clone accessor " + k)
+		}
+		if p.Value.kind == KindObject {
+			t.propRefs = append(t.propRefs, objRef{int32(t.nprops + len(keys)), add(p.Value.obj)})
+		}
+		keys = append(keys, k)
+	}
+	if len(keys) != len(o.props) {
+		panic("interp: realm template property missing from the key order")
+	}
+	t.propKeys = append(t.propKeys, keys)
+	t.nslots += len(o.slots)
+	t.nlazy += len(o.lazy)
+	t.nkeys += len(o.keys)
+	t.nprops += len(keys)
+}
+
+// New creates an interpreter configured by cfg whose realm is a copy of
+// the template's object graph: in.Global, in.Protos and in.ProtoMiss. The
+// configuration must select the template's object layout.
+func (t *Template) New(cfg Config) *Interp {
+	if cfg.DisableShapes != t.dict {
+		panic("interp: realm template layout differs from the configuration's")
+	}
+	in := newInterp(cfg)
+	objs := make([]Object, len(t.objs))
+	vals := make([]Value, t.nslots)
+	lazy := make([]lazyProp, t.nlazy)
+	keys := make([]string, t.nkeys)
+	props := make([]Property, t.nprops)
+	var nv, nl, nk, np int
+	for i, src := range t.objs {
+		o := &objs[i]
+		*o = *src
+		if p := t.proto[i]; p >= 0 {
+			o.Proto = &objs[p]
+		}
+		if o.realm != nil {
+			o.realm = in
+		}
+		n := copy(vals[nv:], src.slots)
+		o.slots = vals[nv : nv+n : nv+n]
+		nv += n
+		n = copy(lazy[nl:], src.lazy)
+		o.lazy = lazy[nl : nl+n : nl+n]
+		nl += n
+		n = copy(keys[nk:], src.keys)
+		o.keys = keys[nk : nk+n : nk+n]
+		nk += n
+		if src.props != nil {
+			o.props = make(map[string]*Property, len(t.propKeys[i]))
+			for _, k := range t.propKeys[i] {
+				props[np] = *src.props[k]
+				o.props[k] = &props[np]
+				np++
+			}
+		}
+	}
+	for _, r := range t.slotRefs {
+		vals[r.pos].obj = &objs[r.target]
+	}
+	for _, r := range t.propRefs {
+		props[r.pos].Value.obj = &objs[r.target]
+	}
+	in.Global = &objs[0]
+	for _, e := range t.protos {
+		in.Protos[e.name] = &objs[e.idx]
+	}
+	in.ProtoMiss = t.protoMiss
+	return in
+}

@@ -157,9 +157,6 @@ func TestClassifyTable(t *testing.T) {
 					t.Errorf("deviant[%d] = %s, want %s", i, got, want)
 				}
 			}
-			if len(cr.Results) != len(tc.entries) {
-				t.Errorf("results map has %d entries, want %d", len(cr.Results), len(tc.entries))
-			}
 		})
 	}
 }

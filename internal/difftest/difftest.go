@@ -103,7 +103,6 @@ type CaseResult struct {
 	Verdict     Verdict
 	Deviations  []Deviation
 	MajorityKey string
-	Results     map[string]engines.ExecResult // by testbed ID
 	// EarlyError marks a VerdictInvalid case whose rejection came from the
 	// static analyzer's early-error gate on every testbed (rather than the
 	// parser): the campaign accounts these separately — the whole case was
@@ -197,11 +196,8 @@ func Classify(entries []ExecEntry) CaseResult {
 	}
 	a := classifyPool(normal)
 	b := classifyPool(strict)
-	merged := CaseResult{Results: a.Results, Verdict: a.Verdict, MajorityKey: a.MajorityKey,
+	merged := CaseResult{Verdict: a.Verdict, MajorityKey: a.MajorityKey,
 		EarlyError: a.EarlyError && b.EarlyError}
-	for k, v := range b.Results {
-		merged.Results[k] = v
-	}
 	if verdictRank(b.Verdict) > verdictRank(a.Verdict) {
 		merged.Verdict = b.Verdict
 		merged.MajorityKey = b.MajorityKey
@@ -239,10 +235,7 @@ func verdictRank(v Verdict) int {
 
 // classifyPool applies the Figure-5 classification to one pool of entries.
 func classifyPool(entries []ExecEntry) CaseResult {
-	res := CaseResult{Results: map[string]engines.ExecResult{}}
-	for _, e := range entries {
-		res.Results[e.Testbed.ID()] = e.Result
-	}
+	var res CaseResult
 
 	// Step 1: parse consistency.
 	parseErrs := 0
@@ -318,12 +311,17 @@ func classifyPool(entries []ExecEntry) CaseResult {
 
 	// Step 4: majority voting over behaviour keys.
 	groups := map[string][]ExecEntry{}
-	for _, e := range entries {
-		groups[e.Result.Key()] = append(groups[e.Result.Key()], e)
+	var firstKey string
+	for i, e := range entries {
+		k := e.Result.Key()
+		if i == 0 {
+			firstKey = k
+		}
+		groups[k] = append(groups[k], e)
 	}
 	if len(groups) == 1 {
 		res.Verdict = VerdictPass
-		res.MajorityKey = entries[0].Result.Key()
+		res.MajorityKey = firstKey
 		return res
 	}
 	var keys []string

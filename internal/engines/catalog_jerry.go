@@ -215,7 +215,7 @@ print(a[0]);`,
 			return len(ctx.Args) > 1
 		}, mapResult(func(ctx *interp.HookCtx, res interp.Value) interp.Value {
 			if res.IsObject() && res.Obj().Class == "DataView" {
-				res.Obj().SetSlot("byteOffset", interp.Number(float64(res.Obj().ArrayLen)), 0)
+				res.Obj().SetSlot("byteOffset", interp.Number(float64(res.Obj().ArrayLen())), 0)
 			}
 			return res
 		})),
@@ -327,7 +327,7 @@ foo();`,
 		}, mapResult(func(ctx *interp.HookCtx, res interp.Value) interp.Value {
 			if res.IsObject() && res.Obj().ElemKind == interp.ElemUint8Clamped {
 				src := ctx.Args[0].Obj().ArrayElems()
-				for i := 0; i < res.Obj().ArrayLen && i < len(src); i++ {
+				for i := 0; i < res.Obj().ArrayLen() && i < len(src); i++ {
 					if src[i].Kind() == interp.KindNumber {
 						res.Obj().TypedSet(i, math.Trunc(src[i].Num()))
 					}

@@ -163,7 +163,7 @@ print(dv.getInt16(0, true));`,
 		}, retFn(func(ctx *interp.HookCtx) interp.Value {
 			o := ctx.This.Obj()
 			off := int(ctx.Args[0].Num())
-			d := o.Buf.Data[o.ByteOff+off:]
+			d := o.Buf().Data[o.ByteOff()+off:]
 			return interp.Number(float64(int16(uint16(d[1]) | uint16(d[0])<<8)))
 		})),
 	})
@@ -629,7 +629,7 @@ print(a[1]);`,
 		}, mapResult(func(ctx *interp.HookCtx, res interp.Value) interp.Value {
 			if res.IsObject() && res.Obj().ElemKind != interp.ElemNone {
 				for i, e := range ctx.Args[0].Obj().ArrayElems() {
-					if e.IsUndefined() && i < res.Obj().ArrayLen {
+					if e.IsUndefined() && i < res.Obj().ArrayLen() {
 						res.Obj().TypedSet(i, 7)
 					}
 				}
@@ -649,7 +649,8 @@ print(inc(5));`,
 			return len(ctx.Args) > 1
 		}, mapResult(func(ctx *interp.HookCtx, res interp.Value) interp.Value {
 			if res.IsObject() {
-				res.Obj().BoundArgs = nil
+				o := res.Obj()
+				o.SetBound(o.BoundTarget(), o.BoundThis(), nil)
 			}
 			return res
 		})),

@@ -204,7 +204,7 @@ print(f[0]);`,
 			mapResult(func(ctx *interp.HookCtx, res interp.Value) interp.Value {
 				if res.IsObject() && res.Obj().ElemKind == interp.ElemFloat64 {
 					o := res.Obj()
-					for i := 0; i < o.ArrayLen; i++ {
+					for i := 0; i < o.ArrayLen(); i++ {
 						o.TypedSet(i, float64(float32(o.TypedGet(i))))
 					}
 				}
@@ -225,7 +225,7 @@ print(dv.getFloat32(0, true));`,
 		}, retFn(func(ctx *interp.HookCtx) interp.Value {
 			o := ctx.This.Obj()
 			off := int(ctx.Args[0].Num())
-			d := o.Buf.Data[o.ByteOff+off:]
+			d := o.Buf().Data[o.ByteOff()+off:]
 			bits := uint32(d[3]) | uint32(d[2])<<8 | uint32(d[1])<<16 | uint32(d[0])<<24
 			return interp.Number(float64(math.Float32frombits(bits)))
 		})),

@@ -7,7 +7,6 @@
 package engines
 
 import (
-	"fmt"
 	"sync"
 
 	"comfort/internal/js/interp"
@@ -285,7 +284,7 @@ func (r ExecResult) Semantics() ExecResult {
 // Key renders the behaviour for differential comparison: two testbeds agree
 // iff their keys are equal.
 func (r ExecResult) Key() string {
-	return fmt.Sprintf("%s|%s|%s", r.Outcome, r.Output, r.ErrName)
+	return r.Outcome.String() + "|" + r.Output + "|" + r.ErrName
 }
 
 // RunOptions parameterise a testbed execution.

@@ -66,13 +66,13 @@ func installFunction(r *registry) {
 		if !this.IsObject() || !this.Obj().IsCallable() {
 			return interp.Undefined(), in.TypeErrorf("Function.prototype.bind called on non-callable")
 		}
-		bound := in.NewObject(in.Protos["Function"])
+		bound := in.NewExoticObject(in.Protos["Function"])
 		bound.Class = "Function"
-		bound.BoundTarget = this.Obj()
-		bound.BoundThis = arg(args, 0)
+		var boundArgs []interp.Value
 		if len(args) > 1 {
-			bound.BoundArgs = append([]interp.Value(nil), args[1:]...)
+			boundArgs = append([]interp.Value(nil), args[1:]...)
 		}
+		bound.SetBound(this.Obj(), arg(args, 0), boundArgs)
 		nameV, _ := in.GetPropKey(this, "name")
 		name, _ := in.ToString(nameV)
 		bound.SetSlot("name", interp.String("bound "+name), interp.Configurable)

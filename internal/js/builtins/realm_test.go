@@ -1,6 +1,7 @@
 package builtins
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -202,10 +203,27 @@ func TestPendingTailMatchesDictionaryLayout(t *testing.T) {
 // host.
 const realmAllocBudget = 12
 
-// TestRealmAllocBudget pins realm construction's allocation count.
+// realmByteBudget bounds the bytes one realm build allocates (8008 at the
+// time of writing, 4 KB of it the Object slab). Like the count, the byte
+// total is deterministic: it moves only when an allocation's size class
+// does, so a wider Value or Object fails here on any host.
+const realmByteBudget = 8 << 10
+
+// TestRealmAllocBudget pins realm construction's allocation count and
+// bytes.
 func TestRealmAllocBudget(t *testing.T) {
 	got := testing.AllocsPerRun(100, func() { NewRuntime(interp.Config{}) })
 	if got > realmAllocBudget {
 		t.Errorf("NewRuntime allocates %v times per realm, budget %d", got, realmAllocBudget)
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		NewRuntime(interp.Config{})
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > realmByteBudget {
+		t.Errorf("NewRuntime allocates %d bytes per realm, budget %d", b, realmByteBudget)
 	}
 }

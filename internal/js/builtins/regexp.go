@@ -14,8 +14,8 @@ func installRegExp(r *registry) {
 		flagsV := arg(args, 1)
 		pattern, flags := "", ""
 		if patV.IsObject() && patV.Obj().Class == "RegExp" {
-			pattern = patV.Obj().Regex.Source
-			flags = patV.Obj().Regex.Flags
+			pattern = patV.Obj().Regex().Source
+			flags = patV.Obj().Regex().Flags
 		} else if !patV.IsUndefined() {
 			var err error
 			pattern, err = in.ToString(patV)
@@ -52,7 +52,7 @@ func installRegExp(r *registry) {
 		if err != nil {
 			return interp.Undefined(), err
 		}
-		re := o.Regex
+		re := o.Regex()
 		start := 0
 		if re.Global || re.Sticky {
 			liV, err := in.GetPropKey(this, "lastIndex")
@@ -94,7 +94,7 @@ func installRegExp(r *registry) {
 		if err != nil {
 			return interp.Undefined(), err
 		}
-		re := o.Regex
+		re := o.Regex()
 		start := 0
 		if re.Global || re.Sticky {
 			liV, err := in.GetPropKey(this, "lastIndex")
@@ -128,11 +128,11 @@ func installRegExp(r *registry) {
 		if err != nil {
 			return interp.Undefined(), err
 		}
-		src := o.Regex.Source
+		src := o.Regex().Source
 		if src == "" {
 			src = "(?:)"
 		}
-		return interp.String("/" + src + "/" + o.Regex.Flags), nil
+		return interp.String("/" + src + "/" + o.Regex().Flags), nil
 	})
 
 	// Annex B: RegExp.prototype.compile re-initialises the regex in place.
@@ -158,8 +158,8 @@ func installRegexCompile(in *interp.Interp, o *interp.Object, args []interp.Valu
 	pattern, flags := "", ""
 	patV := arg(args, 0)
 	if patV.IsObject() && patV.Obj().Class == "RegExp" {
-		pattern = patV.Obj().Regex.Source
-		flags = patV.Obj().Regex.Flags
+		pattern = patV.Obj().Regex().Source
+		flags = patV.Obj().Regex().Flags
 	} else if !patV.IsUndefined() {
 		var err error
 		pattern, err = in.ToString(patV)
@@ -179,7 +179,7 @@ func installRegexCompile(in *interp.Interp, o *interp.Object, args []interp.Valu
 		return interp.Undefined(), err
 	}
 	no := nv.Obj()
-	o.Regex = no.Regex
+	o.SetRegex(no.Regex())
 	o.SetSlot("source", interp.String(pattern), 0)
 	o.SetSlot("flags", interp.String(flags), 0)
 	if err := in.SetProp(interp.ObjValue(o), "lastIndex", interp.Number(0), true); err != nil {

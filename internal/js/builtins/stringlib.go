@@ -509,7 +509,7 @@ func runeIndex(s, needle []rune, start int) int {
 // hook fires on every execution through these entry points.
 func argRegex(in *interp.Interp, v interp.Value) (*regex.Regexp, bool, error) {
 	if v.IsObject() && v.Obj().Class == "RegExp" {
-		return v.Obj().Regex, true, nil
+		return v.Obj().Regex(), true, nil
 	}
 	return nil, false, nil
 }

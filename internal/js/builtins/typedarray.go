@@ -40,9 +40,9 @@ func installTypedArrays(r *registry) {
 		if err := in.Burn(int64(n) / 64); err != nil {
 			return interp.Undefined(), err
 		}
-		o := in.NewObject(in.Protos["ArrayBuffer"])
+		o := in.NewExoticObject(in.Protos["ArrayBuffer"])
 		o.Class = "ArrayBuffer"
-		o.Buf = &interp.ArrayBuffer{Data: make([]byte, int(n))}
+		o.SetBuffer(&interp.ArrayBuffer{Data: make([]byte, int(n))}, 0, 0)
 		o.SetSlot("byteLength", interp.Number(n), 0)
 		return interp.ObjValue(o), nil
 	}
@@ -63,15 +63,15 @@ func installOneTypedArray(r *registry, name string, kind interp.ElemKind) {
 	size := kind.Size()
 
 	construct := func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		o := in.NewObject(in.Protos[name])
+		o := in.NewExoticObject(in.Protos[name])
 		o.Class = name
 		o.ElemKind = kind
 		a0 := arg(args, 0)
 		switch {
 		case a0.IsUndefined():
-			o.Buf = &interp.ArrayBuffer{}
+			o.SetBuffer(&interp.ArrayBuffer{}, 0, 0)
 		case a0.IsObject() && a0.Obj().Class == "ArrayBuffer":
-			buf := a0.Obj().Buf
+			buf := a0.Obj().Buf()
 			off := 0.0
 			if ov := arg(args, 1); !ov.IsUndefined() {
 				var err error
@@ -94,21 +94,18 @@ func installOneTypedArray(r *registry, name string, kind interp.ElemKind) {
 				}
 				length = jsnum.SafeInt(lf)
 			}
-			o.Buf = buf
-			o.ByteOff = jsnum.SafeInt(off)
-			o.ArrayLen = length
+			o.SetBuffer(buf, jsnum.SafeInt(off), length)
 			return interp.ObjValue(o), nil
 		case a0.IsObject() && (a0.Obj().IsArray() || a0.Obj().ElemKind != interp.ElemNone):
 			var src []interp.Value
 			if a0.Obj().IsArray() {
 				src = a0.Obj().ArrayElems()
 			} else {
-				for i := 0; i < a0.Obj().ArrayLen; i++ {
+				for i := 0; i < a0.Obj().ArrayLen(); i++ {
 					src = append(src, interp.Number(a0.Obj().TypedGet(i)))
 				}
 			}
-			o.Buf = &interp.ArrayBuffer{Data: make([]byte, len(src)*size)}
-			o.ArrayLen = len(src)
+			o.SetBuffer(&interp.ArrayBuffer{Data: make([]byte, len(src)*size)}, 0, len(src))
 			for i, v := range src {
 				n, err := in.ToNumber(v)
 				if err != nil {
@@ -134,8 +131,7 @@ func installOneTypedArray(r *registry, name string, kind interp.ElemKind) {
 			if err := in.Burn(int64(n) / 32); err != nil {
 				return interp.Undefined(), err
 			}
-			o.Buf = &interp.ArrayBuffer{Data: make([]byte, int(n)*size)}
-			o.ArrayLen = int(n)
+			o.SetBuffer(&interp.ArrayBuffer{Data: make([]byte, int(n)*size)}, 0, int(n))
 		}
 		return interp.ObjValue(o), nil
 	}
@@ -164,7 +160,7 @@ func installOneTypedArray(r *registry, name string, kind interp.ElemKind) {
 		if err != nil {
 			return interp.Undefined(), err
 		}
-		if offF < 0 || offF > float64(o.ArrayLen) {
+		if offF < 0 || offF > float64(o.ArrayLen()) {
 			return interp.Undefined(), in.RangeErrorf("offset is out of bounds")
 		}
 		off := jsnum.SafeInt(offF)
@@ -174,7 +170,7 @@ func installOneTypedArray(r *registry, name string, kind interp.ElemKind) {
 		case src.IsObject() && src.Obj().IsArray():
 			items = src.Obj().ArrayElems()
 		case src.IsObject() && src.Obj().ElemKind != interp.ElemNone && src.Obj().Class != "DataView":
-			for i := 0; i < src.Obj().ArrayLen; i++ {
+			for i := 0; i < src.Obj().ArrayLen(); i++ {
 				items = append(items, interp.Number(src.Obj().TypedGet(i)))
 			}
 		default:
@@ -200,7 +196,7 @@ func installOneTypedArray(r *registry, name string, kind interp.ElemKind) {
 				items = append(items, v)
 			}
 		}
-		if off+len(items) > o.ArrayLen {
+		if off+len(items) > o.ArrayLen() {
 			return interp.Undefined(), in.RangeErrorf("offset is out of bounds")
 		}
 		for i, v := range items {
@@ -222,7 +218,7 @@ func installOneTypedArray(r *registry, name string, kind interp.ElemKind) {
 		if err != nil {
 			return interp.Undefined(), err
 		}
-		start, end, err := sliceRange(in, restArgs(args, 1), o.ArrayLen)
+		start, end, err := sliceRange(in, restArgs(args, 1), o.ArrayLen())
 		if err != nil {
 			return interp.Undefined(), err
 		}
@@ -237,16 +233,14 @@ func installOneTypedArray(r *registry, name string, kind interp.ElemKind) {
 		if err != nil {
 			return interp.Undefined(), err
 		}
-		start, end, err := sliceRange(in, args, o.ArrayLen)
+		start, end, err := sliceRange(in, args, o.ArrayLen())
 		if err != nil {
 			return interp.Undefined(), err
 		}
-		sub := in.NewObject(in.Protos[name])
+		sub := in.NewExoticObject(in.Protos[name])
 		sub.Class = name
 		sub.ElemKind = kind
-		sub.Buf = o.Buf
-		sub.ByteOff = o.ByteOff + start*size
-		sub.ArrayLen = end - start
+		sub.SetBuffer(o.Buf(), o.ByteOff()+start*size, end-start)
 		return interp.ObjValue(sub), nil
 	})
 
@@ -259,7 +253,7 @@ func installOneTypedArray(r *registry, name string, kind interp.ElemKind) {
 		if err != nil {
 			return interp.Undefined(), err
 		}
-		for i := 0; i < o.ArrayLen; i++ {
+		for i := 0; i < o.ArrayLen(); i++ {
 			if o.TypedGet(i) == target {
 				return interp.Number(float64(i)), nil
 			}
@@ -280,7 +274,7 @@ func installOneTypedArray(r *registry, name string, kind interp.ElemKind) {
 			}
 		}
 		var parts []string
-		for i := 0; i < o.ArrayLen; i++ {
+		for i := 0; i < o.ArrayLen(); i++ {
 			parts = append(parts, jsnum.Format(o.TypedGet(i)))
 		}
 		return interp.String(strings.Join(parts, sep)), nil
@@ -295,15 +289,14 @@ func installOneTypedArray(r *registry, name string, kind interp.ElemKind) {
 		if err != nil {
 			return interp.Undefined(), err
 		}
-		start, end, err := sliceRange(in, args, o.ArrayLen)
+		start, end, err := sliceRange(in, args, o.ArrayLen())
 		if err != nil {
 			return interp.Undefined(), err
 		}
-		out := in.NewObject(in.Protos[name])
+		out := in.NewExoticObject(in.Protos[name])
 		out.Class = name
 		out.ElemKind = kind
-		out.Buf = &interp.ArrayBuffer{Data: make([]byte, (end-start)*size)}
-		out.ArrayLen = end - start
+		out.SetBuffer(&interp.ArrayBuffer{Data: make([]byte, (end-start)*size)}, 0, end-start)
 		for i := start; i < end; i++ {
 			out.TypedSet(i-start, o.TypedGet(i))
 		}
@@ -320,7 +313,7 @@ func installDataView(r *registry) {
 		if !a0.IsObject() || a0.Obj().Class != "ArrayBuffer" {
 			return interp.Undefined(), in.TypeErrorf("First argument to DataView constructor must be an ArrayBuffer")
 		}
-		buf := a0.Obj().Buf
+		buf := a0.Obj().Buf()
 		off := 0.0
 		var err error
 		if ov := arg(args, 1); !ov.IsUndefined() {
@@ -343,12 +336,10 @@ func installDataView(r *registry) {
 			}
 			length = jsnum.SafeInt(lf)
 		}
-		o := in.NewObject(in.Protos["DataView"])
+		o := in.NewExoticObject(in.Protos["DataView"])
 		o.Class = "DataView"
 		o.ElemKind = interp.ElemUint8
-		o.Buf = buf
-		o.ByteOff = jsnum.SafeInt(off)
-		o.ArrayLen = length
+		o.SetBuffer(buf, jsnum.SafeInt(off), length)
 		o.SetSlot("byteLength", interp.Number(float64(length)), 0)
 		o.SetSlot("byteOffset", interp.Number(off), 0)
 		return interp.ObjValue(o), nil
@@ -453,10 +444,10 @@ func installDataView(r *registry) {
 			}
 			le := interp.ToBoolean(arg(args, 1))
 			off := jsnum.SafeInt(offF)
-			if off < 0 || off+a.size > o.ArrayLen {
+			if off < 0 || off+a.size > o.ArrayLen() {
 				return interp.Undefined(), in.RangeErrorf("Offset is outside the bounds of the DataView")
 			}
-			return interp.Number(a.get(o.Buf.Data[o.ByteOff+off:], le)), nil
+			return interp.Number(a.get(o.Buf().Data[o.ByteOff()+off:], le)), nil
 		})
 		r.method(proto, "DataView.prototype.set"+a.name, 2, func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
 			o, err := thisDV(in, this, "DataView.prototype.set"+a.name)
@@ -473,10 +464,10 @@ func installDataView(r *registry) {
 			}
 			le := interp.ToBoolean(arg(args, 2))
 			off := jsnum.SafeInt(offF)
-			if off < 0 || off+a.size > o.ArrayLen {
+			if off < 0 || off+a.size > o.ArrayLen() {
 				return interp.Undefined(), in.RangeErrorf("Offset is outside the bounds of the DataView")
 			}
-			a.put(o.Buf.Data[o.ByteOff+off:], v, le)
+			a.put(o.Buf().Data[o.ByteOff()+off:], v, le)
 			return interp.Undefined(), nil
 		})
 	}

@@ -1660,7 +1660,7 @@ func plainFunc(fnVal interp.Value) bool {
 		return false
 	}
 	o := fnVal.Obj()
-	return o.Fn != nil && o.Native == nil && o.BoundTarget == nil
+	return o.Fn != nil && o.Native == nil && o.BoundTarget() == nil
 }
 
 // describeCallee renders a callee for not-a-function/constructor errors,

@@ -175,7 +175,7 @@ func (in *Interp) GetPropICKey(site int, v Value, key string) (Value, error) {
 		return in.GetPropKey(v, key)
 	}
 	if v.kind == KindObject {
-		if val, ok := s.icObjectHit(v.obj); ok {
+		if val, ok := s.icObjectHit((*Object)(v.ref)); ok {
 			in.icHit++
 			if err := in.charge(1); err != nil {
 				return Undefined(), err
@@ -208,7 +208,7 @@ func (in *Interp) icFillGet(s *icSite, v Value, key string) {
 	var start *Object
 	switch v.kind {
 	case KindObject:
-		o := v.obj
+		o := (*Object)(v.ref)
 		if o.shape == nil || !o.shapeFastKey(key) {
 			return
 		}
@@ -256,7 +256,7 @@ func (in *Interp) icFillGet(s *icSite, v Value, key string) {
 				s.add(e)
 				return
 			}
-		} else if _, ok := cur.props[key]; ok {
+		} else if _, ok := cur.dictGet(key); ok {
 			return // dictionary holder: uncacheable
 		}
 		cur = cur.Proto
@@ -278,7 +278,7 @@ func (in *Interp) SetPropICKey(site int, target Value, key string, v Value, stri
 		return in.SetProp(target, key, v, strict)
 	}
 	if target.kind == KindObject {
-		o := target.obj
+		o := (*Object)(target.ref)
 		sh := o.shape
 		if sh != nil {
 			if e := s.setHit(sh); e != nil {
@@ -297,9 +297,8 @@ func (in *Interp) SetPropICKey(site int, target Value, key string, v Value, stri
 					if err := in.charge(1); err != nil {
 						return err
 					}
-					o.fillSlots()
+					o.appendSlot(v)
 					o.shape = e.next
-					o.slots = append(o.slots, v)
 					o.epoch++
 					o.noteKey(key)
 					return nil
@@ -311,7 +310,7 @@ func (in *Interp) SetPropICKey(site int, target Value, key string, v Value, stri
 	var pre *Shape
 	var o *Object
 	if target.kind == KindObject {
-		o = target.obj
+		o = (*Object)(target.ref)
 		pre = o.shape
 	}
 	err := in.SetProp(target, key, v, strict)
@@ -384,7 +383,7 @@ func (in *Interp) icFillSet(s *icSite, o *Object, pre *Shape, key string) {
 			return
 		}
 		if cur.shape == nil {
-			if p, ok := cur.props[key]; ok && p.Accessor {
+			if p, ok := cur.dictGet(key); ok && p.Accessor {
 				return
 			}
 		}

@@ -353,7 +353,12 @@ func (in *Interp) hoist(body []ast.Stmt, env *Env, topLevel bool, strict bool) {
 
 // MakeFunction builds a function object for a literal closed over env.
 func (in *Interp) MakeFunction(lit *ast.FuncLit, env *Env, strict bool) *Object {
-	fn := in.NewObject(in.Protos["Function"])
+	var fn *Object
+	if lit.Arrow {
+		fn = in.NewExoticObject(in.Protos["Function"]) // holds the lexical this
+	} else {
+		fn = in.NewObject(in.Protos["Function"])
+	}
 	fn.Class = "Function"
 	fn.Fn = &FuncDef{Lit: lit, Env: env}
 	if lit.Compiled != nil {
@@ -370,8 +375,7 @@ func (in *Interp) MakeFunction(lit *ast.FuncLit, env *Env, strict bool) *Object 
 		fn.SetSlot("__strict__", Bool(true), 0)
 	}
 	if lit.Arrow {
-		this := in.currentThis()
-		fn.BoundThis = this
+		fn.ext.boundThis = in.currentThis()
 		fn.SetSlot("__arrow__", Bool(true), 0)
 	}
 	return fn
@@ -684,7 +688,7 @@ func (in *Interp) iterate(v Value) ([]Value, error) {
 		}
 		if o.ElemKind != ElemNone && o.Class != "DataView" {
 			var out []Value
-			for i := 0; i < o.ArrayLen; i++ {
+			for i, n := 0, o.ArrayLen(); i < n; i++ {
 				out = append(out, Number(o.typedGet(i)))
 			}
 			return out, nil
@@ -924,7 +928,7 @@ func (in *Interp) evalObjectLit(x *ast.ObjectLit, env *Env, strict bool) (Value,
 		case ast.PropGet, ast.PropSet:
 			fnLit := prop.Value.(*ast.FuncLit)
 			fn := in.MakeFunction(fnLit, env, strict)
-			existing, ok := o.props[key]
+			existing, ok := o.dictGet(key)
 			if !ok || !existing.Accessor {
 				existing = &Property{Accessor: true, Attr: Enumerable | Configurable}
 				o.DefineOwn(key, existing)
@@ -1610,8 +1614,8 @@ func (in *Interp) call1(fn *Object, this Value, args []Value) (Value, error) {
 	if in.depth > in.maxDepth {
 		return Undefined(), in.RangeErrorf("Maximum call stack size exceeded")
 	}
-	if fn.BoundTarget != nil {
-		return in.Call(fn.BoundTarget, fn.BoundThis, append(append([]Value(nil), fn.BoundArgs...), args...))
+	if x := fn.ext; x != nil && x.boundTarget != nil {
+		return in.Call(x.boundTarget, x.boundThis, append(append([]Value(nil), x.boundArgs...), args...))
 	}
 	if fn.Native != nil {
 		if in.Hook == nil {
@@ -1628,7 +1632,7 @@ func (in *Interp) call1(fn *Object, this Value, args []Value) (Value, error) {
 	fn.Invocations++
 	if in.Hook != nil {
 		ctx := in.hookCtx()
-		*ctx = HookCtx{Site: HookFuncTier, In: in, Tier: fn.Invocations, Fn: fn}
+		*ctx = HookCtx{Site: HookFuncTier, In: in, Tier: int(fn.Invocations), Fn: fn}
 		ov := in.Hook(ctx)
 		in.releaseHookCtx(ctx)
 		if ov != nil {
@@ -1700,7 +1704,7 @@ func (in *Interp) call1(fn *Object, this Value, args []Value) (Value, error) {
 	// this binding.
 	var thisVal Value
 	if lit.Arrow {
-		thisVal = fn.BoundThis
+		thisVal = fn.ext.boundThis
 	} else {
 		thisVal = this
 		if !strict {
@@ -1806,8 +1810,8 @@ func (in *Interp) evalNew(x *ast.NewExpr, env *Env, strict bool) (Value, error) 
 
 // Construct implements the new operator.
 func (in *Interp) Construct(fn *Object, args []Value) (Value, error) {
-	if fn.BoundTarget != nil {
-		return in.Construct(fn.BoundTarget, append(append([]Value(nil), fn.BoundArgs...), args...))
+	if x := fn.ext; x != nil && x.boundTarget != nil {
+		return in.Construct(x.boundTarget, append(append([]Value(nil), x.boundArgs...), args...))
 	}
 	if fn.Construct != nil {
 		if in.Hook == nil {
@@ -2208,7 +2212,7 @@ func (in *Interp) SetProp(target Value, key string, v Value, strict bool) error 
 	// Typed arrays.
 	if o.ElemKind != ElemNone && o.Class != "DataView" {
 		if isIdx {
-			if int(idx) < o.ArrayLen {
+			if int(idx) < o.ArrayLen() {
 				n, err := in.ToNumber(v)
 				if err != nil {
 					return err
@@ -2244,9 +2248,9 @@ func (in *Interp) NewRegExp(pattern, flags string) (Value, error) {
 	if err != nil {
 		return Undefined(), in.SyntaxErrorf("Invalid regular expression: /%s/: %v", pattern, err)
 	}
-	o := NewObject(in.Protos["RegExp"])
+	o := newExoticObject(in.Protos["RegExp"])
 	o.Class = "RegExp"
-	o.Regex = re
+	o.ext.regex = re
 	o.SetSlot("lastIndex", Number(0), Writable)
 	o.SetSlot("source", String(pattern), 0)
 	o.SetSlot("flags", String(flags), 0)

@@ -132,11 +132,18 @@ func TestArrayElementStorage(t *testing.T) {
 	}
 }
 
+// newTypedArray builds a one-element typed array outside any realm.
+func newTypedArray(class string, kind ElemKind) *Object {
+	o := newExoticObject(nil)
+	o.Class, o.ElemKind = class, kind
+	o.SetBuffer(&ArrayBuffer{Data: make([]byte, kind.Size())}, 0, 1)
+	return o
+}
+
 // TestTypedArrayRoundTripProperty: every float64 survives a Float64Array
 // store/load; int32 values survive Int32Array conversion.
 func TestTypedArrayRoundTripProperty(t *testing.T) {
-	f64 := &Object{Class: "Float64Array", ElemKind: ElemFloat64,
-		Buf: &ArrayBuffer{Data: make([]byte, 8)}, ArrayLen: 1}
+	f64 := newTypedArray("Float64Array", ElemFloat64)
 	propF := func(x float64) bool {
 		f64.TypedSet(0, x)
 		got := f64.TypedGet(0)
@@ -145,8 +152,7 @@ func TestTypedArrayRoundTripProperty(t *testing.T) {
 	if err := quick.Check(propF, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
 	}
-	i32 := &Object{Class: "Int32Array", ElemKind: ElemInt32,
-		Buf: &ArrayBuffer{Data: make([]byte, 4)}, ArrayLen: 1}
+	i32 := newTypedArray("Int32Array", ElemInt32)
 	propI := func(x int32) bool {
 		i32.TypedSet(0, float64(x))
 		return i32.TypedGet(0) == float64(x)
@@ -157,8 +163,7 @@ func TestTypedArrayRoundTripProperty(t *testing.T) {
 }
 
 func TestClampedArrayRounding(t *testing.T) {
-	o := &Object{Class: "Uint8ClampedArray", ElemKind: ElemUint8Clamped,
-		Buf: &ArrayBuffer{Data: make([]byte, 1)}, ArrayLen: 1}
+	o := newTypedArray("Uint8ClampedArray", ElemUint8Clamped)
 	cases := map[float64]float64{-5: 0, 300: 255, 2.5: 2, 3.5: 4, 2.6: 3, math.NaN(): 0}
 	for in, want := range cases {
 		o.TypedSet(0, in)

@@ -166,18 +166,21 @@ type ArrayBuffer struct {
 
 // Object is an ECMAScript object: ordered named properties, a prototype
 // link, and optional internal slots for the specialised classes.
+//
+// The layout is packed for the common case, because every execution
+// allocates objects by the dozen (a realm clone alone copies fifteen):
+// state only rare classes use — bound functions, arrow functions' lexical
+// this, RegExp and ArrayBuffer/typed-array/DataView slots — lives behind
+// the ext pointer, and dictionary-mode storage behind dict. Both stay nil
+// on plain shape-mode objects. TestObjectLayout pins the size.
 type Object struct {
-	Class      string // "Object", "Array", "Function", "Error", "RegExp", ...
-	Proto      *Object
-	Extensible bool
-
-	props map[string]*Property
-	keys  []string // insertion order of string keys
+	Class string // "Object", "Array", "Function", "Error", "RegExp", ...
+	Proto *Object
 
 	// shape/slots are the hidden-class layout: when shape is non-nil the
 	// object is in shape mode — named data properties live in the dense
-	// slots array at the indices the shape chain fixes, and props/keys are
-	// nil. Deletes, accessors and attribute redefinition drop the object
+	// slots array at the indices the shape chain fixes, and dict is nil.
+	// Deletes, accessors and attribute redefinition drop the object
 	// to dictionary mode (toDictionary); slots holding kindPending ride
 	// the lazy-property machinery below. slots may stop short of the
 	// shape's depth: every index past its end is a pending lazy entry
@@ -191,45 +194,27 @@ type Object struct {
 	epoch uint32
 
 	// Array internal slots: dense elements plus an explicit length to
-	// support sparse writes (which land in props).
-	elems    []Value
+	// support sparse writes (which land in named properties).
 	arrayLen uint32
+	elems    []Value
+
+	// dict is the dictionary-mode property storage, allocated when an
+	// object without a shape first records a key.
+	dict *dictProps
 
 	// Function internal slots.
-	Fn          *FuncDef
-	Native      NativeFunc
-	Construct   NativeFunc // nil means Native is used for construction too
-	NativeName  string     // canonical spec key, e.g. "String.prototype.substr"
-	BoundTarget *Object
-	BoundThis   Value
-	BoundArgs   []Value
-	Invocations int // call counter, drives Optimizer-component defects
+	Fn         *FuncDef
+	Native     NativeFunc
+	Construct  NativeFunc // nil means Native is used for construction too
+	NativeName string     // canonical spec key, e.g. "String.prototype.substr"
 
 	// Primitive wrapper slot (String/Number/Boolean objects) and the Date
 	// time value.
-	Prim    Value
-	HasPrim bool
+	Prim Value
 
-	// frozen mirrors the presence of the hidden __frozen__ own property
-	// (maintained in SetSlot/DefineOwn/DeleteOwn), so the array element
-	// fast paths check a bit instead of probing the property map per
-	// write. strictMarked mirrors __strict__ the same way for Call's
-	// per-invocation strictness derivation. indexProps records that an
-	// array-index-keyed own property was (ever) added — objects without
-	// one can be skipped wholesale in prototype-chain walks for index
-	// keys, which is every growing array write.
-	frozen       bool
-	strictMarked bool
-	indexProps   bool
-
-	// RegExp internal slots.
-	Regex *regex.Regexp
-
-	// Typed array / DataView internal slots.
-	Buf      *ArrayBuffer
-	ElemKind ElemKind
-	ByteOff  int
-	ArrayLen int // element count for typed arrays, byte length for DataView
+	// ext holds the internal slots of the rarer exotic classes (see
+	// objExt); NewExoticObject allocates it with the object.
+	ext *objExt
 
 	// lazyTab is a frozen, realm-independent native-method table shared by
 	// every realm (see NativeTable); tabPending is the bitmask of entries
@@ -256,10 +241,207 @@ type Object struct {
 	// install order no matter which properties resolve first; lazyLeft
 	// counts the entries still pending.
 	lazy     []lazyProp
-	lazyLeft int
+	lazyLeft uint16
 	// lazyInstalling counts nested lazy-thunk executions; while non-zero,
 	// SetSlot must not re-append a reserved key.
-	lazyInstalling int
+	lazyInstalling uint16
+
+	// Invocations is the function call counter that drives
+	// Optimizer-component defects. Fuel bounds a run to far fewer than
+	// 2^31 calls.
+	Invocations int32
+
+	// ElemKind is the typed-array element type (ElemUint8 for a DataView,
+	// ElemNone otherwise). It stays inline, next to the flags, as the
+	// cheap discriminator the property paths test before reaching ext.
+	ElemKind   ElemKind
+	Extensible bool
+	HasPrim    bool
+
+	// frozen mirrors the presence of the hidden __frozen__ own property
+	// (maintained in SetSlot/DefineOwn/DeleteOwn), so the array element
+	// fast paths check a bit instead of probing the property map per
+	// write. strictMarked mirrors __strict__ the same way for Call's
+	// per-invocation strictness derivation. indexProps records that an
+	// array-index-keyed own property was (ever) added — objects without
+	// one can be skipped wholesale in prototype-chain walks for index
+	// keys, which is every growing array write.
+	frozen       bool
+	strictMarked bool
+	indexProps   bool
+}
+
+// dictProps is an object's dictionary-mode storage: a property map and
+// the insertion order of its string keys. Only objects that leave shape
+// mode (or live in a DisableShapes realm) pay for it.
+type dictProps struct {
+	props map[string]*Property
+	keys  []string
+}
+
+// dictGet looks key up in the dictionary storage.
+func (o *Object) dictGet(key string) (*Property, bool) {
+	if o.dict == nil {
+		return nil, false
+	}
+	p, ok := o.dict.props[key]
+	return p, ok
+}
+
+// dictKeys is the dictionary insertion order (nil in shape mode).
+func (o *Object) dictKeys() []string {
+	if o.dict == nil {
+		return nil
+	}
+	return o.dict.keys
+}
+
+// dictionary returns the dictionary storage, allocating it on first use.
+// The map is allocated by the first property write (set).
+func (o *Object) dictionary() *dictProps {
+	if o.dict == nil {
+		o.dict = &dictProps{}
+	}
+	return o.dict
+}
+
+// set stores p under key.
+func (d *dictProps) set(key string, p *Property) {
+	if d.props == nil {
+		d.props = map[string]*Property{}
+	}
+	d.props[key] = p
+}
+
+// objExt holds the internal slots of bound functions, arrow functions,
+// RegExp objects, ArrayBuffers, typed arrays and DataViews: state a
+// plain object never carries, moved off Object to keep every other
+// object small.
+type objExt struct {
+	// Bound function: target, this and leading arguments. An arrow
+	// function keeps its lexical this in boundThis with a nil target.
+	boundTarget *Object
+	boundThis   Value
+	boundArgs   []Value
+
+	regex *regex.Regexp
+
+	// ArrayBuffer storage, and a typed array's or DataView's view of it:
+	// byte offset and length (element count for typed arrays, byte
+	// length for a DataView).
+	buf     *ArrayBuffer
+	byteOff int
+	viewLen int
+}
+
+// exoticObject is an Object allocated together with its ext slots.
+type exoticObject struct {
+	obj Object
+	ext objExt
+}
+
+// NewExoticObject allocates a plain object (shaped like in.NewObject's)
+// together with the internal slots of the exotic classes, in one
+// allocation. Use it for objects that receive SetBound, SetRegex or
+// SetBuffer; those setters allocate the slots separately on any other
+// object.
+func (in *Interp) NewExoticObject(proto *Object) *Object {
+	o := newExoticObject(proto)
+	if !in.DisableShapes {
+		o.shape = shapeRoot
+	}
+	return o
+}
+
+// newExoticObject is NewObject with the ext slots allocated alongside.
+func newExoticObject(proto *Object) *Object {
+	x := &exoticObject{obj: Object{Class: "Object", Proto: proto, Extensible: true}}
+	x.obj.ext = &x.ext
+	return &x.obj
+}
+
+// exotic returns the object's ext slots, allocating them if missing.
+func (o *Object) exotic() *objExt {
+	if o.ext == nil {
+		o.ext = &objExt{}
+	}
+	return o.ext
+}
+
+// BoundTarget returns a bound function's target, or nil.
+func (o *Object) BoundTarget() *Object {
+	if o.ext == nil {
+		return nil
+	}
+	return o.ext.boundTarget
+}
+
+// BoundThis returns a bound function's this value (an arrow function's
+// lexical this), or undefined.
+func (o *Object) BoundThis() Value {
+	if o.ext == nil {
+		return Undefined()
+	}
+	return o.ext.boundThis
+}
+
+// BoundArgs returns a bound function's leading arguments.
+func (o *Object) BoundArgs() []Value {
+	if o.ext == nil {
+		return nil
+	}
+	return o.ext.boundArgs
+}
+
+// SetBound makes the object a bound function of target.
+func (o *Object) SetBound(target *Object, this Value, args []Value) {
+	x := o.exotic()
+	x.boundTarget, x.boundThis, x.boundArgs = target, this, args
+}
+
+// Regex returns a RegExp object's compiled pattern, or nil.
+func (o *Object) Regex() *regex.Regexp {
+	if o.ext == nil {
+		return nil
+	}
+	return o.ext.regex
+}
+
+// SetRegex sets a RegExp object's compiled pattern.
+func (o *Object) SetRegex(re *regex.Regexp) { o.exotic().regex = re }
+
+// Buf returns the ArrayBuffer storage of an ArrayBuffer, typed array or
+// DataView, or nil.
+func (o *Object) Buf() *ArrayBuffer {
+	if o.ext == nil {
+		return nil
+	}
+	return o.ext.buf
+}
+
+// ByteOff returns a typed array's or DataView's byte offset into Buf.
+func (o *Object) ByteOff() int {
+	if o.ext == nil {
+		return 0
+	}
+	return o.ext.byteOff
+}
+
+// ArrayLen returns a typed array's element count or a DataView's byte
+// length.
+func (o *Object) ArrayLen() int {
+	if o.ext == nil {
+		return 0
+	}
+	return o.ext.viewLen
+}
+
+// SetBuffer attaches buffer storage: off and n are the view's byte offset
+// and length (element count for typed arrays, byte length for a
+// DataView; 0 for an ArrayBuffer itself).
+func (o *Object) SetBuffer(buf *ArrayBuffer, off, n int) {
+	x := o.exotic()
+	x.buf, x.byteOff, x.viewLen = buf, off, n
 }
 
 // NewObject allocates a plain object with the given prototype. The property
@@ -334,7 +516,8 @@ func (o *Object) AttachLazyTable(t *NativeTable, in *Interp) {
 		o.epoch++
 		return
 	}
-	o.keys = append(o.keys, t.Names...)
+	d := o.dictionary()
+	d.keys = append(d.keys, t.Names...)
 }
 
 // LazyTable returns the attached method table, if any.
@@ -378,7 +561,8 @@ func (o *Object) SetLazy(in *Interp, key string, install func(*Interp)) {
 		o.epoch++ // the new slot is in the implicit pending tail
 		return
 	}
-	o.keys = append(o.keys, key)
+	d := o.dictionary()
+	d.keys = append(d.keys, key)
 }
 
 // resolveLazy materialises the named lazy property if one is pending. It
@@ -450,20 +634,25 @@ func NewNativeFunc(proto *Object, specKey, short string, arity int, f NativeFunc
 			slots: []Value{Number(float64(arity)), String(short)},
 		}
 	}
-	ps := make([]Property, 2)
-	ps[0] = Property{Value: Number(float64(arity)), Attr: Configurable}
-	ps[1] = Property{Value: String(short), Attr: Configurable}
+	box := &struct {
+		d  dictProps
+		ps [2]Property
+	}{}
+	box.ps[0] = Property{Value: Number(float64(arity)), Attr: Configurable}
+	box.ps[1] = Property{Value: String(short), Attr: Configurable}
+	box.d = dictProps{
+		props: map[string]*Property{"length": &box.ps[0], "name": &box.ps[1]},
+		keys:  []string{"length", "name"},
+	}
 	return &Object{
 		Class: "Function", Proto: proto, Extensible: true,
-		Native: f, NativeName: specKey,
-		props: map[string]*Property{"length": &ps[0], "name": &ps[1]},
-		keys:  []string{"length", "name"},
+		Native: f, NativeName: specKey, dict: &box.d,
 	}
 }
 
 // IsCallable reports whether the object can be invoked.
 func (o *Object) IsCallable() bool {
-	return o != nil && (o.Fn != nil || o.Native != nil || o.BoundTarget != nil)
+	return o != nil && (o.Fn != nil || o.Native != nil || o.BoundTarget() != nil)
 }
 
 // IsArray reports whether the object is an Array exotic object.
@@ -538,10 +727,10 @@ func (o *Object) getOwn(key string) (*Property, bool) {
 	}
 	if o.ElemKind != ElemNone && o.Class != "DataView" {
 		if key == "length" {
-			return &Property{Value: Number(float64(o.ArrayLen))}, true
+			return &Property{Value: Number(float64(o.ArrayLen()))}, true
 		}
 		if idx, ok := arrayIndex(key); ok {
-			if int(idx) < o.ArrayLen {
+			if int(idx) < o.ArrayLen() {
 				return &Property{Value: Number(o.typedGet(int(idx))), Attr: Writable | Enumerable}, true
 			}
 			return &Property{Value: Undefined()}, true
@@ -550,9 +739,9 @@ func (o *Object) getOwn(key string) (*Property, bool) {
 	if o.shape != nil {
 		return o.shapeGetOwn(key)
 	}
-	p, ok := o.props[key]
+	p, ok := o.dictGet(key)
 	if !ok && o.hasLazy() && o.resolveLazy(key) {
-		p, ok = o.props[key]
+		p, ok = o.dictGet(key)
 	}
 	return p, ok
 }
@@ -604,28 +793,26 @@ func (o *Object) SetSlot(key string, v Value, attr PropAttr) {
 	if o.hasLazy() {
 		o.resolveLazy(key)
 	}
-	if p, ok := o.props[key]; ok {
+	if p, ok := o.dictGet(key); ok {
 		p.Value = v
 		p.Attr = attr
 		p.Accessor = false
 		return
 	}
-	if o.props == nil {
-		o.props = map[string]*Property{}
-	}
-	o.props[key] = &Property{Value: v, Attr: attr}
+	d := o.dictionary()
+	d.set(key, &Property{Value: v, Attr: attr})
 	o.noteKey(key)
 	o.epoch++
 	if o.lazyInstalling > 0 && o.keyReserved(key) {
 		return // the key's position was reserved at lazy registration
 	}
-	o.keys = append(o.keys, key)
+	d.keys = append(d.keys, key)
 }
 
 // keyReserved reports whether key is already present in the insertion
 // order (only consulted during lazy installs, which run once per realm).
 func (o *Object) keyReserved(key string) bool {
-	for _, k := range o.keys {
+	for _, k := range o.dictKeys() {
 		if k == key {
 			return true
 		}
@@ -659,7 +846,7 @@ func (o *Object) DefineOwn(key string, p *Property) bool {
 		// back to descriptor storage.
 		o.toDictionary()
 	}
-	existing, ok := o.props[key]
+	existing, ok := o.dictGet(key)
 	if ok && existing.Attr&Configurable == 0 {
 		// Permit only value updates on writable, non-configurable data props.
 		if !existing.Accessor && !p.Accessor && existing.Attr&Writable != 0 {
@@ -675,13 +862,11 @@ func (o *Object) DefineOwn(key string, p *Property) bool {
 	if !ok && !o.Extensible {
 		return false
 	}
-	if o.props == nil {
-		o.props = map[string]*Property{}
-	}
+	d := o.dictionary()
 	if !ok && !(o.lazyInstalling > 0 && o.keyReserved(key)) {
-		o.keys = append(o.keys, key)
+		d.keys = append(d.keys, key)
 	}
-	o.props[key] = p
+	d.set(key, p)
 	o.noteKey(key)
 	o.epoch++
 	return true
@@ -709,14 +894,15 @@ func (o *Object) DeleteOwn(key string) bool {
 		// hole, so drop to dictionary mode and delete there.
 		o.toDictionary()
 	}
-	p, ok := o.props[key]
+	p, ok := o.dictGet(key)
 	if !ok {
 		return true
 	}
 	if p.Attr&Configurable == 0 {
 		return false
 	}
-	delete(o.props, key)
+	d := o.dict
+	delete(d.props, key)
 	o.epoch++
 	if len(key) == len(frozenKey) {
 		if key == frozenKey {
@@ -725,9 +911,9 @@ func (o *Object) DeleteOwn(key string) bool {
 			o.strictMarked = false
 		}
 	}
-	for i, k := range o.keys {
+	for i, k := range d.keys {
 		if k == key {
-			o.keys = append(o.keys[:i], o.keys[i+1:]...)
+			d.keys = append(d.keys[:i], d.keys[i+1:]...)
 			break
 		}
 	}
@@ -751,11 +937,11 @@ func (o *Object) OwnKeys() []string {
 		}
 	}
 	if o.ElemKind != ElemNone && o.Class != "DataView" {
-		for i := 0; i < o.ArrayLen; i++ {
+		for i, n := 0, o.ArrayLen(); i < n; i++ {
 			ints = append(ints, uint32(i))
 		}
 	}
-	named := o.keys
+	named := o.dictKeys()
 	if o.shape != nil {
 		named = o.shape.keyChain()
 	}
@@ -795,7 +981,7 @@ func (o *Object) EnumerableKeys() []string {
 				if sp := o.shape.find(k); sp != nil && sp.attr&Enumerable == 0 {
 					continue
 				}
-			} else if p2, inMap := o.props[k]; inMap {
+			} else if p2, inMap := o.dictGet(k); inMap {
 				if p2.Attr&Enumerable == 0 {
 					continue
 				}
@@ -838,7 +1024,7 @@ func (o *Object) truncate(n uint32) {
 		o.elems = o.elems[:n]
 	}
 	if n < o.arrayLen {
-		for _, k := range append([]string(nil), o.keys...) {
+		for _, k := range append([]string(nil), o.dictKeys()...) {
 			if idx, ok := arrayIndex(k); ok && idx >= n {
 				o.DeleteOwn(k)
 			}
@@ -874,8 +1060,8 @@ func (o *Object) AppendElem(v Value) {
 
 // typedGet reads element idx of a typed array as float64.
 func (o *Object) typedGet(idx int) float64 {
-	off := o.ByteOff + idx*o.ElemKind.Size()
-	d := o.Buf.Data
+	off := o.ext.byteOff + idx*o.ElemKind.Size()
+	d := o.ext.buf.Data
 	switch o.ElemKind {
 	case ElemInt8:
 		return float64(int8(d[off]))
@@ -903,8 +1089,8 @@ func (o *Object) TypedGet(idx int) float64 { return o.typedGet(idx) }
 // TypedSet writes element idx of a typed array from a float64 using the
 // element kind's conversion.
 func (o *Object) TypedSet(idx int, f float64) {
-	off := o.ByteOff + idx*o.ElemKind.Size()
-	d := o.Buf.Data
+	off := o.ext.byteOff + idx*o.ElemKind.Size()
+	d := o.ext.buf.Data
 	switch o.ElemKind {
 	case ElemInt8:
 		d[off] = byte(int8(toInt64(f)))

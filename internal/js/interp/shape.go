@@ -199,11 +199,23 @@ func (o *Object) shapeGetOwn(key string) (*Property, bool) {
 // bump invalidates inline caches holding this object as a prototype-chain
 // link (a new key can shadow what a cache resolved past it).
 func (o *Object) shapeAppend(key string, v Value, attr PropAttr) {
-	o.fillSlots()
+	o.appendSlot(v)
 	o.shape = o.shape.transition(key, attr)
-	o.slots = append(o.slots, v)
 	o.epoch++
 	o.noteKey(key)
+}
+
+// appendSlot appends the slot of a key about to join the shape. A pending
+// tail still implicit is allocated in the same step, with headroom for
+// the keys likely to follow: an exact fill would make this append
+// reallocate at once (the global object's first declaration paid for
+// both).
+func (o *Object) appendSlot(v Value) {
+	n := int(o.shape.depth)
+	if len(o.slots) < n {
+		o.growSlots(n, n+1+n/4)
+	}
+	o.slots = append(o.slots, v)
 }
 
 // slot reads shape slot i. An index past the end of slots is in the
@@ -213,20 +225,25 @@ func (o *Object) slot(i int32) Value {
 	if uint(i) < uint(len(o.slots)) {
 		return o.slots[i]
 	}
-	return Value{kind: kindPending}
+	return pendingValue
 }
 
 // fillSlots allocates the implicit pending tail, so slots covers the
-// whole shape; every write at or past the current end goes through it.
+// whole shape; every write at or past the current end goes through it
+// (appends through appendSlot).
 func (o *Object) fillSlots() {
-	n := int(o.shape.depth)
-	if len(o.slots) >= n {
-		return
+	if n := int(o.shape.depth); len(o.slots) < n {
+		o.growSlots(n, n)
 	}
-	grown := make([]Value, n)
+}
+
+// growSlots reallocates slots at length n and capacity c, marking the new
+// tail pending.
+func (o *Object) growSlots(n, c int) {
+	grown := make([]Value, n, c)
 	copy(grown, o.slots)
 	for i := len(o.slots); i < n; i++ {
-		grown[i] = Value{kind: kindPending}
+		grown[i] = pendingValue
 	}
 	o.slots = grown
 }
@@ -260,8 +277,10 @@ func (o *Object) toDictionary() {
 		return
 	}
 	chain := sh.keyChain()
-	o.keys = append([]string(nil), chain...)
-	o.props = make(map[string]*Property, len(chain))
+	d := &dictProps{
+		props: make(map[string]*Property, len(chain)),
+		keys:  append([]string(nil), chain...),
+	}
 	ps := make([]Property, sh.depth)
 	for n := sh; n.depth > 0; n = n.parent {
 		v := o.slot(n.slot)
@@ -269,8 +288,9 @@ func (o *Object) toDictionary() {
 			continue // still lazy: resolveLazy installs it into props later
 		}
 		ps[n.slot] = Property{Value: v, Attr: n.attr}
-		o.props[n.key] = &ps[n.slot]
+		d.props[n.key] = &ps[n.slot]
 	}
+	o.dict = d
 	o.shape = nil
 	o.slots = nil
 	o.epoch++

@@ -1,6 +1,9 @@
 package interp
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Template is a read-only snapshot of a pristine realm: the global object,
 // every object reachable from it or from the Protos table, and the realm's
@@ -14,9 +17,9 @@ import "fmt"
 // prototypes and object-valued properties in layout order, then the Protos
 // entries in the order given); it never iterates a Go map. A clone
 // allocates one Object slab, one Value slab and one lazyProp slab (plus
-// the key slab, property maps and boxes of a dictionary-layout realm; an
-// empty slab allocates nothing), copies every struct, and re-points each
-// internal pointer by index. Pending slot tails stay unallocated (see
+// the dictionary-storage, key and property slabs and the maps of a
+// dictionary-layout realm; an empty slab allocates nothing), copies every
+// struct, and re-points each internal pointer by index. Pending slot tails stay unallocated (see
 // Object.slot). Every copied slice is capped at its length, so an append
 // or a lazy resolution in the clone reallocates instead of writing into
 // the template's backing arrays: template objects are never written after
@@ -26,7 +29,8 @@ import "fmt"
 // The snapshot supports exactly the state a pristine realm holds —
 // ordinary and native-function objects with data properties, lazy thunks
 // and native-method tables — and panics on anything else (closures over
-// JS code, bound functions, array elements, buffers, regexps, accessors),
+// JS code, array elements, accessors, and any ext state: bound and arrow
+// functions, buffers, regexps),
 // so a new eager stdlib section that cannot be cloned fails at the first
 // realm build instead of leaking state between realms.
 type Template struct {
@@ -35,8 +39,8 @@ type Template struct {
 
 	// Slab sizes and, per object, the keys of its materialised dictionary
 	// properties in insertion order (nil in shape layout).
-	nslots, nlazy, nkeys, nprops int
-	propKeys                     [][]string
+	nslots, nlazy, ndict, nkeys, nprops int
+	propKeys                            [][]string
 
 	// slotRefs and propRefs are the object-valued shape slots and
 	// dictionary properties, as positions in the clone's Value and
@@ -99,9 +103,8 @@ func NewTemplate(in *Interp, names []string) *Template {
 // visit records one object's prototype, remap positions and slab shares.
 func (t *Template) visit(in *Interp, o *Object, add func(*Object) int32) {
 	switch {
-	case o.Fn != nil, o.BoundTarget != nil, o.BoundArgs != nil,
-		o.elems != nil, o.Buf != nil, o.Regex != nil, o.lazyInstalling != 0,
-		o.Prim.kind == KindObject, o.BoundThis.kind == KindObject:
+	case o.Fn != nil, o.ext != nil, o.elems != nil, o.lazyInstalling != 0,
+		o.Prim.kind == KindObject:
 		panic(fmt.Sprintf("interp: realm template cannot clone %s object state", o.Class))
 	case o.realm != nil && o.realm != in:
 		panic("interp: realm template object belongs to another realm")
@@ -111,12 +114,12 @@ func (t *Template) visit(in *Interp, o *Object, add func(*Object) int32) {
 	t.proto = append(t.proto, add(o.Proto))
 	for i, v := range o.slots {
 		if v.kind == KindObject {
-			t.slotRefs = append(t.slotRefs, objRef{int32(t.nslots + i), add(v.obj)})
+			t.slotRefs = append(t.slotRefs, objRef{int32(t.nslots + i), add(v.Obj())})
 		}
 	}
 	var keys []string
-	for _, k := range o.keys {
-		p, ok := o.props[k]
+	for _, k := range o.dictKeys() {
+		p, ok := o.dictGet(k)
 		if !ok {
 			continue // reserved for a lazy entry
 		}
@@ -124,17 +127,20 @@ func (t *Template) visit(in *Interp, o *Object, add func(*Object) int32) {
 			panic("interp: realm template cannot clone accessor " + k)
 		}
 		if p.Value.kind == KindObject {
-			t.propRefs = append(t.propRefs, objRef{int32(t.nprops + len(keys)), add(p.Value.obj)})
+			t.propRefs = append(t.propRefs, objRef{int32(t.nprops + len(keys)), add(p.Value.Obj())})
 		}
 		keys = append(keys, k)
 	}
-	if len(keys) != len(o.props) {
+	if o.dict != nil && len(keys) != len(o.dict.props) {
 		panic("interp: realm template property missing from the key order")
 	}
 	t.propKeys = append(t.propKeys, keys)
 	t.nslots += len(o.slots)
 	t.nlazy += len(o.lazy)
-	t.nkeys += len(o.keys)
+	if o.dict != nil {
+		t.ndict++
+	}
+	t.nkeys += len(o.dictKeys())
 	t.nprops += len(keys)
 }
 
@@ -149,9 +155,10 @@ func (t *Template) New(cfg Config) *Interp {
 	objs := make([]Object, len(t.objs))
 	vals := make([]Value, t.nslots)
 	lazy := make([]lazyProp, t.nlazy)
+	dicts := make([]dictProps, t.ndict)
 	keys := make([]string, t.nkeys)
 	props := make([]Property, t.nprops)
-	var nv, nl, nk, np int
+	var nv, nl, nd, nk, np int
 	for i, src := range t.objs {
 		o := &objs[i]
 		*o = *src
@@ -167,23 +174,28 @@ func (t *Template) New(cfg Config) *Interp {
 		n = copy(lazy[nl:], src.lazy)
 		o.lazy = lazy[nl : nl+n : nl+n]
 		nl += n
-		n = copy(keys[nk:], src.keys)
-		o.keys = keys[nk : nk+n : nk+n]
-		nk += n
-		if src.props != nil {
-			o.props = make(map[string]*Property, len(t.propKeys[i]))
-			for _, k := range t.propKeys[i] {
-				props[np] = *src.props[k]
-				o.props[k] = &props[np]
-				np++
+		if sd := src.dict; sd != nil {
+			d := &dicts[nd]
+			nd++
+			o.dict = d
+			n = copy(keys[nk:], sd.keys)
+			d.keys = keys[nk : nk+n : nk+n]
+			nk += n
+			if sd.props != nil {
+				d.props = make(map[string]*Property, len(t.propKeys[i]))
+				for _, k := range t.propKeys[i] {
+					props[np] = *sd.props[k]
+					d.props[k] = &props[np]
+					np++
+				}
 			}
 		}
 	}
 	for _, r := range t.slotRefs {
-		vals[r.pos].obj = &objs[r.target]
+		vals[r.pos].ref = unsafe.Pointer(&objs[r.target])
 	}
 	for _, r := range t.propRefs {
-		props[r.pos].Value.obj = &objs[r.target]
+		props[r.pos].Value.ref = unsafe.Pointer(&objs[r.target])
 	}
 	in.Global = &objs[0]
 	for _, e := range t.protos {

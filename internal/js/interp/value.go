@@ -7,6 +7,9 @@
 package interp
 
 import (
+	"math"
+	"unsafe"
+
 	"comfort/internal/js/jsnum"
 )
 
@@ -48,13 +51,30 @@ func (k Kind) String() string {
 }
 
 // Value is an ECMAScript language value. The zero Value is undefined.
+//
+// A Value is three words: ref is the only pointer, bits the scalar
+// payload and kind the type tag.
+//   - string: ref is unsafe.StringData, bits the byte length;
+//   - number: bits is math.Float64bits;
+//   - bool: bits is 0 or 1;
+//   - object: ref is the *Object.
+//
+// Every evaluator frame, slot, element and argument holds Values, so their
+// width sets most of the bytes an execution allocates (and the garbage
+// collector scans). ref is an unsafe.Pointer, so the collector traces
+// string bytes and objects through it exactly as through a string header
+// or *Object. The zero-size func array makes Value incomparable: == would
+// compare string data pointers instead of contents, so the compiler must
+// reject it (use SameValueStrict).
 type Value struct {
+	_    [0]func()
+	ref  unsafe.Pointer
+	bits uint64
 	kind Kind
-	b    bool
-	num  float64
-	str  string
-	obj  *Object
 }
+
+// pendingValue is the kindPending slot sentinel (see Object.slots).
+var pendingValue = Value{kind: kindPending}
 
 // Undefined returns the undefined value.
 func Undefined() Value { return Value{} }
@@ -63,20 +83,27 @@ func Undefined() Value { return Value{} }
 func Null() Value { return Value{kind: KindNull} }
 
 // Bool wraps a Go bool.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{kind: KindBool, bits: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Number wraps a float64.
-func Number(f float64) Value { return Value{kind: KindNumber, num: f} }
+func Number(f float64) Value { return Value{kind: KindNumber, bits: math.Float64bits(f)} }
 
 // String wraps a Go string.
-func String(s string) Value { return Value{kind: KindString, str: s} }
+func String(s string) Value {
+	return Value{kind: KindString, ref: unsafe.Pointer(unsafe.StringData(s)), bits: uint64(len(s))}
+}
 
 // ObjValue wraps an object; a nil object yields undefined.
 func ObjValue(o *Object) Value {
 	if o == nil {
 		return Value{}
 	}
-	return Value{kind: KindObject, obj: o}
+	return Value{kind: KindObject, ref: unsafe.Pointer(o)}
 }
 
 // Kind reports the value's language type.
@@ -94,17 +121,32 @@ func (v Value) IsNullish() bool { return v.kind == KindUndefined || v.kind == Ki
 // IsObject reports whether v is an object.
 func (v Value) IsObject() bool { return v.kind == KindObject }
 
-// BoolVal returns the bool payload (valid only for KindBool).
-func (v Value) BoolVal() bool { return v.b }
+// BoolVal returns the bool payload, or false for other kinds.
+func (v Value) BoolVal() bool { return v.kind == KindBool && v.bits != 0 }
 
-// Num returns the number payload (valid only for KindNumber).
-func (v Value) Num() float64 { return v.num }
+// Num returns the number payload, or 0 for other kinds.
+func (v Value) Num() float64 {
+	if v.kind != KindNumber {
+		return 0
+	}
+	return math.Float64frombits(v.bits)
+}
 
-// Str returns the string payload (valid only for KindString).
-func (v Value) Str() string { return v.str }
+// Str returns the string payload, or "" for other kinds.
+func (v Value) Str() string {
+	if v.kind != KindString {
+		return ""
+	}
+	return unsafe.String((*byte)(v.ref), int(v.bits))
+}
 
 // Obj returns the object payload, or nil.
-func (v Value) Obj() *Object { return v.obj }
+func (v Value) Obj() *Object {
+	if v.kind != KindObject {
+		return nil
+	}
+	return (*Object)(v.ref)
+}
 
 // SameValueStrict implements the === comparison for two values without any
 // coercion (NaN !== NaN, +0 === -0).
@@ -116,13 +158,13 @@ func SameValueStrict(a, b Value) bool {
 	case KindUndefined, KindNull:
 		return true
 	case KindBool:
-		return a.b == b.b
+		return a.bits == b.bits
 	case KindNumber:
-		return a.num == b.num // NaN != NaN per IEEE
+		return a.Num() == b.Num() // NaN != NaN per IEEE
 	case KindString:
-		return a.str == b.str
+		return a.Str() == b.Str()
 	default:
-		return a.obj == b.obj
+		return a.ref == b.ref
 	}
 }
 
@@ -140,7 +182,7 @@ func TypeOf(v Value) string {
 	case KindString:
 		return "string"
 	default:
-		if v.obj != nil && v.obj.IsCallable() {
+		if o := v.Obj(); o != nil && o.IsCallable() {
 			return "function"
 		}
 		return "object"
@@ -153,11 +195,12 @@ func ToBoolean(v Value) bool {
 	case KindUndefined, KindNull:
 		return false
 	case KindBool:
-		return v.b
+		return v.bits != 0
 	case KindNumber:
-		return v.num == v.num && v.num != 0 // false for NaN and ±0
+		f := v.Num()
+		return f == f && f != 0 // false for NaN and ±0
 	case KindString:
-		return v.str != ""
+		return v.bits != 0
 	default:
 		return true
 	}

@@ -140,7 +140,7 @@ func TestAccountCaseFlagsOnlyDivert(t *testing.T) {
 // are classified as invalid from the analyzer report alone: a fuzzer
 // emitting only early-error programs yields a campaign where every case is
 // an early-error invalid, no interpreter ran, and the early-skip counter
-// saw every (behaviour-class) execution.
+// saw the gate fire (once per probe or class execution).
 func TestCampaignEarlyErrorAccounting(t *testing.T) {
 	srcs := []string{
 		"let a = 1; let a = 2;",

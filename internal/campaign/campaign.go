@@ -114,16 +114,19 @@ type Progress struct {
 	// compiled-program (parse-and-resolve-once) cache counters so far.
 	CacheHits, CacheMisses, CacheEvictions int64
 	// Compiled/Fallback count physical interpreter runs so far by
-	// evaluator path: thunk-compiled programs vs tree-walked ones.
-	// Fallback stays at zero; a non-zero value is visible at a glance in
-	// -progress output.
+	// evaluator path: thunk-compiled programs vs tree-walked ones. A
+	// physical run is a probe-group probe or a class run that could not
+	// take the probe's result (see internal/exec); results fanned out to
+	// other classes or testbeds are not counted again. Fallback stays at
+	// zero; a non-zero value is visible at a glance in -progress output.
 	Compiled, Fallback int64
 	// ICHits/ICMisses/ICMega are the compiled evaluator's inline-cache
 	// counters so far.
 	ICHits, ICMisses, ICMega uint64
-	// Analyzed counts class executions that rode the analyze-once cached
-	// report; EarlyErrorSkips counts executions the static early-error
-	// gate short-circuited before any interpreter ran.
+	// Analyzed counts physical executions (probe runs plus class runs,
+	// as for Compiled) that rode the analyze-once cached report;
+	// EarlyErrorSkips counts those the static early-error gate
+	// short-circuited before any interpreter ran.
 	Analyzed, EarlyErrorSkips int64
 	// FlaggedNondet counts attributed findings diverted to the
 	// suppressed-nondeterministic set so far.
@@ -176,10 +179,10 @@ type Result struct {
 	FuzzerName string
 	CasesRun   int
 	// Executed counts delivered testbed results — the (case × testbed)
-	// grid. The scheduler's behaviour-class sharing may satisfy several
-	// testbeds with one physical interpreter run (see internal/exec), so
-	// this measures differential-testing coverage, not interpreter
-	// invocations.
+	// grid. The scheduler's behaviour classes and probe groups satisfy
+	// many testbeds with one physical interpreter run (see internal/exec),
+	// so this measures differential-testing coverage, not interpreter
+	// invocations; Compiled+Fallback counts those.
 	Executed int
 	Verdicts map[difftest.Verdict]int
 	// Found maps defect ID → finding for every ground-truth defect the
@@ -214,8 +217,8 @@ type Result struct {
 	// CacheHits/CacheMisses/CacheEvictions are the final compiled-program
 	// cache counters of the campaign's scheduler.
 	CacheHits, CacheMisses, CacheEvictions int64
-	// Compiled/Fallback are the final evaluator-path execution counters
-	// (see Progress).
+	// Compiled/Fallback are the final evaluator-path counters of
+	// physical runs (see Progress).
 	Compiled, Fallback int64
 	// ICHits/ICMisses/ICMega are the final inline-cache counters.
 	ICHits, ICMisses, ICMega uint64

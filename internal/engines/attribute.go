@@ -67,10 +67,7 @@ func (r *DefectRunner) preParseError(src string) string {
 
 // execParsed executes an already-compiled (and pre-parse-gated) program.
 func (r *DefectRunner) execParsed(prog *ast.Program, err error, opts RunOptions) ExecResult {
-	if err != nil {
-		return ExecResult{Outcome: OutcomeParseError, Error: err.Error(), ErrName: "SyntaxError"}
-	}
-	if res, bad := earlyErrorResult(prog); bad {
+	if res, static := staticResult(prog, err); static {
 		return res
 	}
 	return runRealm(r.baseCfg, prog, opts, nil, false)
@@ -108,39 +105,70 @@ func DivergesRunners(a, b *DefectRunner, opts RunOptions) func(src string) bool 
 }
 
 // Attribute identifies which seeded defects of the testbed's version are
-// responsible for a divergence observed on src: each active defect is
-// re-run in isolation against the defect-free reference. Candidates whose
-// resolved parser options coincide share one compiled program — the same
-// trick DivergesRunners uses — so a witness is parsed (and compiled)
-// once per distinct option fingerprint instead of once per candidate;
-// only the handful of defects with parser interceptors pay their own
-// parse. Execution semantics are unchanged: each candidate still runs
-// with exactly its own config, hook and pre-parse gate.
+// responsible for a divergence observed on src: each active defect that
+// could have changed the run is re-run in isolation against the
+// defect-free reference. The reference runs as a Probe over the defects
+// that only hook (no Configure, ParserOpts or PreParse), so a hook-only
+// defect whose trigger never matched is known to reproduce the reference
+// result and is not re-run. Candidates whose resolved parser options
+// coincide share one compiled program — the same trick DivergesRunners
+// uses — so a witness is parsed (and compiled) once per distinct option
+// fingerprint; only the handful of defects with parser interceptors pay
+// their own parse. Each re-run candidate still executes with exactly its
+// own config, hook and pre-parse gate.
 func Attribute(src string, tb Testbed, opts RunOptions) []*Defect {
 	type compiled struct {
 		prog *ast.Program
 		err  error
 	}
 	cache := map[uint64]compiled{}
-	runOne := func(r *DefectRunner) ExecResult {
-		if msg := r.preParseError(src); msg != "" {
-			return PreParseResult(msg)
-		}
-		fp := r.parseOpts.Fingerprint()
+	parse := func(po parser.Options) (*ast.Program, error) {
+		fp := po.Fingerprint()
 		c, ok := cache[fp]
 		if !ok {
-			c.prog, c.err = parseProgram(src, r.parseOpts)
+			c.prog, c.err = parseProgram(src, po)
 			cache[fp] = c
 		}
-		return r.execParsed(c.prog, c.err, opts)
+		return c.prog, c.err
 	}
-	ref := runOne(NewDefectRunner(nil, tb.Strict))
+	active := ActiveDefects(tb.Version)
+	var hookOnly [][]*Defect
+	for _, d := range active {
+		if onlyHooks(d) {
+			hookOnly = append(hookOnly, hookDefects([]*Defect{d}, tb.Strict))
+		}
+	}
+	ref := NewDefectRunner(nil, tb.Strict)
+	probe := newProbe(ref.baseCfg, hookOnly)
+	prog, err := parse(ref.parseOpts)
+	refRes, fired := probe.ExecParsed(prog, err, opts)
 	var out []*Defect
-	for _, d := range ActiveDefects(tb.Version) {
-		r := runOne(NewDefectRunner(d, tb.Strict))
-		if r.Key() != ref.Key() {
+	member := 0 // index of d among the probe's members
+	for _, d := range active {
+		if onlyHooks(d) {
+			quiet := probe.Quiet(member, fired)
+			member++
+			if quiet {
+				continue
+			}
+		}
+		r := NewDefectRunner(d, tb.Strict)
+		var res ExecResult
+		if msg := r.preParseError(src); msg != "" {
+			res = PreParseResult(msg)
+		} else {
+			prog, err := parse(r.parseOpts)
+			res = r.execParsed(prog, err, opts)
+		}
+		if res.Key() != refRes.Key() {
 			out = append(out, d)
 		}
 	}
 	return out
+}
+
+// onlyHooks reports whether the defect acts through its hook alone: with
+// no Configure, ParserOpts or PreParse it runs the reference config.
+func onlyHooks(d *Defect) bool {
+	return d.Configure == nil && d.ParserOpts == nil && d.PreParse == nil
 }

@@ -832,6 +832,9 @@ func hermesReverseFillHook() interp.Hook {
 		if idx >= min {
 			return nil
 		}
+		if ctx.Probe {
+			return probeMatch
+		}
 		o.SetSlot(minKey, interp.Number(float64(idx)), 0)
 		return &interp.Override{CostExtra: (min - idx) + (length-idx)/64}
 	}

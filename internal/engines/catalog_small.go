@@ -165,6 +165,9 @@ func lenientEvalHook(srcContains string) interp.Hook {
 		if srcContains != "" && !strings.Contains(ctx.Src, srcContains) {
 			return nil
 		}
+		if ctx.Probe {
+			return probeMatch
+		}
 		return &interp.Override{Handled: true}
 	}
 }

@@ -91,6 +91,15 @@ type Defect struct {
 	// "Strict Mode" component defects).
 	StrictOnly bool
 
+	// Hook intercepts the defect's operations. It must honour the probe
+	// contract (interp.HookCtx.Probe): probed, it returns non-nil iff its
+	// trigger matches the site, runs no effect, and is pure — its answer
+	// depends only on the ctx and the interpreter state, which it must not
+	// change. The trigger over-approximates firing: a hook whose trigger
+	// never matched during a run would have returned nil at every site of
+	// that run. The builders below (onAPI, onRegex, onPropSet, onTier)
+	// implement the contract; a hand-written hook checks ctx.Probe once
+	// its trigger matched and returns probeMatch.
 	Hook       interp.Hook
 	Configure  func(*interp.Config)
 	ParserOpts func(*parser.Options)
@@ -133,6 +142,10 @@ func rankOf(e *Engine, name string) (int, bool) {
 
 // ---------- hook builders ----------
 
+// probeMatch is a probed hook's answer when its trigger matched (see
+// Defect.Hook); it is never applied.
+var probeMatch = &interp.Override{}
+
 // onAPI intercepts one builtin by its canonical spec key.
 func onAPI(api string, when func(*interp.HookCtx) bool, eff func(*interp.HookCtx) *interp.Override) interp.Hook {
 	return func(ctx *interp.HookCtx) *interp.Override {
@@ -141,6 +154,9 @@ func onAPI(api string, when func(*interp.HookCtx) bool, eff func(*interp.HookCtx
 		}
 		if when != nil && !when(ctx) {
 			return nil
+		}
+		if ctx.Probe {
+			return probeMatch
 		}
 		return eff(ctx)
 	}
@@ -156,6 +172,9 @@ func onRegex(api string, patWhen func(pattern, flags string) bool, eff func(ctx 
 		if patWhen != nil && !patWhen(ctx.Pattern, ctx.Flags) {
 			return nil
 		}
+		if ctx.Probe {
+			return probeMatch
+		}
 		return eff(ctx)
 	}
 }
@@ -169,6 +188,9 @@ func onPropSet(when func(ctx *interp.HookCtx) bool, eff func(ctx *interp.HookCtx
 		if when != nil && !when(ctx) {
 			return nil
 		}
+		if ctx.Probe {
+			return probeMatch
+		}
 		return eff(ctx)
 	}
 }
@@ -179,6 +201,9 @@ func onTier(threshold int, eff func(ctx *interp.HookCtx) *interp.Override) inter
 	return func(ctx *interp.HookCtx) *interp.Override {
 		if ctx.Site != interp.HookFuncTier || ctx.Tier != threshold {
 			return nil
+		}
+		if ctx.Probe {
+			return probeMatch
 		}
 		return eff(ctx)
 	}

@@ -24,9 +24,11 @@ type PreparedTestbed struct {
 
 	defects  []*Defect      // active defects, catalog order
 	preParse []*Defect      // subset with PreParse interceptors
+	hooks    []*Defect      // subset whose hooks run in this mode, ID order
 	baseCfg  interp.Config  // Strict + Configure deltas + hook chain; Fuel/Seed filled per run
 	parseOps parser.Options // Strict + ParserOpts deltas
 	behavior string         // mode + active defect IDs; see BehaviorKey
+	group    string         // mode + Configure/ParserOpts defect IDs; see ProbeKey
 }
 
 var (
@@ -66,19 +68,31 @@ func prepare(tb Testbed) *PreparedTestbed {
 			p.preParse = append(p.preParse, d)
 		}
 	}
-	p.baseCfg.Hook = combineHooks(p.defects, tb.Strict)
+	p.hooks = hookDefects(p.defects, tb.Strict)
+	p.baseCfg.Hook = combineHooks(p.hooks)
+	p.behavior = modeKey(tb.Strict, p.defects, func(*Defect) bool { return true })
+	p.group = modeKey(tb.Strict, p.defects, func(d *Defect) bool {
+		return d.Configure != nil || d.ParserOpts != nil
+	})
+	return p
+}
+
+// modeKey renders the mode followed by the IDs of the defects keep
+// selects, in slice order.
+func modeKey(strict bool, defects []*Defect, keep func(*Defect) bool) string {
 	var b strings.Builder
-	if tb.Strict {
+	if strict {
 		b.WriteString("strict")
 	} else {
 		b.WriteString("normal")
 	}
-	for _, d := range p.defects {
-		b.WriteByte('|')
-		b.WriteString(d.ID)
+	for _, d := range defects {
+		if keep(d) {
+			b.WriteByte('|')
+			b.WriteString(d.ID)
+		}
 	}
-	p.behavior = b.String()
-	return p
+	return b.String()
 }
 
 // BehaviorKey identifies the testbed's behaviour equivalence class: an
@@ -88,6 +102,13 @@ func prepare(tb Testbed) *PreparedTestbed {
 // every (src, fuel, seed). Schedulers exploit this to run each class once
 // per case and fan the result out to all class members.
 func (p *PreparedTestbed) BehaviorKey() string { return p.behavior }
+
+// ProbeKey identifies the testbed's probe group: the mode plus the active
+// defects that change the interpreter config or the parser options. Two
+// testbeds with equal keys parse every program alike and run it under the
+// same config, differing only in their hook chains, so one probe run
+// (see Probe) can stand in for every member whose hooks never match.
+func (p *PreparedTestbed) ProbeKey() string { return p.group }
 
 // ActiveDefects returns the defects live in this testbed (shared slice; do
 // not mutate).
@@ -165,13 +186,19 @@ func (p *PreparedTestbed) Run(src string, opts RunOptions) ExecResult {
 // SyntaxError, anything else interprets. Keeping this in one place stops
 // the direct-run, difftest and scheduler paths from drifting apart.
 func (p *PreparedTestbed) ExecParsed(prog *ast.Program, err error, opts RunOptions) ExecResult {
-	if err != nil {
-		return ExecResult{Outcome: OutcomeParseError, Error: err.Error(), ErrName: "SyntaxError"}
-	}
-	if res, bad := earlyErrorResult(prog); bad {
+	if res, static := staticResult(prog, err); static {
 		return res
 	}
 	return p.Exec(prog, opts)
+}
+
+// staticResult returns the result of a parse that never reaches an
+// interpreter: a parse error, or a static-semantics violation.
+func staticResult(prog *ast.Program, err error) (ExecResult, bool) {
+	if err != nil {
+		return ExecResult{Outcome: OutcomeParseError, Error: err.Error(), ErrName: "SyntaxError"}, true
+	}
+	return earlyErrorResult(prog)
 }
 
 // earlyErrorResult returns the pre-execution SyntaxError for a program
@@ -271,21 +298,25 @@ func Diverges(a, b *PreparedTestbed, opts RunOptions) func(src string) bool {
 	}
 }
 
-// combineHooks merges the active defects' hooks; the first override wins.
-func combineHooks(defects []*Defect, strict bool) interp.Hook {
+// hookDefects returns the defects whose hooks run in the given mode, in ID
+// order: the order their hooks are consulted in.
+func hookDefects(defects []*Defect, strict bool) []*Defect {
 	var hooks []*Defect
 	for _, d := range defects {
-		if d.Hook != nil {
-			if d.StrictOnly && !strict {
-				continue
-			}
+		if d.Hook != nil && (!d.StrictOnly || strict) {
 			hooks = append(hooks, d)
 		}
 	}
+	sort.SliceStable(hooks, func(i, j int) bool { return hooks[i].ID < hooks[j].ID })
+	return hooks
+}
+
+// combineHooks merges the defects' hooks in slice order; the first
+// override wins.
+func combineHooks(hooks []*Defect) interp.Hook {
 	if len(hooks) == 0 {
 		return nil
 	}
-	sort.SliceStable(hooks, func(i, j int) bool { return hooks[i].ID < hooks[j].ID })
 	return func(ctx *interp.HookCtx) *interp.Override {
 		for _, d := range hooks {
 			if ov := d.Hook(ctx); ov != nil {

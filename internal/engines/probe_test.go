@@ -1,0 +1,127 @@
+package engines
+
+import (
+	"strings"
+	"testing"
+
+	"comfort/internal/corpus"
+	"comfort/internal/js/interp"
+	"comfort/internal/js/parser"
+)
+
+var probeOpts = RunOptions{Fuel: 200000, Seed: 42}
+
+// TestProbeMarksWitnessDefect pins the trigger half of the hook contract:
+// probing a defect's witness in its witness mode, under the defect's own
+// config and parser options, marks the defect's hook fired. A trigger
+// that missed its own witness would let the scheduler hand a firing
+// class the probe's healthy result.
+func TestProbeMarksWitnessDefect(t *testing.T) {
+	for _, d := range Catalog() {
+		r := NewDefectRunner(d, d.WitnessStrict)
+		if r.baseCfg.Hook == nil {
+			continue // no hook, or a strict-only hook with a normal-mode witness
+		}
+		if msg := r.preParseError(d.Witness); msg != "" {
+			t.Errorf("%s: witness rejected before its hook can run: %s", d.ID, msg)
+			continue
+		}
+		pr := newProbe(r.baseCfg, [][]*Defect{{d}})
+		prog, err := parseProgram(d.Witness, r.parseOpts)
+		if _, fired := pr.ExecParsed(prog, err, probeOpts); pr.Quiet(0, fired) {
+			t.Errorf("%s: probing its witness did not mark the hook fired\nwitness:\n%s", d.ID, d.Witness)
+		}
+	}
+}
+
+// TestProbeIsPure pins the purity half of the hook contract: a probe over
+// every catalog hook leaves each witness's and each corpus program's
+// result identical to a run whose hook always returns nil. A trigger
+// predicate with a side effect (fuel, output, object state) shows up
+// here as a diverging result.
+func TestProbeIsPure(t *testing.T) {
+	srcs := append([]string(nil), corpus.Programs()...)
+	for _, d := range Catalog() {
+		srcs = append(srcs, d.Witness)
+	}
+	for _, strict := range []bool{false, true} {
+		cfg := interp.Config{Strict: strict}
+		hooks := hookDefects(Catalog(), strict)
+		pr := newProbe(cfg, [][]*Defect{hooks})
+		quiet := cfg
+		quiet.Hook = func(*interp.HookCtx) *interp.Override { return nil }
+		fired := 0
+		for i, src := range srcs {
+			prog, err := parseProgram(src, parser.Options{Strict: strict})
+			got, f := pr.ExecParsed(prog, err, probeOpts)
+			want, static := staticResult(prog, err)
+			if !static {
+				want = runRealm(quiet, prog, probeOpts, nil, false)
+			}
+			if got.Semantics() != want.Semantics() {
+				t.Fatalf("strict=%v program %d: the probe changed the run\nprobe: %+v\nquiet: %+v\nprogram:\n%s",
+					strict, i, got, want, src)
+			}
+			if !pr.Quiet(0, f) {
+				fired++
+			}
+		}
+		if fired == 0 {
+			t.Errorf("strict=%v: no program matched any trigger; the comparison is vacuous", strict)
+		}
+	}
+}
+
+// attributeFull is the reference attribution: every active defect re-run
+// in isolation against the defect-free reference, with no probe.
+func attributeFull(src string, tb Testbed, opts RunOptions) []*Defect {
+	run := func(r *DefectRunner) ExecResult {
+		if msg := r.preParseError(src); msg != "" {
+			return PreParseResult(msg)
+		}
+		prog, err := parseProgram(src, r.parseOpts)
+		return r.execParsed(prog, err, opts)
+	}
+	ref := run(NewDefectRunner(nil, tb.Strict))
+	var out []*Defect
+	for _, d := range ActiveDefects(tb.Version) {
+		if run(NewDefectRunner(d, tb.Strict)).Key() != ref.Key() {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// TestAttributeMatchesFullIsolation is the attribution oracle: for every
+// witness and every testbed in its mode on which it deviates from the
+// reference, Attribute (which skips hook-only defects the reference probe
+// never triggered) returns exactly the defects the full isolation loop
+// does, in the same order.
+func TestAttributeMatchesFullIsolation(t *testing.T) {
+	deviants := 0
+	for _, d := range Catalog() {
+		ref := Reference(d.Witness, d.WitnessStrict, probeOpts)
+		for _, tb := range Testbeds() {
+			if tb.Strict != d.WitnessStrict || tb.Run(d.Witness, probeOpts).Key() == ref.Key() {
+				continue
+			}
+			deviants++
+			got, want := Attribute(d.Witness, tb, probeOpts), attributeFull(d.Witness, tb, probeOpts)
+			if defectIDs(got) != defectIDs(want) {
+				t.Errorf("%s on %s: Attribute = [%s], full isolation = [%s]",
+					d.ID, tb.ID(), defectIDs(got), defectIDs(want))
+			}
+		}
+	}
+	if deviants == 0 {
+		t.Fatal("no witness deviated on any testbed; the oracle is vacuous")
+	}
+}
+
+func defectIDs(ds []*Defect) string {
+	ids := make([]string, len(ds))
+	for i, d := range ds {
+		ids[i] = d.ID
+	}
+	return strings.Join(ids, " ")
+}

@@ -1,6 +1,8 @@
 // Package exec is the execution scheduler for differential-testing
 // campaigns. It schedules the (case × testbed) grid over a bounded worker
-// pool, shares parses through a campaign-wide parse-once cache (keyed by
+// pool — one task per (case, probe group), where one probe run stands in
+// for every behaviour class whose defect hooks never matched — shares
+// parses through a campaign-wide parse-once cache (keyed by
 // source + parser-option fingerprint), honours context cancellation, and
 // streams classified case results to the consumer in case order — so a
 // campaign can account findings as they arrive instead of materialising
@@ -74,7 +76,8 @@ type Config struct {
 	// Faults is the deterministic fault-injection plan, nil in production.
 	// An injected fault targets exactly one behaviour class of its case so
 	// the faulted execution deviates from the healthy majority and
-	// surfaces as a finding.
+	// surfaces as a finding; the faulted class always runs physically,
+	// never from its group's probe.
 	Faults *faultinject.Plan
 	// Gate, when non-nil, is a shared execution-slot pool acquired around
 	// every physical run — several schedulers in one process (the campaign
@@ -86,17 +89,26 @@ type Config struct {
 
 // Scheduler executes cases over prepared testbeds. One Scheduler is one
 // campaign's worth of shared state (prepared testbeds, behaviour classes,
-// parse cache); Run may be called once per input stream.
+// probe groups, parse cache); Run may be called once per input stream.
+//
+// Every counter below counts physical executions: probe runs plus the
+// class runs that could not take their result from a probe. A result
+// fanned out from a probe (or from a class run to its class members)
+// counts once, where it was computed.
 type Scheduler struct {
 	cfg      Config
 	prepared []*engines.PreparedTestbed
 	// classes groups testbed indices by behaviour equivalence class: an
 	// ExecResult is a pure function of (defect set, mode, fuel, seed, src),
-	// so each class executes once per case and the result fans out to every
-	// member. classRep[k] is the prepared testbed the class executes on.
+	// so each class executes at most once per case and the result fans out
+	// to every member. classRep[k] is the prepared testbed the class
+	// executes on.
 	classes  [][]int
 	classRep []*engines.PreparedTestbed
-	cache    *parseCache
+	// groups partitions the classes by probe group (engines.ProbeKey): the
+	// scheduler's unit of work is one (case, group) task.
+	groups []probeGroup
+	cache  *parseCache
 	// compiled/fallback count physical interpreter runs by evaluator:
 	// thunk-compiled programs vs tree-walked ones (parse errors count in
 	// neither). Surfaced through campaign.Progress so a campaign's
@@ -109,9 +121,9 @@ type Scheduler struct {
 	icHit  atomic.Uint64
 	icMiss atomic.Uint64
 	icMega atomic.Uint64
-	// analyzed counts class executions that consulted the analyze-once
-	// report cached on the program; earlySkips counts executions the
-	// early-error gate short-circuited before any interpreter ran.
+	// analyzed counts executions that consulted the analyze-once report
+	// cached on the program; earlySkips counts executions the early-error
+	// gate short-circuited before any interpreter ran.
 	analyzed   atomic.Int64
 	earlySkips atomic.Int64
 	// panics/wallTimeouts count physical executions that ended in a
@@ -120,6 +132,16 @@ type Scheduler struct {
 	// campaign.Progress.
 	panics       atomic.Int64
 	wallTimeouts atomic.Int64
+}
+
+// probeGroup is the set of behaviour classes that share one probe group:
+// they parse alike and run under one config, differing only in their hook
+// chains. A multi-class group runs one probe per case and fans its result
+// out to every class whose hooks never matched; only the others run
+// physically. A one-class group has no probe and runs its class directly.
+type probeGroup struct {
+	classes []int          // class indices, ascending
+	probe   *engines.Probe // nil for a one-class group; member m is classes[m]
 }
 
 // New builds a scheduler: testbeds are prepared up front (catalog scan,
@@ -150,6 +172,26 @@ func New(cfg Config) *Scheduler {
 		}
 		s.classes[k] = append(s.classes[k], i)
 	}
+	groupOf := map[string]int{}
+	for k, p := range s.classRep {
+		g, ok := groupOf[p.ProbeKey()]
+		if !ok {
+			g = len(s.groups)
+			groupOf[p.ProbeKey()] = g
+			s.groups = append(s.groups, probeGroup{})
+		}
+		s.groups[g].classes = append(s.groups[g].classes, k)
+	}
+	for g := range s.groups {
+		grp := &s.groups[g]
+		if len(grp.classes) > 1 {
+			members := make([]*engines.PreparedTestbed, len(grp.classes))
+			for m, k := range grp.classes {
+				members[m] = s.classRep[k]
+			}
+			grp.probe = engines.NewProbe(members)
+		}
+	}
 	return s
 }
 
@@ -161,9 +203,9 @@ func (s *Scheduler) Classes() int { return len(s.classes) }
 // entries so far.
 func (s *Scheduler) CacheStats() (hits, misses, evictions int64) { return s.cache.stats() }
 
-// ExecCounts reports physical interpreter runs so far by evaluator path:
-// thunk-compiled vs tree-walked (the fallback — programs the compiler
-// declined).
+// ExecCounts reports physical interpreter runs so far (probe runs plus
+// class runs) by evaluator path: thunk-compiled vs tree-walked (the
+// fallback — programs the compiler declined).
 func (s *Scheduler) ExecCounts() (compiled, fallback int64) {
 	return s.compiled.Load(), s.fallback.Load()
 }
@@ -174,9 +216,9 @@ func (s *Scheduler) ICStats() (hit, miss, mega uint64) {
 	return s.icHit.Load(), s.icMiss.Load(), s.icMega.Load()
 }
 
-// AnalyzeStats reports the analyze-once gate's activity so far: class
-// executions that rode a cached report, and executions the early-error
-// verdict short-circuited.
+// AnalyzeStats reports the analyze-once gate's activity so far: physical
+// executions (probe runs plus class runs) that rode a cached report, and
+// those the early-error verdict short-circuited.
 func (s *Scheduler) AnalyzeStats() (analyzed, earlySkips int64) {
 	return s.analyzed.Load(), s.earlySkips.Load()
 }
@@ -198,7 +240,7 @@ type caseState struct {
 
 type task struct {
 	cs    *caseState
-	class int // index into Scheduler.classes
+	group int // index into Scheduler.groups
 }
 
 // Run consumes cases from in and returns a channel of outcomes, emitted in
@@ -210,15 +252,15 @@ type task struct {
 // if it happened to execute fully before the workers saw the cancel.
 func (s *Scheduler) Run(ctx context.Context, in <-chan Case) <-chan Outcome {
 	nTB := len(s.prepared)
-	nCls := len(s.classes)
+	nGroups := len(s.groups)
 	inflight := s.cfg.Workers + 2
 	out := make(chan Outcome)
-	tasks := make(chan task, inflight*nCls)
+	tasks := make(chan task, inflight*nGroups)
 	done := make(chan *caseState, inflight)
 	sem := make(chan struct{}, inflight)
 
 	// Intake: admit cases under the in-flight cap and fan each one out
-	// into one task per testbed.
+	// into one task per probe group.
 	go func() {
 		defer close(tasks)
 		seq := 0
@@ -242,13 +284,13 @@ func (s *Scheduler) Run(ctx context.Context, in <-chan Case) <-chan Outcome {
 				seq:       seq,
 				c:         c,
 				entries:   make([]difftest.ExecEntry, nTB),
-				remaining: int32(nCls),
+				remaining: int32(nGroups),
 			}
 			seq++
-			for i := 0; i < nCls; i++ {
+			for g := 0; g < nGroups; g++ {
 				// tasks is buffered for inflight full cases, so this send
 				// only blocks when workers are saturated.
-				tasks <- task{cs: cs, class: i}
+				tasks <- task{cs: cs, group: g}
 			}
 		}
 	}()
@@ -263,14 +305,8 @@ func (s *Scheduler) Run(ctx context.Context, in <-chan Case) <-chan Outcome {
 				if !s.acquireSlot(ctx) {
 					atomic.StoreInt32(&t.cs.cancelled, 1)
 				} else {
-					r := s.runOne(t.class, t.cs.c)
+					s.runGroup(t.group, t.cs)
 					s.releaseSlot()
-					for _, i := range s.classes[t.class] {
-						t.cs.entries[i] = difftest.ExecEntry{
-							Testbed: s.prepared[i].Testbed,
-							Result:  r,
-						}
-					}
 				}
 				if atomic.AddInt32(&t.cs.remaining, -1) == 0 {
 					// done is buffered to the in-flight cap, so this send
@@ -329,9 +365,10 @@ func (s *Scheduler) Run(ctx context.Context, in <-chan Case) <-chan Outcome {
 	return out
 }
 
-// acquireSlot gates one physical run: a cancelled context reports false
-// (the case is marked cancelled, preserving the contiguous-prefix
-// contract exactly as the pre-gate cancellation check did).
+// acquireSlot gates one task's physical runs: a cancelled context
+// reports false (the case is marked cancelled, preserving the
+// contiguous-prefix contract exactly as the pre-gate cancellation check
+// did).
 func (s *Scheduler) acquireSlot(ctx context.Context) bool {
 	if ctx.Err() != nil {
 		return false
@@ -348,6 +385,77 @@ func (s *Scheduler) releaseSlot() {
 	}
 }
 
+// runGroup executes one (case, probe group) task and fills the entries of
+// every testbed in the group. A one-class group runs its class. A larger
+// group runs its probe once, if any class passes the pre-parse gate, and
+// copies the probe's result to each class whose hooks never matched; the
+// rest run physically: classes with a matched hook, the class an injected
+// fault targets, and all of them when the probe ended on the wall-clock
+// watchdog (a run cut short by wall time says nothing about the hooks it
+// never reached).
+func (s *Scheduler) runGroup(g int, cs *caseState) {
+	grp := &s.groups[g]
+	c := cs.c
+	if grp.probe == nil {
+		s.fill(cs, grp.classes[0], s.runOne(grp.classes[0], c))
+		return
+	}
+	_, faulted := s.fault(c)
+	var probe engines.ExecResult
+	var fired engines.Fired
+	probed := false
+	for m, k := range grp.classes {
+		if k == faulted {
+			s.fill(cs, k, s.runOne(k, c))
+			continue
+		}
+		if msg := s.classRep[k].PreParseError(c.Src); msg != "" {
+			s.fill(cs, k, engines.PreParseResult(msg))
+			continue
+		}
+		if !probed {
+			prog, err := s.countingParse(s.classRep[k], c.Src)
+			opts := engines.RunOptions{Fuel: s.cfg.Fuel, Seed: s.cfg.Seed, Watchdog: s.deadlineWatchdog()}
+			probe, fired = grp.probe.ExecParsed(prog, err, opts)
+			s.account(probe)
+			probed = true
+		}
+		if probe.WallClock || !grp.probe.Quiet(m, fired) {
+			s.fill(cs, k, s.runOne(k, c))
+		} else {
+			s.fill(cs, k, probe)
+		}
+	}
+}
+
+// fill fans one class result out to the entries of every class member.
+func (s *Scheduler) fill(cs *caseState, class int, r engines.ExecResult) {
+	for _, i := range s.classes[class] {
+		cs.entries[i] = difftest.ExecEntry{Testbed: s.prepared[i].Testbed, Result: r}
+	}
+}
+
+// fault returns the injected fault for case c and the behaviour class it
+// targets, or -1 when the case carries none.
+func (s *Scheduler) fault(c Case) (faultinject.Fault, int) {
+	fault, sel := s.cfg.Faults.CaseFault(c.Index)
+	if fault == faultinject.FaultNone {
+		return fault, -1
+	}
+	return fault, int(sel % uint64(len(s.classes)))
+}
+
+// deadlineWatchdog arms the wall-clock watchdog for one physical run, or
+// returns nil when no case deadline is configured.
+func (s *Scheduler) deadlineWatchdog() func() bool {
+	if s.cfg.CaseDeadline <= 0 || s.cfg.Clock == nil {
+		return nil
+	}
+	start := s.cfg.Clock()
+	deadline := s.cfg.CaseDeadline
+	return func() bool { return s.cfg.Clock().Sub(start) > deadline }
+}
+
 // runOne executes one (case, behaviour class) cell through the shared
 // difftest cell semantics, with the campaign-wide parse cache supplying
 // compiled programs; the parse hook accounts which evaluator the
@@ -355,10 +463,8 @@ func (s *Scheduler) releaseSlot() {
 // armed here, per physical run, so shared-class fan-out replicates the
 // (deterministic) faulted result instead of re-rolling it.
 func (s *Scheduler) runOne(class int, c Case) engines.ExecResult {
-	p := s.classRep[class]
 	opts := engines.RunOptions{Fuel: s.cfg.Fuel, Seed: s.cfg.Seed}
-	if fault, sel := s.cfg.Faults.CaseFault(c.Index); fault != faultinject.FaultNone &&
-		class == int(sel%uint64(len(s.classes))) {
+	if fault, target := s.fault(c); target == class {
 		switch fault {
 		case faultinject.FaultPanic:
 			opts.InjectPanic = true
@@ -366,12 +472,16 @@ func (s *Scheduler) runOne(class int, c Case) engines.ExecResult {
 			opts.Watchdog = faultinject.CountdownWatchdog(s.cfg.Faults.SlowProbes())
 		}
 	}
-	if opts.Watchdog == nil && s.cfg.CaseDeadline > 0 && s.cfg.Clock != nil {
-		start := s.cfg.Clock()
-		deadline := s.cfg.CaseDeadline
-		opts.Watchdog = func() bool { return s.cfg.Clock().Sub(start) > deadline }
+	if opts.Watchdog == nil {
+		opts.Watchdog = s.deadlineWatchdog()
 	}
-	r := difftest.RunCell(p, c.Src, s.countingParse, opts)
+	r := difftest.RunCell(s.classRep[class], c.Src, s.countingParse, opts)
+	s.account(r)
+	return r
+}
+
+// account adds one physical run's robustness and inline-cache counters.
+func (s *Scheduler) account(r engines.ExecResult) {
 	if r.Panic {
 		s.panics.Add(1)
 	}
@@ -390,7 +500,6 @@ func (s *Scheduler) runOne(class int, c Case) engines.ExecResult {
 	if r.ICMega != 0 {
 		s.icMega.Add(r.ICMega)
 	}
-	return r
 }
 
 // analysisFor fetches the case's static-semantics report through the

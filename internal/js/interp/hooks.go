@@ -62,6 +62,13 @@ type HookCtx struct {
 	// HookFuncTier: the invocation count of the function being entered.
 	Tier int
 	Fn   *Object
+
+	// Probe asks the hook whether its trigger matches this site instead of
+	// intervening: a probed hook returns a non-nil Override iff it would
+	// have fired, and runs no effect. The interpreter never sets it; a
+	// recording hook sets it around the hooks it asks, records their
+	// answers and returns nil itself.
+	Probe bool
 }
 
 // Override tells the interpreter how a hook altered behaviour.

@@ -18,8 +18,11 @@
 //     substitute) and the short-context baseline
 //   - internal/fuzzers   — COMFORT plus the five baseline fuzzers
 //   - internal/exec      — the execution scheduler: prepared testbeds,
-//     behaviour-class sharing, a parse-once cache and a streaming
-//     (case × testbed) worker pool
+//     probe groups (one probe run stands in for every behaviour class
+//     whose defect hooks never matched), a parse-once cache, a streaming
+//     (case × testbed) worker pool for campaigns and the one-shot Execute
+//     behind DiffTest
+//   - internal/difftest  — the pure Figure-5 classifier
 //   - internal/reduce    — hierarchical ddmin test-case reduction with
 //     speculative parallel predicate evaluation (Section 3.5)
 //   - internal/campaign  — differential-testing campaigns (a fuzzer →
@@ -36,6 +39,7 @@ import (
 	"comfort/internal/campaign"
 	"comfort/internal/difftest"
 	"comfort/internal/engines"
+	"comfort/internal/exec"
 	"comfort/internal/fuzzers"
 	"comfort/internal/reduce"
 	"comfort/internal/spec"
@@ -93,10 +97,14 @@ func RunTestbed(tb Testbed, src string, fuel, seed int64) ExecResult {
 // its Run avoids the per-execution catalog scan.
 func PrepareTestbed(tb Testbed) *PreparedTestbed { return tb.Prepare() }
 
-// ExecuteCase runs src on every testbed and returns the raw per-testbed
-// entries (parse and behaviour-class sharing applied).
+// ExecuteCase runs src on every testbed through the campaign scheduler's
+// fan-out and returns the raw per-testbed entries in testbed order (parse
+// and probe-group sharing applied). No testbeds means no entries.
 func ExecuteCase(src string, testbeds []Testbed, fuel, seed int64) []ExecEntry {
-	return difftest.Execute(src, testbeds, difftest.Options{Fuel: fuel, Seed: seed})
+	if len(testbeds) == 0 {
+		return []ExecEntry{}
+	}
+	return exec.New(exec.Config{Testbeds: testbeds, Fuel: fuel, Seed: seed}).Execute(src).Entries
 }
 
 // ClassifyCase applies the pure Figure-5 classification to a set of
@@ -112,9 +120,10 @@ func RunReference(src string, strict bool, fuel, seed int64) ExecResult {
 // mode (prepare it once to run many candidates against the oracle).
 func ReferenceTestbed(strict bool) Testbed { return engines.ReferenceTestbed(strict) }
 
-// DiffTest differentially tests src across testbeds per Figure 5.
+// DiffTest differentially tests src across testbeds per Figure 5. No
+// testbeds classify as VerdictInvalid.
 func DiffTest(src string, testbeds []Testbed, fuel, seed int64) CaseResult {
-	return difftest.Run(src, testbeds, difftest.Options{Fuel: fuel, Seed: seed})
+	return difftest.Classify(ExecuteCase(src, testbeds, fuel, seed))
 }
 
 // NewComfortFuzzer builds the full COMFORT pipeline (GPT-2-substitute

@@ -3,6 +3,8 @@ package comfort
 import (
 	"strings"
 	"testing"
+
+	"comfort/internal/difftest"
 )
 
 func TestPublicAPISurface(t *testing.T) {
@@ -64,5 +66,19 @@ func TestDiffTestPublic(t *testing.T) {
 	cr := DiffTest(`print(1);`, tbs, 100000, 1)
 	if cr.Verdict.IsBuggy() {
 		t.Errorf("trivial program flagged buggy: %v", cr.Verdict)
+	}
+}
+
+// TestDiffTestNoTestbeds pins the public API's empty case: no testbeds
+// give no entries and an invalid verdict — never the scheduler's default
+// testbed set.
+func TestDiffTestNoTestbeds(t *testing.T) {
+	if entries := ExecuteCase(`print(1);`, nil, 100000, 1); len(entries) != 0 {
+		t.Errorf("ExecuteCase with no testbeds returned %d entries", len(entries))
+	}
+	cr := DiffTest(`print(1);`, []Testbed{}, 100000, 1)
+	if cr.Verdict != difftest.VerdictInvalid || len(cr.Deviations) != 0 {
+		t.Errorf("DiffTest with no testbeds = %v with %d deviations, want invalid with none",
+			cr.Verdict, len(cr.Deviations))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"comfort/internal/dedup"
 	"comfort/internal/difftest"
 	"comfort/internal/engines"
+	"comfort/internal/exec"
 	"comfort/internal/fuzzers"
 	"comfort/internal/js/analyze"
 	"comfort/internal/spec"
@@ -78,8 +79,9 @@ func TestAccountCaseFlagsOnlyDivert(t *testing.T) {
 	cfg := withDefaults(Config{Fuzzer: &fixedFuzzer{}, Testbeds: engines.Testbeds()})
 	var src string
 	var cr difftest.CaseResult
+	sched := exec.New(exec.Config{Testbeds: cfg.Testbeds, Fuel: cfg.Fuel, Seed: cfg.Seed})
 	for _, d := range engines.Catalog() {
-		cr = difftest.Run(d.Witness, cfg.Testbeds, difftest.Options{Fuel: cfg.Fuel, Seed: cfg.Seed})
+		cr = sched.Execute(d.Witness).Result
 		if cr.Verdict.IsBuggy() {
 			src = d.Witness
 			break

@@ -106,38 +106,24 @@ type Config struct {
 }
 
 // Progress is one campaign progress sample: case accounting position plus
-// the scheduler's compiled-program cache and evaluator-path counters.
+// the scheduler's counters. All counters are cumulative across resumes.
 type Progress struct {
 	// Done counts classified cases; Total is the configured budget.
 	Done, Total int
-	// CacheHits/CacheMisses/CacheEvictions are the scheduler's
-	// compiled-program (parse-and-resolve-once) cache counters so far.
-	CacheHits, CacheMisses, CacheEvictions int64
-	// Compiled/Fallback count physical interpreter runs so far by
-	// evaluator path: thunk-compiled programs vs tree-walked ones. A
-	// physical run is a probe-group probe or a class run that could not
+	// Stats are the scheduler's counters so far. Its run counters count
+	// physical runs: a probe-group probe or a class run that could not
 	// take the probe's result (see internal/exec); results fanned out to
 	// other classes or testbeds are not counted again. Fallback stays at
 	// zero; a non-zero value is visible at a glance in -progress output.
-	Compiled, Fallback int64
-	// ICHits/ICMisses/ICMega are the compiled evaluator's inline-cache
-	// counters so far.
-	ICHits, ICMisses, ICMega uint64
-	// Analyzed counts physical executions (probe runs plus class runs,
-	// as for Compiled) that rode the analyze-once cached report;
-	// EarlyErrorSkips counts those the static early-error gate
-	// short-circuited before any interpreter ran.
-	Analyzed, EarlyErrorSkips int64
+	exec.Stats
 	// FlaggedNondet counts attributed findings diverted to the
 	// suppressed-nondeterministic set so far.
 	FlaggedNondet int64
 	// FeaturesSeen is the number of distinct language features the
 	// campaign's cases have exercised so far (of analyze.FeatureCount).
 	FeaturesSeen int
-	// Panics/WallTimeouts count physical executions that ended in a
-	// recovered evaluator panic or a wall-clock watchdog abort;
-	// Checkpoints counts checkpoint writes. All cumulative across resumes.
-	Panics, WallTimeouts, Checkpoints int64
+	// Checkpoints counts checkpoint writes.
+	Checkpoints int64
 }
 
 // Finding is one unique discovered bug, attributed to its seeded defect.
@@ -202,11 +188,8 @@ type Result struct {
 	// early-error gate (a subset of the invalid verdict count) — each one
 	// classified without a single interpreter run.
 	EarlyErrorCases int
-	// Analyzed/EarlyErrorSkips are the scheduler's analyze-gate counters
-	// (see Progress); FlaggedNondet counts the findings in
-	// SuppressedNondet.
-	Analyzed, EarlyErrorSkips int64
-	FlaggedNondet             int64
+	// FlaggedNondet counts the findings in SuppressedNondet.
+	FlaggedNondet int64
 	// FeatureCounts maps analyzer feature name → number of cases whose
 	// fingerprint carried it; FeaturesSeen is the distinct feature count.
 	FeatureCounts map[string]int
@@ -214,18 +197,10 @@ type Result struct {
 	// Reduction summarises witness reduction (nil unless
 	// Config.ReduceWitnesses was set and findings exist).
 	Reduction *ReductionStats
-	// CacheHits/CacheMisses/CacheEvictions are the final compiled-program
-	// cache counters of the campaign's scheduler.
-	CacheHits, CacheMisses, CacheEvictions int64
-	// Compiled/Fallback are the final evaluator-path counters of
-	// physical runs (see Progress).
-	Compiled, Fallback int64
-	// ICHits/ICMisses/ICMega are the final inline-cache counters.
-	ICHits, ICMisses, ICMega uint64
-	// Panics counts physical executions that ended in a recovered
-	// evaluator panic (each surfaced as a classified crash result, never a
-	// dead process); WallTimeouts counts wall-clock watchdog aborts.
-	Panics, WallTimeouts int64
+	// Stats are the final scheduler counters (see Progress). A recovered
+	// evaluator panic surfaces as a classified crash result, never a dead
+	// process.
+	exec.Stats
 	// Checkpoints/CheckpointFailures count checkpoint writes and failed
 	// write attempts (a failed write never stops the campaign).
 	Checkpoints, CheckpointFailures int64
@@ -315,7 +290,7 @@ func run(cfg Config) (*Result, error) {
 		start = genStart{batch: base.NextBatch, off: base.NextOff, index: base.CasesDone}
 		if base.Done || base.CasesDone >= cfg.Cases {
 			// Nothing left to run: reconstruct the final result.
-			finishResult(res, &base, nil, featsSeen)
+			finishResult(res, &base, base.Stats, 0, 0, featsSeen)
 			return res, nil
 		}
 	}
@@ -345,6 +320,9 @@ func run(cfg Config) (*Result, error) {
 		Gate:         cfg.Gate,
 	})
 	outcomes := sched.Run(ctx, caseCh)
+	// totals is the one place the resume baseline meets the scheduler's
+	// own counts.
+	totals := func() exec.Stats { return base.Stats.Add(sched.Stats()) }
 
 	// Stage 3: the sink — classify/dedup/attribute in stream order, with
 	// checkpoint writes between cases (never concurrent with accounting).
@@ -383,23 +361,7 @@ func run(cfg Config) (*Result, error) {
 		for name, n := range res.FeatureCounts { //detlint:order — string-keyed map output (JSON-sorted)
 			st.FeatureCounts[name] = n
 		}
-		st.CacheHits, st.CacheMisses, st.CacheEvictions = sched.CacheStats()
-		st.Compiled, st.Fallback = sched.ExecCounts()
-		st.ICHits, st.ICMisses, st.ICMega = sched.ICStats()
-		st.Analyzed, st.EarlyErrSkips = sched.AnalyzeStats()
-		pn, wt := sched.FaultStats()
-		st.CacheHits += base.CacheHits
-		st.CacheMisses += base.CacheMisses
-		st.CacheEvictions += base.CacheEvictions
-		st.Compiled += base.Compiled
-		st.Fallback += base.Fallback
-		st.ICHits += base.ICHits
-		st.ICMisses += base.ICMisses
-		st.ICMega += base.ICMega
-		st.Analyzed += base.Analyzed
-		st.EarlyErrSkips += base.EarlyErrSkips
-		st.Panics = base.Panics + pn
-		st.WallTimeouts = base.WallTimeouts + wt
+		st.Stats = totals()
 		st.Checkpoints = base.Checkpoints + ckptWrites
 		st.CkptFailures = base.CkptFailures + ckptFails
 		return st
@@ -446,22 +408,12 @@ func run(cfg Config) (*Result, error) {
 			accountCase(cfg, res, tree, oc.Src, cr, oc.Analysis)
 		}
 		if cfg.Progress != nil && (res.CasesRun%progressEvery == 0 || res.CasesRun == cfg.Cases) {
-			h, m, e := sched.CacheStats()
-			cc, fb := sched.ExecCounts()
-			ih, im, ig := sched.ICStats()
-			an, es := sched.AnalyzeStats()
-			pn, wt := sched.FaultStats()
 			cfg.Progress(Progress{
 				Done: res.CasesRun, Total: cfg.Cases,
-				CacheHits: base.CacheHits + h, CacheMisses: base.CacheMisses + m,
-				CacheEvictions: base.CacheEvictions + e,
-				Compiled:       base.Compiled + cc, Fallback: base.Fallback + fb,
-				ICHits: base.ICHits + ih, ICMisses: base.ICMisses + im, ICMega: base.ICMega + ig,
-				Analyzed: base.Analyzed + an, EarlyErrorSkips: base.EarlyErrSkips + es,
+				Stats:         totals(),
 				FlaggedNondet: res.FlaggedNondet,
 				FeaturesSeen:  featsSeen.Count(),
-				Panics:        base.Panics + pn, WallTimeouts: base.WallTimeouts + wt,
-				Checkpoints: base.Checkpoints + ckptWrites,
+				Checkpoints:   base.Checkpoints + ckptWrites,
 			})
 		}
 		if ckpt && res.CasesRun < cfg.Cases {
@@ -490,63 +442,33 @@ func run(cfg Config) (*Result, error) {
 	if killed {
 		for range outcomes { // drain so the scheduler's goroutines exit
 		}
+	} else {
+		// Stage 4 (optional): witness reduction, after the stream has
+		// drained and dedup/attribution settled — never on the hot
+		// accounting path.
+		if cfg.ReduceWitnesses {
+			reduceFindings(ctx, cfg, res)
+		}
+		// Final flush — also on cancellation, so a gracefully-stopped
+		// partial campaign resumes from exactly where it was interrupted.
+		// Runs after reduction so a complete checkpoint carries the
+		// reduced witnesses.
+		if ckpt {
+			writeCkpt(res.CasesRun == cfg.Cases)
+		}
 	}
-	pn, wt := sched.FaultStats()
-	finishResult(res, &base, sched, featsSeen)
-	res.Panics = base.Panics + pn
-	res.WallTimeouts = base.WallTimeouts + wt
-	res.Checkpoints = base.Checkpoints + ckptWrites
-	res.CheckpointFailures = base.CkptFailures + ckptFails
-	if killed {
-		return res, nil
-	}
-
-	// Stage 4 (optional): witness reduction, after the stream has drained
-	// and dedup/attribution settled — never on the hot accounting path.
-	if cfg.ReduceWitnesses {
-		reduceFindings(ctx, cfg, res)
-	}
-
-	// Final flush — also on cancellation, so a gracefully-stopped partial
-	// campaign resumes from exactly where it was interrupted. Runs after
-	// reduction so a complete checkpoint carries the reduced witnesses.
-	if ckpt {
-		writeCkpt(res.CasesRun == cfg.Cases)
-		res.Checkpoints = base.Checkpoints + ckptWrites
-		res.CheckpointFailures = base.CkptFailures + ckptFails
-	}
+	finishResult(res, &base, totals(), ckptWrites, ckptFails, featsSeen)
 	return res, nil
 }
 
-// finishResult folds the scheduler's diagnostic counters (plus the resume
-// baselines) into the result. sched is nil when a Done checkpoint
-// reconstructs a result without running a pipeline.
-func finishResult(res *Result, base *State, sched *exec.Scheduler, featsSeen analyze.Features) {
-	var h, m, e, cc, fb, an, es int64
-	var ih, im, ig uint64
-	if sched != nil {
-		h, m, e = sched.CacheStats()
-		cc, fb = sched.ExecCounts()
-		ih, im, ig = sched.ICStats()
-		an, es = sched.AnalyzeStats()
-	}
-	res.CacheHits = base.CacheHits + h
-	res.CacheMisses = base.CacheMisses + m
-	res.CacheEvictions = base.CacheEvictions + e
-	res.Compiled = base.Compiled + cc
-	res.Fallback = base.Fallback + fb
-	res.ICHits = base.ICHits + ih
-	res.ICMisses = base.ICMisses + im
-	res.ICMega = base.ICMega + ig
-	res.Analyzed = base.Analyzed + an
-	res.EarlyErrorSkips = base.EarlyErrSkips + es
+// finishResult folds the campaign's final counters into the result:
+// the scheduler totals and this process's checkpoint writes and failures,
+// each on top of the resume baseline.
+func finishResult(res *Result, base *State, stats exec.Stats, ckptWrites, ckptFails int64, featsSeen analyze.Features) {
+	res.Stats = stats
 	res.FeaturesSeen = featsSeen.Count()
-	if sched == nil {
-		res.Panics = base.Panics
-		res.WallTimeouts = base.WallTimeouts
-		res.Checkpoints = base.Checkpoints
-		res.CheckpointFailures = base.CkptFailures
-	}
+	res.Checkpoints = base.Checkpoints + ckptWrites
+	res.CheckpointFailures = base.CkptFailures + ckptFails
 }
 
 // reduceFindings shrinks every finding's witness with the parallel ddmin

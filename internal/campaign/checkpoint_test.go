@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"comfort/internal/engines"
+	"comfort/internal/exec"
 	"comfort/internal/faultinject"
 	"comfort/internal/fuzzers"
 )
@@ -513,4 +515,161 @@ func TestWriteCheckpointHook(t *testing.T) {
 		t.Fatalf("failing hook counted %d successful checkpoints", failed.Checkpoints)
 	}
 	requireSameAccounting(t, "failing hook", want, failed)
+}
+
+// compatSrcs is the six-case stream behind compatCheckpoint.
+var compatSrcs = []string{
+	`print("Name: Albert".substr(6, undefined));`,
+	`let a = 1; let a = 2;`,
+	`var o = {x: 1}, s = 0; for (var i = 0; i < 5000; i++) s += o.x; print(s);`,
+	`print(1 + 1);`,
+	`null.x;`,
+	`print("ab".repeat(2));`,
+}
+
+// compatConfig is the campaign compatCheckpoint belongs to: compatSrcs on
+// three testbeds, with injected panics and hangs, on one worker so the
+// parse-cache counters are deterministic.
+func compatConfig() Config {
+	var tbs []engines.Testbed
+	for _, s := range [][2]string{{"Rhino", "v1.7.12"}, {"V8", "d891c59"}, {"QuickJS", "1722758"}} {
+		v, _ := engines.FindVersion(s[0], s[1])
+		tbs = append(tbs, engines.Testbed{Version: v})
+	}
+	return Config{
+		Fuzzer: &fixedFuzzer{srcs: compatSrcs}, Testbeds: tbs, Cases: len(compatSrcs),
+		Seed: 2, Workers: 1,
+		Faults: faultinject.New(faultinject.Config{Seed: 5, PanicEvery: 2, SlowEvery: 3}),
+	}
+}
+
+// compatCheckpoint was written by WriteState while State still declared
+// the scheduler counters as its own fields, before it embedded exec.Stats:
+// compatConfig killed at its first checkpoint, three cases in (Workers 1,
+// CheckpointEvery 3). Every counter but fallback and the checkpoint
+// counts is non-zero.
+const compatCheckpoint = `{
+ "format": 1,
+ "fingerprint": "comfort-campaign/v1 fuzzer=fixed seed=2 cases=6 fuel=200000 testbeds=Rhino/v1.7.12@d4021ee#normal,V8/V8.5@d891c59#normal,QuickJS/2020-04-12@1722758#normal dedup=true faults=seed=5,panic=2,slow=3,probes=2",
+ "cases_done": 3,
+ "next_batch": -1,
+ "next_off": 0,
+ "done": false,
+ "executed": 9,
+ "verdicts": {
+  "crash": 1,
+  "invalid": 1,
+  "timeout": 1
+ },
+ "duplicates_filtered": 0,
+ "unattributed_findings": 2,
+ "early_error_cases": 1,
+ "flagged_nondet": 0,
+ "feature_counts": {
+  "call": 2,
+  "for": 1,
+  "let": 1,
+  "member": 2,
+  "number": 3,
+  "object": 1,
+  "string": 1,
+  "update": 1,
+  "var": 1
+ },
+ "feature_bits": 10685878632579,
+ "dedup": {
+  "root": {
+   "QuickJS": {
+    "substr": {
+     "panic": true
+    }
+   },
+   "V8": {
+    "None": {
+     "timeout": true
+    }
+   }
+  },
+  "leaves": 2,
+  "hits": 0
+ },
+ "found": [],
+ "suppressed": [],
+ "cache_hits": 7,
+ "cache_misses": 12,
+ "cache_evictions": 0,
+ "compiled": 13,
+ "fallback": 0,
+ "ic_hits": 14465,
+ "ic_misses": 8,
+ "ic_mega": 0,
+ "analyzed": 15,
+ "early_error_skips": 2,
+ "panics": 2,
+ "wall_timeouts": 1,
+ "checkpoints": 0,
+ "checkpoint_failures": 0
+}
+`
+
+// TestCheckpointCompatibility pins the checkpoint encoding across the
+// counter embedding, so checkpoints already sitting in comfortd stores
+// still resume: the literal loads into the embedded counters, re-encodes
+// to the same bytes (same JSON key set and order), and its resume carries
+// the literal's counter totals plus the resumed run's own counts.
+func TestCheckpointCompatibility(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ckpt.json")
+	if err := os.WriteFile(path, []byte(compatCheckpoint), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	load := func() *State {
+		t.Helper()
+		st, err := LoadState(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	st := load()
+	want := exec.Stats{
+		CacheHits: 7, CacheMisses: 12, Compiled: 13, ICHits: 14465, ICMisses: 8,
+		Analyzed: 15, EarlyErrorSkips: 2, Panics: 2, WallTimeouts: 1,
+	}
+	if st.Stats != want {
+		t.Fatalf("loaded counters = %+v, want %+v", st.Stats, want)
+	}
+
+	rewrite := filepath.Join(dir, "rewrite.json")
+	if err := WriteState(rewrite, st); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(rewrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != compatCheckpoint {
+		t.Errorf("re-encoded checkpoint differs from the one WriteState wrote before:\n%s", data)
+	}
+
+	res, err := Resume(compatConfig(), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CasesRun != len(compatSrcs) {
+		t.Fatalf("resumed run accounted %d cases, want %d", res.CasesRun, len(compatSrcs))
+	}
+	// The resumed run's own counts: the same resume from a zero baseline.
+	zero := load()
+	zero.Stats = exec.Stats{}
+	own, err := Resume(compatConfig(), zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if own.Stats == (exec.Stats{}) {
+		t.Fatal("resumed run counted nothing")
+	}
+	if got := want.Add(own.Stats); res.Stats != got {
+		t.Errorf("resumed counters = %+v, want checkpoint + resumed run = %+v", res.Stats, got)
+	}
 }

@@ -274,8 +274,8 @@ func TestCampaignResolveOracle(t *testing.T) {
 // coverage on the default path (the Fallback counter stays at zero).
 func TestCampaignCompileOracle(t *testing.T) {
 	sched := checkSchedulerPath(t, treeWalker)
-	if compiled, fallback := sched.ExecCounts(); compiled == 0 || fallback != 0 {
-		t.Errorf("default path should run fully compiled: compiled=%d fallback=%d", compiled, fallback)
+	if st := sched.Stats(); st.Compiled == 0 || st.Fallback != 0 {
+		t.Errorf("default path should run fully compiled: compiled=%d fallback=%d", st.Compiled, st.Fallback)
 	}
 }
 
@@ -284,8 +284,8 @@ func TestCampaignCompileOracle(t *testing.T) {
 // exercises the inline caches.
 func TestCampaignShapesOracle(t *testing.T) {
 	sched := checkSchedulerPath(t, dictObjs)
-	if hit, miss, _ := sched.ICStats(); hit+miss == 0 {
-		t.Errorf("default path should exercise the inline caches: hits=%d misses=%d", hit, miss)
+	if st := sched.Stats(); st.ICHits+st.ICMisses == 0 {
+		t.Errorf("default path should exercise the inline caches: hits=%d misses=%d", st.ICHits, st.ICMisses)
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"comfort/internal/dedup"
 	"comfort/internal/difftest"
 	"comfort/internal/engines"
+	"comfort/internal/exec"
 )
 
 // StateFormatVersion is bumped whenever the checkpoint encoding changes
@@ -69,26 +70,15 @@ type State struct {
 	Found                []SavedFinding  `json:"found"`
 	Suppressed           []SavedFinding  `json:"suppressed"`
 
-	// Diagnostic baselines: scheduler counters at checkpoint time, added to
-	// the resumed scheduler's own counts so totals stay cumulative across
-	// the whole campaign. These describe physical work done, which resume
-	// legitimately changes (a resumed run re-parses its working set, say),
-	// so they are cumulative-but-not-byte-identical — deliberately outside
-	// the determinism contract.
-	CacheHits      int64  `json:"cache_hits"`
-	CacheMisses    int64  `json:"cache_misses"`
-	CacheEvictions int64  `json:"cache_evictions"`
-	Compiled       int64  `json:"compiled"`
-	Fallback       int64  `json:"fallback"`
-	ICHits         uint64 `json:"ic_hits"`
-	ICMisses       uint64 `json:"ic_misses"`
-	ICMega         uint64 `json:"ic_mega"`
-	Analyzed       int64  `json:"analyzed"`
-	EarlyErrSkips  int64  `json:"early_error_skips"`
-	Panics         int64  `json:"panics"`
-	WallTimeouts   int64  `json:"wall_timeouts"`
-	Checkpoints    int64  `json:"checkpoints"`
-	CkptFailures   int64  `json:"checkpoint_failures"`
+	// Diagnostic baselines: scheduler counters and checkpoint writes at
+	// checkpoint time, added to the resumed run's own counts so totals stay
+	// cumulative across the whole campaign. These describe physical work
+	// done, which resume legitimately changes (a resumed run re-parses its
+	// working set, say), so they are cumulative-but-not-byte-identical —
+	// deliberately outside the determinism contract.
+	exec.Stats
+	Checkpoints  int64 `json:"checkpoints"`
+	CkptFailures int64 `json:"checkpoint_failures"`
 }
 
 // fingerprint canonically renders every config parameter that shapes the

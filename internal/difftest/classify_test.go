@@ -160,25 +160,3 @@ func TestClassifyTable(t *testing.T) {
 		})
 	}
 }
-
-// TestClassifyMatchesRun pins the split API to the composed one: Run must
-// equal Classify∘Execute by construction.
-func TestClassifyMatchesRun(t *testing.T) {
-	tbs := engines.Testbeds()[:20]
-	srcs := []string{
-		`print(1 + 1);`,
-		`print("Name: Albert".substr(6, undefined));`,
-		`var = broken(`,
-	}
-	for _, src := range srcs {
-		direct := Run(src, tbs, Options{Seed: 7})
-		composed := Classify(Execute(src, tbs, Options{Seed: 7}))
-		if direct.Verdict != composed.Verdict {
-			t.Errorf("src %q: Run=%s, Classify(Execute)=%s", src, direct.Verdict, composed.Verdict)
-		}
-		if len(direct.Deviations) != len(composed.Deviations) {
-			t.Errorf("src %q: deviation counts differ: %d vs %d",
-				src, len(direct.Deviations), len(composed.Deviations))
-		}
-	}
-}

@@ -1,15 +1,14 @@
-// Package difftest implements the differential-testing methodology of the
-// paper's Section 3.4 and Figure 5: execute a test case on many testbeds,
-// check parse consistency, apply the 2× timeout rule over deterministic
-// fuel, and majority-vote on execution behaviour to isolate deviant
-// engines.
+// Package difftest is the pure classifier of the paper's Section 3.4 and
+// Figure 5: given one test case's behaviour on many testbeds, check parse
+// consistency, apply the 2× timeout rule over deterministic fuel, and
+// majority-vote on execution behaviour to isolate deviant engines. It
+// runs nothing itself; the exec scheduler produces the entries.
 package difftest
 
 import (
 	"sort"
 
 	"comfort/internal/engines"
-	"comfort/internal/js/ast"
 )
 
 // Verdict classifies a whole test case (the leaf states of Figure 5).
@@ -110,78 +109,15 @@ type CaseResult struct {
 	EarlyError bool
 }
 
-// Options parameterise a run.
-type Options struct {
-	Fuel int64
-	Seed int64
-}
-
 // DefaultFuel is the campaign-scale step budget per testbed execution,
-// shared by difftest, the exec scheduler and campaign defaulting.
+// shared by the exec scheduler and campaign defaulting.
 const DefaultFuel = 200000
-
-// RunCell executes one (case, testbed) cell: pre-parse interceptors, a
-// caller-supplied (possibly caching) parse, then interpretation. Both the
-// exec scheduler and Execute funnel through here so the cell semantics
-// cannot drift between paths.
-func RunCell(p *engines.PreparedTestbed, src string,
-	parse func(*engines.PreparedTestbed, string) (*ast.Program, error),
-	opts engines.RunOptions) engines.ExecResult {
-	if msg := p.PreParseError(src); msg != "" {
-		return engines.PreParseResult(msg)
-	}
-	prog, err := parse(p, src)
-	return p.ExecParsed(prog, err, opts)
-}
-
-// Run executes src on all testbeds and classifies the outcome per Figure 5.
-func Run(src string, testbeds []engines.Testbed, opts Options) CaseResult {
-	return Classify(Execute(src, testbeds, opts))
-}
-
-// Execute runs src on every testbed (via its memoised prepared form) and
-// returns the per-testbed entries in testbed order. The parse is shared
-// between testbeds whose resolved parser options coincide, and the whole
-// execution is shared between testbeds in the same behaviour equivalence
-// class (see engines.PreparedTestbed.BehaviorKey).
-func Execute(src string, testbeds []engines.Testbed, opts Options) []ExecEntry {
-	if opts.Fuel == 0 {
-		opts.Fuel = DefaultFuel
-	}
-	runOpts := engines.RunOptions{Fuel: opts.Fuel, Seed: opts.Seed}
-	type parsed struct {
-		prog *ast.Program
-		err  error
-	}
-	parseCache := map[uint64]parsed{}
-	parse := func(p *engines.PreparedTestbed, src string) (*ast.Program, error) {
-		pr, ok := parseCache[p.ParseFingerprint()]
-		if !ok {
-			pr.prog, pr.err = p.Parse(src)
-			parseCache[p.ParseFingerprint()] = pr
-		}
-		return pr.prog, pr.err
-	}
-	resultCache := map[string]engines.ExecResult{}
-	entries := make([]ExecEntry, 0, len(testbeds))
-	for _, tb := range testbeds {
-		p := tb.Prepare()
-		r, ok := resultCache[p.BehaviorKey()]
-		if !ok {
-			r = RunCell(p, src, parse, runOpts)
-			resultCache[p.BehaviorKey()] = r
-		}
-		entries = append(entries, ExecEntry{Testbed: tb, Result: r})
-	}
-	return entries
-}
 
 // Classify applies the Figure-5 decision procedure to a set of executions.
 // It is pure — no testbed runs — so it is unit-testable with synthetic
-// entries and reusable by the exec scheduler's result sink. Normal-mode and
-// strict-mode testbeds vote in separate pools, because the two modes have
-// legitimately different conforming behaviour; the pools' verdicts are then
-// merged.
+// entries. Normal-mode and strict-mode testbeds vote in separate pools,
+// because the two modes have legitimately different conforming behaviour;
+// the pools' verdicts are then merged.
 func Classify(entries []ExecEntry) CaseResult {
 	var normal, strict []ExecEntry
 	for _, e := range entries {

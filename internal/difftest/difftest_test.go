@@ -1,10 +1,21 @@
-package difftest
+// The end-to-end verdict tests drive the Figure-5 classifier through the
+// exec scheduler's one-shot Execute — the fan-out behind comfort.DiffTest
+// — from an external test package, since exec imports difftest.
+package difftest_test
 
 import (
 	"testing"
 
+	"comfort/internal/difftest"
 	"comfort/internal/engines"
+	"comfort/internal/exec"
 )
+
+// run executes src on every testbed through the scheduler and returns the
+// classified case (fuel 0 means DefaultFuel).
+func run(src string, tbs []engines.Testbed, fuel int64) difftest.CaseResult {
+	return exec.New(exec.Config{Testbeds: tbs, Fuel: fuel}).Execute(src).Result
+}
 
 func testbedsFor(t *testing.T, specs ...[2]string) []engines.Testbed {
 	t.Helper()
@@ -21,24 +32,24 @@ func testbedsFor(t *testing.T, specs ...[2]string) []engines.Testbed {
 
 func TestPassVerdict(t *testing.T) {
 	tbs := engines.LatestTestbeds()
-	cr := Run(`print(1 + 1);`, tbs, Options{})
-	if cr.Verdict != VerdictPass {
+	cr := run(`print(1 + 1);`, tbs, 0)
+	if cr.Verdict != difftest.VerdictPass {
 		t.Errorf("verdict: %s", cr.Verdict)
 	}
 }
 
 func TestInvalidVerdict(t *testing.T) {
 	tbs := engines.LatestTestbeds()
-	cr := Run(`var = broken(`, tbs, Options{})
-	if cr.Verdict != VerdictInvalid {
+	cr := run(`var = broken(`, tbs, 0)
+	if cr.Verdict != difftest.VerdictInvalid {
 		t.Errorf("verdict: %s", cr.Verdict)
 	}
 }
 
 func TestConsistentExceptionIsPass(t *testing.T) {
 	tbs := engines.LatestTestbeds()
-	cr := Run(`null.x;`, tbs, Options{})
-	if cr.Verdict != VerdictPass {
+	cr := run(`null.x;`, tbs, 0)
+	if cr.Verdict != difftest.VerdictPass {
 		t.Errorf("a uniformly thrown TypeError is a pass, got %s", cr.Verdict)
 	}
 }
@@ -52,8 +63,8 @@ func TestWrongOutputIsolatesDeviant(t *testing.T) {
 		[2]string{"QuickJS", "1722758"},
 	)
 	src := `print("Name: Albert".substr(6, undefined));`
-	cr := Run(src, tbs, Options{})
-	if cr.Verdict != VerdictWrongOutput {
+	cr := run(src, tbs, 0)
+	if cr.Verdict != difftest.VerdictWrongOutput {
 		t.Fatalf("verdict: %s", cr.Verdict)
 	}
 	if len(cr.Deviations) != 1 || cr.Deviations[0].Testbed.Version.Engine != "Rhino" {
@@ -69,8 +80,8 @@ func TestCrashVerdict(t *testing.T) {
 		[2]string{"SpiderMonkey", "v78.0"},
 	)
 	src := `"".normalize(true);`
-	cr := Run(src, tbs, Options{})
-	if cr.Verdict != VerdictCrash {
+	cr := run(src, tbs, 0)
+	if cr.Verdict != difftest.VerdictCrash {
 		t.Fatalf("verdict: %s", cr.Verdict)
 	}
 	if len(cr.Deviations) != 1 || cr.Deviations[0].Testbed.Version.Engine != "QuickJS" {
@@ -93,8 +104,8 @@ foo(30000);
 print("done");`
 	// The budget must exceed 2× what the conforming engines consume for
 	// the 2× rule to separate the slow engine from ordinary variance.
-	cr := Run(src, tbs, Options{Fuel: 2000000})
-	if cr.Verdict != VerdictTimeout {
+	cr := run(src, tbs, 2000000)
+	if cr.Verdict != difftest.VerdictTimeout {
 		t.Fatalf("verdict: %s", cr.Verdict)
 	}
 	if len(cr.Deviations) != 1 || cr.Deviations[0].Testbed.Version.Engine != "Hermes" {
@@ -104,8 +115,8 @@ print("done");`
 
 func TestAllTimeoutIgnored(t *testing.T) {
 	tbs := engines.LatestTestbeds()[:3]
-	cr := Run(`while (true) {}`, tbs, Options{Fuel: 20000})
-	if cr.Verdict != VerdictAllTimeout {
+	cr := run(`while (true) {}`, tbs, 20000)
+	if cr.Verdict != difftest.VerdictAllTimeout {
 		t.Errorf("infinite loops must be ignored, got %s", cr.Verdict)
 	}
 }
@@ -117,8 +128,8 @@ func TestParseInconsistency(t *testing.T) {
 		[2]string{"V8", "d891c59"},
 		[2]string{"QuickJS", "1722758"},
 	)
-	cr := Run(`print(0b101);`, tbs, Options{})
-	if cr.Verdict != VerdictParseInconsistent {
+	cr := run(`print(0b101);`, tbs, 0)
+	if cr.Verdict != difftest.VerdictParseInconsistent {
 		t.Fatalf("verdict: %s", cr.Verdict)
 	}
 	if len(cr.Deviations) != 1 || cr.Deviations[0].Testbed.Version.Engine != "ChakraCore" {
@@ -139,7 +150,7 @@ func TestStrictAndNormalPoolsVoteSeparately(t *testing.T) {
 	// between modes and touches no seeded-defect site.
 	src := `function f() { return this === undefined; }
 print(f());`
-	cr := Run(src, tbs, Options{})
+	cr := run(src, tbs, 0)
 	if cr.Verdict.IsBuggy() {
 		t.Errorf("legitimate strict/sloppy difference flagged as bug: %s (%d deviations)",
 			cr.Verdict, len(cr.Deviations))

@@ -26,8 +26,7 @@ func TestParseCacheGenerationalEviction(t *testing.T) {
 	if len(pc.young)+len(pc.old) > 8 {
 		t.Errorf("cache holds %d+%d entries, cap 8", len(pc.young), len(pc.old))
 	}
-	_, _, evictions := pc.stats()
-	if evictions == 0 {
+	if pc.evictions.Load() == 0 {
 		t.Error("no evictions recorded after exceeding the cap")
 	}
 
@@ -68,10 +67,7 @@ func TestParseCacheGenerationalEviction(t *testing.T) {
 	}
 }
 
-func missCount(pc *parseCache) int64 {
-	_, m, _ := pc.stats()
-	return m
-}
+func missCount(pc *parseCache) int64 { return pc.misses.Load() }
 
 // TestParseCacheResolves checks the compiled-program property: cached
 // programs come back through the full pass pipeline — scope-resolved,

@@ -127,7 +127,8 @@ func checkCollapse(t *testing.T, cfg Config, srcs []string) (*Scheduler, int) {
 func TestCollapseOracle(t *testing.T) {
 	srcs := collapseInputs()
 	s, _ := checkCollapse(t, schedCfg(4), srcs)
-	compiled, fallback := s.ExecCounts()
+	st := s.Stats()
+	compiled, fallback := st.Compiled, st.Fallback
 	runs := compiled + fallback
 	if len(s.groups) >= s.Classes() {
 		t.Fatalf("%d probe groups for %d classes: nothing to collapse", len(s.groups), s.Classes())

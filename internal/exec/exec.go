@@ -6,7 +6,8 @@
 // source + parser-option fingerprint), honours context cancellation, and
 // streams classified case results to the consumer in case order — so a
 // campaign can account findings as they arrive instead of materialising
-// every case and every result in memory first.
+// every case and every result in memory first. Execute runs the same
+// fan-out for a single case in the caller's goroutine.
 package exec
 
 import (
@@ -55,12 +56,6 @@ type Config struct {
 	Workers int
 	Fuel    int64
 	Seed    int64
-	// ParseCacheCap bounds the compiled-program cache's entry count; <=0
-	// means the default (4096). Eviction is generational: when the young
-	// generation fills, the old generation is dropped and the young one
-	// ages — entries touched within the last generation survive, so a long
-	// campaign never re-parses its entire live working set at once.
-	ParseCacheCap int
 	// CaseDeadline, when positive, arms a wall-clock watchdog on every
 	// physical execution: the interpreter probes Clock at its fuel-charge
 	// site and aborts with a classified timeout once the deadline passes.
@@ -109,29 +104,11 @@ type Scheduler struct {
 	// scheduler's unit of work is one (case, group) task.
 	groups []probeGroup
 	cache  *parseCache
-	// compiled/fallback count physical interpreter runs by evaluator:
-	// thunk-compiled programs vs tree-walked ones (parse errors count in
-	// neither). Surfaced through campaign.Progress so a campaign's
-	// compiled coverage — how much of it actually ran on the compiled
-	// path — is observable.
-	compiled atomic.Int64
-	fallback atomic.Int64
-	// icHit/icMiss/icMega accumulate the per-execution inline-cache
-	// counters the runs report, for campaign.Progress.
-	icHit  atomic.Uint64
-	icMiss atomic.Uint64
-	icMega atomic.Uint64
-	// analyzed counts executions that consulted the analyze-once report
-	// cached on the program; earlySkips counts executions the early-error
-	// gate short-circuited before any interpreter ran.
-	analyzed   atomic.Int64
-	earlySkips atomic.Int64
-	// panics/wallTimeouts count physical executions that ended in a
-	// recovered evaluator panic or a wall-clock watchdog abort — the
-	// robustness layer's visible pulse, surfaced through
-	// campaign.Progress.
-	panics       atomic.Int64
-	wallTimeouts atomic.Int64
+	// The run counters behind Stats (see there for their meaning).
+	compiled, fallback    atomic.Int64
+	icHit, icMiss, icMega atomic.Uint64
+	analyzed, earlySkips  atomic.Int64
+	panics, wallTimeouts  atomic.Int64
 }
 
 // probeGroup is the set of behaviour classes that share one probe group:
@@ -157,7 +134,7 @@ func New(cfg Config) *Scheduler {
 	if len(cfg.Testbeds) == 0 {
 		cfg.Testbeds = engines.LatestTestbeds()
 	}
-	s := &Scheduler{cfg: cfg, cache: newParseCache(cfg.ParseCacheCap)}
+	s := &Scheduler{cfg: cfg, cache: newParseCache(defaultParseCacheCap)}
 	classOf := map[string]int{}
 	for _, tb := range cfg.Testbeds {
 		p := tb.Prepare()
@@ -199,34 +176,72 @@ func New(cfg Config) *Scheduler {
 // testbeds collapse into (of interest to benchmarks and progress output).
 func (s *Scheduler) Classes() int { return len(s.classes) }
 
-// CacheStats reports compiled-program cache hits, misses and evicted
-// entries so far.
-func (s *Scheduler) CacheStats() (hits, misses, evictions int64) { return s.cache.stats() }
-
-// ExecCounts reports physical interpreter runs so far (probe runs plus
-// class runs) by evaluator path: thunk-compiled vs tree-walked (the
-// fallback — programs the compiler declined).
-func (s *Scheduler) ExecCounts() (compiled, fallback int64) {
-	return s.compiled.Load(), s.fallback.Load()
+// Stats is a snapshot of a scheduler's counters. Every counter but the
+// cache's counts physical executions (see Scheduler). Its JSON keys are
+// the campaign checkpoint's: campaign.Progress, campaign.Result and
+// campaign.State all embed one Stats.
+type Stats struct {
+	// CacheHits/CacheMisses/CacheEvictions are the compiled-program
+	// (parse-and-resolve-once) cache counters.
+	CacheHits      int64 `json:"cache_hits"`
+	CacheMisses    int64 `json:"cache_misses"`
+	CacheEvictions int64 `json:"cache_evictions"`
+	// Compiled/Fallback count physical interpreter runs by evaluator path:
+	// thunk-compiled programs vs tree-walked ones (programs the compiler
+	// declined). Parse errors and early-error skips count in neither.
+	Compiled int64 `json:"compiled"`
+	Fallback int64 `json:"fallback"`
+	// ICHits/ICMisses/ICMega are the compiled evaluator's inline-cache
+	// hit, miss and megamorphic totals.
+	ICHits   uint64 `json:"ic_hits"`
+	ICMisses uint64 `json:"ic_misses"`
+	ICMega   uint64 `json:"ic_mega"`
+	// Analyzed counts executions that rode the analyze-once report cached
+	// on the program; EarlyErrorSkips counts those the static early-error
+	// gate short-circuited before any interpreter ran.
+	Analyzed        int64 `json:"analyzed"`
+	EarlyErrorSkips int64 `json:"early_error_skips"`
+	// Panics/WallTimeouts count executions that ended in a recovered
+	// evaluator panic or a wall-clock watchdog abort (injected or real).
+	Panics       int64 `json:"panics"`
+	WallTimeouts int64 `json:"wall_timeouts"`
 }
 
-// ICStats reports the inline-cache hit / miss / megamorphic totals
-// accumulated across all executions so far.
-func (s *Scheduler) ICStats() (hit, miss, mega uint64) {
-	return s.icHit.Load(), s.icMiss.Load(), s.icMega.Load()
+// Add returns the field-wise sum of two snapshots (a resumed campaign's
+// baseline plus its new scheduler's counts).
+func (a Stats) Add(b Stats) Stats {
+	return Stats{
+		CacheHits:       a.CacheHits + b.CacheHits,
+		CacheMisses:     a.CacheMisses + b.CacheMisses,
+		CacheEvictions:  a.CacheEvictions + b.CacheEvictions,
+		Compiled:        a.Compiled + b.Compiled,
+		Fallback:        a.Fallback + b.Fallback,
+		ICHits:          a.ICHits + b.ICHits,
+		ICMisses:        a.ICMisses + b.ICMisses,
+		ICMega:          a.ICMega + b.ICMega,
+		Analyzed:        a.Analyzed + b.Analyzed,
+		EarlyErrorSkips: a.EarlyErrorSkips + b.EarlyErrorSkips,
+		Panics:          a.Panics + b.Panics,
+		WallTimeouts:    a.WallTimeouts + b.WallTimeouts,
+	}
 }
 
-// AnalyzeStats reports the analyze-once gate's activity so far: physical
-// executions (probe runs plus class runs) that rode a cached report, and
-// those the early-error verdict short-circuited.
-func (s *Scheduler) AnalyzeStats() (analyzed, earlySkips int64) {
-	return s.analyzed.Load(), s.earlySkips.Load()
-}
-
-// FaultStats reports physical executions that ended in a recovered
-// evaluator panic and in a wall-clock watchdog abort (injected or real).
-func (s *Scheduler) FaultStats() (panics, wallTimeouts int64) {
-	return s.panics.Load(), s.wallTimeouts.Load()
+// Stats snapshots the scheduler's counters so far.
+func (s *Scheduler) Stats() Stats {
+	return Stats{
+		CacheHits:       s.cache.hits.Load(),
+		CacheMisses:     s.cache.misses.Load(),
+		CacheEvictions:  s.cache.evictions.Load(),
+		Compiled:        s.compiled.Load(),
+		Fallback:        s.fallback.Load(),
+		ICHits:          s.icHit.Load(),
+		ICMisses:        s.icMiss.Load(),
+		ICMega:          s.icMega.Load(),
+		Analyzed:        s.analyzed.Load(),
+		EarlyErrorSkips: s.earlySkips.Load(),
+		Panics:          s.panics.Load(),
+		WallTimeouts:    s.wallTimeouts.Load(),
+	}
 }
 
 // caseState tracks one in-flight case across its testbed executions.
@@ -348,10 +363,8 @@ func (s *Scheduler) Run(ctx context.Context, in <-chan Case) <-chan Outcome {
 				if dropped {
 					continue
 				}
-				oc := Outcome{Case: c.c, Entries: c.entries, Result: difftest.Classify(c.entries),
-					Analysis: s.analysisFor(c.c.Src)}
 				select {
-				case out <- oc:
+				case out <- s.outcome(c):
 				case <-ctx.Done():
 					// The consumer may be gone; keep draining without
 					// emitting so the workers can finish. This case can win
@@ -363,6 +376,26 @@ func (s *Scheduler) Run(ctx context.Context, in <-chan Case) <-chan Outcome {
 		}
 	}()
 	return out
+}
+
+// Execute runs src on every configured testbed in the caller's goroutine
+// — one runGroup per probe group, with no worker pool and no gate — and
+// classifies it exactly as Run does. The case carries index 0, so a fault
+// plan applies its case-0 fault. It is the one-shot differential test
+// behind the public comfort.DiffTest.
+func (s *Scheduler) Execute(src string) Outcome {
+	cs := &caseState{c: Case{Src: src, Batch: -1},
+		entries: make([]difftest.ExecEntry, len(s.prepared))}
+	for g := range s.groups {
+		s.runGroup(g, cs)
+	}
+	return s.outcome(cs)
+}
+
+// outcome classifies a fully executed case.
+func (s *Scheduler) outcome(cs *caseState) Outcome {
+	return Outcome{Case: cs.c, Entries: cs.entries, Result: difftest.Classify(cs.entries),
+		Analysis: s.analysisFor(cs.c.Src)}
 }
 
 // acquireSlot gates one task's physical runs: a cancelled context
@@ -456,10 +489,10 @@ func (s *Scheduler) deadlineWatchdog() func() bool {
 	return func() bool { return s.cfg.Clock().Sub(start) > deadline }
 }
 
-// runOne executes one (case, behaviour class) cell through the shared
-// difftest cell semantics, with the campaign-wide parse cache supplying
-// compiled programs; the parse hook accounts which evaluator the
-// execution runs on. Fault injection and the wall-clock watchdog are
+// runOne executes one (case, behaviour class) cell: pre-parse
+// interceptors, then the campaign-wide parse cache supplying the compiled
+// program, then interpretation; the counting parse accounts which
+// evaluator the execution runs on. Fault injection and the wall-clock watchdog are
 // armed here, per physical run, so shared-class fan-out replicates the
 // (deterministic) faulted result instead of re-rolling it.
 func (s *Scheduler) runOne(class int, c Case) engines.ExecResult {
@@ -475,7 +508,14 @@ func (s *Scheduler) runOne(class int, c Case) engines.ExecResult {
 	if opts.Watchdog == nil {
 		opts.Watchdog = s.deadlineWatchdog()
 	}
-	r := difftest.RunCell(s.classRep[class], c.Src, s.countingParse, opts)
+	p := s.classRep[class]
+	var r engines.ExecResult
+	if msg := p.PreParseError(c.Src); msg != "" {
+		r = engines.PreParseResult(msg)
+	} else {
+		prog, err := s.countingParse(p, c.Src)
+		r = p.ExecParsed(prog, err, opts)
+	}
 	s.account(r)
 	return r
 }
@@ -569,7 +609,7 @@ type parsedResult struct {
 // once, before the program is published.
 //
 // Eviction is generational: entries are inserted into a young generation,
-// and when it reaches half the configured cap the old generation's entries
+// and when it reaches half the cap the old generation's entries
 // are discarded while the young generation ages in their place. A hit in
 // the old generation promotes the entry back to young. Total residency
 // stays bounded by cap, but — unlike the previous wholesale reset — the
@@ -586,12 +626,11 @@ type parseCache struct {
 	evictions atomic.Int64
 }
 
+// defaultParseCacheCap bounds the scheduler's compiled-program cache
+// entry count.
 const defaultParseCacheCap = 4096
 
 func newParseCache(cap int) *parseCache {
-	if cap <= 0 {
-		cap = defaultParseCacheCap
-	}
 	genCap := cap / 2
 	if genCap < 1 {
 		genCap = 1
@@ -648,8 +687,4 @@ func (pc *parseCache) insertLocked(key parseKey, r parsedResult) {
 		pc.young = make(map[parseKey]parsedResult, pc.genCap)
 	}
 	pc.young[key] = r
-}
-
-func (pc *parseCache) stats() (hits, misses, evictions int64) {
-	return pc.hits.Load(), pc.misses.Load(), pc.evictions.Load()
 }

@@ -86,6 +86,31 @@ func TestWorkerCountIndependence(t *testing.T) {
 	}
 }
 
+// TestExecuteMatchesRun pins the one-shot path behind comfort.DiffTest to
+// the streaming one: Execute delivers the same entries, verdict,
+// deviations and analysis for every case as Run.
+func TestExecuteMatchesRun(t *testing.T) {
+	streamed := collect(t, New(schedCfg(4)), testSrcs)
+	s := New(schedCfg(4))
+	for i, src := range testSrcs {
+		got, want := s.Execute(src), streamed[i]
+		if got.Src != src || got.Result.Verdict != want.Result.Verdict ||
+			len(got.Result.Deviations) != len(want.Result.Deviations) ||
+			(got.Analysis == nil) != (want.Analysis == nil) {
+			t.Errorf("case %d: Execute gave %s with %d deviations, Run %s with %d",
+				i, got.Result.Verdict, len(got.Result.Deviations),
+				want.Result.Verdict, len(want.Result.Deviations))
+		}
+		for j, e := range got.Entries {
+			w := want.Entries[j]
+			if e.Testbed.ID() != w.Testbed.ID() || e.Result.Semantics() != w.Result.Semantics() {
+				t.Fatalf("case %d entry %d: Execute %s %+v, Run %s %+v",
+					i, j, e.Testbed.ID(), e.Result, w.Testbed.ID(), w.Result)
+			}
+		}
+	}
+}
+
 // TestBehaviorClassesCollapse checks that the 104 full testbeds share
 // executions: there must be strictly fewer classes than testbeds.
 func TestBehaviorClassesCollapse(t *testing.T) {
@@ -105,7 +130,8 @@ func TestBehaviorClassesCollapse(t *testing.T) {
 func TestParseCacheShares(t *testing.T) {
 	s := New(schedCfg(4))
 	collect(t, s, testSrcs)
-	hits, misses, _ := s.CacheStats()
+	st := s.Stats()
+	hits, misses := st.CacheHits, st.CacheMisses
 	if hits == 0 {
 		t.Error("parse cache recorded no hits on a full-testbed run")
 	}

@@ -21,7 +21,7 @@ func faultCfg(workers int, plan *faultinject.Plan) Config {
 // TestInjectedFaultsSurfaceAsFindings pins the scheduler half of the fault
 // harness: injected panics and hangs never kill the process — each targets
 // one behaviour class of its case and surfaces as a crash/timeout verdict,
-// counted in FaultStats.
+// counted in Stats.
 func TestInjectedFaultsSurfaceAsFindings(t *testing.T) {
 	// panic=2, slow=3: over six cases both fault kinds fire repeatedly.
 	plan := faultinject.New(faultinject.Config{Seed: 5, PanicEvery: 2, SlowEvery: 3})
@@ -30,7 +30,8 @@ func TestInjectedFaultsSurfaceAsFindings(t *testing.T) {
 	if len(outcomes) != len(testSrcs) {
 		t.Fatalf("got %d outcomes, want %d", len(outcomes), len(testSrcs))
 	}
-	panics, wallTimeouts := s.FaultStats()
+	st := s.Stats()
+	panics, wallTimeouts := st.Panics, st.WallTimeouts
 	if panics == 0 {
 		t.Error("no injected panic fired at 1-in-2")
 	}
@@ -121,7 +122,7 @@ func TestInjectedSlowFaultDeviates(t *testing.T) {
 	if wall == 0 || finished == 0 {
 		t.Fatalf("expected one hung class among finishers: %d wall-clock, %d finished", wall, finished)
 	}
-	if _, wt := s.FaultStats(); wt == 0 {
+	if s.Stats().WallTimeouts == 0 {
 		t.Error("wall-timeout counter did not move")
 	}
 }

@@ -436,3 +436,40 @@ func writeAtomicSetup(dir, name, content string) error {
 	}
 	return writeAtomic(filepath.Join(dir, name), []byte(content))
 }
+
+// TestSampleKeys pins the JSON keys of an SSE progress sample, in order.
+// The scheduler counters carry the checkpoint's snake_case keys (they are
+// campaign.Progress's embedded exec.Stats); the case position and the
+// campaign-level counters keep their Go field names.
+func TestSampleKeys(t *testing.T) {
+	data, err := json.Marshal(Sample{JobID: "job-000001", State: StateRunning})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(strings.NewReader(string(data)))
+	if _, err := dec.Token(); err != nil { // {
+		t.Fatal(err)
+	}
+	var keys []string
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{
+		"job_id", "state", "Done", "Total",
+		"cache_hits", "cache_misses", "cache_evictions", "compiled", "fallback",
+		"ic_hits", "ic_misses", "ic_mega", "analyzed", "early_error_skips",
+		"panics", "wall_timeouts",
+		"FlaggedNondet", "FeaturesSeen", "Checkpoints",
+	}
+	if strings.Join(keys, ",") != strings.Join(want, ",") {
+		t.Errorf("sample keys:\n got %v\nwant %v", keys, want)
+	}
+}

@@ -506,15 +506,14 @@ func reduceFindings(ctx context.Context, cfg Config, res *Result) {
 
 // reduceFinding shrinks a bug-exposing test case while the single-defect
 // divergence persists. The defect and reference executors are prepared
-// once; the predicate then costs two interpretations per candidate, which
-// the reducer evaluates speculatively in parallel.
+// once; the predicate then costs two interpretations per candidate (one
+// compiled candidate shared between them when parser options coincide),
+// which the reducer evaluates speculatively in parallel.
 func reduceFinding(ctx context.Context, f *Finding, cfg Config) string {
-	// The predicate shares one compiled candidate between the defect and
-	// reference executions when parser options coincide.
 	opts := engines.RunOptions{Fuel: cfg.Fuel, Seed: cfg.Seed}
 	buggy := engines.NewDefectRunner(f.Defect, f.strict)
 	ref := engines.NewDefectRunner(nil, f.strict)
-	return reduce.Parallel(f.TestCase, engines.DivergesRunners(buggy, ref, opts),
+	return reduce.Parallel(f.TestCase, engines.Diverges(buggy, ref, opts),
 		reduce.Options{Workers: cfg.Workers, Context: ctx})
 }
 

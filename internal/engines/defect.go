@@ -339,12 +339,6 @@ func thisEmptyString() func(*interp.HookCtx) bool {
 	}
 }
 
-func thisStringContains(sub string) func(*interp.HookCtx) bool {
-	return func(ctx *interp.HookCtx) bool {
-		return ctx.This.Kind() == interp.KindString && strings.Contains(ctx.This.Str(), sub)
-	}
-}
-
 func and(preds ...func(*interp.HookCtx) bool) func(*interp.HookCtx) bool {
 	return func(ctx *interp.HookCtx) bool {
 		for _, p := range preds {

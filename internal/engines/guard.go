@@ -10,32 +10,30 @@ import (
 )
 
 // This file is the panic-isolation layer: every physical interpreter run —
-// the scheduler's behaviour-class executions, single-defect attribution
-// and reduction replays, and the direct Run paths — funnels through
-// runRealm, so an evaluator panic anywhere in the interpreter surfaces
-// as a classified OutcomeCrash result instead of killing the campaign
-// process. An interpreter crash is a finding: the result is deduplicated,
-// attributed and reported like any other divergence. The interpreter is
-// deterministic, so a panicking (config, program, fuel, seed) combination
-// panics identically — same message, same partial output, same fuel — on
-// every run, which keeps the crash-as-finding results byte-identical
-// across workers, shards and checkpoint resumes.
+// the scheduler's behaviour-class executions and probes, single-defect
+// attribution and reduction replays, and the direct Run paths — funnels
+// through runRealm, so an evaluator panic anywhere in the interpreter
+// surfaces as a classified OutcomeCrash result instead of killing the
+// campaign process. An interpreter crash is a finding: the result is
+// deduplicated, attributed and reported like any other divergence. The
+// interpreter is deterministic, so a panicking (config, program, fuel,
+// seed) combination panics identically — same message, same partial
+// output, same fuel — on every run, which keeps the crash-as-finding
+// results byte-identical across workers, shards and checkpoint resumes.
 
 // runRealm is the package's single realm entry point and the shared tail
-// of every executor: it fills the per-run fields of cfg (the testbed's or
-// defect's config deltas and hook) from opts, builds the realm, executes
-// the (possibly thunk-compiled) program and classifies the outcome,
-// converting evaluator panics into crash results. cov and dictObjects are
-// the coverage recorder and the dictionary-object layout; only the
-// testbed path passes opts' values, single-defect runs pass nil and false.
-func runRealm(cfg interp.Config, prog *ast.Program, opts RunOptions,
-	cov *interp.Coverage, dictObjects bool) (res ExecResult) {
+// of every executor: it fills the per-run fields of cfg (the testbed's
+// config deltas and hook, or a probe's recorder) from opts — fuel, seed,
+// watchdog, the coverage recorder and the object layout — builds the
+// realm, executes the (possibly thunk-compiled) program and classifies the
+// outcome, converting evaluator panics into crash results.
+func runRealm(cfg interp.Config, prog *ast.Program, opts RunOptions) (res ExecResult) {
 	cfg.Fuel = opts.Fuel
 	cfg.Seed = opts.Seed
 	cfg.Watchdog = opts.Watchdog
-	cfg.DisableShapes = dictObjects
+	cfg.DisableShapes = opts.dictObjects
 	in := builtins.NewRuntime(cfg)
-	in.Cov = cov
+	in.Cov = opts.Cov
 	defer func() {
 		if rec := recover(); rec != nil {
 			res = ExecResult{

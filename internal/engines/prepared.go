@@ -34,7 +34,15 @@ type PreparedTestbed struct {
 var (
 	preparedMu    sync.Mutex
 	preparedCache = map[string]*PreparedTestbed{}
+	defectCache   = map[defectMode]*PreparedTestbed{}
 )
+
+// defectMode keys the single-defect memo by pointer, so synthetic defects
+// outside the catalog get runners of their own.
+type defectMode struct {
+	d      *Defect
+	strict bool
+}
 
 // Prepare resolves the testbed's defect set, hook chain and option deltas.
 // Results are memoised per version×mode, so repeated calls are cheap.
@@ -45,15 +53,35 @@ func (tb Testbed) Prepare() *PreparedTestbed {
 	if p, ok := preparedCache[key]; ok {
 		return p
 	}
-	p := prepare(tb)
+	p := prepare(tb, ActiveDefects(tb.Version))
 	preparedCache[key] = p
 	return p
 }
 
-func prepare(tb Testbed) *PreparedTestbed {
+// NewDefectRunner prepares the executor with exactly one defect installed,
+// memoised per defect pointer and mode: the ground-truth attribution
+// primitive. Its Testbed is a synthetic one naming the defect. A nil defect
+// yields the reference itself, ReferenceTestbed(strict).Prepare().
+func NewDefectRunner(d *Defect, strict bool) *PreparedTestbed {
+	if d == nil {
+		return ReferenceTestbed(strict).Prepare()
+	}
+	key := defectMode{d, strict}
+	preparedMu.Lock()
+	defer preparedMu.Unlock()
+	if p, ok := defectCache[key]; ok {
+		return p
+	}
+	tb := Testbed{Version: Version{Engine: "Defect", Name: d.ID}, Strict: strict}
+	p := prepare(tb, []*Defect{d})
+	defectCache[key] = p
+	return p
+}
+
+func prepare(tb Testbed, defects []*Defect) *PreparedTestbed {
 	p := &PreparedTestbed{
 		Testbed:  tb,
-		defects:  ActiveDefects(tb.Version),
+		defects:  defects,
 		baseCfg:  interp.Config{Strict: tb.Strict},
 		parseOps: parser.Options{Strict: tb.Strict},
 	}
@@ -184,7 +212,8 @@ func (p *PreparedTestbed) Run(src string, opts RunOptions) ExecResult {
 // from a parse cache — into an execution: a parse error classifies as
 // OutcomeParseError, a static-semantics violation as a pre-execution
 // SyntaxError, anything else interprets. Keeping this in one place stops
-// the direct-run, difftest and scheduler paths from drifting apart.
+// the direct-run, scheduler, attribution and reduction paths from
+// drifting apart.
 func (p *PreparedTestbed) ExecParsed(prog *ast.Program, err error, opts RunOptions) ExecResult {
 	if res, static := staticResult(prog, err); static {
 		return res
@@ -231,7 +260,7 @@ func earlyErrorResult(prog *ast.Program) (ExecResult, bool) {
 // is panic-isolated: an evaluator panic classifies as an OutcomeCrash
 // result (see runRealm) instead of unwinding into the scheduler.
 func (p *PreparedTestbed) Exec(prog *ast.Program, opts RunOptions) ExecResult {
-	return runRealm(p.baseCfg, prog, opts, opts.Cov, opts.dictObjects)
+	return runRealm(p.baseCfg, prog, opts)
 }
 
 // classifyRunError maps an interpreter error to the Figure-5 per-testbed
@@ -269,33 +298,53 @@ func classifyRunError(res *ExecResult, runErr error) {
 
 // Diverges builds a reduction predicate over two prepared testbeds: it
 // reports whether src behaves differently on a and b under opts. When the
-// testbeds' parser options coincide (the common case — a version against
-// the reference) each candidate is parsed once and the AST shared between
-// both executions, so a reducer evaluating hundreds of candidates pays one
-// parse, not two, per candidate. The predicate is safe for concurrent
-// calls, as reduce.Parallel requires.
+// testbeds' parser options coincide (the common case — a version or a
+// single-defect runner against the reference) each candidate is parsed
+// once and the program shared between both executions, so a reducer
+// evaluating hundreds of candidates pays one parse, not two, per
+// candidate. The predicate is safe for concurrent calls, as
+// reduce.Parallel requires.
 func Diverges(a, b *PreparedTestbed, opts RunOptions) func(src string) bool {
-	if a.ParseFingerprint() != b.ParseFingerprint() {
-		return func(src string) bool {
-			return a.Run(src, opts).Key() != b.Run(src, opts).Key()
-		}
-	}
 	return func(src string) bool {
-		var prog *ast.Program
-		var perr error
-		parsed := false
-		runOne := func(p *PreparedTestbed) ExecResult {
-			if msg := p.PreParseError(src); msg != "" {
-				return PreParseResult(msg)
-			}
-			if !parsed {
-				prog, perr = a.Parse(src)
-				parsed = true
-			}
-			return p.ExecParsed(prog, perr, opts)
-		}
-		return runOne(a).Key() != runOne(b).Key()
+		sh := sharedParse{src: src}
+		return sh.run(a, opts).Key() != sh.run(b, opts).Key()
 	}
+}
+
+// sharedParse compiles one source at most once per parser-option
+// fingerprint, so executors whose options coincide run one shared
+// compiled program. It is not safe for concurrent use.
+type sharedParse struct {
+	src  string
+	done []parsedProgram
+}
+
+type parsedProgram struct {
+	fp   uint64
+	prog *ast.Program
+	err  error
+}
+
+// parse returns src compiled under p's parser options.
+func (sh *sharedParse) parse(p *PreparedTestbed) (*ast.Program, error) {
+	fp := p.ParseFingerprint()
+	for _, c := range sh.done {
+		if c.fp == fp {
+			return c.prog, c.err
+		}
+	}
+	prog, err := p.Parse(sh.src)
+	sh.done = append(sh.done, parsedProgram{fp, prog, err})
+	return prog, err
+}
+
+// run is p.Run over the shared parse.
+func (sh *sharedParse) run(p *PreparedTestbed, opts RunOptions) ExecResult {
+	if msg := p.PreParseError(sh.src); msg != "" {
+		return PreParseResult(msg)
+	}
+	prog, err := sh.parse(p)
+	return p.ExecParsed(prog, err, opts)
 }
 
 // hookDefects returns the defects whose hooks run in the given mode, in ID
@@ -312,10 +361,14 @@ func hookDefects(defects []*Defect, strict bool) []*Defect {
 }
 
 // combineHooks merges the defects' hooks in slice order; the first
-// override wins.
+// override wins. A lone hook is returned as is, so a single-defect runner
+// calls its defect's hook directly.
 func combineHooks(hooks []*Defect) interp.Hook {
-	if len(hooks) == 0 {
+	switch len(hooks) {
+	case 0:
 		return nil
+	case 1:
+		return hooks[0].Hook
 	}
 	return func(ctx *interp.HookCtx) *interp.Override {
 		for _, d := range hooks {

@@ -89,7 +89,7 @@ func (pr *Probe) ExecParsed(prog *ast.Program, err error, opts RunOptions) (Exec
 	if len(pr.hooks) > 0 {
 		cfg.Hook = pr.recorder(fired)
 	}
-	return runRealm(cfg, prog, opts, nil, false), fired
+	return runRealm(cfg, prog, opts), fired
 }
 
 // recorder is the probe's hook: every defect whose trigger has not matched

@@ -22,12 +22,12 @@ func TestProbeMarksWitnessDefect(t *testing.T) {
 		if r.baseCfg.Hook == nil {
 			continue // no hook, or a strict-only hook with a normal-mode witness
 		}
-		if msg := r.preParseError(d.Witness); msg != "" {
+		if msg := r.PreParseError(d.Witness); msg != "" {
 			t.Errorf("%s: witness rejected before its hook can run: %s", d.ID, msg)
 			continue
 		}
 		pr := newProbe(r.baseCfg, [][]*Defect{{d}})
-		prog, err := parseProgram(d.Witness, r.parseOpts)
+		prog, err := r.Parse(d.Witness)
 		if _, fired := pr.ExecParsed(prog, err, probeOpts); pr.Quiet(0, fired) {
 			t.Errorf("%s: probing its witness did not mark the hook fired\nwitness:\n%s", d.ID, d.Witness)
 		}
@@ -56,7 +56,7 @@ func TestProbeIsPure(t *testing.T) {
 			got, f := pr.ExecParsed(prog, err, probeOpts)
 			want, static := staticResult(prog, err)
 			if !static {
-				want = runRealm(quiet, prog, probeOpts, nil, false)
+				want = runRealm(quiet, prog, probeOpts)
 			}
 			if got.Semantics() != want.Semantics() {
 				t.Fatalf("strict=%v program %d: the probe changed the run\nprobe: %+v\nquiet: %+v\nprogram:\n%s",
@@ -72,20 +72,71 @@ func TestProbeIsPure(t *testing.T) {
 	}
 }
 
+// isolatedRun executes src with exactly one defect installed (none for a
+// nil d), written out from the defect's fields rather than through
+// prepare: the Configure and ParserOpts deltas, the hook only when it runs
+// in this mode, the pre-parse gate, then the shared parse pipeline and
+// realm. It is the oracle NewDefectRunner and Attribute are checked
+// against.
+func isolatedRun(d *Defect, strict bool, src string, opts RunOptions) ExecResult {
+	cfg := interp.Config{Strict: strict}
+	po := parser.Options{Strict: strict}
+	if d != nil {
+		if d.Configure != nil {
+			d.Configure(&cfg)
+		}
+		if d.ParserOpts != nil {
+			d.ParserOpts(&po)
+		}
+		if d.Hook != nil && (!d.StrictOnly || strict) {
+			cfg.Hook = d.Hook
+		}
+		if d.PreParse != nil {
+			if msg := d.PreParse(src); msg != "" {
+				return PreParseResult("SyntaxError: " + msg)
+			}
+		}
+	}
+	prog, err := parseProgram(src, po)
+	if res, static := staticResult(prog, err); static {
+		return res
+	}
+	return runRealm(cfg, prog, opts)
+}
+
+// TestDefectRunnerMatchesIsolatedRun pins the single-defect runner, a
+// PreparedTestbed over one defect, to the written-out isolatedRun: for the
+// reference and every catalog defect in both modes, over the defect's
+// witness and a fixed corpus slice.
+func TestDefectRunnerMatchesIsolatedRun(t *testing.T) {
+	corpusSlice := corpus.Programs()[:20]
+	defects := append([]*Defect{nil}, Catalog()...)
+	for _, d := range defects {
+		srcs := corpusSlice
+		name := "reference"
+		if d != nil {
+			srcs = append([]string{d.Witness}, corpusSlice...)
+			name = d.ID
+		}
+		for _, strict := range []bool{false, true} {
+			r := NewDefectRunner(d, strict)
+			for i, src := range srcs {
+				got, want := r.Run(src, probeOpts), isolatedRun(d, strict, src, probeOpts)
+				if got.Semantics() != want.Semantics() {
+					t.Errorf("%s strict=%v program %d: runner %+v, isolated %+v", name, strict, i, got, want)
+				}
+			}
+		}
+	}
+}
+
 // attributeFull is the reference attribution: every active defect re-run
 // in isolation against the defect-free reference, with no probe.
 func attributeFull(src string, tb Testbed, opts RunOptions) []*Defect {
-	run := func(r *DefectRunner) ExecResult {
-		if msg := r.preParseError(src); msg != "" {
-			return PreParseResult(msg)
-		}
-		prog, err := parseProgram(src, r.parseOpts)
-		return r.execParsed(prog, err, opts)
-	}
-	ref := run(NewDefectRunner(nil, tb.Strict))
+	ref := isolatedRun(nil, tb.Strict, src, opts)
 	var out []*Defect
 	for _, d := range ActiveDefects(tb.Version) {
-		if run(NewDefectRunner(d, tb.Strict)).Key() != ref.Key() {
+		if isolatedRun(d, tb.Strict, src, opts).Key() != ref.Key() {
 			out = append(out, d)
 		}
 	}

@@ -65,6 +65,8 @@ func TestHandlerTable(t *testing.T) {
 		{"unknown fuzzer", `{"fuzzer":"NOPE","cases":5}`, http.StatusBadRequest, ""},
 		{"zero cases", `{"fuzzer":"COMFORT","cases":0}`, http.StatusBadRequest, ""},
 		{"negative knob", `{"fuzzer":"COMFORT","cases":5,"workers":-1}`, http.StatusBadRequest, ""},
+		{"workers over bound", `{"fuzzer":"COMFORT","cases":5,"workers":20000000}`, http.StatusBadRequest, "at most 1024"},
+		{"gen_shards over bound", `{"fuzzer":"COMFORT","cases":5,"gen_shards":20000000}`, http.StatusBadRequest, "at most 1024"},
 		{"bad fault spec", `{"fuzzer":"COMFORT","cases":5,"faults":"wat=1"}`, http.StatusBadRequest, ""},
 		{"testbed limit too large", `{"fuzzer":"COMFORT","cases":5,"testbed_limit":100000}`, http.StatusBadRequest, ""},
 		{"oversize body", oversize, http.StatusRequestEntityTooLarge, "exceeds"},

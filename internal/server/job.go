@@ -59,6 +59,10 @@ type Spec struct {
 	Faults string `json:"faults,omitempty"`
 }
 
+// maxParallelism bounds workers and gen_shards: each starts that many
+// goroutines, and a huge value's out-of-memory is fatal, past any recover.
+const maxParallelism = 1024
+
 // Validate rejects malformed specs with an actionable message.
 func (sp *Spec) Validate() error {
 	if _, ok := fuzzers.ByName(sp.Fuzzer); !ok {
@@ -75,6 +79,9 @@ func (sp *Spec) Validate() error {
 	}
 	if sp.Workers < 0 || sp.GenShards < 0 || sp.CheckpointEvery < 0 || sp.Fuel < 0 {
 		return fmt.Errorf("workers/gen_shards/checkpoint_every/fuel must be non-negative")
+	}
+	if sp.Workers > maxParallelism || sp.GenShards > maxParallelism {
+		return fmt.Errorf("workers/gen_shards must be at most %d", maxParallelism)
 	}
 	if sp.Faults != "" {
 		if _, err := faultinject.Parse(sp.Faults); err != nil {

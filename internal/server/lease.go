@@ -79,6 +79,18 @@ func (l *Lease) fresh(now time.Time) bool {
 	return !l.Released && now.UnixMilli() < l.DeadlineMS
 }
 
+// sameClaim reports whether l and o are the same claim: both present,
+// with the same {Instance, Epoch} pair (see Epoch).
+func (l *Lease) sameClaim(o *Lease) bool {
+	return l != nil && o != nil && l.Instance == o.Instance && l.Epoch == o.Epoch
+}
+
+// holds reports whether the job's lease file still carries exactly claim l.
+func (s *Supervisor) holds(id string, l *Lease) bool {
+	cur, err := s.store.ReadLease(id)
+	return err == nil && cur.sameClaim(l)
+}
+
 // ErrFenced reports a store write refused because the writer no longer
 // holds the job's lease (a peer bumped the fencing epoch, or the
 // writer's own deadline passed without renewal).
@@ -208,7 +220,7 @@ func (s *Supervisor) claimJob(j *Job) error {
 			}
 			return fmt.Errorf("lease create: %w", cerr)
 		}
-	case held != nil && cur.Instance == held.Instance && cur.Epoch == held.Epoch:
+	case cur.sameClaim(held):
 		// Still ours from an earlier attempt this incarnation (a retry
 		// after backoff, say): extend in place, same epoch.
 		next.Epoch = cur.Epoch
@@ -234,8 +246,7 @@ func (s *Supervisor) claimJob(j *Job) error {
 		// argument never rests on it — durable writes stay single-writer
 		// because fencedWrite compares the {instance, epoch} pair.
 		for confirm := 0; confirm < 2; confirm++ {
-			chk, cerr := s.store.ReadLease(j.ID)
-			if cerr != nil || chk == nil || chk.Instance != next.Instance || chk.Epoch != next.Epoch {
+			if !s.holds(j.ID, next) {
 				return errLeaseBusy
 			}
 		}
@@ -277,8 +288,7 @@ func (s *Supervisor) fencedWrite(j *Job, write func() error) error {
 		s.fenceJob(j)
 		return ErrFenced
 	}
-	cur, err := s.store.ReadLease(j.ID)
-	if err != nil || cur == nil || cur.Instance != l.Instance || cur.Epoch != l.Epoch {
+	if !s.holds(j.ID, l) {
 		s.fenceJob(j)
 		return ErrFenced
 	}
@@ -318,8 +328,9 @@ func (s *Supervisor) releaseLease(j *Job) {
 	if l == nil || s.killed.Load() {
 		return
 	}
-	cur, err := s.store.ReadLease(j.ID)
-	if err != nil || cur == nil || cur.Instance != l.Instance || cur.Epoch != l.Epoch {
+	s.leaseMu.Lock()
+	defer s.leaseMu.Unlock()
+	if !s.holds(j.ID, l) {
 		return
 	}
 	rel := *l
@@ -332,40 +343,49 @@ func (s *Supervisor) releaseLease(j *Job) {
 // over while we stalled).
 func (s *Supervisor) renewLeases() {
 	for _, j := range s.snapshotJobs() {
-		j.mu.Lock()
-		l := j.lease
-		terminal := terminalState(j.status.State)
-		j.mu.Unlock()
-		if l == nil || terminal {
-			continue
-		}
-		if !l.fresh(s.now()) {
-			// Our own deadline passed without renewal — a peer may already
-			// be mid-takeover. Renewing anyway would reopen the classic
-			// read/write window: a stale holder waking between the peer's
-			// takeover read and write could rename its old-epoch record
-			// back over the fresh lease and silently steal ownership back.
-			// Self-fence instead; that narrows the steal-back window to
-			// the same microsecond rename race data writes already accept.
-			s.fenceJob(j)
-			continue
-		}
-		cur, err := s.store.ReadLease(j.ID)
-		if err != nil || cur == nil || cur.Instance != l.Instance || cur.Epoch != l.Epoch {
-			s.fenceJob(j)
-			continue
-		}
 		if s.killed.Load() {
 			return
 		}
-		nl := s.newLease(l.Epoch)
-		if werr := s.store.WriteLease(j.ID, nl); werr == nil {
-			j.mu.Lock()
-			if j.lease == l {
-				j.lease = nl
-			}
-			j.mu.Unlock()
+		s.renewLease(j)
+	}
+}
+
+// renewLease renews one job's claim. It holds leaseMu, as releaseLease
+// does, so a release never lands between the renewal's check and its
+// write, where the renewal would overwrite the hand-back with a live
+// claim a peer must wait out.
+func (s *Supervisor) renewLease(j *Job) {
+	s.leaseMu.Lock()
+	defer s.leaseMu.Unlock()
+	j.mu.Lock()
+	l := j.lease
+	terminal := terminalState(j.status.State)
+	j.mu.Unlock()
+	if l == nil || terminal {
+		return
+	}
+	if !l.fresh(s.now()) {
+		// Our own deadline passed without renewal — a peer may already
+		// be mid-takeover. Renewing anyway would reopen the classic
+		// read/write window: a stale holder waking between the peer's
+		// takeover read and write could rename its old-epoch record
+		// back over the fresh lease and silently steal ownership back.
+		// Self-fence instead; that narrows the steal-back window to
+		// the same microsecond rename race data writes already accept.
+		s.fenceJob(j)
+		return
+	}
+	if !s.holds(j.ID, l) {
+		s.fenceJob(j)
+		return
+	}
+	nl := s.newLease(l.Epoch)
+	if werr := s.store.WriteLease(j.ID, nl); werr == nil {
+		j.mu.Lock()
+		if j.lease == l {
+			j.lease = nl
 		}
+		j.mu.Unlock()
 	}
 }
 
@@ -388,13 +408,8 @@ func (s *Supervisor) scanStore() {
 		if s.jobs[rec.Status.ID] != nil {
 			continue
 		}
-		j := &Job{ID: rec.Status.ID, Seq: rec.Status.Seq, Spec: rec.Spec, hub: newHub(), status: rec.Status}
-		s.jobs[j.ID] = j
-		s.order = append(s.order, j.ID)
+		s.adoptLocked(rec)
 		adopted = true
-		if terminalState(j.status.State) {
-			j.hub.close()
-		}
 	}
 	if adopted {
 		jobs := s.jobs

@@ -254,6 +254,61 @@ func TestFencedWriteCrashWindows(t *testing.T) {
 	})
 }
 
+// TestRenewRacingReleaseKeepsHandBack races the heartbeat against a
+// finishing run, the interleaving the two-instance oracle once hit: the
+// renewal snapshots a held claim, the run releases it, then the renewal
+// writes. The hand-back must survive every round — a renewal landing
+// after the release would leave a live claim a peer must wait out.
+func TestRenewRacingReleaseKeepsHandBack(t *testing.T) {
+	clk := newFakeClock()
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSupervisor(twoInstanceOptions(store, clk, "alpha"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown()
+
+	sp := Spec{Fuzzer: "COMFORT", Cases: 8}
+	id := mkJobDir(t, store, 14, sp)
+	s.mu.Lock()
+	j := s.adoptLocked(JobRecord{Spec: sp, Status: Status{ID: id, Seq: 14, State: StateRunning}})
+	s.mu.Unlock()
+	for round := 0; round < 200; round++ {
+		if err := s.claimJob(j); err != nil {
+			t.Fatalf("round %d: claim: %v", round, err)
+		}
+		stop, renewing, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+					s.renewLeases()
+				}
+				if n == 0 {
+					close(renewing)
+				}
+			}
+		}()
+		<-renewing
+		s.releaseLease(j)
+		close(stop)
+		<-done
+		l, err := store.ReadLease(id)
+		if err != nil || l == nil || !l.Released {
+			t.Fatalf("round %d: lease after release: %+v (err %v), want released", round, l, err)
+		}
+	}
+	if s.Fences() != 0 {
+		t.Fatalf("renewals racing releases fenced %d times, want 0", s.Fences())
+	}
+}
+
 // TestRetryDelayGoldenSchedule pins the exact backoff schedule to golden
 // values: the delays are a pure function of (seq, attempt), so a
 // restarted instance — or a peer taking the job over — computes the

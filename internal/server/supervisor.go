@@ -145,6 +145,18 @@ type Job struct {
 	running bool
 }
 
+// adoptLocked registers a job rebuilt from its on-disk record and closes a
+// terminal job's hub. The caller holds s.mu (NewSupervisor owns s).
+func (s *Supervisor) adoptLocked(rec JobRecord) *Job {
+	j := &Job{ID: rec.Status.ID, Seq: rec.Status.Seq, Spec: rec.Spec, hub: newHub(), status: rec.Status}
+	s.jobs[j.ID] = j
+	s.order = append(s.order, j.ID)
+	if terminalState(j.status.State) {
+		j.hub.close()
+	}
+	return j
+}
+
 // snapshot returns a copy of the job's status.
 func (j *Job) snapshot() Status {
 	j.mu.Lock()
@@ -201,6 +213,7 @@ type Supervisor struct {
 	// write for the job and may block — the SIGSTOP-emulation seam: a
 	// paused instance is one stuck between deciding to write and writing.
 	writeGate func(jobID string)
+	leaseMu   sync.Mutex // serialises renewLease's and releaseLease's read-then-write
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -287,11 +300,8 @@ func NewSupervisor(opt Options) (*Supervisor, error) {
 	s.warnings = warnings
 	s.nextSeq = maxSeq + 1
 	for _, rec := range records {
-		j := &Job{ID: rec.Status.ID, Seq: rec.Status.Seq, Spec: rec.Spec, hub: newHub(), status: rec.Status}
-		s.jobs[j.ID] = j
-		s.order = append(s.order, j.ID)
+		j := s.adoptLocked(rec)
 		if terminalState(j.status.State) {
-			j.hub.close()
 			continue
 		}
 		// A live peer's fresh claim means the job is being run elsewhere:

@@ -428,3 +428,30 @@ func TestTablesRender(t *testing.T) {
 		t.Error("Table 2 must contain the paper total 158")
 	}
 }
+
+// TestWorkPerCase pins the scheduler's work per case on the 1000-case
+// seed-1 COMFORT campaign over all testbeds: one base parse and one probe
+// per mode stand in for most of the 104 testbeds, so a case costs at most
+// 4 physical runs (probes plus re-run classes, early-error skips
+// included) and at most 2.2 parse-cache misses.
+func TestWorkPerCase(t *testing.T) {
+	const cases = 1000
+	res := Run(Config{
+		Fuzzer:   fuzzers.NewComfort(),
+		Testbeds: engines.Testbeds(),
+		Cases:    cases,
+		Seed:     1,
+	})
+	if res.CasesRun != cases {
+		t.Fatalf("ran %d of %d cases", res.CasesRun, cases)
+	}
+	runs := res.Compiled + res.Fallback + res.EarlyErrorSkips
+	if perCase := float64(runs) / cases; perCase > 4 {
+		t.Errorf("%.2f physical runs per case, want <= 4", perCase)
+	}
+	if perCase := float64(res.CacheMisses) / cases; perCase > 2.2 {
+		t.Errorf("%.2f parse-cache misses per case, want <= 2.2", perCase)
+	}
+	t.Logf("per case: %.2f physical runs, %.2f parse-cache misses",
+		float64(runs)/cases, float64(res.CacheMisses)/cases)
+}

@@ -10,46 +10,43 @@ func DivergesRunners(a, b *PreparedTestbed, opts RunOptions) func(src string) bo
 // responsible for a divergence observed on src: each active defect that
 // could have changed the run is re-run in isolation (NewDefectRunner)
 // against the defect-free reference. The reference runs as a Probe over
-// the defects that only hook (no Configure, ParserOpts or PreParse), so a
-// hook-only defect whose trigger never matched is known to reproduce the
-// reference result and is not re-run. Candidates whose resolved parser
-// options coincide share one compiled program (sharedParse, as in
-// Diverges), so a witness is parsed (and compiled) once per distinct
-// option fingerprint; only the handful of defects with parser
-// interceptors pay their own parse. Each re-run candidate still executes
-// with exactly its own config, hook and pre-parse gate.
+// the defects without a PreParse interceptor, under the scheduler's rule:
+// such a defect is known to reproduce the reference result, and is not
+// re-run, when its trigger never matched, its Configure delta (if any)
+// was never consulted, and it takes the reference's parse
+// (TakesBaseParse). The re-run candidates share compiled programs through
+// one sharedParse, as in Diverges, so a witness is parsed (and compiled)
+// once per distinct parse. Each re-run candidate still executes with
+// exactly its own config, hook and pre-parse gate.
 func Attribute(src string, tb Testbed, opts RunOptions) []*Defect {
 	active := tb.Prepare().ActiveDefects()
-	var hookOnly [][]*Defect
+	var probed [][]*Defect
+	var configured []bool
 	for _, d := range active {
-		if onlyHooks(d) {
-			hookOnly = append(hookOnly, hookDefects([]*Defect{d}, tb.Strict))
+		if d.PreParse == nil {
+			probed = append(probed, hookDefects([]*Defect{d}, tb.Strict))
+			configured = append(configured, d.Configure != nil)
 		}
 	}
 	sh := sharedParse{src: src}
 	ref := NewDefectRunner(nil, tb.Strict)
-	probe := newProbe(ref.baseCfg, hookOnly)
+	probe := newProbe(ref.baseCfg, probed, configured)
 	prog, err := sh.parse(ref)
 	refRes, fired := probe.ExecParsed(prog, err, opts)
 	var out []*Defect
 	member := 0 // index of d among the probe's members
 	for _, d := range active {
-		if onlyHooks(d) {
-			quiet := probe.Quiet(member, fired)
+		r := NewDefectRunner(d, tb.Strict)
+		if d.PreParse == nil {
+			quiet := probe.Quiet(member, fired) && r.TakesBaseParse(err)
 			member++
 			if quiet {
 				continue
 			}
 		}
-		if sh.run(NewDefectRunner(d, tb.Strict), opts).Key() != refRes.Key() {
+		if sh.run(r, opts).Key() != refRes.Key() {
 			out = append(out, d)
 		}
 	}
 	return out
-}
-
-// onlyHooks reports whether the defect acts through its hook alone: with
-// no Configure, ParserOpts or PreParse it runs the reference config.
-func onlyHooks(d *Defect) bool {
-	return d.Configure == nil && d.ParserOpts == nil && d.PreParse == nil
 }

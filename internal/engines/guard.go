@@ -26,7 +26,9 @@ import (
 // config deltas and hook, or a probe's recorder) from opts — fuel, seed,
 // watchdog, the coverage recorder and the object layout — builds the
 // realm, executes the (possibly thunk-compiled) program and classifies the
-// outcome, converting evaluator panics into crash results.
+// outcome, converting evaluator panics into crash results. When
+// opts.configRead is set it receives the interpreter's ConfigRead bit,
+// panicked run or not.
 func runRealm(cfg interp.Config, prog *ast.Program, opts RunOptions) (res ExecResult) {
 	cfg.Fuel = opts.Fuel
 	cfg.Seed = opts.Seed
@@ -44,6 +46,9 @@ func runRealm(cfg interp.Config, prog *ast.Program, opts RunOptions) (res ExecRe
 				FuelUsed: in.FuelUsed(),
 				Panic:    true,
 			}
+		}
+		if opts.configRead != nil {
+			*opts.configRead = in.ConfigRead()
 		}
 	}()
 	runErr := runProgramInjected(in, prog, opts)

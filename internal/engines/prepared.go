@@ -17,7 +17,7 @@ import (
 // resolved once: the active defect subset of the catalog, the combined hook
 // chain, the interpreter config deltas and the parser options. Preparing a
 // testbed turns Testbed.Run's per-execution catalog scan + hook sort into a
-// one-time cost, which matters when a campaign executes the same 102
+// one-time cost, which matters when a campaign executes the same 104
 // testbeds tens of thousands of times.
 type PreparedTestbed struct {
 	Testbed Testbed
@@ -28,7 +28,6 @@ type PreparedTestbed struct {
 	baseCfg  interp.Config  // Strict + Configure deltas + hook chain; Fuel/Seed filled per run
 	parseOps parser.Options // Strict + ParserOpts deltas
 	behavior string         // mode + active defect IDs; see BehaviorKey
-	group    string         // mode + Configure/ParserOpts defect IDs; see ProbeKey
 }
 
 var (
@@ -98,29 +97,22 @@ func prepare(tb Testbed, defects []*Defect) *PreparedTestbed {
 	}
 	p.hooks = hookDefects(p.defects, tb.Strict)
 	p.baseCfg.Hook = combineHooks(p.hooks)
-	p.behavior = modeKey(tb.Strict, p.defects, func(*Defect) bool { return true })
-	p.group = modeKey(tb.Strict, p.defects, func(d *Defect) bool {
-		return d.Configure != nil || d.ParserOpts != nil
-	})
+	var b strings.Builder
+	b.WriteString(modeName(tb.Strict))
+	for _, d := range p.defects {
+		b.WriteByte('|')
+		b.WriteString(d.ID)
+	}
+	p.behavior = b.String()
 	return p
 }
 
-// modeKey renders the mode followed by the IDs of the defects keep
-// selects, in slice order.
-func modeKey(strict bool, defects []*Defect, keep func(*Defect) bool) string {
-	var b strings.Builder
+// modeName renders the execution mode.
+func modeName(strict bool) string {
 	if strict {
-		b.WriteString("strict")
-	} else {
-		b.WriteString("normal")
+		return "strict"
 	}
-	for _, d := range defects {
-		if keep(d) {
-			b.WriteByte('|')
-			b.WriteString(d.ID)
-		}
-	}
-	return b.String()
+	return "normal"
 }
 
 // BehaviorKey identifies the testbed's behaviour equivalence class: an
@@ -131,12 +123,11 @@ func modeKey(strict bool, defects []*Defect, keep func(*Defect) bool) string {
 // per case and fan the result out to all class members.
 func (p *PreparedTestbed) BehaviorKey() string { return p.behavior }
 
-// ProbeKey identifies the testbed's probe group: the mode plus the active
-// defects that change the interpreter config or the parser options. Two
-// testbeds with equal keys parse every program alike and run it under the
-// same config, differing only in their hook chains, so one probe run
-// (see Probe) can stand in for every member whose hooks never match.
-func (p *PreparedTestbed) ProbeKey() string { return p.group }
+// ProbeKey identifies the testbed's probe group: its mode. One probe run
+// per mode (see Probe) stands in for every member whose hooks never
+// matched, whose Configure deltas were never consulted, and which runs
+// the program parsed under the mode's base options (TakesBaseParse).
+func (p *PreparedTestbed) ProbeKey() string { return modeName(p.Testbed.Strict) }
 
 // ActiveDefects returns the defects live in this testbed (shared slice; do
 // not mutate).
@@ -152,6 +143,23 @@ func (p *PreparedTestbed) ParseOptions() parser.Options { return p.parseOps }
 // defect-independent in this subset), so parse equivalence implies
 // compiled-program equivalence; parser/options_test.go pins the property.
 func (p *PreparedTestbed) ParseFingerprint() uint64 { return p.parseOps.Fingerprint() }
+
+// TakesBaseParse reports whether the mode's base parse of a source — the
+// parse under parser.Options{Strict}, which ended in baseErr — is also
+// p's parse of it. It is when p's options are the base ones, and, for any
+// lenient option set, unless the base parse failed at a site a lenient
+// option decides: every lenient branch of the parser sits on a path that
+// fails under the base options, and a failure ends the parse, so a base
+// parse that never failed there takes the same path, node IDs and error
+// included, under every lenient option set of its mode
+// (parser.LenientMayAccept; parser's TestLenientOptionsOnlyAccept pins
+// this).
+func (p *PreparedTestbed) TakesBaseParse(baseErr error) bool {
+	return !parser.LenientMayAccept(baseErr) || p.parseOps == baseOptions(p.Testbed.Strict)
+}
+
+// baseOptions returns the mode's base parser options: no lenient flags.
+func baseOptions(strict bool) parser.Options { return parser.Options{Strict: strict} }
 
 // PreParseError runs the testbed's pre-parse defect interceptors (parser
 // defects that reject valid programs before the shared parser sees them).
@@ -298,10 +306,10 @@ func classifyRunError(res *ExecResult, runErr error) {
 
 // Diverges builds a reduction predicate over two prepared testbeds: it
 // reports whether src behaves differently on a and b under opts. When the
-// testbeds' parser options coincide (the common case — a version or a
-// single-defect runner against the reference) each candidate is parsed
-// once and the program shared between both executions, so a reducer
-// evaluating hundreds of candidates pays one parse, not two, per
+// testbeds run the same parse (their parser options coincide, or both
+// take the mode's base parse; see TakesBaseParse) each candidate is
+// parsed once and the program shared between both executions, so a
+// reducer evaluating hundreds of candidates pays one parse, not two, per
 // candidate. The predicate is safe for concurrent calls, as
 // reduce.Parallel requires.
 func Diverges(a, b *PreparedTestbed, opts RunOptions) func(src string) bool {
@@ -312,8 +320,10 @@ func Diverges(a, b *PreparedTestbed, opts RunOptions) func(src string) bool {
 }
 
 // sharedParse compiles one source at most once per parser-option
-// fingerprint, so executors whose options coincide run one shared
-// compiled program. It is not safe for concurrent use.
+// fingerprint, and under a lenient fingerprint only for an executor that
+// does not take the mode's base parse (TakesBaseParse), so executors that
+// run the same parse share one compiled program. It is not safe for
+// concurrent use.
 type sharedParse struct {
 	src  string
 	done []parsedProgram
@@ -325,15 +335,25 @@ type parsedProgram struct {
 	err  error
 }
 
-// parse returns src compiled under p's parser options.
+// parse returns src compiled for p: the mode's base parse when p takes
+// it, else the parse under p's own options.
 func (sh *sharedParse) parse(p *PreparedTestbed) (*ast.Program, error) {
-	fp := p.ParseFingerprint()
+	prog, err := sh.parseWith(baseOptions(p.Testbed.Strict))
+	if p.TakesBaseParse(err) {
+		return prog, err
+	}
+	return sh.parseWith(p.parseOps)
+}
+
+// parseWith returns src compiled under opts.
+func (sh *sharedParse) parseWith(opts parser.Options) (*ast.Program, error) {
+	fp := opts.Fingerprint()
 	for _, c := range sh.done {
 		if c.fp == fp {
 			return c.prog, c.err
 		}
 	}
-	prog, err := p.Parse(sh.src)
+	prog, err := parseProgram(sh.src, opts)
 	sh.done = append(sh.done, parsedProgram{fp, prog, err})
 	return prog, err
 }

@@ -7,47 +7,61 @@ import (
 	"comfort/internal/js/interp"
 )
 
-// Probe runs one configuration with a recording hook over the union of
-// several members' hook defects. Each member is a hook set that would run
-// under exactly the probe's config (same mode, same Configure deltas, same
-// parser options) with only its own hooks installed. The recording hook
-// asks every defect whether its trigger matches (interp.HookCtx.Probe) and
-// never intervenes, so the probe run is the run of a member whose hooks all
-// return nil. A member none of whose defects matched would have followed
-// the probe's execution step for step: by induction over the run, each of
-// its hook sites sees the same ctx and the same interpreter state, so its
-// own chain returns nil there too (Defect.Hook's contract: probing is pure
-// and over-approximates firing). Its result is therefore the probe's, up
-// to the evaluator diagnostics ExecResult.Semantics clears.
+// Probe runs one mode's base configuration, interp.Config{Strict}, with a
+// recording hook over the union of several members' hook defects. Each
+// member is a hook set plus, possibly, Configure deltas, run in the
+// probe's mode over the program the probe runs (see
+// PreparedTestbed.TakesBaseParse for when a member's parse is the
+// probe's). The recording hook asks every defect whether its trigger
+// matches (interp.HookCtx.Probe) and never intervenes, so the probe run
+// is the run of a defect-free member. A member none of whose defects
+// matched, and whose Configure deltas (if any) the run never consulted,
+// would have followed the probe's execution step for step: by induction
+// over the run, each of its hook sites sees the same ctx and the same
+// interpreter state, so its own chain returns nil there too (Defect.Hook's
+// contract: probing is pure and over-approximates firing), and no site
+// whose outcome its flags decide is ever reached
+// (interp.Interp.ConfigRead). Its result is therefore the probe's, up to
+// the evaluator diagnostics ExecResult.Semantics clears.
 type Probe struct {
-	cfg   interp.Config // the members' shared config; the recorder is installed per run
-	hooks []*Defect     // union of the members' hook defects, ID order
-	masks [][]uint64    // per member: bit i set iff hooks[i] is one of its hooks
+	cfg        interp.Config // the probe's config; the recorder is installed per run
+	hooks      []*Defect     // union of the members' hook defects, ID order
+	masks      [][]uint64    // per member: bit i set iff hooks[i] is one of its hooks
+	configures []bool        // per member: it carries a Configure delta
 }
 
-// Fired is the set of a probe's hook defects whose trigger matched during
-// one run, a bitset over the probe's union. A nil Fired means no
-// interpreter ran (a parse or early error).
-type Fired []uint64
+// Fired is what one probe run consulted: the set of its hook defects
+// whose trigger matched, a bitset over the probe's union, and whether the
+// run reached a Configure-flag site. A zero Fired means no interpreter
+// ran (a parse or early error).
+type Fired struct {
+	hooks      []uint64
+	configRead bool
+}
 
-func (f Fired) has(i int) bool { return f[i>>6]&(1<<(i&63)) != 0 }
-
-// NewProbe builds the probe for prepared testbeds that share one ProbeKey;
-// member i of the probe is members[i].
+// NewProbe builds the probe for prepared testbeds of one mode; member i of
+// the probe is members[i].
 func NewProbe(members []*PreparedTestbed) *Probe {
+	strict := members[0].Testbed.Strict
 	sets := make([][]*Defect, len(members))
+	configured := make([]bool, len(members))
 	for i, p := range members {
-		if p.group != members[0].group {
-			panic("engines: NewProbe over testbeds from different probe groups")
+		if p.Testbed.Strict != strict {
+			panic("engines: NewProbe over testbeds of different modes")
 		}
 		sets[i] = p.hooks
+		for _, d := range p.defects {
+			configured[i] = configured[i] || d.Configure != nil
+		}
 	}
-	return newProbe(members[0].baseCfg, sets)
+	return newProbe(interp.Config{Strict: strict}, sets, configured)
 }
 
-func newProbe(cfg interp.Config, members [][]*Defect) *Probe {
+// newProbe builds a probe over hook sets that run under cfg; configures[i]
+// marks member i as carrying a Configure delta.
+func newProbe(cfg interp.Config, members [][]*Defect, configures []bool) *Probe {
 	cfg.Hook = nil
-	pr := &Probe{cfg: cfg}
+	pr := &Probe{cfg: cfg, configures: configures}
 	seen := map[*Defect]bool{}
 	for _, m := range members {
 		for _, d := range m {
@@ -76,30 +90,32 @@ func newProbe(cfg interp.Config, members [][]*Defect) *Probe {
 }
 
 // ExecParsed is PreparedTestbed.ExecParsed under the recording hook: it
-// returns the probe's result and the set of hook defects whose trigger
-// matched. Callers must have applied the members' PreParse interceptors
-// to the source themselves; a member whose interceptor rejects it is not
-// represented by the probe.
+// returns the probe's result and what the run consulted. Callers must
+// have applied the members' PreParse interceptors to the source
+// themselves; a member whose interceptor rejects it is not represented by
+// the probe.
 func (pr *Probe) ExecParsed(prog *ast.Program, err error, opts RunOptions) (ExecResult, Fired) {
 	if res, static := staticResult(prog, err); static {
-		return res, nil
+		return res, Fired{}
 	}
 	cfg := pr.cfg
-	fired := make(Fired, (len(pr.hooks)+63)/64)
+	fired := Fired{hooks: make([]uint64, (len(pr.hooks)+63)/64)}
 	if len(pr.hooks) > 0 {
-		cfg.Hook = pr.recorder(fired)
+		cfg.Hook = pr.recorder(fired.hooks)
 	}
-	return runRealm(cfg, prog, opts), fired
+	opts.configRead = &fired.configRead
+	res := runRealm(cfg, prog, opts)
+	return res, fired
 }
 
 // recorder is the probe's hook: every defect whose trigger has not matched
 // yet is asked about the site, and the answer is recorded, never applied.
-func (pr *Probe) recorder(fired Fired) interp.Hook {
+func (pr *Probe) recorder(fired []uint64) interp.Hook {
 	hooks := pr.hooks
 	return func(ctx *interp.HookCtx) *interp.Override {
 		ctx.Probe = true
 		for i, d := range hooks {
-			if !fired.has(i) && d.Hook(ctx) != nil {
+			if fired[i>>6]&(1<<(i&63)) == 0 && d.Hook(ctx) != nil {
 				fired[i>>6] |= 1 << (i & 63)
 			}
 		}
@@ -108,14 +124,20 @@ func (pr *Probe) recorder(fired Fired) interp.Hook {
 	}
 }
 
-// Quiet reports whether none of member i's hook defects matched during
-// the run that produced fired: the member's result is the probe's.
+// Quiet reports whether the run that produced fired consulted nothing
+// that member i would have answered differently: none of its hook defects
+// matched, and it has no Configure delta or the run read no Configure
+// flag. A member that also runs the probe's program takes the probe's
+// result.
 func (pr *Probe) Quiet(i int, fired Fired) bool {
-	if fired == nil {
+	if fired.hooks == nil {
 		return true
 	}
+	if fired.configRead && pr.configures[i] {
+		return false
+	}
 	for w, m := range pr.masks[i] {
-		if m&fired[w] != 0 {
+		if m&fired.hooks[w] != 0 {
 			return false
 		}
 	}

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"comfort/internal/engines"
@@ -87,5 +89,47 @@ func TestParseCacheResolves(t *testing.T) {
 	}
 	if analyze.Of(prog) == nil {
 		t.Error("cached program carries no analysis report")
+	}
+}
+
+// TestParseCacheOneProgramPerKey pins the publish-once contract: when
+// several workers miss on one key at once, they all end up holding the
+// one published program, and the parse counts as a single miss.
+func TestParseCacheOneProgramPerKey(t *testing.T) {
+	p := engines.ReferenceTestbed(false).Prepare()
+	pc := newParseCache(64)
+	const workers, rounds = 8, 20
+	for r := 0; r < rounds; r++ {
+		// A source long enough that the parse outlasts the goroutines'
+		// start-up, so most of them miss before the first publishes.
+		src := fmt.Sprintf("var r = %d;\n", r) + strings.Repeat("function f(a) { return a * 2 + 1; } print(f(r));\n", 40)
+		progs := make([]interface{}, workers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				prog, err := pc.parse(p, src)
+				if err != nil {
+					t.Error(err)
+				}
+				progs[w] = prog
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		for w := 1; w < workers; w++ {
+			if progs[w] != progs[0] {
+				t.Fatalf("round %d: workers hold different programs for one key", r)
+			}
+		}
+	}
+	if got := pc.misses.Load(); got != rounds {
+		t.Errorf("%d misses for %d distinct keys", got, rounds)
+	}
+	if got := pc.hits.Load() + pc.misses.Load(); got != workers*rounds {
+		t.Errorf("%d lookups counted, want %d", got, workers*rounds)
 	}
 }

@@ -161,7 +161,8 @@ func TestCollapseOracleWithFaults(t *testing.T) {
 
 // TestGroupsPartitionClasses pins the probe-group structure over the full
 // testbed set: groups partition the classes, every class in a group
-// shares its probe key, and a probe exists exactly for multi-class groups.
+// shares its probe key, a probe exists exactly for multi-class groups,
+// and there is exactly one group per mode.
 func TestGroupsPartitionClasses(t *testing.T) {
 	s := New(schedCfg(1))
 	seen := make([]bool, s.Classes())
@@ -185,7 +186,12 @@ func TestGroupsPartitionClasses(t *testing.T) {
 			t.Errorf("class %d in no group", k)
 		}
 	}
-	if len(s.groups) < 2 || len(s.groups) >= s.Classes() {
-		t.Errorf("%d groups for %d classes", len(s.groups), s.Classes())
+	if len(s.groups) != 2 {
+		t.Errorf("%d groups for the two modes", len(s.groups))
+	}
+	for g, grp := range s.groups {
+		if strict := s.classRep[grp.classes[0]].Testbed.Strict; grp.base.Testbed.Strict != strict {
+			t.Errorf("group %d: base parser of the other mode", g)
+		}
 	}
 }

@@ -1,13 +1,14 @@
 // Package exec is the execution scheduler for differential-testing
 // campaigns. It schedules the (case × testbed) grid over a bounded worker
-// pool — one task per (case, probe group), where one probe run stands in
-// for every behaviour class whose defect hooks never matched — shares
-// parses through a campaign-wide parse-once cache (keyed by
-// source + parser-option fingerprint), honours context cancellation, and
-// streams classified case results to the consumer in case order — so a
-// campaign can account findings as they arrive instead of materialising
-// every case and every result in memory first. Execute runs the same
-// fan-out for a single case in the caller's goroutine.
+// pool — one task per (case, mode), where one parse under the mode's base
+// parser options and one probe run stand in for every behaviour class
+// whose defect hooks never matched and whose config deltas were never
+// consulted — shares parses through a campaign-wide parse-once cache
+// (keyed by source + parser-option fingerprint), honours context
+// cancellation, and streams classified case results to the consumer in
+// case order — so a campaign can account findings as they arrive instead
+// of materialising every case and every result in memory first. Execute
+// runs the same fan-out for a single case in the caller's goroutine.
 package exec
 
 import (
@@ -111,14 +112,16 @@ type Scheduler struct {
 	panics, wallTimeouts  atomic.Int64
 }
 
-// probeGroup is the set of behaviour classes that share one probe group:
-// they parse alike and run under one config, differing only in their hook
-// chains. A multi-class group runs one probe per case and fans its result
-// out to every class whose hooks never matched; only the others run
-// physically. A one-class group has no probe and runs its class directly.
+// probeGroup is the set of behaviour classes of one mode. A multi-class
+// group parses each case once under the mode's base parser options, runs
+// one probe over that program and fans its result out to every class
+// that takes the base parse and that the probe never consulted (see
+// runGroup); only the others run physically. A one-class group has no
+// probe and runs its class directly.
 type probeGroup struct {
-	classes []int          // class indices, ascending
-	probe   *engines.Probe // nil for a one-class group; member m is classes[m]
+	classes []int                    // class indices, ascending
+	base    *engines.PreparedTestbed // the mode's reference: base parser options and config
+	probe   *engines.Probe           // nil for a one-class group; member m is classes[m]
 }
 
 // New builds a scheduler: testbeds are prepared up front (catalog scan,
@@ -155,7 +158,7 @@ func New(cfg Config) *Scheduler {
 		if !ok {
 			g = len(s.groups)
 			groupOf[p.ProbeKey()] = g
-			s.groups = append(s.groups, probeGroup{})
+			s.groups = append(s.groups, probeGroup{base: engines.ReferenceTestbed(p.Testbed.Strict).Prepare()})
 		}
 		s.groups[g].classes = append(s.groups[g].classes, k)
 	}
@@ -420,44 +423,54 @@ func (s *Scheduler) releaseSlot() {
 
 // runGroup executes one (case, probe group) task and fills the entries of
 // every testbed in the group. A one-class group runs its class. A larger
-// group runs its probe once, if any class passes the pre-parse gate, and
-// copies the probe's result to each class whose hooks never matched; the
-// rest run physically: classes with a matched hook, the class an injected
-// fault targets, and all of them when the probe ended on the wall-clock
-// watchdog (a run cut short by wall time says nothing about the hooks it
-// never reached).
+// group parses the case once under the mode's base options, applies each
+// class's pre-parse gate and, if any class takes the base parse, runs the
+// probe on it once. A class takes the probe's result when it takes the
+// base parse (PreparedTestbed.TakesBaseParse) and the probe consulted
+// none of its hooks and none of its config flags (Probe.Quiet). The rest
+// run physically: a class whose lenient parser options accept a program
+// the base options reject (on its own parse), a class the probe
+// consulted, the class an injected fault targets, and all of them when
+// the probe ended on the wall-clock watchdog (a run cut short by wall
+// time says nothing about the sites it never reached).
 func (s *Scheduler) runGroup(g int, cs *caseState) {
 	grp := &s.groups[g]
 	c := cs.c
 	if grp.probe == nil {
-		s.fill(cs, grp.classes[0], s.runOne(grp.classes[0], c))
+		k := grp.classes[0]
+		s.fill(cs, k, s.runOne(k, c))
 		return
 	}
 	_, faulted := s.fault(c)
+	baseProg, baseErr := s.cache.parse(grp.base, c.Src)
 	var probe engines.ExecResult
 	var fired engines.Fired
 	probed := false
 	for m, k := range grp.classes {
-		if k == faulted {
-			s.fill(cs, k, s.runOne(k, c))
-			continue
-		}
-		if msg := s.classRep[k].PreParseError(c.Src); msg != "" {
+		rep := s.classRep[k]
+		if msg := rep.PreParseError(c.Src); msg != "" {
 			s.fill(cs, k, engines.PreParseResult(msg))
 			continue
 		}
-		if !probed {
-			prog, err := s.countingParse(s.classRep[k], c.Src)
-			opts := engines.RunOptions{Fuel: s.cfg.Fuel, Seed: s.cfg.Seed, Watchdog: s.deadlineWatchdog()}
-			probe, fired = grp.probe.ExecParsed(prog, err, opts)
-			s.account(probe)
-			probed = true
+		if !rep.TakesBaseParse(baseErr) {
+			prog, err := s.cache.parse(rep, c.Src)
+			s.fill(cs, k, s.runParsed(k, c, prog, err))
+			continue
 		}
-		if probe.WallClock || !grp.probe.Quiet(m, fired) {
-			s.fill(cs, k, s.runOne(k, c))
-		} else {
-			s.fill(cs, k, probe)
+		if k != faulted {
+			if !probed {
+				s.countRun(baseProg, baseErr)
+				opts := engines.RunOptions{Fuel: s.cfg.Fuel, Seed: s.cfg.Seed, Watchdog: s.deadlineWatchdog()}
+				probe, fired = grp.probe.ExecParsed(baseProg, baseErr, opts)
+				s.account(probe)
+				probed = true
+			}
+			if !probe.WallClock && grp.probe.Quiet(m, fired) {
+				s.fill(cs, k, probe)
+				continue
+			}
 		}
+		s.fill(cs, k, s.runParsed(k, c, baseProg, baseErr))
 	}
 }
 
@@ -490,12 +503,23 @@ func (s *Scheduler) deadlineWatchdog() func() bool {
 }
 
 // runOne executes one (case, behaviour class) cell: pre-parse
-// interceptors, then the campaign-wide parse cache supplying the compiled
-// program, then interpretation; the counting parse accounts which
-// evaluator the execution runs on. Fault injection and the wall-clock watchdog are
-// armed here, per physical run, so shared-class fan-out replicates the
-// (deterministic) faulted result instead of re-rolling it.
+// interceptors, then the campaign-wide parse cache supplying the class's
+// compiled program, then runParsed.
 func (s *Scheduler) runOne(class int, c Case) engines.ExecResult {
+	p := s.classRep[class]
+	if msg := p.PreParseError(c.Src); msg != "" {
+		return engines.PreParseResult(msg)
+	}
+	prog, err := s.cache.parse(p, c.Src)
+	return s.runParsed(class, c, prog, err)
+}
+
+// runParsed interprets the class's (pre-parse-checked) program for case
+// c; countRun accounts which evaluator the execution runs on. Fault
+// injection and the wall-clock watchdog are armed here, per physical run,
+// so shared-class fan-out replicates the (deterministic) faulted result
+// instead of re-rolling it.
+func (s *Scheduler) runParsed(class int, c Case, prog *ast.Program, err error) engines.ExecResult {
 	opts := engines.RunOptions{Fuel: s.cfg.Fuel, Seed: s.cfg.Seed}
 	if fault, target := s.fault(c); target == class {
 		switch fault {
@@ -508,14 +532,8 @@ func (s *Scheduler) runOne(class int, c Case) engines.ExecResult {
 	if opts.Watchdog == nil {
 		opts.Watchdog = s.deadlineWatchdog()
 	}
-	p := s.classRep[class]
-	var r engines.ExecResult
-	if msg := p.PreParseError(c.Src); msg != "" {
-		r = engines.PreParseResult(msg)
-	} else {
-		prog, err := s.countingParse(p, c.Src)
-		r = p.ExecParsed(prog, err, opts)
-	}
+	s.countRun(prog, err)
+	r := s.classRep[class].ExecParsed(prog, err, opts)
 	s.account(r)
 	return r
 }
@@ -544,33 +562,38 @@ func (s *Scheduler) account(r engines.ExecResult) {
 
 // analysisFor fetches the case's static-semantics report through the
 // parse cache (a hit for any case that just executed). The first class
-// representative is the deterministic choice of parse fingerprint, so
-// the report a sink sees never depends on worker interleaving.
+// representative is the deterministic choice of parse, taken under the
+// runGroup rule (its mode's base parse when it takes it), so the report a
+// sink sees never depends on worker interleaving.
 func (s *Scheduler) analysisFor(src string) *analyze.Report {
-	prog, err := s.cache.parse(s.classRep[0], src)
+	rep := s.classRep[0] // the first class of groups[0]
+	prog, err := s.cache.parse(s.groups[0].base, src)
+	if !rep.TakesBaseParse(err) {
+		prog, err = s.cache.parse(rep, src)
+	}
 	if err != nil {
 		return nil
 	}
 	return analyze.Of(prog)
 }
 
-// countingParse wraps the cache parse with the compiled/fallback
-// execution counters (parse errors count in neither, and neither do
-// programs the early-error gate stops before an evaluator runs).
-func (s *Scheduler) countingParse(p *engines.PreparedTestbed, src string) (*ast.Program, error) {
-	prog, err := s.cache.parse(p, src)
-	if err == nil {
-		s.analyzed.Add(1)
-		if analyze.Of(prog).Invalid() {
-			return prog, err
-		}
-		if prog.Compiled != nil {
-			s.compiled.Add(1)
-		} else {
-			s.fallback.Add(1)
-		}
+// countRun adds one physical run of a parse result to the
+// compiled/fallback execution counters (parse errors count in neither,
+// and neither do programs the early-error gate stops before an evaluator
+// runs).
+func (s *Scheduler) countRun(prog *ast.Program, err error) {
+	if err != nil {
+		return
 	}
-	return prog, err
+	s.analyzed.Add(1)
+	if analyze.Of(prog).Invalid() {
+		return
+	}
+	if prog.Compiled != nil {
+		s.compiled.Add(1)
+	} else {
+		s.fallback.Add(1)
+	}
 }
 
 // FromSlice adapts a fixed case list to the scheduler's input channel,
@@ -667,14 +690,27 @@ func (pc *parseCache) parse(p *engines.PreparedTestbed, src string) (*ast.Progra
 		}
 		return r.prog, r.err
 	}
-	pc.misses.Add(1)
 	// The full pipeline: parse, resolve, thunk-compile, analyze. The cache
 	// entry stores the thunks and the report next to the scope
 	// annotations under the same parser-option fingerprint key.
 	r.prog, r.err = p.Parse(src)
 	pc.mu.Lock()
-	pc.insertLocked(key, r)
+	// A concurrent miss on the same key may have published first: every
+	// caller must hold the one published program, and only the published
+	// parse counts as a miss.
+	won, published := pc.young[key]
+	if !published {
+		won, published = pc.old[key]
+	}
+	if !published {
+		pc.insertLocked(key, r)
+	}
 	pc.mu.Unlock()
+	if published {
+		pc.hits.Add(1)
+		return won.prog, won.err
+	}
+	pc.misses.Add(1)
 	return r.prog, r.err
 }
 

@@ -125,8 +125,9 @@ func TestBehaviorClassesCollapse(t *testing.T) {
 }
 
 // TestParseCacheShares checks the parse-once property: for n cases over the
-// full testbed set, parses stay within (distinct fingerprints × n) instead
-// of (testbeds × n).
+// full testbed set, parses stay within 3 × n — one base parse per mode,
+// plus the lenient parses of programs the base options reject — instead
+// of (distinct fingerprints × n) or (testbeds × n).
 func TestParseCacheShares(t *testing.T) {
 	s := New(schedCfg(4))
 	collect(t, s, testSrcs)
@@ -135,9 +136,7 @@ func TestParseCacheShares(t *testing.T) {
 	if hits == 0 {
 		t.Error("parse cache recorded no hits on a full-testbed run")
 	}
-	// Fingerprint diversity is tiny (a handful of parser-defect options),
-	// so misses must be far below executions.
-	maxMisses := int64(len(testSrcs) * 16)
+	maxMisses := int64(len(testSrcs) * 3)
 	if misses > maxMisses {
 		t.Errorf("parse cache misses = %d, want <= %d", misses, maxMisses)
 	}

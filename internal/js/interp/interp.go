@@ -97,6 +97,9 @@ type Interp struct {
 	MutableFuncName bool
 	// SloppyStrictAssign mirrors Config.SloppyStrictAssign.
 	SloppyStrictAssign bool
+	// configRead records that the run reached a site whose outcome one of
+	// the two flags above decides (see ConfigRead).
+	configRead bool
 	// DisableShapes mirrors Config.DisableShapes: NewObject allocates
 	// dictionary-mode objects and the IC entry points fall through to the
 	// generic property paths.
@@ -222,6 +225,13 @@ func (in *Interp) Rand() *rand.Rand {
 // FuelUsed reports consumed steps — the deterministic time axis used by the
 // differential tester's 2× timeout rule.
 func (in *Interp) FuelUsed() int64 { return in.fuelCap - in.fuel }
+
+// ConfigRead reports whether the run so far reached a site that consults
+// MutableFuncName or SloppyStrictAssign: a write to a function self-name
+// binding, or a strict-mode write to an undeclared identifier. A run that
+// never did would have taken the same steps under any setting of the two
+// flags.
+func (in *Interp) ConfigRead() bool { return in.configRead }
 
 // charge consumes n steps and reports a timeout abort when exhausted.
 // When a watchdog is armed it is probed here — the one site every
@@ -992,14 +1002,18 @@ func (in *Interp) lookupGlobalTail(name string) (Value, error) {
 // and the function-self-name rules.
 func (in *Interp) assignBinding(b *binding, v Value, strict bool) error {
 	if !b.mutable {
-		if b.silent && !strict && !in.MutableFuncName {
-			return nil // sloppy-mode write to a function self-name
-		}
-		if b.silent && in.MutableFuncName {
-			// Seeded defect (Montage Listing-13 case): the engine treats
-			// the function self-name binding as an ordinary variable.
-			b.v = v
-			return nil
+		if b.silent {
+			in.configRead = true
+			if !strict && !in.MutableFuncName {
+				return nil // sloppy-mode write to a function self-name
+			}
+			if in.MutableFuncName {
+				// Seeded defect (Montage Listing-13 case): the engine
+				// treats the function self-name binding as an ordinary
+				// variable.
+				b.v = v
+				return nil
+			}
 		}
 		return in.TypeErrorf("Assignment to constant variable.")
 	}
@@ -1032,8 +1046,11 @@ func (in *Interp) assignGlobalTail(name string, v Value, strict bool) error {
 	if in.Global.HasOwn(name) {
 		return in.SetProp(ObjValue(in.Global), name, v, strict)
 	}
-	if strict && !in.SloppyStrictAssign {
-		return in.ReferenceErrorf("%s is not defined", name)
+	if strict {
+		in.configRead = true
+		if !in.SloppyStrictAssign {
+			return in.ReferenceErrorf("%s is not defined", name)
+		}
 	}
 	in.Global.SetSlot(name, v, DefaultAttr)
 	return nil

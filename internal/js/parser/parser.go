@@ -62,6 +62,22 @@ func (o Options) Fingerprint() uint64 {
 type SyntaxError struct {
 	Pos token.Pos
 	Msg string
+	// lenient marks a rejection some lenient option would have waived
+	// (see LenientMayAccept).
+	lenient bool
+}
+
+// LenientMayAccept reports whether err is a rejection that a lenient
+// option (any Options field but Strict) would have waived. Each lenient
+// option is consulted only on a path that fails without it, and a failure
+// ends the parse, so a parse under Options{Strict} that succeeded, or
+// failed with an error for which this is false, takes the same path —
+// same tree and node IDs, or the same error — under every lenient option
+// set of its mode. The scheduler parses a case once per mode on that
+// basis (TestLenientOptionsOnlyAccept pins it).
+func LenientMayAccept(err error) bool {
+	se, ok := err.(*SyntaxError)
+	return ok && se.lenient
 }
 
 func (e *SyntaxError) Error() string {
@@ -128,6 +144,11 @@ func (p *parser) next() {
 
 func (p *parser) fail(format string, args ...interface{}) {
 	panic(&SyntaxError{Pos: p.cur.Pos, Msg: fmt.Sprintf(format, args...)})
+}
+
+// failLenient is fail at a site a lenient option would have let pass.
+func (p *parser) failLenient(format string, args ...interface{}) {
+	panic(&SyntaxError{Pos: p.cur.Pos, Msg: fmt.Sprintf(format, args...), lenient: true})
 }
 
 func (p *parser) expect(t token.Type) token.Token {
@@ -286,10 +307,13 @@ func (p *parser) parseVarDecl(consumeSemi bool) *ast.VarDecl {
 
 func (p *parser) parseBindingName() string {
 	if p.cur.Type != token.IDENT {
-		if p.cur.Type.IsKeyword() && p.opts.AllowReservedIdent {
-			name := p.cur.Literal
-			p.next()
-			return name
+		if p.cur.Type.IsKeyword() {
+			if p.opts.AllowReservedIdent {
+				name := p.cur.Literal
+				p.next()
+				return name
+			}
+			p.failLenient("expected binding identifier, found %q", p.cur.String())
 		}
 		p.fail("expected binding identifier, found %q", p.cur.String())
 	}
@@ -339,7 +363,7 @@ func (p *parser) parseFunction(declaration bool) *ast.FuncLit {
 		seen := map[string]bool{}
 		for _, prm := range fn.Params {
 			if seen[prm] {
-				p.fail("duplicate parameter name %q not allowed in strict mode", prm)
+				p.failLenient("duplicate parameter name %q not allowed in strict mode", prm)
 			}
 			seen[prm] = true
 		}
@@ -477,7 +501,7 @@ func (p *parser) parseLoopBody() ast.Stmt {
 			p.reg(n)
 			return n
 		}
-		p.fail("missing loop body")
+		p.failLenient("missing loop body")
 	}
 	p.inLoop++
 	defer func() { p.inLoop-- }()
@@ -707,7 +731,7 @@ func (p *parser) parseAssign() ast.Expr {
 	}
 	if p.strict && !p.opts.AllowEvalArgumentsAssign {
 		if id, ok := left.(*ast.Ident); ok && (id.Name == "eval" || id.Name == "arguments") {
-			p.fail("unexpected eval or arguments in strict mode")
+			p.failLenient("unexpected eval or arguments in strict mode")
 		}
 	}
 	n := &ast.AssignExpr{Op: op, L: left}
@@ -907,7 +931,7 @@ func (p *parser) parseUnary() ast.Expr {
 		x := p.parseUnary()
 		if op == token.DELETE && p.strict && !p.opts.AllowSloppyDelete {
 			if _, isIdent := x.(*ast.Ident); isIdent {
-				p.fail("delete of an unqualified identifier in strict mode")
+				p.failLenient("delete of an unqualified identifier in strict mode")
 			}
 		}
 		n := &ast.UnaryExpr{Op: op, X: x}
@@ -1117,12 +1141,15 @@ func (p *parser) parsePrimary() ast.Expr {
 		p.next()
 		return n
 	}
-	if p.cur.Type.IsKeyword() && p.opts.AllowReservedIdent {
-		n := &ast.Ident{Name: p.cur.Literal}
-		n.P = p.cur.Pos
-		p.reg(n)
-		p.next()
-		return n
+	if p.cur.Type.IsKeyword() {
+		if p.opts.AllowReservedIdent {
+			n := &ast.Ident{Name: p.cur.Literal}
+			n.P = p.cur.Pos
+			p.reg(n)
+			p.next()
+			return n
+		}
+		p.failLenient("unexpected token %q", p.cur.String())
 	}
 	p.fail("unexpected token %q", p.cur.String())
 	return nil
@@ -1136,7 +1163,7 @@ func (p *parser) parseNumber() ast.Expr {
 	}
 	if p.strict && !p.opts.AllowLegacyOctal && len(raw) > 1 && raw[0] == '0' &&
 		raw[1] >= '0' && raw[1] <= '9' {
-		p.fail("octal literals are not allowed in strict mode")
+		p.failLenient("octal literals are not allowed in strict mode")
 	}
 	n := &ast.NumberLit{Value: val, Raw: raw}
 	n.P = p.cur.Pos

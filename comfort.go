@@ -104,7 +104,7 @@ func ExecuteCase(src string, testbeds []Testbed, fuel, seed int64) []ExecEntry {
 	if len(testbeds) == 0 {
 		return []ExecEntry{}
 	}
-	return exec.New(exec.Config{Testbeds: testbeds, Fuel: fuel, Seed: seed}).Execute(src).Entries
+	return exec.New(exec.Config{Testbeds: testbeds, Fuel: fuel, Seed: seed}).Execute(src).Entries()
 }
 
 // ClassifyCase applies the pure Figure-5 classification to a set of
@@ -120,10 +120,14 @@ func RunReference(src string, strict bool, fuel, seed int64) ExecResult {
 // mode (prepare it once to run many candidates against the oracle).
 func ReferenceTestbed(strict bool) Testbed { return engines.ReferenceTestbed(strict) }
 
-// DiffTest differentially tests src across testbeds per Figure 5. No
+// DiffTest differentially tests src across testbeds per Figure 5, on
+// the scheduler's weighted results (no per-testbed expansion). No
 // testbeds classify as VerdictInvalid.
 func DiffTest(src string, testbeds []Testbed, fuel, seed int64) CaseResult {
-	return difftest.Classify(ExecuteCase(src, testbeds, fuel, seed))
+	if len(testbeds) == 0 {
+		return difftest.Classify(nil)
+	}
+	return exec.New(exec.Config{Testbeds: testbeds, Fuel: fuel, Seed: seed}).Execute(src).Result
 }
 
 // NewComfortFuzzer builds the full COMFORT pipeline (GPT-2-substitute

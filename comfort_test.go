@@ -1,9 +1,11 @@
 package comfort
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"comfort/internal/corpus"
 	"comfort/internal/difftest"
 )
 
@@ -80,5 +82,37 @@ func TestDiffTestNoTestbeds(t *testing.T) {
 	if cr.Verdict != difftest.VerdictInvalid || len(cr.Deviations) != 0 {
 		t.Errorf("DiffTest with no testbeds = %v with %d deviations, want invalid with none",
 			cr.Verdict, len(cr.Deviations))
+	}
+}
+
+// TestDiffTestMatchesClassifyCase pins the public API's two paths to one
+// verdict: DiffTest classifies the scheduler's weighted results, and
+// classifying ExecuteCase's per-testbed entries must give the same
+// result, deviation order included — over the corpus and every catalog
+// witness, on a 10-testbed subset and on all testbeds.
+func TestDiffTestMatchesClassifyCase(t *testing.T) {
+	srcs := append([]string(nil), corpus.Programs()...)
+	for _, d := range Catalog() {
+		srcs = append(srcs, d.Witness)
+	}
+	all := Testbeds()
+	var subset []Testbed
+	for i := 0; i < len(all); i += len(all) / 10 {
+		subset = append(subset, all[i])
+	}
+	for _, tbs := range [][]Testbed{subset[:10], all} {
+		buggy := 0
+		for _, src := range srcs {
+			got := DiffTest(src, tbs, 100000, 1)
+			if want := ClassifyCase(ExecuteCase(src, tbs, 100000, 1)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d testbeds: DiffTest %+v, ClassifyCase %+v\nprogram:\n%s", len(tbs), got, want, src)
+			}
+			if got.Verdict.IsBuggy() {
+				buggy++
+			}
+		}
+		if buggy == 0 {
+			t.Errorf("%d testbeds: no buggy verdict to compare deviations on", len(tbs))
+		}
 	}
 }

@@ -387,7 +387,7 @@ func run(cfg Config) (*Result, error) {
 	killed := false
 	for oc := range outcomes {
 		res.CasesRun++
-		res.Executed += len(oc.Entries)
+		res.Executed += len(cfg.Testbeds)
 		if oc.Batch < 0 {
 			nextBatch, nextOff = -1, 0
 		} else {

@@ -245,7 +245,7 @@ func checkSchedulerPath(t *testing.T, path referencePath) *exec.Scheduler {
 	for oc := range sched.Run(ctx, exec.FromSlice(ctx, srcs)) {
 		delivered++
 		checked := map[string]bool{}
-		for _, e := range oc.Entries {
+		for _, e := range oc.Entries() {
 			p := e.Testbed.Prepare()
 			if checked[p.BehaviorKey()] {
 				continue

@@ -2,7 +2,9 @@
 // Figure 5: given one test case's behaviour on many testbeds, check parse
 // consistency, apply the 2× timeout rule over deterministic fuel, and
 // majority-vote on execution behaviour to isolate deviant engines. It
-// runs nothing itself; the exec scheduler produces the entries.
+// runs nothing itself. The exec scheduler hands it each mode's physical
+// results weighted by testbed count, and deviations expand to testbeds
+// only on a buggy verdict.
 package difftest
 
 import (
@@ -90,11 +92,38 @@ type Deviation struct {
 }
 
 // ExecEntry pairs one testbed with its observed behaviour on a test case —
-// the raw material of Figure-5 classification. Schedulers produce entries
-// (in any order); Classify consumes them.
+// the per-testbed view of a case's executions. Classify consumes entries
+// (in any order); the scheduler classifies weighted pools directly and
+// expands entries only on request.
 type ExecEntry struct {
 	Testbed engines.Testbed
 	Result  engines.ExecResult
+}
+
+// Weighted is one execution result of a case and the number of testbeds
+// that observed it: one physical run stands in for every testbed whose
+// behaviour class took its result.
+type Weighted struct {
+	Result engines.ExecResult
+	Count  int
+}
+
+// Member is one testbed of a Pool. Members of one class share a result:
+// the pool's Slot[Class] indexes it in Results.
+type Member struct {
+	Testbed engines.Testbed
+	Class   int
+}
+
+// Pool is one mode's executions of a case, weighted. Results carries the
+// observed results with their testbed counts (each count positive, the
+// results not necessarily distinct); Members lists the pool's testbeds in
+// testbed order. Classification decides on Results alone and reads
+// Members and Slot only to expand a buggy verdict's deviations.
+type Pool struct {
+	Results []Weighted
+	Members []Member
+	Slot    []int
 }
 
 // CaseResult is the outcome of differentially testing one program.
@@ -113,22 +142,38 @@ type CaseResult struct {
 // shared by the exec scheduler and campaign defaulting.
 const DefaultFuel = 200000
 
-// Classify applies the Figure-5 decision procedure to a set of executions.
-// It is pure — no testbed runs — so it is unit-testable with synthetic
-// entries. Normal-mode and strict-mode testbeds vote in separate pools,
-// because the two modes have legitimately different conforming behaviour;
-// the pools' verdicts are then merged.
+// Classify applies the Figure-5 decision procedure to per-testbed
+// entries: each entry is a result of weight one in its mode's pool, and
+// deviations follow entry order. It is pure — no testbed runs — so it is
+// unit-testable with synthetic entries.
 func Classify(entries []ExecEntry) CaseResult {
-	var normal, strict []ExecEntry
-	for _, e := range entries {
+	var normal, strict Pool
+	slot := make([]int, len(entries))
+	for j, e := range entries {
+		p := &normal
 		if e.Testbed.Strict {
-			strict = append(strict, e)
-		} else {
-			normal = append(normal, e)
+			p = &strict
 		}
+		slot[j] = len(p.Results)
+		p.Results = append(p.Results, Weighted{Result: e.Result, Count: 1})
+		p.Members = append(p.Members, Member{Testbed: e.Testbed, Class: j})
 	}
-	if len(normal) == 0 || len(strict) == 0 {
-		return classifyPool(entries)
+	normal.Slot, strict.Slot = slot, slot
+	return ClassifyPools(normal, strict)
+}
+
+// ClassifyPools applies the Figure-5 decision procedure to a case's
+// weighted executions. Normal-mode and strict-mode testbeds vote in
+// separate pools, because the two modes have legitimately different
+// conforming behaviour; the pools' verdicts are then merged. An empty
+// pool means the testbed set lacks that mode, and the other pool is the
+// whole case.
+func ClassifyPools(normal, strict Pool) CaseResult {
+	if len(normal.Results) == 0 {
+		return classifyPool(strict)
+	}
+	if len(strict.Results) == 0 {
+		return classifyPool(normal)
 	}
 	a := classifyPool(normal)
 	b := classifyPool(strict)
@@ -169,120 +214,176 @@ func verdictRank(v Verdict) int {
 	}
 }
 
-// classifyPool applies the Figure-5 classification to one pool of entries.
-func classifyPool(entries []ExecEntry) CaseResult {
+// classifyPool applies the Figure-5 classification to one pool. Every
+// decision is a count over the weighted results; only a buggy verdict
+// expands its deviant results to testbeds.
+func classifyPool(p Pool) CaseResult {
 	var res CaseResult
-
-	// Step 1: parse consistency.
-	parseErrs := 0
-	earlyErrs := 0
-	for _, e := range entries {
-		if e.Result.Outcome == engines.OutcomeParseError {
-			parseErrs++
-			if e.Result.EarlyError {
-				earlyErrs++
+	total, parseErrs, earlyErrs, crashes, finished := 0, 0, 0, 0, 0
+	var maxFinished int64
+	for _, w := range p.Results {
+		r := w.Result
+		total += w.Count
+		switch r.Outcome {
+		case engines.OutcomeParseError:
+			parseErrs += w.Count
+			if r.EarlyError {
+				earlyErrs += w.Count
+			}
+		case engines.OutcomeCrash:
+			crashes += w.Count
+		}
+		if r.Outcome != engines.OutcomeTimeout {
+			finished += w.Count
+			if r.FuelUsed > maxFinished {
+				maxFinished = r.FuelUsed
 			}
 		}
 	}
+
+	// Step 1: parse consistency.
 	switch {
-	case parseErrs == len(entries):
+	case parseErrs == total:
 		res.Verdict = VerdictInvalid
-		res.EarlyError = earlyErrs == len(entries)
+		res.EarlyError = earlyErrs == total
 		return res
 	case parseErrs > 0:
 		res.Verdict = VerdictParseInconsistent
 		// The minority side is deviant: engines disagreeing with the most
 		// common parse disposition.
-		parseOK := len(entries) - parseErrs
-		deviantIsErr := parseErrs <= parseOK
-		for _, e := range entries {
-			if (e.Result.Outcome == engines.OutcomeParseError) == deviantIsErr {
-				res.Deviations = append(res.Deviations, Deviation{e.Testbed, e.Result})
-			}
-		}
+		deviantIsErr := parseErrs <= total-parseErrs
+		res.Deviations = p.deviations(p.mark(func(r engines.ExecResult) bool {
+			return (r.Outcome == engines.OutcomeParseError) == deviantIsErr
+		}))
 		return res
 	}
 
-	// Step 2: crashes are of immediate interest.
-	for _, e := range entries {
-		if e.Result.Outcome == engines.OutcomeCrash {
-			res.Deviations = append(res.Deviations, Deviation{e.Testbed, e.Result})
-		}
-	}
-	if len(res.Deviations) > 0 && len(res.Deviations) < len(entries) {
+	// Step 2: crashes are of immediate interest — unless every engine
+	// crashed, which leaves nothing to deviate from.
+	if crashes > 0 && crashes < total {
 		res.Verdict = VerdictCrash
+		res.Deviations = p.deviations(p.mark(func(r engines.ExecResult) bool {
+			return r.Outcome == engines.OutcomeCrash
+		}))
 		return res
 	}
-	res.Deviations = nil
 
 	// Step 3: the 2× timeout rule over fuel. An engine that exhausted its
 	// budget while others finished far below it is deviant. A wall-clock
 	// watchdog timeout is deviant unconditionally: the engine hung in real
 	// time while the others finished, so its (possibly tiny) fuel reading
 	// says nothing — the 2× fuel comparison only gates fuel timeouts.
-	var maxFinished int64
-	finished := 0
-	for _, e := range entries {
-		if e.Result.Outcome != engines.OutcomeTimeout {
-			finished++
-			if e.Result.FuelUsed > maxFinished {
-				maxFinished = e.Result.FuelUsed
-			}
-		}
-	}
 	if finished == 0 {
 		res.Verdict = VerdictAllTimeout
 		return res
 	}
-	for _, e := range entries {
-		if e.Result.Outcome == engines.OutcomeTimeout &&
-			(e.Result.WallClock || e.Result.FuelUsed > 2*maxFinished) {
-			res.Deviations = append(res.Deviations, Deviation{e.Testbed, e.Result})
-		}
-	}
-	if len(res.Deviations) > 0 {
+	if rank := p.mark(func(r engines.ExecResult) bool {
+		return r.Outcome == engines.OutcomeTimeout && (r.WallClock || r.FuelUsed > 2*maxFinished)
+	}); rank != nil {
 		res.Verdict = VerdictTimeout
+		res.Deviations = p.deviations(rank)
 		return res
 	}
 
-	// Step 4: majority voting over behaviour keys.
-	groups := map[string][]ExecEntry{}
-	var firstKey string
-	for i, e := range entries {
-		k := e.Result.Key()
-		if i == 0 {
-			firstKey = k
+	// Step 4: majority voting over behaviour keys. Equal (outcome, output,
+	// error name) triples render equal keys, so the common unanimous pool
+	// is decided without rendering more than its one key. Unequal triples
+	// can still render equal keys, so the vote proper groups rendered keys.
+	first := p.Results[0].Result
+	unanimous := true
+	for _, w := range p.Results[1:] {
+		r := w.Result
+		if r.Outcome != first.Outcome || r.Output != first.Output || r.ErrName != first.ErrName {
+			unanimous = false
+			break
 		}
-		groups[k] = append(groups[k], e)
+	}
+	if unanimous {
+		res.Verdict = VerdictPass
+		res.MajorityKey = first.Key()
+		return res
+	}
+	type keyGroup struct {
+		key   string
+		count int
+	}
+	keys := make([]string, len(p.Results))
+	var groups []keyGroup
+	for i, w := range p.Results {
+		keys[i] = w.Result.Key()
+		g := 0
+		for g < len(groups) && groups[g].key != keys[i] {
+			g++
+		}
+		if g == len(groups) {
+			groups = append(groups, keyGroup{key: keys[i]})
+		}
+		groups[g].count += w.Count
 	}
 	if len(groups) == 1 {
 		res.Verdict = VerdictPass
-		res.MajorityKey = firstKey
+		res.MajorityKey = groups[0].key
 		return res
 	}
-	var keys []string
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if len(groups[keys[i]]) != len(groups[keys[j]]) {
-			return len(groups[keys[i]]) > len(groups[keys[j]])
+	sort.Slice(groups, func(i, j int) bool {
+		if groups[i].count != groups[j].count {
+			return groups[i].count > groups[j].count
 		}
-		return keys[i] < keys[j]
+		return groups[i].key < groups[j].key
 	})
-	majority := keys[0]
-	if len(keys) > 1 && len(groups[keys[0]]) == len(groups[keys[1]]) && len(groups) == 2 &&
-		len(groups[keys[0]])*2 == len(entries) {
+	if len(groups) == 2 && groups[0].count == groups[1].count {
 		// Perfect split: no majority to vote with.
 		res.Verdict = VerdictInconclusive
 		return res
 	}
-	res.MajorityKey = majority
-	for _, k := range keys[1:] {
-		for _, e := range groups[k] {
-			res.Deviations = append(res.Deviations, Deviation{e.Testbed, e.Result})
+	res.MajorityKey = groups[0].key
+	// Every minority key group deviates, in vote order.
+	rank := make([]int, len(p.Results))
+	for i, k := range keys {
+		for g := 1; g < len(groups); g++ {
+			if groups[g].key == k {
+				rank[i] = g
+			}
 		}
 	}
+	res.Deviations = p.deviations(rank)
 	res.Verdict = VerdictWrongOutput
 	return res
+}
+
+// mark ranks the results deviant picks 1 and the rest 0, or returns nil
+// when it picks none.
+func (p Pool) mark(deviant func(engines.ExecResult) bool) []int {
+	var rank []int
+	for i, w := range p.Results {
+		if deviant(w.Result) {
+			if rank == nil {
+				rank = make([]int, len(p.Results))
+			}
+			rank[i] = 1
+		}
+	}
+	return rank
+}
+
+// deviations expands the ranked results to their testbeds: the testbeds
+// of rank-1 results first, then rank 2 and so on, each rank in testbed
+// order. Rank 0 is not deviant.
+func (p Pool) deviations(rank []int) []Deviation {
+	n, maxRank := 0, 0
+	for i, r := range rank {
+		if r > 0 {
+			n += p.Results[i].Count
+			maxRank = max(maxRank, r)
+		}
+	}
+	devs := make([]Deviation, 0, n)
+	for r := 1; r <= maxRank; r++ {
+		for _, m := range p.Members {
+			if s := p.Slot[m.Class]; rank[s] == r {
+				devs = append(devs, Deviation{m.Testbed, p.Results[s].Result})
+			}
+		}
+	}
+	return devs
 }

@@ -88,7 +88,7 @@ func checkCollapse(t *testing.T, cfg Config, srcs []string) (*Scheduler, int) {
 				inTarget[i] = true
 			}
 		}
-		for i, e := range oc.Entries {
+		for i, e := range oc.Entries() {
 			tb := cfg.Testbeds[i]
 			if e.Testbed.ID() != tb.ID() {
 				t.Fatalf("case %d entry %d is %s, want %s", oc.Index, i, e.Testbed.ID(), tb.ID())

@@ -37,17 +37,31 @@ type Case struct {
 	Off   int
 }
 
-// Outcome is the classified result of one case across all testbeds.
-// Entries are in testbed order (the scheduler's configured order), so the
-// outcome is independent of worker interleaving.
+// Outcome is the classified result of one case across all testbeds. It
+// holds each physical result once, weighted by the testbeds that took it;
+// Entries expands it per testbed.
 type Outcome struct {
 	Case
-	Entries []difftest.ExecEntry
-	Result  difftest.CaseResult
+	Result difftest.CaseResult
 	// Analysis is the case's static-semantics report (divergence-risk
 	// flags, feature fingerprint), shared from the parse cache. Nil only
 	// when the case failed to parse.
 	Analysis *analyze.Report
+	s        *Scheduler
+	cs       *caseState
+}
+
+// Entries expands the outcome to one entry per configured testbed, in
+// testbed order, each carrying its behaviour class's result — so the
+// expansion is independent of worker interleaving. Classification never
+// needs it.
+func (o Outcome) Entries() []difftest.ExecEntry {
+	entries := make([]difftest.ExecEntry, len(o.s.prepared))
+	for i, p := range o.s.prepared {
+		k := o.s.classOf[i]
+		entries[i] = difftest.ExecEntry{Testbed: p.Testbed, Result: o.cs.results[o.s.groupOf[k]][o.cs.slot[k]].Result}
+	}
+	return entries
 }
 
 // Config parameterises a scheduler.
@@ -98,13 +112,17 @@ type Scheduler struct {
 	// ExecResult is a pure function of (defect set, mode, fuel, seed, src),
 	// so each class executes at most once per case and the result fans out
 	// to every member. classRep[k] is the prepared testbed the class
-	// executes on.
+	// executes on; classOf maps each testbed index to its class.
 	classes  [][]int
 	classRep []*engines.PreparedTestbed
-	// groups partitions the classes by probe group (engines.ProbeKey): the
-	// scheduler's unit of work is one (case, group) task.
-	groups []probeGroup
-	cache  *parseCache
+	classOf  []int
+	// groups partitions the classes by probe group (engines.ProbeKey, the
+	// mode): the scheduler's unit of work is one (case, group) task, and
+	// each group is one of the classifier's mode pools. groupOf maps each
+	// class to its group.
+	groups  []probeGroup
+	groupOf []int
+	cache   *parseCache
 	// The run counters behind Stats (see there for their meaning).
 	compiled, fallback    atomic.Int64
 	icHit, icMiss, icMega atomic.Uint64
@@ -122,6 +140,7 @@ type probeGroup struct {
 	classes []int                    // class indices, ascending
 	base    *engines.PreparedTestbed // the mode's reference: base parser options and config
 	probe   *engines.Probe           // nil for a one-class group; member m is classes[m]
+	members []difftest.Member        // the group's testbeds in testbed order, for its pool
 }
 
 // New builds a scheduler: testbeds are prepared up front (catalog scan,
@@ -151,6 +170,7 @@ func New(cfg Config) *Scheduler {
 			s.classRep = append(s.classRep, p)
 		}
 		s.classes[k] = append(s.classes[k], i)
+		s.classOf = append(s.classOf, k)
 	}
 	groupOf := map[string]int{}
 	for k, p := range s.classRep {
@@ -161,6 +181,12 @@ func New(cfg Config) *Scheduler {
 			s.groups = append(s.groups, probeGroup{base: engines.ReferenceTestbed(p.Testbed.Strict).Prepare()})
 		}
 		s.groups[g].classes = append(s.groups[g].classes, k)
+		s.groupOf = append(s.groupOf, g)
+	}
+	for i, p := range s.prepared {
+		k := s.classOf[i]
+		grp := &s.groups[s.groupOf[k]]
+		grp.members = append(grp.members, difftest.Member{Testbed: p.Testbed, Class: k})
 	}
 	for g := range s.groups {
 		grp := &s.groups[g]
@@ -248,12 +274,35 @@ func (s *Scheduler) Stats() Stats {
 }
 
 // caseState tracks one in-flight case across its testbed executions.
+// results[g] holds probe group g's results, each with the number of
+// testbeds that took it, and slot[k] indexes class k's result in its
+// group's results. Each group's task writes only its own results and its
+// own classes' slots.
 type caseState struct {
 	seq       int // receipt order; outcomes are emitted in this order
 	c         Case
-	entries   []difftest.ExecEntry
+	results   [][]difftest.Weighted
+	slot      []int
 	remaining int32
 	cancelled int32 // set when any execution was skipped due to cancellation
+}
+
+// resultsPerGroup is the result capacity reserved per group and case: a
+// group's probe, its pre-parse rejections and the classes it re-ran.
+const resultsPerGroup = 4
+
+// newCase allocates the in-flight state of case c, received seq-th.
+func (s *Scheduler) newCase(seq int, c Case) *caseState {
+	n := len(s.groups)
+	buf := make([]difftest.Weighted, n*resultsPerGroup)
+	cs := &caseState{seq: seq, c: c, results: make([][]difftest.Weighted, n),
+		slot: make([]int, len(s.classes)), remaining: int32(n)}
+	for g := range cs.results {
+		// Capped, so a group that outgrows its share reallocates instead
+		// of writing into the next group's.
+		cs.results[g] = buf[g*resultsPerGroup : g*resultsPerGroup : (g+1)*resultsPerGroup]
+	}
+	return cs
 }
 
 type task struct {
@@ -269,7 +318,6 @@ type task struct {
 // case (or pre-empts one emission), no later case is emitted either, even
 // if it happened to execute fully before the workers saw the cancel.
 func (s *Scheduler) Run(ctx context.Context, in <-chan Case) <-chan Outcome {
-	nTB := len(s.prepared)
 	nGroups := len(s.groups)
 	inflight := s.cfg.Workers + 2
 	out := make(chan Outcome)
@@ -298,12 +346,7 @@ func (s *Scheduler) Run(ctx context.Context, in <-chan Case) <-chan Outcome {
 				return
 			case sem <- struct{}{}:
 			}
-			cs := &caseState{
-				seq:       seq,
-				c:         c,
-				entries:   make([]difftest.ExecEntry, nTB),
-				remaining: int32(nGroups),
-			}
+			cs := s.newCase(seq, c)
 			seq++
 			for g := 0; g < nGroups; g++ {
 				// tasks is buffered for inflight full cases, so this send
@@ -387,18 +430,26 @@ func (s *Scheduler) Run(ctx context.Context, in <-chan Case) <-chan Outcome {
 // plan applies its case-0 fault. It is the one-shot differential test
 // behind the public comfort.DiffTest.
 func (s *Scheduler) Execute(src string) Outcome {
-	cs := &caseState{c: Case{Src: src, Batch: -1},
-		entries: make([]difftest.ExecEntry, len(s.prepared))}
+	cs := s.newCase(0, Case{Src: src, Batch: -1})
 	for g := range s.groups {
 		s.runGroup(g, cs)
 	}
 	return s.outcome(cs)
 }
 
-// outcome classifies a fully executed case.
+// outcome classifies a fully executed case over its weighted results:
+// each probe group is its mode's pool.
 func (s *Scheduler) outcome(cs *caseState) Outcome {
-	return Outcome{Case: cs.c, Entries: cs.entries, Result: difftest.Classify(cs.entries),
-		Analysis: s.analysisFor(cs.c.Src)}
+	var pools [2]difftest.Pool // normal, strict
+	for g := range s.groups {
+		mode := 0
+		if s.groups[g].base.Testbed.Strict {
+			mode = 1
+		}
+		pools[mode] = difftest.Pool{Results: cs.results[g], Members: s.groups[g].members, Slot: cs.slot}
+	}
+	return Outcome{Case: cs.c, Result: difftest.ClassifyPools(pools[0], pools[1]),
+		Analysis: s.analysisFor(cs.c.Src), s: s, cs: cs}
 }
 
 // acquireSlot gates one task's physical runs: a cancelled context
@@ -421,8 +472,8 @@ func (s *Scheduler) releaseSlot() {
 	}
 }
 
-// runGroup executes one (case, probe group) task and fills the entries of
-// every testbed in the group. A one-class group runs its class. A larger
+// runGroup executes one (case, probe group) task and records a result
+// for every class in the group. A one-class group runs its class. A larger
 // group parses the case once under the mode's base options, applies each
 // class's pre-parse gate and, if any class takes the base parse, runs the
 // probe on it once. A class takes the probe's result when it takes the
@@ -438,7 +489,7 @@ func (s *Scheduler) runGroup(g int, cs *caseState) {
 	c := cs.c
 	if grp.probe == nil {
 		k := grp.classes[0]
-		s.fill(cs, k, s.runOne(k, c))
+		s.fill(cs, g, k, s.runOne(k, c))
 		return
 	}
 	_, faulted := s.fault(c)
@@ -446,15 +497,16 @@ func (s *Scheduler) runGroup(g int, cs *caseState) {
 	var probe engines.ExecResult
 	var fired engines.Fired
 	probed := false
+	probeSlot := -1
 	for m, k := range grp.classes {
 		rep := s.classRep[k]
 		if msg := rep.PreParseError(c.Src); msg != "" {
-			s.fill(cs, k, engines.PreParseResult(msg))
+			s.fill(cs, g, k, engines.PreParseResult(msg))
 			continue
 		}
 		if !rep.TakesBaseParse(baseErr) {
 			prog, err := s.cache.parse(rep, c.Src)
-			s.fill(cs, k, s.runParsed(k, c, prog, err))
+			s.fill(cs, g, k, s.runParsed(k, c, prog, err))
 			continue
 		}
 		if k != faulted {
@@ -466,19 +518,31 @@ func (s *Scheduler) runGroup(g int, cs *caseState) {
 				probed = true
 			}
 			if !probe.WallClock && grp.probe.Quiet(m, fired) {
-				s.fill(cs, k, probe)
+				if probeSlot < 0 {
+					probeSlot = s.fill(cs, g, k, probe)
+				} else {
+					s.share(cs, g, k, probeSlot)
+				}
 				continue
 			}
 		}
-		s.fill(cs, k, s.runParsed(k, c, baseProg, baseErr))
+		s.fill(cs, g, k, s.runParsed(k, c, baseProg, baseErr))
 	}
 }
 
-// fill fans one class result out to the entries of every class member.
-func (s *Scheduler) fill(cs *caseState, class int, r engines.ExecResult) {
-	for _, i := range s.classes[class] {
-		cs.entries[i] = difftest.ExecEntry{Testbed: s.prepared[i].Testbed, Result: r}
-	}
+// fill records r as class k's result in group g, weighted by the class's
+// testbed count, and returns its slot.
+func (s *Scheduler) fill(cs *caseState, g, k int, r engines.ExecResult) int {
+	cs.slot[k] = len(cs.results[g])
+	cs.results[g] = append(cs.results[g], difftest.Weighted{Result: r, Count: len(s.classes[k])})
+	return cs.slot[k]
+}
+
+// share points class k at group g's result in slot, adding the class's
+// testbeds to its weight.
+func (s *Scheduler) share(cs *caseState, g, k, slot int) {
+	cs.slot[k] = slot
+	cs.results[g][slot].Count += len(s.classes[k])
 }
 
 // fault returns the injected fault for case c and the behaviour class it

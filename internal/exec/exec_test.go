@@ -53,10 +53,11 @@ func TestOutcomesStreamInOrder(t *testing.T) {
 		if oc.Src != testSrcs[i] {
 			t.Errorf("outcome %d carries wrong source", i)
 		}
-		if len(oc.Entries) != len(tbs) {
-			t.Fatalf("outcome %d has %d entries, want %d", i, len(oc.Entries), len(tbs))
+		entries := oc.Entries()
+		if len(entries) != len(tbs) {
+			t.Fatalf("outcome %d has %d entries, want %d", i, len(entries), len(tbs))
 		}
-		for j, e := range oc.Entries {
+		for j, e := range entries {
 			if e.Testbed.ID() != tbs[j].ID() {
 				t.Fatalf("outcome %d entry %d is %s, want %s", i, j, e.Testbed.ID(), tbs[j].ID())
 			}
@@ -77,8 +78,9 @@ func TestWorkerCountIndependence(t *testing.T) {
 			t.Errorf("case %d: verdict %s (1 worker) vs %s (8 workers)",
 				i, base[i].Result.Verdict, wide[i].Result.Verdict)
 		}
-		for j := range base[i].Entries {
-			a, b := base[i].Entries[j].Result, wide[i].Entries[j].Result
+		be, we := base[i].Entries(), wide[i].Entries()
+		for j := range be {
+			a, b := be[j].Result, we[j].Result
 			if a.Key() != b.Key() {
 				t.Errorf("case %d entry %d: result keys differ: %q vs %q", i, j, a.Key(), b.Key())
 			}
@@ -101,8 +103,9 @@ func TestExecuteMatchesRun(t *testing.T) {
 				i, got.Result.Verdict, len(got.Result.Deviations),
 				want.Result.Verdict, len(want.Result.Deviations))
 		}
-		for j, e := range got.Entries {
-			w := want.Entries[j]
+		wantEntries := want.Entries()
+		for j, e := range got.Entries() {
+			w := wantEntries[j]
 			if e.Testbed.ID() != w.Testbed.ID() || e.Result.Semantics() != w.Result.Semantics() {
 				t.Fatalf("case %d entry %d: Execute %s %+v, Run %s %+v",
 					i, j, e.Testbed.ID(), e.Result, w.Testbed.ID(), w.Result)

@@ -47,7 +47,7 @@ func TestInjectedFaultsSurfaceAsFindings(t *testing.T) {
 		case difftest.VerdictTimeout:
 			hangs++
 		}
-		for _, e := range oc.Entries {
+		for _, e := range oc.Entries() {
 			if e.Result.Panic && fault != faultinject.FaultPanic {
 				t.Errorf("case %d: spurious panic marker", oc.Index)
 			}
@@ -83,8 +83,9 @@ func TestFaultedRunWorkerIndependence(t *testing.T) {
 			t.Errorf("case %d: verdict %s (1 worker) vs %s (8 workers)",
 				i, base[i].Result.Verdict, wide[i].Result.Verdict)
 		}
-		for j := range base[i].Entries {
-			a, b := base[i].Entries[j].Result, wide[i].Entries[j].Result
+		be, we := base[i].Entries(), wide[i].Entries()
+		for j := range be {
+			a, b := be[j].Result, we[j].Result
 			if a.Key() != b.Key() || a.Panic != b.Panic || a.WallClock != b.WallClock {
 				t.Errorf("case %d entry %d: faulted results differ across pool sizes", i, j)
 			}
@@ -112,7 +113,7 @@ func TestInjectedSlowFaultDeviates(t *testing.T) {
 		t.Fatalf("verdict = %v, want timeout (one class hung, rest finished)", oc.Result.Verdict)
 	}
 	var wall, finished int
-	for _, e := range oc.Entries {
+	for _, e := range oc.Entries() {
 		if e.Result.WallClock {
 			wall++
 		} else if e.Result.Outcome != engines.OutcomeTimeout {
@@ -149,7 +150,7 @@ func TestCaseDeadlineWatchdog(t *testing.T) {
 	if v := outcomes[0].Result.Verdict; v != difftest.VerdictAllTimeout {
 		t.Fatalf("hung case verdict = %v, want all-timeout (every testbed hangs)", v)
 	}
-	for _, e := range outcomes[0].Entries {
+	for _, e := range outcomes[0].Entries() {
 		if e.Result.Outcome != engines.OutcomeTimeout || !e.Result.WallClock {
 			t.Fatalf("entry not a wall-clock timeout: %+v", e.Result)
 		}

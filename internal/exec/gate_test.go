@@ -53,8 +53,9 @@ func TestGateDoesNotChangeOutcomes(t *testing.T) {
 		if got[i].Index != want[i].Index || got[i].Src != want[i].Src {
 			t.Fatalf("outcome %d differs under gating", i)
 		}
-		for j := range want[i].Entries {
-			w, g := want[i].Entries[j].Result, got[i].Entries[j].Result
+		we, ge := want[i].Entries(), got[i].Entries()
+		for j := range we {
+			w, g := we[j].Result, ge[j].Result
 			if w.Outcome != g.Outcome || w.Output != g.Output || w.FuelUsed != g.FuelUsed {
 				t.Errorf("outcome %d entry %d differs under gating:\n%+v\nvs\n%+v", i, j, w, g)
 			}

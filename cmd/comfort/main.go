@@ -13,6 +13,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -117,15 +118,11 @@ func main() {
 		Context: ctx,
 	}
 	if *progress {
-		// The sampling cadence lives in ProgressEvery now: the campaign only
-		// reads the cache counters and invokes this callback on sampled
-		// cases, so large campaigns stop paying per-case progress overhead.
+		// The sampling cadence lives in ProgressEvery: the campaign invokes
+		// this callback on sampled cases only. Each sample is one JSON line,
+		// the payload comfortd streams over SSE.
 		base.Progress = func(p campaign.Progress) {
-			fmt.Fprintf(os.Stderr, "  %d/%d cases (program cache: %d hits, %d misses, %d evicted; execs: %d compiled, %d tree; IC: %d hit, %d miss, %d mega; analyze: %d cached, %d early-error skips, %d nondet-flagged, %d features; robustness: %d panics, %d wall-timeouts, %d checkpoints)\n",
-				p.Done, p.Total, p.CacheHits, p.CacheMisses, p.CacheEvictions, p.Compiled, p.Fallback,
-				p.ICHits, p.ICMisses, p.ICMega,
-				p.Analyzed, p.EarlyErrorSkips, p.FlaggedNondet, p.FeaturesSeen,
-				p.Panics, p.WallTimeouts, p.Checkpoints)
+			json.NewEncoder(os.Stderr).Encode(p)
 		}
 	}
 

@@ -105,25 +105,36 @@ type Config struct {
 	resume *State
 }
 
+// Counters are a campaign's diagnostic counters, declared once for
+// Progress, Result and State. They describe physical work done, which
+// resume legitimately changes (a resumed run re-parses its working set,
+// say), so they are cumulative across resumes but outside the determinism
+// contract.
+type Counters struct {
+	// Stats are the scheduler's counters. Its run counters count physical
+	// runs: a probe-group probe or a class run that could not take the
+	// probe's result (see internal/exec); results fanned out to other
+	// classes or testbeds are not counted again. Fallback stays at zero;
+	// a non-zero value is visible at a glance in -progress output.
+	exec.Stats
+	// Checkpoints/CheckpointFailures count checkpoint writes and failed
+	// write attempts (a failed write never stops the campaign).
+	Checkpoints        int64 `json:"checkpoints"`
+	CheckpointFailures int64 `json:"checkpoint_failures"`
+}
+
 // Progress is one campaign progress sample: case accounting position plus
-// the scheduler's counters. All counters are cumulative across resumes.
+// the campaign's counters so far.
 type Progress struct {
 	// Done counts classified cases; Total is the configured budget.
 	Done, Total int
-	// Stats are the scheduler's counters so far. Its run counters count
-	// physical runs: a probe-group probe or a class run that could not
-	// take the probe's result (see internal/exec); results fanned out to
-	// other classes or testbeds are not counted again. Fallback stays at
-	// zero; a non-zero value is visible at a glance in -progress output.
-	exec.Stats
+	Counters
 	// FlaggedNondet counts attributed findings diverted to the
 	// suppressed-nondeterministic set so far.
 	FlaggedNondet int64
 	// FeaturesSeen is the number of distinct language features the
 	// campaign's cases have exercised so far (of analyze.FeatureCount).
 	FeaturesSeen int
-	// Checkpoints counts checkpoint writes.
-	Checkpoints int64
 }
 
 // Finding is one unique discovered bug, attributed to its seeded defect.
@@ -197,13 +208,9 @@ type Result struct {
 	// Reduction summarises witness reduction (nil unless
 	// Config.ReduceWitnesses was set and findings exist).
 	Reduction *ReductionStats
-	// Stats are the final scheduler counters (see Progress). A recovered
-	// evaluator panic surfaces as a classified crash result, never a dead
-	// process.
-	exec.Stats
-	// Checkpoints/CheckpointFailures count checkpoint writes and failed
-	// write attempts (a failed write never stops the campaign).
-	Checkpoints, CheckpointFailures int64
+	// Counters are the final counters. A recovered evaluator panic
+	// surfaces as a classified crash result, never a dead process.
+	Counters
 }
 
 // FoundDefects returns the discovered defects in defect-ID order.
@@ -276,7 +283,7 @@ func run(cfg Config) (*Result, error) {
 
 	// Resume: load the killed run's accounted state and position the
 	// generator at the first unaccounted case. base carries the killed
-	// run's diagnostic counters so totals stay cumulative.
+	// run's counters so totals stay cumulative.
 	var base State
 	var start genStart
 	var featsSeen analyze.Features
@@ -290,7 +297,8 @@ func run(cfg Config) (*Result, error) {
 		start = genStart{batch: base.NextBatch, off: base.NextOff, index: base.CasesDone}
 		if base.Done || base.CasesDone >= cfg.Cases {
 			// Nothing left to run: reconstruct the final result.
-			finishResult(res, &base, base.Stats, 0, 0, featsSeen)
+			res.Counters = base.Counters
+			res.FeaturesSeen = featsSeen.Count()
 			return res, nil
 		}
 	}
@@ -320,9 +328,17 @@ func run(cfg Config) (*Result, error) {
 		Gate:         cfg.Gate,
 	})
 	outcomes := sched.Run(ctx, caseCh)
-	// totals is the one place the resume baseline meets the scheduler's
-	// own counts.
-	totals := func() exec.Stats { return base.Stats.Add(sched.Stats()) }
+	// ckptWrites/ckptFails count this process's checkpoint writes (kill
+	// ordinals count these); totals is the one place the resume baseline
+	// meets this process's counts.
+	var ckptWrites, ckptFails int64
+	totals := func() Counters {
+		c := base.Counters
+		c.Stats = c.Stats.Add(sched.Stats())
+		c.Checkpoints += ckptWrites
+		c.CheckpointFailures += ckptFails
+		return c
+	}
 
 	// Stage 3: the sink — classify/dedup/attribute in stream order, with
 	// checkpoint writes between cases (never concurrent with accounting).
@@ -334,7 +350,6 @@ func run(cfg Config) (*Result, error) {
 	ckpt := cfg.Checkpoint != "" || cfg.WriteCheckpoint != nil
 	nextBatch, nextOff := start.batch, start.off
 	sinceCkpt := 0
-	var ckptWrites, ckptFails int64 // this process's writes
 	var lastCkptAt time.Time
 	if cfg.Clock != nil {
 		lastCkptAt = cfg.Clock()
@@ -361,9 +376,7 @@ func run(cfg Config) (*Result, error) {
 		for name, n := range res.FeatureCounts { //detlint:order — string-keyed map output (JSON-sorted)
 			st.FeatureCounts[name] = n
 		}
-		st.Stats = totals()
-		st.Checkpoints = base.Checkpoints + ckptWrites
-		st.CkptFailures = base.CkptFailures + ckptFails
+		st.Counters = totals()
 		return st
 	}
 	writeCkpt := func(done bool) {
@@ -410,10 +423,9 @@ func run(cfg Config) (*Result, error) {
 		if cfg.Progress != nil && (res.CasesRun%progressEvery == 0 || res.CasesRun == cfg.Cases) {
 			cfg.Progress(Progress{
 				Done: res.CasesRun, Total: cfg.Cases,
-				Stats:         totals(),
+				Counters:      totals(),
 				FlaggedNondet: res.FlaggedNondet,
 				FeaturesSeen:  featsSeen.Count(),
-				Checkpoints:   base.Checkpoints + ckptWrites,
 			})
 		}
 		if ckpt && res.CasesRun < cfg.Cases {
@@ -457,18 +469,9 @@ func run(cfg Config) (*Result, error) {
 			writeCkpt(res.CasesRun == cfg.Cases)
 		}
 	}
-	finishResult(res, &base, totals(), ckptWrites, ckptFails, featsSeen)
-	return res, nil
-}
-
-// finishResult folds the campaign's final counters into the result:
-// the scheduler totals and this process's checkpoint writes and failures,
-// each on top of the resume baseline.
-func finishResult(res *Result, base *State, stats exec.Stats, ckptWrites, ckptFails int64, featsSeen analyze.Features) {
-	res.Stats = stats
+	res.Counters = totals()
 	res.FeaturesSeen = featsSeen.Count()
-	res.Checkpoints = base.Checkpoints + ckptWrites
-	res.CheckpointFailures = base.CkptFailures + ckptFails
+	return res, nil
 }
 
 // reduceFindings shrinks every finding's witness with the parallel ddmin

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"comfort/internal/atomicfile"
 	"comfort/internal/engines"
 	"comfort/internal/exec"
 	"comfort/internal/faultinject"
@@ -671,5 +672,25 @@ func TestCheckpointCompatibility(t *testing.T) {
 	}
 	if got := want.Add(own.Stats); res.Stats != got {
 		t.Errorf("resumed counters = %+v, want checkpoint + resumed run = %+v", res.Stats, got)
+	}
+}
+
+// TestEncodeMatchesCompatCheckpoint: the record encoding every persisted
+// file shares reproduces the pinned pre-refactor checkpoint bytes.
+func TestEncodeMatchesCompatCheckpoint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.json")
+	if err := os.WriteFile(path, []byte(compatCheckpoint), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := LoadState(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := atomicfile.Encode(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != compatCheckpoint {
+		t.Errorf("atomicfile.Encode differs from the pinned checkpoint:\n%s", data)
 	}
 }

@@ -5,24 +5,23 @@
 // order, the state after case k is a pure function of (config, k): a
 // campaign killed at any checkpoint and resumed from it produces findings
 // byte-identical to an uninterrupted run, at every worker and shard
-// count. Writes are atomic (temp file + rename in the target directory)
-// so a kill mid-write leaves the previous checkpoint intact, and both a
-// format version and a config fingerprint guard resumes against stale or
-// mismatched files.
+// count. Writes are atomic (internal/atomicfile) so a kill mid-write
+// leaves the previous checkpoint intact, and both a format version and a
+// config fingerprint guard resumes against stale or mismatched files.
 package campaign
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
+	"comfort/internal/atomicfile"
 	"comfort/internal/dedup"
 	"comfort/internal/difftest"
 	"comfort/internal/engines"
-	"comfort/internal/exec"
 )
 
 // StateFormatVersion is bumped whenever the checkpoint encoding changes
@@ -70,15 +69,10 @@ type State struct {
 	Found                []SavedFinding  `json:"found"`
 	Suppressed           []SavedFinding  `json:"suppressed"`
 
-	// Diagnostic baselines: scheduler counters and checkpoint writes at
-	// checkpoint time, added to the resumed run's own counts so totals stay
-	// cumulative across the whole campaign. These describe physical work
-	// done, which resume legitimately changes (a resumed run re-parses its
-	// working set, say), so they are cumulative-but-not-byte-identical —
-	// deliberately outside the determinism contract.
-	exec.Stats
-	Checkpoints  int64 `json:"checkpoints"`
-	CkptFailures int64 `json:"checkpoint_failures"`
+	// Counters at checkpoint time: the baseline a resumed run adds its own
+	// counts to, so totals stay cumulative across the whole campaign.
+	// Deliberately outside the determinism contract (see Counters).
+	Counters
 }
 
 // fingerprint canonically renders every config parameter that shapes the
@@ -139,32 +133,20 @@ func restoreFindings(saved []SavedFinding) (map[string]*Finding, error) {
 	return out, nil
 }
 
-// WriteState atomically persists a checkpoint: the JSON is written to a
-// temp file in the target's directory and renamed over the destination,
-// so a crash at any instant leaves either the old checkpoint or the new
-// one — never a torn file.
+// WriteState atomically persists a checkpoint (atomicfile.Replace), so a
+// crash at any instant leaves either the old checkpoint or the new one —
+// never a torn file.
 func WriteState(path string, st *State) error {
-	data, err := json.MarshalIndent(st, "", " ")
+	data, err := atomicfile.Encode(st)
 	if err != nil {
 		return fmt.Errorf("encode checkpoint: %w", err)
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
-	if err != nil {
+	if err := atomicfile.Replace(path, data); err != nil {
+		var publish *os.LinkError
+		if errors.As(err, &publish) {
+			return fmt.Errorf("publish checkpoint: %w", err)
+		}
 		return fmt.Errorf("stage checkpoint: %w", err)
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("stage checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("stage checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("publish checkpoint: %w", err)
 	}
 	return nil
 }

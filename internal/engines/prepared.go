@@ -123,12 +123,6 @@ func modeName(strict bool) string {
 // per case and fan the result out to all class members.
 func (p *PreparedTestbed) BehaviorKey() string { return p.behavior }
 
-// ProbeKey identifies the testbed's probe group: its mode. One probe run
-// per mode (see Probe) stands in for every member whose hooks never
-// matched, whose Configure deltas were never consulted, and which runs
-// the program parsed under the mode's base options (TakesBaseParse).
-func (p *PreparedTestbed) ProbeKey() string { return modeName(p.Testbed.Strict) }
-
 // ActiveDefects returns the defects live in this testbed (shared slice; do
 // not mutate).
 func (p *PreparedTestbed) ActiveDefects() []*Defect { return p.defects }

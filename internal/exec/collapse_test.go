@@ -161,8 +161,8 @@ func TestCollapseOracleWithFaults(t *testing.T) {
 
 // TestGroupsPartitionClasses pins the probe-group structure over the full
 // testbed set: groups partition the classes, every class in a group
-// shares its probe key, a probe exists exactly for multi-class groups,
-// and there is exactly one group per mode.
+// shares its mode, a probe exists exactly for multi-class groups, and
+// there is exactly one group per mode.
 func TestGroupsPartitionClasses(t *testing.T) {
 	s := New(schedCfg(1))
 	seen := make([]bool, s.Classes())
@@ -175,9 +175,8 @@ func TestGroupsPartitionClasses(t *testing.T) {
 				t.Errorf("class %d in two groups", k)
 			}
 			seen[k] = true
-			if s.classRep[k].ProbeKey() != s.classRep[grp.classes[0]].ProbeKey() {
-				t.Errorf("group %d mixes probe keys %q and %q", g,
-					s.classRep[k].ProbeKey(), s.classRep[grp.classes[0]].ProbeKey())
+			if s.classRep[k].Testbed.Strict != s.classRep[grp.classes[0]].Testbed.Strict {
+				t.Errorf("group %d mixes modes", g)
 			}
 		}
 	}

@@ -116,10 +116,10 @@ type Scheduler struct {
 	classes  [][]int
 	classRep []*engines.PreparedTestbed
 	classOf  []int
-	// groups partitions the classes by probe group (engines.ProbeKey, the
-	// mode): the scheduler's unit of work is one (case, group) task, and
-	// each group is one of the classifier's mode pools. groupOf maps each
-	// class to its group.
+	// groups partitions the classes by mode (Testbed.Strict), in order of
+	// first appearance: the scheduler's unit of work is one (case, group)
+	// task, and each group is one of the classifier's mode pools. groupOf
+	// maps each class to its group.
 	groups  []probeGroup
 	groupOf []int
 	cache   *parseCache
@@ -172,12 +172,12 @@ func New(cfg Config) *Scheduler {
 		s.classes[k] = append(s.classes[k], i)
 		s.classOf = append(s.classOf, k)
 	}
-	groupOf := map[string]int{}
+	groupOf := map[bool]int{}
 	for k, p := range s.classRep {
-		g, ok := groupOf[p.ProbeKey()]
+		g, ok := groupOf[p.Testbed.Strict]
 		if !ok {
 			g = len(s.groups)
-			groupOf[p.ProbeKey()] = g
+			groupOf[p.Testbed.Strict] = g
 			s.groups = append(s.groups, probeGroup{base: engines.ReferenceTestbed(p.Testbed.Strict).Prepare()})
 		}
 		s.groups[g].classes = append(s.groups[g].classes, k)

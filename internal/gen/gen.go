@@ -1,12 +1,13 @@
 // Package gen implements the test-program generation stage: sample the
-// language model, lint with the JSHint substitute, and keep 20% of the
-// syntactically invalid programs for parser testing (Section 4.3).
+// language model, check syntax with the parser (the JSHint substitute),
+// and keep 20% of the syntactically invalid programs for parser testing
+// (Section 4.3).
 package gen
 
 import (
 	"math/rand"
 
-	"comfort/internal/js/lint"
+	"comfort/internal/js/parser"
 	"comfort/internal/lm"
 )
 
@@ -16,7 +17,7 @@ type Program struct {
 	Valid  bool
 }
 
-// Pipeline couples a trained generator with the lint filter.
+// Pipeline couples a trained generator with the syntax filter.
 type Pipeline struct {
 	Gen *lm.Generator
 	// KeepInvalid is the fraction of syntactically invalid programs kept
@@ -30,7 +31,7 @@ func New(g *lm.Generator) *Pipeline {
 }
 
 // Fork returns a pipeline sharing this one's trained generator and filter
-// configuration. The generator is immutable after training and the lint
+// configuration. The generator is immutable after training and the syntax
 // filter is stateless, so forks may generate concurrently; Next stays a
 // pure function of the rng argument — the property campaign generator
 // shards rely on.
@@ -43,8 +44,7 @@ func (p *Pipeline) Fork() *Pipeline {
 func (p *Pipeline) Next(rng *rand.Rand) Program {
 	for {
 		src := p.Gen.Generate(rng)
-		valid := lint.Valid(src)
-		if valid {
+		if _, err := parser.Parse(src); err == nil {
 			return Program{Source: src, Valid: true}
 		}
 		if rng.Float64() < p.KeepInvalid {

@@ -21,8 +21,8 @@
 // parse and attached to the Program (ast.Program.Analysis) before the
 // tree is shared across goroutines; analysis consumes nothing but the
 // AST itself, so the exec layer's parse-fingerprint cache key keeps it
-// sound. The analyzer also hosts the static quality warnings that
-// internal/js/lint exposes (lint.Check is a thin wrapper now).
+// sound. The analyzer also hosts the static quality warnings (the
+// JSHint substitute's warning layer).
 package analyze
 
 import (

@@ -268,3 +268,20 @@ func TestWarningOrderDeterministic(t *testing.T) {
 		}
 	}
 }
+
+func TestWarnings(t *testing.T) {
+	rep := mustAnalyze(t, `var unused = 1;
+var o = {a: 1, a: 2};
+function f() {
+  return 1;
+  print("never");
+}
+if (x = 5) { f(); }
+var x;`)
+	joined := strings.Join(rep.Warnings, "\n")
+	for _, want := range []string{"unused", "duplicate object key", "unreachable", "assignment in condition"} {
+		if !strings.Contains(joined, want) {
+			t.Errorf("missing %q warning in:\n%s", want, joined)
+		}
+	}
+}

@@ -6,8 +6,8 @@ import (
 	"comfort/internal/js/ast"
 )
 
-// warnings runs the static quality passes (the JSHint-substitute layer
-// lint.Check exposes): unused declarations, assignments in conditions,
+// warnings runs the static quality passes (the JSHint-substitute
+// layer): unused declarations, assignments in conditions,
 // duplicate object keys, and unreachable statements. Output order is
 // deterministic: the structural passes in tree walk order, then unused
 // declarations in source order.

@@ -1,34 +1,11 @@
-// Package lint is the JSHint substitute: a static syntax checker used by
-// the generation pipeline to classify synthesised programs as syntactically
-// valid or invalid, plus a handful of static quality warnings.
-//
-// The warning passes live in internal/js/analyze now (one analyzer serves
-// the lint API, the exec pipeline's early-error gate and the campaign's
-// fingerprint accounting); Check and Valid remain as the stable thin API
-// the generators and the Figure-9 quality metrics call.
+// Package lint is the JSHint substitute's validity check: whether a
+// synthesised program parses. The generation pipeline and the warning
+// passes call internal/js/parser and internal/js/analyze directly. Valid
+// remains for perfbench/replay.go and a few tests; it goes in the
+// benchmark change that drops the perfbench import.
 package lint
 
-import (
-	"comfort/internal/js/analyze"
-	"comfort/internal/js/parser"
-)
-
-// Result is the outcome of linting one program.
-type Result struct {
-	Valid    bool
-	Err      error // parse error when !Valid
-	Warnings []string
-}
-
-// Check parses src and, when it parses, runs the analyzer's static
-// warning passes.
-func Check(src string) Result {
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return Result{Valid: false, Err: err}
-	}
-	return Result{Valid: true, Warnings: analyze.Analyze(prog).Warnings}
-}
+import "comfort/internal/js/parser"
 
 // Valid reports only whether src parses.
 func Valid(src string) bool {

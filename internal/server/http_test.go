@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"comfort/internal/atomicfile"
 )
 
 func newTestServer(t *testing.T, opt Options) (*Supervisor, *httptest.Server) {
@@ -432,17 +434,59 @@ func TestStoreReconstruction(t *testing.T) {
 	}
 }
 
+// TestLoadJobsRejectsNonCanonicalIDs: directories whose names parse to an
+// existing job's sequence but are not its canonical ID (job-5, job-+5,
+// job-0000005 beside job-000005) are skipped with a warning each, so one
+// sequence never loads as several jobs.
+func TestLoadJobsRejectsNonCanonicalIDs(t *testing.T) {
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := Spec{Fuzzer: "COMFORT", Cases: 10, Seed: 5}
+	if err := store.CreateJob(Status{ID: jobID(5), Seq: 5, State: StateQueued, CasesTotal: sp.Cases}, sp); err != nil {
+		t.Fatal(err)
+	}
+	aliases := []string{"job-5", "job-+5", "job-0000005"}
+	for _, id := range aliases {
+		if err := writeAtomicSetup(store.jobDir(id), "spec.json",
+			`{"fuzzer":"COMFORT","cases":10,"seed":5}`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jobs, maxSeq, warnings, err := store.LoadJobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 1 || jobs[0].Status.ID != jobID(5) || maxSeq != 5 {
+		t.Fatalf("loaded %d jobs (first %+v), maxSeq %d; want only %s", len(jobs), jobs, maxSeq, jobID(5))
+	}
+	if len(warnings) != len(aliases) {
+		t.Fatalf("warnings %v, want one per alias %v", warnings, aliases)
+	}
+	for _, id := range aliases {
+		want := id + ": not a job directory"
+		found := false
+		for _, w := range warnings {
+			found = found || strings.HasPrefix(w, want)
+		}
+		if !found {
+			t.Errorf("no %q warning in %v", want, warnings)
+		}
+	}
+}
+
 func writeAtomicSetup(dir, name, content string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	return writeAtomic(filepath.Join(dir, name), []byte(content))
+	return atomicfile.Replace(filepath.Join(dir, name), []byte(content))
 }
 
 // TestSampleKeys pins the JSON keys of an SSE progress sample, in order.
-// The scheduler counters carry the checkpoint's snake_case keys (they are
-// campaign.Progress's embedded exec.Stats); the case position and the
-// campaign-level counters keep their Go field names.
+// The counters carry the checkpoint's snake_case keys (they are
+// campaign.Progress's embedded campaign.Counters); the case position and
+// the accounted counts keep their Go field names.
 func TestSampleKeys(t *testing.T) {
 	data, err := json.Marshal(Sample{JobID: "job-000001", State: StateRunning})
 	if err != nil {
@@ -468,8 +512,8 @@ func TestSampleKeys(t *testing.T) {
 		"job_id", "state", "Done", "Total",
 		"cache_hits", "cache_misses", "cache_evictions", "compiled", "fallback",
 		"ic_hits", "ic_misses", "ic_mega", "analyzed", "early_error_skips",
-		"panics", "wall_timeouts",
-		"FlaggedNondet", "FeaturesSeen", "Checkpoints",
+		"panics", "wall_timeouts", "checkpoints", "checkpoint_failures",
+		"FlaggedNondet", "FeaturesSeen",
 	}
 	if strings.Join(keys, ",") != strings.Join(want, ",") {
 		t.Errorf("sample keys:\n got %v\nwant %v", keys, want)

@@ -15,7 +15,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -209,17 +208,6 @@ func accountingOf(res *campaign.Result) *Accounting {
 		}
 	}
 	return a
-}
-
-// marshalAccounting renders the canonical result.json bytes: indented
-// JSON plus a trailing newline. Byte-identity of accounting is defined
-// over this encoding.
-func marshalAccounting(a *Accounting) ([]byte, error) {
-	data, err := json.MarshalIndent(a, "", " ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
 }
 
 func findingRecords(m map[string]*campaign.Finding) []FindingRecord {

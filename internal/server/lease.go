@@ -46,6 +46,8 @@ import (
 	"path/filepath"
 	"sort"
 	"time"
+
+	"comfort/internal/atomicfile"
 )
 
 // LeaseFormatVersion is bumped whenever the lease encoding changes
@@ -143,39 +145,26 @@ func (s *Store) ReadLease(id string) (*Lease, error) {
 }
 
 // CreateLease atomically creates a job's lease if and only if none
-// exists: the record is staged in a temp file and hard-linked to the
-// lease path, which fails with fs.ErrExist when a peer won the race.
-// Unlike rename, link never replaces — it is the claim arbiter.
+// exists (atomicfile.Create: temp file + hard link), failing with
+// fs.ErrExist when a peer won the race. Unlike rename, link never
+// replaces — it is the claim arbiter.
 func (s *Store) CreateLease(id string, l *Lease) error {
-	dir := s.jobDir(id)
-	data, err := json.MarshalIndent(l, "", " ")
+	data, err := atomicfile.Encode(l)
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, ".lease-*")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	err = os.Link(name, s.LeasePath(id))
-	os.Remove(name)
-	return err
+	return atomicfile.Create(s.LeasePath(id), data)
 }
 
 // WriteLease atomically replaces a job's lease record (renewal, epoch
 // takeover, release). Callers arbitrate via ReadLease checks; see the
 // package comment for why check-then-rename suffices here.
 func (s *Store) WriteLease(id string, l *Lease) error {
-	return writeJSON(s.LeasePath(id), l)
+	data, err := atomicfile.Encode(l)
+	if err != nil {
+		return err
+	}
+	return atomicfile.Replace(s.LeasePath(id), data)
 }
 
 // ReadStatus reads a job's persisted status file (the disk truth a

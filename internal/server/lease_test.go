@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"comfort/internal/atomicfile"
 )
 
 // mkJobDir creates a job directory with spec+status for tests that drive
@@ -44,11 +46,12 @@ func TestLeaseCreateIsExclusive(t *testing.T) {
 	if err != nil || got.Instance != "alpha" {
 		t.Fatalf("lease after losing create: %+v (err %v), want alpha's intact", got, err)
 	}
-	// No temp droppings left behind by either attempt.
+	// No temp droppings left behind by either attempt: the job directory
+	// holds no dot-file at all, whatever prefix the staging uses.
 	entries, _ := os.ReadDir(filepath.Dir(store.LeasePath(id)))
 	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), ".lease-") {
-			t.Fatalf("temp lease file left behind: %s", e.Name())
+		if strings.HasPrefix(e.Name(), ".") {
+			t.Fatalf("temp file left behind: %s", e.Name())
 		}
 	}
 }
@@ -56,8 +59,8 @@ func TestLeaseCreateIsExclusive(t *testing.T) {
 // TestLeaseFileHardening pins ReadLease's rejection surface: torn or
 // garbage bytes and future format versions are per-job errors with
 // actionable messages, absence is a clean nil, and a crash between a
-// claim's temp-file write and its link (the writeAtomic crash window of
-// the fenced path) leaves the job simply unclaimed.
+// claim's temp-file write and its link (the atomicfile.Create crash
+// window) leaves the job simply unclaimed.
 func TestLeaseFileHardening(t *testing.T) {
 	store, err := OpenStore(t.TempDir())
 	if err != nil {
@@ -91,7 +94,7 @@ func TestLeaseFileHardening(t *testing.T) {
 
 	// Crash window: the claim's temp file was staged but never linked.
 	// The lease is absent, the claim restartable, and a later create wins.
-	if err := os.WriteFile(filepath.Join(filepath.Dir(store.LeasePath(hollow)), ".lease-crashed"),
+	if err := os.WriteFile(filepath.Join(filepath.Dir(store.LeasePath(hollow)), ".tmp-crashed"),
 		[]byte(`{"format":1,"instance":"ghost","epoch":1,"deadline_ms":1}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +175,7 @@ func TestFencedWriteCrashWindows(t *testing.T) {
 
 	sp := Spec{Fuzzer: "COMFORT", Cases: 8}
 	probe := func(j *Job, path string) error {
-		return s.fencedWrite(j, func() error { return writeAtomic(path, []byte("stale bytes")) })
+		return s.fencedWrite(j, func() error { return atomicfile.Replace(path, []byte("stale bytes")) })
 	}
 
 	t.Run("PeerBumpedEpoch", func(t *testing.T) {

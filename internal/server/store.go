@@ -5,10 +5,10 @@
 //	jobs/<id>/checkpoint.json  the campaign.State (written by the campaign)
 //	jobs/<id>/result.json      the final Accounting, written on completion
 //
-// Every write is atomic (temp file + rename in the target directory), so
-// a SIGKILL at any instant leaves each file either absent, old or new —
-// never torn — and the supervisor reconstructs the entire queue from this
-// directory alone on startup.
+// Every write is atomic (atomicfile.Replace: temp file + rename in the
+// target directory), so a SIGKILL at any instant leaves each file either
+// absent, old or new — never torn — and the supervisor reconstructs the
+// entire queue from this directory alone on startup.
 package server
 
 import (
@@ -19,6 +19,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"comfort/internal/atomicfile"
 )
 
 // Store is the on-disk job queue.
@@ -53,49 +55,19 @@ func (s *Store) ResultPath(id string) string {
 // order both lexically and numerically.
 func jobID(seq int) string { return fmt.Sprintf("job-%06d", seq) }
 
-// seqOf parses a job ID back to its sequence number.
+// seqOf parses a job ID back to its sequence number. Only canonical IDs
+// (the ones jobID renders) parse, so a stray job-5 or job-0000005 never
+// aliases job-000005's sequence.
 func seqOf(id string) (int, bool) {
 	rest, ok := strings.CutPrefix(id, "job-")
 	if !ok {
 		return 0, false
 	}
 	n, err := strconv.Atoi(rest)
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || jobID(n) != id {
 		return 0, false
 	}
 	return n, true
-}
-
-// writeAtomic stages data in a temp file and renames it over path — the
-// same crash-safe discipline as campaign.WriteState.
-func writeAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".stage-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
-}
-
-func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", " ")
-	if err != nil {
-		return err
-	}
-	return writeAtomic(path, append(data, '\n'))
 }
 
 func readJSON(path string, v any) error {
@@ -116,7 +88,11 @@ func (s *Store) CreateJob(st Status, sp Spec) error {
 	if err := os.Mkdir(dir, 0o755); err != nil {
 		return err
 	}
-	if err := writeJSON(filepath.Join(dir, "spec.json"), sp); err != nil {
+	data, err := atomicfile.Encode(sp)
+	if err != nil {
+		return err
+	}
+	if err := atomicfile.Replace(filepath.Join(dir, "spec.json"), data); err != nil {
 		return err
 	}
 	return s.WriteStatus(st)
@@ -124,12 +100,16 @@ func (s *Store) CreateJob(st Status, sp Spec) error {
 
 // WriteStatus atomically rewrites a job's status file.
 func (s *Store) WriteStatus(st Status) error {
-	return writeJSON(filepath.Join(s.jobDir(st.ID), "status.json"), st)
+	data, err := atomicfile.Encode(st)
+	if err != nil {
+		return err
+	}
+	return atomicfile.Replace(filepath.Join(s.jobDir(st.ID), "status.json"), data)
 }
 
 // WriteResult atomically writes a job's final accounting bytes.
 func (s *Store) WriteResult(id string, data []byte) error {
-	return writeAtomic(s.ResultPath(id), data)
+	return atomicfile.Replace(s.ResultPath(id), data)
 }
 
 // ReadResult returns a job's final accounting bytes, or nil when the job

@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"comfort/internal/atomicfile"
 	"comfort/internal/campaign"
 	"comfort/internal/exec"
 	"comfort/internal/faultinject"
@@ -998,7 +999,7 @@ func (s *Supervisor) quarantine(j *Job, cause error) {
 // cases were in flight writes neither and lets the peer's run finish the
 // job.
 func (s *Supervisor) complete(j *Job, res *campaign.Result) {
-	data, err := marshalAccounting(accountingOf(res))
+	data, err := atomicfile.Encode(accountingOf(res))
 	if err == nil {
 		err = s.fencedWrite(j, func() error { return s.store.WriteResult(j.ID, data) })
 	}

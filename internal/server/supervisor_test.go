@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"comfort/internal/atomicfile"
 	"comfort/internal/campaign"
 	"comfort/internal/engines"
 	"comfort/internal/faultinject"
@@ -77,7 +78,7 @@ func expectedAccounting(t *testing.T, sp Spec) []byte {
 		Fuel:            sp.Fuel,
 		ReduceWitnesses: sp.Reduce,
 	})
-	data, err := marshalAccounting(accountingOf(res))
+	data, err := atomicfile.Encode(accountingOf(res))
 	if err != nil {
 		t.Fatalf("marshal baseline accounting: %v", err)
 	}

@@ -80,7 +80,7 @@ func (db *DB) Names() []string {
 
 // MarshalJSON renders the database in the Figure-4(b) JSON shape.
 func (db *DB) MarshalJSON() ([]byte, error) {
-	return json.MarshalIndent(db.Rules, "", "  ")
+	return json.Marshal(db.Rules)
 }
 
 // UnmarshalJSON loads a Figure-4(b) JSON database.

@@ -146,7 +146,8 @@ func RunCampaign(cfg CampaignConfig) *CampaignResult { return campaign.Run(cfg) 
 func SpecDatabase() *SpecDB { return spec.Default() }
 
 // MutateTestData applies Algorithm 1 (ECMA-262-guided test data generation)
-// to a test program and returns the mutated variants.
+// to a test program and returns at most maxVariants mutated variants;
+// maxVariants <= 0 means the default of 12.
 func MutateTestData(src string, maxVariants int, seed int64) []string {
 	rng := rand.New(rand.NewSource(seed))
 	var out []string

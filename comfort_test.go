@@ -52,6 +52,22 @@ func TestMutateTestDataPublic(t *testing.T) {
 	}
 }
 
+// TestMutateTestDataNonPositiveCap pins that a zero or negative variant
+// cap means the default of 12 instead of slicing out of range.
+func TestMutateTestDataNonPositiveCap(t *testing.T) {
+	const src = `var s = "abc"; print(s.substr(1, 2));`
+	def := MutateTestData(src, 12, 1)
+	if len(def) == 0 {
+		t.Fatal("no variants at the default cap")
+	}
+	want := strings.Join(def, "\n<EOF>\n")
+	for _, max := range []int{0, -1, -4} {
+		if got := strings.Join(MutateTestData(src, max, 1), "\n<EOF>\n"); got != want {
+			t.Errorf("maxVariants %d: variants differ from the default cap of 12", max)
+		}
+	}
+}
+
 func TestReduceTestCasePublic(t *testing.T) {
 	src := "var noise = 1;\nprint(\"KEY\");\nvar more = 2;"
 	out := ReduceTestCase(src, func(s string) bool { return strings.Contains(s, "KEY") })

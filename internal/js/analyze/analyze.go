@@ -21,8 +21,7 @@
 // parse and attached to the Program (ast.Program.Analysis) before the
 // tree is shared across goroutines; analysis consumes nothing but the
 // AST itself, so the exec layer's parse-fingerprint cache key keeps it
-// sound. The analyzer also hosts the static quality warnings (the
-// JSHint substitute's warning layer).
+// sound.
 package analyze
 
 import (
@@ -56,12 +55,6 @@ type Report struct {
 	Flags Flags
 	// Features is the program's language-feature fingerprint.
 	Features Features
-	// Warnings are the static quality diagnostics (source order); see
-	// internal/js/lint.
-	Warnings []string
-	// PrintSites holds the node IDs of print(...) call sites — the
-	// assertion-site inventory a conformance-test exporter consumes.
-	PrintSites []int
 }
 
 // FirstError returns the first early error in source order, or nil.
@@ -80,9 +73,8 @@ func (r *Report) Invalid() bool { return r != nil && len(r.EarlyErrors) > 0 }
 // uncached implementation of exactly the analysis the cached path serves.
 func Analyze(prog *ast.Program) *Report {
 	r := &Report{}
-	scanProgram(prog, r) // features, flags, print sites (features.go)
+	scanProgram(prog, r) // features and flags (features.go)
 	earlyErrors(prog, r) // static-semantics pass (early.go)
-	warnings(prog, r)    // quality warnings (warnings.go)
 	return r
 }
 

@@ -152,9 +152,9 @@ func (f Flags) Names() []string {
 // Any reports whether any divergence-risk rule fired.
 func (f Flags) Any() bool { return f != 0 }
 
-// scanProgram runs the single fingerprint walk: feature bits, divergence
-// flags and the print-site inventory. (FeatShadowing is contributed by
-// the early-error pass, which owns the scope model.)
+// scanProgram runs the single fingerprint walk: feature bits and
+// divergence flags. (FeatShadowing is contributed by the early-error
+// pass, which owns the scope model.)
 func scanProgram(prog *ast.Program, r *Report) {
 	if prog.Strict {
 		r.Features |= FeatStrict
@@ -258,9 +258,6 @@ func scanProgram(prog *ast.Program, r *Report) {
 			}
 		case *ast.CallExpr:
 			r.Features |= FeatCall
-			if id, ok := v.Callee.(*ast.Ident); ok && id.Name == "print" {
-				r.PrintSites = append(r.PrintSites, v.ID())
-			}
 			if name, ok := calleePath(v.Callee); ok {
 				switch name {
 				case "Math.random":

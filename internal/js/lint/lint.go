@@ -1,8 +1,8 @@
 // Package lint is the JSHint substitute's validity check: whether a
-// synthesised program parses. The generation pipeline and the warning
-// passes call internal/js/parser and internal/js/analyze directly. Valid
-// remains for perfbench/replay.go and a few tests; it goes in the
-// benchmark change that drops the perfbench import.
+// synthesised program parses. The generation pipeline calls
+// internal/js/parser directly. Valid remains for perfbench/replay.go and
+// a few tests; it goes in the benchmark change that drops the perfbench
+// import.
 package lint
 
 import "comfort/internal/js/parser"

@@ -169,14 +169,11 @@ func receiverDefault(prefix string) string {
 	}
 }
 
-// synthesizeDrivers builds Figure-2-style driver variants for src: for each
-// uncalled function and each boundary value of a spec-covered parameter,
-// append `var parameter = <value>; print(fn(...));`.
-func synthesizeDrivers(src string, db *spec.DB, rng *rand.Rand, budget int) []Variant {
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return nil
-	}
+// synthesizeDrivers builds Figure-2-style driver variants for src, whose
+// tree is prog: for each uncalled function and each boundary value of a
+// spec-covered parameter, append `var parameter = <value>;
+// print(fn(...));`. Each driver is kept only if it parses.
+func synthesizeDrivers(prog *ast.Program, src string, db *spec.DB, rng *rand.Rand, budget int) []Variant {
 	targets := findDriverTargets(prog, db)
 	if len(targets) == 0 {
 		return nil

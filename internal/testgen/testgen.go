@@ -25,13 +25,10 @@ type MutationPoint struct {
 	Values   []string
 }
 
-// FindMutationPoints parses src and locates every API call covered by the
-// database.
-func FindMutationPoints(src string, db *spec.DB) ([]MutationPoint, error) {
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return nil, err
-	}
+// FindMutationPoints locates every API call in prog covered by the
+// database: one point per argument position whose spec rule has values,
+// in tree walk order.
+func FindMutationPoints(prog *ast.Program, db *spec.DB) []MutationPoint {
 	// Data-flow map: variable name → declared-by-var-decl.
 	declared := map[string]bool{}
 	ast.Walk(prog, func(n ast.Node) bool {
@@ -79,7 +76,7 @@ func FindMutationPoints(src string, db *spec.DB) ([]MutationPoint, error) {
 		}
 		return true
 	})
-	return points, nil
+	return points
 }
 
 // Variant is one mutated test case.
@@ -91,7 +88,8 @@ type Variant struct {
 
 // Options bounds the mutation fan-out.
 type Options struct {
-	// MaxVariants caps the number of emitted test cases per program.
+	// MaxVariants caps the number of emitted test cases per program;
+	// zero or a negative value means the default, 12.
 	MaxVariants int
 	// RandomExtra adds this many random-value mutations per point on top of
 	// the boundary values ("normal conditions" in Algorithm 1).
@@ -105,18 +103,20 @@ var randomLiterals = []string{
 }
 
 // Mutate implements Algorithm 1: it returns test-case variants of src with
-// boundary-condition and random argument data.
+// boundary-condition and random argument data. It parses src once; each
+// mutation edits that one tree, prints it and undoes the edit.
 func Mutate(src string, db *spec.DB, rng *rand.Rand, opts Options) []Variant {
-	if opts.MaxVariants == 0 {
+	if opts.MaxVariants <= 0 {
 		opts.MaxVariants = 12
+	}
+	prog, err := parser.Parse(src)
+	if err != nil {
+		return nil
 	}
 	// Driver synthesis first: uncalled functions get Figure-2-style
 	// harnesses whose parameter values carry the boundary probes.
-	drivers := synthesizeDrivers(src, db, rng, opts.MaxVariants)
-	points, err := FindMutationPoints(src, db)
-	if err != nil || (len(points) == 0 && len(drivers) == 0) {
-		return drivers
-	}
+	drivers := synthesizeDrivers(prog, src, db, rng, opts.MaxVariants)
+	points := FindMutationPoints(prog, db)
 	// Build the candidate set. Each argument's top-priority probe — the
 	// condition-derived value that leads its Figure-4 list — is emitted
 	// unconditionally; the remaining boundary and random values are sampled
@@ -149,7 +149,7 @@ func Mutate(src string, db *spec.DB, rng *rand.Rand, opts Options) []Variant {
 		if len(out) >= opts.MaxVariants {
 			break
 		}
-		mutated, ok := applyMutation(src, c.p, c.val)
+		mutated, ok := applyMutation(prog, c.p, c.val)
 		if ok && mutated != src {
 			out = append(out, Variant{Source: mutated, API: c.p.API, Value: c.val})
 		}
@@ -157,61 +157,63 @@ func Mutate(src string, db *spec.DB, rng *rand.Rand, opts Options) []Variant {
 	return out
 }
 
-// applyMutation rewrites one argument (or its defining declaration) to the
-// literal value and prints the program back to source.
-func applyMutation(src string, p MutationPoint, value string) (string, bool) {
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return "", false
-	}
+// applyMutation rewrites one argument (or its defining declaration) of
+// prog to the literal value and prints the program back to source. It
+// restores the one field it rewrote before returning, so prog is left
+// exactly as it was found.
+func applyMutation(prog *ast.Program, p MutationPoint, value string) (string, bool) {
 	lit, err := parser.ParseExprString(value)
 	if err != nil {
 		return "", false
 	}
-	changed := false
+	var undo func()
 	if p.DeclName != "" {
 		// Rewrite the variable declaration initialiser (data-flow path).
 		ast.Walk(prog, func(n ast.Node) bool {
 			vd, ok := n.(*ast.VarDecl)
-			if !ok || changed {
-				return !changed
+			if !ok || undo != nil {
+				return undo == nil
 			}
 			for i := range vd.Decls {
-				if vd.Decls[i].Name == p.DeclName {
-					vd.Decls[i].Init = lit
-					changed = true
+				if d := &vd.Decls[i]; d.Name == p.DeclName {
+					old := d.Init
+					d.Init = lit
+					undo = func() { d.Init = old }
 					return false
 				}
 			}
 			return true
 		})
 	}
-	if !changed {
-		// Rewrite the call argument in place.
+	if undo == nil {
+		// Rewrite the call argument, padding missing ones with undefined.
+		// The edited list is a fresh copy, so padding never writes into
+		// the original backing array.
 		ast.Walk(prog, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || changed {
-				return !changed
+			if !ok || undo != nil {
+				return undo == nil
 			}
-			if call.ID() == p.CallID {
-				for len(call.Args) <= p.ArgIndex {
-					pad, err := parser.ParseExprString("undefined")
-					if err != nil {
-						return false
-					}
-					call.Args = append(call.Args, pad)
-				}
-				call.Args[p.ArgIndex] = lit
-				changed = true
-				return false
+			if call.ID() != p.CallID {
+				return true
 			}
-			return true
+			old := call.Args
+			args := make([]ast.Expr, max(len(old), p.ArgIndex+1))
+			copy(args, old)
+			for i := len(old); i < p.ArgIndex; i++ {
+				args[i] = &ast.Ident{Name: "undefined"}
+			}
+			args[p.ArgIndex] = lit
+			call.Args = args
+			undo = func() { call.Args = old }
+			return false
 		})
 	}
-	if !changed {
+	if undo == nil {
 		return "", false
 	}
 	printed := ast.Print(prog)
+	undo()
 	if _, err := parser.Parse(printed); err != nil {
 		return "", false
 	}

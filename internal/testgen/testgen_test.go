@@ -5,7 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"comfort/internal/corpus"
+	"comfort/internal/js/ast"
 	"comfort/internal/js/lint"
+	"comfort/internal/js/parser"
 	"comfort/internal/spec"
 )
 
@@ -18,10 +21,11 @@ var len = 6;
 print(foo(s, 6, len));`
 
 func TestFindMutationPoints(t *testing.T) {
-	points, err := FindMutationPoints(substrProgram, spec.Default())
+	prog, err := parser.Parse(substrProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
+	points := FindMutationPoints(prog, spec.Default())
 	if len(points) != 2 {
 		t.Fatalf("points: %d want 2 (start, length)", len(points))
 	}
@@ -86,5 +90,43 @@ func TestMutateRespectsCap(t *testing.T) {
 	vs := Mutate(substrProgram, spec.Default(), rng, Options{MaxVariants: 3})
 	if len(vs) > 3 {
 		t.Errorf("cap violated: %d", len(vs))
+	}
+}
+
+// TestApplyMutationRestoresTree pins the edit-and-undo contract Mutate's
+// single parse relies on: after every applyMutation the shared tree
+// prints exactly as before, on every mutation point of the corpus and on
+// an argument index past the call's arity (the padding path).
+func TestApplyMutationRestoresTree(t *testing.T) {
+	db := spec.Default()
+	padded := false
+	for _, src := range append([]string{substrProgram}, corpus.Programs()...) {
+		prog, err := parser.Parse(src)
+		if err != nil {
+			continue
+		}
+		points := FindMutationPoints(prog, db)
+		if src == substrProgram {
+			// str.substr(start, len) has no third argument: pad past it.
+			p := points[0]
+			p.ArgIndex, p.DeclName = 3, ""
+			points = append(points, p)
+		}
+		for _, p := range points {
+			before := ast.Print(prog)
+			mutated, ok := applyMutation(prog, p, p.Values[0])
+			if after := ast.Print(prog); after != before {
+				t.Fatalf("%s arg %d = %s left the tree edited:\n%s\nwas\n%s", p.API, p.ArgIndex, p.Values[0], after, before)
+			}
+			if src == substrProgram && p.ArgIndex == 3 {
+				if !ok || !strings.Contains(mutated, "substr(start, len, undefined, ") {
+					t.Fatalf("padding path not taken:\n%s", mutated)
+				}
+				padded = true
+			}
+		}
+	}
+	if !padded {
+		t.Fatal("the padding path was never exercised")
 	}
 }

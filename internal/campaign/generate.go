@@ -62,7 +62,10 @@ type genStart struct {
 // closing it when the budget is met, the fuzzer is exhausted (an empty
 // batch), or ctx is cancelled. Because batch j is a pure function of
 // (seed, j) on the forkable path, resuming at (batch, off) re-generates
-// the exact suffix of the fresh run's stream, for every shard count.
+// the exact suffix of the fresh run's stream, for every shard count. Each
+// shard reseeds one RNG per batch instead of allocating one: a reseeded
+// rand.Rand yields the same streams as a new one (Seed also resets Read's
+// buffer), and a forkable Next keeps no reference to the rng it is given.
 func generateCases(ctx context.Context, cfg Config, shards int, start genStart, out chan<- exec.Case) {
 	defer close(out)
 	forkable, ok := cfg.Fuzzer.(fuzzers.Forkable)
@@ -78,8 +81,10 @@ func generateCases(ctx context.Context, cfg Config, shards int, start genStart, 
 	if shards <= 1 {
 		// One shard: the same per-batch-derived RNG scheme, run inline.
 		emit := newEmitter(ctx, cfg, start.index, 0, out)
+		rng := rand.New(rand.NewSource(0))
 		for j := start.batch; ; j++ {
-			batch := cfg.Fuzzer.Next(rand.New(rand.NewSource(batchSeed(cfg.Seed, j))))
+			rng.Seed(batchSeed(cfg.Seed, j))
+			batch := cfg.Fuzzer.Next(rng)
 			if len(batch) == 0 || !emit(j, batch, startSkip(start, j)) {
 				return
 			}
@@ -96,8 +101,10 @@ func generateCases(ctx context.Context, cfg Config, shards int, start genStart, 
 		chans[s] = ch
 		go func(s int, f fuzzers.Fuzzer) {
 			defer close(ch)
+			rng := rand.New(rand.NewSource(0))
 			for j := start.batch + s; ; j += shards {
-				batch := f.Next(rand.New(rand.NewSource(batchSeed(cfg.Seed, j))))
+				rng.Seed(batchSeed(cfg.Seed, j))
+				batch := f.Next(rng)
 				select {
 				case <-shardCtx.Done():
 					return

@@ -2,7 +2,7 @@ package ast
 
 // Walk traverses the tree rooted at n in depth-first pre-order, calling fn
 // for every non-nil node. If fn returns false the node's children are not
-// visited.
+// visited. Walk itself allocates nothing.
 func Walk(n Node, fn func(Node) bool) {
 	if n == nil || isNilNode(n) {
 		return
@@ -10,9 +10,7 @@ func Walk(n Node, fn func(Node) bool) {
 	if !fn(n) {
 		return
 	}
-	for _, c := range Children(n) {
-		Walk(c, fn)
-	}
+	eachChild(n, func(c Node) { Walk(c, fn) })
 }
 
 // isNilNode guards against typed-nil interface values.
@@ -34,87 +32,70 @@ func isNilNode(n Node) bool {
 // Nil children are omitted.
 func Children(n Node) []Node {
 	var out []Node
+	eachChild(n, func(c Node) { out = append(out, c) })
+	return out
+}
+
+// eachChild calls visit for each direct child of n in source order,
+// skipping nil children (typed-nil blocks, function literals and switch
+// cases included).
+func eachChild(n Node, visit func(Node)) {
 	add := func(c Node) {
-		if c == nil {
-			return
-		}
-		switch v := c.(type) {
-		case *BlockStmt:
-			if v == nil {
-				return
-			}
-		case *FuncLit:
-			if v == nil {
-				return
-			}
-		case *SwitchCase:
-			if v == nil {
-				return
-			}
-		}
-		out = append(out, c)
-	}
-	addE := func(e Expr) {
-		if e != nil {
-			add(e)
-		}
-	}
-	addS := func(s Stmt) {
-		if s != nil {
-			add(s)
+		if c != nil && !isNilNode(c) {
+			visit(c)
 		}
 	}
 	switch v := n.(type) {
 	case *Program:
 		for _, s := range v.Body {
-			addS(s)
+			add(s)
 		}
 	case *VarDecl:
 		for _, d := range v.Decls {
-			addE(d.Init)
+			add(d.Init)
 		}
 	case *FuncDecl:
 		add(v.Fn)
 	case *ExprStmt:
-		addE(v.X)
+		add(v.X)
 	case *BlockStmt:
 		for _, s := range v.Body {
-			addS(s)
+			add(s)
 		}
 	case *IfStmt:
-		addE(v.Cond)
-		addS(v.Then)
-		addS(v.Else)
+		add(v.Cond)
+		add(v.Then)
+		add(v.Else)
 	case *ForStmt:
 		if v.Init != nil {
 			add(v.Init)
 		}
-		addE(v.Cond)
-		addE(v.Post)
-		addS(v.Body)
+		add(v.Cond)
+		add(v.Post)
+		add(v.Body)
 	case *ForInStmt:
-		addE(v.Obj)
-		addS(v.Body)
+		add(v.Obj)
+		add(v.Body)
 	case *WhileStmt:
-		addE(v.Cond)
-		addS(v.Body)
+		add(v.Cond)
+		add(v.Body)
 	case *DoWhileStmt:
-		addS(v.Body)
-		addE(v.Cond)
+		add(v.Body)
+		add(v.Cond)
 	case *SwitchStmt:
-		addE(v.Disc)
+		add(v.Disc)
 		for _, c := range v.Cases {
 			add(c)
 		}
 	case *SwitchCase:
-		addE(v.Test)
+		add(v.Test)
 		for _, s := range v.Body {
-			addS(s)
+			add(s)
 		}
 	case *ReturnStmt:
-		addE(v.X)
+		add(v.X)
 	case *ThrowStmt:
-		addE(v.X)
+		add(v.X)
 	case *TryStmt:
 		add(v.Block)
 		if v.Catch != nil {
@@ -124,69 +105,68 @@ func Children(n Node) []Node {
 			add(v.Finally)
 		}
 	case *LabeledStmt:
-		addS(v.Body)
+		add(v.Body)
 	case *TemplateLit:
 		for _, e := range v.Exprs {
-			addE(e)
+			add(e)
 		}
 	case *ArrayLit:
 		for _, e := range v.Elems {
-			addE(e)
+			add(e)
 		}
 	case *ObjectLit:
 		for _, p := range v.Props {
 			if p.Computed {
-				addE(p.KeyExpr)
+				add(p.KeyExpr)
 			}
-			addE(p.Value)
+			add(p.Value)
 		}
 	case *FuncLit:
 		if v.ExprBody != nil {
-			addE(v.ExprBody)
+			add(v.ExprBody)
 		}
 		if v.Body != nil {
 			add(v.Body)
 		}
 	case *UnaryExpr:
-		addE(v.X)
+		add(v.X)
 	case *UpdateExpr:
-		addE(v.X)
+		add(v.X)
 	case *BinaryExpr:
-		addE(v.L)
-		addE(v.R)
+		add(v.L)
+		add(v.R)
 	case *LogicalExpr:
-		addE(v.L)
-		addE(v.R)
+		add(v.L)
+		add(v.R)
 	case *AssignExpr:
-		addE(v.L)
-		addE(v.R)
+		add(v.L)
+		add(v.R)
 	case *CondExpr:
-		addE(v.Cond)
-		addE(v.Then)
-		addE(v.Else)
+		add(v.Cond)
+		add(v.Then)
+		add(v.Else)
 	case *CallExpr:
-		addE(v.Callee)
+		add(v.Callee)
 		for _, a := range v.Args {
-			addE(a)
+			add(a)
 		}
 	case *NewExpr:
-		addE(v.Callee)
+		add(v.Callee)
 		for _, a := range v.Args {
-			addE(a)
+			add(a)
 		}
 	case *MemberExpr:
-		addE(v.Obj)
+		add(v.Obj)
 		if v.Computed {
-			addE(v.Prop)
+			add(v.Prop)
 		}
 	case *SeqExpr:
 		for _, e := range v.Exprs {
-			addE(e)
+			add(e)
 		}
 	case *SpreadExpr:
-		addE(v.X)
+		add(v.X)
 	}
-	return out
 }
 
 // CountNodes returns the number of nodes in the tree rooted at n.

@@ -79,7 +79,8 @@ print("string", Object.getOwnPropertyNames(String.prototype).join());
 
 // TestRealmIsolation pins that realms cloned from one template share no
 // mutable state: a realm that writes everything it can reach leaves the
-// next clone exactly as pristine as one taken before it ran.
+// next clone exactly as pristine as one taken before it ran, and a
+// shape-layout realm reset after those writes is as pristine too.
 func TestRealmIsolation(t *testing.T) {
 	for _, l := range layouts {
 		t.Run(l.name, func(t *testing.T) {
@@ -93,6 +94,23 @@ func TestRealmIsolation(t *testing.T) {
 			}
 		})
 	}
+	t.Run("reset", func(t *testing.T) {
+		cfg := interp.Config{Fuel: 1_000_000}
+		in := NewRuntime(cfg)
+		for _, src := range []string{isolationMutations + isolationProbe, isolationProbe} {
+			prog, err := parser.Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ResetRuntime(in, cfg)
+			if err := in.Run(prog); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := in.Out.String(), runIn(t, false, isolationProbe); got != want {
+			t.Errorf("realm reset after a mutating run differs from the pristine baseline:\nreset: %s\nnew:   %s", got, want)
+		}
+	})
 }
 
 // concurrentPrograms force lazy sections, error kinds and native-table
@@ -225,5 +243,41 @@ func TestRealmAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > realmByteBudget {
 		t.Errorf("NewRuntime allocates %d bytes per realm, budget %d", b, realmByteBudget)
+	}
+}
+
+// TestRealmResetAllocs pins that resetting a realm allocates nothing: the
+// copy of the template goes into the slabs, maps and cache table the
+// realm already holds. It checks steady-state resets with
+// testing.AllocsPerRun, then resets that each follow a run of a program
+// that mutates the realm, installs lazy sections and error kinds, and
+// fills inline caches.
+func TestRealmResetAllocs(t *testing.T) {
+	prog, err := parser.Parse(isolationMutations + isolationProbe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve.Program(prog)
+	compile.Program(prog)
+	cfg := interp.Config{Fuel: 1_000_000}
+	in := NewRuntime(cfg)
+	run := func() {
+		if err := compile.Of(prog).Run(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if got := testing.AllocsPerRun(100, func() { ResetRuntime(in, cfg) }); got != 0 {
+		t.Errorf("ResetRuntime allocates %v times per steady-state reset, want 0", got)
+	}
+	var before, after runtime.MemStats
+	for i := 0; i < 10; i++ {
+		run()
+		runtime.ReadMemStats(&before)
+		ResetRuntime(in, cfg)
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Fatalf("resetting a used realm allocated %d times, want 0", n)
+		}
 	}
 }

@@ -18,6 +18,13 @@ func NewRuntime(cfg interp.Config) *interp.Interp {
 	return realmTemplate(cfg.DisableShapes).New(cfg)
 }
 
+// ResetRuntime returns in, a shape-layout interpreter NewRuntime built, to
+// the state NewRuntime(cfg) would build, reusing its buffers (see
+// interp.Template.Reset). cfg must select the shape layout.
+func ResetRuntime(in *interp.Interp, cfg interp.Config) {
+	realmTemplate(false).Reset(in, cfg)
+}
+
 // Native-method tables: the first template build runs a capture pass on a
 // throwaway interpreter, recording every r.method registration into a
 // frozen, realm-independent interp.NativeTable per receiver object (the
@@ -29,12 +36,13 @@ func NewRuntime(cfg interp.Config) *interp.Interp {
 //
 // Realm templates: installAll then runs once per process for each object
 // layout (templates[1] holds dictionary objects), and interp.NewTemplate
-// snapshots the result. Every realm after that is a clone — realm
-// construction is paid once per physical testbed execution, which makes
-// it the campaign scheduler's single hottest path. Nothing in a template
-// may capture its realm: lazy thunks and the prototype-miss hook receive
-// the realm they run in, and per-realm "already installed" state lives in
-// interp.Interp.Sections and the Protos table.
+// snapshots the result. Every realm after that is a copy of it — a new
+// clone (NewRuntime) or a used realm refilled in place (ResetRuntime,
+// which the engines package's realm pool calls once per physical testbed
+// execution, the campaign scheduler's single hottest path). Nothing in a
+// template may capture its realm: lazy thunks and the prototype-miss hook
+// receive the realm they run in, and per-realm "already installed" state
+// lives in interp.Interp.Sections and the Protos table.
 var (
 	tableOnce sync.Once
 	// methodTables maps a method's canonical spec key to the frozen table

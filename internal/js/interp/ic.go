@@ -63,9 +63,15 @@ type icSite struct {
 // EnsureICSites grows the per-execution site table to n entries; the
 // compile pass sizes n at compile time and Compiled.Run calls this before
 // the first thunk executes. DisableShapes leaves the table empty, which
-// turns every IC entry point into its generic fallback.
+// turns every IC entry point into its generic fallback. Entries past the
+// table's length are zero (a reset clears what a run used), so growth
+// within the capacity of a reset realm's kept table only reslices.
 func (in *Interp) EnsureICSites(n int) {
 	if in.DisableShapes || n <= len(in.ics) {
+		return
+	}
+	if n <= cap(in.ics) {
+		in.ics = in.ics[:n]
 		return
 	}
 	ics := make([]icSite, n)

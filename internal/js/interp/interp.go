@@ -80,9 +80,8 @@ type Interp struct {
 	// to their objects; the builtins package populates it.
 	Protos map[string]*Object
 
-	Strict bool
-	Hook   Hook
-	Cov    *Coverage
+	Hook Hook
+	Cov  *Coverage
 	// ProtoMiss, when set, is invoked on a Protos lookup miss (see Proto)
 	// so the builtins package can materialise lazily-installed sections
 	// the interpreter itself depends on (the Error hierarchy). It receives
@@ -93,6 +92,9 @@ type Interp struct {
 	// section thunks are shared by every realm cloned from one template,
 	// so this per-realm bookkeeping cannot live in them.
 	Sections uint32
+	// Strict mirrors Config.Strict. The bools sit together so the struct
+	// stays in its allocation size class.
+	Strict bool
 	// MutableFuncName mirrors Config.MutableFuncName.
 	MutableFuncName bool
 	// SloppyStrictAssign mirrors Config.SloppyStrictAssign.
@@ -104,13 +106,18 @@ type Interp struct {
 	// dictionary-mode objects and the IC entry points fall through to the
 	// generic property paths.
 	DisableShapes bool
+	// hookScratchBusy marks hookScratch (below) as lent out; randLive
+	// records that this run has seeded rand.
+	hookScratchBusy bool
+	randLive        bool
 
 	// Out receives print() output.
 	Out strings.Builder
 
 	// rand drives Math.random deterministically; seeded lazily via Rand()
 	// because most programs never observe it and seeding Go's legacy source
-	// costs microseconds per interpreter instance.
+	// costs microseconds per interpreter instance. A reset realm keeps the
+	// source and reseeds it (randLive, above, records that this run has).
 	rand     *rand.Rand
 	randSeed int64
 	// Now is the deterministic Date.now clock (milliseconds).
@@ -158,8 +165,11 @@ type Interp struct {
 
 	// hookScratch is the reusable HookCtx for hook sites whose Override is
 	// consumed synchronously (propset, arraygrow, functier) — see hookCtx.
-	hookScratch     HookCtx
-	hookScratchBusy bool
+	hookScratch HookCtx
+
+	// slab holds the realm's copy of its template's objects (see
+	// Template); a reset refills it in place.
+	slab realmSlab
 }
 
 // New creates an interpreter without the standard library; callers normally
@@ -173,6 +183,16 @@ func New(cfg Config) *Interp {
 // newInterp creates an interpreter with no global object yet: New adds an
 // empty one, Template.New a copy of the template's.
 func newInterp(cfg Config) *Interp {
+	in := new(Interp)
+	// Presized past the eager stdlib sections plus the error hierarchy,
+	// so realm construction never grows the map.
+	in.init(cfg, make(map[string]*Object, 16), NewEnv(nil, true))
+	return in
+}
+
+// init sets every field of in from cfg, with the given (empty) Protos map
+// and global environment: all other state is zeroed by construction.
+func (in *Interp) init(cfg Config, protos map[string]*Object, genv *Env) {
 	fuel := cfg.Fuel
 	if fuel <= 0 {
 		fuel = DefaultFuel
@@ -181,10 +201,9 @@ func newInterp(cfg Config) *Interp {
 	if maxDepth <= 0 {
 		maxDepth = 256
 	}
-	in := &Interp{
-		// Presized past the eager stdlib sections plus the error
-		// hierarchy, so realm construction never grows the map.
-		Protos:             make(map[string]*Object, 16),
+	*in = Interp{
+		GlobalEnv:          genv,
+		Protos:             protos,
 		Strict:             cfg.Strict,
 		Hook:               cfg.Hook,
 		MutableFuncName:    cfg.MutableFuncName,
@@ -198,8 +217,6 @@ func newInterp(cfg Config) *Interp {
 		watchdog:           cfg.Watchdog,
 		wdNext:             fuel - WatchdogStride,
 	}
-	in.GlobalEnv = NewEnv(nil, true)
-	return in
 }
 
 // NewObject allocates a plain object with the given prototype in shape
@@ -216,8 +233,13 @@ func (in *Interp) NewObject(proto *Object) *Object {
 // Rand returns the deterministic Math.random source, seeding it on first
 // use.
 func (in *Interp) Rand() *rand.Rand {
-	if in.rand == nil {
-		in.rand = rand.New(rand.NewSource(in.randSeed))
+	if !in.randLive {
+		if in.rand == nil {
+			in.rand = rand.New(rand.NewSource(in.randSeed))
+		} else {
+			in.rand.Seed(in.randSeed)
+		}
+		in.randLive = true
 	}
 	return in.rand
 }

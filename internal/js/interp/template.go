@@ -8,23 +8,24 @@ import (
 // Template is a read-only snapshot of a pristine realm: the global object,
 // every object reachable from it or from the Protos table, and the realm's
 // Protos and ProtoMiss. New copies the graph into a fresh interpreter
-// instead of re-running the standard-library installers; realm
-// construction is paid once per physical testbed execution, so it sits on
-// the campaign scheduler's hottest path.
+// instead of re-running the standard-library installers, and Reset copies
+// it again into a used one; one of the two runs per physical testbed
+// execution, so the copy sits on the campaign scheduler's hottest path.
 //
 // The snapshot fixes an object index and every pointer to remap, in a
 // deterministic walk order (the global object, then breadth-first through
 // prototypes and object-valued properties in layout order, then the Protos
-// entries in the order given); it never iterates a Go map. A clone
-// allocates one Object slab, one Value slab and one lazyProp slab (plus
-// the dictionary-storage, key and property slabs and the maps of a
-// dictionary-layout realm; an empty slab allocates nothing), copies every
-// struct, and re-points each internal pointer by index. Pending slot tails stay unallocated (see
+// entries in the order given); it never iterates a Go map. New allocates
+// one Object slab, one Value slab and one lazyProp slab (plus the
+// dictionary-storage, key and property slabs and the maps of a
+// dictionary-layout realm; an empty slab allocates nothing); the copy
+// (fill) writes every struct into the slabs and re-points each internal
+// pointer by index. Pending slot tails stay unallocated (see
 // Object.slot). Every copied slice is capped at its length, so an append
-// or a lazy resolution in the clone reallocates instead of writing into
-// the template's backing arrays: template objects are never written after
-// the snapshot, and any number of goroutines may clone one template
-// concurrently.
+// or a lazy resolution in the copy reallocates instead of writing into
+// the template's backing arrays or past its slab range: template objects
+// are never written after the snapshot, and any number of goroutines may
+// copy one template concurrently.
 //
 // The snapshot supports exactly the state a pristine realm holds —
 // ordinary and native-function objects with data properties, lazy thunks
@@ -144,6 +145,23 @@ func (t *Template) visit(in *Interp, o *Object, add func(*Object) int32) {
 	t.nprops += len(keys)
 }
 
+// realmSlab is the backing storage of a realm's copy of its template: one
+// Object, one Value and one lazyProp slab, sized by the template.
+type realmSlab struct {
+	objs []Object
+	vals []Value
+	lazy []lazyProp
+}
+
+// Reset bounds: a reset realm keeps its global-binding map and its
+// inline-cache table only up to these sizes, so one program with
+// thousands of globals or member-access sites does not pin that memory in
+// a pooled realm for the rest of the process.
+const (
+	keepGlobals = 64
+	keepICSites = 1024
+)
+
 // New creates an interpreter configured by cfg whose realm is a copy of
 // the template's object graph: in.Global, in.Protos and in.ProtoMiss. The
 // configuration must select the template's object layout.
@@ -152,9 +170,67 @@ func (t *Template) New(cfg Config) *Interp {
 		panic("interp: realm template layout differs from the configuration's")
 	}
 	in := newInterp(cfg)
-	objs := make([]Object, len(t.objs))
-	vals := make([]Value, t.nslots)
-	lazy := make([]lazyProp, t.nlazy)
+	in.slab = realmSlab{
+		objs: make([]Object, len(t.objs)),
+		vals: make([]Value, t.nslots),
+		lazy: make([]lazyProp, t.nlazy),
+	}
+	t.fill(in)
+	return in
+}
+
+// Reset returns in, a shape-layout realm built by New from this template
+// and possibly run since, to the state New(cfg) would build. Every field
+// is zeroed by construction (see Interp.init); only buffers survive: the
+// object, value and lazy slabs, which the template is copied into again;
+// the Protos and global-binding maps, cleared; the inline-cache table,
+// cleared, since a stale entry keyed by a process-global shape and a
+// reused slab address would return another program's slot; and the
+// Math.random source, reseeded on first use. A global map or cache table
+// that grew past its keep bound is dropped instead; Protos holds at most
+// the standard library's prototypes, so it is always kept.
+//
+// Reset copies the whole template rather than tracking which objects a
+// run dirtied: the template is a few kilobytes, and a dirty bit would
+// cost a branch on every mutation path of the evaluator.
+//
+// With no other reference to in or to any object it reached, runs on a
+// reset realm are indistinguishable from runs on a new one, fuel and
+// inline-cache counters included. Reset allocates nothing.
+func (t *Template) Reset(in *Interp, cfg Config) {
+	if t.dict || cfg.DisableShapes {
+		panic("interp: only a shape-layout realm template resets a realm")
+	}
+	if len(in.slab.objs) != len(t.objs) || len(in.slab.vals) != t.nslots || len(in.slab.lazy) != t.nlazy {
+		panic("interp: realm reset from a template it was not built from")
+	}
+	protos, genv := in.Protos, in.GlobalEnv
+	clear(protos)
+	vars := genv.vars
+	if len(vars) > keepGlobals {
+		vars = map[string]*binding{}
+	} else {
+		clear(vars)
+	}
+	*genv = Env{vars: vars, isFunc: true}
+	ics := in.ics
+	if cap(ics) > keepICSites {
+		ics = nil
+	} else {
+		clear(ics)
+		ics = ics[:0]
+	}
+	slab, rng := in.slab, in.rand
+	in.init(cfg, protos, genv)
+	in.slab, in.rand, in.ics = slab, rng, ics
+	t.fill(in)
+}
+
+// fill copies the template's object graph into in's slabs and points
+// in.Global, in.Protos and in.ProtoMiss at the copy.
+func (t *Template) fill(in *Interp) {
+	objs, vals, lazy := in.slab.objs, in.slab.vals, in.slab.lazy
+	// Dictionary storage: empty, so allocation-free, in shape layout.
 	dicts := make([]dictProps, t.ndict)
 	keys := make([]string, t.nkeys)
 	props := make([]Property, t.nprops)
@@ -202,5 +278,4 @@ func (t *Template) New(cfg Config) *Interp {
 		in.Protos[e.name] = &objs[e.idx]
 	}
 	in.ProtoMiss = t.protoMiss
-	return in
 }

@@ -7,6 +7,7 @@ package testgen
 
 import (
 	"math/rand"
+	"sync"
 
 	"comfort/internal/js/ast"
 	"comfort/internal/js/parser"
@@ -157,13 +158,33 @@ func Mutate(src string, db *spec.DB, rng *rand.Rand, opts Options) []Variant {
 	return out
 }
 
+// literals memoises parseLiteral per mutation value (nil for a value that
+// does not parse). The values come from the spec database's fixed lists
+// and randomLiterals, so the memo stays small.
+var literals sync.Map
+
+// parseLiteral parses a mutation value once per process. The node is
+// shared: applyMutation splices it into a tree, prints the tree and
+// undoes the edit, and nothing writes to it, so concurrent generator
+// shards may splice one node at once.
+func parseLiteral(value string) ast.Expr {
+	if e, ok := literals.Load(value); ok {
+		lit, _ := e.(ast.Expr)
+		return lit
+	}
+	lit, _ := parser.ParseExprString(value) // nil on error
+	e, _ := literals.LoadOrStore(value, lit)
+	lit, _ = e.(ast.Expr)
+	return lit
+}
+
 // applyMutation rewrites one argument (or its defining declaration) of
 // prog to the literal value and prints the program back to source. It
 // restores the one field it rewrote before returning, so prog is left
 // exactly as it was found.
 func applyMutation(prog *ast.Program, p MutationPoint, value string) (string, bool) {
-	lit, err := parser.ParseExprString(value)
-	if err != nil {
+	lit := parseLiteral(value)
+	if lit == nil {
 		return "", false
 	}
 	var undo func()

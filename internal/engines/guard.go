@@ -79,6 +79,8 @@ func execRealm(in *interp.Interp, prog *ast.Program, opts RunOptions) (res ExecR
 // to the interpreter or its objects, and the next run resets it from the
 // template (interp.Template.Reset) instead of allocating a new realm. A
 // panicked run's realm is recycled too: the reset rebuilds every field.
+// Until that reset a pooled realm keeps its last run's output and heap
+// alive; sync.Pool frees a realm that stays idle for two collections.
 var realms sync.Pool
 
 // newRealm returns a pristine realm for cfg: a recycled one reset from the

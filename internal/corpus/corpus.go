@@ -38,9 +38,6 @@ func Headers() []string {
 	return out
 }
 
-// Joined returns the whole corpus as one training text.
-func Joined() string { return strings.Join(programs, "\n<EOF>\n") + "\n<EOF>\n" }
-
 var headers = []string{
 	"var a = function(assert) {",
 	"var foo = function(str) {",

@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"comfort/internal/js/interp"
-	"comfort/internal/js/parser"
 )
 
 // v8 seeds the 4 V8 defects (Table 2: 4 submitted / 4 verified / 3 fixed /
@@ -182,6 +181,3 @@ func rejectSource(substr, msg string) func(string) string {
 		return ""
 	}
 }
-
-// parserLenient returns a ParserOpts mutation.
-func parserLenient(f func(*parser.Options)) func(*parser.Options) { return f }

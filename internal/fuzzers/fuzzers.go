@@ -39,10 +39,10 @@ type Fuzzer interface {
 // different goroutines. shardSeed is entropy for any shard-local scratch a
 // future implementation needs; the current pure fuzzers ignore it.
 //
-// Fuzzers whose strategy is inherently sequential — DIE's class grows a
-// mutation corpus from its own output and Montage's subtree inventory
-// evolves with the seeds it has consumed — do not implement Forkable and
-// automatically stay on the campaign's serial generation path.
+// DIE and Montage do not implement Forkable, although their Next methods
+// read only the rng and immutable pools: the serial generation path draws
+// every case from one campaign RNG, and sharding would re-derive those
+// draws per batch and change their pinned case streams.
 type Forkable interface {
 	Fuzzer
 	Fork(shardSeed int64) Fuzzer
@@ -118,7 +118,7 @@ func (c *Comfort) Name() string { return "COMFORT" }
 // Fork implements Forkable: Next reads only the trained pipeline and the
 // spec database, both immutable after construction, so shards share them.
 func (c *Comfort) Fork(shardSeed int64) Fuzzer {
-	return &Comfort{pipeline: c.pipeline.Fork(), db: c.db}
+	return &Comfort{pipeline: c.pipeline, db: c.db}
 }
 
 // Next generates a program and its spec-guided data variants.
@@ -368,9 +368,7 @@ func freeIdents(n ast.Node, sc *scope, report func(string)) {
 			hoistedBindings(v.Body, inner)
 		}
 		child := &scope{bound: inner, parent: sc}
-		for _, c := range ast.Children(v) {
-			freeIdents(c, child, report)
-		}
+		ast.EachChild(v, func(c ast.Node) { freeIdents(c, child, report) })
 		return
 	case *ast.TryStmt:
 		freeIdents(v.Block, sc, report)
@@ -395,9 +393,7 @@ func freeIdents(n ast.Node, sc *scope, report func(string)) {
 		}
 		return
 	}
-	for _, c := range ast.Children(n) {
-		freeIdents(c, sc, report)
-	}
+	ast.EachChild(n, func(c ast.Node) { freeIdents(c, sc, report) })
 }
 
 // runeStart snaps a byte index back to the start of the rune containing
@@ -510,8 +506,8 @@ type Montage struct {
 }
 
 // NewMontage trains the subtree model. Montage stays off the Forkable
-// sharded path by design: the strategy class it models maintains an
-// evolving AST-subtree inventory, so the campaign keeps it serial.
+// sharded path to keep its pinned case stream (see Forkable); Next itself
+// reads only the rng, the seed pool and the trained model.
 func NewMontage() *Montage {
 	return &Montage{
 		seeds: corpus.Programs(),

@@ -64,8 +64,8 @@ func TestFuzzerDeterminism(t *testing.T) {
 }
 
 // TestForkableSet pins which fuzzers opt into sharded generation: the
-// pure-per-batch strategies fork, the corpus-evolving strategy classes
-// (DIE, Montage) stay on the campaign's serial path.
+// pure-per-batch strategies fork; DIE and Montage stay on the campaign's
+// serial path to keep their pinned case streams.
 func TestForkableSet(t *testing.T) {
 	want := map[string]bool{
 		"COMFORT": true, "DeepSmith": true, "Fuzzilli": true,

@@ -11,33 +11,27 @@ import (
 	"comfort/internal/lm"
 )
 
+// keepInvalid is the fraction of syntactically invalid programs kept for
+// parser fuzzing (the paper keeps 20%).
+const keepInvalid = 0.2
+
 // Program is one generated test program.
 type Program struct {
 	Source string
 	Valid  bool
 }
 
-// Pipeline couples a trained generator with the syntax filter.
+// Pipeline couples a trained generator with the syntax filter. The
+// generator is immutable after training and the filter is stateless, so
+// one Pipeline may generate concurrently; Next stays a pure function of
+// the rng argument — the property campaign generator shards rely on.
 type Pipeline struct {
 	Gen *lm.Generator
-	// KeepInvalid is the fraction of syntactically invalid programs kept
-	// for parser fuzzing (the paper keeps 20%).
-	KeepInvalid float64
 }
 
-// New builds a pipeline with the paper's defaults.
+// New builds a pipeline over a trained generator.
 func New(g *lm.Generator) *Pipeline {
-	return &Pipeline{Gen: g, KeepInvalid: 0.2}
-}
-
-// Fork returns a pipeline sharing this one's trained generator and filter
-// configuration. The generator is immutable after training and the syntax
-// filter is stateless, so forks may generate concurrently; Next stays a
-// pure function of the rng argument — the property campaign generator
-// shards rely on.
-func (p *Pipeline) Fork() *Pipeline {
-	cp := *p
-	return &cp
+	return &Pipeline{Gen: g}
 }
 
 // Next produces the next test program that survives the filter.
@@ -47,17 +41,8 @@ func (p *Pipeline) Next(rng *rand.Rand) Program {
 		if _, err := parser.Parse(src); err == nil {
 			return Program{Source: src, Valid: true}
 		}
-		if rng.Float64() < p.KeepInvalid {
+		if rng.Float64() < keepInvalid {
 			return Program{Source: src, Valid: false}
 		}
 	}
-}
-
-// Batch produces n filtered programs.
-func (p *Pipeline) Batch(n int, rng *rand.Rand) []Program {
-	out := make([]Program, 0, n)
-	for len(out) < n {
-		out = append(out, p.Next(rng))
-	}
-	return out
 }

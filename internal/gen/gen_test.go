@@ -16,9 +16,9 @@ func pipeline() *Pipeline {
 func TestBatchKeepsSomeInvalid(t *testing.T) {
 	p := pipeline()
 	rng := rand.New(rand.NewSource(3))
-	batch := p.Batch(300, rng)
 	valid, invalid := 0, 0
-	for _, prog := range batch {
+	for i := 0; i < 300; i++ {
+		prog := p.Next(rng)
 		if prog.Valid != lint.Valid(prog.Source) {
 			t.Error("Valid flag disagrees with the linter")
 		}

@@ -451,10 +451,10 @@ func (a *early) expr(e ast.Expr, sc *escope) {
 			a.expr(v.X, sc)
 		}
 	default:
-		for _, c := range ast.Children(e) {
+		ast.EachChild(e, func(c ast.Node) {
 			if ce, ok := c.(ast.Expr); ok {
 				a.expr(ce, sc)
 			}
-		}
+		})
 	}
 }

@@ -10,7 +10,7 @@ func Walk(n Node, fn func(Node) bool) {
 	if !fn(n) {
 		return
 	}
-	eachChild(n, func(c Node) { Walk(c, fn) })
+	EachChild(n, func(c Node) { Walk(c, fn) })
 }
 
 // isNilNode guards against typed-nil interface values.
@@ -28,18 +28,10 @@ func isNilNode(n Node) bool {
 	return false
 }
 
-// Children returns the direct child nodes of n in source order.
-// Nil children are omitted.
-func Children(n Node) []Node {
-	var out []Node
-	eachChild(n, func(c Node) { out = append(out, c) })
-	return out
-}
-
-// eachChild calls visit for each direct child of n in source order,
+// EachChild calls visit for each direct child of n in source order,
 // skipping nil children (typed-nil blocks, function literals and switch
-// cases included).
-func eachChild(n Node, visit func(Node)) {
+// cases included). It allocates nothing of its own.
+func EachChild(n Node, visit func(Node)) {
 	add := func(c Node) {
 		if c != nil && !isNilNode(c) {
 			visit(c)

@@ -15,15 +15,15 @@ for (var k in o) switch (k) { case "x": print(o[k]); break; default: throw new E
 try { g(() => 1, function () { return this; }); } catch (e) { a = e ? ` + "`t${e}`" + ` : (e, 2); } finally { delete o.x; }
 `
 
-// childrenOrder is the pre-order Walk must produce, built from Children.
+// childrenOrder is the pre-order Walk must produce, built by recursing
+// through EachChild.
 func childrenOrder(n ast.Node, out *[]ast.Node) {
 	*out = append(*out, n)
-	for _, c := range ast.Children(n) {
-		childrenOrder(c, out)
-	}
+	ast.EachChild(n, func(c ast.Node) { childrenOrder(c, out) })
 }
 
-// TestWalkMatchesChildren pins Walk's visit order to the Children lists.
+// TestWalkMatchesChildren pins Walk's visit order to the recursive
+// EachChild order.
 func TestWalkMatchesChildren(t *testing.T) {
 	prog, err := parser.Parse(walkSrc)
 	if err != nil {
@@ -33,11 +33,11 @@ func TestWalkMatchesChildren(t *testing.T) {
 	childrenOrder(prog, &want)
 	ast.Walk(prog, func(n ast.Node) bool { got = append(got, n); return true })
 	if len(got) != len(want) {
-		t.Fatalf("Walk visited %d nodes, Children order has %d", len(got), len(want))
+		t.Fatalf("Walk visited %d nodes, EachChild order has %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("node %d: Walk visited %T, Children order has %T", i, got[i], want[i])
+			t.Fatalf("node %d: Walk visited %T, EachChild order has %T", i, got[i], want[i])
 		}
 	}
 	if len(got) < 80 {

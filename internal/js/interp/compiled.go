@@ -53,11 +53,6 @@ func (in *Interp) SetCtrlLabel(l string) { in.ctrlLabel = l }
 func (in *Interp) CtrlVal() Value        { return in.ctrlVal }
 func (in *Interp) SetCtrlVal(v Value)    { in.ctrlVal = v }
 
-// CoverStmt, CoverBranch and CoverFunc record coverage from compiled code.
-func (in *Interp) CoverStmt(id int)        { in.coverStmt(id) }
-func (in *Interp) CoverBranch(id, arm int) { in.coverBranch(id, arm) }
-func (in *Interp) CoverFunc(id int)        { in.coverFunc(id) }
-
 // CurrentThis resolves the active this binding.
 func (in *Interp) CurrentThis() Value { return in.currentThis() }
 
@@ -153,9 +148,6 @@ func (in *Interp) ScopeEnv(parent *Env, scope *ast.ScopeInfo) *Env {
 }
 
 // ---------- operations ----------
-
-// MakeArguments builds the arguments object for a call.
-func (in *Interp) MakeArguments(args []Value) Value { return in.makeArguments(args) }
 
 // Iterate spreads an iterable value (for-of, spread syntax).
 func (in *Interp) Iterate(v Value) ([]Value, error) { return in.iterate(v) }

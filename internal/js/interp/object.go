@@ -385,14 +385,6 @@ func (o *Object) BoundThis() Value {
 	return o.ext.boundThis
 }
 
-// BoundArgs returns a bound function's leading arguments.
-func (o *Object) BoundArgs() []Value {
-	if o.ext == nil {
-		return nil
-	}
-	return o.ext.boundArgs
-}
-
 // SetBound makes the object a bound function of target.
 func (o *Object) SetBound(target *Object, this Value, args []Value) {
 	x := o.exotic()

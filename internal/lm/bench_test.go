@@ -1,7 +1,7 @@
 // BenchmarkLM measures raw token-sampling throughput — the generator's
 // innermost loop — on the frozen token-ID sampler against the map-backed
-// oracle implementation, for both architectures. EXPERIMENTS.md records
-// the measured speedups; the acceptance bar is ≥ 5× on the frozen path.
+// model train froze it from, for both architectures. EXPERIMENTS.md
+// records the measured speedups; the acceptance bar is ≥ 5× on the frozen path.
 package lm
 
 import (
@@ -13,7 +13,7 @@ import (
 
 func BenchmarkLM(b *testing.B) {
 	for _, arch := range []Arch{ArchGPT2, ArchLSTM} {
-		g := Train(corpus.Programs(), corpus.Headers(), Config{Arch: arch})
+		g, model := train(corpus.Programs(), corpus.Headers(), Config{Arch: arch})
 		header := corpus.Headers()[0]
 		prefix := g.encodeTokens(TokenizeCode(header))
 
@@ -27,7 +27,7 @@ func BenchmarkLM(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				id, ok := g.frozen.SampleID(ids, g.topK, rng)
+				id, ok := g.frozen.SampleID(ids, topK, rng)
 				if !ok {
 					b.Fatal("sample failed")
 				}
@@ -46,7 +46,7 @@ func BenchmarkLM(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tok, ok := g.model.Sample(stream, g.topK, rng)
+				tok, ok := model.Sample(stream, topK, rng)
 				if !ok {
 					b.Fatal("sample failed")
 				}

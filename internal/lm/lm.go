@@ -39,15 +39,19 @@ func (a Arch) String() string {
 	return "gpt2"
 }
 
+// Generation parameters fixed by the paper.
+const (
+	topK      = 10   // top-k sampling's k
+	numMerges = 400  // BPE merge rules learned from the corpus
+	maxTokens = 5000 // the generation cap (the paper's 5,000-word limit)
+)
+
 // Generator is a trained code generator. Generation runs on the frozen
 // token-ID sampler (interned int32 vocabulary, precomputed per-context
 // candidate lists, zero allocations per token); the map-backed model it
-// was frozen from stays as the reference the generator oracles sample
-// against.
+// was frozen from is dropped once training ends.
 type Generator struct {
-	arch   Arch
 	vocab  *bpe.Vocab
-	model  *ngram.Model
 	frozen *ngram.Frozen
 	detok  []string // token ID → decoded text (continuation marker stripped)
 	lbrace int32    // interned "{", or -1
@@ -63,26 +67,22 @@ type Generator struct {
 	// hot path starts a generation with one map hit and one ID copy.
 	primed  map[string]*primedHeader
 	headers []string
-	topK    int
-	// MaxTokens is the generation cap (the paper's 5,000-word limit).
-	MaxTokens int
 }
 
-// Config parameterises training.
+// Config parameterises training: the model architecture.
 type Config struct {
-	Arch      Arch
-	TopK      int // 0 = the paper's k=10
-	NumMerges int // BPE merges; 0 = 400
+	Arch Arch
 }
 
 // Train builds a generator from a corpus of programs plus seed headers.
 func Train(programs, headers []string, cfg Config) *Generator {
-	if cfg.TopK == 0 {
-		cfg.TopK = 10
-	}
-	if cfg.NumMerges == 0 {
-		cfg.NumMerges = 400
-	}
+	g, _ := train(programs, headers, cfg)
+	return g
+}
+
+// train is Train that also returns the map-backed model the generator's
+// sampler was frozen from, for the tests that sample it as the reference.
+func train(programs, headers []string, cfg Config) (*Generator, *ngram.Model) {
 	// Collect identifier-like words for the BPE vocabulary.
 	var words []string
 	for _, p := range programs {
@@ -92,7 +92,7 @@ func Train(programs, headers []string, cfg Config) *Generator {
 			}
 		}
 	}
-	vocab := bpe.Train(words, cfg.NumMerges)
+	vocab := bpe.Train(words, numMerges)
 	model := ngram.New(cfg.Arch.order())
 	memo := map[string][]string{}
 	for _, p := range programs {
@@ -106,14 +106,10 @@ func Train(programs, headers []string, cfg Config) *Generator {
 		encodeWith(vocab, memo, TokenizeCode(h), true)
 	}
 	g := &Generator{
-		arch:      cfg.Arch,
-		vocab:     vocab,
-		model:     model,
-		frozen:    model.Freeze(),
-		wordSubs:  memo,
-		headers:   headers,
-		topK:      cfg.TopK,
-		MaxTokens: 5000,
+		vocab:    vocab,
+		frozen:   model.Freeze(),
+		wordSubs: memo,
+		headers:  headers,
 	}
 	g.detok = make([]string, g.frozen.VocabSize())
 	for id := range g.detok {
@@ -127,7 +123,7 @@ func Train(programs, headers []string, cfg Config) *Generator {
 			g.primed[h] = g.primeHeader(h)
 		}
 	}
-	return g
+	return g, model
 }
 
 // primedHeader is one seed header's precompiled generation prefix.
@@ -156,12 +152,6 @@ func (g *Generator) primeHeader(header string) *primedHeader {
 	}
 	return p
 }
-
-// Vocab exposes the trained BPE vocabulary.
-func (g *Generator) Vocab() *bpe.Vocab { return g.vocab }
-
-// Contexts reports the number of learned generation contexts.
-func (g *Generator) Contexts() int { return g.model.Contexts() }
 
 // Generate produces one synthetic program, primed with a random seed
 // header. Generation stops when the braces opened by the header are
@@ -199,8 +189,8 @@ func (g *Generator) GenerateFromN(header string, rng *rand.Rand) (string, int) {
 	depth := p.depth
 	sawBrace := p.sawBrace
 	eof := g.frozen.EOF()
-	for len(ids) < g.MaxTokens {
-		id, ok := g.frozen.SampleID(ids, g.topK, rng)
+	for len(ids) < maxTokens {
+		id, ok := g.frozen.SampleID(ids, topK, rng)
 		if !ok || id == eof {
 			break
 		}
@@ -334,13 +324,8 @@ func isWordToken(tok string) bool {
 	return len(tok) > 0 && isWordStart(tok[0])
 }
 
-// encode expands word tokens into BPE subwords; everything else passes
-// through verbatim.
-func encode(v *bpe.Vocab, tokens []string) []string {
-	return encodeWith(v, nil, tokens, false)
-}
-
-// encodeWith is encode backed by a word→subwords memo: running the merge
+// encodeWith expands word tokens into BPE subwords (everything else passes
+// through verbatim), backed by a word→subwords memo: running the merge
 // rules over a word costs O(merges × len), so repeated words — which is
 // most of a corpus and every header — resolve through one map hit
 // instead. learn populates the memo (training); generation passes false

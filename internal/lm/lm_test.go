@@ -2,11 +2,13 @@ package lm
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
 	"comfort/internal/corpus"
 	"comfort/internal/js/lint"
+	"comfort/internal/lm/ngram"
 )
 
 func TestTokenizeRoundTrip(t *testing.T) {
@@ -32,6 +34,13 @@ func TestTokenizeRoundTrip(t *testing.T) {
 func trainDefault(t *testing.T, arch Arch) *Generator {
 	t.Helper()
 	return Train(corpus.Programs(), corpus.Headers(), Config{Arch: arch})
+}
+
+// trainReference trains like trainDefault and also returns the map-backed
+// model the generator was frozen from, the reference sampler's input.
+func trainReference(t *testing.T, arch Arch) (*Generator, *ngram.Model) {
+	t.Helper()
+	return train(corpus.Programs(), corpus.Headers(), Config{Arch: arch})
 }
 
 func TestGeneratorProducesParseableCode(t *testing.T) {
@@ -103,14 +112,14 @@ const montageHeader = "var x = "
 func TestFrozenMatchesMapGenerator(t *testing.T) {
 	headers := corpus.Headers()
 	for _, arch := range []Arch{ArchGPT2, ArchLSTM} {
-		g := trainDefault(t, arch)
+		g, model := trainReference(t, arch)
 		for _, seed := range []int64{1, 42, 2021} {
 			rngF := rand.New(rand.NewSource(seed))
 			rngM := rand.New(rand.NewSource(seed))
 			for i := 0; i < 40; i++ {
 				for _, header := range []string{headers[i%len(headers)], montageHeader} {
 					f, fn := g.GenerateFromN(header, rngF)
-					m, mn := g.generateMap(header, rngM)
+					m, mn := g.generateMap(model, header, rngM)
 					if f != m {
 						t.Fatalf("%s seed %d gen %d header %q: frozen and map programs differ:\n%q\nvs\n%q",
 							arch, seed, i, header, f, m)
@@ -130,12 +139,12 @@ func TestFrozenMatchesMapGenerator(t *testing.T) {
 // its own text and still generate identically on both samplers, as must
 // Montage's ad-hoc priming header.
 func TestFrozenHandlesUnknownHeaderTokens(t *testing.T) {
-	g := trainDefault(t, ArchGPT2)
-	lstm := trainDefault(t, ArchLSTM)
+	g, gModel := trainReference(t, ArchGPT2)
+	lstm, lstmModel := trainReference(t, ArchLSTM)
 	const header = "var zzUnknownZZ = qqNeverTrainedQQ + "
 	for seed := int64(0); seed < 10; seed++ {
 		f := g.GenerateFrom(header, rand.New(rand.NewSource(seed)))
-		m, _ := g.generateMap(header, rand.New(rand.NewSource(seed)))
+		m, _ := g.generateMap(gModel, header, rand.New(rand.NewSource(seed)))
 		if f != m {
 			t.Fatalf("seed %d: unknown-header generations differ:\n%q\nvs\n%q", seed, f, m)
 		}
@@ -143,7 +152,7 @@ func TestFrozenHandlesUnknownHeaderTokens(t *testing.T) {
 			t.Fatalf("seed %d: header text lost through ID detokenization: %q", seed, f)
 		}
 		f = lstm.GenerateFrom(montageHeader, rand.New(rand.NewSource(seed)))
-		m, _ = lstm.generateMap(montageHeader, rand.New(rand.NewSource(seed)))
+		m, _ = lstm.generateMap(lstmModel, montageHeader, rand.New(rand.NewSource(seed)))
 		if f != m {
 			t.Fatalf("seed %d: Montage-header generations differ:\n%q\nvs\n%q", seed, f, m)
 		}
@@ -155,8 +164,33 @@ func TestGenerationTerminates(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 50; i++ {
 		src := g.Generate(rng)
-		if len(TokenizeCode(src)) > g.MaxTokens+64 {
+		if len(TokenizeCode(src)) > maxTokens+64 {
 			t.Errorf("generation exceeded the token cap: %d tokens", len(TokenizeCode(src)))
 		}
+	}
+}
+
+// TestGeneratorRetainsOnlyFrozenModel bounds the heap a trained generator
+// keeps alive: the frozen sampler, the BPE vocabulary and the priming
+// tables. The map-backed model it was frozen from is several megabytes on
+// its own and must be garbage once Train returns.
+func TestGeneratorRetainsOnlyFrozenModel(t *testing.T) {
+	const limit = 3 << 20
+	programs, headers := corpus.Programs(), corpus.Headers()
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	g := Train(programs, headers, Config{Arch: ArchGPT2})
+	after := heap()
+	runtime.KeepAlive(g)
+	retained := int64(after) - int64(before)
+	t.Logf("gpt2 generator retains %.2f MB", float64(retained)/(1<<20))
+	if retained > limit {
+		t.Errorf("gpt2 generator retains %d bytes, want <= %d", retained, limit)
 	}
 }

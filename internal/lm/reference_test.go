@@ -5,14 +5,15 @@ import (
 	"strings"
 
 	"comfort/internal/lm/bpe"
+	"comfort/internal/lm/ngram"
 )
 
 // generateMap is the reference sampler the frozen token-ID path is checked
-// against: it walks the map-backed ngram.Model with string tokens exactly
-// as the generator did before freezing, re-deriving every context's
-// continuation order per draw. It must return the same program and
+// against: it walks the map-backed ngram.Model that train froze for g,
+// with string tokens exactly as the generator did before freezing,
+// re-deriving every context's continuation order per draw. It must return the same program and
 // sampled-token count as GenerateFromN, consuming the same RNG draws.
-func (g *Generator) generateMap(header string, rng *rand.Rand) (string, int) {
+func (g *Generator) generateMap(m *ngram.Model, header string, rng *rand.Rand) (string, int) {
 	stream := g.encodeTokens(TokenizeCode(header))
 	prefix := len(stream)
 	depth := 0
@@ -25,8 +26,8 @@ func (g *Generator) generateMap(header string, rng *rand.Rand) (string, int) {
 		}
 	}
 	sawBrace := strings.Contains(header, "{")
-	for len(stream) < g.MaxTokens {
-		tok, ok := g.model.Sample(stream, g.topK, rng)
+	for len(stream) < maxTokens {
+		tok, ok := m.Sample(stream, topK, rng)
 		if !ok || tok == "<EOF>" {
 			break
 		}

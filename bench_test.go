@@ -19,7 +19,6 @@ import (
 
 	"comfort/internal/corpus"
 	"comfort/internal/js/ast"
-	"comfort/internal/js/lint"
 	"comfort/internal/js/parser"
 
 	"math/rand"
@@ -151,7 +150,7 @@ func BenchmarkAblationLMOrder(b *testing.B) {
 			valid := 0
 			const n = 200
 			for j := 0; j < n; j++ {
-				if lint.Valid(g.Generate(rng)) {
+				if _, err := parser.Parse(g.Generate(rng)); err == nil {
 					valid++
 				}
 			}

@@ -52,7 +52,7 @@ func TestGenerationDoesNotReachEngines(t *testing.T) {
 	}
 
 	var roots []string
-	for _, dir := range []string{"fuzzers", "gen", "testgen", "lm", "spec", "corpus"} {
+	for _, dir := range []string{"fuzzers", "testgen", "lm", "spec", "corpus"} {
 		n := len(roots)
 		err := filepath.WalkDir(filepath.Join("internal", dir), func(path string, e fs.DirEntry, err error) error {
 			if err != nil {

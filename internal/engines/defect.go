@@ -259,12 +259,6 @@ func crash(msg string) func(*interp.HookCtx) *interp.Override {
 	}
 }
 
-func slow(cost int64) func(*interp.HookCtx) *interp.Override {
-	return func(*interp.HookCtx) *interp.Override {
-		return &interp.Override{CostExtra: cost}
-	}
-}
-
 // ---------- trigger predicates ----------
 
 func argUndef(i int) func(*interp.HookCtx) bool {

@@ -14,7 +14,6 @@ import (
 	"unicode/utf8"
 
 	"comfort/internal/corpus"
-	"comfort/internal/gen"
 	"comfort/internal/js/ast"
 	"comfort/internal/js/parser"
 	"comfort/internal/lm"
@@ -87,9 +86,13 @@ func ByName(name string) (Fuzzer, bool) {
 // Comfort couples the GPT-2-substitute generator with ECMA-262-guided data
 // generation (the full pipeline of the paper's Figure 3).
 type Comfort struct {
-	pipeline *gen.Pipeline
-	db       *spec.DB
+	gen *lm.Generator
+	db  *spec.DB
 }
+
+// keepInvalid is the fraction of syntactically invalid programs COMFORT
+// keeps for parser fuzzing (the paper keeps 20%, Section 4.3).
+const keepInvalid = 0.2
 
 // comfortLM holds the process-wide generator. The embedded corpus is
 // immutable and a trained Generator is read-only after construction (Fork
@@ -109,33 +112,41 @@ func NewComfort() *Comfort {
 		comfortLM.g = lm.Train(corpus.Programs(), corpus.Headers(),
 			lm.Config{Arch: lm.ArchGPT2})
 	})
-	return &Comfort{pipeline: gen.New(comfortLM.g), db: spec.Default()}
+	return &Comfort{gen: comfortLM.g, db: spec.Default()}
 }
 
 // Name implements Fuzzer.
 func (c *Comfort) Name() string { return "COMFORT" }
 
-// Fork implements Forkable: Next reads only the trained pipeline and the
+// Fork implements Forkable: Next reads only the trained generator and the
 // spec database, both immutable after construction, so shards share them.
 func (c *Comfort) Fork(shardSeed int64) Fuzzer {
-	return &Comfort{pipeline: c.pipeline, db: c.db}
+	return &Comfort{gen: c.gen, db: c.db}
 }
 
-// Next generates a program and its spec-guided data variants.
+// Next samples the generator until a program parses (the syntax filter
+// standing in for JSHint) or an invalid one is kept for parser fuzzing,
+// and returns it with the spec-guided data variants Algorithm 1 derives
+// from the tree the filter parsed.
 func (c *Comfort) Next(rng *rand.Rand) []string {
-	p := c.pipeline.Next(rng)
-	out := []string{p.Source}
-	if p.Valid {
-		for _, v := range testgen.Mutate(p.Source, c.db, rng, testgen.Options{MaxVariants: 8, RandomExtra: 3}) {
-			out = append(out, v.Source)
+	for {
+		src := c.gen.Generate(rng)
+		if prog, err := parser.Parse(src); err == nil {
+			out := []string{src}
+			for _, v := range testgen.MutateProgram(prog, src, c.db, rng, testgen.Options{MaxVariants: 8, RandomExtra: 3}) {
+				out = append(out, v.Source)
+			}
+			return out
+		}
+		if rng.Float64() < keepInvalid {
+			return []string{src}
 		}
 	}
-	return out
 }
 
 // GenerateOnly returns just the LM output (used by the quality metrics,
 // which evaluate program generation in isolation).
-func (c *Comfort) GenerateOnly(rng *rand.Rand) string { return c.pipeline.Gen.Generate(rng) }
+func (c *Comfort) GenerateOnly(rng *rand.Rand) string { return c.gen.Generate(rng) }
 
 // ---------- DeepSmith ----------
 

@@ -2,12 +2,19 @@ package fuzzers
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"unicode/utf8"
 
-	"comfort/internal/js/lint"
+	"comfort/internal/js/parser"
 )
+
+// parses is the syntax filter generated programs pass through.
+func parses(src string) bool {
+	_, err := parser.Parse(src)
+	return err == nil
+}
 
 func TestAllFuzzersProduceCases(t *testing.T) {
 	for _, f := range All() {
@@ -21,7 +28,7 @@ func TestAllFuzzersProduceCases(t *testing.T) {
 						t.Fatal("empty test case")
 					}
 					total++
-					if lint.Valid(src) {
+					if parses(src) {
 						valid++
 					}
 				}
@@ -37,6 +44,46 @@ func TestAllFuzzersProduceCases(t *testing.T) {
 			}
 			t.Logf("%s: %d cases, %d valid", f.Name(), total, valid)
 		})
+	}
+}
+
+// TestComfortKeepsSomeInvalid checks COMFORT's syntax filter: a batch is
+// either one kept invalid program alone or a program that parses followed
+// by its data variants, and with a mostly-valid generator the 20%-kept
+// rule still lets some invalid programs through for parser fuzzing.
+func TestComfortKeepsSomeInvalid(t *testing.T) {
+	c := NewComfort()
+	rng := rand.New(rand.NewSource(3))
+	valid, invalid := 0, 0
+	for i := 0; i < 300; i++ {
+		batch := c.Next(rng)
+		if parses(batch[0]) {
+			valid++
+			continue
+		}
+		invalid++
+		if len(batch) != 1 {
+			t.Errorf("an invalid program came with %d variants:\n%s", len(batch)-1, batch[0])
+		}
+	}
+	if valid == 0 {
+		t.Error("no valid programs")
+	}
+	if invalid == 0 {
+		t.Error("the 20%-invalid-kept rule produced nothing")
+	}
+	t.Logf("batches: %d valid, %d invalid", valid, invalid)
+}
+
+// TestComfortNextDeterminism: Next is a pure function of the rng.
+func TestComfortNextDeterminism(t *testing.T) {
+	c := NewComfort()
+	for seed := int64(0); seed < 10; seed++ {
+		a := c.Next(rand.New(rand.NewSource(seed)))
+		b := c.Next(rand.New(rand.NewSource(seed)))
+		if !slices.Equal(a, b) {
+			t.Fatalf("seed %d: Next gave different batches", seed)
+		}
 	}
 }
 
@@ -173,7 +220,7 @@ func TestBaselineValidityBands(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			for _, src := range f.Next(rng) {
 				total++
-				if lint.Valid(src) {
+				if parses(src) {
 					valid++
 				}
 			}

@@ -336,6 +336,11 @@ func (p *printer) expr(e Expr) {
 				p.assignRHS(el)
 			}
 		}
+		if n := len(v.Elems); n > 0 && v.Elems[n-1] == nil {
+			// A trailing hole needs its own comma: [1, ,] has length 2,
+			// while [1, ] has length 1.
+			p.ws(",")
+		}
 		p.ws("]")
 	case *ObjectLit:
 		p.ws("{")

@@ -22,8 +22,6 @@ type Config struct {
 	Hook Hook
 	// Seed drives Math.random and Date.now determinism.
 	Seed int64
-	// MaxDepth bounds JS call recursion (RangeError beyond it).
-	MaxDepth int
 	// MutableFuncName makes a named function expression's self-name binding
 	// writable — a seeded conformance defect (the paper's Listing 13).
 	MutableFuncName bool
@@ -54,6 +52,9 @@ const WatchdogStride = 16384
 
 // DefaultFuel is the default step budget per program run.
 const DefaultFuel = 2_000_000
+
+// maxDepth bounds JS call recursion (RangeError beyond it).
+const maxDepth = 256
 
 // Coverage accumulates statement / function / branch coverage for one or
 // more runs (the Istanbul substitute's raw data).
@@ -123,10 +124,9 @@ type Interp struct {
 	// Now is the deterministic Date.now clock (milliseconds).
 	Now float64
 
-	fuel     int64
-	fuelCap  int64
-	depth    int
-	maxDepth int
+	fuel    int64
+	fuelCap int64
+	depth   int
 
 	// watchdog mirrors Config.Watchdog; wdNext is the fuel level at or
 	// below which the next probe fires (fuel counts down, so the probe
@@ -197,10 +197,6 @@ func (in *Interp) init(cfg Config, protos map[string]*Object, genv *Env) {
 	if fuel <= 0 {
 		fuel = DefaultFuel
 	}
-	maxDepth := cfg.MaxDepth
-	if maxDepth <= 0 {
-		maxDepth = 256
-	}
 	*in = Interp{
 		GlobalEnv:          genv,
 		Protos:             protos,
@@ -213,7 +209,6 @@ func (in *Interp) init(cfg Config, protos map[string]*Object, genv *Env) {
 		Now:                1_600_000_000_000,
 		fuel:               fuel,
 		fuelCap:            fuel,
-		maxDepth:           maxDepth,
 		watchdog:           cfg.Watchdog,
 		wdNext:             fuel - WatchdogStride,
 	}
@@ -1650,7 +1645,7 @@ func (in *Interp) Call(fn *Object, this Value, args []Value) (Value, error) {
 }
 
 func (in *Interp) call1(fn *Object, this Value, args []Value) (Value, error) {
-	if in.depth > in.maxDepth {
+	if in.depth > maxDepth {
 		return Undefined(), in.RangeErrorf("Maximum call stack size exceeded")
 	}
 	if x := fn.ext; x != nil && x.boundTarget != nil {

@@ -1,8 +1,8 @@
 // Package lint is the JSHint substitute's validity check: whether a
-// synthesised program parses. The generation pipeline calls
-// internal/js/parser directly. Valid remains for perfbench/replay.go and
-// a few tests; it goes in the benchmark change that drops the perfbench
-// import.
+// synthesised program parses. Generation calls internal/js/parser
+// directly (fuzzers.Comfort.Next keeps the tree it parses for Algorithm
+// 1). Valid's only callers are perfbench/replay.go and this package's
+// tests; it goes in the benchmark change that drops the perfbench import.
 package lint
 
 import "comfort/internal/js/parser"

@@ -138,6 +138,9 @@ print(f(1), f(0), typeof f, 1 + 2 * 3 ** 2, (1 + 2) * 3);`,
 		`try { throw {code: 1}; } catch (e) { print(e.code); } finally {}
 switch (2) { case 1: case 2: print("two"); break; default: print("other"); }`,
 		"var t = `x=${1 + 2} y=${\"s\"}`;\nprint(t, /a[b-d]+/im.source);",
+		// A trailing hole keeps its own comma: the print of [3, ,] once
+		// lost it and reparsed as [3], an array of length 1, not 2.
+		`print([3, ,].length, [,].length, [1, , 2].length);`,
 	}
 	for _, src := range srcs {
 		p1 := mustParse(t, src)

@@ -7,9 +7,15 @@ import (
 	"testing"
 
 	"comfort/internal/corpus"
-	"comfort/internal/js/lint"
+	"comfort/internal/js/parser"
 	"comfort/internal/lm/ngram"
 )
+
+// parses is the syntax filter generated programs pass through.
+func parses(src string) bool {
+	_, err := parser.Parse(src)
+	return err == nil
+}
 
 func TestTokenizeRoundTrip(t *testing.T) {
 	for _, src := range corpus.Programs()[:10] {
@@ -53,7 +59,7 @@ func TestGeneratorProducesParseableCode(t *testing.T) {
 		if src == "" {
 			t.Fatal("empty generation")
 		}
-		if lint.Valid(src) {
+		if parses(src) {
 			valid++
 		}
 	}
@@ -73,10 +79,10 @@ func TestLongContextBeatsShortContext(t *testing.T) {
 	const n = 150
 	validGPT, validLSTM := 0, 0
 	for i := 0; i < n; i++ {
-		if lint.Valid(gpt.Generate(rngA)) {
+		if parses(gpt.Generate(rngA)) {
 			validGPT++
 		}
-		if lint.Valid(lstm.Generate(rngB)) {
+		if parses(lstm.Generate(rngB)) {
 			validLSTM++
 		}
 	}

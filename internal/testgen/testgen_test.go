@@ -2,12 +2,12 @@ package testgen
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"comfort/internal/corpus"
 	"comfort/internal/js/ast"
-	"comfort/internal/js/lint"
 	"comfort/internal/js/parser"
 	"comfort/internal/spec"
 )
@@ -47,7 +47,7 @@ func TestMutateProducesBoundaryVariants(t *testing.T) {
 	}
 	sawUndefined, sawDeclRewrite := false, false
 	for _, v := range variants {
-		if !lint.Valid(v.Source) {
+		if _, err := parser.Parse(v.Source); err != nil {
 			t.Errorf("invalid variant:\n%s", v.Source)
 		}
 		if strings.Contains(v.Source, "substr(6, undefined)") ||
@@ -129,4 +129,70 @@ func TestApplyMutationRestoresTree(t *testing.T) {
 	if !padded {
 		t.Fatal("the padding path was never exercised")
 	}
+}
+
+// TestSpliceRoundTrip checks every value Algorithm 1 can splice — each
+// distinct value in the spec database and in randomLiterals — in each of
+// applyMutation's three edit sites: a call argument, a padded argument
+// past the call's arity, and a declarator initialiser. Mutate keeps a
+// variant without parsing it again, so each print must parse back to a
+// program that prints to the same text. The one value that does not parse
+// as an expression is listed: applyMutation drops it at every draw.
+func TestSpliceRoundTrip(t *testing.T) {
+	const host = "var n = 1;\nprint(\"abcdef\".substr(n, 2));"
+	prog, err := parser.Parse(host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := spec.Default()
+	points := FindMutationPoints(prog, db)
+	if len(points) == 0 || points[0].DeclName != "n" {
+		t.Fatalf("host program lost its data-flow point: %+v", points)
+	}
+	arg, padded := points[0], points[0]
+	arg.ArgIndex, arg.DeclName = 1, ""
+	padded.ArgIndex, padded.DeclName = 3, ""
+	sites := []struct {
+		name string
+		p    MutationPoint
+	}{{"argument", arg}, {"padded argument", padded}, {"initialiser", points[0]}}
+
+	seen := map[string]bool{}
+	values := append([]string(nil), randomLiterals...)
+	for _, name := range db.Names() {
+		rules, _ := db.Lookup(name)
+		for _, r := range rules {
+			values = append(values, r.Values...)
+		}
+	}
+	var unparsed []string
+	for _, v := range values {
+		if seen[v] {
+			continue
+		}
+		seen[v] = true
+		if parseLiteral(v) == nil {
+			unparsed = append(unparsed, v)
+			continue
+		}
+		for _, site := range sites {
+			mutated, ok := applyMutation(prog, site.p, v)
+			if !ok {
+				t.Errorf("%s = %s: not applied", site.name, v)
+				continue
+			}
+			re, err := parser.Parse(mutated)
+			if err != nil {
+				t.Errorf("%s = %s: the print does not parse: %v\n%s", site.name, v, err, mutated)
+				continue
+			}
+			if again := ast.Print(re); again != mutated {
+				t.Errorf("%s = %s: the print is not a fixpoint:\n%s\nprints as\n%s", site.name, v, mutated, again)
+			}
+		}
+	}
+	if want := []string{"{}"}; !slices.Equal(unparsed, want) {
+		t.Errorf("values that do not parse as an expression: %q, want %q", unparsed, want)
+	}
+	t.Logf("%d distinct values spliced at 3 sites", len(seen))
 }

@@ -78,19 +78,6 @@ func generateCases(ctx context.Context, cfg Config, shards int, start genStart, 
 		// reaches the forkable path; tolerate it as a fresh start anyway.
 		start = genStart{}
 	}
-	if shards <= 1 {
-		// One shard: the same per-batch-derived RNG scheme, run inline.
-		emit := newEmitter(ctx, cfg, start.index, 0, out)
-		rng := rand.New(rand.NewSource(0))
-		for j := start.batch; ; j++ {
-			rng.Seed(batchSeed(cfg.Seed, j))
-			batch := cfg.Fuzzer.Next(rng)
-			if len(batch) == 0 || !emit(j, batch, startSkip(start, j)) {
-				return
-			}
-		}
-	}
-
 	// Shard ctx: cancelled when the merge loop returns, so producer
 	// goroutines blocked on a full lookahead channel always drain.
 	shardCtx, stop := context.WithCancel(ctx)

@@ -315,7 +315,8 @@ type RunOptions struct {
 
 // DictionaryObjects returns opts with objects kept on dictionary-mode
 // property maps and the inline caches empty — the reference object layout
-// the differential path oracles compare the shape-mode default against.
+// the differential path oracles compare the shape-mode default against,
+// on a realm installed from scratch rather than cloned from the template.
 // No production caller sets it.
 func DictionaryObjects(opts RunOptions) RunOptions {
 	opts.dictObjects = true

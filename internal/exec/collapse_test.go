@@ -9,6 +9,7 @@ import (
 	"comfort/internal/engines"
 	"comfort/internal/faultinject"
 	"comfort/internal/fuzzers"
+	"comfort/internal/js/parser"
 )
 
 // preParseSamples are valid programs that some testbed's pre-parse
@@ -34,6 +35,16 @@ var earlyErrorSamples = []string{
 	"const c = 1; c = 2; print(c);",
 	"x: { continue x; }",
 	"function f(p) { let p = 1; } f(0);",
+}
+
+// lenientSamples are programs the base parser of their mode rejects at a
+// site a lenient parser option decides: legacy octal, a duplicate
+// parameter and deleting an identifier, each in strict code.
+var lenientSamples = []string{
+	`"use strict"; var x = 017; print(x);`,
+	`"use strict"; print(0777 + 1);`,
+	`"use strict"; function f(a, a) { return a; } print(f(1, 2));`,
+	`"use strict"; var z = 1; delete z; print(z);`,
 }
 
 // collapseInputs is the collapse oracle's case stream: the corpus, every
@@ -192,5 +203,52 @@ func TestGroupsPartitionClasses(t *testing.T) {
 		if strict := s.classRep[grp.classes[0]].Testbed.Strict; grp.base.Testbed.Strict != strict {
 			t.Errorf("group %d: base parser of the other mode", g)
 		}
+	}
+}
+
+// TestCollapseOracleOneClassGroups reruns the collapse oracle on a testbed
+// set in which each mode is one behaviour class with lenient parser
+// options: Rhino v1.7.11, which accepts legacy octal in strict code. Such
+// a group has no probe, so runGroup runs its class physically, on the
+// mode's base parse or, where the base parser rejected the case at a
+// lenient site, on the class's own parse.
+func TestCollapseOracleOneClassGroups(t *testing.T) {
+	cfg := schedCfg(2)
+	cfg.Testbeds = nil
+	for _, tb := range engines.Testbeds() {
+		if tb.Version.Engine == "Rhino" && tb.Version.Name == "v1.7.11" {
+			cfg.Testbeds = append(cfg.Testbeds, tb)
+		}
+	}
+	s, _ := checkCollapse(t, cfg, append(collapseInputs(), lenientSamples...))
+	if len(s.groups) != 2 {
+		t.Fatalf("%d probe groups for the two modes", len(s.groups))
+	}
+	for g, grp := range s.groups {
+		rep := s.classRep[grp.classes[0]]
+		if len(grp.classes) != 1 || grp.probe != nil {
+			t.Fatalf("group %d: %d classes, probe %v; want one class and no probe", g, len(grp.classes), grp.probe != nil)
+		}
+		if rep.ParseOptions() == (parser.Options{Strict: rep.Testbed.Strict}) {
+			t.Fatalf("group %d: %s parses with the base options", g, rep.Testbed.ID())
+		}
+	}
+	// Each sample must reach the class's own parse, and some must be
+	// accepted there: otherwise the lenient path went untested.
+	accepted := 0
+	for _, src := range lenientSamples {
+		for _, tb := range cfg.Testbeds {
+			if _, err := parser.ParseWith(src, parser.Options{Strict: tb.Strict}); !parser.LenientMayAccept(err) {
+				t.Fatalf("the base parser does not reject %q at a lenient site (%v)", src, err)
+			}
+		}
+		for _, e := range s.Execute(src).Entries() {
+			if e.Result.Outcome != engines.OutcomeParseError {
+				accepted++
+			}
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("no lenient sample was accepted: the classes never ran on their own parse")
 	}
 }

@@ -135,7 +135,7 @@ type Scheduler struct {
 // one probe over that program and fans its result out to every class
 // that takes the base parse and that the probe never consulted (see
 // runGroup); only the others run physically. A one-class group has no
-// probe and runs its class directly.
+// probe: its class always runs physically.
 type probeGroup struct {
 	classes []int                    // class indices, ascending
 	base    *engines.PreparedTestbed // the mode's reference: base parser options and config
@@ -473,25 +473,21 @@ func (s *Scheduler) releaseSlot() {
 }
 
 // runGroup executes one (case, probe group) task and records a result
-// for every class in the group. A one-class group runs its class. A larger
-// group parses the case once under the mode's base options, applies each
-// class's pre-parse gate and, if any class takes the base parse, runs the
-// probe on it once. A class takes the probe's result when it takes the
-// base parse (PreparedTestbed.TakesBaseParse) and the probe consulted
-// none of its hooks and none of its config flags (Probe.Quiet). The rest
-// run physically: a class whose lenient parser options accept a program
-// the base options reject (on its own parse), a class the probe
-// consulted, the class an injected fault targets, and all of them when
-// the probe ended on the wall-clock watchdog (a run cut short by wall
-// time says nothing about the sites it never reached).
+// for every class in the group. It parses the case once under the mode's
+// base options, applies each class's pre-parse gate and, if any class
+// takes the base parse and the group has a probe, runs the probe on it
+// once. A class takes the probe's result when it takes the base parse
+// (PreparedTestbed.TakesBaseParse) and the probe consulted none of its
+// hooks and none of its config flags (Probe.Quiet). The rest run
+// physically: the class of a one-class group, a class whose lenient
+// parser options accept a program the base options reject (on its own
+// parse), a class the probe consulted, the class an injected fault
+// targets, and all of them when the probe ended on the wall-clock
+// watchdog (a run cut short by wall time says nothing about the sites it
+// never reached).
 func (s *Scheduler) runGroup(g int, cs *caseState) {
 	grp := &s.groups[g]
 	c := cs.c
-	if grp.probe == nil {
-		k := grp.classes[0]
-		s.fill(cs, g, k, s.runOne(k, c))
-		return
-	}
 	_, faulted := s.fault(c)
 	baseProg, baseErr := s.cache.parse(grp.base, c.Src)
 	var probe engines.ExecResult
@@ -509,7 +505,7 @@ func (s *Scheduler) runGroup(g int, cs *caseState) {
 			s.fill(cs, g, k, s.runParsed(k, c, prog, err))
 			continue
 		}
-		if k != faulted {
+		if grp.probe != nil && k != faulted {
 			if !probed {
 				s.countRun(baseProg, baseErr)
 				opts := engines.RunOptions{Fuel: s.cfg.Fuel, Seed: s.cfg.Seed, Watchdog: s.deadlineWatchdog()}
@@ -564,18 +560,6 @@ func (s *Scheduler) deadlineWatchdog() func() bool {
 	start := s.cfg.Clock()
 	deadline := s.cfg.CaseDeadline
 	return func() bool { return s.cfg.Clock().Sub(start) > deadline }
-}
-
-// runOne executes one (case, behaviour class) cell: pre-parse
-// interceptors, then the campaign-wide parse cache supplying the class's
-// compiled program, then runParsed.
-func (s *Scheduler) runOne(class int, c Case) engines.ExecResult {
-	p := s.classRep[class]
-	if msg := p.PreParseError(c.Src); msg != "" {
-		return engines.PreParseResult(msg)
-	}
-	prog, err := s.cache.parse(p, c.Src)
-	return s.runParsed(class, c, prog, err)
 }
 
 // runParsed interprets the class's (pre-parse-checked) program for case

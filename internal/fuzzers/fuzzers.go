@@ -94,25 +94,31 @@ type Comfort struct {
 // keeps for parser fuzzing (the paper keeps 20%, Section 4.3).
 const keepInvalid = 0.2
 
-// comfortLM holds the process-wide generator. The embedded corpus is
-// immutable and a trained Generator is read-only after construction (Fork
-// already shares it across campaign shards), so every Comfort in the
-// process can share one training run — repeated campaign construction
-// (CLI re-runs in one process, the throughput benchmarks, test suites)
-// stops paying BPE + n-gram training per instance.
-var comfortLM struct {
+// trainedLMs holds the process-wide generator of each architecture. The
+// embedded corpus is immutable and a trained Generator is read-only (Fork
+// already shares it across campaign shards), so the fuzzers of one
+// architecture share one training run however often they are constructed
+// (comfortd builds a job's fuzzer to validate its spec, then again to run
+// it; benchmarks and test suites build many).
+var trainedLMs [lm.ArchLSTM + 1]struct {
 	once sync.Once
 	g    *lm.Generator
 }
 
-// NewComfort trains the generator on the embedded corpus (once per
-// process).
-func NewComfort() *Comfort {
-	comfortLM.once.Do(func() {
-		comfortLM.g = lm.Train(corpus.Programs(), corpus.Headers(),
-			lm.Config{Arch: lm.ArchGPT2})
+// trainedLM returns the generator of the given architecture trained on
+// the embedded corpus, training it on first use.
+func trainedLM(arch lm.Arch) *lm.Generator {
+	l := &trainedLMs[arch]
+	l.once.Do(func() {
+		l.g = lm.Train(corpus.Programs(), corpus.Headers(), lm.Config{Arch: arch})
 	})
-	return &Comfort{gen: comfortLM.g, db: spec.Default()}
+	return l.g
+}
+
+// NewComfort returns COMFORT over the long-context generator (trained
+// once per process).
+func NewComfort() *Comfort {
+	return &Comfort{gen: trainedLM(lm.ArchGPT2), db: spec.Default()}
 }
 
 // Name implements Fuzzer.
@@ -156,10 +162,10 @@ type DeepSmith struct {
 	gen *lm.Generator
 }
 
-// NewDeepSmith trains the short-context model.
+// NewDeepSmith returns DeepSmith over the short-context model (trained
+// once per process, shared with Montage).
 func NewDeepSmith() *DeepSmith {
-	return &DeepSmith{gen: lm.Train(corpus.Programs(), corpus.Headers(),
-		lm.Config{Arch: lm.ArchLSTM})}
+	return &DeepSmith{gen: trainedLM(lm.ArchLSTM)}
 }
 
 // Name implements Fuzzer.
@@ -516,15 +522,12 @@ type Montage struct {
 	gen   *lm.Generator
 }
 
-// NewMontage trains the subtree model. Montage stays off the Forkable
+// NewMontage returns Montage over the short-context model (trained once
+// per process, shared with DeepSmith). Montage stays off the Forkable
 // sharded path to keep its pinned case stream (see Forkable); Next itself
 // reads only the rng, the seed pool and the trained model.
 func NewMontage() *Montage {
-	return &Montage{
-		seeds: corpus.Programs(),
-		gen: lm.Train(corpus.Programs(), corpus.Headers(),
-			lm.Config{Arch: lm.ArchLSTM}),
-	}
+	return &Montage{seeds: corpus.Programs(), gen: trainedLM(lm.ArchLSTM)}
 }
 
 // Name implements Fuzzer.

@@ -380,3 +380,18 @@ func TestByName(t *testing.T) {
 		t.Error("unknown fuzzer resolved")
 	}
 }
+
+// TestLanguageModelsTrainedOnce pins that each architecture is trained
+// once per process: both short-context baselines sample the same
+// generator, and every construction of a fuzzer reuses its model.
+func TestLanguageModelsTrainedOnce(t *testing.T) {
+	if NewDeepSmith().gen != NewMontage().gen {
+		t.Error("DeepSmith and Montage hold different short-context generators")
+	}
+	if NewDeepSmith().gen != NewDeepSmith().gen || NewComfort().gen != NewComfort().gen {
+		t.Error("a second construction trained its generator again")
+	}
+	if NewComfort().gen == NewDeepSmith().gen {
+		t.Error("COMFORT shares the short-context generator")
+	}
+}

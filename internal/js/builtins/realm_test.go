@@ -2,6 +2,7 @@ package builtins
 
 import (
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,7 +13,9 @@ import (
 	"comfort/internal/js/resolve"
 )
 
-// layouts names the two object layouts a realm template exists for.
+// layouts names the two object layouts: a shape-layout realm is a clone of
+// the realm template, a dictionary-layout realm a fresh install that shares
+// only the frozen method tables with it.
 var layouts = []struct {
 	name string
 	dict bool
@@ -77,10 +80,11 @@ print("array", Object.getOwnPropertyNames(Array.prototype).join());
 print("string", Object.getOwnPropertyNames(String.prototype).join());
 `
 
-// TestRealmIsolation pins that realms cloned from one template share no
-// mutable state: a realm that writes everything it can reach leaves the
-// next clone exactly as pristine as one taken before it ran, and a
-// shape-layout realm reset after those writes is as pristine too.
+// TestRealmIsolation pins that realms share no mutable state: a realm that
+// writes everything it can reach leaves the next realm of its layout (a
+// template clone or a fresh install) exactly as pristine as one taken
+// before it ran, and a shape-layout realm reset after those writes is as
+// pristine too.
 func TestRealmIsolation(t *testing.T) {
 	for _, l := range layouts {
 		t.Run(l.name, func(t *testing.T) {
@@ -134,10 +138,11 @@ var concurrentPrograms = []string{
 	 Object.defineProperty(Array.prototype, "map", {enumerable: true}); console.log = 1;`,
 }
 
-// TestRealmClonesConcurrently clones realms from the shared templates on
-// 8 goroutines at once, each forcing lazy state in its own order. Under
-// -race, a write through any slice still aliasing a template's backing
-// array is a data race between two clones.
+// TestRealmClonesConcurrently builds realms of both layouts on 8
+// goroutines at once, each forcing lazy state in its own order. Under
+// -race, a write through any slice still aliasing the template's backing
+// arrays is a data race between two clones, and a write to a frozen method
+// table one between a clone and a fresh install.
 func TestRealmClonesConcurrently(t *testing.T) {
 	const goroutines, realms = 8, 200
 	progs := make([]*ast.Program, len(concurrentPrograms))
@@ -173,6 +178,19 @@ func TestRealmClonesConcurrently(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestTemplateRejectsDictionaryLayout pins that only a shape-layout realm
+// can be snapshot: the dictionary layout is the oracle the clones are
+// compared with, so it must never be a clone itself.
+func TestTemplateRejectsDictionaryLayout(t *testing.T) {
+	in := NewRuntime(interp.Config{DisableShapes: true})
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "dictionary mode") {
+			t.Errorf("NewTemplate on a dictionary-layout realm: got panic %q, want one naming dictionary mode", msg)
+		}
+	}()
+	interp.NewTemplate(in, eagerCtors)
 }
 
 // pendingTailProgram adds, reads and enumerates properties through one

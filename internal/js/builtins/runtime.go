@@ -12,17 +12,22 @@ import (
 	"comfort/internal/js/interp"
 )
 
-// NewRuntime creates an interpreter with the full standard library: a
-// clone of the pristine realm template for the configured object layout.
+// NewRuntime creates an interpreter with the full standard library. A
+// shape-layout realm is a clone of the pristine realm template; a
+// dictionary-layout realm (the oracle configuration) runs the installers
+// from scratch, so comparing the two layouts also checks the clone.
 func NewRuntime(cfg interp.Config) *interp.Interp {
-	return realmTemplate(cfg.DisableShapes).New(cfg)
+	if !cfg.DisableShapes {
+		return realmTemplate().New(cfg)
+	}
+	return install(cfg)
 }
 
 // ResetRuntime returns in, a shape-layout interpreter NewRuntime built, to
 // the state NewRuntime(cfg) would build, reusing its buffers (see
 // interp.Template.Reset). cfg must select the shape layout.
 func ResetRuntime(in *interp.Interp, cfg interp.Config) {
-	realmTemplate(false).Reset(in, cfg)
+	realmTemplate().Reset(in, cfg)
 }
 
 // Native-method tables: the first template build runs a capture pass on a
@@ -34,25 +39,27 @@ func ResetRuntime(in *interp.Interp, cfg interp.Config) {
 // one key-slice append) instead of registering each method (a closure and
 // a map insert per method).
 //
-// Realm templates: installAll then runs once per process for each object
-// layout (templates[1] holds dictionary objects), and interp.NewTemplate
-// snapshots the result. Every realm after that is a copy of it — a new
-// clone (NewRuntime) or a used realm refilled in place (ResetRuntime,
-// which the engines package's realm pool calls once per physical testbed
-// execution, the campaign scheduler's single hottest path). Nothing in a
-// template may capture its realm: lazy thunks and the prototype-miss hook
-// receive the realm they run in, and per-realm "already installed" state
-// lives in interp.Interp.Sections and the Protos table.
+// The realm template: installAll then runs once per process on a
+// shape-layout realm, and interp.NewTemplate snapshots the result. Every
+// shape-layout realm after that is a copy of it — a new clone (NewRuntime)
+// or a used realm refilled in place (ResetRuntime, which the engines
+// package's realm pool calls once per physical testbed execution, the
+// campaign scheduler's single hottest path). Dictionary-layout realms
+// share only the frozen method tables. Nothing in the template may
+// capture its realm: lazy thunks and the prototype-miss hook receive the
+// realm they run in, and per-realm "already installed" state lives in
+// interp.Interp.Sections and the Protos table.
 var (
 	tableOnce sync.Once
 	// methodTables maps a method's canonical spec key to the frozen table
 	// of its receiver object.
 	methodTables map[string]*interp.NativeTable
 
-	templates [2]struct {
-		once sync.Once
-		t    *interp.Template
-	}
+	// realmTemplate returns the pristine shape-layout realm, building it
+	// on first use.
+	realmTemplate = sync.OnceValue(func() *interp.Template {
+		return interp.NewTemplate(install(interp.Config{}), eagerCtors)
+	})
 )
 
 // eagerCtors names, in installation order, every Protos entry a pristine
@@ -78,24 +85,18 @@ func captureTables() {
 	methodTables = cap.captured
 }
 
-// realmTemplate returns the pristine realm of the given object layout,
-// building it on first use.
-func realmTemplate(dict bool) *interp.Template {
-	l := &templates[0]
-	if dict {
-		l = &templates[1]
-	}
-	l.once.Do(func() {
-		tableOnce.Do(captureTables)
-		in := interp.New(interp.Config{DisableShapes: dict})
-		installAll(&registry{in: in})
-		l.t = interp.NewTemplate(in, eagerCtors)
-	})
-	return l.t
+// install creates an interpreter configured by cfg and runs every
+// installer on it.
+func install(cfg interp.Config) *interp.Interp {
+	tableOnce.Do(captureTables)
+	in := interp.New(cfg)
+	installAll(&registry{in: in})
+	return in
 }
 
 // installAll wires every stdlib section through the given registry: the
-// template realm of one object layout, or the one-time table-capture pass.
+// template realm, a dictionary-layout realm, or the one-time table-capture
+// pass.
 //
 // Sections reachable only through a global binding (Math, JSON, Date,
 // the typed-array family, print/console and the global functions) are

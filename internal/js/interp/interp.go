@@ -317,22 +317,12 @@ var ctrlOK = ctrl{}
 
 // Run executes a parsed program in the global scope.
 func (in *Interp) Run(prog *ast.Program) error {
-	strict := in.Strict || prog.Strict
-	env := in.GlobalEnv
-	in.hoist(prog.Body, env, true, strict)
-	for _, s := range prog.Body {
-		c, err := in.execStmt(s, env, strict)
-		if err != nil {
-			return err
-		}
-		if c.kind != ctrlNormal {
-			break
-		}
-	}
-	return nil
+	_, err := in.RunInEnv(prog, in.GlobalEnv, in.Strict)
+	return err
 }
 
-// RunInEnv executes statements in the given environment (used by eval).
+// RunInEnv executes statements in the given environment (Run's global one,
+// or eval's) and returns the value of the last expression statement.
 func (in *Interp) RunInEnv(prog *ast.Program, env *Env, strict bool) (Value, error) {
 	strict = strict || prog.Strict
 	in.hoist(prog.Body, env, env == in.GlobalEnv, strict)
@@ -342,8 +332,7 @@ func (in *Interp) RunInEnv(prog *ast.Program, env *Env, strict bool) (Value, err
 		if err != nil {
 			return Undefined(), err
 		}
-		if es, ok := s.(*ast.ExprStmt); ok {
-			_ = es
+		if _, ok := s.(*ast.ExprStmt); ok {
 			last = c.val
 		}
 		if c.kind != ctrlNormal {

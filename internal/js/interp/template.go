@@ -5,52 +5,48 @@ import (
 	"unsafe"
 )
 
-// Template is a read-only snapshot of a pristine realm: the global object,
-// every object reachable from it or from the Protos table, and the realm's
-// Protos and ProtoMiss. New copies the graph into a fresh interpreter
-// instead of re-running the standard-library installers, and Reset copies
-// it again into a used one; one of the two runs per physical testbed
-// execution, so the copy sits on the campaign scheduler's hottest path.
+// Template is a read-only snapshot of a pristine shape-layout realm: the
+// global object, every object reachable from it or from the Protos table,
+// and the realm's Protos and ProtoMiss. New copies the graph into a fresh
+// interpreter instead of re-running the standard-library installers, and
+// Reset copies it again into a used one; one of the two runs per physical
+// testbed execution, so the copy sits on the campaign scheduler's hottest
+// path.
 //
 // The snapshot fixes an object index and every pointer to remap, in a
 // deterministic walk order (the global object, then breadth-first through
-// prototypes and object-valued properties in layout order, then the Protos
+// prototypes and object-valued slots in layout order, then the Protos
 // entries in the order given); it never iterates a Go map. New allocates
-// one Object slab, one Value slab and one lazyProp slab (plus the
-// dictionary-storage, key and property slabs and the maps of a
-// dictionary-layout realm; an empty slab allocates nothing); the copy
-// (fill) writes every struct into the slabs and re-points each internal
-// pointer by index. Pending slot tails stay unallocated (see
-// Object.slot). Every copied slice is capped at its length, so an append
-// or a lazy resolution in the copy reallocates instead of writing into
-// the template's backing arrays or past its slab range: template objects
-// are never written after the snapshot, and any number of goroutines may
-// copy one template concurrently.
+// one Object slab, one Value slab and one lazyProp slab (an empty slab
+// allocates nothing); the copy (fill) writes every struct into the slabs
+// and re-points each internal pointer by index. Pending slot tails stay
+// unallocated (see Object.slot). Every copied slice is capped at its
+// length, so an append or a lazy resolution in the copy reallocates
+// instead of writing into the template's backing arrays or past its slab
+// range: template objects are never written after the snapshot, and any
+// number of goroutines may copy one template concurrently.
 //
-// The snapshot supports exactly the state a pristine realm holds —
-// ordinary and native-function objects with data properties, lazy thunks
-// and native-method tables — and panics on anything else (closures over
-// JS code, array elements, accessors, and any ext state: bound and arrow
-// functions, buffers, regexps),
-// so a new eager stdlib section that cannot be cloned fails at the first
-// realm build instead of leaking state between realms.
+// The snapshot supports exactly the state a pristine shape-layout realm
+// holds — ordinary and native-function objects with data properties in
+// slots, lazy thunks and native-method tables — and panics on anything
+// else (objects in dictionary mode, closures over JS code, array
+// elements, and any ext state: bound and arrow functions, buffers,
+// regexps), so a new eager stdlib section that cannot be cloned fails at
+// the first realm build instead of leaking state between realms. A
+// dictionary-layout realm is never a clone: the oracle configuration
+// installs its standard library from scratch, so the clone code here is
+// itself under test whenever the two layouts are compared.
 type Template struct {
 	objs  []*Object // walk order; objs[0] is the global object
 	proto []int32   // index of objs[i].Proto, -1 for none
 
-	// Slab sizes and, per object, the keys of its materialised dictionary
-	// properties in insertion order (nil in shape layout).
-	nslots, nlazy, ndict, nkeys, nprops int
-	propKeys                            [][]string
-
-	// slotRefs and propRefs are the object-valued shape slots and
-	// dictionary properties, as positions in the clone's Value and
-	// Property slabs.
-	slotRefs, propRefs []objRef
+	nslots, nlazy int // slab sizes
+	// slotRefs are the object-valued slots, as positions in the clone's
+	// Value slab.
+	slotRefs []objRef
 
 	protos    []namedRef
 	protoMiss func(*Interp, string)
-	dict      bool
 }
 
 // objRef is one pointer to remap: slab position pos holds object target.
@@ -67,7 +63,7 @@ type namedRef struct {
 // entry missing from it panics, as does any object state a clone could
 // not reproduce (see Template).
 func NewTemplate(in *Interp, names []string) *Template {
-	t := &Template{protoMiss: in.ProtoMiss, dict: in.DisableShapes}
+	t := &Template{protoMiss: in.ProtoMiss}
 	idx := map[*Object]int32{}
 	add := func(o *Object) int32 {
 		if o == nil {
@@ -107,10 +103,10 @@ func (t *Template) visit(in *Interp, o *Object, add func(*Object) int32) {
 	case o.Fn != nil, o.ext != nil, o.elems != nil, o.lazyInstalling != 0,
 		o.Prim.kind == KindObject:
 		panic(fmt.Sprintf("interp: realm template cannot clone %s object state", o.Class))
+	case o.shape == nil || o.dict != nil:
+		panic(fmt.Sprintf("interp: realm template cannot clone a %s object in dictionary mode", o.Class))
 	case o.realm != nil && o.realm != in:
 		panic("interp: realm template object belongs to another realm")
-	case (o.shape != nil) == t.dict:
-		panic("interp: realm template mixes object layouts")
 	}
 	t.proto = append(t.proto, add(o.Proto))
 	for i, v := range o.slots {
@@ -118,31 +114,8 @@ func (t *Template) visit(in *Interp, o *Object, add func(*Object) int32) {
 			t.slotRefs = append(t.slotRefs, objRef{int32(t.nslots + i), add(v.Obj())})
 		}
 	}
-	var keys []string
-	for _, k := range o.dictKeys() {
-		p, ok := o.dictGet(k)
-		if !ok {
-			continue // reserved for a lazy entry
-		}
-		if p.Accessor || p.Get != nil || p.Set != nil {
-			panic("interp: realm template cannot clone accessor " + k)
-		}
-		if p.Value.kind == KindObject {
-			t.propRefs = append(t.propRefs, objRef{int32(t.nprops + len(keys)), add(p.Value.Obj())})
-		}
-		keys = append(keys, k)
-	}
-	if o.dict != nil && len(keys) != len(o.dict.props) {
-		panic("interp: realm template property missing from the key order")
-	}
-	t.propKeys = append(t.propKeys, keys)
 	t.nslots += len(o.slots)
 	t.nlazy += len(o.lazy)
-	if o.dict != nil {
-		t.ndict++
-	}
-	t.nkeys += len(o.dictKeys())
-	t.nprops += len(keys)
 }
 
 // realmSlab is the backing storage of a realm's copy of its template: one
@@ -155,10 +128,10 @@ type realmSlab struct {
 
 // New creates an interpreter configured by cfg whose realm is a copy of
 // the template's object graph: in.Global, in.Protos and in.ProtoMiss. The
-// configuration must select the template's object layout.
+// configuration must select the shape layout.
 func (t *Template) New(cfg Config) *Interp {
-	if cfg.DisableShapes != t.dict {
-		panic("interp: realm template layout differs from the configuration's")
+	if cfg.DisableShapes {
+		panic("interp: a realm template builds shape-layout realms only")
 	}
 	in := newInterp(cfg)
 	in.slab = realmSlab{
@@ -170,7 +143,7 @@ func (t *Template) New(cfg Config) *Interp {
 	return in
 }
 
-// Reset returns in, a shape-layout realm built by New from this template
+// Reset returns in, a realm built by New from this template
 // and possibly run since, to the state New(cfg) would build. Every field
 // is zeroed by construction (see Interp.init); only buffers survive: the
 // object, value and lazy slabs, which the template is copied into again;
@@ -191,8 +164,8 @@ func (t *Template) New(cfg Config) *Interp {
 // reset realm are indistinguishable from runs on a new one, fuel and
 // inline-cache counters included. Reset allocates nothing.
 func (t *Template) Reset(in *Interp, cfg Config) {
-	if t.dict || cfg.DisableShapes {
-		panic("interp: only a shape-layout realm template resets a realm")
+	if cfg.DisableShapes {
+		panic("interp: a realm template resets shape-layout realms only")
 	}
 	if len(in.slab.objs) != len(t.objs) || len(in.slab.vals) != t.nslots || len(in.slab.lazy) != t.nlazy {
 		panic("interp: realm reset from a template it was not built from")
@@ -211,11 +184,7 @@ func (t *Template) Reset(in *Interp, cfg Config) {
 // in.Global, in.Protos and in.ProtoMiss at the copy.
 func (t *Template) fill(in *Interp) {
 	objs, vals, lazy := in.slab.objs, in.slab.vals, in.slab.lazy
-	// Dictionary storage: empty, so allocation-free, in shape layout.
-	dicts := make([]dictProps, t.ndict)
-	keys := make([]string, t.nkeys)
-	props := make([]Property, t.nprops)
-	var nv, nl, nd, nk, np int
+	var nv, nl int
 	for i, src := range t.objs {
 		o := &objs[i]
 		*o = *src
@@ -231,28 +200,9 @@ func (t *Template) fill(in *Interp) {
 		n = copy(lazy[nl:], src.lazy)
 		o.lazy = lazy[nl : nl+n : nl+n]
 		nl += n
-		if sd := src.dict; sd != nil {
-			d := &dicts[nd]
-			nd++
-			o.dict = d
-			n = copy(keys[nk:], sd.keys)
-			d.keys = keys[nk : nk+n : nk+n]
-			nk += n
-			if sd.props != nil {
-				d.props = make(map[string]*Property, len(t.propKeys[i]))
-				for _, k := range t.propKeys[i] {
-					props[np] = *sd.props[k]
-					d.props[k] = &props[np]
-					np++
-				}
-			}
-		}
 	}
 	for _, r := range t.slotRefs {
 		vals[r.pos].ref = unsafe.Pointer(&objs[r.target])
-	}
-	for _, r := range t.propRefs {
-		props[r.pos].Value.ref = unsafe.Pointer(&objs[r.target])
 	}
 	in.Global = &objs[0]
 	for _, e := range t.protos {

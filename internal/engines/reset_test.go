@@ -1,12 +1,14 @@
 package engines
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"comfort/internal/corpus"
 	"comfort/internal/fuzzers"
+	"comfort/internal/js/ast"
 	"comfort/internal/js/builtins"
 )
 
@@ -149,6 +151,76 @@ func TestRealmPoolRecycles(t *testing.T) {
 			RunOptions{Fuel: 100_000, Seed: 1})
 		if res.Outcome != OutcomePass || res.Output != "undefined function\n" {
 			t.Fatalf("run %d saw an earlier run's state: %+v", i, res)
+		}
+	}
+}
+
+// grownSlotsProgram declares n top-level vars named prefix0, prefix1, ...
+// after body.
+func grownSlotsProgram(prefix string, n int, body string) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "var %s%d = %q;\n", prefix, i, prefix)
+	}
+	return b.String() + body
+}
+
+// TestRealmResetGrownSlots pins the slot arrays a pooled realm keeps: a
+// reset hands every template object whose slots a run grew its grown
+// array back. The poison program declares 70 globals (the global object's
+// array outgrows its first headroom), grows Array.prototype and
+// String.prototype past their pending tails, and sends String.prototype
+// to dictionary mode with a delete. The probe then grows the same objects
+// again and prints each one's own property names with the type of every
+// value, so a stale value left in a reused array's tail shows in its
+// output, which must equal a new clone's. The poison runs before every
+// probe, so later rounds reset arrays that earlier rounds reused.
+func TestRealmResetGrownSlots(t *testing.T) {
+	ref := ReferenceTestbed(false).Prepare()
+	opts := RunOptions{Fuel: 2_000_000, Seed: 3}
+	parse := func(src string) *ast.Program {
+		t.Helper()
+		prog, err := ref.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
+	}
+	poison := parse(grownSlotsProgram("g", 70, `
+Array.prototype.push = "poisoned";
+String.prototype.charAt = "poisoned";
+for (var i = 0; i < 20; i++) { Array.prototype["a" + i] = i; String.prototype["s" + i] = i; }
+delete String.prototype.s0;
+`))
+	probe := parse(grownSlotsProgram("h", 70, `
+var g3;
+Array.prototype.b = 1;
+String.prototype.c = 2;
+print(typeof g0, typeof "".charAt, typeof [].push, [].a0, "".s1);
+function show(o) {
+  var ks = Object.getOwnPropertyNames(o), out = [];
+  for (var j = 0; j < ks.length; j++) { out.push(ks[j] + ":" + typeof o[ks[j]]); }
+  print(out.join());
+}
+show(this);
+show(Array.prototype);
+show(String.prototype);
+show(Object.prototype);
+`))
+	cfg := realmConfig(ref.baseCfg, opts)
+	want := execRealm(builtins.NewRuntime(cfg), probe, opts)
+	if want.Outcome != OutcomePass || !strings.HasPrefix(want.Output, "undefined function function undefined undefined\n") {
+		t.Fatalf("probe no longer runs as written: %+v", want)
+	}
+	pooled := builtins.NewRuntime(cfg)
+	for round := 0; round < 3; round++ {
+		builtins.ResetRuntime(pooled, cfg)
+		if res := execRealm(pooled, poison, opts); res.Outcome != OutcomePass {
+			t.Fatalf("round %d: poison program failed: %+v", round, res)
+		}
+		builtins.ResetRuntime(pooled, cfg)
+		if got := execRealm(pooled, probe, opts); got != want {
+			t.Fatalf("round %d: reset realm diverges from a new one\nreset: %+v\nnew:   %+v", round, got, want)
 		}
 	}
 }

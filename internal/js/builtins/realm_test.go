@@ -2,6 +2,7 @@ package builtins
 
 import (
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -288,6 +289,9 @@ func TestRealmResetAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { ResetRuntime(in, cfg) }); got != 0 {
 		t.Errorf("ResetRuntime allocates %v times per steady-state reset, want 0", got)
 	}
+	// ReadMemStats also counts what the runtime allocates for itself
+	// during a collection, so none may run inside the measured window.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	for i := 0; i < 10; i++ {
 		run()
@@ -296,6 +300,42 @@ func TestRealmResetAllocs(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		if n := after.Mallocs - before.Mallocs; n != 0 {
 			t.Fatalf("resetting a used realm allocated %d times, want 0", n)
+		}
+	}
+}
+
+// TestRealmResetKeepsGrownSlots pins that a pooled realm keeps the slot
+// arrays its runs grew on template objects: after a warm-up run, a reset
+// plus a run that declares top-level vars (the global object's slot tail)
+// allocates nothing, and one that resolves a lazy String.prototype method
+// (the prototype's pending tail) allocates only for the program's own
+// values. Allocation counts are deterministic, so the bounds hold on any
+// host.
+func TestRealmResetKeepsGrownSlots(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		want float64
+	}{
+		{`var a = 1, b = 2, c = 3;`, 0},
+		{`"ab".substr(1)`, 4},
+	} {
+		prog, err := parser.Parse(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resolve.Program(prog)
+		compile.Program(prog)
+		cfg := interp.Config{Fuel: 1_000_000}
+		in := NewRuntime(cfg)
+		run := func() {
+			ResetRuntime(in, cfg)
+			if err := compile.Of(prog).Run(in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		if got := testing.AllocsPerRun(100, run); got > c.want {
+			t.Errorf("%s: reset plus run allocates %v times, want at most %v", c.src, got, c.want)
 		}
 	}
 }

@@ -237,15 +237,22 @@ func (o *Object) fillSlots() {
 	}
 }
 
-// growSlots reallocates slots at length n and capacity c, marking the new
-// tail pending.
+// growSlots extends slots to length n, marking the new tail pending. It
+// reallocates at capacity c only when slots has less room than n: a
+// pooled realm's reset hands an object back the array an earlier run
+// grew (see Template.Reset).
 func (o *Object) growSlots(n, c int) {
-	grown := make([]Value, n, c)
-	copy(grown, o.slots)
-	for i := len(o.slots); i < n; i++ {
-		grown[i] = pendingValue
+	m := len(o.slots)
+	if cap(o.slots) >= n {
+		o.slots = o.slots[:n]
+	} else {
+		grown := make([]Value, n, c)
+		copy(grown, o.slots)
+		o.slots = grown
 	}
-	o.slots = grown
+	for i := m; i < n; i++ {
+		o.slots[i] = pendingValue
+	}
 }
 
 // shapeFastKey reports whether key on o can bypass the virtual-slot checks

@@ -20,11 +20,12 @@ import (
 // one Object slab, one Value slab and one lazyProp slab (an empty slab
 // allocates nothing); the copy (fill) writes every struct into the slabs
 // and re-points each internal pointer by index. Pending slot tails stay
-// unallocated (see Object.slot). Every copied slice is capped at its
+// unallocated (see Object.slot). Every slab range is capped at its
 // length, so an append or a lazy resolution in the copy reallocates
-// instead of writing into the template's backing arrays or past its slab
-// range: template objects are never written after the snapshot, and any
-// number of goroutines may copy one template concurrently.
+// instead of writing past its range, and no copy ever holds a template
+// object's backing array: template objects are never written after the
+// snapshot, and any number of goroutines may copy one template
+// concurrently.
 //
 // The snapshot supports exactly the state a pristine shape-layout realm
 // holds — ordinary and native-function objects with data properties in
@@ -41,16 +42,16 @@ type Template struct {
 	proto []int32   // index of objs[i].Proto, -1 for none
 
 	nslots, nlazy int // slab sizes
-	// slotRefs are the object-valued slots, as positions in the clone's
-	// Value slab.
+	// slotRefs are the object-valued slots.
 	slotRefs []objRef
 
 	protos    []namedRef
 	protoMiss func(*Interp, string)
 }
 
-// objRef is one pointer to remap: slab position pos holds object target.
-type objRef struct{ pos, target int32 }
+// objRef is one pointer to remap: slot slot of object obj holds object
+// target.
+type objRef struct{ obj, slot, target int32 }
 
 // namedRef is one Protos entry: name → object index.
 type namedRef struct {
@@ -108,10 +109,11 @@ func (t *Template) visit(in *Interp, o *Object, add func(*Object) int32) {
 	case o.realm != nil && o.realm != in:
 		panic("interp: realm template object belongs to another realm")
 	}
+	obj := int32(len(t.proto))
 	t.proto = append(t.proto, add(o.Proto))
 	for i, v := range o.slots {
 		if v.kind == KindObject {
-			t.slotRefs = append(t.slotRefs, objRef{int32(t.nslots + i), add(v.Obj())})
+			t.slotRefs = append(t.slotRefs, objRef{obj, int32(i), add(v.Obj())})
 		}
 	}
 	t.nslots += len(o.slots)
@@ -147,6 +149,10 @@ func (t *Template) New(cfg Config) *Interp {
 // and possibly run since, to the state New(cfg) would build. Every field
 // is zeroed by construction (see Interp.init); only buffers survive: the
 // object, value and lazy slabs, which the template is copied into again;
+// the slot array of every realm object a run grew past its slab range
+// (the global object's first top-level declaration, a prototype's lazy
+// tail), which takes the template's slots again with the rest cleared,
+// so the next run's growth of that object fits without reallocating;
 // the Protos and global-binding maps, cleared; the inline-cache table,
 // cleared, since a stale entry keyed by a process-global shape and a
 // reused slab address would return another program's slot; and the
@@ -181,12 +187,16 @@ func (t *Template) Reset(in *Interp, cfg Config) {
 }
 
 // fill copies the template's object graph into in's slabs and points
-// in.Global, in.Protos and in.ProtoMiss at the copy.
+// in.Global, in.Protos and in.ProtoMiss at the copy. An object whose
+// slots outgrew their slab range keeps the grown array: a slab range is
+// capped at exactly the template's length, so only an array a run grew
+// has room to spare.
 func (t *Template) fill(in *Interp) {
 	objs, vals, lazy := in.slab.objs, in.slab.vals, in.slab.lazy
 	var nv, nl int
 	for i, src := range t.objs {
 		o := &objs[i]
+		old := o.slots
 		*o = *src
 		if p := t.proto[i]; p >= 0 {
 			o.Proto = &objs[p]
@@ -194,15 +204,23 @@ func (t *Template) fill(in *Interp) {
 		if o.realm != nil {
 			o.realm = in
 		}
-		n := copy(vals[nv:], src.slots)
-		o.slots = vals[nv : nv+n : nv+n]
+		n := len(src.slots)
+		if cap(old) > n {
+			s := old[:cap(old)]
+			copy(s, src.slots)
+			clear(s[n:])
+			o.slots = s[:n]
+		} else {
+			copy(vals[nv:], src.slots)
+			o.slots = vals[nv : nv+n : nv+n]
+		}
 		nv += n
 		n = copy(lazy[nl:], src.lazy)
 		o.lazy = lazy[nl : nl+n : nl+n]
 		nl += n
 	}
 	for _, r := range t.slotRefs {
-		vals[r.pos].ref = unsafe.Pointer(&objs[r.target])
+		objs[r.obj].slots[r.slot].ref = unsafe.Pointer(&objs[r.target])
 	}
 	in.Global = &objs[0]
 	for _, e := range t.protos {

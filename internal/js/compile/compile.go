@@ -540,10 +540,12 @@ func (c *compiler) varDecl(st *ast.VarDecl) []declThunk {
 			}
 			switch kind {
 			case ast.Var:
-				if env == in.GlobalEnv {
-					in.Global.SetSlot(name, v, interp.Writable|interp.Enumerable)
-				} else {
+				if env != in.GlobalEnv {
 					env.DeclareVar(name, v)
+				} else if init != nil {
+					// Hoisting created the property; a declarator
+					// without an initializer writes nothing.
+					in.Global.SetSlot(name, v, interp.Writable|interp.Enumerable)
 				}
 			case ast.Let:
 				env.DeclareLexical(name, v, true)

@@ -126,6 +126,35 @@ func TestParity(t *testing.T) {
 	}
 }
 
+// TestTopLevelVarKeepsValue pins that a top-level var declarator without
+// an initializer writes nothing to the global object: the hoisted
+// property keeps its value. It checks the compiled path, the tree walker
+// (and eval code, which always tree-walks) on both object layouts.
+func TestTopLevelVarKeepsValue(t *testing.T) {
+	const src = `var x = 1; var x; print(x);
+	 eval("var y = 2; var y; print(y);");
+	 function f() {} var f; print(typeof f);`
+	for _, dict := range []bool{false, true} {
+		for _, compiled := range []bool{false, true} {
+			prog, err := parser.Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resolve.Program(prog)
+			in := builtins.NewRuntime(interp.Config{Fuel: 500000, DisableShapes: dict})
+			if compiled {
+				compile.Program(prog)
+				err = compile.Of(prog).Run(in)
+			} else {
+				err = in.Run(prog)
+			}
+			if got := in.Out.String(); err != nil || got != "1\n2\nfunction\n" {
+				t.Errorf("dictionary=%v compiled=%v: output %q, error %v; want 1, 2, function", dict, compiled, got, err)
+			}
+		}
+	}
+}
+
 // TestCoverageParity pins that compiled execution records the same
 // statement/function/branch coverage as the tree walk (Figure 9 must not
 // depend on the evaluator path).

@@ -549,10 +549,12 @@ func (in *Interp) execVarDecl(st *ast.VarDecl, env *Env, strict bool) (ctrl, err
 		}
 		switch st.Kind {
 		case ast.Var:
-			if env == in.GlobalEnv {
-				in.Global.SetSlot(d.Name, v, Writable|Enumerable)
-			} else {
+			if env != in.GlobalEnv {
 				env.declareVar(d.Name, v)
+			} else if d.Init != nil {
+				// Hoisting created the property; a declarator
+				// without an initializer writes nothing.
+				in.Global.SetSlot(d.Name, v, Writable|Enumerable)
 			}
 		case ast.Let:
 			env.declareLexical(d.Name, v, true)

@@ -54,6 +54,7 @@ func TestScopeSemantics(t *testing.T) {
 			out: "1\n2\n1\n"},
 		{name: "var hoisting", src: `function f(){ print(v); var v = 3; print(v); } f();`, out: "undefined\n3\n"},
 		{name: "var undefined keeps value", src: `function f(){ var x = 1; var x; print(x); } f();`, out: "1\n"},
+		{name: "top-level var undefined keeps value", src: `var x = 1; var x; print(x);`, out: "1\n"},
 		{name: "func decl hoists past block", // closure env is the function frame, not the block
 			src: `function f(){ { let y = 1; function g(){ return typeof y; } var h = g; } return h(); } var y2; print(f());`,
 			out: "undefined\n"},

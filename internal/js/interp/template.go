@@ -49,8 +49,8 @@ type Template struct {
 	protoMiss func(*Interp, string)
 }
 
-// objRef is one pointer to remap: slot slot of object obj holds object
-// target.
+// objRef is one pointer to remap: objs[obj].slots[slot] holds
+// objs[target].
 type objRef struct{ obj, slot, target int32 }
 
 // namedRef is one Protos entry: name → object index.
@@ -206,14 +206,12 @@ func (t *Template) fill(in *Interp) {
 		}
 		n := len(src.slots)
 		if cap(old) > n {
-			s := old[:cap(old)]
-			copy(s, src.slots)
-			clear(s[n:])
-			o.slots = s[:n]
+			o.slots = old[:n]
+			clear(old[n:cap(old)])
 		} else {
-			copy(vals[nv:], src.slots)
 			o.slots = vals[nv : nv+n : nv+n]
 		}
+		copy(o.slots, src.slots)
 		nv += n
 		n = copy(lazy[nl:], src.lazy)
 		o.lazy = lazy[nl : nl+n : nl+n]

@@ -15,7 +15,7 @@ import (
 // TestComfortCampaignFindsSeededBugs runs a small COMFORT campaign over the
 // bug-richest testbeds and checks that it discovers seeded defects across
 // several engines — the end-to-end property behind every table — on the
-// compiled evaluator with live inline caches.
+// compiled evaluator.
 func TestComfortCampaignFindsSeededBugs(t *testing.T) {
 	// Seed re-pinned when the sharded generation scheme replaced the
 	// sequential RNG (the stream is a different — equally valid — sample
@@ -41,9 +41,6 @@ func TestComfortCampaignFindsSeededBugs(t *testing.T) {
 		len(res.Found), len(enginesHit), res.DuplicatesFiltered)
 	if res.Compiled == 0 || res.Fallback != 0 {
 		t.Errorf("campaign should run fully compiled: compiled=%d fallback=%d", res.Compiled, res.Fallback)
-	}
-	if res.ICHits+res.ICMisses == 0 {
-		t.Errorf("campaign should exercise the inline caches: hits=%d misses=%d", res.ICHits, res.ICMisses)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"comfort/internal/fuzzers"
 	"comfort/internal/js/analyze"
 	"comfort/internal/js/compile"
+	"comfort/internal/js/interp"
 	"comfort/internal/js/parser"
 	"comfort/internal/js/resolve"
 )
@@ -29,11 +30,12 @@ type referencePath struct {
 }
 
 var (
-	mapScopes  = referencePath{name: "map scopes", analyze: true}
-	treeWalker = referencePath{name: "tree walker", resolve: true, analyze: true}
-	dictObjs   = referencePath{name: "dictionary objects", resolve: true, compile: true, analyze: true, dict: true}
-	dictTree   = referencePath{name: "dictionary objects on the tree walker", resolve: true, analyze: true, dict: true}
-	recomputed = referencePath{name: "recomputed report", resolve: true, compile: true}
+	defaultPath = referencePath{name: "default", resolve: true, compile: true, analyze: true}
+	mapScopes   = referencePath{name: "map scopes", analyze: true}
+	treeWalker  = referencePath{name: "tree walker", resolve: true, analyze: true}
+	dictObjs    = referencePath{name: "dictionary objects", resolve: true, compile: true, analyze: true, dict: true}
+	dictTree    = referencePath{name: "dictionary objects on the tree walker", resolve: true, analyze: true, dict: true}
+	recomputed  = referencePath{name: "recomputed report", resolve: true, compile: true}
 )
 
 // runPath executes src on p along path: the default pipeline's pre-parse
@@ -115,12 +117,18 @@ var earlyErrorSamples = []string{
 	"function f(p) { let p = 1; } f(0);",
 }
 
-// pathStats is what one run of checkReferencePaths observed on the
-// default path: inline-cache probe traffic and the number of programs the
-// analyzer statically rejected.
-type pathStats struct {
-	icProbes        uint64
-	earlyErrorProgs int
+// forOracleCases calls fn on every program the per-execution path
+// oracles check: the first 25 cases each fuzzer generates from a fixed
+// seed, then the early-error samples.
+func forOracleCases(fn func(name string, ci int, src string)) {
+	for fi, f := range fuzzers.All() {
+		for ci, src := range firstCases(f, int64(100+fi), 25) {
+			fn(f.Name(), ci, src)
+		}
+	}
+	for ci, src := range earlyErrorSamples {
+		fn("early-error-samples", ci, src)
+	}
 }
 
 // checkReferencePaths is the per-execution differential oracle shared by
@@ -128,17 +136,15 @@ type pathStats struct {
 // plus the early-error samples, must produce byte-identical ExecResults —
 // output, outcome, error rendering, fuel and the early-error marker — on
 // the default pipeline and on every given reference path, across
-// defect-laden and reference testbeds in both modes. A path that skips
-// the compile pass or keeps dictionary objects must leave the inline
-// caches untouched. Programs the analyzer statically rejects must
-// additionally be rejected identically by every testbed — the soundness
-// condition that lets the scheduler classify an early-error case from the
-// reference testbed alone.
-func checkReferencePaths(t *testing.T, paths ...referencePath) pathStats {
+// defect-laden and reference testbeds in both modes. Programs the
+// analyzer statically rejects must additionally be rejected identically
+// by every testbed — the soundness condition that lets the scheduler
+// classify an early-error case from the reference testbed alone. It
+// returns the number of programs the analyzer rejected.
+func checkReferencePaths(t *testing.T, paths ...referencePath) (earlyErrorProgs int) {
 	t.Helper()
 	prepared := oracleTestbeds()
 	opts := engines.RunOptions{Fuel: 150000, Seed: 9}
-	var st pathStats
 	checkOne := func(name string, ci int, src string) {
 		var rejected, accepted int
 		for _, p := range prepared {
@@ -147,15 +153,11 @@ func checkReferencePaths(t *testing.T, paths ...referencePath) pathStats {
 			}
 			prog, perr := p.Parse(src)
 			want := p.ExecParsed(prog, perr, opts)
-			st.icProbes += want.ICHit + want.ICMiss + want.ICMega
 			for _, path := range paths {
 				got := runPath(p, src, path, opts)
-				if got.Semantics() != want.Semantics() {
+				if got != want {
 					t.Fatalf("%s case %d on %s: %s diverges from the default path\ndefault: %+v\n%s: %+v\nprogram:\n%s",
 						name, ci, p.Testbed.ID(), path.name, want, path.name, got, src)
-				}
-				if (path.dict || !path.compile) && got.ICHit+got.ICMiss+got.ICMega != 0 {
-					t.Fatalf("%s case %d on %s: %s touched the inline caches", name, ci, p.Testbed.ID(), path.name)
 				}
 			}
 			if perr != nil {
@@ -176,18 +178,53 @@ func checkReferencePaths(t *testing.T, paths ...referencePath) pathStats {
 				name, ci, rejected, accepted, src)
 		}
 		if rejected > 0 {
-			st.earlyErrorProgs++
+			earlyErrorProgs++
 		}
 	}
-	for fi, f := range fuzzers.All() {
-		for ci, src := range firstCases(f, int64(100+fi), 25) {
-			checkOne(f.Name(), ci, src)
+	forOracleCases(checkOne)
+	return earlyErrorProgs
+}
+
+// checkShapeTransitions is the shapes oracles' vacuity guard: comparing
+// the default path with dictionary objects shows something only if the
+// default path runs its programs on the hidden-class layout. A synthetic
+// defect whose hook never intervenes watches every hook site srcs reach
+// on a single-defect testbed and counts them by the layout of the realm
+// they run on, plus the property stores that add a key on a shape-layout
+// realm (each one a shape transition). The default path must reach shape
+// layout only, with at least one transition; the dictionary path must
+// reach dictionary layout only. The guard reads no production counter.
+func checkShapeTransitions(t *testing.T, srcs []string) {
+	t.Helper()
+	var shapeSites, dictSites, transitions int
+	watch := &engines.Defect{ID: "layout-watch", Hook: func(ctx *interp.HookCtx) *interp.Override {
+		if ctx.In.DisableShapes {
+			dictSites++
+			return nil
+		}
+		shapeSites++
+		if ctx.Site == interp.HookPropSet && !ctx.Obj.HasOwn(ctx.Key.Str()) {
+			transitions++
+		}
+		return nil
+	}}
+	p := engines.NewDefectRunner(watch, false)
+	opts := engines.RunOptions{Fuel: difftest.DefaultFuel, Seed: 9}
+	for _, path := range []referencePath{defaultPath, dictObjs} {
+		shapeSites, dictSites, transitions = 0, 0, 0
+		for _, src := range srcs {
+			runPath(p, src, path, opts)
+		}
+		t.Logf("%s path: %d hook sites on shape layout (%d transitions by property store), %d on dictionary layout",
+			path.name, shapeSites, transitions, dictSites)
+		if path.dict && (dictSites == 0 || shapeSites != 0) {
+			t.Fatalf("%s path reached %d hook sites on shape layout; it must run dictionary objects only", path.name, shapeSites)
+		}
+		if !path.dict && (transitions == 0 || dictSites != 0) {
+			t.Fatalf("%s path made %d shape transitions and reached %d hook sites on dictionary layout; the shape comparison is vacuous",
+				path.name, transitions, dictSites)
 		}
 	}
-	for ci, src := range earlyErrorSamples {
-		checkOne("early-error-samples", ci, src)
-	}
-	return st
 }
 
 // TestEvaluatorOracle is the differential oracle for the resolve-once
@@ -204,13 +241,14 @@ func TestCompiledOracle(t *testing.T) {
 }
 
 // TestShapesOracle is the differential oracle for the hidden-class object
-// layout and its inline caches: shape-mode objects against dictionary
-// objects, on the compiled path and on the tree walker. The default path
-// must actually probe the caches, or the comparison is vacuous.
+// layout: shape-mode objects against dictionary objects, on the compiled
+// path and on the tree walker. The default path must actually run the
+// programs through shape transitions, or the comparison is vacuous.
 func TestShapesOracle(t *testing.T) {
-	if st := checkReferencePaths(t, dictObjs, dictTree); st.icProbes == 0 {
-		t.Fatal("the default path never probed an inline cache; the shape comparison is vacuous")
-	}
+	checkReferencePaths(t, dictObjs, dictTree)
+	var srcs []string
+	forOracleCases(func(_ string, _ int, src string) { srcs = append(srcs, src) })
+	checkShapeTransitions(t, srcs)
 }
 
 // TestAnalyzeOracle is the differential oracle for the cached static
@@ -218,9 +256,17 @@ func TestShapesOracle(t *testing.T) {
 // recomputed per execution (no analyze pass), plus the cross-testbed
 // soundness of every early-error verdict.
 func TestAnalyzeOracle(t *testing.T) {
-	if st := checkReferencePaths(t, recomputed); st.earlyErrorProgs < 8 {
-		t.Fatalf("early-error gate exercised on only %d programs; the oracle lost its teeth", st.earlyErrorProgs)
+	if n := checkReferencePaths(t, recomputed); n < 8 {
+		t.Fatalf("early-error gate exercised on only %d programs; the oracle lost its teeth", n)
 	}
+}
+
+// schedulerSeed seeds the grid-level oracles' cases and runs.
+const schedulerSeed = 2021
+
+// schedulerCases returns the 150 COMFORT cases the grid-level oracles run.
+func schedulerCases() []string {
+	return firstCases(fuzzers.NewComfort(), schedulerSeed, 150)
 }
 
 // checkSchedulerPath is the grid-level twin of checkReferencePaths: a
@@ -231,15 +277,14 @@ func TestAnalyzeOracle(t *testing.T) {
 // for its execution counters.
 func checkSchedulerPath(t *testing.T, path referencePath) *exec.Scheduler {
 	t.Helper()
-	const seed = 2021
-	srcs := firstCases(fuzzers.NewComfort(), seed, 150)
+	srcs := schedulerCases()
 	sched := exec.New(exec.Config{
 		Testbeds: engines.Testbeds(),
 		Workers:  4,
 		Fuel:     difftest.DefaultFuel,
-		Seed:     seed,
+		Seed:     schedulerSeed,
 	})
-	opts := engines.RunOptions{Fuel: difftest.DefaultFuel, Seed: seed}
+	opts := engines.RunOptions{Fuel: difftest.DefaultFuel, Seed: schedulerSeed}
 	ctx := context.Background()
 	delivered := 0
 	for oc := range sched.Run(ctx, exec.FromSlice(ctx, srcs)) {
@@ -251,7 +296,7 @@ func checkSchedulerPath(t *testing.T, path referencePath) *exec.Scheduler {
 				continue
 			}
 			checked[p.BehaviorKey()] = true
-			if got := runPath(p, oc.Src, path, opts); got.Semantics() != e.Result.Semantics() {
+			if got := runPath(p, oc.Src, path, opts); got != e.Result {
 				t.Fatalf("case %d on %s: %s diverges from the scheduler's result\nscheduler: %+v\n%s: %+v\nprogram:\n%s",
 					oc.Index, e.Testbed.ID(), path.name, e.Result, path.name, got, oc.Src)
 			}
@@ -281,12 +326,10 @@ func TestCampaignCompileOracle(t *testing.T) {
 
 // TestCampaignShapesOracle compares every result a concurrent campaign
 // grid delivers with dictionary objects, and pins that the default path
-// exercises the inline caches.
+// runs the grid's cases through shape transitions.
 func TestCampaignShapesOracle(t *testing.T) {
-	sched := checkSchedulerPath(t, dictObjs)
-	if st := sched.Stats(); st.ICHits+st.ICMisses == 0 {
-		t.Errorf("default path should exercise the inline caches: hits=%d misses=%d", st.ICHits, st.ICMisses)
-	}
+	checkSchedulerPath(t, dictObjs)
+	checkShapeTransitions(t, schedulerCases())
 }
 
 // TestCampaignWorkerIndependenceResolved pins worker-count independence

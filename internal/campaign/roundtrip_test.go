@@ -63,7 +63,7 @@ func roundTripSources(t *testing.T) (names []string, srcs []string) {
 // parsing it again, so for every source that parses, in each mode, the
 // print must parse, print to itself (a fixpoint), and run on the
 // reference testbed to an identical ExecResult — output, outcome, error
-// rendering and fuel, inline-cache counters included.
+// rendering and fuel.
 func TestPrintRoundTripOracle(t *testing.T) {
 	names, srcs := roundTripSources(t)
 	refs := []*engines.PreparedTestbed{

@@ -95,7 +95,6 @@ func randomResult(rng *rand.Rand) engines.ExecResult {
 		Output:   outputs[rng.Intn(len(outputs))],
 		ErrName:  errNames[rng.Intn(len(errNames))],
 		FuelUsed: fuels[rng.Intn(len(fuels))],
-		ICHit:    uint64(rng.Intn(2)),
 	}
 	switch r.Outcome {
 	case engines.OutcomeParseError:

@@ -238,9 +238,8 @@ func (o ExecOutcome) String() string {
 	}
 }
 
-// ExecResult is the observable behaviour of one run, plus evaluator
-// diagnostics (the inline-cache counters) that are not part of the
-// behaviour: Key() and the differential oracles never consult them.
+// ExecResult is the observable behaviour of one run; the differential
+// oracles compare it whole with ==.
 type ExecResult struct {
 	Outcome  ExecOutcome
 	Output   string // print() output
@@ -266,19 +265,6 @@ type ExecResult struct {
 	// treats such entries as deviant without the 2× fuel test — a hung
 	// engine is anomalous no matter how little fuel it burned.
 	WallClock bool
-	// ICHit/ICMiss/ICMega count the compiled evaluator's inline-cache
-	// probes for this run (all zero on a tree-walked program or with
-	// dictionary-mode objects).
-	ICHit, ICMiss, ICMega uint64
-}
-
-// Semantics returns the result with the evaluator diagnostics cleared —
-// the observable behaviour (outcome, output, error rendering, fuel) the
-// differential oracles compare byte-for-byte. The inline-cache counters
-// are legitimately path-dependent and must not feed an oracle.
-func (r ExecResult) Semantics() ExecResult {
-	r.ICHit, r.ICMiss, r.ICMega = 0, 0, 0
-	return r
 }
 
 // Key renders the behaviour for differential comparison: two testbeds agree
@@ -302,9 +288,9 @@ type RunOptions struct {
 	// panic-isolation layer converts evaluator panics into classified
 	// crash results. Always false in normal operation.
 	InjectPanic bool
-	// dictObjects keeps objects on dictionary-mode property maps with the
-	// inline caches empty (interp.Config.DisableShapes) — the reference
-	// object layout, the one path no skipped parse pass can select.
+	// dictObjects keeps objects on dictionary-mode property maps
+	// (interp.Config.DisableShapes) — the reference object layout, the
+	// one path no skipped parse pass can select.
 	// PreparedTestbed.Exec honours it; only DictionaryObjects sets it.
 	dictObjects bool
 	// configRead, when non-nil, receives whether the run reached a site
@@ -314,9 +300,9 @@ type RunOptions struct {
 }
 
 // DictionaryObjects returns opts with objects kept on dictionary-mode
-// property maps and the inline caches empty — the reference object layout
-// the differential path oracles compare the shape-mode default against,
-// on a realm installed from scratch rather than cloned from the template.
+// property maps — the reference object layout the differential path
+// oracles compare the shape-mode default against, on a realm installed
+// from scratch rather than cloned from the template.
 // No production caller sets it.
 func DictionaryObjects(opts RunOptions) RunOptions {
 	opts.dictObjects = true

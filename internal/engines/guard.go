@@ -69,7 +69,6 @@ func execRealm(in *interp.Interp, prog *ast.Program, opts RunOptions) (res ExecR
 	}()
 	runErr := runProgramInjected(in, prog, opts)
 	res = ExecResult{Output: in.Out.String(), FuelUsed: in.FuelUsed()}
-	res.ICHit, res.ICMiss, res.ICMega = in.ICStats()
 	classifyRunError(&res, runErr)
 	return res
 }

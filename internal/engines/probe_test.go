@@ -59,7 +59,7 @@ func TestProbeIsPure(t *testing.T) {
 			if !static {
 				want = runRealm(quiet, prog, probeOpts)
 			}
-			if got.Semantics() != want.Semantics() {
+			if got != want {
 				t.Fatalf("strict=%v program %d: the probe changed the run\nprobe: %+v\nquiet: %+v\nprogram:\n%s",
 					strict, i, got, want, src)
 			}
@@ -105,7 +105,7 @@ func TestConfigReadIsSound(t *testing.T) {
 				continue
 			}
 			for _, cfg := range []interp.Config{mutableName, sloppyAssign} {
-				if got := runRealm(cfg, prog, probeOpts); got.Semantics() != want.Semantics() {
+				if got := runRealm(cfg, prog, probeOpts); got != want {
 					t.Fatalf("strict=%v program %d read no config flag, yet %+v changes its run\nbase:    %+v\nflagged: %+v\nprogram:\n%s",
 						strict, i, cfg, want, got, src)
 				}
@@ -219,7 +219,7 @@ func TestDefectRunnerMatchesIsolatedRun(t *testing.T) {
 			r := NewDefectRunner(d, strict)
 			for i, src := range srcs {
 				got, want := r.Run(src, probeOpts), isolatedRun(d, strict, src, probeOpts)
-				if got.Semantics() != want.Semantics() {
+				if got != want {
 					t.Errorf("%s strict=%v program %d: runner %+v, isolated %+v", name, strict, i, got, want)
 				}
 			}

@@ -63,9 +63,8 @@ eval("let poisonEvalLet = 4; const poisonEvalConst = 5;");
 // from the template after any run behaves exactly like a new one. One
 // realm runs the poison program before every checked program X; then X
 // runs on that realm, reset, and on a realm Template.New built, and the
-// two ExecResults must be equal, fuel and inline-cache counters included.
-// X covers the corpus, the poison program itself (its inline-cache sites
-// meet the poison run's entries at the same indices), every catalog
+// two ExecResults must be equal, fuel included. X covers the corpus, the
+// poison program itself, every catalog
 // witness on its single-defect runner, 1,000 seed-1 COMFORT cases spread
 // over all testbeds, and an injected panic followed by a normal run.
 func TestRealmResetPoisonOracle(t *testing.T) {

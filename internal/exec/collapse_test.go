@@ -115,7 +115,7 @@ func checkCollapse(t *testing.T, cfg Config, srcs []string) (*Scheduler, int) {
 				faultedDeviants++
 				continue
 			}
-			if e.Result.Semantics() == want.Semantics() {
+			if e.Result == want {
 				continue
 			}
 			t.Fatalf("case %d on %s: scheduler entry differs from a direct run\nscheduler: %+v\ndirect:    %+v\nprogram:\n%s",

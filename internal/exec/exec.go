@@ -124,10 +124,9 @@ type Scheduler struct {
 	groupOf []int
 	cache   *parseCache
 	// The run counters behind Stats (see there for their meaning).
-	compiled, fallback    atomic.Int64
-	icHit, icMiss, icMega atomic.Uint64
-	analyzed, earlySkips  atomic.Int64
-	panics, wallTimeouts  atomic.Int64
+	compiled, fallback   atomic.Int64
+	analyzed, earlySkips atomic.Int64
+	panics, wallTimeouts atomic.Int64
 }
 
 // probeGroup is the set of behaviour classes of one mode. A multi-class
@@ -220,8 +219,10 @@ type Stats struct {
 	// declined). Parse errors and early-error skips count in neither.
 	Compiled int64 `json:"compiled"`
 	Fallback int64 `json:"fallback"`
-	// ICHits/ICMisses/ICMega are the compiled evaluator's inline-cache
-	// hit, miss and megamorphic totals.
+	// ICHits/ICMisses/ICMega are always zero: nothing writes them since
+	// the inline caches were deleted. They stay only because perfbench's
+	// interp.ic_hit_ratio reads them, and go with that metric; until then
+	// the checkpoint, SSE and -progress JSON keys are unchanged.
 	ICHits   uint64 `json:"ic_hits"`
 	ICMisses uint64 `json:"ic_misses"`
 	ICMega   uint64 `json:"ic_mega"`
@@ -245,9 +246,6 @@ func (a Stats) Add(b Stats) Stats {
 		CacheEvictions:  a.CacheEvictions + b.CacheEvictions,
 		Compiled:        a.Compiled + b.Compiled,
 		Fallback:        a.Fallback + b.Fallback,
-		ICHits:          a.ICHits + b.ICHits,
-		ICMisses:        a.ICMisses + b.ICMisses,
-		ICMega:          a.ICMega + b.ICMega,
 		Analyzed:        a.Analyzed + b.Analyzed,
 		EarlyErrorSkips: a.EarlyErrorSkips + b.EarlyErrorSkips,
 		Panics:          a.Panics + b.Panics,
@@ -263,9 +261,6 @@ func (s *Scheduler) Stats() Stats {
 		CacheEvictions:  s.cache.evictions.Load(),
 		Compiled:        s.compiled.Load(),
 		Fallback:        s.fallback.Load(),
-		ICHits:          s.icHit.Load(),
-		ICMisses:        s.icMiss.Load(),
-		ICMega:          s.icMega.Load(),
 		Analyzed:        s.analyzed.Load(),
 		EarlyErrorSkips: s.earlySkips.Load(),
 		Panics:          s.panics.Load(),
@@ -586,7 +581,7 @@ func (s *Scheduler) runParsed(class int, c Case, prog *ast.Program, err error) e
 	return r
 }
 
-// account adds one physical run's robustness and inline-cache counters.
+// account adds one physical run's robustness counters.
 func (s *Scheduler) account(r engines.ExecResult) {
 	if r.Panic {
 		s.panics.Add(1)
@@ -596,15 +591,6 @@ func (s *Scheduler) account(r engines.ExecResult) {
 	}
 	if r.EarlyError {
 		s.earlySkips.Add(1)
-	}
-	if r.ICHit != 0 {
-		s.icHit.Add(r.ICHit)
-	}
-	if r.ICMiss != 0 {
-		s.icMiss.Add(r.ICMiss)
-	}
-	if r.ICMega != 0 {
-		s.icMega.Add(r.ICMega)
 	}
 }
 

@@ -106,7 +106,7 @@ func TestExecuteMatchesRun(t *testing.T) {
 		wantEntries := want.Entries()
 		for j, e := range got.Entries() {
 			w := wantEntries[j]
-			if e.Testbed.ID() != w.Testbed.ID() || e.Result.Semantics() != w.Result.Semantics() {
+			if e.Testbed.ID() != w.Testbed.ID() || e.Result != w.Result {
 				t.Fatalf("case %d entry %d: Execute %s %+v, Run %s %+v",
 					i, j, e.Testbed.ID(), e.Result, w.Testbed.ID(), w.Result)
 			}

@@ -72,10 +72,6 @@ type Compiled struct {
 	hoist      []ast.HoistedDecl
 	body       []stmtThunk
 	progStrict bool
-	// icSites is the number of inline-cache sites the compile pass
-	// allocated across the whole program, nested function bodies included;
-	// Run sizes the interpreter's per-execution site table from it.
-	icSites int
 }
 
 // Program compiles a resolved program in place, attaching the thunk tree
@@ -96,7 +92,6 @@ func Program(prog *ast.Program) {
 		body:       c.seq(prog.Body),
 		progStrict: prog.Strict,
 	}
-	cp.icSites = c.icSites
 	prog.Compiled = cp
 }
 
@@ -110,7 +105,6 @@ func Of(prog *ast.Program) *Compiled {
 // Run executes the compiled program in the interpreter's global scope —
 // the thunk twin of interp.Run.
 func (cp *Compiled) Run(in *interp.Interp) error {
-	in.EnsureICSites(cp.icSites)
 	strict := in.Strict || cp.progStrict
 	for _, a := range cp.hoist {
 		if a.Fn != nil {
@@ -147,18 +141,9 @@ func runSeq(ths []stmtThunk, in *interp.Interp, env *interp.Env, strict bool) (c
 	return ctrlNormal, nil
 }
 
-// compiler is the per-program compile state: the inline-cache site
-// counter, shared by the program body and every nested function body.
-type compiler struct {
-	icSites int
-}
-
-// icSite allocates one inline-cache site index for a member-access thunk.
-func (c *compiler) icSite() int {
-	n := c.icSites
-	c.icSites++
-	return n
-}
+// compiler is the per-program compile pass, shared by the program body
+// and every nested function body.
+type compiler struct{}
 
 // seq compiles a statement list.
 func (c *compiler) seq(ss []ast.Stmt) []stmtThunk {

@@ -155,7 +155,6 @@ func (c *compiler) expr(e ast.Expr) exprThunk {
 		key := x.Name
 		if id, ok := x.Obj.(*ast.Ident); ok {
 			read := identReader(id.Name, id.Ref)
-			site := c.icSite()
 			return func(in *interp.Interp, env *interp.Env, strict bool) (interp.Value, error) {
 				// Two fuel steps: the member node and its identifier
 				// operand, exactly the tree walker's two evalExpr entries.
@@ -169,11 +168,10 @@ func (c *compiler) expr(e ast.Expr) exprThunk {
 				if err != nil {
 					return interp.Undefined(), err
 				}
-				return in.GetPropICKey(site, ov, key)
+				return in.GetPropKey(ov, key)
 			}
 		}
 		obj := c.expr(x.Obj)
-		site := c.icSite()
 		return func(in *interp.Interp, env *interp.Env, strict bool) (interp.Value, error) {
 			if err := in.Charge(1); err != nil {
 				return interp.Undefined(), err
@@ -182,7 +180,7 @@ func (c *compiler) expr(e ast.Expr) exprThunk {
 			if err != nil {
 				return interp.Undefined(), err
 			}
-			return in.GetPropICKey(site, ov, key)
+			return in.GetPropKey(ov, key)
 		}
 	case *ast.SeqExpr:
 		subs := make([]exprThunk, len(x.Exprs))
@@ -1022,23 +1020,6 @@ func (c *compiler) ref(e ast.Expr) refThunk {
 		}
 	case *ast.MemberExpr:
 		parts := c.memberParts(t)
-		if !t.Computed {
-			// Static key: both the read and the write-back get inline-cache
-			// sites (site soundness needs the key fixed at compile time).
-			getSite := c.icSite()
-			setSite := c.icSite()
-			return func(in *interp.Interp, env *interp.Env, strict bool) (interp.Value, func(interp.Value) error, error) {
-				obj, key, err := parts(in, env, strict)
-				if err != nil {
-					return interp.Undefined(), nil, err
-				}
-				cur, err := in.GetPropICKey(getSite, obj, key)
-				if err != nil {
-					return interp.Undefined(), nil, err
-				}
-				return cur, func(nv interp.Value) error { return in.SetPropICKey(setSite, obj, key, nv, strict) }, nil
-			}
-		}
 		return func(in *interp.Interp, env *interp.Env, strict bool) (interp.Value, func(interp.Value) error, error) {
 			obj, key, err := parts(in, env, strict)
 			if err != nil {
@@ -1480,7 +1461,6 @@ func (c *compiler) plainAssign(x *ast.AssignExpr) exprThunk {
 		obj := c.expr(t.Obj)
 		key := t.Name
 		r := c.expr(x.R)
-		site := c.icSite()
 		return func(in *interp.Interp, env *interp.Env, strict bool) (interp.Value, error) {
 			if err := in.Charge(1); err != nil {
 				return interp.Undefined(), err
@@ -1493,7 +1473,7 @@ func (c *compiler) plainAssign(x *ast.AssignExpr) exprThunk {
 			if err != nil {
 				return interp.Undefined(), err
 			}
-			if err := in.SetPropICKey(site, ov, key, v, strict); err != nil {
+			if err := in.SetProp(ov, key, v, strict); err != nil {
 				return interp.Undefined(), err
 			}
 			return v, nil
@@ -1515,12 +1495,6 @@ func (c *compiler) call(x *ast.CallExpr) exprThunk {
 	name := describeCallee(x.Callee)
 	if m, ok := x.Callee.(*ast.MemberExpr); ok {
 		parts := c.memberParts(m)
-		// The method load gets an inline-cache site when the property name
-		// is a compile-time constant; computed callees stay generic.
-		site := -1
-		if !m.Computed {
-			site = c.icSite()
-		}
 		return func(in *interp.Interp, env *interp.Env, strict bool) (interp.Value, error) {
 			if err := in.Charge(1); err != nil {
 				return interp.Undefined(), err
@@ -1529,12 +1503,7 @@ func (c *compiler) call(x *ast.CallExpr) exprThunk {
 			if err != nil {
 				return interp.Undefined(), err
 			}
-			var fnVal interp.Value
-			if site >= 0 {
-				fnVal, err = in.GetPropICKey(site, obj, key)
-			} else {
-				fnVal, err = in.GetPropKey(obj, key)
-			}
+			fnVal, err := in.GetPropKey(obj, key)
 			if err != nil {
 				return interp.Undefined(), err
 			}

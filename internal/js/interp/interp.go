@@ -29,9 +29,8 @@ type Config struct {
 	// identifiers create globals silently — a seeded Strict Mode defect.
 	SloppyStrictAssign bool
 	// DisableShapes keeps every object in classic dictionary (property map)
-	// layout and turns the compiled evaluator's inline caches off — the
-	// reference layout the hidden-class machinery is checked against.
-	// Only the engines package's shape oracle sets it.
+	// layout — the reference layout the hidden-class machinery is checked
+	// against. Only the engines package's shape oracle sets it.
 	DisableShapes bool
 	// Watchdog, when non-nil, is the wall-clock deadline probe: it is
 	// polled cooperatively at the shared fuel-charge site every
@@ -104,8 +103,7 @@ type Interp struct {
 	// the two flags above decides (see ConfigRead).
 	configRead bool
 	// DisableShapes mirrors Config.DisableShapes: NewObject allocates
-	// dictionary-mode objects and the IC entry points fall through to the
-	// generic property paths.
+	// dictionary-mode objects.
 	DisableShapes bool
 	// hookScratchBusy marks hookScratch (below) as lent out; randLive
 	// records that this run has seeded rand.
@@ -154,14 +152,6 @@ type Interp struct {
 	// Direct-mapped string-metrics cache (see stringMetrics): rune count
 	// and ASCII-ness of recently measured strings.
 	strCache [4]strMetrics
-
-	// ics holds the per-execution inline-cache sites the compiled
-	// evaluator's member-access thunks index into (see ic.go); the hit /
-	// miss / megamorphic counters feed campaign.Progress.
-	ics    []icSite
-	icHit  uint64
-	icMiss uint64
-	icMega uint64
 
 	// hookScratch is the reusable HookCtx for hook sites whose Override is
 	// consumed synchronously (propset, arraygrow, functier) — see hookCtx.

@@ -21,10 +21,12 @@ func TestValueLayout(t *testing.T) {
 }
 
 // TestObjectLayout bounds the packed Object: rare-class state belongs
-// behind ext and dictionary storage behind dict.
+// behind ext and dictionary storage behind dict. Object is 232 bytes, in
+// the 240-byte allocation size class; a field that pushes it into the
+// 256-byte class fails here.
 func TestObjectLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Object{}); got > 256 {
-		t.Errorf("Object is %d bytes, want at most 256", got)
+	if got := unsafe.Sizeof(Object{}); got > 240 {
+		t.Errorf("Object is %d bytes, want at most 240", got)
 	}
 }
 

@@ -185,13 +185,9 @@ type Object struct {
 	// the lazy-property machinery below. slots may stop short of the
 	// shape's depth: every index past its end is a pending lazy entry
 	// (see slot and fillSlots), so registering a method table or a lazy
-	// thunk allocates no slot. epoch counts layout changes
-	// (key added, deleted, redefined, mode change) in BOTH modes; inline
-	// caches record it for every prototype-chain link they resolved past,
-	// so shadowing writes and proto surgery invalidate cleanly.
+	// thunk allocates no slot.
 	shape *Shape
 	slots []Value
-	epoch uint32
 
 	// Array internal slots: dense elements plus an explicit length to
 	// support sparse writes (which land in named properties).
@@ -505,7 +501,6 @@ func (o *Object) AttachLazyTable(t *NativeTable, in *Interp) {
 			o.shape = sh
 			t.shapeCache.Store(&tableShape{from: from, to: sh})
 		}
-		o.epoch++
 		return
 	}
 	d := o.dictionary()
@@ -550,7 +545,6 @@ func (o *Object) SetLazy(in *Interp, key string, install func(*Interp)) {
 	o.lazyLeft++
 	if o.shape != nil {
 		o.shape = o.shape.transition(key, Writable|Configurable)
-		o.epoch++ // the new slot is in the implicit pending tail
 		return
 	}
 	d := o.dictionary()
@@ -794,7 +788,6 @@ func (o *Object) SetSlot(key string, v Value, attr PropAttr) {
 	d := o.dictionary()
 	d.set(key, &Property{Value: v, Attr: attr})
 	o.noteKey(key)
-	o.epoch++
 	if o.lazyInstalling > 0 && o.keyReserved(key) {
 		return // the key's position was reserved at lazy registration
 	}
@@ -860,7 +853,6 @@ func (o *Object) DefineOwn(key string, p *Property) bool {
 	}
 	d.set(key, p)
 	o.noteKey(key)
-	o.epoch++
 	return true
 }
 
@@ -895,7 +887,6 @@ func (o *Object) DeleteOwn(key string) bool {
 	}
 	d := o.dict
 	delete(d.props, key)
-	o.epoch++
 	if len(key) == len(frozenKey) {
 		if key == frozenKey {
 			o.frozen = false

@@ -21,8 +21,7 @@ const (
 // and the slot index it occupies in the owning object's dense slot array
 // (slot == parent depth, so slots and shape chain always agree on layout).
 // Objects that add the same properties in the same order with the same
-// attributes share the same shape pointer, which is what inline caches
-// key on.
+// attributes share the same shape pointer.
 //
 // The tree is shared by every realm in the process: transitions are
 // published copy-on-write under a global mutex, so campaign workers
@@ -176,8 +175,7 @@ func (s *Shape) keyChain() []string {
 
 // shapeGetOwn answers getOwn for shape-mode objects. It boxes a Property
 // for descriptor-shaped callers (builtins, enumeration); the evaluator's
-// hot paths read slots directly through the probes in interp.go and the
-// inline caches instead.
+// hot paths read slots directly through the probes in interp.go instead.
 func (o *Object) shapeGetOwn(key string) (*Property, bool) {
 	sp := o.shape.find(key)
 	if sp == nil {
@@ -195,13 +193,10 @@ func (o *Object) shapeGetOwn(key string) (*Property, bool) {
 }
 
 // shapeAppend adds a new named data property to a shape-mode object:
-// one transition, one slot append, no map, no Property box. The epoch
-// bump invalidates inline caches holding this object as a prototype-chain
-// link (a new key can shadow what a cache resolved past it).
+// one transition, one slot append, no map, no Property box.
 func (o *Object) shapeAppend(key string, v Value, attr PropAttr) {
 	o.appendSlot(v)
 	o.shape = o.shape.transition(key, attr)
-	o.epoch++
 	o.noteKey(key)
 }
 
@@ -277,7 +272,7 @@ func (o *Object) shapeFastKey(key string) bool {
 // machinery, and insertion order is recovered from the shape chain. This
 // is the escape hatch for deletes, accessors, attribute redefinition and
 // other exotica the dense layout does not model; the object behaves
-// identically afterwards, just without shape/IC acceleration.
+// identically afterwards, just without shape acceleration.
 func (o *Object) toDictionary() {
 	sh := o.shape
 	if sh == nil {
@@ -300,5 +295,4 @@ func (o *Object) toDictionary() {
 	o.dict = d
 	o.shape = nil
 	o.slots = nil
-	o.epoch++
 }

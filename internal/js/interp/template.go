@@ -153,22 +153,19 @@ func (t *Template) New(cfg Config) *Interp {
 // (the global object's first top-level declaration, a prototype's lazy
 // tail), which takes the template's slots again with the rest cleared,
 // so the next run's growth of that object fits without reallocating;
-// the Protos and global-binding maps, cleared; the inline-cache table,
-// cleared, since a stale entry keyed by a process-global shape and a
-// reused slab address would return another program's slot; and the
-// Math.random source, reseeded on first use. The maps and the table keep
-// the size of the largest run the realm has served: over the benchmark
-// workloads a run declares at most one global binding (top-level var and
-// function declarations live on the global object, not in the map) and
-// uses at most 12 cache sites.
+// the Protos and global-binding maps, cleared; and the Math.random
+// source, reseeded on first use. The maps keep the size of the largest
+// run the realm has served: over the benchmark workloads a run declares
+// at most one global binding (top-level var and function declarations
+// live on the global object, not in the map).
 //
 // Reset copies the whole template rather than tracking which objects a
 // run dirtied: the template is a few kilobytes, and a dirty bit would
 // cost a branch on every mutation path of the evaluator.
 //
 // With no other reference to in or to any object it reached, runs on a
-// reset realm are indistinguishable from runs on a new one, fuel and
-// inline-cache counters included. Reset allocates nothing.
+// reset realm are indistinguishable from runs on a new one, fuel
+// included. Reset allocates nothing.
 func (t *Template) Reset(in *Interp, cfg Config) {
 	if cfg.DisableShapes {
 		panic("interp: a realm template resets shape-layout realms only")
@@ -178,11 +175,10 @@ func (t *Template) Reset(in *Interp, cfg Config) {
 	}
 	clear(in.Protos)
 	clear(in.GlobalEnv.vars)
-	clear(in.ics)
-	protos, genv, slab, rng, ics := in.Protos, in.GlobalEnv, in.slab, in.rand, in.ics[:0]
+	protos, genv, slab, rng := in.Protos, in.GlobalEnv, in.slab, in.rand
 	*genv = Env{vars: genv.vars, isFunc: true}
 	in.init(cfg, protos, genv)
-	in.slab, in.rand, in.ics = slab, rng, ics
+	in.slab, in.rand = slab, rng
 	t.fill(in)
 }
 

@@ -61,10 +61,10 @@ function work(n) {
   return acc + s.length;
 }
 print(work(600));`,
-	// objects exercises the hidden-class layout and the compiled path's
-	// inline caches: literal construction (one shape transition chain per
-	// iteration), monomorphic and polymorphic member access, member
-	// writes, and method calls through the prototype-less function chain.
+	// objects exercises the hidden-class layout on the compiled path:
+	// literal construction (one shape transition chain per iteration),
+	// monomorphic and polymorphic member access, member writes, and
+	// method calls through the prototype-less function chain.
 	"objects": `
 function Point(x, y) { this.x = x; this.y = y; }
 Point.prototype.sum = function() { return this.x + this.y; };

@@ -40,7 +40,8 @@ var (
 
 // runPath executes src on p along path: the default pipeline's pre-parse
 // gate and ExecParsed, over a program that went through only the path's
-// passes.
+// passes. The early-error verdict comes from the resolver, so a path
+// without the resolve pass takes its report from a resolved twin parse.
 func runPath(p *engines.PreparedTestbed, src string, path referencePath, opts engines.RunOptions) engines.ExecResult {
 	if msg := p.PreParseError(src); msg != "" {
 		return engines.PreParseResult(msg)
@@ -53,8 +54,12 @@ func runPath(p *engines.PreparedTestbed, src string, path referencePath, opts en
 		if path.compile {
 			compile.Program(prog)
 		}
-		if path.analyze {
+		if path.analyze && path.resolve {
 			analyze.Program(prog)
+		} else if path.analyze {
+			twin, _ := parser.ParseWith(src, p.ParseOptions())
+			resolve.Program(twin)
+			prog.Analysis = analyze.Program(twin)
 		}
 	}
 	if path.dict {

@@ -234,10 +234,10 @@ func staticResult(prog *ast.Program, err error) (ExecResult, bool) {
 
 // earlyErrorResult returns the pre-execution SyntaxError for a program
 // the static analyzer rejects. It reads the report the parse pipeline
-// cached on the program; a program that skipped analyze.Program gets the
-// verdict recomputed from the AST — two implementations of identical
-// semantics, which the path oracle compares. The report is never attached
-// here: programs may already be shared across goroutines.
+// cached on the program; a resolved program that skipped analyze.Program
+// gets the report recomputed from the resolver's verdict, which the path
+// oracle compares with the cached one. The report is never attached here:
+// programs may already be shared across goroutines.
 func earlyErrorResult(prog *ast.Program) (ExecResult, bool) {
 	rep := analyze.Of(prog)
 	if rep == nil {

@@ -1,13 +1,15 @@
-// Package analyze is the static semantic analyzer: one pass per parsed
+// Package analyze is the static semantic analyzer: one pass per resolved
 // program produces an analyze.Report with three products the pipeline
 // consumes ahead of differential execution.
 //
 //  1. Early errors — static-semantics violations the parser accepts
 //     (duplicate lexical bindings, unknown break/continue labels,
-//     assignment to const, ...). The engines layer turns these into a
-//     pre-execution SyntaxError that is a pure function of the source
-//     text, so the scheduler can classify such a case from the reference
-//     testbed alone instead of fanning out to every behaviour class.
+//     assignment to const, ...). internal/js/resolve finds them in its
+//     scope walk and the report copies its verdict. The engines layer
+//     turns these into a pre-execution SyntaxError that is a pure function
+//     of the source text, so the scheduler can classify such a case from
+//     the reference testbed alone instead of fanning out to every
+//     behaviour class.
 //  2. Divergence-risk flags — constructs whose behaviour is
 //     implementation-defined or nondeterministic in real engines
 //     (Math.random, Date.now, for-in enumeration order, ...). The
@@ -20,30 +22,15 @@
 // Like the resolve and compile passes, the report is computed once per
 // parse and attached to the Program (ast.Program.Analysis) before the
 // tree is shared across goroutines; analysis consumes nothing but the
-// AST itself, so the exec layer's parse-fingerprint cache key keeps it
-// sound.
+// resolved AST itself, so the exec layer's parse-fingerprint cache key
+// keeps it sound.
 package analyze
 
-import (
-	"fmt"
-
-	"comfort/internal/js/ast"
-	"comfort/internal/js/token"
-)
+import "comfort/internal/js/ast"
 
 // EarlyError is one static-semantics violation. Kind is a stable
 // machine-readable rule name; Msg and Pos render like parser errors.
-type EarlyError struct {
-	Kind string
-	Msg  string
-	Pos  token.Pos
-}
-
-// Render formats the violation exactly like a parser SyntaxError, so the
-// difftest classifier sees one uniform parse-rejection shape.
-func (e EarlyError) Render() string {
-	return fmt.Sprintf("SyntaxError: %s (at %s)", e.Msg, e.Pos)
-}
+type EarlyError = ast.EarlyError
 
 // Report is the analyzer's per-program output.
 type Report struct {
@@ -68,13 +55,19 @@ func (r *Report) FirstError() *EarlyError {
 // Invalid reports whether the program has any early error.
 func (r *Report) Invalid() bool { return r != nil && len(r.EarlyErrors) > 0 }
 
-// Analyze computes a fresh report for prog without attaching it. A
-// program that skipped Program is classified on this path — a second,
-// uncached implementation of exactly the analysis the cached path serves.
+// Analyze computes a fresh report for prog without attaching it: the
+// feature and flag scan, plus the early errors and shadowing bit that
+// resolve.Program recorded. prog must have been resolved; Analyze panics
+// otherwise, since an unresolved tree carries no verdict to copy.
 func Analyze(prog *ast.Program) *Report {
-	r := &Report{}
+	if !prog.ResolvedScopes {
+		panic("analyze: program not resolved")
+	}
+	r := &Report{EarlyErrors: prog.EarlyErrors}
 	scanProgram(prog, r) // features and flags (features.go)
-	earlyErrors(prog, r) // static-semantics pass (early.go)
+	if prog.Shadowing {
+		r.Features |= FeatShadowing
+	}
 	return r
 }
 

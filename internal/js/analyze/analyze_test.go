@@ -5,72 +5,78 @@ import (
 	"testing"
 
 	"comfort/internal/js/parser"
+	"comfort/internal/js/resolve"
 )
 
+// mustAnalyze parses and resolves src, then analyzes it.
 func mustAnalyze(t *testing.T, src string) *Report {
 	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
+	resolve.Program(prog)
 	return Analyze(prog)
 }
 
+// earlyErrorCases is TestEarlyErrors' table; TestEarlyErrorOracle also
+// runs it.
+var earlyErrorCases = []struct {
+	name string
+	src  string
+	kind string // "" = expect no early error
+}{
+	// Duplicate lexical declarations.
+	{"dup let", `let a; let a;`, "dup-decl"},
+	{"dup const", `const a = 1; const a = 2;`, "dup-decl"},
+	{"let then var", `let a; var a;`, "dup-decl"},
+	{"var then let", `var a; let a;`, "dup-decl"},
+	{"let then block var", `let a; { var a; }`, "dup-decl"},
+	{"block var then let", `{ var a; } let a;`, "dup-decl"},
+	{"let vs function decl", `let f; function f() {}`, "dup-decl"},
+	{"param vs body let", `function f(a) { let a; } f(1);`, "dup-decl"},
+	{"catch param vs let", `try { } catch (e) { let e; }`, "dup-decl"},
+	{"for head dup", `for (let i = 0, i = 1;;) break;`, "dup-decl"},
+	{"switch shared scope", `switch (1) { case 1: let a; case 2: let a; }`, "dup-decl"},
+	{"dup var ok", `var a; var a;`, ""},
+	{"param vs body var ok", `function f(a) { var a; } f(1);`, ""},
+	{"catch param vs var ok", `try { } catch (e) { var e; }`, ""},
+	{"block shadow ok", `let a; { let a; }`, ""},
+	{"fn var vs block let ok", `function f() { var a; { let a; } } f();`, ""},
+	{"sibling blocks ok", `{ let a; } { let a; }`, ""},
+	{"inner fn own scope ok", `let a; function f() { var a; } f();`, ""},
+
+	// Labels.
+	{"undefined break label", `lbl: { break lbl2; }`, "undefined-label"},
+	{"undefined continue label", `for (var i = 0; i < 1; i++) { continue nope; }`, "undefined-label"},
+	{"continue to non-loop", `lbl: { continue lbl; }`, "continue-not-loop"},
+	{"dup nested label", `l: l: print(1);`, "dup-label"},
+	{"label ok", `lbl: { break lbl; }`, ""},
+	{"continue loop label ok", `lbl: for (var i = 0; i < 2; i++) { continue lbl; }`, ""},
+	{"label chain continue ok", `a: b: while (false) { continue a; }`, ""},
+	{"label out of scope", `l: print(1); for (;;) { break l; }`, "undefined-label"},
+	{"label not across fn", `l: { (function () { break l; })(); }`, "undefined-label"},
+
+	// Const writes.
+	{"const assign", `const c = 1; c = 2;`, "const-assign"},
+	{"const compound", `const c = 1; c += 1;`, "const-assign"},
+	{"const update", `const c = 1; c++;`, "const-assign"},
+	{"const in function", `function f() { const c = 1; c = 2; } f();`, "const-assign"},
+	{"const for-in target", `const c = 1; for (c in {a: 1}) print(c);`, "const-assign"},
+	{"outer const inner fn", `const c = 1; function f() { c = 2; } f();`, "const-assign"},
+	{"shadowed const ok", `const c = 1; function f() { var c; c = 2; } f();`, ""},
+	{"hoisted var shadow ok", `const c = 1; function f() { c = 2; var c; } f();`, ""},
+	{"param shadow ok", `const c = 1; function f(c) { c = 2; } f(0);`, ""},
+	{"write before const ok", `c = 2; const c = 1;`, ""},
+	{"global write ok", `c = 2; print(c);`, ""},
+	{"const read ok", `const c = 1; print(c + 1);`, ""},
+	{"member write ok", `const c = {}; c.x = 1;`, ""},
+	{"eval relaxes globals", `eval("1"); const c = 1; c = 2;`, ""},
+	{"eval keeps locals", `eval("1"); function f() { const c = 1; c = 2; } f();`, "const-assign"},
+}
+
 func TestEarlyErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		kind string // "" = expect no early error
-	}{
-		// Duplicate lexical declarations.
-		{"dup let", `let a; let a;`, "dup-decl"},
-		{"dup const", `const a = 1; const a = 2;`, "dup-decl"},
-		{"let then var", `let a; var a;`, "dup-decl"},
-		{"var then let", `var a; let a;`, "dup-decl"},
-		{"let then block var", `let a; { var a; }`, "dup-decl"},
-		{"block var then let", `{ var a; } let a;`, "dup-decl"},
-		{"let vs function decl", `let f; function f() {}`, "dup-decl"},
-		{"param vs body let", `function f(a) { let a; } f(1);`, "dup-decl"},
-		{"catch param vs let", `try { } catch (e) { let e; }`, "dup-decl"},
-		{"for head dup", `for (let i = 0, i = 1;;) break;`, "dup-decl"},
-		{"switch shared scope", `switch (1) { case 1: let a; case 2: let a; }`, "dup-decl"},
-		{"dup var ok", `var a; var a;`, ""},
-		{"param vs body var ok", `function f(a) { var a; } f(1);`, ""},
-		{"catch param vs var ok", `try { } catch (e) { var e; }`, ""},
-		{"block shadow ok", `let a; { let a; }`, ""},
-		{"fn var vs block let ok", `function f() { var a; { let a; } } f();`, ""},
-		{"sibling blocks ok", `{ let a; } { let a; }`, ""},
-		{"inner fn own scope ok", `let a; function f() { var a; } f();`, ""},
-
-		// Labels.
-		{"undefined break label", `lbl: { break lbl2; }`, "undefined-label"},
-		{"undefined continue label", `for (var i = 0; i < 1; i++) { continue nope; }`, "undefined-label"},
-		{"continue to non-loop", `lbl: { continue lbl; }`, "continue-not-loop"},
-		{"dup nested label", `l: l: print(1);`, "dup-label"},
-		{"label ok", `lbl: { break lbl; }`, ""},
-		{"continue loop label ok", `lbl: for (var i = 0; i < 2; i++) { continue lbl; }`, ""},
-		{"label chain continue ok", `a: b: while (false) { continue a; }`, ""},
-		{"label out of scope", `l: print(1); for (;;) { break l; }`, "undefined-label"},
-		{"label not across fn", `l: { (function () { break l; })(); }`, "undefined-label"},
-
-		// Const writes.
-		{"const assign", `const c = 1; c = 2;`, "const-assign"},
-		{"const compound", `const c = 1; c += 1;`, "const-assign"},
-		{"const update", `const c = 1; c++;`, "const-assign"},
-		{"const in function", `function f() { const c = 1; c = 2; } f();`, "const-assign"},
-		{"const for-in target", `const c = 1; for (c in {a: 1}) print(c);`, "const-assign"},
-		{"outer const inner fn", `const c = 1; function f() { c = 2; } f();`, "const-assign"},
-		{"shadowed const ok", `const c = 1; function f() { var c; c = 2; } f();`, ""},
-		{"hoisted var shadow ok", `const c = 1; function f() { c = 2; var c; } f();`, ""},
-		{"param shadow ok", `const c = 1; function f(c) { c = 2; } f(0);`, ""},
-		{"write before const ok", `c = 2; const c = 1;`, ""},
-		{"global write ok", `c = 2; print(c);`, ""},
-		{"const read ok", `const c = 1; print(c + 1);`, ""},
-		{"member write ok", `const c = {}; c.x = 1;`, ""},
-		{"eval relaxes globals", `eval("1"); const c = 1; c = 2;`, ""},
-		{"eval keeps locals", `eval("1"); function f() { const c = 1; c = 2; } f();`, "const-assign"},
-	}
-	for _, tc := range cases {
+	for _, tc := range earlyErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			rep := mustAnalyze(t, tc.src)
 			first := rep.FirstError()
@@ -101,6 +107,7 @@ func TestParserOwnedRulesNotDuplicated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sloppy duplicate params must parse: %v", err)
 	}
+	resolve.Program(prog)
 	if rep := Analyze(prog); rep.Invalid() {
 		t.Fatalf("duplicate params are the parser's rule, analyzer reported %v", rep.EarlyErrors)
 	}
@@ -198,6 +205,7 @@ func TestAttachOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	resolve.Program(prog)
 	if Of(prog) != nil {
 		t.Fatal("fresh parse must carry no report")
 	}

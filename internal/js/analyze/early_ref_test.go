@@ -7,8 +7,14 @@ import (
 	"comfort/internal/js/token"
 )
 
-// The early-error pass implements the spec's static semantics for the
-// rules the parser itself does not enforce, using a lexical scope model:
+// This file keeps the early-error pass as it stood before the resolver
+// took its rules over: a second lexical scope model, walked separately
+// from resolve.Program. It is the oracle TestEarlyErrorOracle compares
+// the resolver's verdict with (early errors in order, and the features
+// including the shadowing bit).
+//
+// The pass implements the spec's static semantics for the rules the
+// parser itself does not enforce, using its own lexical scope model:
 //
 //   - duplicate lexical declarations: a let/const name may not collide
 //     with another lexical binding, a parameter, or a var declared
@@ -18,25 +24,24 @@ import (
 //     continue to a label that does not denote an iteration statement,
 //     and duplicate nested labels
 //   - assignment to a const binding (including ++/--, compound assigns
-//     and for-in targets) — enforced ahead of execution as a
-//     SyntaxError; DESIGN.md documents this deliberate strengthening of
-//     the spec's runtime TypeError
+//     and for-in targets)
 //   - return outside a function and unlabeled break/continue outside a
-//     loop (defensive: the parser already rejects these forms)
+//     loop
 //
-// Rules the parser owns stay out: duplicate parameters and strict
-// delete-of-variable are parse errors gated by defect parser options
-// (AllowDuplicateParams and friends), and re-checking them here would
-// mask exactly the seeded parser defects the campaign exists to find.
-//
-// The pass is deliberately conservative where our engines' dynamic
-// semantics are forgiving: const-assignment is only reported when the
-// const declaration precedes the write in the traversal (so a write
-// resolving to the global object never misfires), var and function
-// names are pre-hoisted into their function scope so writes that target
-// a hoisted local are never misattributed to an outer const, and
-// programs that call eval() skip const checks on program-level bindings
-// (eval can only touch the global environment in this subset).
+// It is conservative where the engines' dynamic semantics are forgiving:
+// const-assignment is only reported when the const declaration precedes
+// the write in the traversal, var and function names are pre-hoisted into
+// their function scope, and programs that call eval() skip const checks on
+// program-level bindings.
+
+// referenceAnalyze computes the report with the old pass: the feature
+// scan, then the early-error walk over its own scope model.
+func referenceAnalyze(prog *ast.Program) *Report {
+	r := &Report{}
+	scanProgram(prog, r)
+	earlyErrors(prog, r)
+	return r
+}
 
 // escope is one lexical scope in the early-error pass.
 type escope struct {

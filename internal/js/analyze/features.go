@@ -153,8 +153,8 @@ func (f Flags) Names() []string {
 func (f Flags) Any() bool { return f != 0 }
 
 // scanProgram runs the single fingerprint walk: feature bits and
-// divergence flags. (FeatShadowing is contributed by the early-error
-// pass, which owns the scope model.)
+// divergence flags. (FeatShadowing comes from the resolver, which owns
+// the scope model.)
 func scanProgram(prog *ast.Program, r *Report) {
 	if prog.Strict {
 		r.Features |= FeatStrict

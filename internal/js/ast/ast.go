@@ -4,7 +4,11 @@
 // reduction key off those IDs.
 package ast
 
-import "comfort/internal/js/token"
+import (
+	"fmt"
+
+	"comfort/internal/js/token"
+)
 
 // Node is implemented by all AST nodes.
 type Node interface {
@@ -139,6 +143,28 @@ type Program struct {
 	// attached by internal/js/analyze under the same write-once,
 	// publish-before-sharing contract as Compiled.
 	Analysis any
+	// EarlyErrors lists the static-semantics violations internal/js/resolve
+	// found while annotating the tree, in source order.
+	EarlyErrors []EarlyError
+	// Shadowing marks a let or const declaration whose name an enclosing
+	// scope already binds; the resolver sets it with EarlyErrors.
+	Shadowing bool
+}
+
+// EarlyError is one static-semantics violation: a rule the parser accepts
+// but the spec rejects before execution (a duplicate lexical declaration,
+// an unknown label, an assignment to a const, ...). Kind is a stable
+// machine-readable rule name; Msg and Pos render like parser errors.
+type EarlyError struct {
+	Kind string
+	Msg  string
+	Pos  token.Pos
+}
+
+// Render formats the violation exactly like a parser SyntaxError, so the
+// difftest classifier sees one uniform parse-rejection shape.
+func (e EarlyError) Render() string {
+	return fmt.Sprintf("SyntaxError: %s (at %s)", e.Msg, e.Pos)
 }
 
 // VarKind distinguishes var/let/const declarations.

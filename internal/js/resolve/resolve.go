@@ -36,12 +36,51 @@
 //   - RefDynamic: everything else falls back to the by-name walk, which is
 //     semantically identical to the unresolved evaluator (slot frames are
 //     scanned by name, honouring per-slot liveness).
+//
+// The same walk applies the spec's static semantics for the rules the
+// parser itself does not enforce, and stores the violations on the program
+// (ast.Program.EarlyErrors, in source order):
+//
+//   - duplicate lexical declarations: a let/const name may not collide
+//     with another lexical binding, a parameter, or a var declared
+//     anywhere in the same scope's subtree (vars hoist through blocks,
+//     so `let a; { var a; }` is as invalid as `let a; let a;`)
+//   - label static semantics: break/continue to an undeclared label,
+//     continue to a label that does not denote an iteration statement,
+//     and duplicate nested labels
+//   - assignment to a const binding (including ++/--, compound assigns
+//     and for-in targets) — enforced ahead of execution as a
+//     SyntaxError; DESIGN.md documents this deliberate strengthening of
+//     the spec's runtime TypeError
+//   - return outside a function and unlabeled break/continue outside a
+//     loop (defensive: the parser already rejects these forms)
+//
+// Rules the parser owns stay out: duplicate parameters and strict
+// delete-of-variable are parse errors gated by defect parser options
+// (AllowDuplicateParams and friends), and re-checking them here would
+// mask exactly the seeded parser defects the campaign exists to find.
+//
+// The early rules see the scopes as the source text nests them, which is
+// not always the runtime frame chain: a hoisted function declaration's
+// body sits in the block that contains it (scope.outer), and a for or
+// for-in head that declares nothing lexical is no scope of its own
+// (scope.noLex). Each name's binding kind is recorded when its declaration
+// is walked, so the rules are deliberately conservative where the
+// engines' dynamic semantics are forgiving: const-assignment is only
+// reported when the const declaration precedes the write in the walk (a
+// write resolving to the global object never misfires), var and function
+// names are bound from function entry so writes that target a hoisted
+// local are never misattributed to an outer const, and programs that
+// mention eval skip const checks on program-level bindings (eval can only
+// touch the global environment in this subset).
 package resolve
 
 import (
+	"fmt"
 	"math"
 
 	"comfort/internal/js/ast"
+	"comfort/internal/js/token"
 )
 
 // Declaration-index markers: idxEntry bindings are live from frame entry
@@ -57,22 +96,20 @@ const (
 // resolver must not mis-index).
 const maxSlots = 0xFFF0
 
-// Program annotates prog in place. It is idempotent and must be called
-// before the program is shared across goroutines (annotations are plain
-// field writes); execution itself only reads them.
+// Program annotates prog in place and records its early errors. It is
+// idempotent and must be called before the program is shared across
+// goroutines (annotations are plain field writes); execution itself only
+// reads them.
 func Program(prog *ast.Program) {
 	if prog.ResolvedScopes {
 		return
 	}
 	prog.ResolvedScopes = true
-	r := &resolver{}
 	g := &scope{global: true, isFunc: true, curIndex: -1}
-	// Top-level function declarations are hoisted onto the global object
-	// with the global environment as their closure — intermediate blocks
-	// are invisible to them — so resolve their bodies against the global
-	// pseudo-scope, before the statement walk (which skips them).
-	r.hoistedFuncDecls(prog.Body, g)
+	r := &resolver{global: g, body: prog.Body}
 	r.stmts(prog.Body, g)
+	prog.EarlyErrors = r.earlyErrors()
+	prog.Shadowing = r.shadowing
 }
 
 // scope is the resolver's view of one runtime scope.
@@ -84,6 +121,19 @@ type scope struct {
 	hoistedFn bool // a function entered via a hoisted FuncDecl
 	slots     map[string]uint16
 	declIndex map[string]int
+	// outer is the next scope out as the early rules see it: the nearest
+	// enclosing scope in the source text that is not noLex.
+	outer *scope
+	// noLex marks a for or for-in head without let/const: the early rules
+	// declare into (and look up from) its outer scope instead.
+	noLex bool
+	// kinds records the binding kinds the early rules add as the walk
+	// reaches each declaration: Let and Const for lexical declarations,
+	// ast.Var for a var hoisting through a block, and the program's vars
+	// and function names on the global pseudo-scope. Parameters, catch
+	// parameters and a function's hoisted names need no record: they are
+	// the entry-live names of declIndex (see kind). Allocated on first use.
+	kinds map[string]ast.VarKind
 	// poisoned marks a scope that hit the slot cap: some of its
 	// declarations live on the dynamic overlay, so references walking
 	// through it can no longer be proven to miss it.
@@ -100,7 +150,7 @@ func newScopeInfo() *ast.ScopeInfo {
 
 func (r *resolver) newScope(parent *scope, info *ast.ScopeInfo, isFunc bool) *scope {
 	return &scope{
-		parent: parent, info: info, isFunc: isFunc,
+		parent: parent, outer: parent.lexical(), info: info, isFunc: isFunc,
 		slots: map[string]uint16{}, declIndex: map[string]int{}, curIndex: -1,
 	}
 }
@@ -137,7 +187,36 @@ func (s *scope) declare(name string, index int) (uint16, bool) {
 
 func (s *scope) materialized() bool { return s.info != nil && s.info.NumSlots > 0 }
 
-type resolver struct{}
+// resolver carries the walk's early-error state.
+type resolver struct {
+	// global and body are the program's pseudo-scope and top level. Its
+	// vars and function names live on the global object and take no slots;
+	// only a lexical declaration can clash with or shadow them, so the
+	// first one the walk reaches binds them on global (hoistedGlobals).
+	global         *scope
+	body           []ast.Stmt
+	hoistedGlobals bool
+
+	errs []ast.EarlyError
+	// globalConstWrites indexes the errs entries that assign a
+	// program-level const; a program that mentions eval drops them.
+	globalConstWrites []int
+	sawEval           bool
+	shadowing         bool
+
+	// Label and nesting context of the function being walked.
+	labels      []label
+	loopDepth   int
+	switchDepth int
+	fnDepth     int
+}
+
+// label is one active label between a function boundary and the
+// statement being walked.
+type label struct {
+	name string
+	iter bool // labels an iteration statement (continue target)
+}
 
 // ---------- reference resolution ----------
 
@@ -203,20 +282,32 @@ func (s *scope) funcScope() *scope {
 
 // ---------- function scopes ----------
 
-// funcLit resolves a function literal against parent. hoisted marks
-// function declarations, whose bodies may execute before any enclosing
-// lexical declaration has run.
-func (r *resolver) funcLit(lit *ast.FuncLit, parent *scope, hoisted bool) {
+// funcLit resolves a function literal written in scope at. hoisted marks
+// function declarations: their bodies may execute before any enclosing
+// lexical declaration has run, and they close over the function frame
+// (intermediate blocks are invisible to them), while the early rules see
+// them in the block that contains them.
+func (r *resolver) funcLit(lit *ast.FuncLit, at *scope, hoisted bool) {
 	if lit.Scope != nil {
 		return // already resolved (shared subtree)
 	}
 	if len(lit.Params) >= maxSlots {
 		return // absurd frame: leave the whole literal on the dynamic path
 	}
+	parent := at
+	if hoisted {
+		parent = at.funcScope()
+	}
 	info := newScopeInfo()
 	lit.Scope = info
 	s := r.newScope(parent, info, true)
+	s.outer = at.lexical()
 	s.hoistedFn = hoisted
+
+	// Labels, loops and switches do not cross function boundaries.
+	labels, loopDepth, switchDepth := r.labels, r.loopDepth, r.switchDepth
+	r.labels, r.loopDepth, r.switchDepth = nil, 0, 0
+	r.fnDepth++
 
 	// Runtime binding order: params, rest, arguments, self-name, var
 	// hoisting, function-declaration hoisting. Duplicate names share a
@@ -224,11 +315,13 @@ func (r *resolver) funcLit(lit *ast.FuncLit, parent *scope, hoisted bool) {
 	for _, p := range lit.Params {
 		sl, _ := s.declare(p, idxEntry)
 		info.ParamSlots = append(info.ParamSlots, sl)
+		s.bindArguments(p)
 	}
 	if lit.Rest != "" {
 		if sl, ok := s.declare(lit.Rest, idxEntry); ok {
 			info.RestSlot = int32(sl)
 		}
+		s.bindArguments(lit.Rest)
 	}
 	if !lit.Arrow {
 		// The map evaluator binds `arguments` unconditionally; the slot is
@@ -262,14 +355,14 @@ func (r *resolver) funcLit(lit *ast.FuncLit, parent *scope, hoisted bool) {
 		// Phase 1b: this scope's lexical declarations, so that references
 		// anywhere below can see the full name set before resolution.
 		r.prescanLexical(lit.Body.Body, s, true)
-		// Phase 1c: hoisted function bodies, resolved against this
-		// function frame (intermediate blocks are invisible to them).
-		r.hoistedFuncDecls(lit.Body.Body, s)
-		// Phase 2: resolve the body.
+		// Phase 2: resolve the body. Hoisted function bodies are resolved
+		// where they are written, against this function frame.
 		r.stmts(lit.Body.Body, s)
 	} else if lit.ExprBody != nil {
 		r.expr(lit.ExprBody, s)
 	}
+	r.fnDepth--
+	r.labels, r.loopDepth, r.switchDepth = labels, loopDepth, switchDepth
 }
 
 // hoistDecls mirrors the interpreter's hoist walk: var declarators and
@@ -309,8 +402,14 @@ func (r *resolver) hoistDecls(ss []ast.Stmt, fn *scope) {
 // the slot. Slots that are not already entry-live — new ones, and a
 // reserved self-name slot whose conditional bind may decline — are
 // recorded for undefined-initialisation at entry (the initialiser skips
-// slots something earlier already filled).
+// slots something earlier already filled). The global pseudo-scope only
+// records the name for the early rules.
 func (r *resolver) hoistVar(fn *scope, name string) (uint16, bool) {
+	if fn.global {
+		fn.bind(name, ast.Var)
+		return 0, false
+	}
+	fn.bindArguments(name)
 	_, existed := fn.slots[name]
 	entryLive := existed && fn.declIndex[name] == idxEntry
 	sl, ok := fn.declare(name, idxEntry)
@@ -321,24 +420,6 @@ func (r *resolver) hoistVar(fn *scope, name string) (uint16, bool) {
 		fn.info.VarSlots = append(fn.info.VarSlots, sl)
 	}
 	return sl, true
-}
-
-// hoistedFuncDecls resolves every hoisted function declaration's body in
-// the statement subtree against fnScope (their closure environment —
-// intermediate blocks are invisible to hoisted declarations).
-func (r *resolver) hoistedFuncDecls(ss []ast.Stmt, fnScope *scope) {
-	for _, st := range ss {
-		ast.Walk(st, func(n ast.Node) bool {
-			switch t := n.(type) {
-			case *ast.FuncDecl:
-				r.funcLit(t.Fn, fnScope, true)
-				return false
-			case *ast.FuncLit:
-				return false // expression literal: resolved at its site
-			}
-			return true
-		})
-	}
 }
 
 // prescanLexical collects s's let/const declarations before resolution.
@@ -402,8 +483,9 @@ func (r *resolver) stmt(st ast.Stmt, s *scope) {
 	case *ast.VarDecl:
 		r.varDecl(t, s)
 	case *ast.FuncDecl:
-		// Body already resolved against the function frame during the
-		// hoist phase; nothing executes here.
+		// The name was hoisted; nothing executes here. The body is
+		// resolved here so that its early errors keep their source order.
+		r.funcLit(t.Fn, s, true)
 	case *ast.ExprStmt:
 		r.expr(t.X, s)
 	case *ast.BlockStmt:
@@ -418,7 +500,9 @@ func (r *resolver) stmt(st ast.Stmt, s *scope) {
 		info := newScopeInfo()
 		t.Scope = info
 		ls := r.newScope(s, info, false)
+		ls.noLex = true
 		if vd, ok := t.Init.(*ast.VarDecl); ok && (vd.Kind == ast.Let || vd.Kind == ast.Const) {
+			ls.noLex = false
 			for _, d := range vd.Decls {
 				ls.declare(d.Name, -1) // live once the init has run
 			}
@@ -438,13 +522,14 @@ func (r *resolver) stmt(st ast.Stmt, s *scope) {
 		if t.Post != nil {
 			r.expr(t.Post, ls)
 		}
-		r.stmt(t.Body, ls)
+		r.loopBody(t.Body, ls)
 	case *ast.ForInStmt:
 		r.expr(t.Obj, s) // evaluated in the enclosing environment
 		info := newScopeInfo()
 		t.Scope = info
 		ls := r.newScope(s, info, false)
-		if t.Decl == ast.Let || t.Decl == ast.Const {
+		ls.noLex = t.Decl != ast.Let && t.Decl != ast.Const
+		if !ls.noLex {
 			ls.declare(t.Name, -1)
 		}
 		r.prescanNonScopeBody(t.Body, ls)
@@ -453,24 +538,27 @@ func (r *resolver) stmt(st ast.Stmt, s *scope) {
 			if sl, ok := ls.slots[t.Name]; ok {
 				t.NameRef = ast.ScopeRef{Kind: ast.RefSlot, Depth: 0, Slot: sl}
 			}
+			r.lexDeclare(ls, t.Name, t.Decl, t.Pos())
 		case ast.Var:
 			fn := ls.funcScope()
 			if sl, ok := fn.slots[t.Name]; ok {
 				t.NameRef = declTarget(ls, fn, sl)
 			}
+			r.varDeclare(ls, t.Name, t.Pos())
 		default:
 			// Plain-name target: ordinary assignment resolution.
 			id := &ast.Ident{Name: t.Name}
 			r.ref(id, ls)
 			t.NameRef = id.Ref
+			r.checkWrite(ls, t.Name, t.Pos())
 		}
 		ls.curIndex = 0 // the body runs after each per-iteration binding
-		r.stmt(t.Body, ls)
+		r.loopBody(t.Body, ls)
 	case *ast.WhileStmt:
 		r.expr(t.Cond, s)
-		r.stmt(t.Body, s)
+		r.loopBody(t.Body, s)
 	case *ast.DoWhileStmt:
-		r.stmt(t.Body, s)
+		r.loopBody(t.Body, s)
 		r.expr(t.Cond, s)
 	case *ast.SwitchStmt:
 		r.expr(t.Disc, s)
@@ -480,16 +568,38 @@ func (r *resolver) stmt(st ast.Stmt, s *scope) {
 		for _, c := range t.Cases {
 			r.prescanLexical(c.Body, cs, false) // entry point unknown: never provable
 		}
+		r.switchDepth++
 		for _, c := range t.Cases {
 			if c.Test != nil {
 				r.expr(c.Test, cs)
 			}
-		}
-		for _, c := range t.Cases {
 			r.stmts(c.Body, cs)
 		}
-	case *ast.BreakStmt, *ast.ContinueStmt, *ast.EmptyStmt, *ast.DebuggerStmt:
+		r.switchDepth--
+	case *ast.BreakStmt:
+		if t.Label == "" {
+			if r.loopDepth == 0 && r.switchDepth == 0 {
+				r.errorf("bad-break", t.Pos(), "Illegal break statement")
+			}
+		} else if r.findLabel(t.Label) == nil {
+			r.errorf("undefined-label", t.Pos(), "Undefined label %q", t.Label)
+		}
+	case *ast.ContinueStmt:
+		if t.Label == "" {
+			if r.loopDepth == 0 {
+				r.errorf("bad-continue", t.Pos(), "Illegal continue statement")
+			}
+		} else if l := r.findLabel(t.Label); l == nil {
+			r.errorf("undefined-label", t.Pos(), "Undefined label %q", t.Label)
+		} else if !l.iter {
+			r.errorf("continue-not-loop", t.Pos(),
+				"Illegal continue statement: %q does not denote an iteration statement", t.Label)
+		}
+	case *ast.EmptyStmt, *ast.DebuggerStmt:
 	case *ast.ReturnStmt:
+		if r.fnDepth == 0 {
+			r.errorf("bad-return", t.Pos(), "Illegal return statement")
+		}
 		if t.X != nil {
 			r.expr(t.X, s)
 		}
@@ -504,8 +614,39 @@ func (r *resolver) stmt(st ast.Stmt, s *scope) {
 			r.block(t.Finally, s, "")
 		}
 	case *ast.LabeledStmt:
+		if r.findLabel(t.Label) != nil {
+			r.errorf("dup-label", t.Pos(), "Label %q has already been declared", t.Label)
+		}
+		// A label chain targets an iteration statement when the innermost
+		// labeled statement is a loop; every label in the chain is then a
+		// valid continue target.
+		body := t.Body
+		for {
+			ls, ok := body.(*ast.LabeledStmt)
+			if !ok {
+				break
+			}
+			body = ls.Body
+		}
+		r.labels = append(r.labels, label{name: t.Label, iter: isIteration(body)})
 		r.stmt(t.Body, s)
+		r.labels = r.labels[:len(r.labels)-1]
 	}
+}
+
+// loopBody resolves a loop body with the iteration context open.
+func (r *resolver) loopBody(body ast.Stmt, s *scope) {
+	r.loopDepth++
+	r.stmt(body, s)
+	r.loopDepth--
+}
+
+func isIteration(s ast.Stmt) bool {
+	switch s.(type) {
+	case *ast.ForStmt, *ast.ForInStmt, *ast.WhileStmt, *ast.DoWhileStmt:
+		return true
+	}
+	return false
 }
 
 // block resolves a block statement's scope. catchParam, when non-empty,
@@ -519,6 +660,7 @@ func (r *resolver) block(b *ast.BlockStmt, parent *scope, catchParam string) {
 		if sl, ok := s.declare(catchParam, idxEntry); ok {
 			info.CatchParamSlot = int32(sl)
 		}
+		s.bindArguments(catchParam)
 	}
 	r.prescanLexical(b.Body, s, true)
 	r.stmts(b.Body, s)
@@ -536,13 +678,14 @@ func (r *resolver) varDecl(t *ast.VarDecl, s *scope) {
 			if sl, ok := fn.slots[d.Name]; ok {
 				d.Ref = declTarget(s, fn, sl)
 			}
+			r.varDeclare(s, d.Name, t.Pos())
 		case ast.Let, ast.Const:
-			if s.global {
-				break // top-level lexicals live on the global environment
+			if !s.global { // top-level lexicals live on the global environment
+				if sl, ok := s.slots[d.Name]; ok {
+					d.Ref = ast.ScopeRef{Kind: ast.RefSlot, Depth: 0, Slot: sl}
+				}
 			}
-			if sl, ok := s.slots[d.Name]; ok {
-				d.Ref = ast.ScopeRef{Kind: ast.RefSlot, Depth: 0, Slot: sl}
-			}
+			r.lexDeclare(s, d.Name, t.Kind, t.Pos())
 		}
 	}
 }
@@ -552,6 +695,9 @@ func (r *resolver) varDecl(t *ast.VarDecl, s *scope) {
 func (r *resolver) expr(e ast.Expr, s *scope) {
 	switch t := e.(type) {
 	case *ast.Ident:
+		if t.Name == "eval" {
+			r.sawEval = true
+		}
 		r.ref(t, s)
 	case *ast.FuncLit:
 		r.funcLit(t, s, false)
@@ -578,6 +724,9 @@ func (r *resolver) expr(e ast.Expr, s *scope) {
 	case *ast.UnaryExpr:
 		r.expr(t.X, s)
 	case *ast.UpdateExpr:
+		if id, ok := t.X.(*ast.Ident); ok {
+			r.checkWrite(s, id.Name, t.Pos())
+		}
 		r.expr(t.X, s)
 	case *ast.BinaryExpr:
 		r.expr(t.L, s)
@@ -586,6 +735,9 @@ func (r *resolver) expr(e ast.Expr, s *scope) {
 		r.expr(t.L, s)
 		r.expr(t.R, s)
 	case *ast.AssignExpr:
+		if id, ok := t.L.(*ast.Ident); ok {
+			r.checkWrite(s, id.Name, t.Pos())
+		}
 		r.expr(t.L, s)
 		r.expr(t.R, s)
 	case *ast.CondExpr:
@@ -614,6 +766,142 @@ func (r *resolver) expr(e ast.Expr, s *scope) {
 	case *ast.SpreadExpr:
 		r.expr(t.X, s)
 	}
+}
+
+// ---------- early errors ----------
+
+func (r *resolver) errorf(kind string, pos token.Pos, format string, args ...any) {
+	r.errs = append(r.errs, ast.EarlyError{Kind: kind, Msg: fmt.Sprintf(format, args...), Pos: pos})
+}
+
+// earlyErrors returns the walk's violations in source order, without the
+// program-level const writes when the program mentions eval.
+func (r *resolver) earlyErrors() []ast.EarlyError {
+	if !r.sawEval || len(r.globalConstWrites) == 0 {
+		return r.errs
+	}
+	kept := r.errs[:0]
+	skip := r.globalConstWrites
+	for i, e := range r.errs {
+		if len(skip) > 0 && skip[0] == i {
+			skip = skip[1:]
+			continue
+		}
+		kept = append(kept, e)
+	}
+	if len(kept) == 0 {
+		return nil
+	}
+	return kept
+}
+
+// lexical returns the scope the early rules declare into from s.
+func (s *scope) lexical() *scope {
+	if s.noLex {
+		return s.outer
+	}
+	return s
+}
+
+// bind records name's binding kind for the early rules.
+func (s *scope) bind(name string, kind ast.VarKind) {
+	if s.kinds == nil {
+		s.kinds = map[string]ast.VarKind{}
+	}
+	s.kinds[name] = kind
+}
+
+// bindArguments records a parameter, catch parameter or hoisted name
+// spelled "arguments", which declIndex cannot tell apart from the implicit
+// arguments object (see kind).
+func (s *scope) bindArguments(name string) {
+	if name == "arguments" {
+		s.bind(name, ast.Var)
+	}
+}
+
+// kind reports the binding kind the early rules see for name in s.
+// Parameters, catch parameters and hoisted vars and function names are
+// live from scope entry, so declIndex already holds them; the implicit
+// arguments object is no declaration.
+func (s *scope) kind(name string) (ast.VarKind, bool) {
+	if kind, ok := s.kinds[name]; ok {
+		return kind, true
+	}
+	if name != "arguments" && s.declIndex[name] == idxEntry {
+		return ast.Var, true
+	}
+	return 0, false
+}
+
+// lookup finds the nearest scope from s outward (s included) whose early
+// bindings name name, or nil.
+func (s *scope) lookup(name string) (*scope, ast.VarKind) {
+	for cur := s; cur != nil; cur = cur.outer {
+		if kind, ok := cur.kind(name); ok {
+			return cur, kind
+		}
+	}
+	return nil, 0
+}
+
+// lexDeclare records a let/const binding written in s, reporting a clash
+// with any binding its scope already holds: a lexical name, a parameter,
+// or a var declared in the same scope's subtree.
+func (r *resolver) lexDeclare(s *scope, name string, kind ast.VarKind, pos token.Pos) {
+	if !r.hoistedGlobals {
+		r.hoistedGlobals = true
+		r.hoistDecls(r.body, r.global)
+	}
+	ls := s.lexical()
+	if _, dup := ls.kind(name); dup {
+		r.errorf("dup-decl", pos, "Identifier %q has already been declared", name)
+		return
+	}
+	if found, _ := ls.outer.lookup(name); found != nil {
+		r.shadowing = true
+	}
+	ls.bind(name, kind)
+}
+
+// varDeclare records a var binding written in s: the name is checked
+// against every scope it hoists through, up to and including the function
+// scope, and recorded at each block level so later lexical declarations in
+// those blocks see it (the function scope holds it from entry).
+func (r *resolver) varDeclare(s *scope, name string, pos token.Pos) {
+	for cur := s.lexical(); cur != nil; cur = cur.outer {
+		if kind, ok := cur.kinds[name]; ok && kind != ast.Var {
+			r.errorf("dup-decl", pos, "Identifier %q has already been declared", name)
+			return
+		}
+		if cur.isFunc {
+			return
+		}
+		cur.bind(name, ast.Var)
+	}
+}
+
+// checkWrite reports a const-assignment early error when name, written in
+// s, resolves to a const binding already declared.
+func (r *resolver) checkWrite(s *scope, name string, pos token.Pos) {
+	found, kind := s.lexical().lookup(name)
+	if found == nil || kind != ast.Const {
+		return // unresolved: a plain global-object write
+	}
+	if found.global {
+		r.globalConstWrites = append(r.globalConstWrites, len(r.errs))
+	}
+	r.errorf("const-assign", pos, "Assignment to constant variable %q", name)
+}
+
+// findLabel returns the active label entry for name, or nil.
+func (r *resolver) findLabel(name string) *label {
+	for i := range r.labels {
+		if r.labels[i].name == name {
+			return &r.labels[i]
+		}
+	}
+	return nil
 }
 
 // ---------- helpers ----------

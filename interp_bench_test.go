@@ -10,6 +10,9 @@ package comfort
 import (
 	"testing"
 
+	"comfort/internal/corpus"
+	"comfort/internal/engines"
+	"comfort/internal/js/analyze"
 	"comfort/internal/js/ast"
 	"comfort/internal/js/builtins"
 	"comfort/internal/js/compile"
@@ -204,5 +207,27 @@ func BenchmarkResolvePass(b *testing.B) {
 			b.Fatal(err)
 		}
 		resolve.Program(prog)
+	}
+}
+
+// BenchmarkFrontEnd measures the front end a parse-cache miss pays: parse,
+// resolve (with the early-error rules), compile and analyze, over every
+// corpus program and catalog witness. One op is one pass over all of them.
+func BenchmarkFrontEnd(b *testing.B) {
+	srcs := append([]string(nil), corpus.Programs()...)
+	for _, d := range engines.Catalog() {
+		srcs = append(srcs, d.Witness)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, src := range srcs {
+			prog, err := parser.Parse(src)
+			if err != nil {
+				continue
+			}
+			resolve.Program(prog)
+			compile.Program(prog)
+			analyze.Program(prog)
+		}
 	}
 }

@@ -528,9 +528,7 @@ func (c *compiler) varDecl(st *ast.VarDecl) []declThunk {
 				if env != in.GlobalEnv {
 					env.DeclareVar(name, v)
 				} else if init != nil {
-					// Hoisting created the property; a declarator
-					// without an initializer writes nothing.
-					in.Global.SetSlot(name, v, interp.Writable|interp.Enumerable)
+					return in.InitGlobalVar(name, v, strict)
 				}
 			case ast.Let:
 				env.DeclareLexical(name, v, true)

@@ -132,6 +132,15 @@ func (e *Env) SetSlotLexical(slot uint16, v Value, mutable bool) {
 	e.slots[slot] = binding{v: v, mutable: mutable, live: true}
 }
 
+// InitGlobalVar writes a top-level var declarator's initializer value.
+// Hoisting created the global object's property, so the write is an
+// ordinary [[Set]]: a read-only global such as NaN keeps its value (strict
+// code throws), and the property keeps its attributes. A declarator
+// without an initializer writes nothing.
+func (in *Interp) InitGlobalVar(name string, v Value, strict bool) error {
+	return in.setProp(in.Global, name, v, strict)
+}
+
 // DeclareVar creates a var-scoped binding on the nearest function frame
 // (the dynamic-path declaration).
 func (e *Env) DeclareVar(name string, v Value) { e.declareVar(name, v) }

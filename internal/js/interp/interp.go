@@ -542,9 +542,9 @@ func (in *Interp) execVarDecl(st *ast.VarDecl, env *Env, strict bool) (ctrl, err
 			if env != in.GlobalEnv {
 				env.declareVar(d.Name, v)
 			} else if d.Init != nil {
-				// Hoisting created the property; a declarator
-				// without an initializer writes nothing.
-				in.Global.SetSlot(d.Name, v, Writable|Enumerable)
+				if err := in.InitGlobalVar(d.Name, v, strict); err != nil {
+					return ctrlOK, err
+				}
 			}
 		case ast.Let:
 			env.declareLexical(d.Name, v, true)
@@ -2126,6 +2126,14 @@ func (in *Interp) SetProp(target Value, key string, v Value, strict bool) error 
 			}
 		}
 	}
+	return in.setProp(o, key, v, strict)
+}
+
+// setProp is the ordinary [[Set]] of key on o: prototype setters,
+// writability, the array index fast path. An existing own data property
+// keeps its attributes; a new one gets DefaultAttr.
+func (in *Interp) setProp(o *Object, key string, v Value, strict bool) error {
+	attr := DefaultAttr
 	// Accessor on the prototype chain?
 	idx, isIdx := arrayIndex(key)
 	for cur := o; cur != nil; cur = cur.Proto {
@@ -2154,11 +2162,14 @@ func (in *Interp) SetProp(target Value, key string, v Value, strict bool) error 
 			if sp == nil {
 				continue
 			}
-			if cur == o && sp.attr&Writable == 0 {
-				if strict {
-					return in.TypeErrorf("Cannot assign to read only property '%s'", key)
+			if cur == o {
+				if sp.attr&Writable == 0 {
+					if strict {
+						return in.TypeErrorf("Cannot assign to read only property '%s'", key)
+					}
+					return nil
 				}
-				return nil
+				attr = sp.attr
 			}
 			break
 		}
@@ -2173,7 +2184,7 @@ func (in *Interp) SetProp(target Value, key string, v Value, strict bool) error 
 				}
 				return nil
 			}
-			_, err := in.Call(p.Set, target, []Value{v})
+			_, err := in.Call(p.Set, ObjValue(o), []Value{v})
 			return err
 		}
 		if cur == o {
@@ -2183,6 +2194,7 @@ func (in *Interp) SetProp(target Value, key string, v Value, strict bool) error 
 				}
 				return nil
 			}
+			attr = p.Attr
 		}
 		break
 	}
@@ -2243,7 +2255,7 @@ func (in *Interp) SetProp(target Value, key string, v Value, strict bool) error 
 		}
 		return nil
 	}
-	o.SetSlot(key, v, DefaultAttr)
+	o.SetSlot(key, v, attr)
 	return nil
 }
 

@@ -515,7 +515,7 @@ func (c *compiler) varDecl(st *ast.VarDecl) []declThunk {
 			if ref.Kind == ast.RefSlot {
 				switch kind {
 				case ast.Var:
-					in.DeclareSlotVar(env, ref.Depth, ref.Slot, v)
+					in.DeclareSlotVar(env, ref.Depth, ref.Slot, v, init != nil)
 				case ast.Let:
 					env.AtDepth(ref.Depth).SetSlotLexical(ref.Slot, v, true)
 				case ast.Const:
@@ -526,7 +526,7 @@ func (c *compiler) varDecl(st *ast.VarDecl) []declThunk {
 			switch kind {
 			case ast.Var:
 				if env != in.GlobalEnv {
-					env.DeclareVar(name, v)
+					env.DeclareVar(name, v, init != nil)
 				} else if init != nil {
 					return in.InitGlobalVar(name, v, strict)
 				}
@@ -689,12 +689,12 @@ func (c *compiler) forInStmt(st *ast.ForInStmt) stmtThunk {
 		if ref.Kind == ast.RefSlot {
 			depth, slot := ref.Depth, ref.Slot
 			assign = func(in *interp.Interp, loopEnv *interp.Env, v interp.Value, strict bool) error {
-				in.DeclareSlotVar(loopEnv, depth, slot, v)
+				in.DeclareSlotVar(loopEnv, depth, slot, v, true)
 				return nil
 			}
 		} else {
 			assign = func(in *interp.Interp, loopEnv *interp.Env, v interp.Value, strict bool) error {
-				loopEnv.DeclareVar(name, v)
+				loopEnv.DeclareVar(name, v, true)
 				return nil
 			}
 		}

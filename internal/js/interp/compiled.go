@@ -120,9 +120,9 @@ func (in *Interp) HasGlobalName(name string) bool { return in.hasGlobal(name) }
 // ---------- declarations ----------
 
 // DeclareSlotVar applies var-declaration write semantics at a resolved
-// slot coordinate.
-func (in *Interp) DeclareSlotVar(env *Env, depth, slot uint16, v Value) {
-	env.at(depth, slot).declareVarWrite(v)
+// slot coordinate; init is false for a declarator without an initializer.
+func (in *Interp) DeclareSlotVar(env *Env, depth, slot uint16, v Value, init bool) {
+	env.at(depth, slot).declareVarWrite(v, init)
 }
 
 // SetSlotLexical (re)creates the lexical binding in this frame's slot —
@@ -142,8 +142,9 @@ func (in *Interp) InitGlobalVar(name string, v Value, strict bool) error {
 }
 
 // DeclareVar creates a var-scoped binding on the nearest function frame
-// (the dynamic-path declaration).
-func (e *Env) DeclareVar(name string, v Value) { e.declareVar(name, v) }
+// (the dynamic-path declaration); init is false for a declarator without
+// an initializer.
+func (e *Env) DeclareVar(name string, v Value, init bool) { e.declareVar(name, v, init) }
 
 // DeclareLexical creates a block-scoped binding on this frame by name.
 func (e *Env) DeclareLexical(name string, v Value, mutable bool) {

@@ -33,13 +33,14 @@ type binding struct {
 }
 
 // declareVarWrite applies var-declaration write semantics to a slot
-// binding: a dead slot is (re)created mutable, a live binding keeps its
-// value for undefined writes (and its flags always — var re-declaration
-// never changes mutability).
-func (b *binding) declareVarWrite(v Value) {
+// binding: a dead slot is (re)created mutable; a live binding takes v only
+// when init is set — a declarator without an initializer (and var
+// hoisting) leaves its value alone, while `var a = undefined` writes —
+// and always keeps its flags: var re-declaration never changes mutability.
+func (b *binding) declareVarWrite(v Value, init bool) {
 	if !b.live {
 		*b = binding{v: v, mutable: true, live: true}
-	} else if v.Kind() != KindUndefined {
+	} else if init {
 		b.v = v
 	}
 }
@@ -118,20 +119,21 @@ func (e *Env) lookup(name string) (*binding, bool) {
 	return nil, false
 }
 
-// declareVar creates a var-scoped binding on the nearest function frame.
-func (e *Env) declareVar(name string, v Value) {
+// declareVar creates a var-scoped binding on the nearest function frame,
+// with declareVarWrite's semantics.
+func (e *Env) declareVar(name string, v Value, init bool) {
 	fn := e
 	for fn.parent != nil && !fn.isFunc {
 		fn = fn.parent
 	}
 	if fn.scope != nil {
 		if i, ok := fn.slotIndex(name); ok {
-			fn.slots[i].declareVarWrite(v)
+			fn.slots[i].declareVarWrite(v, init)
 			return
 		}
 	}
 	if b, ok := fn.vars[name]; ok {
-		if v.Kind() != KindUndefined {
+		if init {
 			b.v = v
 		}
 		return

@@ -343,7 +343,7 @@ func (in *Interp) hoist(body []ast.Stmt, env *Env, topLevel bool, strict bool) {
 			if topLevel {
 				in.Global.SetSlot(d.Name, ObjValue(fn), Writable|Enumerable)
 			} else {
-				env.declareVar(d.Name, ObjValue(fn))
+				env.declareVar(d.Name, ObjValue(fn), true)
 			}
 			continue
 		}
@@ -352,7 +352,7 @@ func (in *Interp) hoist(body []ast.Stmt, env *Env, topLevel bool, strict bool) {
 				in.Global.SetSlot(d.Name, Undefined(), Writable|Enumerable)
 			}
 		} else {
-			env.declareVar(d.Name, Undefined())
+			env.declareVar(d.Name, Undefined(), false)
 		}
 	}
 }
@@ -529,7 +529,7 @@ func (in *Interp) execVarDecl(st *ast.VarDecl, env *Env, strict bool) (ctrl, err
 			b := env.at(d.Ref.Depth, d.Ref.Slot)
 			switch st.Kind {
 			case ast.Var:
-				b.declareVarWrite(v)
+				b.declareVarWrite(v, d.Init != nil)
 			case ast.Let:
 				*b = binding{v: v, mutable: true, live: true}
 			case ast.Const:
@@ -540,7 +540,7 @@ func (in *Interp) execVarDecl(st *ast.VarDecl, env *Env, strict bool) (ctrl, err
 		switch st.Kind {
 		case ast.Var:
 			if env != in.GlobalEnv {
-				env.declareVar(d.Name, v)
+				env.declareVar(d.Name, v, d.Init != nil)
 			} else if d.Init != nil {
 				if err := in.InitGlobalVar(d.Name, v, strict); err != nil {
 					return ctrlOK, err
@@ -633,10 +633,10 @@ func (in *Interp) execForIn(st *ast.ForInStmt, env *Env, strict bool) (ctrl, err
 			return nil
 		case ast.Var:
 			if st.NameRef.Kind == ast.RefSlot {
-				loopEnv.at(st.NameRef.Depth, st.NameRef.Slot).declareVarWrite(v)
+				loopEnv.at(st.NameRef.Depth, st.NameRef.Slot).declareVarWrite(v, true)
 				return nil
 			}
-			loopEnv.declareVar(st.Name, v)
+			loopEnv.declareVar(st.Name, v, true)
 			return nil
 		default:
 			return in.assignIdentRef(st.Name, st.NameRef, v, loopEnv, strict)

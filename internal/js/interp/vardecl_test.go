@@ -48,6 +48,9 @@ func TestVarDeclarationSemantics(t *testing.T) {
 		{name: "initializer keeps the attributes",
 			src: `var print = print; eval("var parseInt = parseInt;"); print(Object.keys(this).indexOf("print"), Object.keys(this).indexOf("parseInt"));`,
 			out: "-1 -1\n"},
+		{name: "undefined initializer overwrites",
+			src: `function f() { var a = 7; var a = undefined; return a; } print(f()); for (var x of [1, undefined, 2]) print(x);`,
+			out: "undefined\n1\nundefined\n2\n"},
 		{name: "assignment keeps the attributes",
 			src: `var o = {}; Object.defineProperty(o, "x", {value: 1, writable: true}); o.x = 2; print(Object.keys(o).length, o.x);`,
 			out: "0 2\n"},

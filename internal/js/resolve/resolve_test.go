@@ -80,9 +80,12 @@ func TestScopeSemantics(t *testing.T) {
 		{name: "switch case lets", src: `function f(n){ switch(n){ case 1: let z = "a"; case 2: print(typeof z); } } f(2); f(1);`, out: "undefined\nstring\n"},
 		{name: "for let closure", src: `function f(){ var fs = []; for (let i = 0; i < 3; i++) { fs[fs.length] = function(){ return i; }; } return fs[0]() + "" + fs[2](); } print(f());`},
 		{name: "for-in let per iteration", src: `var o = {a:1, b:2}; var ks = ""; for (let k in o) { ks = ks + k; } print(ks);`, out: "ab\n"},
-		{name: "for-of var undefined quirk", // declareVar skips undefined writes per iteration
+		{name: "for-of var undefined quirk", // each iteration writes its value, undefined included
 			src: `function f(){ for (var x of [1, undefined, 2]) { print(x); } } f();`,
-			out: "1\n1\n2\n"},
+			out: "1\nundefined\n2\n"},
+		{name: "var initializer undefined overwrites",
+			src: `function f(){ var a = 7; var a = undefined; return a; } print(f()); var g = 7; var g = undefined; print(g);`,
+			out: "undefined\nundefined\n"},
 		{name: "typeof undeclared", src: `print(typeof zzz); function f(){ print(typeof zzz); } f();`, out: "undefined\nundefined\n"},
 		{name: "typeof let before decl in block", src: `function f(){ { print(typeof q); let q = 1; } } f();`, out: "undefined\n"},
 		{name: "delete local is false", src: `function f(){ var x = 1; print(delete x); } f();`, out: "false\n"},

@@ -275,13 +275,7 @@ func (c *compiler) stmt(s ast.Stmt) stmtThunk {
 				if in.Cov != nil {
 					in.Cov.Stmts[id] = true
 				}
-				env2 := env
-				if env == in.GlobalEnv {
-					// Top-level blocks still need the child frame (var
-					// semantics distinguish it; see Interp.ScopeEnv).
-					env2 = in.ScopeEnv(env, scope)
-				}
-				return inner(in, env2, strict)
+				return inner(in, env, strict)
 			}
 		}
 		return func(in *interp.Interp, env *interp.Env, strict bool) (ctrlKind, error) {
@@ -525,11 +519,7 @@ func (c *compiler) varDecl(st *ast.VarDecl) []declThunk {
 			}
 			switch kind {
 			case ast.Var:
-				if env != in.GlobalEnv {
-					env.DeclareVar(name, v, init != nil)
-				} else if init != nil {
-					return in.InitGlobalVar(name, v, strict)
-				}
+				return in.DeclareVar(env, name, v, init != nil, strict)
 			case ast.Let:
 				env.DeclareLexical(name, v, true)
 			case ast.Const:
@@ -694,8 +684,7 @@ func (c *compiler) forInStmt(st *ast.ForInStmt) stmtThunk {
 			}
 		} else {
 			assign = func(in *interp.Interp, loopEnv *interp.Env, v interp.Value, strict bool) error {
-				loopEnv.DeclareVar(name, v, true)
-				return nil
+				return in.DeclareVar(loopEnv, name, v, true, strict)
 			}
 		}
 	default:

@@ -132,19 +132,24 @@ func (e *Env) SetSlotLexical(slot uint16, v Value, mutable bool) {
 	e.slots[slot] = binding{v: v, mutable: mutable, live: true}
 }
 
-// InitGlobalVar writes a top-level var declarator's initializer value.
-// Hoisting created the global object's property, so the write is an
-// ordinary [[Set]]: a read-only global such as NaN keeps its value (strict
-// code throws), and the property keeps its attributes. A declarator
-// without an initializer writes nothing.
-func (in *Interp) InitGlobalVar(name string, v Value, strict bool) error {
+// DeclareVar applies a var declarator's write on the dynamic path; init
+// is false for a declarator without an initializer. The binding lives on
+// the nearest function frame, unless the var scope is the program's — a
+// var at the top level or in a top-level block or loop — whose vars live
+// on the global object, where hoisting created the property. There the
+// initializer is an ordinary [[Set]]: a read-only global such as NaN keeps
+// its value (strict code throws), the property keeps its attributes, and
+// a declarator without an initializer writes nothing.
+func (in *Interp) DeclareVar(env *Env, name string, v Value, init, strict bool) error {
+	if env.varScope() != in.GlobalEnv {
+		env.declareVar(name, v, init)
+		return nil
+	}
+	if !init {
+		return nil
+	}
 	return in.setProp(in.Global, name, v, strict)
 }
-
-// DeclareVar creates a var-scoped binding on the nearest function frame
-// (the dynamic-path declaration); init is false for a declarator without
-// an initializer.
-func (e *Env) DeclareVar(name string, v Value, init bool) { e.declareVar(name, v, init) }
 
 // DeclareLexical creates a block-scoped binding on this frame by name.
 func (e *Env) DeclareLexical(name string, v Value, mutable bool) {

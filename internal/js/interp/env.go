@@ -61,21 +61,9 @@ func newFrame(parent *Env, scope *ast.ScopeInfo, isFunc bool) *Env {
 // frame when the scope has slots, the enclosing environment when it is
 // empty (the resolver's depth accounting relies on empty scopes not
 // materialising), and a dynamic child for unresolved scopes.
-//
-// Exception: a slotless scope whose parent is the global environment still
-// gets a (cheap, map-less) child. Var-declaration and assignment semantics
-// distinguish executing *in* the global environment from executing in a
-// block child of it — a direct top-level `var` lands on the global object
-// while one inside a block lands in the global environment's map — so
-// collapsing onto GlobalEnv would flip that branch. No slot reference ever
-// walks through a top-level block (there is nothing above it to target),
-// so the extra frame cannot skew RefSlot depths.
 func (in *Interp) scopeEnv(parent *Env, scope *ast.ScopeInfo) *Env {
 	if scope != nil {
 		if scope.NumSlots == 0 {
-			if parent == in.GlobalEnv {
-				return &Env{parent: parent}
-			}
 			return parent
 		}
 		return newFrame(parent, scope, false)
@@ -119,13 +107,20 @@ func (e *Env) lookup(name string) (*binding, bool) {
 	return nil, false
 }
 
-// declareVar creates a var-scoped binding on the nearest function frame,
-// with declareVarWrite's semantics.
-func (e *Env) declareVar(name string, v Value, init bool) {
+// varScope returns the frame e's var declarations bind on: the nearest
+// function frame, or the root (global) environment.
+func (e *Env) varScope() *Env {
 	fn := e
 	for fn.parent != nil && !fn.isFunc {
 		fn = fn.parent
 	}
+	return fn
+}
+
+// declareVar creates a var-scoped binding on the nearest function frame,
+// with declareVarWrite's semantics.
+func (e *Env) declareVar(name string, v Value, init bool) {
+	fn := e.varScope()
 	if fn.scope != nil {
 		if i, ok := fn.slotIndex(name); ok {
 			fn.slots[i].declareVarWrite(v, init)

@@ -539,12 +539,8 @@ func (in *Interp) execVarDecl(st *ast.VarDecl, env *Env, strict bool) (ctrl, err
 		}
 		switch st.Kind {
 		case ast.Var:
-			if env != in.GlobalEnv {
-				env.declareVar(d.Name, v, d.Init != nil)
-			} else if d.Init != nil {
-				if err := in.InitGlobalVar(d.Name, v, strict); err != nil {
-					return ctrlOK, err
-				}
+			if err := in.DeclareVar(env, d.Name, v, d.Init != nil, strict); err != nil {
+				return ctrlOK, err
 			}
 		case ast.Let:
 			env.declareLexical(d.Name, v, true)
@@ -636,8 +632,7 @@ func (in *Interp) execForIn(st *ast.ForInStmt, env *Env, strict bool) (ctrl, err
 				loopEnv.at(st.NameRef.Depth, st.NameRef.Slot).declareVarWrite(v, true)
 				return nil
 			}
-			loopEnv.declareVar(st.Name, v, true)
-			return nil
+			return in.DeclareVar(loopEnv, st.Name, v, true, strict)
 		default:
 			return in.assignIdentRef(st.Name, st.NameRef, v, loopEnv, strict)
 		}

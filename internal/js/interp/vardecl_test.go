@@ -51,6 +51,12 @@ func TestVarDeclarationSemantics(t *testing.T) {
 		{name: "undefined initializer overwrites",
 			src: `function f() { var a = 7; var a = undefined; return a; } print(f()); for (var x of [1, undefined, 2]) print(x);`,
 			out: "undefined\n1\nundefined\n2\n"},
+		{name: "block and loop vars land on the global object",
+			src: `{ var blk = 1; } for (var i = 0; i < 2; i++) {} for (var k in {p: 1}) {} print(this.blk, this.i, this.k, blk, i, k);`,
+			out: "1 2 p 1 2 p\n"},
+		{name: "read-only global in a block throws in strict code",
+			src: `try { var NaN = 3; } catch (e) { print(e.name); } print(NaN);`, strict: true,
+			out: "TypeError\nNaN\n"},
 		{name: "assignment keeps the attributes",
 			src: `var o = {}; Object.defineProperty(o, "x", {value: 1, writable: true}); o.x = 2; print(Object.keys(o).length, o.x);`,
 			out: "0 2\n"},

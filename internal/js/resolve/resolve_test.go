@@ -100,10 +100,10 @@ func TestScopeSemantics(t *testing.T) {
 		{name: "global shadow from function", src: `var gv = "g"; function f(){ var gv = "l"; return gv; } print(f() + gv);`, out: "lg\n"},
 		{name: "globalThis mirror", src: `var tv = 4; print(globalThis.tv);`, out: "4\n"},
 		{name: "top-level block let", src: `{ let bl = "b"; print(bl); } print(typeof bl);`, out: "b\nundefined\n"},
-		{name: "top-level block var global split", // block vars land in the global env map, not on the global object
-			src: `{ var j = 5; } print(globalThis.j); print(j);`, out: "undefined\n5\n"},
+		{name: "top-level block var global split", // block vars land on the global object, like top-level ones
+			src: `{ var j = 5; } print(globalThis.j); print(j);`, out: "5\n5\n"},
 		{name: "top-level for var global split",
-			src: `for (var i = 0; i < 3; i++) {} print(globalThis.i); print(i);`, out: "undefined\n3\n"},
+			src: `for (var i = 0; i < 3; i++) {} print(globalThis.i); print(i);`, out: "3\n3\n"},
 		{name: "labelled loops", src: `function f(){ var s=""; outer: for (let i=0;i<3;i++){ for (let j=0;j<3;j++){ if (j==1) continue outer; s+=i+""+j; } } return s; } print(f());`, out: "001020\n"},
 	}
 	for _, tc := range cases {

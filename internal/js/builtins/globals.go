@@ -102,8 +102,12 @@ func evalImpl(in *interp.Interp, this interp.Value, args []interp.Value) (interp
 	// Resolve the freshly parsed tree: eval always executes in the global
 	// environment, whose top level is the resolver's dynamic root, so the
 	// annotations are sound here and functions the eval'd code defines run
-	// on the slot-indexed path.
+	// on the slot-indexed path. The walk also applies the early rules; a
+	// violation is a SyntaxError, like a parse error.
 	resolve.Program(prog)
+	if len(prog.EarlyErrors) > 0 {
+		return interp.Undefined(), in.SyntaxErrorf("%s", prog.EarlyErrors[0].Render())
+	}
 	return in.RunInEnv(prog, in.GlobalEnv, in.Strict)
 }
 

@@ -257,3 +257,26 @@ func TestPoolableMarking(t *testing.T) {
 		t.Error("closure-bearing function scope marked Poolable")
 	}
 }
+
+// TestEvalEarlyErrors pins that eval code the resolver finds an early
+// error in throws a SyntaxError before any of it runs, on the compiled
+// path and on the tree walker, while valid eval code still runs.
+func TestEvalEarlyErrors(t *testing.T) {
+	const src = `var ran = 0;
+	 var bad = ["let a = 1; let a = 2; ran++;", "const c = 1; ran++; c = 2;", "x: { ran++; continue x; }"];
+	 for (var i = 0; i < bad.length; i++) {
+	   try { eval(bad[i]); print("ran"); } catch (e) { print(e.name + ": " + e.message); }
+	 }
+	 print(ran, eval("let b = 2; b + 1"));`
+	const want = `SyntaxError: SyntaxError: Identifier "a" has already been declared (at 1:12)
+SyntaxError: SyntaxError: Assignment to constant variable "c" (at 1:21)
+SyntaxError: SyntaxError: Illegal continue statement: "x" does not denote an iteration statement (at 1:13)
+0 3
+`
+	for _, compiled := range []bool{false, true} {
+		out, _, err := run(t, src, compiled, false)
+		if err != nil || out != want {
+			t.Errorf("compiled=%v: output %q, error %v; want %q", compiled, out, err, want)
+		}
+	}
+}

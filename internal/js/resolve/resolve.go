@@ -789,9 +789,6 @@ func (r *resolver) earlyErrors() []ast.EarlyError {
 		}
 		kept = append(kept, e)
 	}
-	if len(kept) == 0 {
-		return nil
-	}
 	return kept
 }
 

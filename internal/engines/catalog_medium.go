@@ -606,7 +606,7 @@ try {
   print("throws", e instanceof TypeError);
 }`,
 		Hook: onAPI("Object.defineProperty", func(ctx *interp.HookCtx) bool {
-			return len(ctx.Args) > 0 && ctx.Args[0].IsObject() && hasHiddenFlag(ctx.Args[0].Obj(), "frozen")
+			return len(ctx.Args) > 0 && ctx.Args[0].IsObject() && ctx.Args[0].Obj().Integrity() == interp.Frozen
 		}, noThrow(interp.Undefined())),
 	})
 	b.add(&Defect{

@@ -39,7 +39,7 @@ var o = Object.freeze({a: 1});
 o.a = 2;
 print(o.a);`,
 		Hook: onPropSet(func(ctx *interp.HookCtx) bool {
-			return hasHiddenFlag(ctx.Obj, "frozen")
+			return ctx.Obj.Integrity() == interp.Frozen
 		}, func(ctx *interp.HookCtx) *interp.Override {
 			return &interp.Override{Handled: true}
 		}),
@@ -140,11 +140,6 @@ foo(parameter);`,
 		Witness: `print(isFinite(null));`,
 		Hook:    onAPI("isFinite", argNull(0), ret(interp.Bool(false))),
 	})
-}
-
-// hasHiddenFlag mirrors the builtins package's frozen/sealed marker.
-func hasHiddenFlag(o *interp.Object, flag string) bool {
-	return o != nil && o.HasOwn("__"+flag+"__")
 }
 
 func boolToF(b bool) float64 {

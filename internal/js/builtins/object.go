@@ -97,15 +97,7 @@ func installObject(r *registry) {
 		if !v.IsObject() {
 			return v, nil
 		}
-		o := v.Obj()
-		o.Extensible = false
-		for _, k := range o.OwnKeys() {
-			if p, ok := o.GetOwnProperty(k); ok {
-				p.Attr &^= interp.Writable | interp.Configurable
-				o.DefineOwn(k, p)
-			}
-		}
-		setFrozenFlag(o, "frozen")
+		v.Obj().SetIntegrityLevel(interp.Frozen)
 		return v, nil
 	})
 
@@ -114,7 +106,7 @@ func installObject(r *registry) {
 		if !v.IsObject() {
 			return interp.Bool(true), nil
 		}
-		return interp.Bool(hasFrozenFlag(v.Obj(), "frozen")), nil
+		return interp.Bool(v.Obj().Integrity() == interp.Frozen), nil
 	})
 
 	r.method(ctor, "Object.seal", 1, func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
@@ -122,15 +114,7 @@ func installObject(r *registry) {
 		if !v.IsObject() {
 			return v, nil
 		}
-		o := v.Obj()
-		o.Extensible = false
-		for _, k := range o.OwnKeys() {
-			if p, ok := o.GetOwnProperty(k); ok {
-				p.Attr &^= interp.Configurable
-				o.DefineOwn(k, p)
-			}
-		}
-		setFrozenFlag(o, "sealed")
+		v.Obj().SetIntegrityLevel(interp.Sealed)
 		return v, nil
 	})
 
@@ -139,8 +123,7 @@ func installObject(r *registry) {
 		if !v.IsObject() {
 			return interp.Bool(true), nil
 		}
-		o := v.Obj()
-		return interp.Bool(hasFrozenFlag(o, "sealed") || hasFrozenFlag(o, "frozen")), nil
+		return interp.Bool(v.Obj().Integrity() >= interp.Sealed), nil
 	})
 
 	r.method(ctor, "Object.preventExtensions", 1, func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
@@ -364,11 +347,6 @@ func installObject(r *registry) {
 		return interp.ObjValue(o), nil
 	})
 }
-
-// frozen/sealed flags are stored as hidden internal properties.
-func setFrozenFlag(o *interp.Object, flag string) { o.SetSlot("__"+flag+"__", interp.Bool(true), 0) }
-
-func hasFrozenFlag(o *interp.Object, flag string) bool { return o.HasOwn("__" + flag + "__") }
 
 // defineFromDescriptor implements ToPropertyDescriptor + DefineOwnProperty,
 // the machinery behind Object.defineProperty. This is the site of the V8

@@ -377,12 +377,9 @@ func (in *Interp) MakeFunction(lit *ast.FuncLit, env *Env, strict bool) *Object 
 		proto.SetSlot("constructor", ObjValue(fn), Writable|Configurable)
 		fn.SetSlot("prototype", ObjValue(proto), Writable)
 	}
-	if strict || lit.Strict {
-		fn.SetSlot("__strict__", Bool(true), 0)
-	}
+	fn.strictMarked = strict
 	if lit.Arrow {
 		fn.ext.boundThis = in.currentThis()
-		fn.SetSlot("__arrow__", Bool(true), 0)
 	}
 	return fn
 }
@@ -1940,7 +1937,7 @@ func (in *Interp) getPropByValue(obj, key Value) (Value, error) {
 func (in *Interp) setPropByValue(target, key, v Value, strict bool) error {
 	if key.Kind() == KindNumber && target.IsObject() && in.Hook == nil {
 		o := target.Obj()
-		if o.IsArray() && !o.arrayFrozen() {
+		if o.IsArray() && o.integrity != Frozen {
 			if idx, ok := denseIndex(key.Num(), len(o.elems)); ok {
 				if err := in.charge(1); err != nil {
 					return err
@@ -2193,9 +2190,8 @@ func (in *Interp) setProp(o *Object, key string, v Value, strict bool) error {
 		}
 		break
 	}
-	// Frozen arrays and typed arrays reject element writes (the hidden
-	// __frozen__ marker is maintained by Object.freeze).
-	if isIdx && (o.IsArray() || o.ElemKind != ElemNone) && o.arrayFrozen() {
+	// Frozen arrays and typed arrays reject element writes.
+	if isIdx && (o.IsArray() || o.ElemKind != ElemNone) && o.integrity == Frozen {
 		if strict {
 			return in.TypeErrorf("Cannot assign to read only property '%s' of object", key)
 		}

@@ -254,15 +254,15 @@ type Object struct {
 	Extensible bool
 	HasPrim    bool
 
-	// frozen mirrors the presence of the hidden __frozen__ own property
-	// (maintained in SetSlot/DefineOwn/DeleteOwn), so the array element
-	// fast paths check a bit instead of probing the property map per
-	// write. strictMarked mirrors __strict__ the same way for Call's
-	// per-invocation strictness derivation. indexProps records that an
-	// array-index-keyed own property was (ever) added — objects without
-	// one can be skipped wholesale in prototype-chain walks for index
-	// keys, which is every growing array write.
-	frozen       bool
+	// integrity is the level Object.seal or Object.freeze set
+	// (SetIntegrityLevel); the array and typed-array element writes test
+	// it. strictMarked records that MakeFunction built the function for
+	// strict code, for Call's per-invocation strictness derivation.
+	// indexProps records that an array-index-keyed own property was
+	// (ever) added — objects without one can be skipped wholesale in
+	// prototype-chain walks for index keys, which is every growing array
+	// write. All three are internal slots, not properties.
+	integrity    IntegrityLevel
 	strictMarked bool
 	indexProps   bool
 }
@@ -644,28 +644,40 @@ func (o *Object) IsCallable() bool {
 // IsArray reports whether the object is an Array exotic object.
 func (o *Object) IsArray() bool { return o != nil && o.Class == "Array" }
 
-// arrayFrozen reports the hidden __frozen__ marker Object.freeze maintains
-// on arrays and typed arrays, without boxing a descriptor.
-func (o *Object) arrayFrozen() bool { return o.frozen }
+// IntegrityLevel is the level ECMA-262's SetIntegrityLevel last applied
+// to an object: Object.seal sets Sealed, Object.freeze sets Frozen.
+type IntegrityLevel uint8
 
-// frozenKey is the hidden marker property Object.freeze installs;
-// strictKey marks strict-mode function objects.
+// Integrity levels, in increasing order.
 const (
-	frozenKey = "__frozen__"
-	strictKey = "__strict__"
+	NoIntegrity IntegrityLevel = iota
+	Sealed
+	Frozen
 )
 
-// noteKey keeps the hidden-marker mirror bits in sync with own-property
-// writes (both markers are 10 bytes, so one length test gates the
-// comparisons).
-func (o *Object) noteKey(key string) {
-	if len(key) == len(frozenKey) {
-		if key == frozenKey {
-			o.frozen = true
-		} else if key == strictKey {
-			o.strictMarked = true
+// Integrity reports the level Object.seal or Object.freeze set on o.
+func (o *Object) Integrity() IntegrityLevel { return o.integrity }
+
+// SetIntegrityLevel makes o non-extensible, drops Configurable (and, for
+// Frozen, Writable) from every own property and records the level. A
+// level never drops: sealing a frozen object leaves it frozen.
+func (o *Object) SetIntegrityLevel(level IntegrityLevel) {
+	o.Extensible = false
+	drop := Configurable
+	if level == Frozen {
+		drop |= Writable
+	}
+	for _, k := range o.OwnKeys() {
+		if p, ok := o.GetOwnProperty(k); ok {
+			p.Attr &^= drop
+			o.DefineOwn(k, p)
 		}
 	}
+	o.integrity = max(o.integrity, level)
+}
+
+// noteKey records an own-property write of an array-index key.
+func (o *Object) noteKey(key string) {
 	if !o.indexProps && isIndexKey(key) {
 		o.indexProps = true
 	}
@@ -887,13 +899,6 @@ func (o *Object) DeleteOwn(key string) bool {
 	}
 	d := o.dict
 	delete(d.props, key)
-	if len(key) == len(frozenKey) {
-		if key == frozenKey {
-			o.frozen = false
-		} else if key == strictKey {
-			o.strictMarked = false
-		}
-	}
 	for i, k := range d.keys {
 		if k == key {
 			d.keys = append(d.keys[:i], d.keys[i+1:]...)

@@ -5,17 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// Shape flag bits mirror the object-level hidden bits (__frozen__,
-// __strict__, index-free-chain) into the shape word, so a shape fully
-// describes the named-property layout *and* the marker state its keys
-// imply. The object keeps its own copy for dictionary mode; shapeAppend
-// keeps the two in sync through noteKey.
-const (
-	shapeFrozen uint8 = 1 << iota
-	shapeStrict
-	shapeIndexProps
-)
-
 // Shape is a node in the process-global hidden-class transition tree.
 // Every node fixes one named property: its key, its descriptor attributes
 // and the slot index it occupies in the owning object's dense slot array
@@ -35,7 +24,6 @@ type Shape struct {
 	attr   PropAttr
 	slot   int32
 	depth  int32
-	flags  uint8
 
 	// trans maps (key, attr) to the child shape; replaced wholesale on
 	// insert (copy-on-write) so readers never take the lock.
@@ -91,7 +79,6 @@ func (s *Shape) transition(key string, attr PropAttr) *Shape {
 	child := &Shape{
 		parent: s, key: key, attr: attr,
 		slot: s.depth, depth: s.depth + 1,
-		flags: s.flags | markerFlag(key),
 	}
 	var nm map[transKey]*Shape
 	if old == nil {
@@ -105,23 +92,6 @@ func (s *Shape) transition(key string, attr PropAttr) *Shape {
 	}
 	s.trans.Store(&nm)
 	return child
-}
-
-// markerFlag maps the hidden marker keys (and index keys) to shape flag
-// bits; see the Object mirror bits of the same names.
-func markerFlag(key string) uint8 {
-	if len(key) == len(frozenKey) {
-		if key == frozenKey {
-			return shapeFrozen
-		}
-		if key == strictKey {
-			return shapeStrict
-		}
-	}
-	if isIndexKey(key) {
-		return shapeIndexProps
-	}
-	return 0
 }
 
 // find returns the shape node owning key, or nil when the layout has no

@@ -106,13 +106,8 @@ func Of(prog *ast.Program) *Compiled {
 // the thunk twin of interp.Run.
 func (cp *Compiled) Run(in *interp.Interp) error {
 	strict := in.Strict || cp.progStrict
-	for _, a := range cp.hoist {
-		if a.Fn != nil {
-			fobj := in.MakeFunction(a.Fn, in.GlobalEnv, strict)
-			in.Global.SetSlot(a.Name, interp.ObjValue(fobj), interp.Writable|interp.Enumerable)
-		} else if !in.Global.HasOwn(a.Name) {
-			in.Global.SetSlot(a.Name, interp.Undefined(), interp.Writable|interp.Enumerable)
-		}
+	if err := in.DeclareGlobals(cp.hoist, strict); err != nil {
+		return err
 	}
 	for _, th := range cp.body {
 		c, err := th(in, in.GlobalEnv, strict)

@@ -315,7 +315,13 @@ func (in *Interp) Run(prog *ast.Program) error {
 // or eval's) and returns the value of the last expression statement.
 func (in *Interp) RunInEnv(prog *ast.Program, env *Env, strict bool) (Value, error) {
 	strict = strict || prog.Strict
-	in.hoist(prog.Body, env, env == in.GlobalEnv, strict)
+	if env == in.GlobalEnv {
+		if err := in.DeclareGlobals(ast.HoistedDecls(prog.Body), strict); err != nil {
+			return Undefined(), err
+		}
+	} else {
+		in.hoist(prog.Body, env, strict)
+	}
 	last := Undefined()
 	for _, s := range prog.Body {
 		c, err := in.execStmt(s, env, strict)
@@ -332,29 +338,64 @@ func (in *Interp) RunInEnv(prog *ast.Program, env *Env, strict bool) (Value, err
 	return last, nil
 }
 
-// hoist performs var and function-declaration hoisting into env; top-level
-// hoisting additionally mirrors bindings onto the global object. The
-// traversal itself is shared with the thunk compiler (ast.HoistedDecls),
-// so both evaluators hoist exactly the same bindings in the same order.
-func (in *Interp) hoist(body []ast.Stmt, env *Env, topLevel bool, strict bool) {
+// hoist performs var and function-declaration hoisting into a function's
+// (or eval's) env. The traversal is shared with the thunk compiler
+// (ast.HoistedDecls), so both evaluators hoist exactly the same bindings
+// in the same order.
+func (in *Interp) hoist(body []ast.Stmt, env *Env, strict bool) {
 	for _, d := range ast.HoistedDecls(body) {
 		if d.Fn != nil {
-			fn := in.MakeFunction(d.Fn, env, strict)
-			if topLevel {
-				in.Global.SetSlot(d.Name, ObjValue(fn), Writable|Enumerable)
-			} else {
-				env.declareVar(d.Name, ObjValue(fn), true)
-			}
-			continue
-		}
-		if topLevel {
-			if !in.Global.HasOwn(d.Name) {
-				in.Global.SetSlot(d.Name, Undefined(), Writable|Enumerable)
-			}
+			env.declareVar(d.Name, ObjValue(in.MakeFunction(d.Fn, env, strict)), true)
 		} else {
 			env.declareVar(d.Name, Undefined(), false)
 		}
 	}
+}
+
+// DeclareGlobals instantiates a program's hoisted declarations on the
+// global object (ECMA-262 GlobalDeclarationInstantiation). Every function
+// name passes CanDeclareGlobalFunction before any binding is created: a
+// non-configurable global that is not a writable, enumerable data
+// property, such as NaN, throws a TypeError. Both evaluators call it.
+func (in *Interp) DeclareGlobals(decls []ast.HoistedDecl, strict bool) error {
+	for _, d := range decls {
+		if d.Fn != nil && !in.canDeclareGlobalFunction(d.Name) {
+			return in.TypeErrorf("Cannot redefine property: %s", d.Name)
+		}
+	}
+	for _, d := range decls {
+		if d.Fn != nil {
+			fn := in.MakeFunction(d.Fn, in.GlobalEnv, strict)
+			in.Global.SetSlot(d.Name, ObjValue(fn), Writable|Enumerable)
+		} else if !in.Global.HasOwn(d.Name) {
+			in.Global.SetSlot(d.Name, Undefined(), Writable|Enumerable)
+		}
+	}
+	return nil
+}
+
+// canDeclareGlobalFunction is ECMA-262's CanDeclareGlobalFunction. It
+// reads the attributes without boxing a descriptor in shape mode.
+func (in *Interp) canDeclareGlobalFunction(name string) bool {
+	g := in.Global
+	var attr PropAttr
+	if g.shape != nil {
+		sp := g.shape.find(name)
+		if sp == nil {
+			return g.Extensible
+		}
+		attr = sp.attr
+	} else {
+		p, ok := g.getOwn(name)
+		if !ok {
+			return g.Extensible
+		}
+		if p.Accessor {
+			return p.Attr&Configurable != 0
+		}
+		attr = p.Attr
+	}
+	return attr&Configurable != 0 || attr&(Writable|Enumerable) == Writable|Enumerable
 }
 
 // MakeFunction builds a function object for a literal closed over env.
@@ -1773,7 +1814,7 @@ func (in *Interp) call1(fn *Object, this Value, args []Value) (Value, error) {
 	default:
 		in.coverFunc(lit.ID())
 		if lit.Scope == nil {
-			in.hoist(lit.Body.Body, callEnv, false, strict)
+			in.hoist(lit.Body.Body, callEnv, strict)
 		}
 		c, err := in.execStmts(lit.Body.Body, callEnv, strict)
 		if err != nil {

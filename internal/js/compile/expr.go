@@ -1531,10 +1531,6 @@ func (c *compiler) call(x *ast.CallExpr) exprThunk {
 		if err != nil {
 			return interp.Undefined(), err
 		}
-		var thisVal interp.Value
-		if !in.Strict && !strict {
-			thisVal = interp.ObjValue(in.Global)
-		}
 		pooled := args.poolable && plainFunc(fnVal)
 		av, err := args.eval(in, env, strict, pooled)
 		if err != nil {
@@ -1543,7 +1539,9 @@ func (c *compiler) call(x *ast.CallExpr) exprThunk {
 		if !fnVal.IsObject() || !fnVal.Obj().IsCallable() {
 			return interp.Undefined(), in.TypeErrorf("%s is not a function", name)
 		}
-		v, err := in.Call(fnVal.Obj(), thisVal, av)
+		// A plain call passes undefined; Call substitutes the global
+		// object when the callee is sloppy.
+		v, err := in.Call(fnVal.Obj(), interp.Undefined(), av)
 		if pooled {
 			in.ReleaseArgs(av)
 		}

@@ -1585,14 +1585,11 @@ func (in *Interp) evalCall(x *ast.CallExpr, env *Env, strict bool) (Value, error
 		}
 		thisVal = obj
 	} else {
+		// A plain call passes undefined; call1 substitutes the global
+		// object when the callee is sloppy.
 		fnVal, err = in.evalExpr(x.Callee, env, strict)
 		if err != nil {
 			return Undefined(), err
-		}
-		if in.Strict || strict {
-			thisVal = Undefined()
-		} else {
-			thisVal = ObjValue(in.Global)
 		}
 	}
 	args, err := in.evalArgs(x.Args, env, strict)

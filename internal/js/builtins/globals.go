@@ -97,7 +97,8 @@ func evalImpl(in *interp.Interp, this interp.Value, args []interp.Value) (interp
 	}
 	prog, err := parser.ParseWith(code, opts)
 	if err != nil {
-		return interp.Undefined(), in.SyntaxErrorf("%v", err)
+		se := err.(*parser.SyntaxError) // ParseWith's only error type
+		return interp.Undefined(), in.SyntaxErrorf("%s (at %s)", se.Msg, se.Pos)
 	}
 	// Resolve the freshly parsed tree: eval always executes in the global
 	// environment, whose top level is the resolver's dynamic root, so the
@@ -106,7 +107,8 @@ func evalImpl(in *interp.Interp, this interp.Value, args []interp.Value) (interp
 	// violation is a SyntaxError, like a parse error.
 	resolve.Program(prog)
 	if len(prog.EarlyErrors) > 0 {
-		return interp.Undefined(), in.SyntaxErrorf("%s", prog.EarlyErrors[0].Render())
+		e := prog.EarlyErrors[0]
+		return interp.Undefined(), in.SyntaxErrorf("%s (at %s)", e.Msg, e.Pos)
 	}
 	return in.RunInEnv(prog, in.GlobalEnv, in.Strict)
 }

@@ -268,9 +268,9 @@ func TestEvalEarlyErrors(t *testing.T) {
 	   try { eval(bad[i]); print("ran"); } catch (e) { print(e.name + ": " + e.message); }
 	 }
 	 print(ran, eval("let b = 2; b + 1"));`
-	const want = `SyntaxError: SyntaxError: Identifier "a" has already been declared (at 1:12)
-SyntaxError: SyntaxError: Assignment to constant variable "c" (at 1:21)
-SyntaxError: SyntaxError: Illegal continue statement: "x" does not denote an iteration statement (at 1:13)
+	const want = `SyntaxError: Identifier "a" has already been declared (at 1:12)
+SyntaxError: Assignment to constant variable "c" (at 1:21)
+SyntaxError: Illegal continue statement: "x" does not denote an iteration statement (at 1:13)
 0 3
 `
 	for _, compiled := range []bool{false, true} {

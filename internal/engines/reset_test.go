@@ -16,9 +16,9 @@ import (
 // implicit globals and, through eval, lexical bindings in the global
 // environment itself, draws from Math.random, touches every global (so every
 // lazy section installs), throws to materialise error prototypes, and then
-// overwrites, deletes, redefines as an accessor, re-prototypes and freezes
-// every property of the global object, of every built-in reachable from
-// it, of their prototypes and of the literal prototypes.
+// overwrites, deletes, redefines as an accessor, re-prototypes, seals and
+// freezes every property of the global object, of every built-in
+// reachable from it, of their prototypes and of the literal prototypes.
 const poisonSrc = `
 var poisonVar = Math.random() + Math.random();
 let poisonLet = 1;
@@ -27,7 +27,7 @@ poisonImplicit = 3;
 eval("let poisonEvalLet = 4; const poisonEvalConst = 5;");
 (function (G) {
   var names = Object.getOwnPropertyNames, define = Object.defineProperty;
-  var setProto = Object.setPrototypeOf, freeze = Object.freeze, protoOf = Object.getPrototypeOf;
+  var setProto = Object.setPrototypeOf, freeze = Object.freeze, seal = Object.seal, protoOf = Object.getPrototypeOf;
   var touched = 0, failed = 0, report = print;
   var globals = names(G);
   var objs = [G];
@@ -53,7 +53,7 @@ eval("let poisonEvalLet = 4; const poisonEvalConst = 5;");
       touched++;
     }
     try { setProto(o, null); } catch (e) { failed++; }
-    try { freeze(o); } catch (e) { failed++; }
+    try { seal(o); freeze(o); } catch (e) { failed++; }
   }
   report(globals.length, n, touched, failed);
 })(this);
@@ -107,6 +107,8 @@ func TestRealmResetPoisonOracle(t *testing.T) {
 	opts := RunOptions{Fuel: 200_000, Seed: 42}
 	check("poison", ref, poisonSrc, poisonOpts)
 	check("globals", ref, `print(typeof poisonVar, typeof poisonImplicit, typeof poisonEvalLet, Math.random());`, opts)
+	check("integrity", ref, `var p = Array.prototype; p[0] = 1;
+print(Object.isFrozen(Math), Object.isSealed(JSON), Object.isSealed(this), Object.isFrozen(p), p[0], p.length);`, opts)
 	for i, src := range corpus.Programs() {
 		check("corpus", ref, src, opts)
 		check("corpus (strict)", ReferenceTestbed(true).Prepare(), src, opts)

@@ -648,10 +648,9 @@ func (o *Object) IsArray() bool { return o != nil && o.Class == "Array" }
 // to an object: Object.seal sets Sealed, Object.freeze sets Frozen.
 type IntegrityLevel uint8
 
-// Integrity levels, in increasing order.
+// Integrity levels, in increasing order; the zero level is neither.
 const (
-	NoIntegrity IntegrityLevel = iota
-	Sealed
+	Sealed IntegrityLevel = iota + 1
 	Frozen
 )
 

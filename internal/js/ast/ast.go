@@ -451,7 +451,7 @@ type FuncLit struct {
 	// ExprBody is set for arrow functions with expression bodies:
 	// the body is `return ExprBody`.
 	ExprBody Expr
-	Strict   bool // body has a "use strict" directive
+	Strict   bool // function code is strict: a "use strict" directive or strict enclosing code
 	// Scope is the function frame's static layout (params, hoisted vars
 	// and declarations, arguments/self slots).
 	Scope *ScopeInfo

@@ -93,6 +93,20 @@ print(Object.isFrozen(a), Object.isSealed(a), Object.isFrozen(b), Object.isSeale
 		src: `try { eval("let a; let a;"); } catch (e) {
   print(e instanceof SyntaxError, e.message.indexOf("SyntaxError")); }`,
 		want: "true -1"},
+	// Function code is strict when its source text is contained in
+	// strict mode code (11.2.2), an arrow with an expression body
+	// included, so PutValue throws on an unresolvable reference.
+	{name: "expression-bodied arrow in strict code",
+		src: `"use strict"; var f = () => (undeclared1 = 1);
+try { f(); print("no throw"); } catch (e) { print(e.name); }`,
+		want: "ReferenceError"},
+	{name: "expression-bodied arrow in a strict function",
+		src: `function g() { "use strict"; return () => (undeclared2 = 1); }
+try { g()(); print("no throw"); } catch (e) { print(e.name); }`,
+		want: "ReferenceError"},
+	{name: "expression-bodied arrow in sloppy code",
+		src:  `var f = () => (undeclared3 = 1); f(); print(undeclared3);`,
+		want: "1"},
 	// EvaluateCall (13.3.6.2) passes undefined as this for a plain call;
 	// OrdinaryCallBindThis (10.2.1.2) keeps it for a strict callee and
 	// substitutes the global object for a sloppy one. A built-in gets

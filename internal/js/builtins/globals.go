@@ -110,7 +110,7 @@ func evalImpl(in *interp.Interp, this interp.Value, args []interp.Value) (interp
 		e := prog.EarlyErrors[0]
 		return interp.Undefined(), in.SyntaxErrorf("%s (at %s)", e.Msg, e.Pos)
 	}
-	return in.RunInEnv(prog, in.GlobalEnv, in.Strict)
+	return in.RunGlobal(prog)
 }
 
 func parseIntImpl(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {

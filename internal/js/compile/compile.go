@@ -106,7 +106,7 @@ func Of(prog *ast.Program) *Compiled {
 // the thunk twin of interp.Run.
 func (cp *Compiled) Run(in *interp.Interp) error {
 	strict := in.Strict || cp.progStrict
-	if err := in.DeclareGlobals(cp.hoist, strict); err != nil {
+	if err := in.DeclareGlobals(cp.hoist); err != nil {
 		return err
 	}
 	for _, th := range cp.body {

@@ -56,7 +56,7 @@ func (c *compiler) expr(e ast.Expr) exprThunk {
 			if err := in.Charge(1); err != nil {
 				return interp.Undefined(), err
 			}
-			return interp.ObjValue(in.MakeFunction(x, env, strict)), nil
+			return interp.ObjValue(in.MakeFunction(x, env)), nil
 		}
 	case *ast.UnaryExpr:
 		return c.unary(x)
@@ -733,7 +733,7 @@ func (c *compiler) objectLit(x *ast.ObjectLit) exprThunk {
 				}
 				o.SetSlot(key, v, interp.DefaultAttr)
 			case ast.PropGet, ast.PropSet:
-				fn := in.MakeFunction(p.accFn, env, strict)
+				fn := in.MakeFunction(p.accFn, env)
 				o.DefineAccessor(key, fn, p.kind == ast.PropGet)
 			}
 		}

@@ -307,21 +307,18 @@ var ctrlOK = ctrl{}
 
 // Run executes a parsed program in the global scope.
 func (in *Interp) Run(prog *ast.Program) error {
-	_, err := in.RunInEnv(prog, in.GlobalEnv, in.Strict)
+	_, err := in.RunGlobal(prog)
 	return err
 }
 
-// RunInEnv executes statements in the given environment (Run's global one,
-// or eval's) and returns the value of the last expression statement.
-func (in *Interp) RunInEnv(prog *ast.Program, env *Env, strict bool) (Value, error) {
-	strict = strict || prog.Strict
-	if env == in.GlobalEnv {
-		if err := in.DeclareGlobals(ast.HoistedDecls(prog.Body), strict); err != nil {
-			return Undefined(), err
-		}
-	} else {
-		in.hoist(prog.Body, env, strict)
+// RunGlobal executes a program (Run's, or eval's code) in the global
+// environment and returns the value of the last expression statement.
+func (in *Interp) RunGlobal(prog *ast.Program) (Value, error) {
+	strict := in.Strict || prog.Strict
+	if err := in.DeclareGlobals(ast.HoistedDecls(prog.Body)); err != nil {
+		return Undefined(), err
 	}
+	env := in.GlobalEnv
 	last := Undefined()
 	for _, s := range prog.Body {
 		c, err := in.execStmt(s, env, strict)
@@ -338,14 +335,14 @@ func (in *Interp) RunInEnv(prog *ast.Program, env *Env, strict bool) (Value, err
 	return last, nil
 }
 
-// hoist performs var and function-declaration hoisting into a function's
-// (or eval's) env. The traversal is shared with the thunk compiler
+// hoist performs var and function-declaration hoisting into a function
+// body's env. The traversal is shared with the thunk compiler
 // (ast.HoistedDecls), so both evaluators hoist exactly the same bindings
 // in the same order.
-func (in *Interp) hoist(body []ast.Stmt, env *Env, strict bool) {
+func (in *Interp) hoist(body []ast.Stmt, env *Env) {
 	for _, d := range ast.HoistedDecls(body) {
 		if d.Fn != nil {
-			env.declareVar(d.Name, ObjValue(in.MakeFunction(d.Fn, env, strict)), true)
+			env.declareVar(d.Name, ObjValue(in.MakeFunction(d.Fn, env)), true)
 		} else {
 			env.declareVar(d.Name, Undefined(), false)
 		}
@@ -357,7 +354,7 @@ func (in *Interp) hoist(body []ast.Stmt, env *Env, strict bool) {
 // name passes CanDeclareGlobalFunction before any binding is created: a
 // non-configurable global that is not a writable, enumerable data
 // property, such as NaN, throws a TypeError. Both evaluators call it.
-func (in *Interp) DeclareGlobals(decls []ast.HoistedDecl, strict bool) error {
+func (in *Interp) DeclareGlobals(decls []ast.HoistedDecl) error {
 	for _, d := range decls {
 		if d.Fn != nil && !in.canDeclareGlobalFunction(d.Name) {
 			return in.TypeErrorf("Cannot redefine property: %s", d.Name)
@@ -365,7 +362,7 @@ func (in *Interp) DeclareGlobals(decls []ast.HoistedDecl, strict bool) error {
 	}
 	for _, d := range decls {
 		if d.Fn != nil {
-			fn := in.MakeFunction(d.Fn, in.GlobalEnv, strict)
+			fn := in.MakeFunction(d.Fn, in.GlobalEnv)
 			in.Global.SetSlot(d.Name, ObjValue(fn), Writable|Enumerable)
 		} else if !in.Global.HasOwn(d.Name) {
 			in.Global.SetSlot(d.Name, Undefined(), Writable|Enumerable)
@@ -374,32 +371,21 @@ func (in *Interp) DeclareGlobals(decls []ast.HoistedDecl, strict bool) error {
 	return nil
 }
 
-// canDeclareGlobalFunction is ECMA-262's CanDeclareGlobalFunction. It
-// reads the attributes without boxing a descriptor in shape mode.
+// canDeclareGlobalFunction is ECMA-262's CanDeclareGlobalFunction.
 func (in *Interp) canDeclareGlobalFunction(name string) bool {
 	g := in.Global
-	var attr PropAttr
-	if g.shape != nil {
-		sp := g.shape.find(name)
-		if sp == nil {
-			return g.Extensible
-		}
-		attr = sp.attr
-	} else {
-		p, ok := g.getOwn(name)
-		if !ok {
-			return g.Extensible
-		}
-		if p.Accessor {
-			return p.Attr&Configurable != 0
-		}
-		attr = p.Attr
+	p, ok := g.getOwn(name)
+	if !ok {
+		return g.Extensible
 	}
-	return attr&Configurable != 0 || attr&(Writable|Enumerable) == Writable|Enumerable
+	if p.Accessor {
+		return p.Attr&Configurable != 0
+	}
+	return p.Attr&Configurable != 0 || p.Attr&(Writable|Enumerable) == Writable|Enumerable
 }
 
 // MakeFunction builds a function object for a literal closed over env.
-func (in *Interp) MakeFunction(lit *ast.FuncLit, env *Env, strict bool) *Object {
+func (in *Interp) MakeFunction(lit *ast.FuncLit, env *Env) *Object {
 	var fn *Object
 	if lit.Arrow {
 		fn = in.NewExoticObject(in.Protos["Function"]) // holds the lexical this
@@ -418,7 +404,6 @@ func (in *Interp) MakeFunction(lit *ast.FuncLit, env *Env, strict bool) *Object 
 		proto.SetSlot("constructor", ObjValue(fn), Writable|Configurable)
 		fn.SetSlot("prototype", ObjValue(proto), Writable)
 	}
-	fn.strictMarked = strict
 	if lit.Arrow {
 		fn.ext.boundThis = in.currentThis()
 	}
@@ -889,7 +874,7 @@ func (in *Interp) evalExpr(e ast.Expr, env *Env, strict bool) (Value, error) {
 	case *ast.ObjectLit:
 		return in.evalObjectLit(x, env, strict)
 	case *ast.FuncLit:
-		return ObjValue(in.MakeFunction(x, env, strict)), nil
+		return ObjValue(in.MakeFunction(x, env)), nil
 	case *ast.UnaryExpr:
 		return in.evalUnary(x, env, strict)
 	case *ast.UpdateExpr:
@@ -968,7 +953,7 @@ func (in *Interp) evalObjectLit(x *ast.ObjectLit, env *Env, strict bool) (Value,
 			o.SetSlot(key, v, DefaultAttr)
 		case ast.PropGet, ast.PropSet:
 			fnLit := prop.Value.(*ast.FuncLit)
-			fn := in.MakeFunction(fnLit, env, strict)
+			fn := in.MakeFunction(fnLit, env)
 			existing, ok := o.dictGet(key)
 			if !ok || !existing.Accessor {
 				existing = &Property{Accessor: true, Attr: Enumerable | Configurable}
@@ -1692,7 +1677,7 @@ func (in *Interp) call1(fn *Object, this Value, args []Value) (Value, error) {
 		}
 	}
 	lit := fn.Fn.Lit
-	strict := lit.Strict || in.Strict || fn.strictMarked
+	strict := lit.Strict || in.Strict
 	compiled := fn.Fn.Compiled
 	var callEnv *Env
 	pooled := false
@@ -1794,7 +1779,7 @@ func (in *Interp) call1(fn *Object, this Value, args []Value) (Value, error) {
 			}
 		}
 		for i, hf := range sc.HoistFuncs {
-			fobj := in.MakeFunction(hf, callEnv, strict)
+			fobj := in.MakeFunction(hf, callEnv)
 			callEnv.slots[sc.HoistSlots[i]].v = ObjValue(fobj)
 		}
 	}
@@ -1811,7 +1796,7 @@ func (in *Interp) call1(fn *Object, this Value, args []Value) (Value, error) {
 	default:
 		in.coverFunc(lit.ID())
 		if lit.Scope == nil {
-			in.hoist(lit.Body.Body, callEnv, strict)
+			in.hoist(lit.Body.Body, callEnv)
 		}
 		c, err := in.execStmts(lit.Body.Body, callEnv, strict)
 		if err != nil {

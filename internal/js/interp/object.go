@@ -256,15 +256,12 @@ type Object struct {
 
 	// integrity is the level Object.seal or Object.freeze set
 	// (SetIntegrityLevel); the array and typed-array element writes test
-	// it. strictMarked records that MakeFunction built the function for
-	// strict code, for Call's per-invocation strictness derivation.
-	// indexProps records that an array-index-keyed own property was
+	// it. indexProps records that an array-index-keyed own property was
 	// (ever) added — objects without one can be skipped wholesale in
 	// prototype-chain walks for index keys, which is every growing array
-	// write. All three are internal slots, not properties.
-	integrity    IntegrityLevel
-	strictMarked bool
-	indexProps   bool
+	// write. Both are internal slots, not properties.
+	integrity  IntegrityLevel
+	indexProps bool
 }
 
 // dictProps is an object's dictionary-mode storage: a property map and

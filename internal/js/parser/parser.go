@@ -818,6 +818,7 @@ func (p *parser) parseArrowBody(fn *ast.FuncLit) {
 		return
 	}
 	fn.ExprBody = p.parseAssign()
+	fn.Strict = p.strict
 }
 
 func (p *parser) parseConditional() ast.Expr {

@@ -12,25 +12,22 @@ func DivergesRunners(a, b *PreparedTestbed, opts RunOptions) func(src string) bo
 // against the defect-free reference. The reference runs as a Probe over
 // the defects without a PreParse interceptor, under the scheduler's rule:
 // such a defect is known to reproduce the reference result, and is not
-// re-run, when its trigger never matched, its Configure delta (if any)
-// was never consulted, and it takes the reference's parse
-// (TakesBaseParse). The re-run candidates share compiled programs through
+// re-run, when its trigger never matched and it takes the reference's
+// parse (TakesBaseParse). The re-run candidates share compiled programs through
 // one sharedParse, as in Diverges, so a witness is parsed (and compiled)
 // once per distinct parse. Each re-run candidate still executes with
 // exactly its own config, hook and pre-parse gate.
 func Attribute(src string, tb Testbed, opts RunOptions) []*Defect {
 	active := tb.Prepare().ActiveDefects()
 	var probed [][]*Defect
-	var configured []bool
 	for _, d := range active {
 		if d.PreParse == nil {
 			probed = append(probed, hookDefects([]*Defect{d}, tb.Strict))
-			configured = append(configured, d.Configure != nil)
 		}
 	}
 	sh := sharedParse{src: src}
 	ref := NewDefectRunner(nil, tb.Strict)
-	probe := newProbe(ref.baseCfg, probed, configured)
+	probe := newProbe(ref.baseCfg, probed)
 	prog, err := sh.parse(ref)
 	refRes, fired := probe.ExecParsed(prog, err, opts)
 	var out []*Defect

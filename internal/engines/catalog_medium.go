@@ -304,7 +304,7 @@ print("done");`,
   print(v1 !== 20);
   print(typeof v1);
 }());`,
-		Configure: func(cfg *interp.Config) { cfg.MutableFuncName = true },
+		Hook: onRefusedWrite(interp.HookSelfNameAssign),
 	})
 	b.add(&Defect{
 		ID: "he-003", Engine: "Hermes", AttrVersion: "v0.1.1",

@@ -107,7 +107,7 @@ print(regexp5.lastIndex);`,
   print(v1 !== 20);
   print(typeof v1);
 }());`,
-		Configure: func(cfg *interp.Config) { cfg.MutableFuncName = true },
+		Hook: onRefusedWrite(interp.HookSelfNameAssign),
 	})
 	b.add(&Defect{
 		ID: "rh-006", Engine: "Rhino", AttrVersion: "v1.7.11",
@@ -585,7 +585,7 @@ print(f.apply(null, null));`,
 		WitnessStrict: true,
 		Note:          "strict mode: assignment to undeclared identifiers creates globals",
 		Witness:       `"use strict"; undeclaredGlobal = 5; print(undeclaredGlobal);`,
-		Configure:     func(cfg *interp.Config) { cfg.SloppyStrictAssign = true },
+		Hook:          onRefusedWrite(interp.HookUndeclaredAssign),
 	})
 	// v1.7.12 unverified reports.
 	b.add(&Defect{

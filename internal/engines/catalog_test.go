@@ -231,7 +231,7 @@ func TestCatalogBasicHygiene(t *testing.T) {
 		if d.Witness == "" {
 			t.Errorf("%s: missing witness", d.ID)
 		}
-		if d.Hook == nil && d.Configure == nil && d.ParserOpts == nil && d.PreParse == nil {
+		if d.Hook == nil && d.ParserOpts == nil && d.PreParse == nil {
 			t.Errorf("%s: defect has no behavioural realisation", d.ID)
 		}
 		if _, ok := FindVersion(d.Engine, d.AttrVersion); !ok {
@@ -255,9 +255,6 @@ func runWitness(t *testing.T, d *Defect, active bool, strict bool) ExecResult {
 	cfg := interp.Config{Seed: 42, Strict: strict, Fuel: 500000}
 	parseOpts := parser.Options{Strict: strict}
 	if active {
-		if d.Configure != nil {
-			d.Configure(&cfg)
-		}
 		if d.ParserOpts != nil {
 			d.ParserOpts(&parseOpts)
 		}

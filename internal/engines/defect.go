@@ -97,11 +97,10 @@ type Defect struct {
 	// depends only on the ctx and the interpreter state, which it must not
 	// change. The trigger over-approximates firing: a hook whose trigger
 	// never matched during a run would have returned nil at every site of
-	// that run. The builders below (onAPI, onRegex, onPropSet, onTier)
-	// implement the contract; a hand-written hook checks ctx.Probe once
-	// its trigger matched and returns probeMatch.
+	// that run. The builders below (onAPI, onRegex, onPropSet, onTier,
+	// onRefusedWrite) implement the contract; a hand-written hook checks
+	// ctx.Probe once its trigger matched and returns probeMatch.
 	Hook       interp.Hook
-	Configure  func(*interp.Config)
 	ParserOpts func(*parser.Options)
 	// PreParse lets over-restrictive parser defects reject a valid program;
 	// a non-empty return is the SyntaxError message.
@@ -208,6 +207,24 @@ func onTier(threshold int, eff func(ctx *interp.HookCtx) *interp.Override) inter
 		return eff(ctx)
 	}
 }
+
+// onRefusedWrite lets through every write the reference refuses at one of
+// the identifier-write sites (interp.HookSelfNameAssign,
+// interp.HookUndeclaredAssign).
+func onRefusedWrite(site interp.HookSite) interp.Hook {
+	return func(ctx *interp.HookCtx) *interp.Override {
+		if ctx.Site != site {
+			return nil
+		}
+		if ctx.Probe {
+			return probeMatch
+		}
+		return allowWrite
+	}
+}
+
+// allowWrite is the Override that lets a refused identifier write through.
+var allowWrite = &interp.Override{}
 
 // ---------- effect builders ----------
 

@@ -293,10 +293,6 @@ type RunOptions struct {
 	// one path no skipped parse pass can select.
 	// PreparedTestbed.Exec honours it; only DictionaryObjects sets it.
 	dictObjects bool
-	// configRead, when non-nil, receives whether the run reached a site
-	// that consults a Configure flag (interp.Interp.ConfigRead). Probes
-	// set it; the bit is a scheduling fact, not part of the result.
-	configRead *bool
 }
 
 // DictionaryObjects returns opts with objects kept on dictionary-mode

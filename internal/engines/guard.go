@@ -48,8 +48,7 @@ func realmConfig(cfg interp.Config, opts RunOptions) interp.Config {
 
 // execRealm executes the (possibly thunk-compiled) program on the pristine
 // realm in with opts' coverage recorder and classifies the outcome,
-// converting evaluator panics into crash results. When opts.configRead is
-// set it receives the interpreter's ConfigRead bit, panicked run or not.
+// converting evaluator panics into crash results.
 func execRealm(in *interp.Interp, prog *ast.Program, opts RunOptions) (res ExecResult) {
 	in.Cov = opts.Cov
 	defer func() {
@@ -62,9 +61,6 @@ func execRealm(in *interp.Interp, prog *ast.Program, opts RunOptions) (res ExecR
 				FuelUsed: in.FuelUsed(),
 				Panic:    true,
 			}
-		}
-		if opts.configRead != nil {
-			*opts.configRead = in.ConfigRead()
 		}
 	}()
 	runErr := runProgramInjected(in, prog, opts)

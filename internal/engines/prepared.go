@@ -15,7 +15,7 @@ import (
 
 // PreparedTestbed is a testbed with everything that is constant across runs
 // resolved once: the active defect subset of the catalog, the combined hook
-// chain, the interpreter config deltas and the parser options. Preparing a
+// chain and the parser options. Preparing a
 // testbed turns Testbed.Run's per-execution catalog scan + hook sort into a
 // one-time cost, which matters when a campaign executes the same 104
 // testbeds tens of thousands of times.
@@ -25,7 +25,7 @@ type PreparedTestbed struct {
 	defects  []*Defect      // active defects, catalog order
 	preParse []*Defect      // subset with PreParse interceptors
 	hooks    []*Defect      // subset whose hooks run in this mode, ID order
-	baseCfg  interp.Config  // Strict + Configure deltas + hook chain; Fuel/Seed filled per run
+	baseCfg  interp.Config  // Strict + hook chain; Fuel/Seed filled per run
 	parseOps parser.Options // Strict + ParserOpts deltas
 	behavior string         // mode + active defect IDs; see BehaviorKey
 }
@@ -85,9 +85,6 @@ func prepare(tb Testbed, defects []*Defect) *PreparedTestbed {
 		parseOps: parser.Options{Strict: tb.Strict},
 	}
 	for _, d := range p.defects {
-		if d.Configure != nil {
-			d.Configure(&p.baseCfg)
-		}
 		if d.ParserOpts != nil {
 			d.ParserOpts(&p.parseOps)
 		}

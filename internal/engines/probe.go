@@ -9,34 +9,27 @@ import (
 
 // Probe runs one mode's base configuration, interp.Config{Strict}, with a
 // recording hook over the union of several members' hook defects. Each
-// member is a hook set plus, possibly, Configure deltas, run in the
-// probe's mode over the program the probe runs (see
-// PreparedTestbed.TakesBaseParse for when a member's parse is the
-// probe's). The recording hook asks every defect whether its trigger
+// member is a hook set run in the probe's mode over the program the probe
+// runs (see PreparedTestbed.TakesBaseParse for when a member's parse is
+// the probe's). The recording hook asks every defect whether its trigger
 // matches (interp.HookCtx.Probe) and never intervenes, so the probe run
 // is the run of a defect-free member. A member none of whose defects
-// matched, and whose Configure deltas (if any) the run never consulted,
-// would have followed the probe's execution step for step: by induction
-// over the run, each of its hook sites sees the same ctx and the same
-// interpreter state, so its own chain returns nil there too (Defect.Hook's
-// contract: probing is pure and over-approximates firing), and no site
-// whose outcome its flags decide is ever reached
-// (interp.Interp.ConfigRead). Its result is therefore the probe's, up to
-// the evaluator diagnostics ExecResult.Semantics clears.
+// matched would have followed the probe's execution step for step: by
+// induction over the run, each of its hook sites sees the same ctx and
+// the same interpreter state, so its own chain returns nil there too
+// (Defect.Hook's contract: probing is pure and over-approximates firing).
+// Its result is therefore the probe's.
 type Probe struct {
-	cfg        interp.Config // the probe's config; the recorder is installed per run
-	hooks      []*Defect     // union of the members' hook defects, ID order
-	masks      [][]uint64    // per member: bit i set iff hooks[i] is one of its hooks
-	configures []bool        // per member: it carries a Configure delta
+	cfg   interp.Config // the probe's config; the recorder is installed per run
+	hooks []*Defect     // union of the members' hook defects, ID order
+	masks [][]uint64    // per member: bit i set iff hooks[i] is one of its hooks
 }
 
-// Fired is what one probe run consulted: the set of its hook defects
-// whose trigger matched, a bitset over the probe's union, and whether the
-// run reached a Configure-flag site. A zero Fired means no interpreter
-// ran (a parse or early error).
+// Fired is the set of a probe run's hook defects whose trigger matched, a
+// bitset over the probe's union. A zero Fired means no interpreter ran (a
+// parse or early error).
 type Fired struct {
-	hooks      []uint64
-	configRead bool
+	hooks []uint64
 }
 
 // NewProbe builds the probe for prepared testbeds of one mode; member i of
@@ -44,24 +37,19 @@ type Fired struct {
 func NewProbe(members []*PreparedTestbed) *Probe {
 	strict := members[0].Testbed.Strict
 	sets := make([][]*Defect, len(members))
-	configured := make([]bool, len(members))
 	for i, p := range members {
 		if p.Testbed.Strict != strict {
 			panic("engines: NewProbe over testbeds of different modes")
 		}
 		sets[i] = p.hooks
-		for _, d := range p.defects {
-			configured[i] = configured[i] || d.Configure != nil
-		}
 	}
-	return newProbe(interp.Config{Strict: strict}, sets, configured)
+	return newProbe(interp.Config{Strict: strict}, sets)
 }
 
-// newProbe builds a probe over hook sets that run under cfg; configures[i]
-// marks member i as carrying a Configure delta.
-func newProbe(cfg interp.Config, members [][]*Defect, configures []bool) *Probe {
+// newProbe builds a probe over hook sets that run under cfg.
+func newProbe(cfg interp.Config, members [][]*Defect) *Probe {
 	cfg.Hook = nil
-	pr := &Probe{cfg: cfg, configures: configures}
+	pr := &Probe{cfg: cfg}
 	seen := map[*Defect]bool{}
 	for _, m := range members {
 		for _, d := range m {
@@ -90,7 +78,7 @@ func newProbe(cfg interp.Config, members [][]*Defect, configures []bool) *Probe 
 }
 
 // ExecParsed is PreparedTestbed.ExecParsed under the recording hook: it
-// returns the probe's result and what the run consulted. Callers must
+// returns the probe's result and the hook defects that matched. Callers must
 // have applied the members' PreParse interceptors to the source
 // themselves; a member whose interceptor rejects it is not represented by
 // the probe.
@@ -103,7 +91,6 @@ func (pr *Probe) ExecParsed(prog *ast.Program, err error, opts RunOptions) (Exec
 	if len(pr.hooks) > 0 {
 		cfg.Hook = pr.recorder(fired.hooks)
 	}
-	opts.configRead = &fired.configRead
 	res := runRealm(cfg, prog, opts)
 	return res, fired
 }
@@ -124,20 +111,12 @@ func (pr *Probe) recorder(fired []uint64) interp.Hook {
 	}
 }
 
-// Quiet reports whether the run that produced fired consulted nothing
-// that member i would have answered differently: none of its hook defects
-// matched, and it has no Configure delta or the run read no Configure
-// flag. A member that also runs the probe's program takes the probe's
-// result.
+// Quiet reports whether none of member i's hook defects matched in the
+// run that produced fired. A member that also runs the probe's program
+// takes the probe's result.
 func (pr *Probe) Quiet(i int, fired Fired) bool {
-	if fired.hooks == nil {
-		return true
-	}
-	if fired.configRead && pr.configures[i] {
-		return false
-	}
-	for w, m := range pr.masks[i] {
-		if m&fired.hooks[w] != 0 {
+	for w, f := range fired.hooks {
+		if pr.masks[i][w]&f != 0 {
 			return false
 		}
 	}

@@ -1,7 +1,6 @@
 package engines
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -14,23 +13,31 @@ var probeOpts = RunOptions{Fuel: 200000, Seed: 42}
 
 // TestProbeMarksWitnessDefect pins the trigger half of the hook contract:
 // probing a defect's witness in its witness mode, under the defect's own
-// config and parser options, marks the defect's hook fired. A trigger
+// parser options, marks the defect's hook fired. A trigger
 // that missed its own witness would let the scheduler hand a firing
-// class the probe's healthy result.
+// class the probe's healthy result. The identifier-write defects are
+// named, so none of them can drop out of the loop unseen.
 func TestProbeMarksWitnessDefect(t *testing.T) {
+	probed := map[string]bool{}
 	for _, d := range Catalog() {
 		r := NewDefectRunner(d, d.WitnessStrict)
 		if r.baseCfg.Hook == nil {
-			continue // no hook, or a strict-only hook with a normal-mode witness
+			continue // a parser-only defect, or a strict-only hook with a normal-mode witness
 		}
 		if msg := r.PreParseError(d.Witness); msg != "" {
 			t.Errorf("%s: witness rejected before its hook can run: %s", d.ID, msg)
 			continue
 		}
-		pr := newProbe(r.baseCfg, [][]*Defect{{d}}, []bool{false})
+		probed[d.ID] = true
+		pr := newProbe(r.baseCfg, [][]*Defect{{d}})
 		prog, err := r.Parse(d.Witness)
 		if _, fired := pr.ExecParsed(prog, err, probeOpts); pr.Quiet(0, fired) {
 			t.Errorf("%s: probing its witness did not mark the hook fired\nwitness:\n%s", d.ID, d.Witness)
+		}
+	}
+	for _, id := range []string{"he-002", "rh-005", "rh-038"} {
+		if !probed[id] {
+			t.Errorf("%s: witness not probed", id)
 		}
 	}
 }
@@ -48,7 +55,7 @@ func TestProbeIsPure(t *testing.T) {
 	for _, strict := range []bool{false, true} {
 		cfg := interp.Config{Strict: strict}
 		hooks := hookDefects(Catalog(), strict)
-		pr := newProbe(cfg, [][]*Defect{hooks}, []bool{false})
+		pr := newProbe(cfg, [][]*Defect{hooks})
 		quiet := cfg
 		quiet.Hook = func(*interp.HookCtx) *interp.Override { return nil }
 		fired := 0
@@ -73,105 +80,27 @@ func TestProbeIsPure(t *testing.T) {
 	}
 }
 
-// TestConfigReadIsSound pins the fact the probe's config half rests on
-// (Probe.Quiet): a base-config run that reached no Configure-flag site
-// (interp.Interp.ConfigRead) runs identically with either flag set. Over
-// every witness and every corpus program in both modes, the base run is
-// compared with a MutableFuncName run and a SloppyStrictAssign run
-// whenever it read no flag; a flag site that did not record its read
-// shows up as a diverging result.
-func TestConfigReadIsSound(t *testing.T) {
-	srcs := append([]string(nil), corpus.Programs()...)
+// TestParserOptsKeepStrict: a defect's ParserOpts may set only lenient
+// parser flags, never Strict, so every member of a probe parses in the
+// probe's mode.
+func TestParserOptsKeepStrict(t *testing.T) {
 	for _, d := range Catalog() {
-		srcs = append(srcs, d.Witness)
-	}
-	for _, strict := range []bool{false, true} {
-		base := interp.Config{Strict: strict}
-		mutableName, sloppyAssign := base, base
-		mutableName.MutableFuncName = true
-		sloppyAssign.SloppyStrictAssign = true
-		reads := 0
-		for i, src := range srcs {
-			prog, err := parseProgram(src, parser.Options{Strict: strict})
-			if _, static := staticResult(prog, err); static {
-				continue
-			}
-			var read bool
-			opts := probeOpts
-			opts.configRead = &read
-			want := runRealm(base, prog, opts)
-			if read {
-				reads++
-				continue
-			}
-			for _, cfg := range []interp.Config{mutableName, sloppyAssign} {
-				if got := runRealm(cfg, prog, probeOpts); got != want {
-					t.Fatalf("strict=%v program %d read no config flag, yet %+v changes its run\nbase:    %+v\nflagged: %+v\nprogram:\n%s",
-						strict, i, cfg, want, got, src)
-				}
-			}
+		if d.ParserOpts == nil {
+			continue
 		}
-		if reads == 0 {
-			t.Errorf("strict=%v: no program reached a config-flag site; the comparison is vacuous", strict)
-		}
-	}
-}
-
-// TestConfigureTouchesOnlyRecordedFlags guards the config half of the
-// probe against drift, in the style of parser's
-// TestFingerprintCoversEveryOption. Every catalog Configure may set only
-// MutableFuncName and SloppyStrictAssign, the two flags whose sites
-// record a read, and every ParserOpts may set only lenient parser flags,
-// never Strict. A new interp.Config flag fails the bool-field count until
-// its sites record their reads and the count is raised.
-func TestConfigureTouchesOnlyRecordedFlags(t *testing.T) {
-	typ := reflect.TypeOf(interp.Config{})
-	const bools = 4 // Strict, MutableFuncName, SloppyStrictAssign, DisableShapes
-	n := 0
-	for i := 0; i < typ.NumField(); i++ {
-		if typ.Field(i).Type.Kind() == reflect.Bool {
-			n++
-		}
-	}
-	if n != bools {
-		t.Fatalf("interp.Config has %d bool fields, this guard knows %d — a new flag a defect can set needs "+
-			"its sites to record interp.Interp.ConfigRead, and this count updated", n, bools)
-	}
-	recorded := map[string]bool{"MutableFuncName": true, "SloppyStrictAssign": true}
-	configured := 0
-	for _, d := range Catalog() {
 		for _, strict := range []bool{false, true} {
-			if d.ParserOpts != nil {
-				po := parser.Options{Strict: strict}
-				d.ParserOpts(&po)
-				if po.Strict != strict {
-					t.Errorf("%s: ParserOpts changes Strict", d.ID)
-				}
-			}
-			if d.Configure == nil {
-				continue
-			}
-			configured++
-			base := interp.Config{Strict: strict}
-			cfg := base
-			d.Configure(&cfg)
-			bv, cv := reflect.ValueOf(base), reflect.ValueOf(cfg)
-			for i := 0; i < typ.NumField(); i++ {
-				name := typ.Field(i).Name
-				if !recorded[name] && !reflect.DeepEqual(bv.Field(i).Interface(), cv.Field(i).Interface()) {
-					t.Errorf("%s: Configure changes interp.Config.%s, which no site records as read", d.ID, name)
-				}
+			po := parser.Options{Strict: strict}
+			d.ParserOpts(&po)
+			if po.Strict != strict {
+				t.Errorf("%s: ParserOpts changes Strict", d.ID)
 			}
 		}
-	}
-	if configured == 0 {
-		t.Fatal("no catalog defect has a Configure delta; the guard is vacuous")
 	}
 }
 
 // isolatedRun executes src with exactly one defect installed (none for a
 // nil d), written out from the defect's fields rather than through
-// prepare: the Configure and ParserOpts deltas, the hook only when it runs
+// prepare: the ParserOpts delta, the hook only when it runs
 // in this mode, the pre-parse gate, then the shared parse pipeline and
 // realm. It is the oracle NewDefectRunner and Attribute are checked
 // against.
@@ -179,9 +108,6 @@ func isolatedRun(d *Defect, strict bool, src string, opts RunOptions) ExecResult
 	cfg := interp.Config{Strict: strict}
 	po := parser.Options{Strict: strict}
 	if d != nil {
-		if d.Configure != nil {
-			d.Configure(&cfg)
-		}
 		if d.ParserOpts != nil {
 			d.ParserOpts(&po)
 		}

@@ -5,7 +5,9 @@ type HookSite int
 
 // Hook sites. These correspond to the places where real engines diverge:
 // builtin dispatch, property stores, (eval) parsing, array growth, regex
-// execution, and tier-up recompilation.
+// execution, tier-up recompilation, and two identifier writes the
+// reference refuses: to a function expression's own name, and a strict
+// write to an undeclared identifier.
 const (
 	HookBuiltin HookSite = iota
 	HookPropSet
@@ -13,6 +15,8 @@ const (
 	HookArrayGrow
 	HookRegexExec
 	HookFuncTier
+	HookSelfNameAssign
+	HookUndeclaredAssign
 )
 
 func (s HookSite) String() string {
@@ -29,6 +33,10 @@ func (s HookSite) String() string {
 		return "regexexec"
 	case HookFuncTier:
 		return "functier"
+	case HookSelfNameAssign:
+		return "selfnameassign"
+	case HookUndeclaredAssign:
+		return "undeclaredassign"
 	default:
 		return "unknown"
 	}
@@ -39,12 +47,13 @@ type HookCtx struct {
 	Site HookSite
 	In   *Interp
 
-	// HookBuiltin and HookRegexExec.
+	// HookBuiltin and HookRegexExec; Name is also the identifier written
+	// at HookUndeclaredAssign.
 	Name string // canonical builtin key, e.g. "String.prototype.substr"
 	This Value
 	Args []Value
 
-	// HookPropSet.
+	// HookPropSet; Val also for the two identifier-write sites.
 	Obj *Object
 	Key Value
 	Val Value
@@ -71,7 +80,10 @@ type HookCtx struct {
 	Probe bool
 }
 
-// Override tells the interpreter how a hook altered behaviour.
+// Override tells the interpreter how a hook altered behaviour. At
+// HookSelfNameAssign and HookUndeclaredAssign any non-nil Override lets
+// the refused write through (the self-name binding takes the value, or
+// the undeclared identifier becomes a global); its fields are unused.
 type Override struct {
 	// Replace short-circuits the operation with Return/Err.
 	Replace bool
@@ -94,7 +106,8 @@ type Hook func(*HookCtx) *Override
 
 // hookCtx returns a HookCtx for a hook site that consumes the hook's
 // Override synchronously and never touches the ctx after the hook call
-// returns (propset, arraygrow, functier — the per-operation hot sites).
+// returns (propset, arraygrow, functier — the per-operation hot sites —
+// and the identifier-write sites).
 // Such sites reuse one per-interpreter scratch struct instead of
 // allocating: a &HookCtx literal passed to the dynamic Hook call always
 // escapes, and on defect-laden testbeds property stores dominated the
@@ -120,6 +133,16 @@ func (in *Interp) releaseHookCtx(ctx *HookCtx) {
 		*ctx = HookCtx{}
 		in.hookScratchBusy = false
 	}
+}
+
+// allowWrite asks the hook whether a write the reference refuses at site
+// goes through; callers check in.Hook first.
+func (in *Interp) allowWrite(site HookSite, name string, v Value) bool {
+	ctx := in.hookCtx()
+	*ctx = HookCtx{Site: site, In: in, Name: name, Val: v}
+	ov := in.Hook(ctx)
+	in.releaseHookCtx(ctx)
+	return ov != nil
 }
 
 // applyHook runs the installed hook for a builtin-like site and merges the

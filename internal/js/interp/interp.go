@@ -22,12 +22,6 @@ type Config struct {
 	Hook Hook
 	// Seed drives Math.random and Date.now determinism.
 	Seed int64
-	// MutableFuncName makes a named function expression's self-name binding
-	// writable — a seeded conformance defect (the paper's Listing 13).
-	MutableFuncName bool
-	// SloppyStrictAssign makes strict-mode assignment to undeclared
-	// identifiers create globals silently — a seeded Strict Mode defect.
-	SloppyStrictAssign bool
 	// DisableShapes keeps every object in classic dictionary (property map)
 	// layout — the reference layout the hidden-class machinery is checked
 	// against. Only the engines package's shape oracle sets it.
@@ -95,13 +89,6 @@ type Interp struct {
 	// Strict mirrors Config.Strict. The bools sit together so the struct
 	// stays in its allocation size class.
 	Strict bool
-	// MutableFuncName mirrors Config.MutableFuncName.
-	MutableFuncName bool
-	// SloppyStrictAssign mirrors Config.SloppyStrictAssign.
-	SloppyStrictAssign bool
-	// configRead records that the run reached a site whose outcome one of
-	// the two flags above decides (see ConfigRead).
-	configRead bool
 	// DisableShapes mirrors Config.DisableShapes: NewObject allocates
 	// dictionary-mode objects.
 	DisableShapes bool
@@ -188,19 +175,17 @@ func (in *Interp) init(cfg Config, protos map[string]*Object, genv *Env) {
 		fuel = DefaultFuel
 	}
 	*in = Interp{
-		GlobalEnv:          genv,
-		Protos:             protos,
-		Strict:             cfg.Strict,
-		Hook:               cfg.Hook,
-		MutableFuncName:    cfg.MutableFuncName,
-		SloppyStrictAssign: cfg.SloppyStrictAssign,
-		DisableShapes:      cfg.DisableShapes,
-		randSeed:           cfg.Seed + 1,
-		Now:                1_600_000_000_000,
-		fuel:               fuel,
-		fuelCap:            fuel,
-		watchdog:           cfg.Watchdog,
-		wdNext:             fuel - WatchdogStride,
+		GlobalEnv:     genv,
+		Protos:        protos,
+		Strict:        cfg.Strict,
+		Hook:          cfg.Hook,
+		DisableShapes: cfg.DisableShapes,
+		randSeed:      cfg.Seed + 1,
+		Now:           1_600_000_000_000,
+		fuel:          fuel,
+		fuelCap:       fuel,
+		watchdog:      cfg.Watchdog,
+		wdNext:        fuel - WatchdogStride,
 	}
 }
 
@@ -232,13 +217,6 @@ func (in *Interp) Rand() *rand.Rand {
 // FuelUsed reports consumed steps — the deterministic time axis used by the
 // differential tester's 2× timeout rule.
 func (in *Interp) FuelUsed() int64 { return in.fuelCap - in.fuel }
-
-// ConfigRead reports whether the run so far reached a site that consults
-// MutableFuncName or SloppyStrictAssign: a write to a function self-name
-// binding, or a strict-mode write to an undeclared identifier. A run that
-// never did would have taken the same steps under any setting of the two
-// flags.
-func (in *Interp) ConfigRead() bool { return in.configRead }
 
 // charge consumes n steps and reports a timeout abort when exhausted.
 // When a watchdog is armed it is probed here — the one site every
@@ -1019,16 +997,12 @@ func (in *Interp) lookupGlobalTail(name string) (Value, error) {
 func (in *Interp) assignBinding(b *binding, v Value, strict bool) error {
 	if !b.mutable {
 		if b.silent {
-			in.configRead = true
-			if !strict && !in.MutableFuncName {
-				return nil // sloppy-mode write to a function self-name
-			}
-			if in.MutableFuncName {
-				// Seeded defect (Montage Listing-13 case): the engine
-				// treats the function self-name binding as an ordinary
-				// variable.
+			if in.Hook != nil && in.allowWrite(HookSelfNameAssign, "", v) {
 				b.v = v
 				return nil
+			}
+			if !strict {
+				return nil // sloppy-mode write to a function self-name
 			}
 		}
 		return in.TypeErrorf("Assignment to constant variable.")
@@ -1062,11 +1036,8 @@ func (in *Interp) assignGlobalTail(name string, v Value, strict bool) error {
 	if in.Global.HasOwn(name) {
 		return in.SetProp(ObjValue(in.Global), name, v, strict)
 	}
-	if strict {
-		in.configRead = true
-		if !in.SloppyStrictAssign {
-			return in.ReferenceErrorf("%s is not defined", name)
-		}
+	if strict && (in.Hook == nil || !in.allowWrite(HookUndeclaredAssign, name, v)) {
+		return in.ReferenceErrorf("%s is not defined", name)
 	}
 	in.Global.SetSlot(name, v, DefaultAttr)
 	return nil

@@ -17,6 +17,9 @@ import (
 var conformanceCases = []struct {
 	name string
 	src  string
+	// strict runs the program on a strict testbed (interp.Config.Strict
+	// and parser.Options.Strict), as cmd/jsrun -strict does.
+	strict bool
 	// want is the printed output; throws names the uncaught error's
 	// constructor when the program must not complete.
 	want, throws string
@@ -69,6 +72,21 @@ print(s.x, s.y, Object.isSealed(s), Object.isFrozen(s), Object.isExtensible(s));
 		src: `var a = Object.freeze(Object.seal({q: 1})), b = Object.seal(Object.freeze({q: 1}));
 print(Object.isFrozen(a), Object.isSealed(a), Object.isFrozen(b), Object.isSealed(b));`,
 		want: "true true true true"},
+	{name: "non-extensible empty object is frozen",
+		src:  `var o = Object.preventExtensions({}); print(Object.isFrozen(o), Object.isSealed(o), o === Object.preventExtensions(o));`,
+		want: "true true true"},
+	{name: "non-extensible object with a configurable property",
+		src:  `var o = Object.preventExtensions({a: 1}); print(Object.isFrozen(o), Object.isSealed(o));`,
+		want: "false false"},
+	{name: "defineProperty'd non-configurable property",
+		src: `var o = {}; Object.defineProperty(o, "a", {value: 1, writable: true});
+var g = {}; Object.defineProperty(g, "b", {get: function () { return 2; }});
+Object.preventExtensions(o); Object.preventExtensions(g);
+print(Object.isSealed(o), Object.isFrozen(o), Object.isSealed(g), Object.isFrozen(g), o.a, g.b);`,
+		want: "true false true true 1 2"},
+	{name: "non-extensible array with an element",
+		src:  `var a = Object.preventExtensions([1]); print(Object.isFrozen(a), Object.isSealed(a), Object.isSealed(Object.preventExtensions([])));`,
+		want: "false false true"},
 	// GlobalDeclarationInstantiation (16.1.7) step 8.a.iv: NaN is a
 	// non-configurable, non-writable global, so CanDeclareGlobalFunction
 	// fails before any binding exists and the script throws a TypeError.
@@ -120,6 +138,20 @@ try { g()(); print("no throw"); } catch (e) { print(e.name); }`,
 	{name: "plain call of a built-in",
 		src:  `var ts = Object.prototype.toString; print(ts());`,
 		want: "[object Undefined]"},
+	// ScriptEvaluation (16.1.6) evaluates a script in the global
+	// environment, whose this binding is the global object in both modes
+	// (GetThisEnvironment, 9.4.3); an arrow function takes it lexically.
+	{name: "top-level this",
+		src:  `print(this === globalThis, typeof this);`,
+		want: "true object"},
+	{name: "top-level this in strict code",
+		src:    `print(this === globalThis, (() => this)() === globalThis);`,
+		strict: true,
+		want:   "true true"},
+	{name: "strict function this in strict code",
+		src:    `function f() { return this; } print(f() === undefined, (() => typeof this)());`,
+		strict: true,
+		want:   "true object"},
 }
 
 // TestReferenceConformance runs conformanceCases on the compiled path and
@@ -129,12 +161,12 @@ func TestReferenceConformance(t *testing.T) {
 	for _, evaluator := range []string{"compiled", "tree walker"} {
 		for _, l := range layouts {
 			for _, c := range conformanceCases {
-				prog, err := parser.Parse(c.src)
+				prog, err := parser.ParseWith(c.src, parser.Options{Strict: c.strict})
 				if err != nil {
 					t.Fatalf("%s: %v", c.name, err)
 				}
 				resolve.Program(prog)
-				in := NewRuntime(interp.Config{Fuel: 1_000_000, DisableShapes: l.dict})
+				in := NewRuntime(interp.Config{Fuel: 1_000_000, Strict: c.strict, DisableShapes: l.dict})
 				if evaluator == "compiled" {
 					compile.Program(prog)
 					err = compile.Of(prog).Run(in)

@@ -106,7 +106,7 @@ func installObject(r *registry) {
 		if !v.IsObject() {
 			return interp.Bool(true), nil
 		}
-		return interp.Bool(v.Obj().Integrity() == interp.Frozen), nil
+		return interp.Bool(v.Obj().TestIntegrityLevel(interp.Frozen)), nil
 	})
 
 	r.method(ctor, "Object.seal", 1, func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
@@ -123,7 +123,7 @@ func installObject(r *registry) {
 		if !v.IsObject() {
 			return interp.Bool(true), nil
 		}
-		return interp.Bool(v.Obj().Integrity() >= interp.Sealed), nil
+		return interp.Bool(v.Obj().TestIntegrityLevel(interp.Sealed)), nil
 	})
 
 	r.method(ctor, "Object.preventExtensions", 1, func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {

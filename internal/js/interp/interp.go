@@ -388,12 +388,11 @@ func (in *Interp) MakeFunction(lit *ast.FuncLit, env *Env) *Object {
 	return fn
 }
 
+// currentThis is the innermost call's this; outside any call it is the
+// script's this, the global object in both modes.
 func (in *Interp) currentThis() Value {
 	if n := len(in.thisStack); n > 0 {
 		return in.thisStack[n-1]
-	}
-	if in.Strict {
-		return Undefined()
 	}
 	return ObjValue(in.Global)
 }

@@ -58,3 +58,19 @@ func TestValueRoundTrip(t *testing.T) {
 		t.Error("equal strings with distinct backing arrays compare unequal")
 	}
 }
+
+// TestIntegrityLevelKeepsShapeLayout: Object.isSealed and Object.isFrozen
+// read a non-extensible object's attributes without moving it to
+// dictionary layout.
+func TestIntegrityLevelKeepsShapeLayout(t *testing.T) {
+	in := New(Config{})
+	o := in.NewObject(nil)
+	o.SetSlot("a", Number(1), Writable)
+	o.Extensible = false
+	if !o.TestIntegrityLevel(Sealed) || o.TestIntegrityLevel(Frozen) {
+		t.Errorf("sealed %v, frozen %v; want true, false", o.TestIntegrityLevel(Sealed), o.TestIntegrityLevel(Frozen))
+	}
+	if o.shape == nil {
+		t.Error("the integrity test moved the object to dictionary layout")
+	}
+}

@@ -672,6 +672,30 @@ func (o *Object) SetIntegrityLevel(level IntegrityLevel) {
 	o.integrity = max(o.integrity, level)
 }
 
+// TestIntegrityLevel is ECMA-262's TestIntegrityLevel: o is at level
+// when it is non-extensible and no own property is configurable (nor, for
+// Frozen, a writable data property). A level SetIntegrityLevel recorded
+// answers at once; otherwise the own properties are read through getOwn,
+// which leaves o in its layout.
+func (o *Object) TestIntegrityLevel(level IntegrityLevel) bool {
+	if o.integrity >= level {
+		return true
+	}
+	if o.Extensible {
+		return false
+	}
+	for _, k := range o.OwnKeys() {
+		p, ok := o.getOwn(k)
+		if !ok {
+			continue
+		}
+		if p.Attr&Configurable != 0 || level == Frozen && !p.Accessor && p.Attr&Writable != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // noteKey records an own-property write of an array-index key.
 func (o *Object) noteKey(key string) {
 	if !o.indexProps && isIndexKey(key) {

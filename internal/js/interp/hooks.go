@@ -47,13 +47,12 @@ type HookCtx struct {
 	Site HookSite
 	In   *Interp
 
-	// HookBuiltin and HookRegexExec; Name is also the identifier written
-	// at HookUndeclaredAssign.
+	// HookBuiltin and HookRegexExec.
 	Name string // canonical builtin key, e.g. "String.prototype.substr"
 	This Value
 	Args []Value
 
-	// HookPropSet; Val also for the two identifier-write sites.
+	// HookPropSet.
 	Obj *Object
 	Key Value
 	Val Value
@@ -137,9 +136,9 @@ func (in *Interp) releaseHookCtx(ctx *HookCtx) {
 
 // allowWrite asks the hook whether a write the reference refuses at site
 // goes through; callers check in.Hook first.
-func (in *Interp) allowWrite(site HookSite, name string, v Value) bool {
+func (in *Interp) allowWrite(site HookSite) bool {
 	ctx := in.hookCtx()
-	*ctx = HookCtx{Site: site, In: in, Name: name, Val: v}
+	*ctx = HookCtx{Site: site, In: in}
 	ov := in.Hook(ctx)
 	in.releaseHookCtx(ctx)
 	return ov != nil

@@ -996,7 +996,7 @@ func (in *Interp) lookupGlobalTail(name string) (Value, error) {
 func (in *Interp) assignBinding(b *binding, v Value, strict bool) error {
 	if !b.mutable {
 		if b.silent {
-			if in.Hook != nil && in.allowWrite(HookSelfNameAssign, "", v) {
+			if in.Hook != nil && in.allowWrite(HookSelfNameAssign) {
 				b.v = v
 				return nil
 			}
@@ -1035,7 +1035,7 @@ func (in *Interp) assignGlobalTail(name string, v Value, strict bool) error {
 	if in.Global.HasOwn(name) {
 		return in.SetProp(ObjValue(in.Global), name, v, strict)
 	}
-	if strict && (in.Hook == nil || !in.allowWrite(HookUndeclaredAssign, name, v)) {
+	if strict && (in.Hook == nil || !in.allowWrite(HookUndeclaredAssign)) {
 		return in.ReferenceErrorf("%s is not defined", name)
 	}
 	in.Global.SetSlot(name, v, DefaultAttr)

@@ -427,10 +427,10 @@ func TestTablesRender(t *testing.T) {
 }
 
 // TestWorkPerCase pins the scheduler's work per case on the 1000-case
-// seed-1 COMFORT campaign over all testbeds: one base parse and one probe
-// per mode stand in for most of the 104 testbeds, so a case costs at most
-// 4 physical runs (probes plus re-run classes, early-error skips
-// included) and at most 2.2 parse-cache misses.
+// seed-1 COMFORT campaign over all testbeds: one base parse for both modes
+// and one probe per mode stand in for most of the 104 testbeds, so a case
+// costs at most 4 physical runs (probes plus re-run classes, early-error
+// skips included) and at most 1.1 parse-cache misses.
 func TestWorkPerCase(t *testing.T) {
 	const cases = 1000
 	res := Run(Config{
@@ -446,8 +446,8 @@ func TestWorkPerCase(t *testing.T) {
 	if perCase := float64(runs) / cases; perCase > 4 {
 		t.Errorf("%.2f physical runs per case, want <= 4", perCase)
 	}
-	if perCase := float64(res.CacheMisses) / cases; perCase > 2.2 {
-		t.Errorf("%.2f parse-cache misses per case, want <= 2.2", perCase)
+	if perCase := float64(res.CacheMisses) / cases; perCase > 1.1 {
+		t.Errorf("%.2f parse-cache misses per case, want <= 1.1", perCase)
 	}
 	t.Logf("per case: %.2f physical runs, %.2f parse-cache misses",
 		float64(runs)/cases, float64(res.CacheMisses)/cases)

@@ -812,7 +812,8 @@ func fakeUnanchored(ctx *interp.HookCtx, stripPrefix string) *interp.Override {
 
 // hermesReverseFillHook implements the Listing-2 allocation defect: every
 // element write left of the lowest index written so far costs work
-// proportional to the relocation distance.
+// proportional to the relocation distance. The array's grow mark holds
+// that lowest index plus one (zero: none yet), so scripts never see it.
 func hermesReverseFillHook() interp.Hook {
 	return func(ctx *interp.HookCtx) *interp.Override {
 		if ctx.Site != interp.HookArrayGrow {
@@ -823,10 +824,9 @@ func hermesReverseFillHook() interp.Hook {
 		if length < 1024 {
 			return nil
 		}
-		minKey := "__hermes_min_written__"
 		min := length
-		if p, ok := o.GetOwnProperty(minKey); ok {
-			min = int64(p.Value.Num())
+		if m := o.GrowMark(); m != 0 {
+			min = int64(m) - 1
 		}
 		idx := int64(ctx.Index)
 		if idx >= min {
@@ -835,7 +835,7 @@ func hermesReverseFillHook() interp.Hook {
 		if ctx.Probe {
 			return probeMatch
 		}
-		o.SetSlot(minKey, interp.Number(float64(idx)), 0)
+		o.SetGrowMark(ctx.Index + 1)
 		return &interp.Override{CostExtra: (min - idx) + (length-idx)/64}
 	}
 }

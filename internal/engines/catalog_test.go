@@ -390,6 +390,25 @@ func TestActiveDefectDistribution(t *testing.T) {
 	}
 }
 
+// TestHermesGrowMarkIsNotAProperty: he-001, a performance defect, keeps
+// its low-water mark off the array's property table, so a script that
+// lists the array's properties prints what the reference prints, while
+// the reverse fill still costs the defect's extra fuel.
+func TestHermesGrowMarkIsNotAProperty(t *testing.T) {
+	src := `var a = new Array(2000);
+for (var i = 1999; i >= 1990; i--) a[i] = i;
+print(Object.getOwnPropertyNames(a).indexOf("__hermes_min_written__"));`
+	opts := RunOptions{Fuel: 1 << 20}
+	got := Testbed{Version: mustVersion(t, "Hermes", "v0.1.1")}.Prepare().Run(src, opts)
+	ref := Reference(src, false, opts)
+	if got.Output != "-1\n" || got.Key() != ref.Key() {
+		t.Errorf("Hermes v0.1.1: %q, reference %q; want both to print -1", got.Key(), ref.Key())
+	}
+	if got.FuelUsed <= ref.FuelUsed {
+		t.Errorf("Hermes v0.1.1 used %d fuel, reference %d: the reverse fill no longer costs extra", got.FuelUsed, ref.FuelUsed)
+	}
+}
+
 func mustVersion(t *testing.T, engine, version string) Version {
 	t.Helper()
 	v, ok := FindVersion(engine, version)

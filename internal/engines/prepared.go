@@ -127,22 +127,30 @@ func (p *PreparedTestbed) ActiveDefects() []*Defect { return p.defects }
 // ParseOptions returns the resolved parser options for this testbed.
 func (p *PreparedTestbed) ParseOptions() parser.Options { return p.parseOps }
 
-// ParseFingerprint keys parse-and-resolve caches: two testbeds with equal
-// fingerprints accept exactly the same programs with the same ASTs. The
-// fingerprint also covers every resolver-relevant input — the resolve pass
-// consumes nothing beyond the AST itself (scope layout is mode- and
-// defect-independent in this subset), so parse equivalence implies
-// compiled-program equivalence; parser/options_test.go pins the property.
+// ParseFingerprint is the fingerprint of ParseOptions, mode included: two
+// testbeds with equal fingerprints accept exactly the same programs with
+// the same ASTs. The resolve pass consumes nothing beyond the AST itself
+// (scope layout is mode- and defect-independent in this subset), so parse
+// equivalence implies compiled-program equivalence;
+// parser/options_test.go pins the packing. The scheduler's cache keys on
+// ModesFingerprint instead, which drops the mode.
 func (p *PreparedTestbed) ParseFingerprint() uint64 { return p.parseOps.Fingerprint() }
 
+// ModesFingerprint keys caches of ParseModes results: testbeds of either
+// mode whose lenient parser options coincide share one entry, so a
+// distinct program runs through the front end once for both modes.
+func (p *PreparedTestbed) ModesFingerprint() uint64 {
+	return lenientOptions(p.parseOps).Fingerprint()
+}
+
 // TakesBaseParse reports whether the mode's base parse of a source — the
-// parse under parser.Options{Strict}, which ended in baseErr — is also
-// p's parse of it. It is when p's options are the base ones, and, for any
-// lenient option set, unless the base parse failed at a site a lenient
-// option decides: every lenient branch of the parser sits on a path that
-// fails under the base options, and a failure ends the parse, so a base
-// parse that never failed there takes the same path, node IDs and error
-// included, under every lenient option set of its mode
+// mode's result of the parse under the base options, which ended in
+// baseErr — is also p's parse of it. It is when p's options are the base
+// ones, and, for any lenient option set, unless the base parse failed at a
+// site a lenient option decides: every lenient branch of the parser sits
+// on a path that fails under the base options, and a failure ends the
+// parse, so a base parse that never failed there takes the same path,
+// node IDs and error included, under every lenient option set of its mode
 // (parser.LenientMayAccept; parser's TestLenientOptionsOnlyAccept pins
 // this).
 func (p *PreparedTestbed) TakesBaseParse(baseErr error) bool {
@@ -150,7 +158,15 @@ func (p *PreparedTestbed) TakesBaseParse(baseErr error) bool {
 }
 
 // baseOptions returns the mode's base parser options: no lenient flags.
+// Both modes' base parses are one ParseModes parse, under
+// lenientOptions(baseOptions(strict)).
 func baseOptions(strict bool) parser.Options { return parser.Options{Strict: strict} }
+
+// lenientOptions drops the mode from opts: the options ParseModes keys on.
+func lenientOptions(opts parser.Options) parser.Options {
+	opts.Strict = false
+	return opts
+}
 
 // PreParseError runs the testbed's pre-parse defect interceptors (parser
 // defects that reject valid programs before the shared parser sees them).
@@ -164,32 +180,39 @@ func (p *PreparedTestbed) PreParseError(src string) string {
 	return ""
 }
 
-// Parse compiles src under the testbed's resolved parser options: a parse,
-// the resolve-once scope pass, then the compile-once thunk pass, so every
-// execution of the returned program — the scheduler shares it across
-// behaviour classes, and reduction predicates across their two testbeds —
-// dispatches through closure thunks instead of re-walking the AST. The
-// compiled form is sound under the same fingerprint key as the scope
-// annotations: the compiler consumes nothing beyond the resolved AST
-// (hooks, mode and fuel stay per-execution inputs of the shared runtime
-// helpers the thunks call), so parse equivalence implies thunk
-// equivalence.
+// Parse compiles src under the testbed's resolved parser options: its
+// mode's result of ParseModes.
 func (p *PreparedTestbed) Parse(src string) (*ast.Program, error) {
+	return p.ParseModes(src).Mode(p.Testbed.Strict)
+}
+
+// ParseModes compiles src for both modes under the testbed's lenient
+// parser options: one parse, the resolve-once scope pass, then the
+// compile-once thunk pass, so every execution of the program — the
+// scheduler shares it across behaviour classes and modes, and reduction
+// predicates across their two testbeds — dispatches through closure thunks
+// instead of re-walking the AST. The compiled form is sound for both
+// modes: the resolver and the compiler consume nothing beyond the AST, and
+// hooks, mode and fuel stay per-execution inputs of the shared runtime
+// helpers the thunks call. The tree's Strict flags carry only directive
+// strictness (parser.Modes).
+func (p *PreparedTestbed) ParseModes(src string) parser.Modes {
 	return parseProgram(src, p.parseOps)
 }
 
 // parseProgram is the one parse pipeline every executor in this package
-// shares: parse, then the resolve-once, compile-once and analyze-once
-// passes. Each pass annotates the program before it is shared across
-// goroutines; execution only reads the annotations.
-func parseProgram(src string, opts parser.Options) (*ast.Program, error) {
-	prog, err := parser.ParseWith(src, opts)
-	if err == nil {
-		resolve.Program(prog)
-		compile.Program(prog)
-		analyze.Program(prog)
+// shares: one parse for both modes under opts' lenient options, then the
+// resolve-once, compile-once and analyze-once passes. Each pass annotates
+// the program before it is shared across goroutines; execution only reads
+// the annotations.
+func parseProgram(src string, opts parser.Options) parser.Modes {
+	m := parser.ParseModes(src, opts)
+	if m.Prog != nil {
+		resolve.Program(m.Prog)
+		compile.Program(m.Prog)
+		analyze.Program(m.Prog)
 	}
-	return prog, err
+	return m
 }
 
 // PreParseResult renders a PreParseError message as its ExecResult.
@@ -297,12 +320,12 @@ func classifyRunError(res *ExecResult, runErr error) {
 
 // Diverges builds a reduction predicate over two prepared testbeds: it
 // reports whether src behaves differently on a and b under opts. When the
-// testbeds run the same parse (their parser options coincide, or both
-// take the mode's base parse; see TakesBaseParse) each candidate is
-// parsed once and the program shared between both executions, so a
-// reducer evaluating hundreds of candidates pays one parse, not two, per
-// candidate. The predicate is safe for concurrent calls, as
-// reduce.Parallel requires.
+// testbeds run the same parse (their lenient parser options coincide, in
+// either mode, or both take the base parse; see TakesBaseParse) each
+// candidate is parsed once and the program shared between both
+// executions, so a reducer evaluating hundreds of candidates pays one
+// parse, not two, per candidate. The predicate is safe for concurrent
+// calls, as reduce.Parallel requires.
 func Diverges(a, b *PreparedTestbed, opts RunOptions) func(src string) bool {
 	return func(src string) bool {
 		sh := sharedParse{src: src}
@@ -310,43 +333,44 @@ func Diverges(a, b *PreparedTestbed, opts RunOptions) func(src string) bool {
 	}
 }
 
-// sharedParse compiles one source at most once per parser-option
-// fingerprint, and under a lenient fingerprint only for an executor that
-// does not take the mode's base parse (TakesBaseParse), so executors that
-// run the same parse share one compiled program. It is not safe for
-// concurrent use.
+// sharedParse compiles one source at most once per lenient parser-option
+// fingerprint, for both modes, and under lenient options only for an
+// executor that does not take the mode's base parse (TakesBaseParse), so
+// executors that run the same parse share one compiled program. It is not
+// safe for concurrent use.
 type sharedParse struct {
 	src  string
 	done []parsedProgram
 }
 
 type parsedProgram struct {
-	fp   uint64
-	prog *ast.Program
-	err  error
+	fp    uint64
+	modes parser.Modes
 }
 
 // parse returns src compiled for p: the mode's base parse when p takes
 // it, else the parse under p's own options.
 func (sh *sharedParse) parse(p *PreparedTestbed) (*ast.Program, error) {
-	prog, err := sh.parseWith(baseOptions(p.Testbed.Strict))
+	strict := p.Testbed.Strict
+	prog, err := sh.parseWith(baseOptions(strict)).Mode(strict)
 	if p.TakesBaseParse(err) {
 		return prog, err
 	}
-	return sh.parseWith(p.parseOps)
+	return sh.parseWith(p.parseOps).Mode(strict)
 }
 
-// parseWith returns src compiled under opts.
-func (sh *sharedParse) parseWith(opts parser.Options) (*ast.Program, error) {
-	fp := opts.Fingerprint()
+// parseWith returns src compiled for both modes under opts' lenient
+// options.
+func (sh *sharedParse) parseWith(opts parser.Options) parser.Modes {
+	fp := lenientOptions(opts).Fingerprint()
 	for _, c := range sh.done {
 		if c.fp == fp {
-			return c.prog, c.err
+			return c.modes
 		}
 	}
-	prog, err := parseProgram(sh.src, opts)
-	sh.done = append(sh.done, parsedProgram{fp, prog, err})
-	return prog, err
+	m := parseProgram(sh.src, opts)
+	sh.done = append(sh.done, parsedProgram{fp, m})
+	return m
 }
 
 // run is p.Run over the shared parse.

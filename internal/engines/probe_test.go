@@ -60,7 +60,7 @@ func TestProbeIsPure(t *testing.T) {
 		quiet.Hook = func(*interp.HookCtx) *interp.Override { return nil }
 		fired := 0
 		for i, src := range srcs {
-			prog, err := parseProgram(src, parser.Options{Strict: strict})
+			prog, err := parseProgram(src, parser.Options{}).Mode(strict)
 			got, f := pr.ExecParsed(prog, err, probeOpts)
 			want, static := staticResult(prog, err)
 			if !static {
@@ -120,7 +120,7 @@ func isolatedRun(d *Defect, strict bool, src string, opts RunOptions) ExecResult
 			}
 		}
 	}
-	prog, err := parseProgram(src, po)
+	prog, err := parseProgram(src, po).Mode(strict)
 	if res, static := staticResult(prog, err); static {
 		return res
 	}

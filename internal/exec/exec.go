@@ -1,10 +1,10 @@
 // Package exec is the execution scheduler for differential-testing
 // campaigns. It schedules the (case × testbed) grid over a bounded worker
-// pool — one task per (case, mode), where one parse under the mode's base
-// parser options and one probe run stand in for every behaviour class
-// whose defect hooks never matched and whose config deltas were never
-// consulted — shares parses through a campaign-wide parse-once cache
-// (keyed by source + parser-option fingerprint), honours context
+// pool — one task per (case, mode), where one probe run over the mode's
+// base parse stands in for every behaviour class whose defect hooks never
+// matched — runs the front end (parse, resolve, compile, analyze) once per
+// distinct program for both modes through a campaign-wide cache (keyed by
+// source + lenient parser-option fingerprint), honours context
 // cancellation, and streams classified case results to the consumer in
 // case order — so a campaign can account findings as they arrive instead
 // of materialising every case and every result in memory first. Execute
@@ -23,6 +23,7 @@ import (
 	"comfort/internal/faultinject"
 	"comfort/internal/js/analyze"
 	"comfort/internal/js/ast"
+	"comfort/internal/js/parser"
 )
 
 // Case is one fuzzer-generated test program, tagged with its position in
@@ -130,8 +131,9 @@ type Scheduler struct {
 }
 
 // probeGroup is the set of behaviour classes of one mode. A multi-class
-// group parses each case once under the mode's base parser options, runs
-// one probe over that program and fans its result out to every class
+// group takes its mode's result of the case's base parse (one parse under
+// the base parser options serves both modes), runs one probe over that
+// program and fans its result out to every class
 // that takes the base parse and that the probe never consulted (see
 // runGroup); only the others run physically. A one-class group has no
 // probe: its class always runs physically.
@@ -210,7 +212,9 @@ func (s *Scheduler) Classes() int { return len(s.classes) }
 // campaign.State all embed one Stats.
 type Stats struct {
 	// CacheHits/CacheMisses/CacheEvictions are the compiled-program
-	// (parse-and-resolve-once) cache counters.
+	// cache counters. A miss is one front-end pass: one distinct (source,
+	// lenient parser options) pair, which serves both modes; every other
+	// lookup, one that waited for an in-flight pass included, is a hit.
 	CacheHits      int64 `json:"cache_hits"`
 	CacheMisses    int64 `json:"cache_misses"`
 	CacheEvictions int64 `json:"cache_evictions"`
@@ -468,8 +472,8 @@ func (s *Scheduler) releaseSlot() {
 }
 
 // runGroup executes one (case, probe group) task and records a result
-// for every class in the group. It parses the case once under the mode's
-// base options, applies each class's pre-parse gate and, if any class
+// for every class in the group. It takes the mode's base parse of the
+// case from the cache, applies each class's pre-parse gate and, if any class
 // takes the base parse and the group has a probe, runs the probe on it
 // once. A class takes the probe's result when it takes the base parse
 // (PreparedTestbed.TakesBaseParse) and the probe consulted none of its
@@ -608,6 +612,9 @@ func (s *Scheduler) analysisFor(src string) *analyze.Report {
 	if err != nil {
 		return nil
 	}
+	if rep.Testbed.Strict {
+		return analyze.Of(prog).InStrictMode()
+	}
 	return analyze.Of(prog)
 }
 
@@ -647,23 +654,35 @@ func FromSlice(ctx context.Context, srcs []string) <-chan Case {
 	return ch
 }
 
-// ---------- compiled-program (parse-and-resolve-once) cache ----------
+// ---------- compiled-program (front-end-once) cache ----------
 
 type parseKey struct {
 	fp  uint64
 	src string
 }
 
-type parsedResult struct {
-	prog *ast.Program
-	err  error
+// parseEntry is one cache entry: a source's front-end result for both
+// modes. ready is released once modes is set, or once the entry is
+// dropped because its front-end pass panicked.
+type parseEntry struct {
+	ready sync.WaitGroup
+	modes parser.Modes
+	ok    bool
 }
 
-// parseCache shares compiled programs — parsed and scope-resolved ASTs —
-// between the testbeds (and cases) whose resolved parser options coincide.
-// Sharing the *ast.Program across concurrent interpreter runs is safe
-// because execution never mutates the tree; the resolve pass runs exactly
-// once, before the program is published.
+// parseCache shares compiled programs — parsed, scope-resolved,
+// thunk-compiled and analyzed ASTs — between the testbeds, modes and cases
+// whose lenient parser options coincide (the key is the source and
+// PreparedTestbed.ModesFingerprint): one front-end pass per distinct
+// program serves both modes (engines.PreparedTestbed.ParseModes). Sharing
+// the *ast.Program across concurrent interpreter runs is safe because
+// execution never mutates the tree; every pass runs exactly once, before
+// the program is published.
+//
+// A miss publishes an in-flight entry before its pass runs, and a lookup
+// that finds it waits for that pass instead of repeating it: a case's two
+// mode tasks are queued back to back and ask for one key at once. Hits on
+// a finished entry take only the read lock.
 //
 // Eviction is generational: entries are inserted into a young generation,
 // and when it reaches half the cap the old generation's entries
@@ -675,12 +694,14 @@ type parsedResult struct {
 // once.
 type parseCache struct {
 	mu        sync.RWMutex
-	young     map[parseKey]parsedResult
-	old       map[parseKey]parsedResult
+	young     map[parseKey]*parseEntry
+	old       map[parseKey]*parseEntry
 	genCap    int
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
+	// front is the front-end pass a miss runs; tests substitute their own.
+	front func(p *engines.PreparedTestbed, src string) parser.Modes
 }
 
 // defaultParseCacheCap bounds the scheduler's compiled-program cache
@@ -693,68 +714,101 @@ func newParseCache(cap int) *parseCache {
 		genCap = 1
 	}
 	return &parseCache{
-		young:  make(map[parseKey]parsedResult),
-		old:    make(map[parseKey]parsedResult),
+		young:  make(map[parseKey]*parseEntry),
+		old:    make(map[parseKey]*parseEntry),
 		genCap: genCap,
+		front:  (*engines.PreparedTestbed).ParseModes,
 	}
 }
 
+// parse returns src compiled for p's mode under p's parser options.
 func (pc *parseCache) parse(p *engines.PreparedTestbed, src string) (*ast.Program, error) {
-	key := parseKey{fp: p.ParseFingerprint(), src: src}
-	pc.mu.RLock()
-	r, inYoung := pc.young[key]
-	ok := inYoung
-	if !ok {
-		r, ok = pc.old[key]
-	}
-	pc.mu.RUnlock()
-	if ok {
-		pc.hits.Add(1)
-		if !inYoung {
+	key := parseKey{fp: p.ModesFingerprint(), src: src}
+	for {
+		pc.mu.RLock()
+		e, inYoung := pc.lookupLocked(key)
+		pc.mu.RUnlock()
+		switch {
+		case e == nil:
+			e = pc.miss(p, key)
+		case inYoung:
+			pc.hits.Add(1)
+		default:
 			// Old-generation hit: promote so the entry survives the next
 			// rotation, and remove the aged copy so it is not counted as
 			// an eviction later. The write lock is brief and only taken
 			// while the working set re-warms after a rotation.
+			pc.hits.Add(1)
 			pc.mu.Lock()
-			if _, dup := pc.young[key]; !dup {
+			if pc.old[key] == e {
 				delete(pc.old, key)
-				pc.insertLocked(key, r)
+				pc.insertLocked(key, e)
 			}
 			pc.mu.Unlock()
 		}
-		return r.prog, r.err
+		e.ready.Wait()
+		if e.ok {
+			return e.modes.Mode(p.Testbed.Strict)
+		}
+		// The pass that owned e panicked and dropped it: try again.
 	}
-	// The full pipeline: parse, resolve, thunk-compile, analyze. The cache
-	// entry stores the thunks and the report next to the scope
-	// annotations under the same parser-option fingerprint key.
-	r.prog, r.err = p.Parse(src)
+}
+
+// miss returns the entry for key, publishing an in-flight one and running
+// the front end for it unless another caller published one first. Only a
+// pass this call runs counts as a miss; finding an entry counts as a hit.
+func (pc *parseCache) miss(p *engines.PreparedTestbed, key parseKey) *parseEntry {
 	pc.mu.Lock()
-	// A concurrent miss on the same key may have published first: every
-	// caller must hold the one published program, and only the published
-	// parse counts as a miss.
-	won, published := pc.young[key]
-	if !published {
-		won, published = pc.old[key]
-	}
-	if !published {
-		pc.insertLocked(key, r)
-	}
-	pc.mu.Unlock()
-	if published {
+	if e, _ := pc.lookupLocked(key); e != nil {
+		pc.mu.Unlock()
 		pc.hits.Add(1)
-		return won.prog, won.err
+		return e
 	}
+	e := &parseEntry{}
+	e.ready.Add(1)
+	pc.insertLocked(key, e)
+	pc.mu.Unlock()
 	pc.misses.Add(1)
-	return r.prog, r.err
+	defer func() {
+		if !e.ok {
+			pc.drop(key, e)
+		}
+		e.ready.Done()
+	}()
+	e.modes = pc.front(p, key.src)
+	e.ok = true
+	return e
+}
+
+// lookupLocked returns key's entry, if any, and whether it is in the
+// young generation. Callers hold mu.
+func (pc *parseCache) lookupLocked(key parseKey) (*parseEntry, bool) {
+	if e := pc.young[key]; e != nil {
+		return e, true
+	}
+	return pc.old[key], false
+}
+
+// drop removes e, whose pass did not finish, so that a later lookup runs
+// the pass again.
+func (pc *parseCache) drop(key parseKey, e *parseEntry) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if pc.young[key] == e {
+		delete(pc.young, key)
+	}
+	if pc.old[key] == e {
+		delete(pc.old, key)
+	}
 }
 
 // insertLocked adds an entry to the young generation, rotating the
 // generations when young is full. Callers hold mu.
-func (pc *parseCache) insertLocked(key parseKey, r parsedResult) {
+func (pc *parseCache) insertLocked(key parseKey, e *parseEntry) {
 	if len(pc.young) >= pc.genCap {
 		pc.evictions.Add(int64(len(pc.old)))
 		pc.old = pc.young
-		pc.young = make(map[parseKey]parsedResult, pc.genCap)
+		pc.young = make(map[parseKey]*parseEntry, pc.genCap)
 	}
-	pc.young[key] = r
+	pc.young[key] = e
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"comfort/internal/engines"
+	"comfort/internal/js/analyze"
 )
 
 func schedCfg(workers int) Config {
@@ -128,9 +129,9 @@ func TestBehaviorClassesCollapse(t *testing.T) {
 }
 
 // TestParseCacheShares checks the parse-once property: for n cases over the
-// full testbed set, parses stay within 3 × n — one base parse per mode,
-// plus the lenient parses of programs the base options reject — instead
-// of (distinct fingerprints × n) or (testbeds × n).
+// full testbed set, front-end passes stay within 2 × n — one base parse
+// for both modes, plus the lenient parses of programs the base options
+// reject — instead of (distinct fingerprints × n) or (testbeds × n).
 func TestParseCacheShares(t *testing.T) {
 	s := New(schedCfg(4))
 	collect(t, s, testSrcs)
@@ -139,11 +140,25 @@ func TestParseCacheShares(t *testing.T) {
 	if hits == 0 {
 		t.Error("parse cache recorded no hits on a full-testbed run")
 	}
-	maxMisses := int64(len(testSrcs) * 3)
+	maxMisses := int64(len(testSrcs) * 2)
 	if misses > maxMisses {
 		t.Errorf("parse cache misses = %d, want <= %d", misses, maxMisses)
 	}
 	t.Logf("parse cache: %d hits, %d misses", hits, misses)
+}
+
+// TestStrictModeAnalysis: a case's report comes from its first testbed's
+// mode, and in strict mode all of the program is strict code, so a
+// program without a directive reports FeatStrict there, although the
+// cached tree both modes share carries only directive strictness.
+func TestStrictModeAnalysis(t *testing.T) {
+	for _, strict := range []bool{false, true} {
+		s := New(Config{Testbeds: []engines.Testbed{engines.ReferenceTestbed(strict), engines.ReferenceTestbed(!strict)}})
+		oc := s.Execute("function f() { return 1; } print(f());")
+		if got := oc.Analysis.Features&analyze.FeatStrict != 0; got != strict {
+			t.Errorf("first mode strict=%v: FeatStrict %v", strict, got)
+		}
+	}
 }
 
 // TestCancellationStopsWithoutDeadlock pins the shutdown contract: a

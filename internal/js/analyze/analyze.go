@@ -55,6 +55,18 @@ func (r *Report) FirstError() *EarlyError {
 // Invalid reports whether the program has any early error.
 func (r *Report) Invalid() bool { return r != nil && len(r.EarlyErrors) > 0 }
 
+// InStrictMode returns the report as a strict-mode run sees the program:
+// all of it is strict code, so FeatStrict is set. A program's tree, and so
+// its cached report, carries only the strictness of its directives.
+func (r *Report) InStrictMode() *Report {
+	if r == nil || r.Features&FeatStrict != 0 {
+		return r
+	}
+	cp := *r
+	cp.Features |= FeatStrict
+	return &cp
+}
+
 // Analyze computes a fresh report for prog without attaching it: the
 // feature and flag scan, plus the early errors and shadowing bit that
 // resolve.Program recorded. prog must have been resolved; Analyze panics

@@ -125,8 +125,11 @@ type Expr interface {
 // Program is the root node of a parsed source file.
 type Program struct {
 	base
-	Body   []Stmt
-	Strict bool // file-level "use strict" directive
+	Body []Stmt
+	// Strict: a file-level "use strict" directive, or parsing under
+	// parser.Options.Strict. Trees from parser.ParseModes, which both
+	// modes share, carry the directive alone.
+	Strict bool
 	// NodeCount is the total number of nodes allocated by the parser,
 	// used to size coverage bitmaps.
 	NodeCount int
@@ -451,7 +454,10 @@ type FuncLit struct {
 	// ExprBody is set for arrow functions with expression bodies:
 	// the body is `return ExprBody`.
 	ExprBody Expr
-	Strict   bool // function code is strict: a "use strict" directive or strict enclosing code
+	// Strict: the function code is strict by a "use strict" directive or
+	// strict enclosing code. In a parser.ParseModes tree, which both
+	// modes share, strict mode itself does not set it.
+	Strict bool
 	// Scope is the function frame's static layout (params, hoisted vars
 	// and declarations, arguments/self slots).
 	Scope *ScopeInfo

@@ -152,6 +152,22 @@ try { g()(); print("no throw"); } catch (e) { print(e.name); }`,
 		src:    `function f() { return this; } print(f() === undefined);`,
 		strict: true,
 		want:   "true"},
+	// String.prototype.replace (22.1.3.19) expands a string pattern's
+	// replacement with GetSubstitution (22.1.3.19.1) and no captures, as
+	// for a RegExp: $$ is one $, $` and $' the text before and after the
+	// match, and $n stays literal.
+	{name: "replace string pattern $$",
+		src:  `print("abc".replace("b", "$$"), "abc".replace(/b/, "$$"));`,
+		want: "a$c a$c"},
+	{name: "replace string pattern $& $` $'",
+		src:  "print(\"abc\".replace(\"b\", \"[$&|$`|$']\"));",
+		want: "a[b|a|c]c"},
+	{name: "replace string pattern $n without captures",
+		src:  `print("abc".replace("b", "$1$01"));`,
+		want: "a$1$01c"},
+	{name: "replace string pattern after a non-ASCII prefix",
+		src:  "print(\"\u00e9ab\".replace(\"a\", \"[$`]\"), \"\u00e9ab\".replace(\"a\", function (m, pos) { return pos; }));",
+		want: "\u00e9[\u00e9]b \u00e91b"},
 }
 
 // TestReferenceConformance runs conformanceCases on the compiled path and

@@ -731,8 +731,9 @@ func stringReplace(in *interp.Interp, s []rune, this interp.Value, args []interp
 	if idx < 0 {
 		return interp.String(input), nil
 	}
+	pos := utf8.RuneCountInString(input[:idx])
 	if isFunc {
-		rs, err := callRepl(patStr, nil, len([]rune(input[:idx])))
+		rs, err := callRepl(patStr, nil, pos)
 		if err != nil {
 			return interp.Undefined(), err
 		}
@@ -742,8 +743,9 @@ func stringReplace(in *interp.Interp, s []rune, this interp.Value, args []interp
 	if err != nil {
 		return interp.Undefined(), err
 	}
-	repl = strings.ReplaceAll(repl, "$&", patStr)
-	return interp.String(input[:idx] + repl + input[idx+len(patStr):]), nil
+	// GetSubstitution over a match with no captures, as for a RegExp.
+	m := &regex.Match{Groups: [][2]int{{pos, pos + utf8.RuneCountInString(patStr)}}, Input: s}
+	return interp.String(input[:idx] + regex.ExpandReplacement(repl, m) + input[idx+len(patStr):]), nil
 }
 
 func stringMatch(in *interp.Interp, s []rune, this interp.Value, args []interp.Value) (interp.Value, error) {

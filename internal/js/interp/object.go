@@ -192,6 +192,9 @@ type Object struct {
 	// Array internal slots: dense elements plus an explicit length to
 	// support sparse writes (which land in named properties).
 	arrayLen uint32
+	// growMark is the array's word of HookArrayGrow bookkeeping (see
+	// GrowMark); it fills the padding after arrayLen.
+	growMark uint32
 	elems    []Value
 
 	// dict is the dictionary-mode property storage, allocated when an
@@ -1057,6 +1060,14 @@ func (o *Object) ArrayLength() uint32 { return o.arrayLen }
 
 // SetArrayLength sets the length slot (used by builtins after sparse ops).
 func (o *Object) SetArrayLength(n uint32) { o.arrayLen = n }
+
+// GrowMark returns the word a HookArrayGrow hook keeps on the array, zero
+// until SetGrowMark stores one. It is engine state: no script can read or
+// write it.
+func (o *Object) GrowMark() uint32 { return o.growMark }
+
+// SetGrowMark stores the array's HookArrayGrow word.
+func (o *Object) SetGrowMark(m uint32) { o.growMark = m }
 
 // AppendElem pushes a dense element.
 func (o *Object) AppendElem(v Value) {

@@ -47,8 +47,8 @@ func lenientInputs() []string {
 	return srcs
 }
 
-// TestLenientOptionsOnlyAccept pins the fact the scheduler's one parse
-// per mode rests on (engines.PreparedTestbed.TakesBaseParse): lenient
+// TestLenientOptionsOnlyAccept pins the fact the scheduler's base parse
+// rests on (engines.PreparedTestbed.TakesBaseParse): lenient
 // parser options only accept more. A program that parses under a mode's
 // base options, Options{Strict}, parses to a deeply equal tree — node IDs
 // included — under every one of the 64 lenient option sets of that mode,

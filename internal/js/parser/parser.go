@@ -73,8 +73,8 @@ type SyntaxError struct {
 // ends the parse, so a parse under Options{Strict} that succeeded, or
 // failed with an error for which this is false, takes the same path —
 // same tree and node IDs, or the same error — under every lenient option
-// set of its mode. The scheduler parses a case once per mode on that
-// basis (TestLenientOptionsOnlyAccept pins it).
+// set of its mode. The scheduler parses a case once, for both modes, under
+// the base options on that basis (TestLenientOptionsOnlyAccept pins it).
 func LenientMayAccept(err error) bool {
 	se, ok := err.(*SyntaxError)
 	return ok && se.lenient
@@ -88,8 +88,53 @@ func (e *SyntaxError) Error() string {
 func Parse(src string) (*ast.Program, error) { return ParseWith(src, Options{}) }
 
 // ParseWith parses src under the supplied options.
-func ParseWith(src string, opts Options) (prog *ast.Program, err error) {
+func ParseWith(src string, opts Options) (*ast.Program, error) {
 	p := &parser{lex: lexer.New(src), opts: opts, strict: opts.Strict}
+	return p.parse()
+}
+
+// Modes is one parse's result for both modes: normal mode's tree and
+// error, and strict mode's error.
+//
+// Prog.Strict and FuncLit.Strict carry only the strictness the source's
+// "use strict" directives give; a strict-mode run makes all code strict
+// itself (interp.Config.Strict).
+type Modes struct {
+	Prog      *ast.Program
+	Err       error
+	StrictErr error
+}
+
+// Mode returns the parse as ParseWith would under the given mode, up to
+// the Strict flags: the same error, or a tree with the same nodes and
+// node IDs.
+func (m Modes) Mode(strict bool) (*ast.Program, error) {
+	if strict && m.StrictErr != nil {
+		return nil, m.StrictErr
+	}
+	return m.Prog, m.Err
+}
+
+// ParseModes parses src once for both modes under opts' lenient options
+// (opts.Strict is ignored). The parse is the normal-mode one; at each
+// strict-only early error it waives, it keeps the first such error. Strict
+// mode differs from normal mode only in those errors and in the Strict
+// flags, never in which tokens a construct consumes, so strict mode would
+// have failed at the first waived error and otherwise parses to the same
+// tree or fails with the same error (TestParseModesMatchesStrict pins it).
+func ParseModes(src string, opts Options) Modes {
+	opts.Strict = false
+	p := &parser{lex: lexer.New(src), opts: opts}
+	prog, err := p.parse()
+	m := Modes{Prog: prog, Err: err, StrictErr: err}
+	if p.waived != nil {
+		m.StrictErr = p.waived
+	}
+	return m
+}
+
+// parse runs the parser over its whole source.
+func (p *parser) parse() (prog *ast.Program, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if se, ok := r.(*SyntaxError); ok {
@@ -126,11 +171,13 @@ func ParseExprString(src string) (ast.Expr, error) {
 }
 
 type parser struct {
-	lex      *lexer.Lexer
-	cur      token.Token
-	peek     token.Token
-	opts     Options
-	strict   bool
+	lex    *lexer.Lexer
+	cur    token.Token
+	peek   token.Token
+	opts   Options
+	strict bool
+	// waived is the first strict-only early error sloppy code let pass.
+	waived   *SyntaxError
 	nextID   int
 	inFunc   int
 	inLoop   int
@@ -149,6 +196,20 @@ func (p *parser) fail(format string, args ...interface{}) {
 // failLenient is fail at a site a lenient option would have let pass.
 func (p *parser) failLenient(format string, args ...interface{}) {
 	panic(&SyntaxError{Pos: p.cur.Pos, Msg: fmt.Sprintf(format, args...), lenient: true})
+}
+
+// strictOnly reports a violation of an early error that only strict code
+// has. In strict code it fails, as failLenient when lenient is set, else
+// as fail; in sloppy code it keeps the first such error (see ParseModes).
+func (p *parser) strictOnly(strict, lenient bool, format string, args ...interface{}) {
+	if !strict && p.waived != nil {
+		return
+	}
+	err := &SyntaxError{Pos: p.cur.Pos, Msg: fmt.Sprintf(format, args...), lenient: lenient}
+	if strict {
+		panic(err)
+	}
+	p.waived = err
 }
 
 func (p *parser) expect(t token.Type) token.Token {
@@ -318,8 +379,8 @@ func (p *parser) parseBindingName() string {
 		p.fail("expected binding identifier, found %q", p.cur.String())
 	}
 	name := p.cur.Literal
-	if p.strict && (name == "eval" || name == "arguments") {
-		p.fail("unexpected eval or arguments in strict mode")
+	if name == "eval" || name == "arguments" {
+		p.strictOnly(p.strict, false, "unexpected eval or arguments in strict mode")
 	}
 	p.next()
 	return name
@@ -359,16 +420,26 @@ func (p *parser) parseFunction(declaration bool) *ast.FuncLit {
 	p.inFunc--
 	p.expect(token.RBRACE)
 	fn.Body = body
-	if (p.strict || fn.Strict) && !p.opts.AllowDuplicateParams {
-		seen := map[string]bool{}
-		for _, prm := range fn.Params {
-			if seen[prm] {
-				p.failLenient("duplicate parameter name %q not allowed in strict mode", prm)
-			}
-			seen[prm] = true
+	if !p.opts.AllowDuplicateParams {
+		if prm, dup := firstDuplicate(fn.Params); dup {
+			// A function with its own "use strict" rejects them in
+			// either mode.
+			p.strictOnly(p.strict || fn.Strict, true, "duplicate parameter name %q not allowed in strict mode", prm)
 		}
 	}
 	return fn
+}
+
+// firstDuplicate returns the first name that repeats an earlier one.
+func firstDuplicate(names []string) (string, bool) {
+	for i, name := range names {
+		for _, prev := range names[:i] {
+			if prev == name {
+				return name, true
+			}
+		}
+	}
+	return "", false
 }
 
 func (p *parser) parseParams(fn *ast.FuncLit) {
@@ -729,9 +800,9 @@ func (p *parser) parseAssign() ast.Expr {
 	if !isAssignTarget(left) {
 		p.fail("invalid assignment target")
 	}
-	if p.strict && !p.opts.AllowEvalArgumentsAssign {
+	if !p.opts.AllowEvalArgumentsAssign {
 		if id, ok := left.(*ast.Ident); ok && (id.Name == "eval" || id.Name == "arguments") {
-			p.failLenient("unexpected eval or arguments in strict mode")
+			p.strictOnly(p.strict, true, "unexpected eval or arguments in strict mode")
 		}
 	}
 	n := &ast.AssignExpr{Op: op, L: left}
@@ -930,9 +1001,9 @@ func (p *parser) parseUnary() ast.Expr {
 		pos := p.cur.Pos
 		p.next()
 		x := p.parseUnary()
-		if op == token.DELETE && p.strict && !p.opts.AllowSloppyDelete {
+		if op == token.DELETE && !p.opts.AllowSloppyDelete {
 			if _, isIdent := x.(*ast.Ident); isIdent {
-				p.failLenient("delete of an unqualified identifier in strict mode")
+				p.strictOnly(p.strict, true, "delete of an unqualified identifier in strict mode")
 			}
 		}
 		n := &ast.UnaryExpr{Op: op, X: x}
@@ -1162,9 +1233,9 @@ func (p *parser) parseNumber() ast.Expr {
 	if err != nil {
 		p.fail("invalid numeric literal %q", raw)
 	}
-	if p.strict && !p.opts.AllowLegacyOctal && len(raw) > 1 && raw[0] == '0' &&
+	if !p.opts.AllowLegacyOctal && len(raw) > 1 && raw[0] == '0' &&
 		raw[1] >= '0' && raw[1] <= '9' {
-		p.failLenient("octal literals are not allowed in strict mode")
+		p.strictOnly(p.strict, true, "octal literals are not allowed in strict mode")
 	}
 	n := &ast.NumberLit{Value: val, Raw: raw}
 	n.P = p.cur.Pos

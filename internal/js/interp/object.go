@@ -811,9 +811,10 @@ func (o *Object) SetSlot(key string, v Value, attr PropAttr) {
 		o.shapeAppend(key, v, attr)
 		return
 	}
-	if o.hasLazy() {
-		o.resolveLazy(key)
-	}
+	// A pending lazy entry reserved the key's position; its thunk may
+	// leave the key unset (a section another name or the prototype-miss
+	// hook already installed), so the write below must not append it.
+	reserved := o.hasLazy() && o.resolveLazy(key)
 	if p, ok := o.dictGet(key); ok {
 		p.Value = v
 		p.Attr = attr
@@ -823,7 +824,7 @@ func (o *Object) SetSlot(key string, v Value, attr PropAttr) {
 	d := o.dictionary()
 	d.set(key, &Property{Value: v, Attr: attr})
 	o.noteKey(key)
-	if o.lazyInstalling > 0 && o.keyReserved(key) {
+	if reserved || o.lazyInstalling > 0 && o.keyReserved(key) {
 		return // the key's position was reserved at lazy registration
 	}
 	d.keys = append(d.keys, key)
@@ -843,9 +844,7 @@ func (o *Object) keyReserved(key string) bool {
 // DefineOwn installs a property descriptor, honouring configurability.
 // It returns false when the existing property forbids the redefinition.
 func (o *Object) DefineOwn(key string, p *Property) bool {
-	if o.hasLazy() {
-		o.resolveLazy(key)
-	}
+	reserved := o.hasLazy() && o.resolveLazy(key) // see SetSlot
 	if o.IsArray() {
 		if idx, ok := arrayIndex(key); ok && !p.Accessor {
 			o.arraySet(idx, p.Value)
@@ -883,7 +882,7 @@ func (o *Object) DefineOwn(key string, p *Property) bool {
 		return false
 	}
 	d := o.dictionary()
-	if !ok && !(o.lazyInstalling > 0 && o.keyReserved(key)) {
+	if !ok && !reserved && !(o.lazyInstalling > 0 && o.keyReserved(key)) {
 		d.keys = append(d.keys, key)
 	}
 	d.set(key, p)

@@ -19,10 +19,11 @@ func installErrors(r *registry) {
 
 // installErrorsLazy defers the hierarchy per constructor: touching a
 // global error name, or throwing (through the interpreter's prototype-miss
-// hook), installs the shared Error base plus just that one kind. Most
-// generated programs raise a single error kind — usually TypeError — so
-// a throwing realm pays for two constructors instead of eight. The capture
-// pass installs the whole hierarchy at once.
+// hook), installs the shared Error base plus just that one kind, each a
+// lazy section (see materialize). Most generated programs raise a single
+// error kind — usually TypeError — so a throwing realm pays for two
+// constructors instead of eight. The capture pass installs the whole
+// hierarchy at once.
 func installErrorsLazy(r *registry) {
 	if r.capturing != nil {
 		installErrors(r)
@@ -42,17 +43,15 @@ func installErrorsLazy(r *registry) {
 // per realm (its presence in Protos is the flag) and then the requested
 // kind, if it is an error kind not installed yet.
 func forceError(in *interp.Interp, kind string) {
-	r := &registry{in: in}
-	base := in.Protos["Error"]
-	if base == nil {
-		base = installErrorBase(r)
+	if in.Protos["Error"] == nil {
+		materialize(in, sectionErrors)
 	}
 	if kind == "Error" || in.Protos[kind] != nil {
 		return
 	}
-	for _, k := range errorKinds[1:] {
+	for i, k := range errorKinds[1:] {
 		if k == kind {
-			installErrorKind(r, base, kind)
+			materialize(in, sectionErrors+1+i)
 			return
 		}
 	}
@@ -118,9 +117,12 @@ func installErrorKind(r *registry, base *interp.Object, kind string) {
 	makeErrorCtor(r, kind, proto)
 }
 
+// makeErrorCtor binds the kind's constructor. Its body reads the
+// prototype from the realm it runs in, never the installer's: a template
+// clone's constructor is the template's function object.
 func makeErrorCtor(r *registry, kind string, proto *interp.Object) {
 	body := func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		o := in.NewObject(proto)
+		o := in.NewObject(in.Protos[kind])
 		o.Class = "Error"
 		if msg := arg(args, 0); !msg.IsUndefined() {
 			s, err := in.ToString(msg)

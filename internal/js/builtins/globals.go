@@ -20,7 +20,7 @@ func installGlobals(r *registry) {
 
 	// print and console are one lazy section so console.log stays an alias
 	// of print however the pair is first reached.
-	lazySection(r, sectionPrint, []string{"print", "console"}, installPrint)
+	lazySection(r, sectionPrint, "print", "console")
 
 	r.globalFn("eval", 1, evalImpl)
 	r.globalFn("parseInt", 2, parseIntImpl)

@@ -44,36 +44,105 @@ func ResetRuntime(in *interp.Interp, cfg interp.Config) {
 // shape-layout realm after that is a copy of it — a new clone (NewRuntime)
 // or a used realm refilled in place (ResetRuntime, which the engines
 // package's realm pool calls once per physical testbed execution, the
-// campaign scheduler's single hottest path). Dictionary-layout realms
-// share only the frozen method tables. Nothing in the template may
-// capture its realm: lazy thunks and the prototype-miss hook receive the
-// realm they run in, and per-realm "already installed" state lives in
-// interp.Interp.Sections and the Protos table.
+// campaign scheduler's single hottest path). The template build then runs
+// each lazy section's installer once, on a scratch clone, and snapshots
+// what it built (interp.Template.AddSection); a shape-layout realm's
+// first touch of a section copies that snapshot in
+// (interp.Template.Materialize). Dictionary-layout realms share only the
+// frozen method tables and run every installer themselves. Nothing in the
+// template may capture its realm: lazy thunks, the prototype-miss hook
+// and constructor bodies receive the realm they run in, and per-realm
+// "already installed" state lives in interp.Interp.Sections and the
+// Protos table.
 var (
 	tableOnce sync.Once
 	// methodTables maps a method's canonical spec key to the frozen table
 	// of its receiver object.
 	methodTables map[string]*interp.NativeTable
 
-	// realmTemplate returns the pristine shape-layout realm, building it
-	// on first use.
-	realmTemplate = sync.OnceValue(func() *interp.Template {
-		return interp.NewTemplate(install(interp.Config{}), eagerCtors)
-	})
+	templateOnce sync.Once
+	template     *interp.Template
 )
+
+// realmTemplate returns the pristine shape-layout realm, building it on
+// first use.
+func realmTemplate() *interp.Template {
+	templateOnce.Do(func() { template = buildTemplate() })
+	return template
+}
 
 // eagerCtors names, in installation order, every Protos entry a pristine
 // realm holds (the lazy sections add theirs on first use).
 var eagerCtors = []string{"Object", "Function", "Array", "String", "Number", "Boolean", "RegExp"}
 
-// Lazy-section bits in interp.Interp.Sections.
+// The lazy sections, in snapshot order: a section's constant is its
+// interp.Template section ID, and 1 << ID its bit in
+// interp.Interp.Sections. sectionErrors+i is errorKinds[i]'s section;
+// errorKinds[0] is the Error base every other kind builds on.
 const (
-	sectionPrint uint32 = 1 << iota
+	sectionPrint = iota
 	sectionMath
 	sectionJSON
 	sectionDate
 	sectionTypedArrays
+	sectionErrors
 )
+
+// numSections counts the lazy sections.
+var numSections = sectionErrors + len(errorKinds)
+
+// installSection runs lazy section id's installer.
+func installSection(r *registry, id int) {
+	switch id {
+	case sectionPrint:
+		installPrint(r)
+	case sectionMath:
+		installMath(r)
+	case sectionJSON:
+		installJSON(r)
+	case sectionDate:
+		installDate(r)
+	case sectionTypedArrays:
+		installTypedArrays(r)
+	case sectionErrors:
+		installErrorBase(r)
+	default:
+		installErrorKind(r, r.in.Protos["Error"], errorKinds[id-sectionErrors])
+	}
+}
+
+// buildTemplate installs the standard library on a shape-layout realm,
+// snapshots it, and then snapshots every lazy section. Each section's
+// installer runs on its own scratch clone with every Sections bit set, so
+// the nested thunk its first global binding reaches returns at once; an
+// error kind's clone holds a copy of the Error base first.
+func buildTemplate() *interp.Template {
+	t := interp.NewTemplate(install(interp.Config{}), eagerCtors)
+	for id := 0; id < numSections; id++ {
+		in := t.New(interp.Config{})
+		in.Sections = ^uint32(0)
+		if id > sectionErrors {
+			t.Materialize(in, sectionErrors)
+		}
+		var writes []interp.SectionWrite
+		installSection(&registry{in: in, writes: &writes}, id)
+		if got := t.AddSection(in, writes); got != id {
+			panic("builtins: lazy section snapshot out of order")
+		}
+	}
+	return t
+}
+
+// materialize installs lazy section id into in: a copy of the template's
+// snapshot on a shape-layout realm (always a template clone), the
+// installer itself on a dictionary-layout one.
+func materialize(in *interp.Interp, id int) {
+	if in.DisableShapes {
+		installSection(&registry{in: in}, id)
+		return
+	}
+	realmTemplate().Materialize(in, id)
+}
 
 func captureTables() {
 	cap := &registry{
@@ -126,36 +195,35 @@ func installAll(r *registry) {
 	installRegExp(r)
 	installGlobals(r)
 
-	lazySection(r, sectionMath, []string{"Math"}, installMath)
-	lazySection(r, sectionJSON, []string{"JSON"}, installJSON)
-	lazySection(r, sectionDate, []string{"Date"}, installDate)
-	lazySection(r, sectionTypedArrays, []string{
+	lazySection(r, sectionMath, "Math")
+	lazySection(r, sectionJSON, "JSON")
+	lazySection(r, sectionDate, "Date")
+	lazySection(r, sectionTypedArrays,
 		"ArrayBuffer",
 		"Int8Array", "Uint8Array", "Uint8ClampedArray",
 		"Int16Array", "Uint16Array",
 		"Int32Array", "Uint32Array",
 		"Float32Array", "Float64Array",
-		"DataView",
-	}, installTypedArrays)
+		"DataView")
 }
 
-// lazySection defers one stdlib installer until any of its global names is
-// touched; the installer runs at most once per realm, guarded by the
-// section's bit in interp.Interp.Sections (installing one name of a
+// lazySection defers section id until any of its global names is
+// touched; it materialises at most once per realm, guarded by the
+// section's bit in interp.Interp.Sections (binding one name of a
 // multi-name section writes its siblings, which re-enters the thunk). The
 // capture pass installs immediately — its realm must register every
 // method table.
-func lazySection(r *registry, bit uint32, names []string, install func(*registry)) {
+func lazySection(r *registry, id int, names ...string) {
 	if r.capturing != nil {
-		install(r)
+		installSection(r, id)
 		return
 	}
 	thunk := func(in *interp.Interp) {
-		if in.Sections&bit != 0 {
+		if in.Sections&(1<<id) != 0 {
 			return
 		}
-		in.Sections |= bit
-		install(&registry{in: in})
+		in.Sections |= 1 << id
+		materialize(in, id)
 	}
 	for _, n := range names {
 		r.in.Global.SetLazy(r.in, n, thunk)
@@ -170,6 +238,9 @@ type registry struct {
 	// the resulting tables by method spec key.
 	capturing map[*interp.Object]*interp.NativeTable
 	captured  map[string]*interp.NativeTable
+	// writes, set while the template build snapshots a lazy section,
+	// records the installer's global bindings and Protos entries.
+	writes *[]interp.SectionWrite
 }
 
 // shortName strips the canonical spec key down to its final segment.
@@ -227,7 +298,11 @@ func (r *registry) method(obj *interp.Object, name string, arity int, f interp.N
 
 // global binds a value on the global object.
 func (r *registry) global(name string, v interp.Value) {
-	r.in.Global.SetSlot(name, v, interp.Writable|interp.Configurable)
+	const attr = interp.Writable | interp.Configurable
+	if r.writes != nil {
+		*r.writes = append(*r.writes, interp.SectionWrite{Name: name, Val: v, Attr: attr})
+	}
+	r.in.Global.SetSlot(name, v, attr)
 }
 
 // globalFn binds a native function on the global object, building it
@@ -248,6 +323,9 @@ func (r *registry) ctor(name string, arity int, proto *interp.Object,
 	c.Construct = construct
 	c.SetSlot("prototype", interp.ObjValue(proto), 0)
 	proto.SetSlot("constructor", interp.ObjValue(c), interp.Writable|interp.Configurable)
+	if r.writes != nil {
+		*r.writes = append(*r.writes, interp.SectionWrite{Name: name, Val: interp.ObjValue(proto), Proto: true})
+	}
 	r.in.Protos[name] = proto
 	r.global(name, interp.ObjValue(c))
 	return c

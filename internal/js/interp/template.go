@@ -37,6 +37,11 @@ import (
 // dictionary-layout realm is never a clone: the oracle configuration
 // installs its standard library from scratch, so the clone code here is
 // itself under test whenever the two layouts are compared.
+//
+// The template also holds the lazily installed stdlib sections (see
+// AddSection): each is a range of a second object index space, copied
+// into a realm's section slab on the section's first touch
+// (Materialize) instead of re-running its installer.
 type Template struct {
 	objs  []*Object // walk order; objs[0] is the global object
 	proto []int32   // index of objs[i].Proto, -1 for none
@@ -47,11 +52,53 @@ type Template struct {
 
 	protos    []namedRef
 	protoMiss func(*Interp, string)
+
+	// secObjs are every section's objects, section by section; secProto
+	// holds the secRef of each one's prototype. nsecSlots and nsecLazy
+	// size a realm's section slab.
+	secObjs             []*Object
+	secProto            []int32
+	nsecSlots, nsecLazy int
+	sections            []section
 }
 
 // objRef is one pointer to remap: objs[obj].slots[slot] holds
-// objs[target].
+// objs[target]. In a section, obj indexes secObjs and target is a secRef.
 type objRef struct{ obj, slot, target int32 }
+
+// A secRef names an object a section refers to: i >= 0 is objs[i], the
+// realm's copy of an eager object, and ^j is secObjs[j], an object of this
+// section or of one materialised before it (the Error base, for an error
+// kind); noObj is none.
+const noObj int32 = -1 << 31
+
+// section is one lazy stdlib section: its objects secObjs[lo:hi], whose
+// slots and lazy entries start at vals and lazy in the section slab, the
+// object-valued slots to remap, and the writes its installer made to
+// objects that existed before it ran, in installer order.
+type section struct {
+	lo, hi     int32
+	vals, lazy int
+	refs       []objRef
+	writes     []sectionWrite
+}
+
+// sectionWrite is a SectionWrite with its object value as a secRef
+// (noObj for a primitive value, which Val then holds).
+type sectionWrite struct {
+	SectionWrite
+	target int32
+}
+
+// SectionWrite is one write a lazy section's installer makes to state
+// that exists before it runs: a global binding, Global.SetSlot(Name, Val,
+// Attr), or, with Proto set, the Protos entry Name.
+type SectionWrite struct {
+	Name  string
+	Val   Value
+	Attr  PropAttr
+	Proto bool
+}
 
 // namedRef is one Protos entry: name → object index.
 type namedRef struct {
@@ -100,15 +147,7 @@ func NewTemplate(in *Interp, names []string) *Template {
 
 // visit records one object's prototype, remap positions and slab shares.
 func (t *Template) visit(in *Interp, o *Object, add func(*Object) int32) {
-	switch {
-	case o.Fn != nil, o.ext != nil, o.elems != nil, o.lazyInstalling != 0,
-		o.Prim.kind == KindObject:
-		panic(fmt.Sprintf("interp: realm template cannot clone %s object state", o.Class))
-	case o.shape == nil || o.dict != nil:
-		panic(fmt.Sprintf("interp: realm template cannot clone a %s object in dictionary mode", o.Class))
-	case o.realm != nil && o.realm != in:
-		panic("interp: realm template object belongs to another realm")
-	}
+	checkCloneable(in, o)
 	obj := int32(len(t.proto))
 	t.proto = append(t.proto, add(o.Proto))
 	for i, v := range o.slots {
@@ -120,12 +159,29 @@ func (t *Template) visit(in *Interp, o *Object, add func(*Object) int32) {
 	t.nlazy += len(o.lazy)
 }
 
+// checkCloneable panics unless o, an object of realm in, holds only state
+// a template copy reproduces (see Template).
+func checkCloneable(in *Interp, o *Object) {
+	switch {
+	case o.Fn != nil, o.ext != nil, o.elems != nil, o.lazyInstalling != 0,
+		o.Prim.kind == KindObject:
+		panic(fmt.Sprintf("interp: realm template cannot clone %s object state", o.Class))
+	case o.shape == nil || o.dict != nil:
+		panic(fmt.Sprintf("interp: realm template cannot clone a %s object in dictionary mode", o.Class))
+	case o.realm != nil && o.realm != in:
+		panic("interp: realm template object belongs to another realm")
+	}
+}
+
 // realmSlab is the backing storage of a realm's copy of its template: one
-// Object, one Value and one lazyProp slab, sized by the template.
+// Object, one Value and one lazyProp slab, sized by the template. sec is
+// the section slab, sized by every section of the template and allocated
+// by the realm's first Materialize.
 type realmSlab struct {
 	objs []Object
 	vals []Value
 	lazy []lazyProp
+	sec  *realmSlab
 }
 
 // New creates an interpreter configured by cfg whose realm is a copy of
@@ -149,6 +205,9 @@ func (t *Template) New(cfg Config) *Interp {
 // and possibly run since, to the state New(cfg) would build. Every field
 // is zeroed by construction (see Interp.init); only buffers survive: the
 // object, value and lazy slabs, which the template is copied into again;
+// the section slab, which the next run's first touch of a section copies
+// that section into again (until then it holds the last run's section
+// objects, which nothing in the reset realm reaches);
 // the slot array of every realm object a run grew past its slab range
 // (the global object's first top-level declaration, a prototype's lazy
 // tail), which takes the template's slots again with the rest cleared,
@@ -182,36 +241,17 @@ func (t *Template) Reset(in *Interp, cfg Config) {
 	t.fill(in)
 }
 
-// fill copies the template's object graph into in's slabs and points
-// in.Global, in.Protos and in.ProtoMiss at the copy. An object whose
-// slots outgrew their slab range keeps the grown array: a slab range is
-// capped at exactly the template's length, so only an array a run grew
-// has room to spare.
+// fill copies the template's object graph into in's slabs (see copyFrom)
+// and points in.Global, in.Protos and in.ProtoMiss at the copy.
 func (t *Template) fill(in *Interp) {
-	objs, vals, lazy := in.slab.objs, in.slab.vals, in.slab.lazy
+	objs := in.slab.objs
 	var nv, nl int
 	for i, src := range t.objs {
 		o := &objs[i]
-		old := o.slots
-		*o = *src
+		nv, nl = o.copyFrom(in, src, &in.slab, nv, nl)
 		if p := t.proto[i]; p >= 0 {
 			o.Proto = &objs[p]
 		}
-		if o.realm != nil {
-			o.realm = in
-		}
-		n := len(src.slots)
-		if cap(old) > n {
-			o.slots = old[:n]
-			clear(old[n:cap(old)])
-		} else {
-			o.slots = vals[nv : nv+n : nv+n]
-		}
-		copy(o.slots, src.slots)
-		nv += n
-		n = copy(lazy[nl:], src.lazy)
-		o.lazy = lazy[nl : nl+n : nl+n]
-		nl += n
 	}
 	for _, r := range t.slotRefs {
 		objs[r.obj].slots[r.slot].ref = unsafe.Pointer(&objs[r.target])
@@ -221,4 +261,226 @@ func (t *Template) fill(in *Interp) {
 		in.Protos[e.name] = &objs[e.idx]
 	}
 	in.ProtoMiss = t.protoMiss
+}
+
+// copyFrom makes o, an object of realm in, a copy of the template object
+// src whose slots and lazy entries take slab's value and lazy slabs from
+// nv and nl on, and returns the slab positions after them. An object
+// whose slots outgrew their slab range keeps the grown array: a slab
+// range is capped at exactly the template's length, so only an array a
+// run grew has room to spare.
+func (o *Object) copyFrom(in *Interp, src *Object, slab *realmSlab, nv, nl int) (int, int) {
+	old := o.slots
+	*o = *src
+	if o.realm != nil {
+		o.realm = in
+	}
+	n := len(src.slots)
+	if cap(old) > n {
+		o.slots = old[:n]
+		clear(old[n:cap(old)])
+	} else {
+		o.slots = slab.vals[nv : nv+n : nv+n]
+	}
+	copy(o.slots, src.slots)
+	nv += n
+	n = copy(slab.lazy[nl:], src.lazy)
+	o.lazy = slab.lazy[nl : nl+n : nl+n]
+	return nv, nl + n
+}
+
+// AddSection snapshots one lazy stdlib section and returns its ID for
+// Materialize. in is a realm New built from t whose installer for the
+// section has just run, after Materialize of any section it builds on
+// (the Error base, for an error kind); writes are that installer's writes
+// to state that existed before it ran, in the order it made them. The
+// section's objects are those the writes reach that in did not hold
+// before; like the eager graph, each must be cloneable (see Template).
+// AddSection panics if the installer wrote any other object the realm
+// already held, or a Protos entry it did not record: Materialize replays
+// the recorded writes only. The realm must not be used afterwards.
+func (t *Template) AddSection(in *Interp, writes []SectionWrite) int {
+	idx := make(map[*Object]int32, len(in.slab.objs))
+	for i := range in.slab.objs {
+		idx[&in.slab.objs[i]] = int32(i)
+	}
+	if sec := in.slab.sec; sec != nil {
+		for j := range sec.objs {
+			idx[&sec.objs[j]] = ^int32(j)
+		}
+	}
+	s := section{lo: int32(len(t.secObjs)), vals: t.nsecSlots, lazy: t.nsecLazy}
+	add := func(o *Object) int32 {
+		if o == nil {
+			return noObj
+		}
+		if i, ok := idx[o]; ok {
+			return i
+		}
+		j := ^int32(len(t.secObjs))
+		idx[o] = j
+		t.secObjs = append(t.secObjs, o)
+		return j
+	}
+	written := map[string]*Object{}
+	for _, w := range writes {
+		sw := sectionWrite{SectionWrite: w, target: noObj}
+		if w.Val.kind == KindObject {
+			sw.target = add(w.Val.Obj())
+			sw.Val = Value{}
+			if w.Proto {
+				written[w.Name] = w.Val.Obj()
+			}
+		} else if w.Proto {
+			panic("interp: a section's Protos entry must be an object")
+		}
+		s.writes = append(s.writes, sw)
+	}
+	for j := int(s.lo); j < len(t.secObjs); j++ {
+		o := t.secObjs[j]
+		checkCloneable(in, o)
+		t.secProto = append(t.secProto, add(o.Proto))
+		for i, v := range o.slots {
+			if v.kind == KindObject {
+				s.refs = append(s.refs, objRef{int32(j), int32(i), add(v.Obj())})
+			}
+		}
+		t.nsecSlots += len(o.slots)
+		t.nsecLazy += len(o.lazy)
+	}
+	s.hi = int32(len(t.secObjs))
+	t.checkOnlyWrites(in, writes, written, idx)
+	t.sections = append(t.sections, s)
+	return len(t.sections) - 1
+}
+
+// checkOnlyWrites panics unless the installer that ran on in changed no
+// object of the eager graph beyond the global bindings in writes or in an
+// earlier section (one in may hold a copy of), and no Protos entry beyond
+// those in written or an earlier section's.
+func (t *Template) checkOnlyWrites(in *Interp, writes []SectionWrite, written map[string]*Object, idx map[*Object]int32) {
+	bound := map[string]bool{}
+	for _, w := range writes {
+		bound[w.Name] = bound[w.Name] || !w.Proto
+	}
+	for _, s := range t.sections {
+		for _, w := range s.writes {
+			bound[w.Name] = bound[w.Name] || !w.Proto
+		}
+	}
+	tidx := make(map[*Object]int32, len(t.objs))
+	for i, o := range t.objs {
+		tidx[o] = int32(i)
+	}
+	same := func(a, b Value) bool {
+		if a.kind != KindObject || b.kind != KindObject {
+			return a.kind == b.kind && a.bits == b.bits && a.ref == b.ref
+		}
+		i, ok := idx[a.Obj()]
+		return ok && i == tidx[b.Obj()]
+	}
+	for i, src := range t.objs {
+		o := &in.slab.objs[i]
+		ok := o.Class == src.Class && o.shape == src.shape && o.dict == nil &&
+			o.Extensible == src.Extensible && o.integrity == src.integrity &&
+			o.lazyTab == src.lazyTab && o.tabPending == src.tabPending &&
+			len(o.lazy) == len(src.lazy) &&
+			(o.Proto == nil) == (src.Proto == nil) &&
+			(o.Proto == nil || idx[o.Proto] == int32(t.proto[i]))
+		if ok && i != 0 {
+			ok = o.lazyLeft == src.lazyLeft
+		}
+		for k := 0; ok && k < len(o.lazy); k++ {
+			ok = o.lazy[k].key == src.lazy[k].key &&
+				(bound[o.lazy[k].key] || (o.lazy[k].install == nil) == (src.lazy[k].install == nil))
+		}
+		for k := int32(0); ok && k < o.shape.depth; k++ {
+			ok = same(o.slot(k), src.slot(k)) || i == 0 && bound[src.shape.keyChain()[k]]
+		}
+		if !ok {
+			panic(fmt.Sprintf("interp: a lazy section's installer wrote the realm's %s object outside its recorded writes", src.Class))
+		}
+	}
+	for name, p := range in.Protos {
+		j, ok := idx[p]
+		switch {
+		case written[name] != nil:
+			ok = written[name] == p
+		case ok && j >= 0:
+			ok = t.protoIndex(name) == j
+		}
+		if !ok {
+			panic("interp: a lazy section's installer wrote the Protos entry " + name + " outside its recorded writes")
+		}
+	}
+}
+
+// protoIndex returns the object index of the eager Protos entry name, or
+// noObj.
+func (t *Template) protoIndex(name string) int32 {
+	for _, e := range t.protos {
+		if e.name == name {
+			return e.idx
+		}
+	}
+	return noObj
+}
+
+// Materialize copies lazy section id (see AddSection) into in, a realm
+// New built from t, in place of running the section's installer: it
+// fills the section's range of the realm's section slab and then replays
+// the installer's writes in order, through the same global-binding path
+// (Global.SetSlot) and Protos entries, so enumeration order, shapes and
+// fuel match an install. The caller guards against a second
+// Materialize of one section into one run. After the realm's first
+// section, which allocates the section slab, Materialize allocates
+// nothing but what a global binding's write itself does (the global
+// object's first growth past its slab range).
+func (t *Template) Materialize(in *Interp, id int) {
+	s := &t.sections[id]
+	slab := in.slab.sec
+	if slab == nil {
+		if len(in.slab.objs) != len(t.objs) {
+			panic("interp: section materialised into a realm not built from the template")
+		}
+		slab = &realmSlab{
+			objs: make([]Object, len(t.secObjs)),
+			vals: make([]Value, t.nsecSlots),
+			lazy: make([]lazyProp, t.nsecLazy),
+		}
+		in.slab.sec = slab
+	}
+	objs := slab.objs[:s.hi]
+	nv, nl := s.vals, s.lazy
+	for j := s.lo; j < s.hi; j++ {
+		o := &objs[j]
+		nv, nl = o.copyFrom(in, t.secObjs[j], slab, nv, nl)
+		o.Proto = t.resolve(in, t.secProto[j])
+	}
+	for _, r := range s.refs {
+		objs[r.obj].slots[r.slot].ref = unsafe.Pointer(t.resolve(in, r.target))
+	}
+	for i := range s.writes {
+		w := &s.writes[i]
+		v := w.Val
+		if w.target != noObj {
+			v = ObjValue(t.resolve(in, w.target))
+		}
+		if w.Proto {
+			in.Protos[w.Name] = v.Obj()
+		} else {
+			in.Global.SetSlot(w.Name, v, w.Attr)
+		}
+	}
+}
+
+// resolve returns in's object for the secRef r.
+func (t *Template) resolve(in *Interp, r int32) *Object {
+	switch {
+	case r == noObj:
+		return nil
+	case r >= 0:
+		return &in.slab.objs[r]
+	}
+	return &in.slab.sec.objs[^r]
 }

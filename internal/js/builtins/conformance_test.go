@@ -152,6 +152,30 @@ try { g()(); print("no throw"); } catch (e) { print(e.name); }`,
 		src:    `function f() { return this; } print(f() === undefined);`,
 		strict: true,
 		want:   "true"},
+	// Arrow functions and methods take UniqueFormalParameters (15.3.1,
+	// 15.4.1), and a parameter list that is not simple rejects
+	// duplicates too (15.2.1): each is an early SyntaxError in either
+	// mode.
+	{name: "duplicate arrow parameters",
+		src:  `try { eval("var f = (a, a) => a; print(f(1, 2));"); } catch (e) { print(e.name); }`,
+		want: "SyntaxError"},
+	{name: "duplicate arrow parameters in strict code",
+		src:    `try { eval("var f = (a, a) => a; print(f(1, 2));"); } catch (e) { print(e.name); }`,
+		strict: true,
+		want:   "SyntaxError"},
+	{name: "duplicate method parameters",
+		src:  `try { eval("({ m(a, a) { return a; } }).m(1, 2)"); } catch (e) { print(e.name); }`,
+		want: "SyntaxError"},
+	{name: "duplicate method parameters in strict code",
+		src:    `try { eval("({ m(a, a) { return a; } }).m(1, 2)"); } catch (e) { print(e.name); }`,
+		strict: true,
+		want:   "SyntaxError"},
+	{name: "duplicate rest parameter",
+		src:  `try { eval("function f(a, ...a) { return a; }"); } catch (e) { print(e.name); }`,
+		want: "SyntaxError"},
+	{name: "distinct arrow and method parameters",
+		src:  `var f = (a, b) => a - b; print(f(3, 1), ({ m(a, b) { return a * b; } }).m(2, 3));`,
+		want: "2 6"},
 	// String.prototype.replace (22.1.3.19) expands a string pattern's
 	// replacement with GetSubstitution (22.1.3.19.1) and no captures, as
 	// for a RegExp: $$ is one $, $` and $' the text before and after the

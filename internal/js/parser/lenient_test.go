@@ -109,4 +109,12 @@ var lenientRejections = []string{
 	"'use strict'; eval = 1;",
 	"'use strict'; print(017);",
 	"'use strict'; print(017 +);",
+	// Duplicate parameters no mode and no lenient option allows: arrow
+	// and method parameters, and a list with a rest parameter; alone and
+	// after a strict-only violation.
+	"var f = (a, a) => a; print(f(1, 2));",
+	"var o = { m(a, a) { return a; } };",
+	"function f(a, ...a) { return a; }",
+	"var f = (a, ...a) => a;",
+	"delete x; var f = (b, c, b) => b;",
 }

@@ -420,8 +420,13 @@ func (p *parser) parseFunction(declaration bool) *ast.FuncLit {
 	p.inFunc--
 	p.expect(token.RBRACE)
 	fn.Body = body
-	if !p.opts.AllowDuplicateParams {
-		if prm, dup := firstDuplicate(fn.Params); dup {
+	if prm, dup := firstDuplicate(fn); dup {
+		switch {
+		case fn.Rest != "":
+			// A parameter list that is not simple rejects them in
+			// either mode.
+			p.fail("duplicate parameter name %q not allowed here", prm)
+		case !p.opts.AllowDuplicateParams:
 			// A function with its own "use strict" rejects them in
 			// either mode.
 			p.strictOnly(p.strict || fn.Strict, true, "duplicate parameter name %q not allowed in strict mode", prm)
@@ -430,13 +435,28 @@ func (p *parser) parseFunction(declaration bool) *ast.FuncLit {
 	return fn
 }
 
-// firstDuplicate returns the first name that repeats an earlier one.
-func firstDuplicate(names []string) (string, bool) {
-	for i, name := range names {
-		for _, prev := range names[:i] {
+// uniqueParams fails on a duplicate parameter of an arrow function or a
+// method: their parameter lists are UniqueFormalParameters, which reject
+// one in either mode.
+func (p *parser) uniqueParams(fn *ast.FuncLit) {
+	if prm, dup := firstDuplicate(fn); dup {
+		p.fail("duplicate parameter name %q not allowed here", prm)
+	}
+}
+
+// firstDuplicate returns the first of fn's parameter names, the rest
+// parameter last, that repeats an earlier one.
+func firstDuplicate(fn *ast.FuncLit) (string, bool) {
+	for i, name := range fn.Params {
+		for _, prev := range fn.Params[:i] {
 			if prev == name {
 				return name, true
 			}
+		}
+	}
+	for _, prev := range fn.Params {
+		if prev == fn.Rest {
+			return prev, true
 		}
 	}
 	return "", false
@@ -870,6 +890,7 @@ scan:
 	fn.P = p.cur.Pos
 	p.reg(fn)
 	p.parseParams(fn)
+	p.uniqueParams(fn)
 	p.expect(token.ARROW)
 	p.parseArrowBody(fn)
 	return fn, true
@@ -1447,6 +1468,7 @@ func (p *parser) parseProperty() ast.Property {
 		fn.P = p.cur.Pos
 		p.reg(fn)
 		p.parseParams(fn)
+		p.uniqueParams(fn)
 		p.expect(token.LBRACE)
 		p.inFunc++
 		body := &ast.BlockStmt{}

@@ -176,6 +176,25 @@ try { g()(); print("no throw"); } catch (e) { print(e.name); }`,
 	{name: "distinct arrow and method parameters",
 		src:  `var f = (a, b) => a - b; print(f(3, 1), ({ m(a, b) { return a * b; } }).m(2, 3));`,
 		want: "2 6"},
+	// A function's own "use strict" makes its parameters and name strict
+	// code (11.2.2), where eval and arguments are not binding names
+	// (13.1.1): an early SyntaxError in sloppy code too.
+	{name: "eval parameter of a strict function",
+		src:  `try { eval("function f(eval) { 'use strict'; return eval; } print(f(3));"); } catch (e) { print(e.name); }`,
+		want: "SyntaxError"},
+	{name: "arguments parameter of a strict method",
+		src:  `try { eval("({ m(arguments) { 'use strict'; } })"); } catch (e) { print(e.name); }`,
+		want: "SyntaxError"},
+	{name: "strict function named eval",
+		src:  `try { eval("(function eval() { 'use strict'; })"); } catch (e) { print(e.name); }`,
+		want: "SyntaxError"},
+	{name: "function named arguments in strict code",
+		src:    `try { eval("function arguments() {}"); } catch (e) { print(e.name); }`,
+		strict: true,
+		want:   "SyntaxError"},
+	{name: "eval parameter of a sloppy function",
+		src:  `function f(eval) { return eval; } print(f(3));`,
+		want: "3"},
 	// String.prototype.replace (22.1.3.19) expands a string pattern's
 	// replacement with GetSubstitution (22.1.3.19.1) and no captures, as
 	// for a RegExp: $$ is one $, $` and $' the text before and after the

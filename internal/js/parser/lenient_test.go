@@ -117,4 +117,10 @@ var lenientRejections = []string{
 	"function f(a, ...a) { return a; }",
 	"var f = (a, ...a) => a;",
 	"delete x; var f = (b, c, b) => b;",
+	// eval and arguments bound by a function whose own directive makes
+	// its parameters and name strict code.
+	"function f(eval) { 'use strict'; return eval; } print(f(3));",
+	"function arguments() { 'use strict'; }",
+	"var o = { m(a, eval) { 'use strict'; } };",
+	"print(010); var f = (arguments) => { 'use strict'; };",
 }

@@ -26,6 +26,7 @@ var earlyErrorSamples = []string{
 var strictOrderings = []string{
 	// Each of the five strict-only sites alone.
 	"var eval = 1;",
+	"function eval() { return 1; }",
 	"function f(arguments) { return 1; }",
 	"try { f(); } catch (eval) { }",
 	"function f(a, a) { return a; } print(f(1, 2));",

@@ -403,6 +403,9 @@ func (p *parser) parseFunction(declaration bool) *ast.FuncLit {
 	p.expect(token.FUNCTION)
 	if p.cur.Type == token.IDENT {
 		fn.Name = p.cur.Literal
+		if fn.Name == "eval" || fn.Name == "arguments" {
+			p.strictOnly(p.strict, false, "unexpected eval or arguments in strict mode")
+		}
 		p.next()
 	} else if declaration {
 		p.fail("function declaration requires a name")
@@ -420,6 +423,7 @@ func (p *parser) parseFunction(declaration bool) *ast.FuncLit {
 	p.inFunc--
 	p.expect(token.RBRACE)
 	fn.Body = body
+	p.strictBindings(fn, fn.Name)
 	if prm, dup := firstDuplicate(fn); dup {
 		switch {
 		case fn.Rest != "":
@@ -433,6 +437,22 @@ func (p *parser) parseFunction(declaration bool) *ast.FuncLit {
 		}
 	}
 	return fn
+}
+
+// strictBindings fails on a parameter of fn, or its binding name, that is
+// eval or arguments when fn's own "use strict" directive makes them strict
+// code in sloppy code; strict code rejected them as they were parsed.
+func (p *parser) strictBindings(fn *ast.FuncLit, name string) {
+	if !fn.Strict || p.strict {
+		return
+	}
+	bad := name == "eval" || name == "arguments" || fn.Rest == "eval" || fn.Rest == "arguments"
+	for _, prm := range fn.Params {
+		bad = bad || prm == "eval" || prm == "arguments"
+	}
+	if bad {
+		p.strictOnly(true, false, "unexpected eval or arguments in strict mode")
+	}
 }
 
 // uniqueParams fails on a duplicate parameter of an arrow function or a
@@ -907,6 +927,7 @@ func (p *parser) parseArrowBody(fn *ast.FuncLit) {
 		p.inFunc--
 		p.expect(token.RBRACE)
 		fn.Body = body
+		p.strictBindings(fn, "")
 		return
 	}
 	fn.ExprBody = p.parseAssign()
@@ -1451,6 +1472,7 @@ func (p *parser) parseProperty() ast.Property {
 		p.inFunc--
 		p.expect(token.RBRACE)
 		fn.Body = body
+		p.strictBindings(fn, "")
 		return ast.Property{Key: key, Kind: kind, Value: fn}
 	}
 	// Computed key: [expr]: value.
@@ -1478,6 +1500,7 @@ func (p *parser) parseProperty() ast.Property {
 		p.inFunc--
 		p.expect(token.RBRACE)
 		fn.Body = body
+		p.strictBindings(fn, "")
 		return ast.Property{Key: key, Value: fn}
 	}
 	// Shorthand property: {x} means {x: x}.

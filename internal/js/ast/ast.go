@@ -469,6 +469,17 @@ type FuncLit struct {
 
 func (*FuncLit) exprNode() {}
 
+// HasParam reports whether name is one of f's parameters, the rest
+// parameter included.
+func (f *FuncLit) HasParam(name string) bool {
+	for _, p := range f.Params {
+		if p == name {
+			return true
+		}
+	}
+	return f.Rest != "" && f.Rest == name
+}
+
 // UnaryExpr is a prefix operator application (typeof, -, !, void, delete, ~, +).
 type UnaryExpr struct {
 	base

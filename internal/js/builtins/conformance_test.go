@@ -195,6 +195,19 @@ try { g()(); print("no throw"); } catch (e) { print(e.name); }`,
 	{name: "eval parameter of a sloppy function",
 		src:  `function f(eval) { return eval; } print(f(3));`,
 		want: "3"},
+	// FunctionDeclarationInstantiation (10.2.11) step 15: a parameter
+	// named arguments means no arguments object, so the parameter keeps
+	// its value.
+	{name: "parameter named arguments",
+		src:  `function f(arguments) { return arguments; } print(f(3));`,
+		want: "3"},
+	{name: "rest parameter named arguments",
+		src:  `function f(a, ...arguments) { return arguments.length + ":" + arguments[1]; } print(f(3, 4, 5));`,
+		want: "2:5"},
+	{name: "parameter named arguments in strict code",
+		src:    `try { eval("function f(arguments) { return arguments; }"); } catch (e) { print(e.name); }`,
+		strict: true,
+		want:   "SyntaxError"},
 	// String.prototype.replace (22.1.3.19) expands a string pattern's
 	// replacement with GetSubstitution (22.1.3.19.1) and no captures, as
 	// for a RegExp: $$ is one $, $` and $' the text before and after the

@@ -1730,7 +1730,11 @@ func (in *Interp) call1(fn *Object, this Value, args []Value) (Value, error) {
 				callEnv.slots[sc.SelfSlot] = binding{v: ObjValue(fn), mutable: false, silent: true, live: true}
 			}
 		} else {
-			callEnv.declareLexical("arguments", in.makeArguments(args), true)
+			// A parameter named arguments keeps its value
+			// (FunctionDeclarationInstantiation step 15).
+			if !lit.HasParam("arguments") {
+				callEnv.declareLexical("arguments", in.makeArguments(args), true)
+			}
 			if lit.Name != "" && !callEnv.Has(lit.Name) {
 				callEnv.declareFuncSelfName(lit.Name, ObjValue(fn))
 			}

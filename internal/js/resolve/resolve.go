@@ -324,10 +324,11 @@ func (r *resolver) funcLit(lit *ast.FuncLit, at *scope, hoisted bool) {
 		s.bindArguments(lit.Rest)
 	}
 	if !lit.Arrow {
-		// The map evaluator binds `arguments` unconditionally; the slot is
+		// The map evaluator binds `arguments` unless a parameter has the
+		// name (FunctionDeclarationInstantiation step 15); the slot is
 		// materialised only when the body can observe the name, so most
 		// functions skip the arguments-object allocation entirely.
-		if usesName(lit, "arguments") {
+		if usesName(lit, "arguments") && !lit.HasParam("arguments") {
 			if sl, ok := s.declare("arguments", idxEntry); ok {
 				info.ArgumentsSlot = int32(sl)
 			}
@@ -341,7 +342,7 @@ func (r *resolver) funcLit(lit *ast.FuncLit, at *scope, hoisted bool) {
 		// binding exactly as the map evaluator does. A var sharing the
 		// name upgrades it to entry-live below (hoistVar), because var
 		// initialisation fills the slot whenever the self-bind declined.
-		if lit.Name != "" && !nameIn(lit.Params, lit.Name) && lit.Rest != lit.Name && lit.Name != "arguments" {
+		if lit.Name != "" && !lit.HasParam(lit.Name) && lit.Name != "arguments" {
 			if sl, ok := s.declare(lit.Name, idxNever); ok {
 				info.SelfSlot = int32(sl)
 			}
@@ -902,15 +903,6 @@ func (r *resolver) findLabel(name string) *label {
 }
 
 // ---------- helpers ----------
-
-func nameIn(names []string, name string) bool {
-	for _, n := range names {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
 
 // usesName reports whether the function body can observe the given binding
 // name: any identifier occurrence (or for-in loop target) outside nested

@@ -128,9 +128,8 @@ type Pool struct {
 
 // CaseResult is the outcome of differentially testing one program.
 type CaseResult struct {
-	Verdict     Verdict
-	Deviations  []Deviation
-	MajorityKey string
+	Verdict    Verdict
+	Deviations []Deviation
 	// EarlyError marks a VerdictInvalid case whose rejection came from the
 	// static analyzer's early-error gate on every testbed (rather than the
 	// parser): the campaign accounts these separately — the whole case was
@@ -177,11 +176,9 @@ func ClassifyPools(normal, strict Pool) CaseResult {
 	}
 	a := classifyPool(normal)
 	b := classifyPool(strict)
-	merged := CaseResult{Verdict: a.Verdict, MajorityKey: a.MajorityKey,
-		EarlyError: a.EarlyError && b.EarlyError}
+	merged := CaseResult{Verdict: a.Verdict, EarlyError: a.EarlyError && b.EarlyError}
 	if verdictRank(b.Verdict) > verdictRank(a.Verdict) {
 		merged.Verdict = b.Verdict
-		merged.MajorityKey = b.MajorityKey
 	}
 	if a.Verdict.IsBuggy() {
 		merged.Deviations = append(merged.Deviations, a.Deviations...)
@@ -300,7 +297,6 @@ func classifyPool(p Pool) CaseResult {
 	}
 	if unanimous {
 		res.Verdict = VerdictPass
-		res.MajorityKey = first.Key()
 		return res
 	}
 	type keyGroup struct {
@@ -322,7 +318,6 @@ func classifyPool(p Pool) CaseResult {
 	}
 	if len(groups) == 1 {
 		res.Verdict = VerdictPass
-		res.MajorityKey = groups[0].key
 		return res
 	}
 	sort.Slice(groups, func(i, j int) bool {
@@ -336,7 +331,6 @@ func classifyPool(p Pool) CaseResult {
 		res.Verdict = VerdictInconclusive
 		return res
 	}
-	res.MajorityKey = groups[0].key
 	// Every minority key group deviates, in vote order.
 	rank := make([]int, len(p.Results))
 	for i, k := range keys {

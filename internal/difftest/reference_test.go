@@ -25,11 +25,9 @@ func referenceClassify(entries []ExecEntry) CaseResult {
 	}
 	a := referenceClassifyPool(normal)
 	b := referenceClassifyPool(strict)
-	merged := CaseResult{Verdict: a.Verdict, MajorityKey: a.MajorityKey,
-		EarlyError: a.EarlyError && b.EarlyError}
+	merged := CaseResult{Verdict: a.Verdict, EarlyError: a.EarlyError && b.EarlyError}
 	if verdictRank(b.Verdict) > verdictRank(a.Verdict) {
 		merged.Verdict = b.Verdict
-		merged.MajorityKey = b.MajorityKey
 	}
 	if a.Verdict.IsBuggy() {
 		merged.Deviations = append(merged.Deviations, a.Deviations...)
@@ -119,17 +117,12 @@ func referenceClassifyPool(entries []ExecEntry) CaseResult {
 
 	// Step 4: majority voting over behaviour keys.
 	groups := map[string][]ExecEntry{}
-	var firstKey string
-	for i, e := range entries {
+	for _, e := range entries {
 		k := e.Result.Key()
-		if i == 0 {
-			firstKey = k
-		}
 		groups[k] = append(groups[k], e)
 	}
 	if len(groups) == 1 {
 		res.Verdict = VerdictPass
-		res.MajorityKey = firstKey
 		return res
 	}
 	var keys []string
@@ -142,14 +135,12 @@ func referenceClassifyPool(entries []ExecEntry) CaseResult {
 		}
 		return keys[i] < keys[j]
 	})
-	majority := keys[0]
 	if len(keys) > 1 && len(groups[keys[0]]) == len(groups[keys[1]]) && len(groups) == 2 &&
 		len(groups[keys[0]])*2 == len(entries) {
 		// Perfect split: no majority to vote with.
 		res.Verdict = VerdictInconclusive
 		return res
 	}
-	res.MajorityKey = majority
 	for _, k := range keys[1:] {
 		for _, e := range groups[k] {
 			res.Deviations = append(res.Deviations, Deviation{e.Testbed, e.Result})

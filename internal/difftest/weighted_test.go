@@ -196,22 +196,20 @@ func TestWeightedWallClockTinyFuel(t *testing.T) {
 }
 
 // TestWeightedSingleModePool: a one-mode testbed set is one pool, whose
-// verdict is the case's as it stands — majority key and deviations
-// included.
+// verdict is the case's as it stands — deviations included.
 func TestWeightedSingleModePool(t *testing.T) {
 	c := build([]engines.ExecResult{pass("1"), pass("2"), pass("1")}, []int{30, 5, 17},
 		[]bool{true, true, true}, nil, 2)
 	res := c.check(t)
-	if len(c.normal.Results) != 0 || res.Verdict != VerdictWrongOutput || len(res.Deviations) != 5 ||
-		res.MajorityKey != pass("1").Key() {
-		t.Fatalf("strict-only case = %v, majority %q, %d deviations", res.Verdict, res.MajorityKey, len(res.Deviations))
+	if len(c.normal.Results) != 0 || res.Verdict != VerdictWrongOutput || len(res.Deviations) != 5 {
+		t.Fatalf("strict-only case = %v, %d deviations", res.Verdict, len(res.Deviations))
 	}
 }
 
 // TestClassifyAllocs gates the classifier's allocations: a passing case
-// whose testbeds collapse to two results per mode allocates a small
-// constant number of times, the same for 10 testbeds as for 104 — no
-// per-testbed copy, pool or key map.
+// whose testbeds collapse to two results per mode allocates nothing, for
+// 10 testbeds as for 104 — no per-testbed copy, pool, key map or
+// rendered behaviour key.
 func TestClassifyAllocs(t *testing.T) {
 	var allocs []float64
 	for _, n := range []int{10, 104} {
@@ -224,8 +222,8 @@ func TestClassifyAllocs(t *testing.T) {
 			t.Fatalf("%d testbeds: verdict %v, want pass", n, res.Verdict)
 		}
 		a := testing.AllocsPerRun(100, func() { ClassifyPools(c.normal, c.strict) })
-		if a > 4 {
-			t.Errorf("%d testbeds: %.0f allocations per classify, want <= 4", n, a)
+		if a != 0 {
+			t.Errorf("%d testbeds: %.0f allocations per classify, want 0", n, a)
 		}
 		t.Logf("%d testbeds: %.0f allocations", n, a)
 		allocs = append(allocs, a)

@@ -19,8 +19,7 @@ func mustAnalyze(t *testing.T, src string) *Report {
 	return Analyze(prog)
 }
 
-// earlyErrorCases is TestEarlyErrors' table; TestEarlyErrorOracle also
-// runs it.
+// earlyErrorCases is TestEarlyErrors' table.
 var earlyErrorCases = []struct {
 	name string
 	src  string

@@ -8,15 +8,6 @@ var errorKinds = []string{
 	"EvalError", "URIError", "InternalError",
 }
 
-// installErrors wires the full hierarchy at once — used by the capture
-// pass, whose realm must register every method table up front.
-func installErrors(r *registry) {
-	base := installErrorBase(r)
-	for _, kind := range errorKinds[1:] {
-		installErrorKind(r, base, kind)
-	}
-}
-
 // installErrorsLazy defers the hierarchy per constructor: touching a
 // global error name, or throwing (through the interpreter's prototype-miss
 // hook), installs the shared Error base plus just that one kind, each a
@@ -26,7 +17,9 @@ func installErrors(r *registry) {
 // hierarchy at once.
 func installErrorsLazy(r *registry) {
 	if r.capturing != nil {
-		installErrors(r)
+		for id := sectionErrors; id < numSections; id++ {
+			installSection(r, id)
+		}
 		return
 	}
 	for _, name := range []string{
@@ -59,7 +52,7 @@ func forceError(in *interp.Interp, kind string) {
 
 // installErrorBase builds Error.prototype, its toString, and the Error
 // constructor — the shared parent every subclass chains to.
-func installErrorBase(r *registry) *interp.Object {
+func installErrorBase(r *registry) {
 	in := r.in
 	base := in.NewObject(in.Protos["Object"])
 	base.Class = "Error"
@@ -103,14 +96,13 @@ func installErrorBase(r *registry) *interp.Object {
 	})
 
 	makeErrorCtor(r, "Error", base)
-	return base
 }
 
 // installErrorKind builds one subclass prototype and constructor chained
-// to the shared base.
-func installErrorKind(r *registry, base *interp.Object, kind string) {
+// to the shared base, which the realm must hold.
+func installErrorKind(r *registry, kind string) {
 	in := r.in
-	proto := in.NewObject(base)
+	proto := in.NewObject(in.Protos["Error"])
 	proto.Class = "Error"
 	proto.SetSlot("name", interp.String(kind), interp.Writable|interp.Configurable)
 	proto.SetSlot("message", interp.String(""), interp.Writable|interp.Configurable)

@@ -107,7 +107,7 @@ func installSection(r *registry, id int) {
 	case sectionErrors:
 		installErrorBase(r)
 	default:
-		installErrorKind(r, r.in.Protos["Error"], errorKinds[id-sectionErrors])
+		installErrorKind(r, errorKinds[id-sectionErrors])
 	}
 }
 

@@ -54,12 +54,11 @@ type Template struct {
 	protoMiss func(*Interp, string)
 
 	// secObjs are every section's objects, section by section; secProto
-	// holds the secRef of each one's prototype. nsecSlots and nsecLazy
-	// size a realm's section slab.
-	secObjs             []*Object
-	secProto            []int32
-	nsecSlots, nsecLazy int
-	sections            []section
+	// holds the secRef of each one's prototype and secOf its section.
+	secObjs  []*Object
+	secProto []int32
+	secOf    []int32
+	sections []section
 }
 
 // objRef is one pointer to remap: objs[obj].slots[slot] holds
@@ -72,19 +71,19 @@ type objRef struct{ obj, slot, target int32 }
 // kind); noObj is none.
 const noObj int32 = -1 << 31
 
-// section is one lazy stdlib section: its objects secObjs[lo:hi], whose
-// slots and lazy entries start at vals and lazy in the section slab, the
-// object-valued slots to remap, and the writes its installer made to
-// objects that existed before it ran, in installer order.
+// section is one lazy stdlib section: its objects secObjs[lo:hi], the
+// sizes of its value and lazy slabs, the object-valued slots to remap,
+// and the writes its installer made to objects that existed before it
+// ran, in installer order.
 type section struct {
-	lo, hi     int32
-	vals, lazy int
-	refs       []objRef
-	writes     []sectionWrite
+	lo, hi        int32
+	nslots, nlazy int
+	refs          []objRef
+	writes        []sectionWrite
 }
 
 // sectionWrite is a SectionWrite with its object value as a secRef
-// (noObj for a primitive value, which Val then holds).
+// (noObj for a primitive value, which Val holds).
 type sectionWrite struct {
 	SectionWrite
 	target int32
@@ -174,14 +173,15 @@ func checkCloneable(in *Interp, o *Object) {
 }
 
 // realmSlab is the backing storage of a realm's copy of its template: one
-// Object, one Value and one lazyProp slab, sized by the template. sec is
-// the section slab, sized by every section of the template and allocated
-// by the realm's first Materialize.
+// Object, one Value and one lazyProp slab, sized by the template. secs
+// holds one such slab per lazy section, allocated by the realm's first
+// Materialize of that section, so a realm holds storage only for the
+// sections its runs touched.
 type realmSlab struct {
 	objs []Object
 	vals []Value
 	lazy []lazyProp
-	sec  *realmSlab
+	secs []realmSlab
 }
 
 // New creates an interpreter configured by cfg whose realm is a copy of
@@ -205,9 +205,9 @@ func (t *Template) New(cfg Config) *Interp {
 // and possibly run since, to the state New(cfg) would build. Every field
 // is zeroed by construction (see Interp.init); only buffers survive: the
 // object, value and lazy slabs, which the template is copied into again;
-// the section slab, which the next run's first touch of a section copies
-// that section into again (until then it holds the last run's section
-// objects, which nothing in the reset realm reaches);
+// the section slabs, which the next run's first touch of a section
+// copies that section into again (until then they hold the last run's
+// section objects, which nothing in the reset realm reaches);
 // the slot array of every realm object a run grew past its slab range
 // (the global object's first top-level declaration, a prototype's lazy
 // tail), which takes the template's slots again with the rest cleared,
@@ -304,12 +304,12 @@ func (t *Template) AddSection(in *Interp, writes []SectionWrite) int {
 	for i := range in.slab.objs {
 		idx[&in.slab.objs[i]] = int32(i)
 	}
-	if sec := in.slab.sec; sec != nil {
+	for id, sec := range in.slab.secs {
 		for j := range sec.objs {
-			idx[&sec.objs[j]] = ^int32(j)
+			idx[&sec.objs[j]] = ^(t.sections[id].lo + int32(j))
 		}
 	}
-	s := section{lo: int32(len(t.secObjs)), vals: t.nsecSlots, lazy: t.nsecLazy}
+	s := section{lo: int32(len(t.secObjs))}
 	add := func(o *Object) int32 {
 		if o == nil {
 			return noObj
@@ -322,15 +322,10 @@ func (t *Template) AddSection(in *Interp, writes []SectionWrite) int {
 		t.secObjs = append(t.secObjs, o)
 		return j
 	}
-	written := map[string]*Object{}
 	for _, w := range writes {
 		sw := sectionWrite{SectionWrite: w, target: noObj}
 		if w.Val.kind == KindObject {
 			sw.target = add(w.Val.Obj())
-			sw.Val = Value{}
-			if w.Proto {
-				written[w.Name] = w.Val.Obj()
-			}
 		} else if w.Proto {
 			panic("interp: a section's Protos entry must be an object")
 		}
@@ -340,16 +335,17 @@ func (t *Template) AddSection(in *Interp, writes []SectionWrite) int {
 		o := t.secObjs[j]
 		checkCloneable(in, o)
 		t.secProto = append(t.secProto, add(o.Proto))
+		t.secOf = append(t.secOf, int32(len(t.sections)))
 		for i, v := range o.slots {
 			if v.kind == KindObject {
 				s.refs = append(s.refs, objRef{int32(j), int32(i), add(v.Obj())})
 			}
 		}
-		t.nsecSlots += len(o.slots)
-		t.nsecLazy += len(o.lazy)
+		s.nslots += len(o.slots)
+		s.nlazy += len(o.lazy)
 	}
 	s.hi = int32(len(t.secObjs))
-	t.checkOnlyWrites(in, writes, written, idx)
+	t.checkOnlyWrites(in, writes, idx)
 	t.sections = append(t.sections, s)
 	return len(t.sections) - 1
 }
@@ -357,11 +353,16 @@ func (t *Template) AddSection(in *Interp, writes []SectionWrite) int {
 // checkOnlyWrites panics unless the installer that ran on in changed no
 // object of the eager graph beyond the global bindings in writes or in an
 // earlier section (one in may hold a copy of), and no Protos entry beyond
-// those in written or an earlier section's.
-func (t *Template) checkOnlyWrites(in *Interp, writes []SectionWrite, written map[string]*Object, idx map[*Object]int32) {
+// those in writes or an earlier section's. idx maps in's objects to
+// secRefs.
+func (t *Template) checkOnlyWrites(in *Interp, writes []SectionWrite, idx map[*Object]int32) {
 	bound := map[string]bool{}
+	written := map[string]*Object{}
 	for _, w := range writes {
 		bound[w.Name] = bound[w.Name] || !w.Proto
+		if w.Proto {
+			written[w.Name] = w.Val.Obj()
+		}
 	}
 	for _, s := range t.sections {
 		for _, w := range s.writes {
@@ -428,37 +429,38 @@ func (t *Template) protoIndex(name string) int32 {
 
 // Materialize copies lazy section id (see AddSection) into in, a realm
 // New built from t, in place of running the section's installer: it
-// fills the section's range of the realm's section slab and then replays
-// the installer's writes in order, through the same global-binding path
+// fills the realm's slab for the section and then replays the
+// installer's writes in order, through the same global-binding path
 // (Global.SetSlot) and Protos entries, so enumeration order, shapes and
 // fuel match an install. The caller guards against a second
-// Materialize of one section into one run. After the realm's first
-// section, which allocates the section slab, Materialize allocates
-// nothing but what a global binding's write itself does (the global
-// object's first growth past its slab range).
+// Materialize of one section into one run. Once the realm has held the
+// section, Materialize allocates nothing but what a global binding's
+// write itself does (the global object's first growth past its slab
+// range).
 func (t *Template) Materialize(in *Interp, id int) {
 	s := &t.sections[id]
-	slab := in.slab.sec
-	if slab == nil {
+	if in.slab.secs == nil {
 		if len(in.slab.objs) != len(t.objs) {
 			panic("interp: section materialised into a realm not built from the template")
 		}
-		slab = &realmSlab{
-			objs: make([]Object, len(t.secObjs)),
-			vals: make([]Value, t.nsecSlots),
-			lazy: make([]lazyProp, t.nsecLazy),
-		}
-		in.slab.sec = slab
+		in.slab.secs = make([]realmSlab, len(t.sections))
 	}
-	objs := slab.objs[:s.hi]
-	nv, nl := s.vals, s.lazy
+	slab := &in.slab.secs[id]
+	if slab.objs == nil {
+		*slab = realmSlab{
+			objs: make([]Object, s.hi-s.lo),
+			vals: make([]Value, s.nslots),
+			lazy: make([]lazyProp, s.nlazy),
+		}
+	}
+	var nv, nl int
 	for j := s.lo; j < s.hi; j++ {
-		o := &objs[j]
+		o := &slab.objs[j-s.lo]
 		nv, nl = o.copyFrom(in, t.secObjs[j], slab, nv, nl)
 		o.Proto = t.resolve(in, t.secProto[j])
 	}
 	for _, r := range s.refs {
-		objs[r.obj].slots[r.slot].ref = unsafe.Pointer(t.resolve(in, r.target))
+		slab.objs[r.obj-s.lo].slots[r.slot].ref = unsafe.Pointer(t.resolve(in, r.target))
 	}
 	for i := range s.writes {
 		w := &s.writes[i]
@@ -482,5 +484,7 @@ func (t *Template) resolve(in *Interp, r int32) *Object {
 	case r >= 0:
 		return &in.slab.objs[r]
 	}
-	return &in.slab.sec.objs[^r]
+	j := ^r
+	id := t.secOf[j]
+	return &in.slab.secs[id].objs[j-t.sections[id].lo]
 }

@@ -40,7 +40,7 @@ import (
 //
 // The template also holds the lazily installed stdlib sections (see
 // AddSection): each is a range of a second object index space, copied
-// into a realm's section slab on the section's first touch
+// into the realm's slab for that section on the section's first touch
 // (Materialize) instead of re-running its installer.
 type Template struct {
 	objs  []*Object // walk order; objs[0] is the global object
@@ -52,6 +52,9 @@ type Template struct {
 
 	protos    []namedRef
 	protoMiss func(*Interp, string)
+	// snap is the realm snapshot, which the realm fields of template
+	// objects name.
+	snap *Interp
 
 	// secObjs are every section's objects, section by section; secProto
 	// holds the secRef of each one's prototype and secOf its section.
@@ -110,7 +113,7 @@ type namedRef struct {
 // entry missing from it panics, as does any object state a clone could
 // not reproduce (see Template).
 func NewTemplate(in *Interp, names []string) *Template {
-	t := &Template{protoMiss: in.ProtoMiss}
+	t := &Template{protoMiss: in.ProtoMiss, snap: in}
 	idx := map[*Object]int32{}
 	add := func(o *Object) int32 {
 		if o == nil {
@@ -326,6 +329,7 @@ func (t *Template) AddSection(in *Interp, writes []SectionWrite) int {
 		sw := sectionWrite{SectionWrite: w, target: noObj}
 		if w.Val.kind == KindObject {
 			sw.target = add(w.Val.Obj())
+			sw.Val = Value{}
 		} else if w.Proto {
 			panic("interp: a section's Protos entry must be an object")
 		}
@@ -346,8 +350,31 @@ func (t *Template) AddSection(in *Interp, writes []SectionWrite) int {
 	}
 	s.hi = int32(len(t.secObjs))
 	t.checkOnlyWrites(in, writes, idx)
+	for j := s.lo; j < s.hi; j++ {
+		t.secObjs[j] = t.detach(t.secObjs[j])
+	}
 	t.sections = append(t.sections, s)
 	return len(t.sections) - 1
+}
+
+// detach returns a copy of the section object o that holds no pointer
+// into the scratch realm it was built in, so the template does not keep
+// that realm alive. Materialize sets every such pointer again: the
+// prototype and the object-valued slots by secRef, and a non-nil realm
+// (the snapshot realm's stands in for it here).
+func (t *Template) detach(o *Object) *Object {
+	c := *o
+	c.Proto = nil
+	if c.realm != nil {
+		c.realm = t.snap
+	}
+	c.slots = append([]Value(nil), o.slots...)
+	for i := range c.slots {
+		if c.slots[i].kind == KindObject {
+			c.slots[i].ref = nil
+		}
+	}
+	return &c
 }
 
 // checkOnlyWrites panics unless the installer that ran on in changed no

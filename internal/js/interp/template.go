@@ -52,8 +52,8 @@ type Template struct {
 
 	protos    []namedRef
 	protoMiss func(*Interp, string)
-	// snap is the realm snapshot, which the realm fields of template
-	// objects name.
+	// snap is the realm NewTemplate snapshot; the realm fields of
+	// template objects, section copies included (see detach), name it.
 	snap *Interp
 
 	// secObjs are every section's objects, section by section; secProto

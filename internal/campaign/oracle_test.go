@@ -193,26 +193,27 @@ func checkReferencePaths(t *testing.T, paths ...referencePath) (earlyErrorProgs 
 // checkShapeTransitions is the shapes oracles' vacuity guard: comparing
 // the default path with dictionary objects shows something only if the
 // default path runs its programs on the hidden-class layout. A synthetic
-// defect whose hook never intervenes watches every hook site srcs reach
-// on a single-defect testbed and counts them by the layout of the realm
-// they run on, plus the property stores that add a key on a shape-layout
-// realm (each one a shape transition). The default path must reach shape
-// layout only, with at least one transition; the dictionary path must
-// reach dictionary layout only. The guard reads no production counter.
+// defect whose hook never intervenes is keyed at the property-store site:
+// it watches every property store srcs reach on a single-defect testbed
+// and counts them by the layout of the realm they run on, plus the stores
+// that add a key on a shape-layout realm (each one a shape transition).
+// The default path must reach shape layout only, with at least one
+// transition; the dictionary path must reach dictionary layout only. The
+// guard reads no production counter.
 func checkShapeTransitions(t *testing.T, srcs []string) {
 	t.Helper()
 	var shapeSites, dictSites, transitions int
-	watch := &engines.Defect{ID: "layout-watch", Hook: func(ctx *interp.HookCtx) *interp.Override {
+	watch := &engines.Defect{ID: "layout-watch", Hook: &engines.Hook{Site: interp.HookPropSet, Fn: func(ctx *interp.HookCtx) *interp.Override {
 		if ctx.In.DisableShapes {
 			dictSites++
 			return nil
 		}
 		shapeSites++
-		if ctx.Site == interp.HookPropSet && !ctx.Obj.HasOwn(ctx.Key.Str()) {
+		if !ctx.Obj.HasOwn(ctx.Key.Str()) {
 			transitions++
 		}
 		return nil
-	}}
+	}}}
 	p := engines.NewDefectRunner(watch, false)
 	opts := engines.RunOptions{Fuel: difftest.DefaultFuel, Seed: 9}
 	for _, path := range []referencePath{defaultPath, dictObjs} {
@@ -220,13 +221,13 @@ func checkShapeTransitions(t *testing.T, srcs []string) {
 		for _, src := range srcs {
 			runPath(p, src, path, opts)
 		}
-		t.Logf("%s path: %d hook sites on shape layout (%d transitions by property store), %d on dictionary layout",
+		t.Logf("%s path: %d property stores on shape layout (%d transitions), %d on dictionary layout",
 			path.name, shapeSites, transitions, dictSites)
 		if path.dict && (dictSites == 0 || shapeSites != 0) {
-			t.Fatalf("%s path reached %d hook sites on shape layout; it must run dictionary objects only", path.name, shapeSites)
+			t.Fatalf("%s path made %d property stores on shape layout; it must run dictionary objects only", path.name, shapeSites)
 		}
 		if !path.dict && (transitions == 0 || dictSites != 0) {
-			t.Fatalf("%s path made %d shape transitions and reached %d hook sites on dictionary layout; the shape comparison is vacuous",
+			t.Fatalf("%s path made %d shape transitions and %d property stores on dictionary layout; the shape comparison is vacuous",
 				path.name, transitions, dictSites)
 		}
 	}

@@ -814,11 +814,8 @@ func fakeUnanchored(ctx *interp.HookCtx, stripPrefix string) *interp.Override {
 // element write left of the lowest index written so far costs work
 // proportional to the relocation distance. The array's grow mark holds
 // that lowest index plus one (zero: none yet), so scripts never see it.
-func hermesReverseFillHook() interp.Hook {
-	return func(ctx *interp.HookCtx) *interp.Override {
-		if ctx.Site != interp.HookArrayGrow {
-			return nil
-		}
+func hermesReverseFillHook() *Hook {
+	return &Hook{Site: interp.HookArrayGrow, Fn: func(ctx *interp.HookCtx) *interp.Override {
 		o := ctx.Obj
 		length := int64(o.ArrayLength())
 		if length < 1024 {
@@ -837,5 +834,5 @@ func hermesReverseFillHook() interp.Hook {
 		}
 		o.SetGrowMark(ctx.Index + 1)
 		return &interp.Override{CostExtra: (min - idx) + (length-idx)/64}
-	}
+	}}
 }

@@ -151,11 +151,8 @@ func boolToF(b bool) float64 {
 
 // lenientEvalHook marks eval parsing as lenient (accepting programs the
 // spec rejects) — the Listing-7 defect family.
-func lenientEvalHook(srcContains string) interp.Hook {
-	return func(ctx *interp.HookCtx) *interp.Override {
-		if ctx.Site != interp.HookEvalParse {
-			return nil
-		}
+func lenientEvalHook(srcContains string) *Hook {
+	return &Hook{Site: interp.HookEvalParse, Fn: func(ctx *interp.HookCtx) *interp.Override {
 		if srcContains != "" && !strings.Contains(ctx.Src, srcContains) {
 			return nil
 		}
@@ -163,7 +160,7 @@ func lenientEvalHook(srcContains string) interp.Hook {
 			return probeMatch
 		}
 		return &interp.Override{Handled: true}
-	}
+	}}
 }
 
 // rejectSource builds a PreParse function flagging programs that contain a

@@ -259,7 +259,7 @@ func runWitness(t *testing.T, d *Defect, active bool, strict bool) ExecResult {
 			d.ParserOpts(&parseOpts)
 		}
 		if d.Hook != nil && (!d.StrictOnly || strict) {
-			cfg.Hook = d.Hook
+			cfg.Hook = keyedHook(d.Hook)
 		}
 		if d.PreParse != nil {
 			if msg := d.PreParse(d.Witness); msg != "" {

@@ -91,16 +91,18 @@ type Defect struct {
 	// "Strict Mode" component defects).
 	StrictOnly bool
 
-	// Hook intercepts the defect's operations. It must honour the probe
-	// contract (interp.HookCtx.Probe): probed, it returns non-nil iff its
-	// trigger matches the site, runs no effect, and is pure — its answer
-	// depends only on the ctx and the interpreter state, which it must not
-	// change. The trigger over-approximates firing: a hook whose trigger
-	// never matched during a run would have returned nil at every site of
-	// that run. The builders below (onAPI, onRegex, onPropSet, onTier,
-	// onRefusedWrite) implement the contract; a hand-written hook checks
-	// ctx.Probe once its trigger matched and returns probeMatch.
-	Hook       interp.Hook
+	// Hook intercepts the defect's operations at its key (see Hook): the
+	// dispatch table asks Hook.Fn only at sites of that key. Fn must
+	// honour the probe contract (interp.HookCtx.Probe): probed, it returns
+	// non-nil iff its trigger matches the site, runs no effect, and is
+	// pure — its answer depends only on the ctx and the interpreter state,
+	// which it must not change. The trigger over-approximates firing: a
+	// hook whose trigger never matched during a run would have returned
+	// nil at every site of that run. The builders below (onAPI, onRegex,
+	// onPropSet, onTier, onRefusedWrite) implement the contract; a
+	// hand-written Fn checks ctx.Probe once its trigger matched and
+	// returns probeMatch.
+	Hook       *Hook
 	ParserOpts func(*parser.Options)
 	// PreParse lets over-restrictive parser defects reject a valid program;
 	// a non-empty return is the SyntaxError message.
@@ -146,80 +148,51 @@ func rankOf(e *Engine, name string) (int, bool) {
 var probeMatch = &interp.Override{}
 
 // onAPI intercepts one builtin by its canonical spec key.
-func onAPI(api string, when func(*interp.HookCtx) bool, eff func(*interp.HookCtx) *interp.Override) interp.Hook {
-	return func(ctx *interp.HookCtx) *interp.Override {
-		if ctx.Site != interp.HookBuiltin || ctx.Name != api {
-			return nil
-		}
-		if when != nil && !when(ctx) {
-			return nil
-		}
-		if ctx.Probe {
-			return probeMatch
-		}
-		return eff(ctx)
-	}
+func onAPI(api string, when func(*interp.HookCtx) bool, eff func(*interp.HookCtx) *interp.Override) *Hook {
+	return &Hook{Site: interp.HookBuiltin, Name: api, Fn: trigger(when, eff)}
 }
 
 // onRegex intercepts a regex execution entry point (split/match/exec/...)
 // conditioned on the pattern source.
-func onRegex(api string, patWhen func(pattern, flags string) bool, eff func(ctx *interp.HookCtx) *interp.Override) interp.Hook {
-	return func(ctx *interp.HookCtx) *interp.Override {
-		if ctx.Site != interp.HookRegexExec || ctx.Name != api {
-			return nil
-		}
-		if patWhen != nil && !patWhen(ctx.Pattern, ctx.Flags) {
-			return nil
-		}
-		if ctx.Probe {
-			return probeMatch
-		}
-		return eff(ctx)
+func onRegex(api string, patWhen func(pattern, flags string) bool, eff func(ctx *interp.HookCtx) *interp.Override) *Hook {
+	var when func(*interp.HookCtx) bool
+	if patWhen != nil {
+		when = func(ctx *interp.HookCtx) bool { return patWhen(ctx.Pattern, ctx.Flags) }
 	}
+	return &Hook{Site: interp.HookRegexExec, Name: api, Fn: trigger(when, eff)}
 }
 
 // onPropSet intercepts property stores.
-func onPropSet(when func(ctx *interp.HookCtx) bool, eff func(ctx *interp.HookCtx) *interp.Override) interp.Hook {
-	return func(ctx *interp.HookCtx) *interp.Override {
-		if ctx.Site != interp.HookPropSet {
-			return nil
-		}
-		if when != nil && !when(ctx) {
-			return nil
-		}
-		if ctx.Probe {
-			return probeMatch
-		}
-		return eff(ctx)
-	}
+func onPropSet(when func(ctx *interp.HookCtx) bool, eff func(ctx *interp.HookCtx) *interp.Override) *Hook {
+	return &Hook{Site: interp.HookPropSet, Fn: trigger(when, eff)}
 }
 
 // onTier intercepts function entry after the given invocation count — the
 // "optimizing tier kicks in" defect model.
-func onTier(threshold int, eff func(ctx *interp.HookCtx) *interp.Override) interp.Hook {
-	return func(ctx *interp.HookCtx) *interp.Override {
-		if ctx.Site != interp.HookFuncTier || ctx.Tier != threshold {
-			return nil
-		}
-		if ctx.Probe {
-			return probeMatch
-		}
-		return eff(ctx)
-	}
+func onTier(threshold int, eff func(ctx *interp.HookCtx) *interp.Override) *Hook {
+	return &Hook{Site: interp.HookFuncTier, Fn: trigger(func(ctx *interp.HookCtx) bool {
+		return ctx.Tier == threshold
+	}, eff)}
 }
 
 // onRefusedWrite lets through every write the reference refuses at one of
 // the identifier-write sites (interp.HookSelfNameAssign,
 // interp.HookUndeclaredAssign).
-func onRefusedWrite(site interp.HookSite) interp.Hook {
+func onRefusedWrite(site interp.HookSite) *Hook {
+	return &Hook{Site: site, Fn: trigger(nil, func(*interp.HookCtx) *interp.Override { return allowWrite })}
+}
+
+// trigger is a keyed hook's Fn: a nil when always matches; probed, a
+// match answers probeMatch instead of running eff.
+func trigger(when func(*interp.HookCtx) bool, eff func(*interp.HookCtx) *interp.Override) interp.Hook {
 	return func(ctx *interp.HookCtx) *interp.Override {
-		if ctx.Site != site {
+		if when != nil && !when(ctx) {
 			return nil
 		}
 		if ctx.Probe {
 			return probeMatch
 		}
-		return allowWrite
+		return eff(ctx)
 	}
 }
 
@@ -364,7 +337,7 @@ func and(preds ...func(*interp.HookCtx) bool) func(*interp.HookCtx) bool {
 // anchorAnywhere implements the "^ anchor honoured mid-string" regex defect
 // family: it re-runs the pattern without its leading anchor and fakes a
 // match wherever it lands.
-func anchorAnywhere(api string) interp.Hook {
+func anchorAnywhere(api string) *Hook {
 	return onRegex(api, func(pattern, flags string) bool {
 		return strings.HasPrefix(pattern, "^") && len(pattern) > 1
 	}, func(ctx *interp.HookCtx) *interp.Override {

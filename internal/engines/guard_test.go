@@ -35,12 +35,9 @@ func TestInjectedPanicBecomesCrashResult(t *testing.T) {
 func TestHookPanicRecoveredMidRun(t *testing.T) {
 	d := &Defect{
 		ID: "TEST-PANIC", Engine: "Test",
-		Hook: func(ctx *interp.HookCtx) *interp.Override {
-			if ctx.Site == interp.HookBuiltin && ctx.Name == "Array.prototype.push" {
-				panic("synthetic evaluator bug")
-			}
-			return nil
-		},
+		Hook: &Hook{Site: interp.HookBuiltin, Name: "Array.prototype.push", Fn: func(*interp.HookCtx) *interp.Override {
+			panic("synthetic evaluator bug")
+		}},
 	}
 	src := `print("before"); var a = []; a.push(1); print("after");`
 	r := NewDefectRunner(d, false).Run(src, RunOptions{Fuel: 100000, Seed: 1})

@@ -395,19 +395,17 @@ func hookDefects(defects []*Defect, strict bool) []*Defect {
 	return hooks
 }
 
-// combineHooks merges the defects' hooks in slice order; the first
-// override wins. A lone hook is returned as is, so a single-defect runner
-// calls its defect's hook directly.
+// combineHooks merges the defects' hooks in slice order through their
+// dispatch table: at each site the hooks keyed there are asked in order,
+// and the first override wins.
 func combineHooks(hooks []*Defect) interp.Hook {
-	switch len(hooks) {
-	case 0:
+	if len(hooks) == 0 {
 		return nil
-	case 1:
-		return hooks[0].Hook
 	}
+	t := newHookTable(hooks)
 	return func(ctx *interp.HookCtx) *interp.Override {
-		for _, d := range hooks {
-			if ov := d.Hook(ctx); ov != nil {
+		for _, i := range t.bucket(ctx) {
+			if ov := t.fns[i](ctx); ov != nil {
 				return ov
 			}
 		}

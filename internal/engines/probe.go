@@ -11,8 +11,9 @@ import (
 // recording hook over the union of several members' hook defects. Each
 // member is a hook set run in the probe's mode over the program the probe
 // runs (see PreparedTestbed.TakesBaseParse for when a member's parse is
-// the probe's). The recording hook asks every defect whether its trigger
-// matches (interp.HookCtx.Probe) and never intervenes, so the probe run
+// the probe's). At each hook site the recording hook asks every defect
+// keyed there (the union's hookTable) whether its trigger matches
+// (interp.HookCtx.Probe) and never intervenes, so the probe run
 // is the run of a defect-free member. A member none of whose defects
 // matched would have followed the probe's execution step for step: by
 // induction over the run, each of its hook sites sees the same ctx and
@@ -22,6 +23,7 @@ import (
 type Probe struct {
 	cfg   interp.Config // the probe's config; the recorder is installed per run
 	hooks []*Defect     // union of the members' hook defects, ID order
+	table hookTable     // the union's dispatch; index i is hooks[i]
 	masks [][]uint64    // per member: bit i set iff hooks[i] is one of its hooks
 }
 
@@ -60,6 +62,7 @@ func newProbe(cfg interp.Config, members [][]*Defect) *Probe {
 		}
 	}
 	sort.Slice(pr.hooks, func(i, j int) bool { return pr.hooks[i].ID < pr.hooks[j].ID })
+	pr.table = newHookTable(pr.hooks)
 	index := make(map[*Defect]int, len(pr.hooks))
 	for i, d := range pr.hooks {
 		index[d] = i
@@ -95,14 +98,19 @@ func (pr *Probe) ExecParsed(prog *ast.Program, err error, opts RunOptions) (Exec
 	return res, fired
 }
 
-// recorder is the probe's hook: every defect whose trigger has not matched
-// yet is asked about the site, and the answer is recorded, never applied.
+// recorder is the probe's hook: every defect keyed at the site whose
+// trigger has not matched yet is asked about it, and the answer is
+// recorded, never applied.
 func (pr *Probe) recorder(fired []uint64) interp.Hook {
-	hooks := pr.hooks
+	t := &pr.table
 	return func(ctx *interp.HookCtx) *interp.Override {
+		b := t.bucket(ctx)
+		if len(b) == 0 {
+			return nil
+		}
 		ctx.Probe = true
-		for i, d := range hooks {
-			if fired[i>>6]&(1<<(i&63)) == 0 && d.Hook(ctx) != nil {
+		for _, i := range b {
+			if fired[i>>6]&(1<<(i&63)) == 0 && t.fns[i](ctx) != nil {
 				fired[i>>6] |= 1 << (i & 63)
 			}
 		}

@@ -100,8 +100,8 @@ func TestParserOptsKeepStrict(t *testing.T) {
 
 // isolatedRun executes src with exactly one defect installed (none for a
 // nil d), written out from the defect's fields rather than through
-// prepare: the ParserOpts delta, the hook only when it runs
-// in this mode, the pre-parse gate, then the shared parse pipeline and
+// prepare: the ParserOpts delta, the hook at its key (keyedHook) only when
+// it runs in this mode, the pre-parse gate, then the shared parse pipeline and
 // realm. It is the oracle NewDefectRunner and Attribute are checked
 // against.
 func isolatedRun(d *Defect, strict bool, src string, opts RunOptions) ExecResult {
@@ -112,7 +112,7 @@ func isolatedRun(d *Defect, strict bool, src string, opts RunOptions) ExecResult
 			d.ParserOpts(&po)
 		}
 		if d.Hook != nil && (!d.StrictOnly || strict) {
-			cfg.Hook = d.Hook
+			cfg.Hook = keyedHook(d.Hook)
 		}
 		if d.PreParse != nil {
 			if msg := d.PreParse(src); msg != "" {
@@ -125,6 +125,20 @@ func isolatedRun(d *Defect, strict bool, src string, opts RunOptions) ExecResult
 		return res
 	}
 	return runRealm(cfg, prog, opts)
+}
+
+// keyedHook is h on its own, written out without a dispatch table: Fn
+// is asked only at sites of h's key.
+func keyedHook(h *Hook) interp.Hook {
+	return func(ctx *interp.HookCtx) *interp.Override {
+		if ctx.Site != h.Site {
+			return nil
+		}
+		if (h.Site == interp.HookBuiltin || h.Site == interp.HookRegexExec) && ctx.Name != h.Name {
+			return nil
+		}
+		return h.Fn(ctx)
+	}
 }
 
 // TestDefectRunnerMatchesIsolatedRun pins the single-defect runner, a

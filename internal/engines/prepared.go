@@ -28,6 +28,9 @@ type PreparedTestbed struct {
 	baseCfg  interp.Config  // Strict + hook chain; Fuel/Seed filled per run
 	parseOps parser.Options // Strict + ParserOpts deltas
 	behavior string         // mode + active defect IDs; see BehaviorKey
+
+	attrOnce sync.Once
+	attr     *attributor // see attribution
 }
 
 var (

@@ -225,7 +225,7 @@ Object.defineProperty(o, "x", {value: 1, writable: false});
 o.x = 2;
 print(o.x);`,
 		Hook: onPropSet(func(ctx *interp.HookCtx) bool {
-			if p, ok := ctx.Obj.GetOwnProperty(ctx.Key.Str()); ok {
+			if p, ok := ctx.Obj.OwnProperty(ctx.Key.Str()); ok {
 				return !p.Accessor && p.Attr&interp.Writable == 0
 			}
 			return false

@@ -344,7 +344,7 @@ print(Object.keys(o).length);`,
 				return false
 			}
 			d := ctx.Args[2].Obj()
-			if p, ok := d.GetOwnProperty("enumerable"); ok {
+			if p, ok := d.OwnProperty("enumerable"); ok {
 				return !interp.ToBoolean(p.Value)
 			}
 			return false

@@ -111,6 +111,64 @@ func TestHookTableAsksOnlyAtKey(t *testing.T) {
 	check("probe") // the hooks never match, so the probe asks them at every site
 }
 
+// TestProbeKeepsShapeLayout pins a consequence of the probe's purity the
+// result comparison of TestProbeIsPure cannot see: asking the catalog's
+// triggers leaves a shape-layout object in shape layout. Two watchers
+// bracket the catalog hooks keyed at property stores and at
+// Object.defineProperty (their IDs sort before and after every catalog
+// ID) and record the layout of the object each site hands the triggers:
+// the stored-to object, and the descriptor.
+func TestProbeKeepsShapeLayout(t *testing.T) {
+	const src = `var o = {a: 1}; o.b = 2; o.a = 3;
+var d = {value: 1, enumerable: true}; Object.defineProperty({}, "x", d); o.c = d.value;`
+	type watcher struct {
+		id   string
+		key  Hook
+		seen []bool // the watched object's layout per site: true = shape
+	}
+	for _, strict := range []bool{false, true} {
+		watchers := []*watcher{
+			{id: "!before-store", key: Hook{Site: interp.HookPropSet}},
+			{id: "!before-define", key: Hook{Site: interp.HookBuiltin, Name: "Object.defineProperty"}},
+			{id: "~after-store", key: Hook{Site: interp.HookPropSet}},
+			{id: "~after-define", key: Hook{Site: interp.HookBuiltin, Name: "Object.defineProperty"}},
+		}
+		hooks := hookDefects(Catalog(), strict)
+		for _, w := range watchers {
+			hooks = append(hooks, &Defect{ID: w.id, Hook: &Hook{Site: w.key.Site, Name: w.key.Name,
+				Fn: func(ctx *interp.HookCtx) *interp.Override {
+					o := ctx.Obj
+					if ctx.Site == interp.HookBuiltin {
+						o = ctx.Args[2].Obj()
+					}
+					w.seen = append(w.seen, o.ShapeLayout())
+					return nil
+				}}})
+		}
+		pr := newProbe(interp.Config{Strict: strict}, [][]*Defect{hooks})
+		prog, err := parseProgram(src, parser.Options{}).Mode(strict)
+		if res, _ := pr.ExecParsed(prog, err, probeOpts); res.Outcome != OutcomePass {
+			t.Fatalf("strict=%v: program failed: %+v", strict, res)
+		}
+		for i := 0; i < 2; i++ {
+			before, after := watchers[i], watchers[i+2]
+			shaped := 0
+			for j, s := range before.seen {
+				if s {
+					shaped++
+					if !after.seen[j] {
+						t.Errorf("strict=%v: a probed trigger at %s %q turned site %d's object into dictionary layout",
+							strict, before.key.Site, before.key.Name, j)
+					}
+				}
+			}
+			if shaped == 0 {
+				t.Errorf("strict=%v: no %s %q site saw a shape-layout object; the check is vacuous", strict, before.key.Site, before.key.Name)
+			}
+		}
+	}
+}
+
 // probeLoops are the interp-loops workload's programs at their base loop
 // bounds: evaluator-bound loops over arithmetic, calls, dense arrays,
 // strings and property traffic.

@@ -786,6 +786,22 @@ func (o *Object) GetOwnProperty(key string) (*Property, bool) {
 	return o.getOwn(key)
 }
 
+// OwnProperty returns a copy of the own property for key and leaves the
+// object's layout as it is: the read-only lookup for callers that must
+// not change interpreter state, such as a probed defect trigger (a lazy
+// builtin still materializes, as on any read of its key).
+func (o *Object) OwnProperty(key string) (Property, bool) {
+	p, ok := o.getOwn(key)
+	if !ok {
+		return Property{}, false
+	}
+	return *p, true
+}
+
+// ShapeLayout reports whether o still uses the hidden-class layout (it
+// has not fallen into dictionary mode).
+func (o *Object) ShapeLayout() bool { return o.shape != nil }
+
 // SetSlot writes a raw property without descriptor checks (used during
 // runtime setup).
 func (o *Object) SetSlot(key string, v Value, attr PropAttr) {

@@ -176,6 +176,22 @@ try { g()(); print("no throw"); } catch (e) { print(e.name); }`,
 	{name: "distinct arrow and method parameters",
 		src:  `var f = (a, b) => a - b; print(f(3, 1), ({ m(a, b) { return a * b; } }).m(2, 3));`,
 		want: "2 6"},
+	// A function whose parameter list is not simple may not have a "use
+	// strict" directive of its own (15.2.1, 15.3.1, 15.4.1): an early
+	// SyntaxError in either mode, however strict the enclosing code.
+	{name: "use strict in a function with a rest parameter",
+		src:  `try { eval("function f(...a) { 'use strict'; return a.length; } print(f(1, 2));"); } catch (e) { print(e.name); }`,
+		want: "SyntaxError"},
+	{name: "use strict in an arrow function with a rest parameter in strict code",
+		src:    `try { eval("var f = (...a) => { 'use strict'; return a.length; }; print(f(1, 2));"); } catch (e) { print(e.name); }`,
+		strict: true,
+		want:   "SyntaxError"},
+	{name: "use strict in a method with a rest parameter",
+		src:  `try { eval("({ m(a, ...b) { 'use strict'; } })"); } catch (e) { print(e.name); }`,
+		want: "SyntaxError"},
+	{name: "rest parameters without use strict",
+		src:  `function f(...a) { "x"; return a.length; } print(f(1, 2), ((...b) => { "use asm"; return b.length; })(3));`,
+		want: "2 1"},
 	// A function's own "use strict" makes its parameters and name strict
 	// code (11.2.2), where eval and arguments are not binding names
 	// (13.1.1): an early SyntaxError in sloppy code too.

@@ -123,4 +123,10 @@ var lenientRejections = []string{
 	"function arguments() { 'use strict'; }",
 	"var o = { m(a, eval) { 'use strict'; } };",
 	"print(010); var f = (arguments) => { 'use strict'; };",
+	// A "use strict" directive in a function whose parameter list is not
+	// simple, in any form of function.
+	"function f(...a) { 'use strict'; return a.length; } print(f(1, 2));",
+	"var f = (...a) => { 'use strict'; };",
+	"var o = { m(a, ...b) { 'x'; 'use strict'; } };",
+	"print(010); (function (...a) { 'use strict'; });",
 }

@@ -423,6 +423,7 @@ func (p *parser) parseFunction(declaration bool) *ast.FuncLit {
 	p.inFunc--
 	p.expect(token.RBRACE)
 	fn.Body = body
+	p.simpleParamsIfStrict(fn)
 	p.strictBindings(fn, fn.Name)
 	if prm, dup := firstDuplicate(fn); dup {
 		switch {
@@ -452,6 +453,26 @@ func (p *parser) strictBindings(fn *ast.FuncLit, name string) {
 	}
 	if bad {
 		p.strictOnly(true, false, "unexpected eval or arguments in strict mode")
+	}
+}
+
+// simpleParamsIfStrict fails on a function whose own directive prologue
+// holds "use strict" while its parameter list is not simple (a rest
+// parameter, the one non-simple form this subset parses): an early
+// SyntaxError in either mode (15.2.1, 15.3.1, 15.4.1), however strict
+// the enclosing code.
+func (p *parser) simpleParamsIfStrict(fn *ast.FuncLit) {
+	if fn.Rest == "" {
+		return
+	}
+	for _, s := range fn.Body.Body {
+		es, ok := s.(*ast.ExprStmt)
+		if !ok || es.Directive == "" {
+			return
+		}
+		if es.Directive == "use strict" {
+			p.fail(`"use strict" not allowed in a function with a non-simple parameter list`)
+		}
 	}
 }
 
@@ -927,6 +948,7 @@ func (p *parser) parseArrowBody(fn *ast.FuncLit) {
 		p.inFunc--
 		p.expect(token.RBRACE)
 		fn.Body = body
+		p.simpleParamsIfStrict(fn)
 		p.strictBindings(fn, "")
 		return
 	}
@@ -1472,6 +1494,7 @@ func (p *parser) parseProperty() ast.Property {
 		p.inFunc--
 		p.expect(token.RBRACE)
 		fn.Body = body
+		p.simpleParamsIfStrict(fn)
 		p.strictBindings(fn, "")
 		return ast.Property{Key: key, Kind: kind, Value: fn}
 	}
@@ -1500,6 +1523,7 @@ func (p *parser) parseProperty() ast.Property {
 		p.inFunc--
 		p.expect(token.RBRACE)
 		fn.Body = body
+		p.simpleParamsIfStrict(fn)
 		p.strictBindings(fn, "")
 		return ast.Property{Key: key, Value: fn}
 	}

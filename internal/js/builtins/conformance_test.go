@@ -192,6 +192,21 @@ try { g()(); print("no throw"); } catch (e) { print(e.name); }`,
 	{name: "rest parameters without use strict",
 		src:  `function f(...a) { "x"; return a.length; } print(f(1, 2), ((...b) => { "use asm"; return b.length; })(3));`,
 		want: "2 1"},
+	// A getter takes no parameters and a setter exactly one, which is not
+	// a rest parameter (15.4): anything else is a SyntaxError.
+	{name: "setter with two parameters",
+		src:  `try { eval("var o = { set x(a, b) {} }; print(1);"); } catch (e) { print(e.name); }`,
+		want: "SyntaxError"},
+	{name: "setter with a rest parameter in strict code",
+		src:    `try { eval("var o = { set x(...a) {} };"); } catch (e) { print(e.name); }`,
+		strict: true,
+		want:   "SyntaxError"},
+	{name: "getter with a parameter",
+		src:  `try { eval("var o = { get x(a) { return 1; } }; print(o.x);"); } catch (e) { print(e.name); }`,
+		want: "SyntaxError"},
+	{name: "accessors with their parameter lists",
+		src:  `var v = 0; var o = { get x() { return 1; }, set x(a) { v = a; } }; o.x = 5; print(o.x, v);`,
+		want: "1 5"},
 	// A function's own "use strict" makes its parameters and name strict
 	// code (11.2.2), where eval and arguments are not binding names
 	// (13.1.1): an early SyntaxError in sloppy code too.

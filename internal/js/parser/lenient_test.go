@@ -129,4 +129,9 @@ var lenientRejections = []string{
 	"var f = (...a) => { 'use strict'; };",
 	"var o = { m(a, ...b) { 'x'; 'use strict'; } };",
 	"print(010); (function (...a) { 'use strict'; });",
+	// Accessors whose parameter lists the grammar does not allow.
+	"var o = { set x(a, b) {} }; print(1);",
+	"var o = { get x(a) { return 1; } }; print(o.x);",
+	"var o = { set x(...a) {} };",
+	"print(010); var o = { set x() {} };",
 }

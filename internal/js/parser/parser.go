@@ -1485,6 +1485,7 @@ func (p *parser) parseProperty() ast.Property {
 		fn.P = p.cur.Pos
 		p.reg(fn)
 		p.parseParams(fn)
+		p.accessorParams(fn, kind)
 		p.expect(token.LBRACE)
 		p.inFunc++
 		body := &ast.BlockStmt{}
@@ -1494,7 +1495,6 @@ func (p *parser) parseProperty() ast.Property {
 		p.inFunc--
 		p.expect(token.RBRACE)
 		fn.Body = body
-		p.simpleParamsIfStrict(fn)
 		p.strictBindings(fn, "")
 		return ast.Property{Key: key, Kind: kind, Value: fn}
 	}
@@ -1535,6 +1535,18 @@ func (p *parser) parseProperty() ast.Property {
 	}
 	p.expect(token.COLON)
 	return ast.Property{Key: key, Value: p.parseAssign()}
+}
+
+// accessorParams fails on an accessor whose parameter list the grammar
+// does not allow: a getter takes no parameters, a setter exactly one that
+// is not a rest parameter (ECMA-262 15.4).
+func (p *parser) accessorParams(fn *ast.FuncLit, kind ast.PropKind) {
+	if kind == ast.PropGet && (len(fn.Params) != 0 || fn.Rest != "") {
+		p.fail("getter must not have parameters")
+	}
+	if kind == ast.PropSet && (len(fn.Params) != 1 || fn.Rest != "") {
+		p.fail("setter must have exactly one parameter")
+	}
 }
 
 func (p *parser) parsePropertyKey() string {

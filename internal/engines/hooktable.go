@@ -1,6 +1,7 @@
 package engines
 
 import (
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -64,7 +65,7 @@ func keyNumber(ctx *interp.HookCtx) int {
 func numberKeys(hooks []*Hook) []int32 {
 	keyMu.Lock()
 	defer keyMu.Unlock()
-	cur := map[siteName]int32{}
+	var cur map[siteName]int32
 	if m := keyNumbers.Load(); m != nil {
 		cur = *m
 	}
@@ -78,18 +79,16 @@ func numberKeys(hooks []*Hook) []int32 {
 		key := siteName{h.Site, h.Name}
 		k, ok := next[key]
 		if !ok {
-			if len(next) == len(cur) { // first new key: copy before writing
+			if len(next) == len(cur) { // first new key: readers keep cur
 				next = make(map[siteName]int32, len(cur)+len(hooks))
-				for kk, v := range cur {
-					next[kk] = v
-				}
+				maps.Copy(next, cur)
 			}
 			k = int32(numSites + len(next))
 			next[key] = k
 		}
 		out[i] = k
 	}
-	if len(next) != len(cur) || keyNumbers.Load() == nil {
+	if len(next) != len(cur) {
 		keyNumbers.Store(&next)
 	}
 	return out

@@ -2,6 +2,7 @@ package engines
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"comfort/internal/js/interp"
@@ -109,6 +110,38 @@ func TestHookTableAsksOnlyAtKey(t *testing.T) {
 	pr := newProbe(interp.Config{}, [][]*Defect{defects})
 	pr.ExecParsed(prog, err, probeOpts)
 	check("probe") // the hooks never match, so the probe asks them at every site
+}
+
+// TestHookKeysConcurrent: tables built concurrently, each numbering new
+// named keys, while the others dispatch through the process-wide key
+// index; every hook is still asked at exactly its key's sites. Run under
+// -race it also checks that publishing key numbers races no reader.
+func TestHookKeysConcurrent(t *testing.T) {
+	prog, err := parseProgram(`var s = "abc"; print(s.charCodeAt(0), s.charCodeAt(1));`, parser.Options{}).Mode(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				asked := 0
+				count := func(*interp.HookCtx) *interp.Override { asked++; return nil }
+				hooks := []*Defect{
+					{ID: "a", Hook: &Hook{Site: interp.HookBuiltin, Name: fmt.Sprintf("unused-%d-%d", g, i), Fn: count}},
+					{ID: "b", Hook: &Hook{Site: interp.HookBuiltin, Name: "String.prototype.charCodeAt", Fn: count}},
+				}
+				runRealm(interp.Config{Hook: combineHooks(hooks)}, prog, probeOpts)
+				if asked != 2 {
+					t.Errorf("goroutine %d run %d: hooks asked %d times, want 2", g, i, asked)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestProbeKeepsShapeLayout pins a consequence of the probe's purity the

@@ -60,9 +60,9 @@ func keyNumber(ctx *interp.HookCtx) int {
 	return -1
 }
 
-// numberKeys returns the key number of each hook, numbering new named
-// keys.
-func numberKeys(hooks []*Hook) []int32 {
+// numberKeys returns the key number of each defect's hook, numbering new
+// named keys.
+func numberKeys(defects []*Defect) []int32 {
 	keyMu.Lock()
 	defer keyMu.Unlock()
 	var cur map[siteName]int32
@@ -70,8 +70,9 @@ func numberKeys(hooks []*Hook) []int32 {
 		cur = *m
 	}
 	next := cur
-	out := make([]int32, len(hooks))
-	for i, h := range hooks {
+	out := make([]int32, len(defects))
+	for i, d := range defects {
+		h := d.Hook
 		if !named(h.Site) {
 			out[i] = int32(h.Site)
 			continue
@@ -80,7 +81,7 @@ func numberKeys(hooks []*Hook) []int32 {
 		k, ok := next[key]
 		if !ok {
 			if len(next) == len(cur) { // first new key: readers keep cur
-				next = make(map[siteName]int32, len(cur)+len(hooks))
+				next = make(map[siteName]int32, len(cur)+len(defects))
 				maps.Copy(next, cur)
 			}
 			k = int32(numSites + len(next))
@@ -113,14 +114,12 @@ type hookTable struct {
 
 // newHookTable builds the table over defects' hooks, in slice order.
 func newHookTable(defects []*Defect) hookTable {
-	hooks := make([]*Hook, len(defects))
 	t := hookTable{fns: make([]interp.Hook, len(defects)), order: make([]int32, len(defects))}
 	for i, d := range defects {
-		hooks[i] = d.Hook
 		t.fns[i] = d.Hook.Fn
 		t.order[i] = int32(i)
 	}
-	keys := numberKeys(hooks)
+	keys := numberKeys(defects)
 	sort.SliceStable(t.order, func(a, b int) bool { return keys[t.order[a]] < keys[t.order[b]] })
 	p := 0
 	for s := range t.sites {

@@ -22,9 +22,8 @@ import (
 // Its result is therefore the probe's.
 type Probe struct {
 	cfg   interp.Config // the probe's config; the recorder is installed per run
-	hooks []*Defect     // union of the members' hook defects, ID order
-	table hookTable     // the union's dispatch; index i is hooks[i]
-	masks [][]uint64    // per member: bit i set iff hooks[i] is one of its hooks
+	table hookTable     // the union of the members' hook defects, ID order
+	masks [][]uint64    // per member: bit i set iff the table's hook i is one of its hooks
 }
 
 // Fired is the set of a probe run's hook defects whose trigger matched, a
@@ -52,22 +51,23 @@ func NewProbe(members []*PreparedTestbed) *Probe {
 func newProbe(cfg interp.Config, members [][]*Defect) *Probe {
 	cfg.Hook = nil
 	pr := &Probe{cfg: cfg}
+	var hooks []*Defect // the union, ID order
 	seen := map[*Defect]bool{}
 	for _, m := range members {
 		for _, d := range m {
 			if !seen[d] {
 				seen[d] = true
-				pr.hooks = append(pr.hooks, d)
+				hooks = append(hooks, d)
 			}
 		}
 	}
-	sort.Slice(pr.hooks, func(i, j int) bool { return pr.hooks[i].ID < pr.hooks[j].ID })
-	pr.table = newHookTable(pr.hooks)
-	index := make(map[*Defect]int, len(pr.hooks))
-	for i, d := range pr.hooks {
+	sort.Slice(hooks, func(i, j int) bool { return hooks[i].ID < hooks[j].ID })
+	pr.table = newHookTable(hooks)
+	index := make(map[*Defect]int, len(hooks))
+	for i, d := range hooks {
 		index[d] = i
 	}
-	words := (len(pr.hooks) + 63) / 64
+	words := (len(hooks) + 63) / 64
 	pr.masks = make([][]uint64, len(members))
 	for k, m := range members {
 		mask := make([]uint64, words)
@@ -90,8 +90,8 @@ func (pr *Probe) ExecParsed(prog *ast.Program, err error, opts RunOptions) (Exec
 		return res, Fired{}
 	}
 	cfg := pr.cfg
-	fired := Fired{hooks: make([]uint64, (len(pr.hooks)+63)/64)}
-	if len(pr.hooks) > 0 {
+	fired := Fired{hooks: make([]uint64, (len(pr.table.fns)+63)/64)}
+	if len(pr.table.fns) > 0 {
 		cfg.Hook = pr.recorder(fired.hooks)
 	}
 	res := runRealm(cfg, prog, opts)

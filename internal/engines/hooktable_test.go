@@ -146,11 +146,11 @@ func TestHookKeysConcurrent(t *testing.T) {
 
 // TestProbeKeepsShapeLayout pins a consequence of the probe's purity the
 // result comparison of TestProbeIsPure cannot see: asking the catalog's
-// triggers leaves a shape-layout object in shape layout. Two watchers
-// bracket the catalog hooks keyed at property stores and at
-// Object.defineProperty (their IDs sort before and after every catalog
-// ID) and record the layout of the object each site hands the triggers:
-// the stored-to object, and the descriptor.
+// triggers leaves a shape-layout object in shape layout. At property
+// stores and at Object.defineProperty, a pair of watchers brackets the
+// catalog hooks keyed there (their IDs sort before and after every
+// catalog ID) and records the layout of the object the site hands the
+// triggers: the stored-to object, and the descriptor.
 func TestProbeKeepsShapeLayout(t *testing.T) {
 	const src = `var o = {a: 1}; o.b = 2; o.a = 3;
 var d = {value: 1, enumerable: true}; Object.defineProperty({}, "x", d); o.c = d.value;`

@@ -1,11 +1,9 @@
 package engines
 
 import (
-	"maps"
+	"cmp"
 	"slices"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"strings"
 
 	"comfort/internal/js/interp"
 )
@@ -26,90 +24,29 @@ func named(site interp.HookSite) bool {
 	return site == interp.HookBuiltin || site == interp.HookRegexExec
 }
 
-// numSites bounds the hook sites; a site without a name is its own key
-// number.
+// numSites bounds the hook sites: every interp.HookSite is below it.
 const numSites = int(interp.HookUndeclaredAssign) + 1
 
-// siteName is a named hook key.
+// siteName is a hook key. A site without a name has the empty name.
 type siteName struct {
 	site interp.HookSite
 	name string
-}
-
-// keyNumbers numbers hook keys process-wide: a site without a name has
-// its own value, and each (site, name) pair gets the next number from
-// numSites up the first time a table holds a hook keyed there. A number
-// is never reused, so a table built earlier holds no hook at a number
-// handed out later. The map is copied on write: dispatch reads the
-// published one without a lock.
-var (
-	keyMu      sync.Mutex
-	keyNumbers atomic.Pointer[map[siteName]int32]
-)
-
-// keyNumber returns the key number of the named site a ctx describes,
-// or -1 when no table holds a hook keyed there.
-func keyNumber(ctx *interp.HookCtx) int {
-	m := keyNumbers.Load()
-	if m == nil {
-		return -1
-	}
-	if k, ok := (*m)[siteName{ctx.Site, ctx.Name}]; ok {
-		return int(k)
-	}
-	return -1
-}
-
-// numberKeys returns the key number of each defect's hook, numbering new
-// named keys.
-func numberKeys(defects []*Defect) []int32 {
-	keyMu.Lock()
-	defer keyMu.Unlock()
-	var cur map[siteName]int32
-	if m := keyNumbers.Load(); m != nil {
-		cur = *m
-	}
-	next := cur
-	out := make([]int32, len(defects))
-	for i, d := range defects {
-		h := d.Hook
-		if !named(h.Site) {
-			out[i] = int32(h.Site)
-			continue
-		}
-		key := siteName{h.Site, h.Name}
-		k, ok := next[key]
-		if !ok {
-			if len(next) == len(cur) { // first new key: readers keep cur
-				next = make(map[siteName]int32, len(cur)+len(defects))
-				maps.Copy(next, cur)
-			}
-			k = int32(numSites + len(next))
-			next[key] = k
-		}
-		out[i] = k
-	}
-	if len(next) != len(cur) {
-		keyNumbers.Store(&next)
-	}
-	return out
 }
 
 // hookTable dispatches a hook site to the hooks keyed there. Each
 // bucket lists its hooks' indexes in the table's order (ID order), and
 // hooks of different keys never match the same site, so asking a site's
 // bucket in order is asking every hook in order: the first override still
-// wins. The buckets share one index array, grouped by key number: the
-// unnamed sites' groups first, found by site, then the named keys' in
-// ascending key number, found by binary search. A table's size follows
-// its hooks, not the process-wide key count: every prepared testbed and
-// single-defect runner keeps one.
+// wins. The buckets share one index array, one group per key, in key
+// order: by site, then by API name. A site's groups are found by
+// indexing with the site; a named site's group by binary search over
+// that site's names.
 type hookTable struct {
-	fns   []interp.Hook       // the hooks' Fn, table order
-	order []int32             // indexes into fns, grouped by key number
-	sites [numSites + 1]int32 // unnamed site s's group is order[sites[s]:sites[s+1]]
-	names []int32             // the named keys' numbers, ascending
-	ends  []int32             // names[j]'s group ends at order[ends[j]]
+	fns    []interp.Hook       // the hooks' Fn, table order
+	order  []int32             // indexes into fns, grouped by key
+	groups [numSites + 1]int32 // site s's groups are groups[s] to groups[s+1]-1
+	names  []string            // group g's API name ("" at an unnamed site)
+	ends   []int32             // group g ends at order[ends[g]], where g+1 starts
 }
 
 // newHookTable builds the table over defects' hooks, in slice order.
@@ -119,45 +56,47 @@ func newHookTable(defects []*Defect) hookTable {
 		t.fns[i] = d.Hook.Fn
 		t.order[i] = int32(i)
 	}
-	keys := numberKeys(defects)
-	sort.SliceStable(t.order, func(a, b int) bool { return keys[t.order[a]] < keys[t.order[b]] })
-	p := 0
-	for s := range t.sites {
-		for p < len(t.order) && int(keys[t.order[p]]) < s {
-			p++
+	key := func(i int32) siteName {
+		h := defects[i].Hook
+		if !named(h.Site) {
+			return siteName{site: h.Site}
 		}
-		t.sites[s] = int32(p)
+		return siteName{h.Site, h.Name}
 	}
-	for ; p < len(t.order); p++ {
-		k := keys[t.order[p]]
-		if n := len(t.names); n == 0 || t.names[n-1] != k {
-			if n > 0 {
-				t.ends = append(t.ends, int32(p))
-			}
-			t.names = append(t.names, k)
+	slices.SortStableFunc(t.order, func(a, b int32) int {
+		ka, kb := key(a), key(b)
+		return cmp.Or(cmp.Compare(ka.site, kb.site), strings.Compare(ka.name, kb.name))
+	})
+	for p, i := range t.order {
+		k := key(i)
+		if p+1 < len(t.order) && key(t.order[p+1]) == k {
+			continue
 		}
+		t.names = append(t.names, k.name) // p ends k's group
+		t.ends = append(t.ends, int32(p+1))
+		t.groups[k.site+1]++
 	}
-	if len(t.names) > 0 {
-		t.ends = append(t.ends, int32(len(t.order)))
+	for s := range numSites {
+		t.groups[s+1] += t.groups[s]
 	}
 	return t
 }
 
 // bucket returns the indexes of the hooks keyed at ctx's site.
 func (t *hookTable) bucket(ctx *interp.HookCtx) []int32 {
-	if !named(ctx.Site) {
-		return t.order[t.sites[ctx.Site]:t.sites[ctx.Site+1]]
-	}
-	if len(t.names) == 0 {
+	g, end := t.groups[ctx.Site], t.groups[ctx.Site+1]
+	if named(ctx.Site) {
+		j, ok := slices.BinarySearch(t.names[g:end], ctx.Name)
+		if !ok {
+			return nil
+		}
+		g += int32(j)
+	} else if g == end {
 		return nil
 	}
-	j, ok := slices.BinarySearch(t.names, int32(keyNumber(ctx)))
-	if !ok {
-		return nil
+	start := int32(0)
+	if g > 0 {
+		start = t.ends[g-1]
 	}
-	start := t.sites[numSites]
-	if j > 0 {
-		start = t.ends[j-1]
-	}
-	return t.order[start:t.ends[j]]
+	return t.order[start:t.ends[g]]
 }

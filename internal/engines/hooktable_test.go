@@ -35,6 +35,20 @@ func TestCatalogHooksKeyed(t *testing.T) {
 	}
 }
 
+// TestNumSitesCoversHookSites: every interp.HookSite is below numSites,
+// the bound of a table's site index. A site added past it would index
+// past hookTable.groups and panic inside a run.
+func TestNumSitesCoversHookSites(t *testing.T) {
+	for s := interp.HookSite(0); int(s) < numSites; s++ {
+		if s.String() == "unknown" {
+			t.Errorf("hook site %d below numSites has no name", s)
+		}
+	}
+	if s := interp.HookSite(numSites).String(); s != "unknown" {
+		t.Errorf("hook site %d (numSites) is %q; raise numSites to cover it", numSites, s)
+	}
+}
+
 // keySrc reaches every key watchKeys names.
 const keySrc = `var s = "abc"; var c = s.charCodeAt(1) + s.charCodeAt(2);
 var a = new Array(3); a[5] = 1; a.push(2);
@@ -49,6 +63,7 @@ var watchKeys = []Hook{
 	{Site: interp.HookBuiltin, Name: "Array.prototype.push"},
 	{Site: interp.HookRegexExec, Name: "RegExp.prototype.test"},
 	{Site: interp.HookRegexExec, Name: "String.prototype.split"},
+	{Site: interp.HookBuiltin, Name: "String.prototype.split"}, // same name, other site
 	{Site: interp.HookPropSet},
 	{Site: interp.HookArrayGrow},
 	{Site: interp.HookFuncTier},
@@ -112,10 +127,10 @@ func TestHookTableAsksOnlyAtKey(t *testing.T) {
 	check("probe") // the hooks never match, so the probe asks them at every site
 }
 
-// TestHookKeysConcurrent: tables built concurrently, each numbering new
-// named keys, while the others dispatch through the process-wide key
-// index; every hook is still asked at exactly its key's sites. Run under
-// -race it also checks that publishing key numbers races no reader.
+// TestHookKeysConcurrent: tables built concurrently, each with a named
+// key no other table holds, while the others dispatch; every hook is
+// still asked at exactly its key's sites. Run under -race it also checks
+// that the tables share no mutable state.
 func TestHookKeysConcurrent(t *testing.T) {
 	prog, err := parseProgram(`var s = "abc"; print(s.charCodeAt(0), s.charCodeAt(1));`, parser.Options{}).Mode(false)
 	if err != nil {

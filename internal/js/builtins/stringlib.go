@@ -520,34 +520,30 @@ func runRegex(in *interp.Interp, re *regex.Regexp, input string, start int, api 
 		return nil, err
 	}
 	if in.Hook != nil {
-		ov := in.Hook(&interp.HookCtx{
+		ov, err := in.Ask(&interp.HookCtx{
 			Site: interp.HookRegexExec, In: in, Name: api,
 			Pattern: re.Source, Flags: re.Flags,
 			Args: []interp.Value{interp.String(input), interp.Number(float64(start))},
 		})
-		if ov != nil {
-			if ov.CostExtra > 0 {
-				if err := in.Burn(ov.CostExtra); err != nil {
-					return nil, err
-				}
+		if err != nil {
+			return nil, err
+		}
+		if ov != nil && ov.Replace {
+			if ov.Err != nil {
+				return nil, ov.Err
 			}
-			if ov.Replace {
-				if ov.Err != nil {
-					return nil, ov.Err
-				}
-				// A FakeMatch object injects a bogus match range (the
-				// anchor-mishandling regex defect family); anything else
-				// replaces the result with "no match".
-				if fm := ov.Return; fm.IsObject() && fm.Obj().Class == "FakeMatch" {
-					s, _ := in.GetPropKey(fm, "start")
-					e, _ := in.GetPropKey(fm, "end")
-					return &regex.Match{
-						Groups: [][2]int{{int(s.Num()), int(e.Num())}},
-						Input:  []rune(input),
-					}, nil
-				}
-				return nil, nil
+			// A FakeMatch object injects a bogus match range (the
+			// anchor-mishandling regex defect family); anything else
+			// replaces the result with "no match".
+			if fm := ov.Return; fm.IsObject() && fm.Obj().Class == "FakeMatch" {
+				s, _ := in.GetPropKey(fm, "start")
+				e, _ := in.GetPropKey(fm, "end")
+				return &regex.Match{
+					Groups: [][2]int{{int(s.Num()), int(e.Num())}},
+					Input:  []rune(input),
+				}, nil
 			}
+			return nil, nil
 		}
 	}
 	m, err := re.Exec(input, start)

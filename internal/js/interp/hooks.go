@@ -115,7 +115,8 @@ type Hook func(*HookCtx) *Override
 // re-enters the interpreter and reaches another scratch site while the
 // outer ctx is still live, the busy flag falls back to allocation, so
 // reuse is safe even for re-entrant hooks. Callers must overwrite every
-// field (assign a whole HookCtx value) and release via releaseHookCtx.
+// field (assign a whole HookCtx value) and pass it to Ask, which
+// releases it.
 func (in *Interp) hookCtx() *HookCtx {
 	if in.hookScratchBusy {
 		return &HookCtx{}
@@ -124,24 +125,34 @@ func (in *Interp) hookCtx() *HookCtx {
 	return &in.hookScratch
 }
 
-// releaseHookCtx returns the scratch HookCtx after the hook call,
-// dropping the value references it holds. Heap-allocated fallbacks are
-// left to the collector.
-func (in *Interp) releaseHookCtx(ctx *HookCtx) {
+// Ask asks the installed hook about ctx and charges the override's
+// CostExtra; the caller acts on the rest of the override. A scratch ctx
+// is released, dropping the value references it holds; heap-allocated
+// ones are left to the collector. Callers check in.Hook first.
+func (in *Interp) Ask(ctx *HookCtx) (*Override, error) {
+	ov := in.Hook(ctx)
 	if ctx == &in.hookScratch {
 		*ctx = HookCtx{}
 		in.hookScratchBusy = false
 	}
+	if ov != nil && ov.CostExtra > 0 {
+		if err := in.charge(ov.CostExtra); err != nil {
+			return nil, err
+		}
+	}
+	return ov, nil
 }
 
-// allowWrite asks the hook whether a write the reference refuses at site
-// goes through; callers check in.Hook first.
-func (in *Interp) allowWrite(site HookSite) bool {
+// allowWrite asks the hook, if any, whether a write the reference
+// refuses at site goes through.
+func (in *Interp) allowWrite(site HookSite) (bool, error) {
+	if in.Hook == nil {
+		return false, nil
+	}
 	ctx := in.hookCtx()
 	*ctx = HookCtx{Site: site, In: in}
-	ov := in.Hook(ctx)
-	in.releaseHookCtx(ctx)
-	return ov != nil
+	ov, err := in.Ask(ctx)
+	return ov != nil, err
 }
 
 // applyHook runs the installed hook for a builtin-like site and merges the
@@ -150,14 +161,12 @@ func (in *Interp) applyHook(ctx *HookCtx, run func() (Value, error)) (Value, err
 	if in.Hook == nil {
 		return run()
 	}
-	ov := in.Hook(ctx)
+	ov, err := in.Ask(ctx)
+	if err != nil {
+		return Undefined(), err
+	}
 	if ov == nil {
 		return run()
-	}
-	if ov.CostExtra > 0 {
-		if err := in.charge(ov.CostExtra); err != nil {
-			return Undefined(), err
-		}
 	}
 	if ov.Replace {
 		return ov.Return, ov.Err

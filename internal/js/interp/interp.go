@@ -996,7 +996,11 @@ func (in *Interp) lookupGlobalTail(name string) (Value, error) {
 func (in *Interp) assignBinding(b *binding, v Value, strict bool) error {
 	if !b.mutable {
 		if b.silent {
-			if in.Hook != nil && in.allowWrite(HookSelfNameAssign) {
+			ok, err := in.allowWrite(HookSelfNameAssign)
+			if err != nil {
+				return err
+			}
+			if ok {
 				b.v = v
 				return nil
 			}
@@ -1035,8 +1039,14 @@ func (in *Interp) assignGlobalTail(name string, v Value, strict bool) error {
 	if in.Global.HasOwn(name) {
 		return in.SetProp(ObjValue(in.Global), name, v, strict)
 	}
-	if strict && (in.Hook == nil || !in.allowWrite(HookUndeclaredAssign)) {
-		return in.ReferenceErrorf("%s is not defined", name)
+	if strict {
+		ok, err := in.allowWrite(HookUndeclaredAssign)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return in.ReferenceErrorf("%s is not defined", name)
+		}
 	}
 	in.Global.SetSlot(name, v, DefaultAttr)
 	return nil
@@ -1633,17 +1643,12 @@ func (in *Interp) call1(fn *Object, this Value, args []Value) (Value, error) {
 	if in.Hook != nil {
 		ctx := in.hookCtx()
 		*ctx = HookCtx{Site: HookFuncTier, In: in, Tier: int(fn.Invocations), Fn: fn}
-		ov := in.Hook(ctx)
-		in.releaseHookCtx(ctx)
-		if ov != nil {
-			if ov.CostExtra > 0 {
-				if err := in.charge(ov.CostExtra); err != nil {
-					return Undefined(), err
-				}
-			}
-			if ov.Replace {
-				return ov.Return, ov.Err
-			}
+		ov, err := in.Ask(ctx)
+		if err != nil {
+			return Undefined(), err
+		}
+		if ov != nil && ov.Replace {
+			return ov.Return, ov.Err
 		}
 	}
 	lit := fn.Fn.Lit
@@ -1817,22 +1822,17 @@ func (in *Interp) Construct(fn *Object, args []Value) (Value, error) {
 	if x := fn.ext; x != nil && x.boundTarget != nil {
 		return in.Construct(x.boundTarget, append(append([]Value(nil), x.boundArgs...), args...))
 	}
-	if fn.Construct != nil {
-		if in.Hook == nil {
-			return fn.Construct(in, Undefined(), args)
-		}
-		ctx := &HookCtx{Site: HookBuiltin, In: in, Name: "new " + fn.NativeName, Args: args}
-		return in.applyHook(ctx, func() (Value, error) {
-			return fn.Construct(in, Undefined(), args)
-		})
+	native := fn.Construct
+	if native == nil {
+		native = fn.Native
 	}
-	if fn.Native != nil {
+	if native != nil {
 		if in.Hook == nil {
-			return fn.Native(in, Undefined(), args)
+			return native(in, Undefined(), args)
 		}
 		ctx := &HookCtx{Site: HookBuiltin, In: in, Name: "new " + fn.NativeName, Args: args}
 		return in.applyHook(ctx, func() (Value, error) {
-			return fn.Native(in, Undefined(), args)
+			return native(in, Undefined(), args)
 		})
 	}
 	if fn.Fn == nil || fn.Fn.Lit.Arrow {
@@ -2099,20 +2099,15 @@ func (in *Interp) SetProp(target Value, key string, v Value, strict bool) error 
 	if in.Hook != nil {
 		ctx := in.hookCtx()
 		*ctx = HookCtx{Site: HookPropSet, In: in, Obj: o, Key: String(key), Val: v}
-		ov := in.Hook(ctx)
-		in.releaseHookCtx(ctx)
-		if ov != nil {
-			if ov.CostExtra > 0 {
-				if err := in.charge(ov.CostExtra); err != nil {
-					return err
-				}
-			}
-			if ov.Replace {
-				return ov.Err
-			}
-			if ov.Handled {
-				return nil
-			}
+		ov, err := in.Ask(ctx)
+		if err != nil {
+			return err
+		}
+		if ov != nil && ov.Replace {
+			return ov.Err
+		}
+		if ov != nil && ov.Handled {
+			return nil
 		}
 	}
 	return in.setProp(o, key, v, strict)
@@ -2200,12 +2195,8 @@ func (in *Interp) setProp(o *Object, key string, v Value, strict bool) error {
 			if in.Hook != nil {
 				ctx := in.hookCtx()
 				*ctx = HookCtx{Site: HookArrayGrow, In: in, Obj: o, Index: idx, Val: v}
-				ov := in.Hook(ctx)
-				in.releaseHookCtx(ctx)
-				if ov != nil && ov.CostExtra > 0 {
-					if err := in.charge(ov.CostExtra); err != nil {
-						return err
-					}
+				if _, err := in.Ask(ctx); err != nil {
+					return err
 				}
 			}
 			o.arraySet(idx, v)

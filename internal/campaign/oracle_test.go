@@ -196,7 +196,8 @@ func checkReferencePaths(t *testing.T, paths ...referencePath) (earlyErrorProgs 
 // defect whose hook never intervenes is keyed at the property-store site:
 // it watches every property store srcs reach on a single-defect testbed
 // and counts them by the layout of the realm they run on, plus the stores
-// that add a key on a shape-layout realm (each one a shape transition).
+// that add a named key on a shape-layout realm (each one a shape
+// transition; a dense array element store's key is a number).
 // The default path must reach shape layout only, with at least one
 // transition; the dictionary path must reach dictionary layout only. The
 // guard reads no production counter.
@@ -209,7 +210,7 @@ func checkShapeTransitions(t *testing.T, srcs []string) {
 			return nil
 		}
 		shapeSites++
-		if !ctx.Obj.HasOwn(ctx.Key.Str()) {
+		if ctx.Key.Kind() == interp.KindString && !ctx.Obj.HasOwn(ctx.Key.Str()) {
 			transitions++
 		}
 		return nil

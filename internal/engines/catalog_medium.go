@@ -225,7 +225,8 @@ Object.defineProperty(o, "x", {value: 1, writable: false});
 o.x = 2;
 print(o.x);`,
 		Hook: onPropSet(func(ctx *interp.HookCtx) bool {
-			if p, ok := ctx.Obj.OwnProperty(ctx.Key.Str()); ok {
+			key, _ := ctx.In.ToPropertyKey(ctx.Key) // a string or a number
+			if p, ok := ctx.Obj.OwnProperty(key); ok {
 				return !p.Accessor && p.Attr&interp.Writable == 0
 			}
 			return false

@@ -51,9 +51,10 @@ print(o.x);`,
 			return len(ctx.Args) > 0 && ctx.Args[0].Kind() == interp.KindString &&
 				strings.Contains(ctx.Args[0].Str(), "'")
 		}, func(ctx *interp.HookCtx) *interp.Override {
+			in := ctx.In
 			return &interp.Override{Post: func(res interp.Value, err error) (interp.Value, error) {
 				if _, isThrow := interp.IsThrow(err); isThrow {
-					return interp.ObjValue(interp.NewObject(ctx.In.Protos["Object"])), nil
+					return interp.ObjValue(interp.NewObject(in.Protos["Object"])), nil
 				}
 				return res, err
 			}}

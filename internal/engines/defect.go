@@ -231,14 +231,16 @@ func noThrow(v interp.Value) func(*interp.HookCtx) *interp.Override {
 	}
 }
 
-// mapResult transforms a successful result.
+// mapResult transforms a successful result. f reads a copy of the ctx:
+// Post runs after the ctx is released.
 func mapResult(f func(ctx *interp.HookCtx, res interp.Value) interp.Value) func(*interp.HookCtx) *interp.Override {
 	return func(ctx *interp.HookCtx) *interp.Override {
+		c := *ctx
 		return &interp.Override{Post: func(res interp.Value, err error) (interp.Value, error) {
 			if err != nil {
 				return res, err
 			}
-			return f(ctx, res), nil
+			return f(&c, res), nil
 		}}
 	}
 }

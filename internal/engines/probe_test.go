@@ -1,10 +1,14 @@
 package engines
 
 import (
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
 	"comfort/internal/corpus"
+	"comfort/internal/js/ast"
+	"comfort/internal/js/builtins"
 	"comfort/internal/js/interp"
 	"comfort/internal/js/parser"
 )
@@ -76,6 +80,45 @@ func TestProbeIsPure(t *testing.T) {
 		}
 		if fired == 0 {
 			t.Errorf("strict=%v: no program matched any trigger; the comparison is vacuous", strict)
+		}
+	}
+}
+
+// TestQuietHookAllocatesLikeNoHook pins that a hooked run takes the
+// unhooked run's paths: on one realm, reset between runs, a run under a
+// hook that always returns nil allocates exactly as often as a run with
+// no hook. The programs are the interp-loops workload's and the first
+// corpus programs; two hooked-only allocations remain outside them, the
+// "new " name of a native constructor call and a regex site's argument
+// slice. Mallocs is read with the collector off, so no collection runs
+// inside the measured window.
+func TestQuietHookAllocatesLikeNoHook(t *testing.T) {
+	srcs := append(append([]string(nil), probeLoops...), corpus.Programs()[:5]...)
+	opts := RunOptions{Fuel: 2_000_000, Seed: 1}
+	cfg := realmConfig(interp.Config{}, opts)
+	in := builtins.NewRuntime(cfg)
+	quiet := func(*interp.HookCtx) *interp.Override { return nil }
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	mallocs := func(prog *ast.Program, hook interp.Hook) uint64 {
+		c := cfg
+		c.Hook = hook
+		builtins.ResetRuntime(in, c)
+		runtime.ReadMemStats(&before)
+		if res := execRealm(in, prog, opts); res.Outcome != OutcomePass {
+			t.Fatalf("run failed: %+v", res)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	for i, src := range srcs {
+		prog, err := parseProgram(src, parser.Options{}).Mode(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mallocs(prog, nil) // grows the realm's slot arrays and sections once
+		if bare, hooked := mallocs(prog, nil), mallocs(prog, quiet); hooked != bare {
+			t.Errorf("program %d: %d allocations under a quiet hook, %d with no hook\nprogram:\n%s", i, hooked, bare, src)
 		}
 	}
 }

@@ -79,7 +79,7 @@ func evalImpl(in *interp.Interp, this interp.Value, args []interp.Value) (interp
 	code := src.Str()
 	opts := parser.Options{Strict: in.Strict}
 	if in.Hook != nil {
-		ov, err := in.Ask(&interp.HookCtx{Site: interp.HookEvalParse, In: in, Src: code})
+		ov, err := in.Ask(interp.HookCtx{Site: interp.HookEvalParse, In: in, Src: code})
 		if err != nil {
 			return interp.Undefined(), err
 		}

@@ -520,7 +520,7 @@ func runRegex(in *interp.Interp, re *regex.Regexp, input string, start int, api 
 		return nil, err
 	}
 	if in.Hook != nil {
-		ov, err := in.Ask(&interp.HookCtx{
+		ov, err := in.Ask(interp.HookCtx{
 			Site: interp.HookRegexExec, In: in, Name: api,
 			Pattern: re.Source, Flags: re.Flags,
 			Args: []interp.Value{interp.String(input), interp.Number(float64(start))},

@@ -52,7 +52,8 @@ type HookCtx struct {
 	This Value
 	Args []Value
 
-	// HookPropSet.
+	// HookPropSet. Key is the key as the program wrote it: a number at a
+	// dense array element store, otherwise the property-key string.
 	Obj *Object
 	Key Value
 	Val Value
@@ -69,7 +70,6 @@ type HookCtx struct {
 
 	// HookFuncTier: the invocation count of the function being entered.
 	Tier int
-	Fn   *Object
 
 	// Probe asks the hook whether its trigger matches this site instead of
 	// intervening: a probed hook returns a non-nil Override iff it would
@@ -90,6 +90,8 @@ type Override struct {
 	Err     error
 
 	// Post transforms the operation's natural result (builtin sites only).
+	// It runs after Ask has cleared the ctx, so it captures the values it
+	// reads, never the ctx (TestEveryDefectWitnessDiverges catches that).
 	Post func(res Value, err error) (Value, error)
 
 	// Handled suppresses the default property store (HookPropSet only).
@@ -103,36 +105,24 @@ type Override struct {
 // A nil return means "no interference".
 type Hook func(*HookCtx) *Override
 
-// hookCtx returns a HookCtx for a hook site that consumes the hook's
-// Override synchronously and never touches the ctx after the hook call
-// returns (propset, arraygrow, functier — the per-operation hot sites —
-// and the identifier-write sites).
-// Such sites reuse one per-interpreter scratch struct instead of
-// allocating: a &HookCtx literal passed to the dynamic Hook call always
-// escapes, and on defect-laden testbeds property stores dominated the
-// evaluator's allocation profile. Builtin sites keep allocating — their
-// Override.Post closures may capture the ctx past the call. If a hook
-// re-enters the interpreter and reaches another scratch site while the
-// outer ctx is still live, the busy flag falls back to allocation, so
-// reuse is safe even for re-entrant hooks. Callers must overwrite every
-// field (assign a whole HookCtx value) and pass it to Ask, which
-// releases it.
-func (in *Interp) hookCtx() *HookCtx {
-	if in.hookScratchBusy {
-		return &HookCtx{}
-	}
-	in.hookScratchBusy = true
-	return &in.hookScratch
-}
-
 // Ask asks the installed hook about ctx and charges the override's
-// CostExtra; the caller acts on the rest of the override. A scratch ctx
-// is released, dropping the value references it holds; heap-allocated
-// ones are left to the collector. Callers check in.Hook first.
-func (in *Interp) Ask(ctx *HookCtx) (*Override, error) {
-	ov := in.Hook(ctx)
-	if ctx == &in.hookScratch {
-		*ctx = HookCtx{}
+// CostExtra; the caller acts on the rest of the override. The hook gets
+// ctx in the per-interpreter scratch struct, since a HookCtx handed to
+// the dynamic Hook call escapes; a hook that re-enters the interpreter
+// and reaches another site while the scratch is lent out gets a heap
+// copy there. The scratch is cleared when the hook returns, so nothing
+// may read the ctx after that. Callers check in.Hook first.
+func (in *Interp) Ask(ctx HookCtx) (*Override, error) {
+	p := &in.hookScratch
+	if in.hookScratchBusy {
+		p = new(HookCtx)
+	} else {
+		in.hookScratchBusy = true
+	}
+	*p = ctx
+	ov := in.Hook(p)
+	if p == &in.hookScratch {
+		*p = HookCtx{}
 		in.hookScratchBusy = false
 	}
 	if ov != nil && ov.CostExtra > 0 {
@@ -149,31 +139,47 @@ func (in *Interp) allowWrite(site HookSite) (bool, error) {
 	if in.Hook == nil {
 		return false, nil
 	}
-	ctx := in.hookCtx()
-	*ctx = HookCtx{Site: site, In: in}
-	ov, err := in.Ask(ctx)
+	ov, err := in.Ask(HookCtx{Site: site, In: in})
 	return ov != nil, err
 }
 
-// applyHook runs the installed hook for a builtin-like site and merges the
-// result with the default behaviour produced by run().
-func (in *Interp) applyHook(ctx *HookCtx, run func() (Value, error)) (Value, error) {
+// callNative runs a native function, constructor calls (ctor) included,
+// under the installed hook: the hook may replace the call or transform
+// its result. An unhooked run calls native directly.
+func (in *Interp) callNative(native NativeFunc, name string, ctor bool, this Value, args []Value) (Value, error) {
 	if in.Hook == nil {
-		return run()
+		return native(in, this, args)
 	}
-	ov, err := in.Ask(ctx)
+	if ctor {
+		name = "new " + name
+	}
+	ov, err := in.Ask(HookCtx{Site: HookBuiltin, In: in, Name: name, This: this, Args: args})
 	if err != nil {
 		return Undefined(), err
 	}
-	if ov == nil {
-		return run()
-	}
-	if ov.Replace {
+	if ov != nil && ov.Replace {
 		return ov.Return, ov.Err
 	}
-	res, err := run()
-	if ov.Post != nil {
+	res, err := native(in, this, args)
+	if ov != nil && ov.Post != nil {
 		res, err = ov.Post(res, err)
 	}
 	return res, err
+}
+
+// askPropSet asks the hook about the store of v at o[key]; done reports
+// that the hook replaced or handled it, so the store must not happen.
+func (in *Interp) askPropSet(o *Object, key, v Value) (done bool, err error) {
+	ov, err := in.Ask(HookCtx{Site: HookPropSet, In: in, Obj: o, Key: key, Val: v})
+	if ov != nil && ov.Replace {
+		return true, ov.Err
+	}
+	return ov != nil && ov.Handled, err
+}
+
+// askArrayGrow asks the hook about the write of v at index idx of the
+// array o.
+func (in *Interp) askArrayGrow(o *Object, idx uint32, v Value) error {
+	_, err := in.Ask(HookCtx{Site: HookArrayGrow, In: in, Obj: o, Index: idx, Val: v})
+	return err
 }

@@ -140,8 +140,8 @@ type Interp struct {
 	// and ASCII-ness of recently measured strings.
 	strCache [4]strMetrics
 
-	// hookScratch is the reusable HookCtx for hook sites whose Override is
-	// consumed synchronously (propset, arraygrow, functier) — see hookCtx.
+	// hookScratch is the HookCtx that Ask lends the hook at every site;
+	// it is cleared when the hook returns (see Ask).
 	hookScratch HookCtx
 
 	// slab holds the realm's copy of its template's objects (see
@@ -1628,22 +1628,14 @@ func (in *Interp) call1(fn *Object, this Value, args []Value) (Value, error) {
 		return in.Call(x.boundTarget, x.boundThis, append(append([]Value(nil), x.boundArgs...), args...))
 	}
 	if fn.Native != nil {
-		if in.Hook == nil {
-			return fn.Native(in, this, args)
-		}
-		ctx := &HookCtx{Site: HookBuiltin, In: in, Name: fn.NativeName, This: this, Args: args}
-		return in.applyHook(ctx, func() (Value, error) {
-			return fn.Native(in, this, args)
-		})
+		return in.callNative(fn.Native, fn.NativeName, false, this, args)
 	}
 	if fn.Fn == nil {
 		return Undefined(), in.TypeErrorf("object is not callable")
 	}
 	fn.Invocations++
 	if in.Hook != nil {
-		ctx := in.hookCtx()
-		*ctx = HookCtx{Site: HookFuncTier, In: in, Tier: int(fn.Invocations), Fn: fn}
-		ov, err := in.Ask(ctx)
+		ov, err := in.Ask(HookCtx{Site: HookFuncTier, In: in, Tier: int(fn.Invocations)})
 		if err != nil {
 			return Undefined(), err
 		}
@@ -1827,13 +1819,7 @@ func (in *Interp) Construct(fn *Object, args []Value) (Value, error) {
 		native = fn.Native
 	}
 	if native != nil {
-		if in.Hook == nil {
-			return native(in, Undefined(), args)
-		}
-		ctx := &HookCtx{Site: HookBuiltin, In: in, Name: "new " + fn.NativeName, Args: args}
-		return in.applyHook(ctx, func() (Value, error) {
-			return native(in, Undefined(), args)
-		})
+		return in.callNative(native, fn.NativeName, true, Undefined(), args)
 	}
 	if fn.Fn == nil || fn.Fn.Lit.Arrow {
 		return Undefined(), in.TypeErrorf("not a constructor")
@@ -1924,32 +1910,41 @@ func (in *Interp) getPropByValue(obj, key Value) (Value, error) {
 }
 
 // setPropByValue writes obj[key] = v with the key still a language value.
-// The fast paths cover dense array elements — in-bounds overwrites and the
-// append position — when no defect hook is installed (hooks observe
-// property sets and array growth) and the array is not frozen; they
-// perform exactly the write the generic path would. The append position
-// additionally requires an index-free prototype chain (chainIndexFree), so
-// a numeric accessor installed anywhere above the array still intercepts
-// exactly as the generic chain walk would have.
+// The fast path covers dense array elements — in-bounds overwrites and the
+// append position — when the array is not frozen; it performs exactly the
+// write, the charge and the hook asks of the generic path. The append
+// position additionally requires an index-free prototype chain
+// (chainIndexFree), so a numeric accessor installed anywhere above the
+// array still intercepts exactly as the generic chain walk would have.
 func (in *Interp) setPropByValue(target, key, v Value, strict bool) error {
-	if key.Kind() == KindNumber && target.IsObject() && in.Hook == nil {
+	if key.Kind() == KindNumber && target.IsObject() {
 		o := target.Obj()
 		if o.IsArray() && o.integrity != Frozen {
-			if idx, ok := denseIndex(key.Num(), len(o.elems)); ok {
-				if err := in.charge(1); err != nil {
-					return err
-				}
-				o.elems[idx] = v
-				return nil
+			f := key.Num()
+			idx, ok := denseIndex(f, len(o.elems))
+			if !ok && f == float64(len(o.elems)) && f < 4294967295 && chainIndexFree(o) {
+				idx, ok = len(o.elems), true
 			}
-			if f := key.Num(); f == float64(len(o.elems)) && f < 4294967295 && chainIndexFree(o) {
-				// The generic path would stringify the index, walk the
-				// chain (provably empty for index keys here) and land in
-				// arraySet's append case; charge matches SetProp's.
+			if ok {
+				// The generic path would stringify the index, stop its
+				// chain walk at the array's own slot (in bounds) or find
+				// the chain empty of index keys (append), and land in
+				// arraySet; charge and asks happen in SetProp's order.
+				// The checks above precede the asks here but follow them
+				// there, so a property-store hook that lets the store
+				// through leaves the array and its chain as they were.
 				if err := in.charge(1); err != nil {
 					return err
 				}
-				o.arraySet(uint32(f), v)
+				if in.Hook != nil {
+					if done, err := in.askPropSet(o, key, v); done || err != nil {
+						return err
+					}
+					if err := in.askArrayGrow(o, uint32(idx), v); err != nil {
+						return err
+					}
+				}
+				o.arraySet(uint32(idx), v)
 				return nil
 			}
 		}
@@ -2097,17 +2092,8 @@ func (in *Interp) SetProp(target Value, key string, v Value, strict bool) error 
 	}
 	o := target.Obj()
 	if in.Hook != nil {
-		ctx := in.hookCtx()
-		*ctx = HookCtx{Site: HookPropSet, In: in, Obj: o, Key: String(key), Val: v}
-		ov, err := in.Ask(ctx)
-		if err != nil {
+		if done, err := in.askPropSet(o, String(key), v); done || err != nil {
 			return err
-		}
-		if ov != nil && ov.Replace {
-			return ov.Err
-		}
-		if ov != nil && ov.Handled {
-			return nil
 		}
 	}
 	return in.setProp(o, key, v, strict)
@@ -2193,9 +2179,7 @@ func (in *Interp) setProp(o *Object, key string, v Value, strict bool) error {
 	if o.IsArray() {
 		if isIdx {
 			if in.Hook != nil {
-				ctx := in.hookCtx()
-				*ctx = HookCtx{Site: HookArrayGrow, In: in, Obj: o, Index: idx, Val: v}
-				if _, err := in.Ask(ctx); err != nil {
+				if err := in.askArrayGrow(o, idx, v); err != nil {
 					return err
 				}
 			}

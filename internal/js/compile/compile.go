@@ -14,13 +14,17 @@
 // oracle compares the two). The invariants that keep the two evaluators
 // byte-identical, including fuel:
 //
+//   - Each operation's semantics are written once, in package interp
+//     (ops.go and the runtime helpers: UnaryOp, CompoundOp, DeleteProp,
+//     BindForIn, Call, GetPropKey, SetProp, ...). A thunk only evaluates
+//     the operands, charges and calls the helper the tree walker calls;
+//     it never re-implements an operator, a conversion or a binding rule.
 //   - Fuel is charged at the same sites with the same amounts: one step at
 //     every statement and expression entry, per loop iteration, per for-in
-//     binding, and whatever the shared runtime helpers (Call, GetPropKey,
-//     SetProp, ...) charge internally — the thunks call the exact same
-//     helpers.
+//     binding, and whatever the shared runtime helpers charge internally.
+//     The ops.go helpers charge nothing.
 //   - Coverage is recorded at the same statements, functions and branch
-//     arms.
+//     arms, through the same CoverStmt/CoverFunc/CoverBranch calls.
 //   - Seeded-defect hooks fire identically: every hook site lives inside a
 //     shared runtime helper (Call, SetProp, SetPropByValue, eval), so a
 //     compiled program shared between testbeds with different hook chains
@@ -220,9 +224,7 @@ func (c *compiler) stmt(s ast.Stmt) stmtThunk {
 			if err := in.Charge(1); err != nil {
 				return ctrlNormal, err
 			}
-			if in.Cov != nil {
-				in.Cov.Stmts[id] = true
-			}
+			in.CoverStmt(id)
 			return runDecls(decls, in, env, strict)
 		}
 	case *ast.FuncDecl:
@@ -232,9 +234,7 @@ func (c *compiler) stmt(s ast.Stmt) stmtThunk {
 			if err := in.Charge(1); err != nil {
 				return ctrlNormal, err
 			}
-			if in.Cov != nil {
-				in.Cov.Stmts[id] = true
-			}
+			in.CoverStmt(id)
 			return ctrlNormal, nil
 		}
 	case *ast.ExprStmt:
@@ -243,9 +243,7 @@ func (c *compiler) stmt(s ast.Stmt) stmtThunk {
 			if err := in.Charge(1); err != nil {
 				return ctrlNormal, err
 			}
-			if in.Cov != nil {
-				in.Cov.Stmts[id] = true
-			}
+			in.CoverStmt(id)
 			// The tree walker forwards the expression value in its ctrl
 			// record for eval's completion-value rule; compiled programs
 			// never run under eval, so the value is dropped here.
@@ -267,9 +265,7 @@ func (c *compiler) stmt(s ast.Stmt) stmtThunk {
 				if err := in.Charge(1); err != nil {
 					return ctrlNormal, err
 				}
-				if in.Cov != nil {
-					in.Cov.Stmts[id] = true
-				}
+				in.CoverStmt(id)
 				return inner(in, env, strict)
 			}
 		}
@@ -277,9 +273,7 @@ func (c *compiler) stmt(s ast.Stmt) stmtThunk {
 			if err := in.Charge(1); err != nil {
 				return ctrlNormal, err
 			}
-			if in.Cov != nil {
-				in.Cov.Stmts[id] = true
-			}
+			in.CoverStmt(id)
 			env2, owned := frameFor(in, env, scope, pool)
 			ctl, err := runSeq(body, in, env2, strict)
 			if owned {
@@ -292,9 +286,7 @@ func (c *compiler) stmt(s ast.Stmt) stmtThunk {
 			if err := in.Charge(1); err != nil {
 				return ctrlNormal, err
 			}
-			if in.Cov != nil {
-				in.Cov.Stmts[id] = true
-			}
+			in.CoverStmt(id)
 			return ctrlNormal, nil
 		}
 	case *ast.IfStmt:
@@ -308,22 +300,16 @@ func (c *compiler) stmt(s ast.Stmt) stmtThunk {
 			if err := in.Charge(1); err != nil {
 				return ctrlNormal, err
 			}
-			if in.Cov != nil {
-				in.Cov.Stmts[id] = true
-			}
+			in.CoverStmt(id)
 			cv, err := cond(in, env, strict)
 			if err != nil {
 				return ctrlNormal, err
 			}
 			if interp.ToBoolean(cv) {
-				if in.Cov != nil {
-					in.Cov.Branches[[2]int{id, 0}] = true
-				}
+				in.CoverBranch(id, 0)
 				return then(in, env, strict)
 			}
-			if in.Cov != nil {
-				in.Cov.Branches[[2]int{id, 1}] = true
-			}
+			in.CoverBranch(id, 1)
 			if els != nil {
 				return els(in, env, strict)
 			}
@@ -336,9 +322,7 @@ func (c *compiler) stmt(s ast.Stmt) stmtThunk {
 			if err := in.Charge(1); err != nil {
 				return ctrlNormal, err
 			}
-			if in.Cov != nil {
-				in.Cov.Stmts[id] = true
-			}
+			in.CoverStmt(id)
 			return runLoop(in, env, strict, cond, nil, body, id, false)
 		}
 	case *ast.DoWhileStmt:
@@ -348,9 +332,7 @@ func (c *compiler) stmt(s ast.Stmt) stmtThunk {
 			if err := in.Charge(1); err != nil {
 				return ctrlNormal, err
 			}
-			if in.Cov != nil {
-				in.Cov.Stmts[id] = true
-			}
+			in.CoverStmt(id)
 			return runLoop(in, env, strict, cond, nil, body, id, true)
 		}
 	case *ast.ForStmt:
@@ -365,9 +347,7 @@ func (c *compiler) stmt(s ast.Stmt) stmtThunk {
 			if err := in.Charge(1); err != nil {
 				return ctrlNormal, err
 			}
-			if in.Cov != nil {
-				in.Cov.Stmts[id] = true
-			}
+			in.CoverStmt(id)
 			in.SetCtrlLabel(label)
 			return ctrlBreak, nil
 		}
@@ -377,9 +357,7 @@ func (c *compiler) stmt(s ast.Stmt) stmtThunk {
 			if err := in.Charge(1); err != nil {
 				return ctrlNormal, err
 			}
-			if in.Cov != nil {
-				in.Cov.Stmts[id] = true
-			}
+			in.CoverStmt(id)
 			in.SetCtrlLabel(label)
 			return ctrlContinue, nil
 		}
@@ -392,9 +370,7 @@ func (c *compiler) stmt(s ast.Stmt) stmtThunk {
 			if err := in.Charge(1); err != nil {
 				return ctrlNormal, err
 			}
-			if in.Cov != nil {
-				in.Cov.Stmts[id] = true
-			}
+			in.CoverStmt(id)
 			v := interp.Undefined()
 			if x != nil {
 				var err error
@@ -412,9 +388,7 @@ func (c *compiler) stmt(s ast.Stmt) stmtThunk {
 			if err := in.Charge(1); err != nil {
 				return ctrlNormal, err
 			}
-			if in.Cov != nil {
-				in.Cov.Stmts[id] = true
-			}
+			in.CoverStmt(id)
 			v, err := x(in, env, strict)
 			if err != nil {
 				return ctrlNormal, err
@@ -430,9 +404,7 @@ func (c *compiler) stmt(s ast.Stmt) stmtThunk {
 			if err := in.Charge(1); err != nil {
 				return ctrlNormal, err
 			}
-			if in.Cov != nil {
-				in.Cov.Stmts[id] = true
-			}
+			in.CoverStmt(id)
 			in.SetPendingLabel(label)
 			ctl, err := body(in, env, strict)
 			in.SetPendingLabel("")
@@ -449,9 +421,7 @@ func (c *compiler) stmt(s ast.Stmt) stmtThunk {
 			if err := in.Charge(1); err != nil {
 				return ctrlNormal, err
 			}
-			if in.Cov != nil {
-				in.Cov.Stmts[id] = true
-			}
+			in.CoverStmt(id)
 			return ctrlNormal, in.Throwf("InternalError", "unsupported statement %T", s)
 		}
 	}
@@ -486,9 +456,7 @@ func (c *compiler) varDecl(st *ast.VarDecl) []declThunk {
 				nameFix = true
 			}
 		}
-		name := d.Name
 		kind := st.Kind
-		ref := d.Ref
 		out = append(out, func(in *interp.Interp, env *interp.Env, strict bool) error {
 			var v interp.Value
 			if init != nil {
@@ -497,30 +465,11 @@ func (c *compiler) varDecl(st *ast.VarDecl) []declThunk {
 				if err != nil {
 					return err
 				}
-				if nameFix && v.IsObject() {
-					v.Obj().SetSlot("name", interp.String(name), interp.Configurable)
+				if nameFix {
+					interp.NameFunction(v, d.Name)
 				}
 			}
-			if ref.Kind == ast.RefSlot {
-				switch kind {
-				case ast.Var:
-					in.DeclareSlotVar(env, ref.Depth, ref.Slot, v, init != nil)
-				case ast.Let:
-					env.AtDepth(ref.Depth).SetSlotLexical(ref.Slot, v, true)
-				case ast.Const:
-					env.AtDepth(ref.Depth).SetSlotLexical(ref.Slot, v, false)
-				}
-				return nil
-			}
-			switch kind {
-			case ast.Var:
-				return in.DeclareVar(env, name, v, init != nil, strict)
-			case ast.Let:
-				env.DeclareLexical(name, v, true)
-			case ast.Const:
-				env.DeclareLexical(name, v, false)
-			}
-			return nil
+			return in.Declare(kind, d, env, v, strict)
 		})
 	}
 	return out
@@ -543,14 +492,10 @@ func runLoop(in *interp.Interp, env *interp.Env, strict bool, cond, post exprThu
 				return ctrlNormal, err
 			}
 			if !interp.ToBoolean(cv) {
-				if in.Cov != nil {
-					in.Cov.Branches[[2]int{nodeID, 1}] = true
-				}
+				in.CoverBranch(nodeID, 1)
 				return ctrlNormal, nil
 			}
-			if in.Cov != nil {
-				in.Cov.Branches[[2]int{nodeID, 0}] = true
-			}
+			in.CoverBranch(nodeID, 0)
 		}
 		first = false
 		c, err := body(in, env, strict)
@@ -559,12 +504,12 @@ func runLoop(in *interp.Interp, env *interp.Env, strict bool, cond, post exprThu
 		}
 		switch c {
 		case ctrlBreak:
-			if l := in.CtrlLabel(); l == "" || l == myLabel {
+			if interp.CtrlTargets(in.CtrlLabel(), myLabel) {
 				return ctrlNormal, nil
 			}
 			return c, nil
 		case ctrlContinue:
-			if l := in.CtrlLabel(); l != "" && l != myLabel {
+			if !interp.CtrlTargets(in.CtrlLabel(), myLabel) {
 				return c, nil
 			}
 		case ctrlReturn:
@@ -613,9 +558,7 @@ func (c *compiler) forStmt(st *ast.ForStmt) stmtThunk {
 		if err := in.Charge(1); err != nil {
 			return ctrlNormal, err
 		}
-		if in.Cov != nil {
-			in.Cov.Stmts[id] = true
-		}
+		in.CoverStmt(id)
 		label := in.TakePendingLabel()
 		loopEnv, owned := frameFor(in, env, scope, pool)
 		if initDecls != nil {
@@ -648,54 +591,11 @@ func (c *compiler) forInStmt(st *ast.ForInStmt) stmtThunk {
 	pool := poolableScope(scope, st.Body)
 	obj := c.expr(st.Obj)
 	body := c.stmt(st.Body)
-	of := st.Of
-
-	// The per-iteration binding/assignment, specialised at compile time —
-	// the thunk twin of execForIn's assign closure.
-	name := st.Name
-	ref := st.NameRef
-	var assign func(in *interp.Interp, loopEnv *interp.Env, v interp.Value, strict bool) error
-	switch st.Decl {
-	case ast.Let, ast.Const:
-		if ref.Kind == ast.RefSlot {
-			slot := ref.Slot
-			assign = func(in *interp.Interp, loopEnv *interp.Env, v interp.Value, strict bool) error {
-				// The map evaluator declares both kinds mutable here.
-				loopEnv.SetSlotLexical(slot, v, true)
-				return nil
-			}
-		} else {
-			assign = func(in *interp.Interp, loopEnv *interp.Env, v interp.Value, strict bool) error {
-				loopEnv.DeclareLexical(name, v, true)
-				return nil
-			}
-		}
-	case ast.Var:
-		if ref.Kind == ast.RefSlot {
-			depth, slot := ref.Depth, ref.Slot
-			assign = func(in *interp.Interp, loopEnv *interp.Env, v interp.Value, strict bool) error {
-				in.DeclareSlotVar(loopEnv, depth, slot, v, true)
-				return nil
-			}
-		} else {
-			assign = func(in *interp.Interp, loopEnv *interp.Env, v interp.Value, strict bool) error {
-				return in.DeclareVar(loopEnv, name, v, true, strict)
-			}
-		}
-	default:
-		set := identAssigner(name, ref)
-		assign = func(in *interp.Interp, loopEnv *interp.Env, v interp.Value, strict bool) error {
-			return set(in, loopEnv, v, strict)
-		}
-	}
-
 	return func(in *interp.Interp, env *interp.Env, strict bool) (ctrlKind, error) {
 		if err := in.Charge(1); err != nil {
 			return ctrlNormal, err
 		}
-		if in.Cov != nil {
-			in.Cov.Stmts[id] = true
-		}
+		in.CoverStmt(id)
 		myLabel := in.TakePendingLabel()
 		ov, err := obj(in, env, strict)
 		if err != nil {
@@ -707,12 +607,7 @@ func (c *compiler) forInStmt(st *ast.ForInStmt) stmtThunk {
 				in.ReleaseScope(loopEnv)
 			}
 		}
-		var items []interp.Value
-		if of {
-			items, err = in.Iterate(ov)
-		} else {
-			items, err = in.ForInKeys(ov)
-		}
+		items, err := in.ForInItems(st, ov)
 		if err != nil {
 			release()
 			return ctrlNormal, err
@@ -722,7 +617,7 @@ func (c *compiler) forInStmt(st *ast.ForInStmt) stmtThunk {
 				release()
 				return ctrlNormal, err
 			}
-			if err := assign(in, loopEnv, item, strict); err != nil {
+			if err := in.BindForIn(st, loopEnv, item, strict); err != nil {
 				release()
 				return ctrlNormal, err
 			}
@@ -734,12 +629,12 @@ func (c *compiler) forInStmt(st *ast.ForInStmt) stmtThunk {
 			switch ctl {
 			case ctrlBreak:
 				release()
-				if l := in.CtrlLabel(); l == "" || l == myLabel {
+				if interp.CtrlTargets(in.CtrlLabel(), myLabel) {
 					return ctrlNormal, nil
 				}
 				return ctl, nil
 			case ctrlContinue:
-				if l := in.CtrlLabel(); l != "" && l != myLabel {
+				if !interp.CtrlTargets(in.CtrlLabel(), myLabel) {
 					release()
 					return ctl, nil
 				}
@@ -780,9 +675,7 @@ func (c *compiler) switchStmt(st *ast.SwitchStmt) stmtThunk {
 		if err := in.Charge(1); err != nil {
 			return ctrlNormal, err
 		}
-		if in.Cov != nil {
-			in.Cov.Stmts[id] = true
-		}
+		in.CoverStmt(id)
 		dv, err := disc(in, env, strict)
 		if err != nil {
 			return ctrlNormal, err
@@ -815,9 +708,7 @@ func (c *compiler) switchStmt(st *ast.SwitchStmt) stmtThunk {
 			release()
 			return ctrlNormal, nil
 		}
-		if in.Cov != nil {
-			in.Cov.Branches[[2]int{id, matched}] = true
-		}
+		in.CoverBranch(id, matched)
 		for i := matched; i < len(bodies); i++ {
 			for _, th := range bodies[i] {
 				ctl, err := th(in, inner, strict)
@@ -828,7 +719,7 @@ func (c *compiler) switchStmt(st *ast.SwitchStmt) stmtThunk {
 				switch ctl {
 				case ctrlBreak:
 					release()
-					if in.CtrlLabel() == "" {
+					if interp.CtrlTargets(in.CtrlLabel(), "") {
 						return ctrlNormal, nil
 					}
 					return ctl, nil
@@ -852,15 +743,10 @@ func (c *compiler) tryStmt(st *ast.TryStmt) stmtThunk {
 	var catchScope *ast.ScopeInfo
 	catchPool := false
 	hasCatch := st.Catch != nil
-	catchParam := st.CatchParam
-	catchSlot := int32(-1)
 	if hasCatch {
 		catchScope = st.Catch.Scope
 		catchPool = poolableScope(catchScope, stmtsAsNodes(st.Catch.Body)...)
 		catchBody = c.seq(st.Catch.Body)
-		if catchScope != nil {
-			catchSlot = catchScope.CatchParamSlot
-		}
 	}
 	var finallyBody []stmtThunk
 	var finallyScope *ast.ScopeInfo
@@ -875,9 +761,7 @@ func (c *compiler) tryStmt(st *ast.TryStmt) stmtThunk {
 		if err := in.Charge(1); err != nil {
 			return ctrlNormal, err
 		}
-		if in.Cov != nil {
-			in.Cov.Stmts[id] = true
-		}
+		in.CoverStmt(id)
 		blockEnv, owned := frameFor(in, env, blockScope, blockPool)
 		ctl, err := runSeq(block, in, blockEnv, strict)
 		if owned {
@@ -886,13 +770,7 @@ func (c *compiler) tryStmt(st *ast.TryStmt) stmtThunk {
 		if err != nil {
 			if t, ok := interp.IsThrow(err); ok && hasCatch {
 				catchEnv, cowned := frameFor(in, env, catchScope, catchPool)
-				if catchParam != "" {
-					if catchSlot >= 0 {
-						catchEnv.SetSlotLexical(uint16(catchSlot), t.Val, true)
-					} else {
-						catchEnv.DeclareLexical(catchParam, t.Val, true)
-					}
-				}
+				catchEnv.BindCatchParam(st, t.Val)
 				ctl, err = runSeq(catchBody, in, catchEnv, strict)
 				if cowned {
 					in.ReleaseScope(catchEnv)
@@ -939,9 +817,7 @@ func (c *compiler) funcBody(lit *ast.FuncLit) {
 	id := lit.ID()
 	body := c.seq(lit.Body.Body)
 	lit.Compiled = interp.CompiledBody(func(in *interp.Interp, env *interp.Env, strict bool) (interp.Value, error) {
-		if in.Cov != nil {
-			in.Cov.Funcs[id] = true
-		}
+		in.CoverFunc(id)
 		ctl, err := runSeq(body, in, env, strict)
 		if err != nil {
 			return interp.Undefined(), err

@@ -6,7 +6,6 @@ import (
 
 	"comfort/internal/js/ast"
 	"comfort/internal/js/interp"
-	"comfort/internal/js/jsnum"
 	"comfort/internal/js/token"
 )
 
@@ -80,14 +79,10 @@ func (c *compiler) expr(e ast.Expr) exprThunk {
 				return interp.Undefined(), err
 			}
 			if interp.ToBoolean(cv) {
-				if in.Cov != nil {
-					in.Cov.Branches[[2]int{id, 0}] = true
-				}
+				in.CoverBranch(id, 0)
 				return then(in, env, strict)
 			}
-			if in.Cov != nil {
-				in.Cov.Branches[[2]int{id, 1}] = true
-			}
+			in.CoverBranch(id, 1)
 			return els(in, env, strict)
 		}
 	case *ast.CallExpr:
@@ -95,7 +90,7 @@ func (c *compiler) expr(e ast.Expr) exprThunk {
 	case *ast.NewExpr:
 		callee := c.expr(x.Callee)
 		args := c.args(x.Args)
-		name := describeCallee(x.Callee)
+		name := interp.DescribeCallee(x.Callee)
 		return func(in *interp.Interp, env *interp.Env, strict bool) (interp.Value, error) {
 			if err := in.Charge(1); err != nil {
 				return interp.Undefined(), err
@@ -129,12 +124,8 @@ func (c *compiler) expr(e ast.Expr) exprThunk {
 						if err != nil {
 							return interp.Undefined(), err
 						}
-						if kv.IsObject() {
-							key, err := in.ToPropertyKey(kv)
-							if err != nil {
-								return interp.Undefined(), err
-							}
-							kv = interp.String(key)
+						if kv, err = in.KeyValue(kv); err != nil {
+							return interp.Undefined(), err
 						}
 						return in.GetPropByValue(ov, kv)
 					}
@@ -666,12 +657,8 @@ func (c *compiler) arrayLit(x *ast.ArrayLit) exprThunk {
 				return interp.Undefined(), err
 			}
 			if el.spread {
-				items, err := in.Iterate(v)
-				if err != nil {
+				if err := in.AppendSpread(arr, v); err != nil {
 					return interp.Undefined(), err
-				}
-				for _, item := range items {
-					arr.AppendElem(item)
 				}
 				continue
 			}
@@ -760,38 +747,14 @@ func (c *compiler) unary(x *ast.UnaryExpr) exprThunk {
 		if err != nil {
 			return interp.Undefined(), err
 		}
-		switch op {
-		case token.NOT:
-			return interp.Bool(!interp.ToBoolean(v)), nil
-		case token.MINUS:
-			n, err := in.ToNumber(v)
-			if err != nil {
-				return interp.Undefined(), err
-			}
-			return interp.Number(-n), nil
-		case token.PLUS:
-			n, err := in.ToNumber(v)
-			if err != nil {
-				return interp.Undefined(), err
-			}
-			return interp.Number(n), nil
-		case token.BNOT:
-			n, err := in.ToNumber(v)
-			if err != nil {
-				return interp.Undefined(), err
-			}
-			return interp.Number(float64(^jsnum.ToInt32(n))), nil
-		case token.VOID:
-			return interp.Undefined(), nil
-		}
-		return interp.Undefined(), in.Throwf("InternalError", "unsupported unary %s", op)
+		return in.UnaryOp(op, v)
 	}
 }
 
 func (c *compiler) typeofExpr(x *ast.UnaryExpr) exprThunk {
 	operand := c.expr(x.X)
 	id, isIdent := x.X.(*ast.Ident)
-	if !isIdent {
+	if !isIdent || id.Ref.Kind == ast.RefSlot {
 		return func(in *interp.Interp, env *interp.Env, strict bool) (interp.Value, error) {
 			if err := in.Charge(1); err != nil {
 				return interp.Undefined(), err
@@ -809,19 +772,8 @@ func (c *compiler) typeofExpr(x *ast.UnaryExpr) exprThunk {
 		if err := in.Charge(1); err != nil {
 			return interp.Undefined(), err
 		}
-		switch kind {
-		case ast.RefSlot:
-			// Provably declared — fall through and evaluate.
-		case ast.RefGlobal:
-			if !in.GlobalEnv.Has(name) && !in.HasGlobalName(name) &&
-				name != "undefined" && name != "globalThis" {
-				return interp.String("undefined"), nil
-			}
-		default:
-			if !env.Has(name) && !in.HasGlobalName(name) &&
-				name != "undefined" && name != "globalThis" {
-				return interp.String("undefined"), nil
-			}
+		if in.TypeofUnbound(name, kind, env) {
+			return interp.String("undefined"), nil
 		}
 		v, err := operand(in, env, strict)
 		if err != nil {
@@ -842,14 +794,7 @@ func (c *compiler) deleteExpr(x *ast.UnaryExpr) exprThunk {
 			if err != nil {
 				return interp.Undefined(), err
 			}
-			if !obj.IsObject() {
-				return interp.Bool(true), nil
-			}
-			ok := obj.Obj().DeleteOwn(key)
-			if !ok && strict {
-				return interp.Undefined(), in.TypeErrorf("Cannot delete property '%s'", key)
-			}
-			return interp.Bool(ok), nil
+			return in.DeleteProp(obj, key, strict)
 		}
 	}
 	if id, ok := x.X.(*ast.Ident); ok {
@@ -859,19 +804,7 @@ func (c *compiler) deleteExpr(x *ast.UnaryExpr) exprThunk {
 			if err := in.Charge(1); err != nil {
 				return interp.Undefined(), err
 			}
-			switch kind {
-			case ast.RefSlot:
-				return interp.Bool(false), nil
-			case ast.RefGlobal:
-				if in.GlobalEnv.Has(name) {
-					return interp.Bool(false), nil
-				}
-			default:
-				if env.Has(name) {
-					return interp.Bool(false), nil
-				}
-			}
-			return interp.Bool(in.Global.DeleteOwn(name)), nil
+			return in.DeleteBinding(name, kind, env), nil
 		}
 	}
 	// delete of a non-reference evaluates the operand and returns true.
@@ -885,25 +818,6 @@ func (c *compiler) deleteExpr(x *ast.UnaryExpr) exprThunk {
 		}
 		return interp.Bool(true), nil
 	}
-}
-
-// readRefIdent reads an identifier at the evalRef position, mirroring the
-// tree walker's unresolved-identifier handling: non-throw errors (fuel
-// aborts) propagate, strict-mode reference errors propagate, and sloppy
-// reads of missing names yield undefined (the setter may create a global).
-func readRefIdent(read func(*interp.Interp, *interp.Env) (interp.Value, error),
-	in *interp.Interp, env *interp.Env, strict bool) (interp.Value, error) {
-	v, err := read(in, env)
-	if err != nil {
-		if _, isThrow := interp.IsThrow(err); !isThrow {
-			return interp.Undefined(), err
-		}
-		if strict {
-			return interp.Undefined(), err
-		}
-		v = interp.Undefined()
-	}
-	return v, nil
 }
 
 func (c *compiler) update(x *ast.UpdateExpr) exprThunk {
@@ -950,8 +864,8 @@ func (c *compiler) update(x *ast.UpdateExpr) exprThunk {
 			if err := in.Charge(1); err != nil {
 				return interp.Undefined(), err
 			}
-			old, err := readRefIdent(read, in, env, strict)
-			if err != nil {
+			old, err := read(in, env)
+			if old, err = interp.TargetValue(old, err, strict); err != nil {
 				return interp.Undefined(), err
 			}
 			var n float64
@@ -1005,16 +919,8 @@ func (c *compiler) ref(e ast.Expr) refThunk {
 		write := identAssigner(t.Name, t.Ref)
 		return func(in *interp.Interp, env *interp.Env, strict bool) (interp.Value, func(interp.Value) error, error) {
 			v, err := read(in, env)
-			if err != nil {
-				if _, isThrow := interp.IsThrow(err); !isThrow {
-					return interp.Undefined(), nil, err
-				}
-				// Unresolved identifier: reads throw, but the setter may
-				// create a global in sloppy mode.
-				if strict {
-					return interp.Undefined(), nil, err
-				}
-				v = interp.Undefined()
+			if v, err = interp.TargetValue(v, err, strict); err != nil {
+				return interp.Undefined(), nil, err
 			}
 			return v, func(nv interp.Value) error { return write(in, env, nv, strict) }, nil
 		}
@@ -1109,12 +1015,8 @@ func (c *compiler) computedParts(m *ast.MemberExpr) valuePartsThunk {
 				if err != nil {
 					return interp.Undefined(), interp.Undefined(), err
 				}
-				if kv.IsObject() {
-					key, err := in.ToPropertyKey(kv)
-					if err != nil {
-						return interp.Undefined(), interp.Undefined(), err
-					}
-					kv = interp.String(key)
+				if kv, err = in.KeyValue(kv); err != nil {
+					return interp.Undefined(), interp.Undefined(), err
 				}
 				return ov, kv, nil
 			}
@@ -1131,12 +1033,8 @@ func (c *compiler) computedParts(m *ast.MemberExpr) valuePartsThunk {
 		if err != nil {
 			return interp.Undefined(), interp.Undefined(), err
 		}
-		if kv.IsObject() {
-			key, err := in.ToPropertyKey(kv)
-			if err != nil {
-				return interp.Undefined(), interp.Undefined(), err
-			}
-			kv = interp.String(key)
+		if kv, err = in.KeyValue(kv); err != nil {
+			return interp.Undefined(), interp.Undefined(), err
 		}
 		return ov, kv, nil
 	}
@@ -1156,42 +1054,13 @@ func (c *compiler) logical(x *ast.LogicalExpr) exprThunk {
 		if err != nil {
 			return interp.Undefined(), err
 		}
-		short := false
-		switch op {
-		case token.LOGAND:
-			short = !interp.ToBoolean(lv)
-		case token.LOGOR:
-			short = interp.ToBoolean(lv)
-		case token.NULLISH:
-			short = !lv.IsNullish()
-		}
-		if short {
-			if in.Cov != nil {
-				in.Cov.Branches[[2]int{id, 1}] = true
-			}
+		if interp.ShortCircuits(op, lv) {
+			in.CoverBranch(id, 1)
 			return lv, nil
 		}
-		if in.Cov != nil {
-			in.Cov.Branches[[2]int{id, 0}] = true
-		}
+		in.CoverBranch(id, 0)
 		return r(in, env, strict)
 	}
-}
-
-// compoundOps maps compound-assignment tokens to their binary operator.
-var compoundOps = map[token.Type]token.Type{
-	token.PLUSASSIGN:    token.PLUS,
-	token.MINUSASSIGN:   token.MINUS,
-	token.STARASSIGN:    token.STAR,
-	token.SLASHASSIGN:   token.SLASH,
-	token.PERCENTASSIGN: token.PERCENT,
-	token.POWASSIGN:     token.POW,
-	token.SHLASSIGN:     token.SHL,
-	token.SHRASSIGN:     token.SHR,
-	token.USHRASSIGN:    token.USHR,
-	token.ANDASSIGN:     token.AND,
-	token.ORASSIGN:      token.OR,
-	token.XORASSIGN:     token.XOR,
 }
 
 func (c *compiler) assign(x *ast.AssignExpr) exprThunk {
@@ -1209,11 +1078,11 @@ func (c *compiler) assign(x *ast.AssignExpr) exprThunk {
 				if err := in.Charge(1); err != nil {
 					return interp.Undefined(), err
 				}
-				cur, err := readRefIdent(read, in, env, strict)
-				if err != nil {
+				cur, err := read(in, env)
+				if cur, err = interp.TargetValue(cur, err, strict); err != nil {
 					return interp.Undefined(), err
 				}
-				if !logicalAssignTakes(op, cur) {
+				if !interp.LogicalAssignTakes(op, cur) {
 					return cur, nil
 				}
 				v, err := r(in, env, strict)
@@ -1232,7 +1101,7 @@ func (c *compiler) assign(x *ast.AssignExpr) exprThunk {
 			if err != nil {
 				return interp.Undefined(), err
 			}
-			if !logicalAssignTakes(op, cur) {
+			if !interp.LogicalAssignTakes(op, cur) {
 				return cur, nil
 			}
 			v, err := r(in, env, strict)
@@ -1243,7 +1112,7 @@ func (c *compiler) assign(x *ast.AssignExpr) exprThunk {
 		}
 	}
 	r := c.expr(x.R)
-	binOp, known := compoundOps[x.Op]
+	binOp, known := interp.CompoundOp(x.Op)
 	// Slot-resolved compound targets (acc += …) read and write the frame
 	// slot directly; the slot read cannot fail, so the generic path's
 	// unresolved-identifier handling is dead here.
@@ -1277,8 +1146,8 @@ func (c *compiler) assign(x *ast.AssignExpr) exprThunk {
 			if err := in.Charge(1); err != nil {
 				return interp.Undefined(), err
 			}
-			cur, err := readRefIdent(read, in, env, strict)
-			if err != nil {
+			cur, err := read(in, env)
+			if cur, err = interp.TargetValue(cur, err, strict); err != nil {
 				return interp.Undefined(), err
 			}
 			rhs, err := r(in, env, strict)
@@ -1313,19 +1182,6 @@ func (c *compiler) assign(x *ast.AssignExpr) exprThunk {
 			return interp.Undefined(), err
 		}
 		return v, set(v)
-	}
-}
-
-// logicalAssignTakes reports whether a logical assignment operator
-// proceeds to its right-hand side given the current value.
-func logicalAssignTakes(op token.Type, cur interp.Value) bool {
-	switch op {
-	case token.LOGANDASSIGN:
-		return interp.ToBoolean(cur)
-	case token.LOGORASSIGN:
-		return !interp.ToBoolean(cur)
-	default: // NULLISHASSIGN
-		return cur.IsNullish()
 	}
 }
 
@@ -1396,8 +1252,8 @@ func (c *compiler) plainAssign(x *ast.AssignExpr) exprThunk {
 			if err != nil {
 				return interp.Undefined(), err
 			}
-			if nameFix && v.IsObject() {
-				v.Obj().SetSlot("name", interp.String(name), interp.Configurable)
+			if nameFix {
+				interp.NameFunction(v, name)
 			}
 			if err := write(in, env, v, strict); err != nil {
 				return interp.Undefined(), err
@@ -1421,12 +1277,8 @@ func (c *compiler) plainAssign(x *ast.AssignExpr) exprThunk {
 						if err != nil {
 							return interp.Undefined(), err
 						}
-						if kv.IsObject() {
-							key, err := in.ToPropertyKey(kv)
-							if err != nil {
-								return interp.Undefined(), err
-							}
-							kv = interp.String(key)
+						if kv, err = in.KeyValue(kv); err != nil {
+							return interp.Undefined(), err
 						}
 						v, err := r(in, env, strict)
 						if err != nil {
@@ -1492,7 +1344,7 @@ func (c *compiler) plainAssign(x *ast.AssignExpr) exprThunk {
 
 func (c *compiler) call(x *ast.CallExpr) exprThunk {
 	args := c.args(x.Args)
-	name := describeCallee(x.Callee)
+	name := interp.DescribeCallee(x.Callee)
 	if m, ok := x.Callee.(*ast.MemberExpr); ok {
 		parts := c.memberParts(m)
 		return func(in *interp.Interp, env *interp.Env, strict bool) (interp.Value, error) {
@@ -1628,20 +1480,4 @@ func plainFunc(fnVal interp.Value) bool {
 	}
 	o := fnVal.Obj()
 	return o.Fn != nil && o.Native == nil && o.BoundTarget() == nil
-}
-
-// describeCallee renders a callee for not-a-function/constructor errors,
-// mirroring the tree walker's rendering.
-func describeCallee(e ast.Expr) string {
-	switch t := e.(type) {
-	case *ast.Ident:
-		return t.Name
-	case *ast.MemberExpr:
-		if !t.Computed {
-			return describeCallee(t.Obj) + "." + t.Name
-		}
-		return describeCallee(t.Obj) + "[...]"
-	default:
-		return "expression"
-	}
 }

@@ -9,10 +9,11 @@ import (
 // compile pass turns a resolved AST into a tree of closure thunks, and
 // those thunks execute against the same interpreter state — environments,
 // fuel, hooks, global object — as the tree-walking evaluator. Every helper
-// here is a thin exported veneer over an existing internal operation, so
-// the two evaluators cannot drift: a thunk that calls SetProp pays exactly
-// the fuel, hook interception and semantics the tree walker pays at the
-// same site.
+// here is a thin exported veneer over an existing internal operation, and
+// the language operations both evaluators perform are written once in
+// ops.go, so the two cannot drift: a thunk that calls SetProp or UnaryOp
+// gets exactly the fuel, hook interception and semantics the tree walker
+// gets at the same site.
 
 // CompiledBody executes a thunk-compiled function body in an already
 // prepared call frame (parameters, rest, arguments, self-name and hoisted
@@ -76,14 +77,6 @@ func (in *Interp) SetPendingLabel(l string) { in.pendingLabel = l }
 // SlotValue reads the binding at a resolved (depth, slot) coordinate.
 func (e *Env) SlotValue(depth, slot uint16) Value { return e.at(depth, slot).v }
 
-// AtDepth walks up the materialised-frame chain.
-func (e *Env) AtDepth(depth uint16) *Env {
-	for ; depth > 0; depth-- {
-		e = e.parent
-	}
-	return e
-}
-
 // AssignSlot writes through a resolved slot reference, honouring
 // mutability and the function self-name rules.
 func (in *Interp) AssignSlot(env *Env, depth, slot uint16, v Value, strict bool) error {
@@ -113,48 +106,7 @@ func (in *Interp) AssignDynamic(name string, v Value, env *Env, strict bool) err
 	return in.assignIdent(name, v, env, strict)
 }
 
-// HasGlobalName reports whether the global object (or its prototype
-// chain) carries the name — the typeof/delete existence probe.
-func (in *Interp) HasGlobalName(name string) bool { return in.hasGlobal(name) }
-
 // ---------- declarations ----------
-
-// DeclareSlotVar applies var-declaration write semantics at a resolved
-// slot coordinate; init is false for a declarator without an initializer.
-func (in *Interp) DeclareSlotVar(env *Env, depth, slot uint16, v Value, init bool) {
-	env.at(depth, slot).declareVarWrite(v, init)
-}
-
-// SetSlotLexical (re)creates the lexical binding in this frame's slot —
-// the let/const declaration, for-in loop variable and catch parameter
-// write.
-func (e *Env) SetSlotLexical(slot uint16, v Value, mutable bool) {
-	e.slots[slot] = binding{v: v, mutable: mutable, live: true}
-}
-
-// DeclareVar applies a var declarator's write on the dynamic path; init
-// is false for a declarator without an initializer. The binding lives on
-// the nearest function frame, unless the var scope is the program's — a
-// var at the top level or in a top-level block or loop — whose vars live
-// on the global object, where hoisting created the property. There the
-// initializer is an ordinary [[Set]]: a read-only global such as NaN keeps
-// its value (strict code throws), the property keeps its attributes, and
-// a declarator without an initializer writes nothing.
-func (in *Interp) DeclareVar(env *Env, name string, v Value, init, strict bool) error {
-	if env.varScope() != in.GlobalEnv {
-		env.declareVar(name, v, init)
-		return nil
-	}
-	if !init {
-		return nil
-	}
-	return in.setProp(in.Global, name, v, strict)
-}
-
-// DeclareLexical creates a block-scoped binding on this frame by name.
-func (e *Env) DeclareLexical(name string, v Value, mutable bool) {
-	e.declareLexical(name, v, mutable)
-}
 
 // ScopeEnv returns the environment a resolved scope executes in (fresh
 // frame, reused parent, or dynamic child — see the unexported scopeEnv).
@@ -181,46 +133,6 @@ func (in *Interp) GetPropByValue(obj, key Value) (Value, error) {
 // SetPropByValue writes obj[key] = v with the key still a language value.
 func (in *Interp) SetPropByValue(target, key, v Value, strict bool) error {
 	return in.setPropByValue(target, key, v, strict)
-}
-
-// DefineAccessor installs one half of an accessor property on an object
-// literal under construction, merging with an existing accessor pair
-// exactly as the tree walker's object-literal evaluation does.
-func (o *Object) DefineAccessor(key string, fn *Object, getter bool) {
-	existing, ok := o.getOwn(key)
-	if !ok || !existing.Accessor {
-		existing = &Property{Accessor: true, Attr: Enumerable | Configurable}
-		o.DefineOwn(key, existing)
-	}
-	if getter {
-		existing.Get = fn
-	} else {
-		existing.Set = fn
-	}
-}
-
-// ForInKeys collects the for-in enumeration sequence of a value: own and
-// inherited enumerable keys, deduplicated along the prototype chain. A
-// nullish value enumerates nothing (nil, nil).
-func (in *Interp) ForInKeys(obj Value) ([]Value, error) {
-	if obj.IsNullish() {
-		return nil, nil
-	}
-	o, err := in.ToObject(obj)
-	if err != nil {
-		return nil, err
-	}
-	var items []Value
-	seen := map[string]bool{}
-	for cur := o; cur != nil; cur = cur.Proto {
-		for _, k := range cur.EnumerableKeys() {
-			if !seen[k] {
-				seen[k] = true
-				items = append(items, String(k))
-			}
-		}
-	}
-	return items, nil
 }
 
 // ---------- frame pooling ----------

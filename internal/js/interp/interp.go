@@ -240,24 +240,6 @@ func (in *Interp) charge(n int64) error {
 // Burn exposes fuel charging to builtins whose cost scales with input size.
 func (in *Interp) Burn(n int64) error { return in.charge(n) }
 
-func (in *Interp) coverStmt(id int) {
-	if in.Cov != nil {
-		in.Cov.Stmts[id] = true
-	}
-}
-
-func (in *Interp) coverFunc(id int) {
-	if in.Cov != nil {
-		in.Cov.Funcs[id] = true
-	}
-}
-
-func (in *Interp) coverBranch(id, arm int) {
-	if in.Cov != nil {
-		in.Cov.Branches[[2]int{id, arm}] = true
-	}
-}
-
 // Print appends a line to the captured output (the print builtin).
 func (in *Interp) Print(s string) {
 	in.Out.WriteString(s)
@@ -403,7 +385,7 @@ func (in *Interp) execStmt(s ast.Stmt, env *Env, strict bool) (ctrl, error) {
 	if err := in.charge(1); err != nil {
 		return ctrlOK, err
 	}
-	in.coverStmt(s.ID())
+	in.CoverStmt(s.ID())
 	switch st := s.(type) {
 	case *ast.VarDecl:
 		return in.execVarDecl(st, env, strict)
@@ -426,10 +408,10 @@ func (in *Interp) execStmt(s ast.Stmt, env *Env, strict bool) (ctrl, error) {
 			return ctrlOK, err
 		}
 		if ToBoolean(cond) {
-			in.coverBranch(st.ID(), 0)
+			in.CoverBranch(st.ID(), 0)
 			return in.execStmt(st.Then, env, strict)
 		}
-		in.coverBranch(st.ID(), 1)
+		in.CoverBranch(st.ID(), 1)
 		if st.Else != nil {
 			return in.execStmt(st.Else, env, strict)
 		}
@@ -513,7 +495,8 @@ func (in *Interp) execStmts(body []ast.Stmt, env *Env, strict bool) (ctrl, error
 }
 
 func (in *Interp) execVarDecl(st *ast.VarDecl, env *Env, strict bool) (ctrl, error) {
-	for _, d := range st.Decls {
+	for i := range st.Decls {
+		d := &st.Decls[i]
 		var v Value
 		if d.Init != nil {
 			var err error
@@ -521,31 +504,12 @@ func (in *Interp) execVarDecl(st *ast.VarDecl, env *Env, strict bool) (ctrl, err
 			if err != nil {
 				return ctrlOK, err
 			}
-			if fn, ok := d.Init.(*ast.FuncLit); ok && fn.Name == "" && v.IsObject() {
-				v.Obj().SetSlot("name", String(d.Name), Configurable)
+			if fn, ok := d.Init.(*ast.FuncLit); ok && fn.Name == "" {
+				NameFunction(v, d.Name)
 			}
 		}
-		if d.Ref.Kind == ast.RefSlot {
-			b := env.at(d.Ref.Depth, d.Ref.Slot)
-			switch st.Kind {
-			case ast.Var:
-				b.declareVarWrite(v, d.Init != nil)
-			case ast.Let:
-				*b = binding{v: v, mutable: true, live: true}
-			case ast.Const:
-				*b = binding{v: v, mutable: false, live: true}
-			}
-			continue
-		}
-		switch st.Kind {
-		case ast.Var:
-			if err := in.DeclareVar(env, d.Name, v, d.Init != nil, strict); err != nil {
-				return ctrlOK, err
-			}
-		case ast.Let:
-			env.declareLexical(d.Name, v, true)
-		case ast.Const:
-			env.declareLexical(d.Name, v, false)
+		if err := in.Declare(st.Kind, d, env, v, strict); err != nil {
+			return ctrlOK, err
 		}
 	}
 	return ctrlOK, nil
@@ -567,10 +531,10 @@ func (in *Interp) execLoop(env *Env, strict bool, _ ast.Expr, cond, post ast.Exp
 				return ctrlOK, err
 			}
 			if !ToBoolean(cv) {
-				in.coverBranch(nodeID, 1)
+				in.CoverBranch(nodeID, 1)
 				return ctrlOK, nil
 			}
-			in.coverBranch(nodeID, 0)
+			in.CoverBranch(nodeID, 0)
 		}
 		first = false
 		c, err := in.execStmt(body, env, strict)
@@ -579,12 +543,12 @@ func (in *Interp) execLoop(env *Env, strict bool, _ ast.Expr, cond, post ast.Exp
 		}
 		switch c.kind {
 		case ctrlBreak:
-			if c.label == "" || c.label == myLabel {
+			if CtrlTargets(c.label, myLabel) {
 				return ctrlOK, nil
 			}
 			return c, nil
 		case ctrlContinue:
-			if c.label != "" && c.label != myLabel {
+			if !CtrlTargets(c.label, myLabel) {
 				return c, nil
 			}
 		case ctrlReturn:
@@ -617,33 +581,7 @@ func (in *Interp) execForIn(st *ast.ForInStmt, env *Env, strict bool) (ctrl, err
 		return ctrlOK, err
 	}
 	loopEnv := in.scopeEnv(env, st.Scope)
-	assign := func(v Value) error {
-		switch st.Decl {
-		case ast.Let, ast.Const:
-			if st.NameRef.Kind == ast.RefSlot {
-				// The map evaluator declares both kinds mutable here.
-				loopEnv.slots[st.NameRef.Slot] = binding{v: v, mutable: true, live: true}
-				return nil
-			}
-			loopEnv.declareLexical(st.Name, v, true)
-			return nil
-		case ast.Var:
-			if st.NameRef.Kind == ast.RefSlot {
-				loopEnv.at(st.NameRef.Depth, st.NameRef.Slot).declareVarWrite(v, true)
-				return nil
-			}
-			return in.DeclareVar(loopEnv, st.Name, v, true, strict)
-		default:
-			return in.assignIdentRef(st.Name, st.NameRef, v, loopEnv, strict)
-		}
-	}
-	var items []Value
-	if st.Of {
-		items, err = in.iterate(obj)
-	} else {
-		// Nullish objects enumerate nothing (nil items, zero iterations).
-		items, err = in.ForInKeys(obj)
-	}
+	items, err := in.ForInItems(st, obj)
 	if err != nil {
 		return ctrlOK, err
 	}
@@ -651,7 +589,7 @@ func (in *Interp) execForIn(st *ast.ForInStmt, env *Env, strict bool) (ctrl, err
 		if err := in.charge(1); err != nil {
 			return ctrlOK, err
 		}
-		if err := assign(item); err != nil {
+		if err := in.BindForIn(st, loopEnv, item, strict); err != nil {
 			return ctrlOK, err
 		}
 		c, err := in.execStmt(st.Body, loopEnv, strict)
@@ -660,12 +598,12 @@ func (in *Interp) execForIn(st *ast.ForInStmt, env *Env, strict bool) (ctrl, err
 		}
 		switch c.kind {
 		case ctrlBreak:
-			if c.label == "" || c.label == myLabel {
+			if CtrlTargets(c.label, myLabel) {
 				return ctrlOK, nil
 			}
 			return c, nil
 		case ctrlContinue:
-			if c.label != "" && c.label != myLabel {
+			if !CtrlTargets(c.label, myLabel) {
 				return c, nil
 			}
 		case ctrlReturn:
@@ -734,7 +672,7 @@ func (in *Interp) execSwitch(st *ast.SwitchStmt, env *Env, strict bool) (ctrl, e
 	if matched < 0 {
 		return ctrlOK, nil
 	}
-	in.coverBranch(st.ID(), matched)
+	in.CoverBranch(st.ID(), matched)
 	for i := matched; i < len(st.Cases); i++ {
 		for _, s := range st.Cases[i].Body {
 			c, err := in.execStmt(s, inner, strict)
@@ -743,7 +681,7 @@ func (in *Interp) execSwitch(st *ast.SwitchStmt, env *Env, strict bool) (ctrl, e
 			}
 			switch c.kind {
 			case ctrlBreak:
-				if c.label == "" {
+				if CtrlTargets(c.label, "") {
 					return ctrlOK, nil
 				}
 				return c, nil
@@ -760,13 +698,7 @@ func (in *Interp) execTry(st *ast.TryStmt, env *Env, strict bool) (ctrl, error) 
 	if err != nil {
 		if t, ok := IsThrow(err); ok && st.Catch != nil {
 			catchEnv := in.scopeEnv(env, st.Catch.Scope)
-			if st.CatchParam != "" {
-				if sc := st.Catch.Scope; sc != nil && sc.CatchParamSlot >= 0 {
-					catchEnv.slots[sc.CatchParamSlot] = binding{v: t.Val, mutable: true, live: true}
-				} else {
-					catchEnv.declareLexical(st.CatchParam, t.Val, true)
-				}
-			}
+			catchEnv.BindCatchParam(st, t.Val)
 			c, err = in.execStmts(st.Catch.Body, catchEnv, strict)
 		}
 	}
@@ -832,12 +764,8 @@ func (in *Interp) evalExpr(e ast.Expr, env *Env, strict bool) (Value, error) {
 				if err != nil {
 					return Undefined(), err
 				}
-				items, err := in.iterate(sv)
-				if err != nil {
+				if err := in.AppendSpread(arr, sv); err != nil {
 					return Undefined(), err
-				}
-				for _, item := range items {
-					arr.AppendElem(item)
 				}
 				continue
 			}
@@ -868,10 +796,10 @@ func (in *Interp) evalExpr(e ast.Expr, env *Env, strict bool) (Value, error) {
 			return Undefined(), err
 		}
 		if ToBoolean(cv) {
-			in.coverBranch(x.ID(), 0)
+			in.CoverBranch(x.ID(), 0)
 			return in.evalExpr(x.Then, env, strict)
 		}
-		in.coverBranch(x.ID(), 1)
+		in.CoverBranch(x.ID(), 1)
 		return in.evalExpr(x.Else, env, strict)
 	case *ast.CallExpr:
 		return in.evalCall(x, env, strict)
@@ -929,18 +857,8 @@ func (in *Interp) evalObjectLit(x *ast.ObjectLit, env *Env, strict bool) (Value,
 			}
 			o.SetSlot(key, v, DefaultAttr)
 		case ast.PropGet, ast.PropSet:
-			fnLit := prop.Value.(*ast.FuncLit)
-			fn := in.MakeFunction(fnLit, env)
-			existing, ok := o.dictGet(key)
-			if !ok || !existing.Accessor {
-				existing = &Property{Accessor: true, Attr: Enumerable | Configurable}
-				o.DefineOwn(key, existing)
-			}
-			if prop.Kind == ast.PropGet {
-				existing.Get = fn
-			} else {
-				existing.Set = fn
-			}
+			fn := in.MakeFunction(prop.Value.(*ast.FuncLit), env)
+			o.DefineAccessor(key, fn, prop.Kind == ast.PropGet)
 		}
 	}
 	return ObjValue(o), nil
@@ -1020,10 +938,7 @@ func (in *Interp) assignIdentRef(name string, ref ast.ScopeRef, v Value, env *En
 	case ast.RefSlot:
 		return in.assignBinding(env.at(ref.Depth, ref.Slot), v, strict)
 	case ast.RefGlobal:
-		if b, ok := in.GlobalEnv.lookup(name); ok {
-			return in.assignBinding(b, v, strict)
-		}
-		return in.assignGlobalTail(name, v, strict)
+		return in.AssignGlobalName(name, v, strict)
 	}
 	return in.assignIdent(name, v, env, strict)
 }
@@ -1073,21 +988,8 @@ func (in *Interp) evalMemberParts(x *ast.MemberExpr, env *Env, strict bool) (Val
 
 func (in *Interp) evalUnary(x *ast.UnaryExpr, env *Env, strict bool) (Value, error) {
 	if x.Op == token.TYPEOF {
-		if id, ok := x.X.(*ast.Ident); ok {
-			switch id.Ref.Kind {
-			case ast.RefSlot:
-				// Provably declared — fall through and evaluate.
-			case ast.RefGlobal:
-				if !in.GlobalEnv.Has(id.Name) && !in.hasGlobal(id.Name) &&
-					id.Name != "undefined" && id.Name != "globalThis" {
-					return String("undefined"), nil
-				}
-			default:
-				if !env.Has(id.Name) && !in.hasGlobal(id.Name) &&
-					id.Name != "undefined" && id.Name != "globalThis" {
-					return String("undefined"), nil
-				}
-			}
+		if id, ok := x.X.(*ast.Ident); ok && in.TypeofUnbound(id.Name, id.Ref.Kind, env) {
+			return String("undefined"), nil
 		}
 		v, err := in.evalExpr(x.X, env, strict)
 		if err != nil {
@@ -1101,29 +1003,10 @@ func (in *Interp) evalUnary(x *ast.UnaryExpr, env *Env, strict bool) (Value, err
 			if err != nil {
 				return Undefined(), err
 			}
-			if !obj.IsObject() {
-				return Bool(true), nil
-			}
-			ok := obj.Obj().DeleteOwn(key)
-			if !ok && strict {
-				return Undefined(), in.TypeErrorf("Cannot delete property '%s'", key)
-			}
-			return Bool(ok), nil
+			return in.DeleteProp(obj, key, strict)
 		}
 		if id, ok := x.X.(*ast.Ident); ok {
-			switch id.Ref.Kind {
-			case ast.RefSlot:
-				return Bool(false), nil
-			case ast.RefGlobal:
-				if in.GlobalEnv.Has(id.Name) {
-					return Bool(false), nil
-				}
-			default:
-				if env.Has(id.Name) {
-					return Bool(false), nil
-				}
-			}
-			return Bool(in.Global.DeleteOwn(id.Name)), nil
+			return in.DeleteBinding(id.Name, id.Ref.Kind, env), nil
 		}
 		// delete of a non-reference evaluates the operand and returns true.
 		if _, err := in.evalExpr(x.X, env, strict); err != nil {
@@ -1135,40 +1018,7 @@ func (in *Interp) evalUnary(x *ast.UnaryExpr, env *Env, strict bool) (Value, err
 	if err != nil {
 		return Undefined(), err
 	}
-	switch x.Op {
-	case token.NOT:
-		return Bool(!ToBoolean(v)), nil
-	case token.MINUS:
-		n, err := in.ToNumber(v)
-		if err != nil {
-			return Undefined(), err
-		}
-		return Number(-n), nil
-	case token.PLUS:
-		n, err := in.ToNumber(v)
-		if err != nil {
-			return Undefined(), err
-		}
-		return Number(n), nil
-	case token.BNOT:
-		n, err := in.ToNumber(v)
-		if err != nil {
-			return Undefined(), err
-		}
-		return Number(float64(^jsnum.ToInt32(n))), nil
-	case token.VOID:
-		return Undefined(), nil
-	}
-	return Undefined(), in.Throwf("InternalError", "unsupported unary %s", x.Op)
-}
-
-func (in *Interp) hasGlobal(name string) bool {
-	for cur := in.Global; cur != nil; cur = cur.Proto {
-		if cur.HasOwn(name) {
-			return true
-		}
-	}
-	return false
+	return in.UnaryOp(x.Op, v)
 }
 
 func (in *Interp) evalUpdate(x *ast.UpdateExpr, env *Env, strict bool) (Value, error) {
@@ -1200,17 +1050,8 @@ func (in *Interp) evalRef(e ast.Expr, env *Env, strict bool) (Value, func(Value)
 	switch t := e.(type) {
 	case *ast.Ident:
 		v, err := in.lookupIdentRef(t, env)
-		if err != nil {
-			if _, isThrow := IsThrow(err); !isThrow {
-				return Undefined(), nil, err
-			}
-			// Unresolved identifier: reads throw, but the setter may create
-			// a global in sloppy mode.
-			if strict {
-				return Undefined(), nil, err
-			}
-			v = Undefined()
-			err = nil
+		if v, err = TargetValue(v, err, strict); err != nil {
+			return Undefined(), nil, err
 		}
 		return v, func(nv Value) error { return in.assignIdentRef(t.Name, t.Ref, nv, env, strict) }, nil
 	case *ast.MemberExpr:
@@ -1236,8 +1077,8 @@ func (in *Interp) evalAssign(x *ast.AssignExpr, env *Env, strict bool) (Value, e
 			if err != nil {
 				return Undefined(), err
 			}
-			if fn, ok := x.R.(*ast.FuncLit); ok && fn.Name == "" && v.IsObject() {
-				v.Obj().SetSlot("name", String(t.Name), Configurable)
+			if fn, ok := x.R.(*ast.FuncLit); ok && fn.Name == "" {
+				NameFunction(v, t.Name)
 			}
 			if err := in.assignIdentRef(t.Name, t.Ref, v, env, strict); err != nil {
 				return Undefined(), err
@@ -1281,16 +1122,7 @@ func (in *Interp) evalAssign(x *ast.AssignExpr, env *Env, strict bool) (Value, e
 		if err != nil {
 			return Undefined(), err
 		}
-		doAssign := false
-		switch x.Op {
-		case token.LOGANDASSIGN:
-			doAssign = ToBoolean(cur)
-		case token.LOGORASSIGN:
-			doAssign = !ToBoolean(cur)
-		case token.NULLISHASSIGN:
-			doAssign = cur.IsNullish()
-		}
-		if !doAssign {
+		if !LogicalAssignTakes(x.Op, cur) {
 			return cur, nil
 		}
 		v, err := in.evalExpr(x.R, env, strict)
@@ -1307,33 +1139,8 @@ func (in *Interp) evalAssign(x *ast.AssignExpr, env *Env, strict bool) (Value, e
 	if err != nil {
 		return Undefined(), err
 	}
-	var binOp token.Type
-	switch x.Op {
-	case token.PLUSASSIGN:
-		binOp = token.PLUS
-	case token.MINUSASSIGN:
-		binOp = token.MINUS
-	case token.STARASSIGN:
-		binOp = token.STAR
-	case token.SLASHASSIGN:
-		binOp = token.SLASH
-	case token.PERCENTASSIGN:
-		binOp = token.PERCENT
-	case token.POWASSIGN:
-		binOp = token.POW
-	case token.SHLASSIGN:
-		binOp = token.SHL
-	case token.SHRASSIGN:
-		binOp = token.SHR
-	case token.USHRASSIGN:
-		binOp = token.USHR
-	case token.ANDASSIGN:
-		binOp = token.AND
-	case token.ORASSIGN:
-		binOp = token.OR
-	case token.XORASSIGN:
-		binOp = token.XOR
-	default:
+	binOp, ok := CompoundOp(x.Op)
+	if !ok {
 		return Undefined(), in.SyntaxErrorf("unsupported assignment operator")
 	}
 	v, err := in.applyBinary(binOp, cur, rhs)
@@ -1348,24 +1155,11 @@ func (in *Interp) evalLogical(x *ast.LogicalExpr, env *Env, strict bool) (Value,
 	if err != nil {
 		return Undefined(), err
 	}
-	switch x.Op {
-	case token.LOGAND:
-		if !ToBoolean(l) {
-			in.coverBranch(x.ID(), 1)
-			return l, nil
-		}
-	case token.LOGOR:
-		if ToBoolean(l) {
-			in.coverBranch(x.ID(), 1)
-			return l, nil
-		}
-	case token.NULLISH:
-		if !l.IsNullish() {
-			in.coverBranch(x.ID(), 1)
-			return l, nil
-		}
+	if ShortCircuits(x.Op, l) {
+		in.CoverBranch(x.ID(), 1)
+		return l, nil
 	}
-	in.coverBranch(x.ID(), 0)
+	in.CoverBranch(x.ID(), 0)
 	return in.evalExpr(x.R, env, strict)
 }
 
@@ -1562,24 +1356,9 @@ func (in *Interp) evalCall(x *ast.CallExpr, env *Env, strict bool) (Value, error
 		return Undefined(), err
 	}
 	if !fnVal.IsObject() || !fnVal.Obj().IsCallable() {
-		name := describeCallee(x.Callee)
-		return Undefined(), in.TypeErrorf("%s is not a function", name)
+		return Undefined(), in.TypeErrorf("%s is not a function", DescribeCallee(x.Callee))
 	}
 	return in.Call(fnVal.Obj(), thisVal, args)
-}
-
-func describeCallee(e ast.Expr) string {
-	switch t := e.(type) {
-	case *ast.Ident:
-		return t.Name
-	case *ast.MemberExpr:
-		if !t.Computed {
-			return describeCallee(t.Obj) + "." + t.Name
-		}
-		return describeCallee(t.Obj) + "[...]"
-	default:
-		return "expression"
-	}
 }
 
 func (in *Interp) evalArgs(exprs []ast.Expr, env *Env, strict bool) ([]Value, error) {
@@ -1765,7 +1544,7 @@ func (in *Interp) call1(fn *Object, this Value, args []Value) (Value, error) {
 	case lit.ExprBody != nil:
 		rv, rerr = in.evalExpr(lit.ExprBody, callEnv, strict)
 	default:
-		in.coverFunc(lit.ID())
+		in.CoverFunc(lit.ID())
 		if lit.Scope == nil {
 			in.hoist(lit.Body.Body, callEnv)
 		}
@@ -1804,7 +1583,7 @@ func (in *Interp) evalNew(x *ast.NewExpr, env *Env, strict bool) (Value, error) 
 		return Undefined(), err
 	}
 	if !fnVal.IsObject() || !fnVal.Obj().IsCallable() {
-		return Undefined(), in.TypeErrorf("%s is not a constructor", describeCallee(x.Callee))
+		return Undefined(), in.TypeErrorf("%s is not a constructor", DescribeCallee(x.Callee))
 	}
 	return in.Construct(fnVal.Obj(), args)
 }
@@ -1851,11 +1630,7 @@ func (in *Interp) GetProp(v Value, key string) (Value, error) {
 }
 
 // evalComputedParts evaluates a computed member expression's object and
-// key. Object keys are converted to strings immediately — the conversion
-// can run user code (toString), so it must happen at the key's evaluation
-// position, before anything that follows (e.g. an assignment's right-hand
-// side). Primitive keys stay unconverted for the by-value fast paths;
-// their conversion is pure and deferrable.
+// key, the key converted as KeyValue says.
 func (in *Interp) evalComputedParts(x *ast.MemberExpr, env *Env, strict bool) (Value, Value, error) {
 	obj, err := in.evalExpr(x.Obj, env, strict)
 	if err != nil {
@@ -1865,12 +1640,8 @@ func (in *Interp) evalComputedParts(x *ast.MemberExpr, env *Env, strict bool) (V
 	if err != nil {
 		return Undefined(), Undefined(), err
 	}
-	if kv.IsObject() {
-		key, err := in.ToPropertyKey(kv)
-		if err != nil {
-			return Undefined(), Undefined(), err
-		}
-		kv = String(key)
+	if kv, err = in.KeyValue(kv); err != nil {
+		return Undefined(), Undefined(), err
 	}
 	return obj, kv, nil
 }

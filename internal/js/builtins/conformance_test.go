@@ -255,6 +255,27 @@ try { g()(); print("no throw"); } catch (e) { print(e.name); }`,
 	{name: "replace string pattern after a non-ASCII prefix",
 		src:  "print(\"\u00e9ab\".replace(\"a\", \"[$`]\"), \"\u00e9ab\".replace(\"a\", function (m, pos) { return pos; }));",
 		want: "\u00e9[\u00e9]b \u00e91b"},
+	// x++, x op= y and x ||= y evaluate GetValue on their target first
+	// (13.4.2.1, 13.15.2 steps 1.b and 4-6), and GetValue of an
+	// unresolvable reference throws a ReferenceError (6.2.5.5 step 3) in
+	// both modes; only a plain assignment creates a global in sloppy code
+	// (PutValue step 3.b).
+	{name: "update of an undeclared name",
+		src:  `try { undeclaredA++; print("no throw"); } catch (e) { print(e.name, typeof undeclaredA); }`,
+		want: "ReferenceError undefined"},
+	{name: "compound assignment to an undeclared name",
+		src:  `try { undeclaredB += 1; print("no throw"); } catch (e) { print(e.name, "undeclaredB" in this); }`,
+		want: "ReferenceError false"},
+	{name: "logical assignments to an undeclared name",
+		src:  `var r = []; try { undeclaredC ||= 1; } catch (e) { r.push(e.name); } try { undeclaredD &&= 1; } catch (e) { r.push(e.name); } try { undeclaredE ??= 1; } catch (e) { r.push(e.name); } print(r.join());`,
+		want: "ReferenceError,ReferenceError,ReferenceError"},
+	{name: "update of an undeclared name in strict code",
+		src:    `try { undeclaredF--; print("no throw"); } catch (e) { print(e.name); }`,
+		strict: true,
+		want:   "ReferenceError"},
+	{name: "plain assignment to an undeclared name",
+		src:  `undeclaredG = 1; undeclaredG++; print(undeclaredG);`,
+		want: "2"},
 }
 
 // TestReferenceConformance runs conformanceCases on the compiled path and

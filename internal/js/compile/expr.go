@@ -827,9 +827,8 @@ func (c *compiler) update(x *ast.UpdateExpr) exprThunk {
 	}
 	prefix := x.Prefix
 	// Slot-resolved updates collapse to a direct read-modify-write on the
-	// frame slot: no reader/writer closures at all. The slot read cannot
-	// fail, so the generic path's unresolved-identifier handling is dead
-	// here.
+	// frame slot: no reader/writer closures at all, and a slot read cannot
+	// fail.
 	if id, ok := x.X.(*ast.Ident); ok && id.Ref.Kind == ast.RefSlot {
 		depth, slot := id.Ref.Depth, id.Ref.Slot
 		return func(in *interp.Interp, env *interp.Env, strict bool) (interp.Value, error) {
@@ -865,7 +864,7 @@ func (c *compiler) update(x *ast.UpdateExpr) exprThunk {
 				return interp.Undefined(), err
 			}
 			old, err := read(in, env)
-			if old, err = interp.TargetValue(old, err, strict); err != nil {
+			if err != nil {
 				return interp.Undefined(), err
 			}
 			var n float64
@@ -919,7 +918,7 @@ func (c *compiler) ref(e ast.Expr) refThunk {
 		write := identAssigner(t.Name, t.Ref)
 		return func(in *interp.Interp, env *interp.Env, strict bool) (interp.Value, func(interp.Value) error, error) {
 			v, err := read(in, env)
-			if v, err = interp.TargetValue(v, err, strict); err != nil {
+			if err != nil {
 				return interp.Undefined(), nil, err
 			}
 			return v, func(nv interp.Value) error { return write(in, env, nv, strict) }, nil
@@ -1079,7 +1078,7 @@ func (c *compiler) assign(x *ast.AssignExpr) exprThunk {
 					return interp.Undefined(), err
 				}
 				cur, err := read(in, env)
-				if cur, err = interp.TargetValue(cur, err, strict); err != nil {
+				if err != nil {
 					return interp.Undefined(), err
 				}
 				if !interp.LogicalAssignTakes(op, cur) {
@@ -1114,8 +1113,7 @@ func (c *compiler) assign(x *ast.AssignExpr) exprThunk {
 	r := c.expr(x.R)
 	binOp, known := interp.CompoundOp(x.Op)
 	// Slot-resolved compound targets (acc += …) read and write the frame
-	// slot directly; the slot read cannot fail, so the generic path's
-	// unresolved-identifier handling is dead here.
+	// slot directly; a slot read cannot fail.
 	if id, ok := x.L.(*ast.Ident); ok && known && id.Ref.Kind == ast.RefSlot {
 		depth, slot := id.Ref.Depth, id.Ref.Slot
 		apply := binApplier(binOp)
@@ -1147,7 +1145,7 @@ func (c *compiler) assign(x *ast.AssignExpr) exprThunk {
 				return interp.Undefined(), err
 			}
 			cur, err := read(in, env)
-			if cur, err = interp.TargetValue(cur, err, strict); err != nil {
+			if err != nil {
 				return interp.Undefined(), err
 			}
 			rhs, err := r(in, env, strict)

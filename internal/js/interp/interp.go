@@ -1049,8 +1049,9 @@ func (in *Interp) evalUpdate(x *ast.UpdateExpr, env *Env, strict bool) (Value, e
 func (in *Interp) evalRef(e ast.Expr, env *Env, strict bool) (Value, func(Value) error, error) {
 	switch t := e.(type) {
 	case *ast.Ident:
+		// GetValue: an unresolvable name throws in both modes.
 		v, err := in.lookupIdentRef(t, env)
-		if v, err = TargetValue(v, err, strict); err != nil {
+		if err != nil {
 			return Undefined(), nil, err
 		}
 		return v, func(nv Value) error { return in.assignIdentRef(t.Name, t.Ref, nv, env, strict) }, nil

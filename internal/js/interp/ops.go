@@ -113,21 +113,6 @@ func (in *Interp) DeleteBinding(name string, kind ast.RefKind, env *Env) Value {
 	return Bool(in.Global.DeleteOwn(name))
 }
 
-// TargetValue turns the read of an identifier assignment target (v, err),
-// made without a fuel charge, into the target's current value for a
-// read-modify-write. Aborts and strict-mode reference errors propagate; a
-// sloppy read of a missing name yields undefined (the write may then
-// create a global).
-func TargetValue(v Value, err error, strict bool) (Value, error) {
-	if err != nil {
-		if _, isThrow := IsThrow(err); !isThrow || strict {
-			return Undefined(), err
-		}
-		v = Undefined()
-	}
-	return v, nil
-}
-
 // CompoundOp maps a compound assignment operator (+=, <<=, ...) to its
 // binary operator; ok is false for any other token.
 func CompoundOp(op token.Type) (bin token.Type, ok bool) {

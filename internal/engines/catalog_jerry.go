@@ -211,7 +211,7 @@ print(a[0]);`,
 		Channel: ChannelSpecData, Verified: false, DevFixed: false, New: false,
 		Note:    "DataView.byteOffset reports the byteLength",
 		Witness: `print(new DataView(new ArrayBuffer(8), 2).byteOffset);`,
-		Hook: onAPI("new DataView", func(ctx *interp.HookCtx) bool {
+		Hook: onConstruct("DataView", func(ctx *interp.HookCtx) bool {
 			return len(ctx.Args) > 1
 		}, mapResult(func(ctx *interp.HookCtx, res interp.Value) interp.Value {
 			if res.IsObject() && res.Obj().Class == "DataView" {
@@ -244,7 +244,7 @@ foo();`,
 		Hook: onRegex("RegExp.prototype.test", func(pattern, flags string) bool {
 			return strings.Contains(flags, "m") && strings.HasPrefix(pattern, "^")
 		}, func(ctx *interp.HookCtx) *interp.Override {
-			if len(ctx.Args) > 0 && strings.Contains(ctx.Args[0].Str(), "\r") {
+			if strings.Contains(ctx.Src, "\r") {
 				return &interp.Override{Replace: true, Return: interp.Undefined()}
 			}
 			return nil
@@ -322,7 +322,7 @@ foo();`,
 		Channel: ChannelSpecData, Verified: true, DevFixed: true, New: true,
 		Note:    "Uint8ClampedArray truncates instead of rounding to nearest",
 		Witness: `print(new Uint8ClampedArray([2.6])[0]);`,
-		Hook: onAPI("new Uint8ClampedArray", func(ctx *interp.HookCtx) bool {
+		Hook: onConstruct("Uint8ClampedArray", func(ctx *interp.HookCtx) bool {
 			return len(ctx.Args) > 0 && ctx.Args[0].IsObject() && ctx.Args[0].Obj().IsArray()
 		}, mapResult(func(ctx *interp.HookCtx, res interp.Value) interp.Value {
 			if res.IsObject() && res.Obj().ElemKind == interp.ElemUint8Clamped {

@@ -617,7 +617,7 @@ try {
 		Note: "Int32Array construction from arrays with holes yields garbage values",
 		Witness: `var a = new Int32Array([1, , 3]);
 print(a[1]);`,
-		Hook: onAPI("new Int32Array", func(ctx *interp.HookCtx) bool {
+		Hook: onConstruct("Int32Array", func(ctx *interp.HookCtx) bool {
 			if len(ctx.Args) == 0 || !ctx.Args[0].IsObject() || !ctx.Args[0].Obj().IsArray() {
 				return false
 			}
@@ -799,11 +799,7 @@ func fakeUnanchored(ctx *interp.HookCtx, stripPrefix string) *interp.Override {
 	if err != nil {
 		return nil
 	}
-	input := ""
-	if len(ctx.Args) > 0 {
-		input = ctx.Args[0].Str()
-	}
-	m, err := re.Exec(input, 0)
+	m, err := re.Exec(ctx.Src, 0)
 	if err != nil || m == nil {
 		return nil
 	}

@@ -69,11 +69,7 @@ print(o.x);`,
 		Hook: onRegex("RegExp.prototype.test", func(pattern, flags string) bool {
 			return strings.Contains(flags, "i") && strings.Contains(pattern, "[")
 		}, func(ctx *interp.HookCtx) *interp.Override {
-			input := ""
-			if len(ctx.Args) > 0 {
-				input = ctx.Args[0].Str()
-			}
-			if input == strings.ToLower(input) {
+			if ctx.Src == strings.ToLower(ctx.Src) {
 				return nil // lower-case inputs match either way
 			}
 			return &interp.Override{Replace: true, Return: interp.Undefined()}

@@ -566,11 +566,7 @@ print(f.apply(null, null));`,
 			if err != nil {
 				return nil
 			}
-			input := ""
-			if len(ctx.Args) > 0 {
-				input = ctx.Args[0].Str()
-			}
-			m, err := re.Exec(input, 0)
+			m, err := re.Exec(ctx.Src, 0)
 			if err != nil || m == nil {
 				return nil
 			}

@@ -119,7 +119,7 @@ func (b *catalogBuilder) spiderMonkey() {
 };
 var parameter = 3.14;
 foo(parameter);`,
-		Hook: onAPI("new Uint32Array", argFrac(0),
+		Hook: onConstruct("Uint32Array", argFrac(0),
 			throwE("TypeError", "invalid arguments")),
 	})
 	// String.prototype.repeat(0) returns " " instead of "".

@@ -152,6 +152,12 @@ func onAPI(api string, when func(*interp.HookCtx) bool, eff func(*interp.HookCtx
 	return &Hook{Site: interp.HookBuiltin, Name: api, Fn: trigger(when, eff)}
 }
 
+// onConstruct intercepts new of one builtin constructor, keyed by its
+// name ("Array" for new Array).
+func onConstruct(ctor string, when func(*interp.HookCtx) bool, eff func(*interp.HookCtx) *interp.Override) *Hook {
+	return &Hook{Site: interp.HookConstruct, Name: ctor, Fn: trigger(when, eff)}
+}
+
 // onRegex intercepts a regex execution entry point (split/match/exec/...)
 // conditioned on the pattern source.
 func onRegex(api string, patWhen func(pattern, flags string) bool, eff func(ctx *interp.HookCtx) *interp.Override) *Hook {
@@ -347,15 +353,7 @@ func anchorAnywhere(api string) *Hook {
 		if err != nil {
 			return nil
 		}
-		input := ""
-		start := 0
-		if len(ctx.Args) > 0 {
-			input = ctx.Args[0].Str()
-		}
-		if len(ctx.Args) > 1 {
-			start = int(ctx.Args[1].Num())
-		}
-		m, err := re.Exec(input, start)
+		m, err := re.Exec(ctx.Src, int(ctx.Index))
 		if err != nil || m == nil {
 			return nil
 		}

@@ -9,23 +9,23 @@ import (
 )
 
 // Hook is a defect's interception together with its key: the hook site
-// it listens at and, for interp.HookBuiltin and interp.HookRegexExec, the
-// canonical API name (interp.HookCtx.Name). The key is where the hook is
+// it listens at and, for interp.HookBuiltin, interp.HookConstruct and
+// interp.HookRegexExec, the canonical API name (interp.HookCtx.Name). The key is where the hook is
 // asked: dispatch (hookTable) calls Fn only at sites whose Site and Name
 // match, so Fn itself checks neither.
 type Hook struct {
 	Site interp.HookSite
-	Name string // HookBuiltin and HookRegexExec only
+	Name string // HookBuiltin, HookConstruct and HookRegexExec only
 	Fn   interp.Hook
 }
 
 // named reports whether a site's key carries the API name.
 func named(site interp.HookSite) bool {
-	return site == interp.HookBuiltin || site == interp.HookRegexExec
+	return site == interp.HookBuiltin || site == interp.HookConstruct || site == interp.HookRegexExec
 }
 
 // numSites bounds the hook sites: every interp.HookSite is below it.
-const numSites = int(interp.HookUndeclaredAssign) + 1
+const numSites = int(interp.HookConstruct) + 1
 
 // siteName is a hook key. A site without a name has the empty name.
 type siteName struct {

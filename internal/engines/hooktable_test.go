@@ -59,7 +59,7 @@ print(c, a.length, o.x, s.length);`
 
 var watchKeys = []Hook{
 	{Site: interp.HookBuiltin, Name: "String.prototype.charCodeAt"},
-	{Site: interp.HookBuiltin, Name: "new Array"},
+	{Site: interp.HookConstruct, Name: "Array"},
 	{Site: interp.HookBuiltin, Name: "Array.prototype.push"},
 	{Site: interp.HookRegexExec, Name: "RegExp.prototype.test"},
 	{Site: interp.HookRegexExec, Name: "String.prototype.split"},

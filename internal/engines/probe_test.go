@@ -87,13 +87,15 @@ func TestProbeIsPure(t *testing.T) {
 // TestQuietHookAllocatesLikeNoHook pins that a hooked run takes the
 // unhooked run's paths: on one realm, reset between runs, a run under a
 // hook that always returns nil allocates exactly as often as a run with
-// no hook. The programs are the interp-loops workload's and the first
-// corpus programs; two hooked-only allocations remain outside them, the
-// "new " name of a native constructor call and a regex site's argument
-// slice. Mallocs is read with the collector off, so no collection runs
-// inside the measured window.
+// no hook. The programs are the interp-loops workload's, the first corpus
+// programs, and two loops over the regex and native-constructor sites.
+// Mallocs is read with the collector off, so no collection runs inside
+// the measured window.
 func TestQuietHookAllocatesLikeNoHook(t *testing.T) {
 	srcs := append(append([]string(nil), probeLoops...), corpus.Programs()[:5]...)
+	srcs = append(srcs,
+		`var n = 0; for (var i = 0; i < 100; i++) { if (/a+/.test("xaay")) n++; } print(n);`,
+		`var n = 0; for (var i = 0; i < 100; i++) { n += new Array(3).length; } print(n);`)
 	opts := RunOptions{Fuel: 2_000_000, Seed: 1}
 	cfg := realmConfig(interp.Config{}, opts)
 	in := builtins.NewRuntime(cfg)
@@ -177,7 +179,7 @@ func keyedHook(h *Hook) interp.Hook {
 		if ctx.Site != h.Site {
 			return nil
 		}
-		if (h.Site == interp.HookBuiltin || h.Site == interp.HookRegexExec) && ctx.Name != h.Name {
+		if named(h.Site) && ctx.Name != h.Name {
 			return nil
 		}
 		return h.Fn(ctx)

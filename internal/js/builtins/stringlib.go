@@ -520,10 +520,13 @@ func runRegex(in *interp.Interp, re *regex.Regexp, input string, start int, api 
 		return nil, err
 	}
 	if in.Hook != nil {
+		// The start clamped to [0, len(input)+1] matches where start does
+		// (Exec reads a negative start as 0, and past the input finds
+		// nothing), and fits the ctx's Index.
 		ov, err := in.Ask(interp.HookCtx{
 			Site: interp.HookRegexExec, In: in, Name: api,
 			Pattern: re.Source, Flags: re.Flags,
-			Args: []interp.Value{interp.String(input), interp.Number(float64(start))},
+			Src: input, Index: uint32(min(max(start, 0), len(input)+1)),
 		})
 		if err != nil {
 			return nil, err

@@ -5,9 +5,9 @@ type HookSite int
 
 // Hook sites. These correspond to the places where real engines diverge:
 // builtin dispatch, property stores, (eval) parsing, array growth, regex
-// execution, tier-up recompilation, and two identifier writes the
-// reference refuses: to a function expression's own name, and a strict
-// write to an undeclared identifier.
+// execution, tier-up recompilation, two identifier writes the reference
+// refuses (to a function expression's own name, and a strict write to an
+// undeclared identifier), and a builtin constructor's new.
 const (
 	HookBuiltin HookSite = iota
 	HookPropSet
@@ -17,6 +17,7 @@ const (
 	HookFuncTier
 	HookSelfNameAssign
 	HookUndeclaredAssign
+	HookConstruct
 )
 
 func (s HookSite) String() string {
@@ -37,6 +38,8 @@ func (s HookSite) String() string {
 		return "selfnameassign"
 	case HookUndeclaredAssign:
 		return "undeclaredassign"
+	case HookConstruct:
+		return "construct"
 	default:
 		return "unknown"
 	}
@@ -47,8 +50,11 @@ type HookCtx struct {
 	Site HookSite
 	In   *Interp
 
-	// HookBuiltin and HookRegexExec.
-	Name string // canonical builtin key, e.g. "String.prototype.substr"
+	// HookBuiltin, HookConstruct and HookRegexExec: the canonical builtin
+	// key, e.g. "String.prototype.substr" (at HookConstruct the
+	// constructor's, e.g. "Array" for new Array). This and Args are the
+	// call's (HookBuiltin and HookConstruct).
+	Name string
 	This Value
 	Args []Value
 
@@ -58,14 +64,15 @@ type HookCtx struct {
 	Key Value
 	Val Value
 
-	// HookEvalParse.
+	// HookEvalParse: the eval'd source. HookRegexExec: the input string.
 	Src string
 
 	// HookRegexExec.
 	Pattern string
 	Flags   string
 
-	// HookArrayGrow: the array being written and the index.
+	// HookArrayGrow: the index written (Obj is the array). HookRegexExec:
+	// the position the match attempt starts at.
 	Index uint32
 
 	// HookFuncTier: the invocation count of the function being entered.
@@ -143,17 +150,19 @@ func (in *Interp) allowWrite(site HookSite) (bool, error) {
 	return ov != nil, err
 }
 
-// callNative runs a native function, constructor calls (ctor) included,
-// under the installed hook: the hook may replace the call or transform
-// its result. An unhooked run calls native directly.
+// callNative runs a native function under the installed hook, at
+// HookBuiltin for a call and at HookConstruct for a constructor call
+// (ctor), keyed by the native's name either way: the hook may replace the
+// call or transform its result. An unhooked run calls native directly.
 func (in *Interp) callNative(native NativeFunc, name string, ctor bool, this Value, args []Value) (Value, error) {
 	if in.Hook == nil {
 		return native(in, this, args)
 	}
+	site := HookBuiltin
 	if ctor {
-		name = "new " + name
+		site = HookConstruct
 	}
-	ov, err := in.Ask(HookCtx{Site: HookBuiltin, In: in, Name: name, This: this, Args: args})
+	ov, err := in.Ask(HookCtx{Site: site, In: in, Name: name, This: this, Args: args})
 	if err != nil {
 		return Undefined(), err
 	}

@@ -276,6 +276,64 @@ try { g()(); print("no throw"); } catch (e) { print(e.name); }`,
 	{name: "plain assignment to an undeclared name",
 		src:  `undeclaredG = 1; undeclaredG++; print(undeclaredG);`,
 		want: "2"},
+	// The operators both evaluators take from one helper (interp/ops.go),
+	// so only spec-given values can catch a wrong helper. Unary operators
+	// (13.5): ! ToBoolean, - and + ToNumber, ~ ToInt32 then NOT, void.
+	{name: "unary operators",
+		src:  `print(!0, !"", -"3", +"4", ~5, ~-1, void 6, typeof -0);`,
+		want: "true true -3 4 -6 0 undefined number"},
+	// typeof of an unresolvable reference is "undefined" (13.5.3 step
+	// 2.a); globalThis (19.1) and undefined resolve.
+	{name: "typeof of unbound and built-in names",
+		src:  `function f() { return typeof notDeclared; } print(typeof notDeclared, f(), typeof globalThis, typeof undefined, typeof Math);`,
+		want: "undefined undefined object undefined object"},
+	// delete of a property (13.5.1.2 step 5): [[Delete]] returns false on
+	// a non-configurable property, which strict code turns into a
+	// TypeError; a primitive base is converted and deleted from.
+	{name: "delete of a non-configurable property",
+		src:  `var o = {}; Object.defineProperty(o, "x", {value: 1}); o.y = 2; print(delete o.x, delete o.y, o.x, o.y, delete o.z);`,
+		want: "false true 1 undefined true"},
+	{name: "delete of a non-configurable property in strict code",
+		src:    `var o = {}; Object.defineProperty(o, "x", {value: 1}); try { delete o.x; print("deleted"); } catch (e) { print(e.name, o.x); }`,
+		strict: true,
+		want:   "TypeError 1"},
+	// delete of a binding (13.5.1.2 step 4): a declarative record's let
+	// and a var's non-configurable global property stay; an implicit
+	// global (a configurable property) goes.
+	{name: "delete of global bindings",
+		src:  `let g = 1; var v = 2; w = 3; function f() { return delete g; } print(delete g, f(), delete v, delete w, typeof g, typeof v, typeof w);`,
+		want: "false false false true number number undefined"},
+	// Compound assignment (13.15.2 step 5) applies the operator its
+	// token names, on a function's slot, a global and a property.
+	{name: "compound assignment operators",
+		src: `function f() { var a = 5; a ^= 3; var b = 5; b |= 3; var c = 5; c &= 3; var d = 1; d <<= 4; var e = -16; e >>= 2; var g = -16; g >>>= 28; var h = 2; h **= 10; var i = 7; i %= 4; var j = 1; j += "2"; var k = 9; k -= 4; var l = 3; l *= 4; var m = 9; m /= 2; return [a, b, c, d, e, g, h, i, j, k, l, m].join(); }
+var a = 5; a ^= 3; var o = {x: 5}; o.x ^= 3; o.x -= 1; print(f(), a, o.x);`,
+		want: "6,7,1,16,-4,15,1024,3,12,5,12,4.5 6 5"},
+	// Logical operators (13.13.1) and logical assignment (13.15.2 steps
+	// 7-9): && and || test ToBoolean, ?? nullishness, and an assignment
+	// that short-circuits evaluates no right-hand side.
+	{name: "logical operators",
+		src:  `print(0 && 1, 2 && 3, 0 || 4, 5 || 6, null ?? 7, 0 ?? 8, undefined ?? "", "" ?? 9);`,
+		want: "0 3 4 5 7 0  "},
+	{name: "logical assignment operators",
+		src:  `var y = 0, n = 0; y ??= (n = 1); var z = null; z ??= 2; var p = 0; p ||= 5; var q = 1; q &&= 7; var r = 0; r &&= (n = 2); var o = {s: ""}; o.s ||= "t"; print(y, n, z, p, q, r, o.s);`,
+		want: "0 0 2 5 7 0 t"},
+	// Labelled continue and break (14.7.1.2 LoopContinues, 14.13.3):
+	// each ends at the loop its label names; an unlabelled break ends the
+	// switch.
+	{name: "labelled break and continue",
+		src:  `var s = ""; outer: for (var i = 0; i < 3; i++) { for (var j = 0; j < 3; j++) { if (j == 1) continue outer; if (i == 2) break outer; s += i + "" + j + ","; } } for (var k in {a: 1, b: 2}) { switch (k) { case "a": s += "A"; break; default: s += "D"; } } print(s);`,
+		want: "00,10,AD"},
+	// for-in/for-of bind each key or item (14.7.5.7); a catch parameter
+	// is a binding of the catch block (14.15.2).
+	{name: "for-in, for-of and catch bindings",
+		src:  `var ks = []; for (var k in {a: 1, b: 2}) ks.push(k); for (const v of [3, 4]) ks.push(v); var e = "outer"; try { throw "inner"; } catch (e) { e += "!"; ks.push(e); } print(ks.join(), k, e);`,
+		want: "a,b,3,4,inner! b outer"},
+	// Array spread (13.2.4.1) and NamedEvaluation of an anonymous
+	// function (13.15.2 step 1.c, 14.3.1.2).
+	{name: "array spread and function names",
+		src:  `var f = function () {}; var g; g = function () {}; print([1, ...[2, 3], ..."ab"].join(), f.name, g.name);`,
+		want: "1,2,3,a,b f g"},
 }
 
 // TestReferenceConformance runs conformanceCases on the compiled path and
